@@ -280,8 +280,8 @@ func BenchmarkAblationFuelOverhead(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Runtime microbenchmarks.
 
-// BenchmarkWasmInterpFib measures raw interpreter throughput on a
-// call-heavy recursive workload.
+// BenchmarkWasmInterpFib measures raw wasm execution throughput (default
+// tier) on a call-heavy recursive workload.
 func BenchmarkWasmInterpFib(b *testing.B) {
 	src := `(module (func $fib (export "fib") (param $n i32) (result i32)
 	  (if (result i32) (i32.lt_s (local.get $n) (i32.const 2))
@@ -684,148 +684,5 @@ func BenchmarkDisassemble(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = wasm.Disassemble(m)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Tiered execution benchmarks (BENCH_tier.json).
-
-// tierInstantiate builds a metered instance pinned to one execution tier,
-// with enough fuel for a whole benchmark run.
-func tierInstantiate(b *testing.B, src string, tier wasm.Tier) *wasm.Instance {
-	b.Helper()
-	m, err := wat.Compile(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cm, err := wasm.Compile(m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	in, err := cm.Instantiate(nil, wasm.Config{MeterFuel: true, Tier: tier})
-	if err != nil {
-		b.Fatal(err)
-	}
-	in.SetFuel(1 << 60)
-	return in
-}
-
-var benchTiers = []struct {
-	name string
-	tier wasm.Tier
-}{
-	{"interp", wasm.TierInterp},
-	{"fused", wasm.TierFused},
-	{"closure", wasm.TierClosure},
-}
-
-// BenchmarkWasmTierFib measures the call-heavy recursive workload on each
-// tier under fuel metering — the dispatch-loop overhead the closure tier is
-// built to remove.
-func BenchmarkWasmTierFib(b *testing.B) {
-	src := `(module (func $fib (export "fib") (param $n i32) (result i32)
-	  (if (result i32) (i32.lt_s (local.get $n) (i32.const 2))
-	    (then (local.get $n))
-	    (else (i32.add
-	      (call $fib (i32.sub (local.get $n) (i32.const 1)))
-	      (call $fib (i32.sub (local.get $n) (i32.const 2))))))))`
-	for _, tc := range benchTiers {
-		b.Run(tc.name, func(b *testing.B) {
-			in := tierInstantiate(b, src, tc.tier)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := in.Call("fib", 20); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkWasmTierMemLoop measures the store/load/branch loop that the
-// superinstruction pass fuses: get+const+add/store windows, load+compare
-// back-edges.
-func BenchmarkWasmTierMemLoop(b *testing.B) {
-	src := `(module (memory (export "memory") 1)
-	  (func (export "churn") (param $n i32) (result i32)
-	    (local $i i32) (local $s i32)
-	    (block $done (loop $top
-	      (br_if $done (i32.ge_u (local.get $i) (local.get $n)))
-	      (i32.store (i32.and (i32.mul (local.get $i) (i32.const 13)) (i32.const 0xFFFC)) (local.get $i))
-	      (local.set $s (i32.add (local.get $s)
-	        (i32.load (i32.and (i32.mul (local.get $i) (i32.const 7)) (i32.const 0xFFFC)))))
-	      (local.set $i (i32.add (local.get $i) (i32.const 1)))
-	      (br $top)))
-	    (local.get $s)))`
-	for _, tc := range benchTiers {
-		b.Run(tc.name, func(b *testing.B) {
-			in := tierInstantiate(b, src, tc.tier)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := in.Call("churn", 4096); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTierSchedule measures the full host-side scheduling call — the
-// plugin-execution share of BenchmarkMultiCellSlots — with the PF guest
-// pinned to each tier, over both ABI paths at a realistic UE count.
-func BenchmarkTierSchedule(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		abi  sched.ABIMode
-	}{
-		{"codec", sched.ABICodec},
-		{"zerocopy", sched.ABIZeroCopy},
-	} {
-		for _, tc := range benchTiers {
-			b.Run(mode.name+"/"+tc.name, func(b *testing.B) {
-				ps, err := core.NewPluginScheduler("pf", wabi.Policy{Tier: tc.tier})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := ps.SetABIMode(mode.abi); err != nil {
-					b.Fatal(err)
-				}
-				req := benchRequest(64)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					req.Slot = uint64(i)
-					if _, err := ps.Schedule(req); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkMultiCellSlotsTier is BenchmarkMultiCellSlots with the wasm tier
-// pinned: the whole-system view of what tier promotion buys one group slot.
-func BenchmarkMultiCellSlotsTier(b *testing.B) {
-	for _, tc := range benchTiers {
-		b.Run("8cell/par=1/zerocopy/"+tc.name, func(b *testing.B) {
-			cg, scheds, err := core.BuildMulticellGroupTiered(8, 1, sched.ABIZeroCopy, tc.tier, 0, wabi.Env{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cg.StepAll()
-			}
-			b.StopTimer()
-			var ns, calls uint64
-			for _, ps := range scheds {
-				st := ps.Stats()
-				ns += uint64(st.TotalTime.Nanoseconds())
-				calls += st.Calls
-			}
-			if calls > 0 {
-				b.ReportMetric(float64(ns)/float64(calls), "sched-ns/call")
-			}
-		})
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"waran/internal/ran"
 	"waran/internal/sched"
 	"waran/internal/wabi"
-	"waran/internal/wasm"
 	"waran/internal/wat"
 )
 
@@ -91,18 +90,6 @@ type CellGroup struct {
 	// refuses guests without the region ABI. Set before installing
 	// schedulers.
 	PluginABI sched.ABIMode
-
-	// PluginTier pins every scheduler the group installs to one wasm
-	// execution tier. TierAuto (default) leaves tier selection to the
-	// profile-guided promotion machinery. Set before installing schedulers.
-	PluginTier wasm.Tier
-
-	// TierPromoteFuel sets the cumulative-fuel threshold at which an
-	// installed scheduler's module is promoted off the interpreter. Zero
-	// keeps wabi's default behavior (promotion armed only where a policy
-	// arms it); negative disables promotion. Set before installing
-	// schedulers.
-	TierPromoteFuel int64
 }
 
 // NewCellGroup creates cfg.Cells identical cells (defaults applied). The
@@ -323,9 +310,7 @@ func (cg *CellGroup) FlightRecorder() *flight.Recorder { return cg.flight }
 // "mt") once and installs one shared pool-backed IntraSlice across every
 // cell that registered sliceID: N cells scheduling concurrently draw from
 // up to poolMax parallel sandboxes of a single compiled module. The module
-// is resolved through the group's content-addressed cache, so the cache's
-// tier policy (pinning, fuel-profiled promotion and its promotion counter)
-// governs preinstalled pools exactly like uploaded ones, and a later upload
+// is resolved through the group's content-addressed cache, so a later upload
 // of identical bytes is a cache hit rather than a recompile.
 func (cg *CellGroup) InstallPooledScheduler(sliceID uint32, name string, policy wabi.Policy, poolMax int) (*sched.PoolScheduler, error) {
 	src, ok := plugins.SchedulerWAT(name)
@@ -361,12 +346,6 @@ func (cg *CellGroup) installPool(sliceID uint32, name string, mod *wabi.Module, 
 	}
 	if policy.Fuel == 0 {
 		policy.Fuel = 10_000_000
-	}
-	if policy.Tier == wasm.TierAuto {
-		policy.Tier = cg.PluginTier
-	}
-	if policy.TierPromoteFuel == 0 {
-		policy.TierPromoteFuel = cg.TierPromoteFuel
 	}
 	env := cg.PluginEnv
 	if env.ProfileTag == "" && env.Profile != nil {

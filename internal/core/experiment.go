@@ -43,10 +43,6 @@ type ExpConfig struct {
 	// ABI selects the plugin call path in experiments that install wasm
 	// schedulers: "auto" (default), "codec" or "zerocopy" (sched.ParseABIMode).
 	ABI string
-	// Tier pins the wasm execution tier for experiments that install wasm
-	// schedulers: "auto" (default, profile-guided promotion), "interp",
-	// "fused" or "closure" (wasm.ParseTier).
-	Tier string
 	// UEsPerCell / Sectors / Shards / BatchWindow shape the city-scale
 	// experiment (citysim): modeled UEs per cell, E2 associations per cell,
 	// RIC association shards, and the KPM batching window in report periods.

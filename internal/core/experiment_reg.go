@@ -28,7 +28,6 @@ func init() {
 			IntExpFlag("slots", 2000, "slots to step", func(c *ExpConfig, v int) { c.Slots = v }),
 			IntExpFlag("par", 0, "worker parallelism (0 = GOMAXPROCS)", func(c *ExpConfig, v int) { c.Parallelism = v }),
 			StringExpFlag("abi", "auto", "plugin call path (auto, codec, zerocopy)", func(c *ExpConfig, v string) { c.ABI = v }),
-			StringExpFlag("tier", "auto", "wasm execution tier (auto, interp, fused, closure)", func(c *ExpConfig, v string) { c.Tier = v }),
 		},
 		func(cfg ExpConfig) (any, error) { return RunMulticell(cfg) })
 	RegisterExperimentWithFlags("pluginfaults", "plugin fault storm: breaker quarantine, shadow-validated recovery, sleeper rollback (JSON)",

@@ -52,14 +52,11 @@ type MulticellResult struct {
 	// the region ABI removes from the sandbox.
 	ABIWallSharePct float64 `json:"abi_wall_share_pct"`
 
-	// Execution-tier accounting for the parallel run: the requested tier
-	// ("auto" means profile-guided), per-tier sandbox call counts, and how
-	// many modules the fuel profile promoted off the interpreter.
-	Tier             string `json:"tier"`
+	// Execution-tier accounting for the parallel run: sandbox calls served
+	// by the closure tier (all of them) and by the reference interpreter
+	// (none: no experiment selects it).
 	TierInterpCalls  uint64 `json:"tier_interp_calls"`  // metric-exempt: report field aggregated from sched's registered counters
-	TierFusedCalls   uint64 `json:"tier_fused_calls"`   // metric-exempt: report field aggregated from sched's registered counters
 	TierClosureCalls uint64 `json:"tier_closure_calls"` // metric-exempt: report field aggregated from sched's registered counters
-	TierPromotions   uint64 `json:"tier_promotions"`    // metric-exempt: report field aggregated from wabi's cache counter
 
 	Obs map[string]any `json:"obs,omitempty"`
 }
@@ -77,29 +74,12 @@ func BuildMulticellGroup(cells, par int) (*CellGroup, error) {
 // returns the installed pool schedulers so callers can read per-path call
 // accounting after the run.
 func BuildMulticellGroupABI(cells, par int, abi sched.ABIMode, env wabi.Env) (*CellGroup, []*sched.PoolScheduler, error) {
-	return BuildMulticellGroupTiered(cells, par, abi, wasm.TierAuto, 0, env)
-}
-
-// BuildMulticellGroupTiered is BuildMulticellGroupABI with the wasm
-// execution tier pinned (TierAuto enables profile-guided promotion at the
-// promoteFuel threshold; promoteFuel 0 keeps wabi's default arming,
-// negative disables promotion).
-func BuildMulticellGroupTiered(cells, par int, abi sched.ABIMode, tier wasm.Tier, promoteFuel int64, env wabi.Env) (*CellGroup, []*sched.PoolScheduler, error) {
 	cg, err := NewCellGroup(ran.CellConfig{}, CellGroupConfig{Cells: cells, Parallelism: par})
 	if err != nil {
 		return nil, nil, err
 	}
 	cg.PluginABI = abi
 	cg.PluginEnv = env
-	cg.PluginTier = tier
-	cg.TierPromoteFuel = promoteFuel
-	if tier == wasm.TierAuto {
-		// Uploads resolved through the group cache promote the same way the
-		// preinstalled pools do.
-		cg.Modules.SetTierPolicy(wabi.TierPolicy{PromoteFuel: promoteFuel})
-	} else {
-		cg.Modules.SetTierPolicy(wabi.TierPolicy{Pin: tier})
-	}
 	specs := DefaultFig5aSpecs()
 	for c := 0; c < cells; c++ {
 		gnb := cg.Cell(c)
@@ -151,21 +131,16 @@ func RunMulticell(cfg ExpConfig) (*MulticellResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	tier, err := wasm.ParseTier(cfg.Tier)
-	if err != nil {
-		return nil, err
-	}
 	rep := &MulticellResult{
 		Cells:       cells,
 		Slots:       slots,
 		Parallelism: par,
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		ABI:         abi.String(),
-		Tier:        tier.String(),
 	}
 
 	timeRun := func(parallelism int, reg bool) (float64, *CellGroup, []*sched.PoolScheduler, error) {
-		cg, scheds, err := BuildMulticellGroupTiered(cells, parallelism, abi, tier, 0, wabi.Env{})
+		cg, scheds, err := BuildMulticellGroupABI(cells, parallelism, abi, wabi.Env{})
 		if err != nil {
 			return 0, nil, nil, err
 		}
@@ -199,7 +174,6 @@ func RunMulticell(cfg ExpConfig) (*MulticellResult, error) {
 		dirty += st.ZCDirtyRecords
 		records += st.ZCRecords
 		rep.TierInterpCalls += st.TierInterpCalls
-		rep.TierFusedCalls += st.TierFusedCalls
 		rep.TierClosureCalls += st.TierClosureCalls
 	}
 	if rep.SchedCalls > 0 {
@@ -246,7 +220,6 @@ func RunMulticell(cfg ExpConfig) (*MulticellResult, error) {
 	rep.HotSwapCompiles = wasm.CompileCount() - before
 	cs := cg.Modules.Stats()
 	rep.CacheHits, rep.CacheMisses = cs.Hits, cs.Misses
-	rep.TierPromotions = cs.TierPromotions
 
 	if cfg.Obs != nil {
 		rep.Obs = cfg.Obs.Snapshot()

@@ -16,7 +16,6 @@ func tierGroupStats(scheds []*sched.PoolScheduler) sched.SchedStats {
 		st := ps.Stats()
 		total.Calls += st.Calls
 		total.TierInterpCalls += st.TierInterpCalls
-		total.TierFusedCalls += st.TierFusedCalls
 		total.TierClosureCalls += st.TierClosureCalls
 	}
 	return total
@@ -24,15 +23,24 @@ func tierGroupStats(scheds []*sched.PoolScheduler) sched.SchedStats {
 
 // TestMulticellTierDecisionsIdentical is the system-level half of the tier
 // bit-identity contract: the same deterministic cell group stepped with the
-// scheduler sandboxes pinned to each tier must emit identical per-cell
-// SlotResult sequences, and the tier counters must attribute every sandbox
-// call to the pinned tier.
+// scheduler sandboxes on the reference interpreter and on the production
+// closure tier must emit identical per-cell SlotResult sequences, and the
+// tier counters must attribute every sandbox call to the tier that ran it.
 func TestMulticellTierDecisionsIdentical(t *testing.T) {
 	const cells, slots = 2, 120
 	run := func(tier wasm.Tier) ([][]SlotResult, sched.SchedStats) {
-		cg, scheds, err := BuildMulticellGroupTiered(cells, 1, sched.ABIAuto, tier, 0, wabi.Env{})
+		cg, err := BuildMulticellGroup(cells, 1)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// Swap in pools on the requested tier before the first slot.
+		var scheds []*sched.PoolScheduler
+		for _, sp := range DefaultFig5aSpecs() {
+			ps, err := cg.InstallPooledScheduler(sp.ID, sp.Scheduler, wabi.Policy{Tier: tier}, cells)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scheds = append(scheds, ps)
 		}
 		var seq [][]SlotResult
 		for i := 0; i < slots; i++ {
@@ -43,49 +51,34 @@ func TestMulticellTierDecisionsIdentical(t *testing.T) {
 
 	base, baseStats := run(wasm.TierInterp)
 	if baseStats.Calls == 0 || baseStats.TierInterpCalls != baseStats.Calls {
-		t.Fatalf("interp pin: %d of %d calls on interpreter", baseStats.TierInterpCalls, baseStats.Calls)
+		t.Fatalf("interp group: %d of %d calls on interpreter", baseStats.TierInterpCalls, baseStats.Calls)
 	}
-	for _, tier := range []wasm.Tier{wasm.TierFused, wasm.TierClosure} {
-		seq, st := run(tier)
-		if !reflect.DeepEqual(seq, base) {
-			t.Fatalf("tier %v: slot results diverged from interpreter run", tier)
-		}
-		want := st.Calls
-		var got uint64
-		if tier == wasm.TierFused {
-			got = st.TierFusedCalls
-		} else {
-			got = st.TierClosureCalls
-		}
-		if want == 0 || got != want {
-			t.Fatalf("tier %v: %d of %d calls attributed to the pinned tier", tier, got, want)
-		}
+	seq, st := run(wasm.TierClosure)
+	if !reflect.DeepEqual(seq, base) {
+		t.Fatal("closure tier: slot results diverged from interpreter run")
+	}
+	if st.Calls == 0 || st.TierClosureCalls != st.Calls {
+		t.Fatalf("closure group: %d of %d calls on the closure tier", st.TierClosureCalls, st.Calls)
 	}
 }
 
-// TestMulticellTierPromotion drives a TierAuto group until the fuel profile
-// promotes the scheduler modules: early calls run on the interpreter, later
-// calls on the closure tier, and the cache counts the promotions.
-func TestMulticellTierPromotion(t *testing.T) {
-	const cells = 2
-	// A few thousand fuel per decision: a tiny threshold promotes within the
-	// first few slots.
-	cg, scheds, err := BuildMulticellGroupTiered(cells, 1, sched.ABIAuto, wasm.TierAuto, 5000, wabi.Env{})
+// TestGroupClosureFromFirstCall pins the shipped default: a group built the
+// way cmd/gnb builds it (InstallPooledScheduler with a zero wabi.Policy)
+// serves every sandbox call on the closure tier, from the very first slot.
+func TestGroupClosureFromFirstCall(t *testing.T) {
+	cg, scheds, err := BuildMulticellGroupABI(2, 1, sched.ABIAuto, wabi.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 200; i++ {
+	for slot := 1; slot <= 100; slot++ {
 		cg.StepAll()
-	}
-	st := tierGroupStats(scheds)
-	if st.TierInterpCalls == 0 {
-		t.Fatal("no calls ran on the interpreter before promotion")
-	}
-	if st.TierClosureCalls == 0 {
-		t.Fatal("promotion never moved calls to the closure tier")
-	}
-	if st.TierInterpCalls+st.TierFusedCalls+st.TierClosureCalls != st.Calls {
-		t.Fatalf("tier counters (%d+%d+%d) do not cover %d calls",
-			st.TierInterpCalls, st.TierFusedCalls, st.TierClosureCalls, st.Calls)
+		if slot != 1 && slot != 100 {
+			continue
+		}
+		st := tierGroupStats(scheds)
+		if st.Calls == 0 || st.TierClosureCalls != st.Calls || st.TierInterpCalls != 0 {
+			t.Fatalf("after slot %d: %d closure + %d interp of %d calls, want all closure",
+				slot, st.TierClosureCalls, st.TierInterpCalls, st.Calls)
+		}
 	}
 }

@@ -48,7 +48,9 @@ func pair(t *testing.T, codec Codec) (server, client *Conn) {
 func TestTransportRoundTrip(t *testing.T) {
 	server, client := pair(t, BinaryCodec{})
 	msgs := sampleMessages()
+	sent := make(chan struct{})
 	go func() {
+		defer close(sent)
 		for _, m := range msgs {
 			if err := client.Send(m); err != nil {
 				t.Error(err)
@@ -65,6 +67,9 @@ func TestTransportRoundTrip(t *testing.T) {
 			t.Fatalf("message %d: got %v/%d want %v/%d", i, got.Type, got.RequestID, want.Type, want.RequestID)
 		}
 	}
+	// Send counts a frame after Write returns, so the receiver can drain the
+	// last frame before the sender has counted it: join the sender first.
+	<-sent
 	if st := client.Stats(); st.Sent != uint64(len(msgs)) || st.BytesSent == 0 {
 		t.Fatalf("client stats: sent=%d bytes=%d", st.Sent, st.BytesSent)
 	}

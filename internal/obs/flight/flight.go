@@ -2,7 +2,7 @@
 // lock-free flight recorder that captures significant state transitions from
 // every plane — slot deadline misses and fallback pins (core), breaker and
 // canary transitions (guard), brownout shifts, sheds and admission refusals
-// (ric), sandbox failure classes and tier promotions (wabi/wasm), and
+// (ric), sandbox failure classes (wabi/wasm), and
 // association lifecycle (e2) — as typed events.
 //
 // On top of the journal sit SLO burn-rate detectors (multi-window, in the
@@ -80,13 +80,11 @@ const (
 	// any).
 	EvAssocDown
 
-	// Wasm plane: sandbox and execution tiers.
+	// Wasm plane: the sandbox.
 
 	// EvSandboxFault: a plugin call failed; detail names the wabi failure
 	// class.
 	EvSandboxFault
-	// EvTierPromotion: a module was promoted to a faster execution tier.
-	EvTierPromotion
 
 	// Flight plane: the recorder's own pipeline.
 
@@ -120,7 +118,6 @@ var classNames = [numClasses]string{
 	EvAssocUp:          "e2.assoc_up",
 	EvAssocDown:        "e2.assoc_down",
 	EvSandboxFault:     "wasm.sandbox_fault",
-	EvTierPromotion:    "wasm.tier_promotion",
 	EvDetectorFire:     "slo.detector_fire",
 	EvDetectorClear:    "slo.detector_clear",
 	EvBundleCaptured:   "bundle.captured",

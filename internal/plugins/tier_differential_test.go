@@ -13,12 +13,10 @@ import (
 
 // This file is the execution-tier half of the differential harness: where
 // differential_test.go proves the codec and zero-copy byte paths agree, these
-// tests run the same guests with the interpreter, the superinstruction tier
-// and the compiled-closure tier and demand bit-identical decisions, trap
-// classes and fuel — the contract that lets the runtime promote a module
-// mid-deployment without changing a single scheduling outcome.
-
-var tierTriple = []wasm.Tier{wasm.TierInterp, wasm.TierFused, wasm.TierClosure}
+// tests run the same guests on the reference interpreter and on the
+// production closure tier and demand bit-identical decisions, trap classes
+// and fuel — the contract that makes the interpreter an oracle for the tier
+// every binary ships.
 
 func newTierSched(t testing.TB, name string, tier wasm.Tier, mode sched.ABIMode) *sched.PluginScheduler {
 	t.Helper()
@@ -60,7 +58,7 @@ func tierOutcome(ps *sched.PluginScheduler, req *sched.Request) (string, []sched
 }
 
 // TestDifferentialTiersRealGuests runs every built-in scheduler over both
-// ABI paths on all three tiers: allocations and per-call fuel must be
+// ABI paths on both tiers: allocations and per-call fuel must be
 // bit-identical to the interpreter for every request, including the
 // adversarial NaN/Inf/empty corners.
 func TestDifferentialTiersRealGuests(t *testing.T) {
@@ -68,7 +66,6 @@ func TestDifferentialTiersRealGuests(t *testing.T) {
 		for _, mode := range []sched.ABIMode{sched.ABICodec, sched.ABIZeroCopy} {
 			t.Run(name+"/"+mode.String(), func(t *testing.T) {
 				base := newTierSched(t, name, wasm.TierInterp, mode)
-				fused := newTierSched(t, name, wasm.TierFused, mode)
 				closure := newTierSched(t, name, wasm.TierClosure, mode)
 				rng := rand.New(rand.NewSource(71))
 				for trial := 0; trial < 150; trial++ {
@@ -78,17 +75,15 @@ func TestDifferentialTiersRealGuests(t *testing.T) {
 					}
 					req := hostileRequest(rng, nUE, uint64(trial))
 					wantClass, wantAllocs, wantFuel := tierOutcome(base, req)
-					for _, ps := range []*sched.PluginScheduler{fused, closure} {
-						class, allocs, fuel := tierOutcome(ps, req)
-						if class != wantClass {
-							t.Fatalf("trial %d: %s: outcome %q, interpreter %q", trial, ps.Name(), class, wantClass)
-						}
-						if !allocsEqual(allocs, wantAllocs) {
-							t.Fatalf("trial %d: %s diverged\ngot:  %v\nwant: %v", trial, ps.Name(), allocs, wantAllocs)
-						}
-						if fuel != wantFuel {
-							t.Fatalf("trial %d: %s burned %d fuel, interpreter %d", trial, ps.Name(), fuel, wantFuel)
-						}
+					class, allocs, fuel := tierOutcome(closure, req)
+					if class != wantClass {
+						t.Fatalf("trial %d: closure outcome %q, interpreter %q", trial, class, wantClass)
+					}
+					if !allocsEqual(allocs, wantAllocs) {
+						t.Fatalf("trial %d: closure diverged\ngot:  %v\nwant: %v", trial, allocs, wantAllocs)
+					}
+					if fuel != wantFuel {
+						t.Fatalf("trial %d: closure burned %d fuel, interpreter %d", trial, fuel, wantFuel)
 					}
 				}
 			})
@@ -98,7 +93,7 @@ func TestDifferentialTiersRealGuests(t *testing.T) {
 
 // TestDifferentialTiersFaultGuests pins the trap side of the contract: every
 // memory-safety fault guest must trap with the same code and the same fuel
-// burn no matter which tier executes it.
+// burn on both tiers.
 func TestDifferentialTiersFaultGuests(t *testing.T) {
 	names := []string{"null-deref", "oob-access", "double-free", "stack-overflow", "infinite-loop", "bad-output", "guest-error"}
 	for _, name := range names {
@@ -127,18 +122,15 @@ func TestDifferentialTiersFaultGuests(t *testing.T) {
 				return "guest-error", p.LastFuelUsed()
 			}
 			wantClass, wantFuel := run(wasm.TierInterp)
-			for _, tier := range tierTriple[1:] {
-				class, fuel := run(tier)
-				if class != wantClass || fuel != wantFuel {
-					t.Fatalf("tier %v: (%q, fuel %d), interpreter (%q, fuel %d)", tier, class, fuel, wantClass, wantFuel)
-				}
+			if class, fuel := run(wasm.TierClosure); class != wantClass || fuel != wantFuel {
+				t.Fatalf("closure (%q, fuel %d), interpreter (%q, fuel %d)", class, fuel, wantClass, wantFuel)
 			}
 		})
 	}
 }
 
 // TestDifferentialTiersHostileZCGuests: the lying zero-copy guests must land
-// in the same structural-rejection bucket on every tier.
+// in the same structural-rejection bucket on both tiers.
 func TestDifferentialTiersHostileZCGuests(t *testing.T) {
 	req := randomRequest(rand.New(rand.NewSource(13)), 4, 1)
 	for _, name := range []string{"zc-oob-count", "zc-overlap", "zc-no-seal"} {
@@ -164,24 +156,23 @@ func TestDifferentialTiersHostileZCGuests(t *testing.T) {
 				return class
 			}
 			want := run(wasm.TierInterp)
-			for _, tier := range tierTriple[1:] {
-				if got := run(tier); got != want {
-					t.Fatalf("tier %v classified %q, interpreter %q", tier, got, want)
-				}
+			if got := run(wasm.TierClosure); got != want {
+				t.Fatalf("closure classified %q, interpreter %q", got, want)
 			}
 		})
 	}
 }
 
-// tierFuzzGuests lazily builds one scheduler per (guest, tier), reused for
-// the whole fuzz run — all three tier instances of a guest see the same call
-// history, so outcome comparisons stay valid across iterations.
+// tierFuzzPair lazily builds one scheduler per (guest, tier) — interpreter
+// first, closure second — reused for the whole fuzz run: both tier instances
+// of a guest see the same call history, so outcome comparisons stay valid
+// across iterations.
 var (
 	tierFuzzMu     sync.Mutex
-	tierFuzzScheds = map[string]*[3]*sched.PluginScheduler{}
+	tierFuzzScheds = map[string]*[2]*sched.PluginScheduler{}
 )
 
-func tierFuzzTriple(t testing.TB, name string) *[3]*sched.PluginScheduler {
+func tierFuzzPair(t testing.TB, name string) *[2]*sched.PluginScheduler {
 	tierFuzzMu.Lock()
 	defer tierFuzzMu.Unlock()
 	if tr, ok := tierFuzzScheds[name]; ok {
@@ -200,8 +191,8 @@ func tierFuzzTriple(t testing.TB, name string) *[3]*sched.PluginScheduler {
 		}
 		src = s
 	}
-	var tr [3]*sched.PluginScheduler
-	for i, tier := range tierTriple {
+	var tr [2]*sched.PluginScheduler
+	for i, tier := range []wasm.Tier{wasm.TierInterp, wasm.TierClosure} {
 		var mod *wabi.Module
 		var err error
 		if src == "" {
@@ -228,8 +219,8 @@ func tierFuzzTriple(t testing.TB, name string) *[3]*sched.PluginScheduler {
 
 // FuzzTierDifferential is the tier mirror of FuzzABIDifferential: for any
 // seeded request against any guest — the real schedulers plus the hostile
-// zero-copy corpus — the superinstruction and closure tiers must reproduce
-// the interpreter's outcome class, allocations and fuel burn exactly.
+// zero-copy corpus — the closure tier must reproduce the interpreter's
+// outcome class, allocations and fuel burn exactly.
 // Deadline traps are the one sanctioned divergence (wall-clock, not
 // deterministic state), and no deadline is armed here.
 func FuzzTierDifferential(f *testing.F) {
@@ -245,19 +236,17 @@ func FuzzTierDifferential(f *testing.F) {
 		name := guests[int(sel)%len(guests)]
 		rng := rand.New(rand.NewSource(seed))
 		req := hostileRequest(rng, int(nUE)%600, uint64(seed))
-		tr := tierFuzzTriple(t, name)
+		tr := tierFuzzPair(t, name)
 		wantClass, wantAllocs, wantFuel := tierOutcome(tr[0], req)
-		for i, tier := range tierTriple[1:] {
-			class, allocs, fuel := tierOutcome(tr[i+1], req)
-			if class != wantClass {
-				t.Fatalf("%s on %v: outcome %q, interpreter %q", name, tier, class, wantClass)
-			}
-			if !allocsEqual(allocs, wantAllocs) {
-				t.Fatalf("%s on %v: allocations diverged\ngot:  %v\nwant: %v", name, tier, allocs, wantAllocs)
-			}
-			if fuel != wantFuel {
-				t.Fatalf("%s on %v: fuel %d, interpreter %d", name, tier, fuel, wantFuel)
-			}
+		class, allocs, fuel := tierOutcome(tr[1], req)
+		if class != wantClass {
+			t.Fatalf("%s: closure outcome %q, interpreter %q", name, class, wantClass)
+		}
+		if !allocsEqual(allocs, wantAllocs) {
+			t.Fatalf("%s: closure allocations diverged\ngot:  %v\nwant: %v", name, allocs, wantAllocs)
+		}
+		if fuel != wantFuel {
+			t.Fatalf("%s: closure fuel %d, interpreter %d", name, fuel, wantFuel)
 		}
 	})
 }

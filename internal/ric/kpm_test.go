@@ -7,6 +7,7 @@ import (
 	"waran/internal/e2"
 	"waran/internal/plugins"
 	"waran/internal/wabi"
+	"waran/internal/wasm"
 )
 
 func mkInd(cell uint32, slot uint64, ueTput float64, served float64) *e2.Indication {
@@ -124,6 +125,29 @@ func TestXAppQuarantineAfterFaults(t *testing.T) {
 	}
 	if st := x.Stats(); st.Invocations != DefaultXAppQuarantine || st.Faults != DefaultXAppQuarantine {
 		t.Fatalf("stats = %d/%d", st.Invocations, st.Faults)
+	}
+}
+
+// TestXAppClosureFromFirstCall pins the shipped default on the RIC side: an
+// xApp loaded the way cmd/ric loads it (AddXAppWAT, zero wabi.Policy) runs
+// every invocation on the closure tier, from the very first indication.
+func TestXAppClosureFromFirstCall(t *testing.T) {
+	r := MustNew(Config{})
+	x, err := r.AddXAppWAT("sla", plugins.SLAAssureXAppWAT, wabi.Policy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ind := mkInd(1, 0, 0, 5e6)
+	for i := 1; i <= 100; i++ {
+		if len(r.HandleIndication(ind)) == 0 {
+			t.Fatalf("indication %d: no control", i)
+		}
+		if got := x.Plugin().LastTier(); got != wasm.TierClosure {
+			t.Fatalf("indication %d ran on %v, want closure", i, got)
+		}
+	}
+	if st := x.Stats(); st.Invocations != 100 || st.Faults != 0 {
+		t.Fatalf("stats = %d invocations, %d faults", st.Invocations, st.Faults)
 	}
 }
 

@@ -167,10 +167,24 @@ func (x *XApp) invoke(r *RIC, indication []byte) ([]e2.ControlRequest, error) {
 		x.mu.Unlock()
 		return nil, nil
 	}
-	x.invocations++
 	x.mu.Unlock()
 
 	x.callMu.Lock()
+	// Several associations dispatch concurrently, so this dispatch may have
+	// queued behind the very calls that tripped the breaker. It is skipped
+	// like one arriving now: otherwise the queued stragglers all run, fault,
+	// and reach the blunt consecutive-fault quarantine the breaker exists to
+	// pre-empt.
+	if x.breaker != nil && x.breaker.State() == guard.Open {
+		x.callMu.Unlock()
+		x.mu.Lock()
+		x.skipped++
+		x.mu.Unlock()
+		return nil, nil
+	}
+	x.mu.Lock()
+	x.invocations++
+	x.mu.Unlock()
 	out, err := x.plugin.Call(XAppEntry, indication)
 	x.callMu.Unlock()
 	if err == nil {

@@ -38,7 +38,7 @@ type PluginScheduler struct {
 	zcCalls   uint64
 	zcDirty   uint64
 	zcRecords uint64
-	tierCalls [wasm.NumTiers + 1]uint64 // indexed by wasm.Tier
+	tierCalls [wasm.NumTiers]uint64 // indexed by wasm.Tier
 }
 
 // NewPluginScheduler wraps an instantiated plugin. codec nil means the
@@ -95,7 +95,6 @@ func (p *PluginScheduler) Stats() SchedStats {
 		ZCDirtyRecords:   p.zcDirty,
 		ZCRecords:        p.zcRecords,
 		TierInterpCalls:  p.tierCalls[wasm.TierInterp],
-		TierFusedCalls:   p.tierCalls[wasm.TierFused],
 		TierClosureCalls: p.tierCalls[wasm.TierClosure],
 	}
 }
@@ -119,11 +118,7 @@ func (p *PluginScheduler) Schedule(req *Request) (*Response, error) {
 		p.lastTime = time.Since(start)
 		p.totalTime += p.lastTime
 		p.calls++
-		// TierAuto means the sandbox never actually ran (e.g. a chaos-forced
-		// fault short-circuited the call), so no tier is charged.
-		if t := p.plugin.LastTier(); t != wasm.TierAuto {
-			p.tierCalls[t]++
-		}
+		p.tierCalls[p.plugin.LastTier()]++
 	}()
 
 	var resp *Response

@@ -39,7 +39,7 @@ type PoolScheduler struct {
 	zcCalls   uint64
 	zcDirty   uint64
 	zcRecords uint64
-	tierCalls [wasm.NumTiers + 1]uint64 // indexed by wasm.Tier
+	tierCalls [wasm.NumTiers]uint64 // indexed by wasm.Tier
 }
 
 // NewPoolScheduler wraps an instance pool. codec nil means the binary
@@ -118,7 +118,6 @@ func (p *PoolScheduler) Stats() SchedStats {
 		ZCDirtyRecords:   p.zcDirty,
 		ZCRecords:        p.zcRecords,
 		TierInterpCalls:  p.tierCalls[wasm.TierInterp],
-		TierFusedCalls:   p.tierCalls[wasm.TierFused],
 		TierClosureCalls: p.tierCalls[wasm.TierClosure],
 	}
 }
@@ -155,7 +154,7 @@ func (p *PoolScheduler) Schedule(req *Request) (*Response, error) {
 
 	pl, err := p.pool.Get()
 	if err != nil {
-		p.recordCall(0, 0, wasm.TierAuto, true, zcStats{}, false)
+		p.recordCall(nil, 0, true, zcStats{}, false)
 		return nil, fmt.Errorf("sched: pool plugin %q: %w", p.name, err)
 	}
 	defer p.pool.Put(pl)
@@ -166,50 +165,52 @@ func (p *PoolScheduler) Schedule(req *Request) (*Response, error) {
 		var st zcStats
 		resp, st, err = zcCall(pl, req)
 		if err != nil {
-			p.recordCall(time.Since(start), pl.LastFuelUsed(), pl.LastTier(), true, st, true)
+			p.recordCall(pl, time.Since(start), true, st, true)
 			return nil, fmt.Errorf("sched: pool plugin %q: %w", p.name, err)
 		}
 		if err := resp.Validate(req); err != nil {
-			p.recordCall(time.Since(start), pl.LastFuelUsed(), pl.LastTier(), true, st, true)
+			p.recordCall(pl, time.Since(start), true, st, true)
 			return nil, fmt.Errorf("sched: pool plugin %q: %w", p.name, &BadOutputError{Kind: BadOutputSemantic, Err: err})
 		}
-		p.recordCall(time.Since(start), pl.LastFuelUsed(), pl.LastTier(), false, st, true)
+		p.recordCall(pl, time.Since(start), false, st, true)
 		return resp, nil
 	}
 
 	in := p.codec.EncodeRequest(req)
 	out, err := pl.Call(EntryPoint, in)
 	if err != nil {
-		p.recordCall(time.Since(start), pl.LastFuelUsed(), pl.LastTier(), true, zcStats{}, false)
+		p.recordCall(pl, time.Since(start), true, zcStats{}, false)
 		return nil, fmt.Errorf("sched: pool plugin %q: %w", p.name, err)
 	}
 	resp, err = p.codec.DecodeResponse(out)
 	if err != nil {
-		p.recordCall(time.Since(start), pl.LastFuelUsed(), pl.LastTier(), true, zcStats{}, false)
+		p.recordCall(pl, time.Since(start), true, zcStats{}, false)
 		return nil, fmt.Errorf("sched: pool plugin %q returned malformed response: %w", p.name, err)
 	}
 	if err := resp.Validate(req); err != nil {
-		p.recordCall(time.Since(start), pl.LastFuelUsed(), pl.LastTier(), true, zcStats{}, false)
+		p.recordCall(pl, time.Since(start), true, zcStats{}, false)
 		// Semantic rejection of a decoded response is still bad output for
 		// the failure taxonomy: the sandbox completed and the result lied.
 		return nil, fmt.Errorf("sched: pool plugin %q: %w", p.name, &BadOutputError{Kind: BadOutputSemantic, Err: err})
 	}
-	p.recordCall(time.Since(start), pl.LastFuelUsed(), pl.LastTier(), false, zcStats{}, false)
+	p.recordCall(pl, time.Since(start), false, zcStats{}, false)
 	return resp, nil
 }
 
-func (p *PoolScheduler) recordCall(d time.Duration, fuel int64, tier wasm.Tier, fault bool, st zcStats, zc bool) {
+// recordCall folds one Schedule outcome into the accounting. pl is the
+// instance that served it, nil when the pool had none to give: then no
+// sandbox ran, so no fuel and no execution tier is charged.
+func (p *PoolScheduler) recordCall(pl *wabi.Plugin, d time.Duration, fault bool, st zcStats, zc bool) {
 	p.mu.Lock()
 	p.calls++
-	// TierAuto means no sandbox ran for this call (pool exhaustion or a
-	// chaos-forced fault), so no execution tier is charged.
-	if tier != wasm.TierAuto {
-		p.tierCalls[tier]++
+	p.lastFuel = 0
+	if pl != nil {
+		p.lastFuel = pl.LastFuelUsed()
+		p.tierCalls[pl.LastTier()]++
 	}
 	p.lastTime = d
 	p.totalTime += d
-	p.lastFuel = fuel
-	p.totalFuel += fuel
+	p.totalFuel += p.lastFuel
 	if fault {
 		p.faults++
 	}

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"waran/internal/obs"
-	"waran/internal/obs/flight"
 )
 
 // ModuleCache is a content-addressed cache of compiled plugin modules:
@@ -24,15 +23,6 @@ type ModuleCache struct {
 	entries map[[sha256.Size]byte]*cacheEntry
 	hits    uint64
 	misses  uint64
-
-	// tierPolicy, when set, is applied to every module the cache hands out;
-	// tierPromotions counts modules the fuel profile has promoted off the
-	// interpreter (see tier.go).
-	tierPolicy     *TierPolicy
-	tierPromotions uint64
-
-	// flightRec, when set, journals tier promotions (see tier.go).
-	flightRec *flight.Recorder
 }
 
 type cacheEntry struct {
@@ -67,14 +57,6 @@ func (c *ModuleCache) Load(bin []byte) (*Module, error) {
 	c.mu.Unlock()
 
 	e.mod, e.err = CompileWasm(bin)
-	if e.err == nil {
-		c.mu.Lock()
-		tp := c.tierPolicy
-		c.mu.Unlock()
-		if tp != nil {
-			c.applyTierPolicy(e.mod, *tp)
-		}
-	}
 	close(e.done)
 	if e.err != nil {
 		// Drop the failed entry so the error is not cached; identical bad
@@ -116,8 +98,8 @@ type CacheStats struct {
 	Modules int    `json:"modules"`
 	Hits    uint64 `json:"hits"`
 	Misses  uint64 `json:"misses"`
-	// TierPromotions counts cached modules whose fuel profile crossed the
-	// promotion threshold and moved them to the closure tier.
+	// TierPromotions is always 0: modules run the closure tier from their
+	// first call, so nothing is promoted. Kept because bench/ reads it.
 	TierPromotions uint64 `json:"tier_promotions"`
 }
 
@@ -126,10 +108,9 @@ func (c *ModuleCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Modules:        len(c.entries),
-		Hits:           c.hits,
-		Misses:         c.misses,
-		TierPromotions: c.tierPromotions,
+		Modules: len(c.entries),
+		Hits:    c.hits,
+		Misses:  c.misses,
 	}
 }
 
@@ -143,7 +124,6 @@ func (c *ModuleCache) Register(reg *obs.Registry, labels ...obs.Label) {
 				{Suffix: "_modules", Value: float64(s.Modules)},
 				{Suffix: "_hits_total", Value: float64(s.Hits)},
 				{Suffix: "_misses_total", Value: float64(s.Misses)},
-				{Suffix: "_tier_promotions_total", Value: float64(s.TierPromotions)},
 			}
 		},
 		JSON: func() any { return c.Stats() },

@@ -9,18 +9,10 @@ import (
 	"waran/internal/wat"
 )
 
-// watBin compiles WAT source to the binary form ModuleCache.Load expects.
-func watBin(t *testing.T, src string) []byte {
-	t.Helper()
-	bin, err := wat.CompileToBinary(src)
-	if err != nil {
-		t.Fatalf("wat: %v", err)
-	}
-	return bin
-}
+// bothTiers is the reference interpreter followed by the production tier.
+var bothTiers = []wasm.Tier{wasm.TierInterp, wasm.TierClosure}
 
-// spinWAT burns a deterministic ~600 instructions per call: enough to drive
-// the promotion profile with small thresholds.
+// spinWAT burns a deterministic ~600 instructions per call.
 const spinWAT = `(module
   (memory (export "memory") 1)
   (func (export "run") (result i32)
@@ -33,7 +25,7 @@ const spinWAT = `(module
     (i32.const 0)))`
 
 func TestPluginTierPin(t *testing.T) {
-	for _, tier := range []wasm.Tier{wasm.TierInterp, wasm.TierFused, wasm.TierClosure} {
+	for _, tier := range bothTiers {
 		p := mustPlugin(t, spinWAT, Policy{Fuel: 100_000, Tier: tier}, Env{})
 		if _, err := p.Call("run", nil); err != nil {
 			t.Fatalf("tier %v: %v", tier, err)
@@ -58,128 +50,42 @@ func TestTierFuelIdenticalAcrossTiers(t *testing.T) {
 	if interp == 0 {
 		t.Fatal("no fuel recorded")
 	}
-	if fused := fuelOn(wasm.TierFused); fused != interp {
-		t.Fatalf("fused tier burned %d fuel, interpreter %d", fused, interp)
-	}
 	if clos := fuelOn(wasm.TierClosure); clos != interp {
 		t.Fatalf("closure tier burned %d fuel, interpreter %d", clos, interp)
 	}
 }
 
-func TestModuleTierPromotion(t *testing.T) {
-	mod, err := CompileWAT(spinWAT)
+// TestPluginClosureFromFirstCall pins the shipped default: a zero Policy
+// runs the closure tier from the module's very first call, on every instance
+// the plugin creates (cached module, Reset, fresh-instance calls).
+func TestPluginClosureFromFirstCall(t *testing.T) {
+	bin, err := wat.CompileToBinary(spinWAT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Threshold of ~2 calls' worth of fuel.
-	p, err := NewPlugin(mod, Policy{Fuel: 100_000, TierPromoteFuel: 1000}, Env{})
+	mod, err := NewModuleCache().Load(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Call("run", nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.LastTier(); got != wasm.TierInterp {
-		t.Fatalf("first call ran on %v, want interpreter", got)
-	}
-	for i := 0; i < 4 && !mod.TierPromoted(); i++ {
-		if _, err := p.Call("run", nil); err != nil {
+	for _, policy := range []Policy{{}, {Fuel: 100_000}, {Fuel: 100_000, FreshInstance: true}} {
+		p, err := NewPlugin(mod, policy, Env{})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if !mod.TierPromoted() {
-		t.Fatal("module never promoted")
-	}
-	if got := mod.DefaultTier(); got != wasm.TierClosure {
-		t.Fatalf("promoted default tier = %v", got)
-	}
-	// The existing TierAuto instance follows the module default on its next
-	// top-level call — promotion needs no re-instantiation.
-	if _, err := p.Call("run", nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.LastTier(); got != wasm.TierClosure {
-		t.Fatalf("post-promotion call ran on %v, want closure", got)
-	}
-}
-
-func TestModulePromotionDisarmed(t *testing.T) {
-	mod, err := CompileWAT(spinWAT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewPlugin(mod, Policy{Fuel: 100_000, TierPromoteFuel: -1}, Env{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if _, err := p.Call("run", nil); err != nil {
+		for i := 0; i < 3; i++ {
+			if _, err := p.Call("run", nil); err != nil {
+				t.Fatal(err)
+			}
+			if got := p.LastTier(); got != wasm.TierClosure {
+				t.Fatalf("policy %+v call %d ran on %v, want closure", policy, i, got)
+			}
+		}
+		if err := p.Reset(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if mod.TierPromoted() {
-		t.Fatal("disarmed module promoted anyway")
-	}
-	if got := p.LastTier(); got != wasm.TierInterp {
-		t.Fatalf("tier = %v, want interpreter", got)
-	}
-}
-
-func TestCacheTierPolicyPromotes(t *testing.T) {
-	c := NewModuleCache()
-	bin := watBin(t, spinWAT)
-	// Policy installed before the load: promotion must arm at Load time.
-	c.SetTierPolicy(TierPolicy{PromoteFuel: 1000})
-	mod, err := c.Load(bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewPlugin(mod, Policy{Fuel: 100_000}, Env{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5 && !mod.TierPromoted(); i++ {
-		if _, err := p.Call("run", nil); err != nil {
-			t.Fatal(err)
+		if got := p.LastTier(); got != wasm.TierClosure {
+			t.Fatalf("policy %+v: instance after Reset is on %v", policy, got)
 		}
-	}
-	if !mod.TierPromoted() {
-		t.Fatal("cache-armed module never promoted")
-	}
-	if got := c.Stats().TierPromotions; got != 1 {
-		t.Fatalf("TierPromotions = %d, want 1", got)
-	}
-	// Re-promotion of the same module must not double count.
-	for i := 0; i < 3; i++ {
-		if _, err := p.Call("run", nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := c.Stats().TierPromotions; got != 1 {
-		t.Fatalf("TierPromotions after more calls = %d, want 1", got)
-	}
-}
-
-func TestCacheTierPolicyRetroactive(t *testing.T) {
-	c := NewModuleCache()
-	mod, err := c.Load(watBin(t, spinWAT))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pin applied after the module is already cached.
-	c.SetTierPolicy(TierPolicy{Pin: wasm.TierFused})
-	if got := mod.DefaultTier(); got != wasm.TierFused {
-		t.Fatalf("retroactive pin: default tier = %v", got)
-	}
-	p, err := NewPlugin(mod, Policy{Fuel: 100_000}, Env{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Call("run", nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.LastTier(); got != wasm.TierFused {
-		t.Fatalf("pinned module ran on %v", got)
 	}
 }
 
@@ -206,7 +112,7 @@ func TestSlowHostFunctionDeadline(t *testing.T) {
 			},
 		},
 	}}}
-	for _, tier := range []wasm.Tier{wasm.TierInterp, wasm.TierFused, wasm.TierClosure} {
+	for _, tier := range bothTiers {
 		p := mustPlugin(t, src, Policy{Fuel: 10_000, CallTimeout: time.Millisecond, Tier: tier}, Env{HostFuncs: env.HostFuncs})
 		_, err := p.Call("run", nil)
 		var ce *CallError

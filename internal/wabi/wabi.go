@@ -65,15 +65,11 @@ type Policy struct {
 	// maximum isolation between invocations at extra cost (ablation:
 	// BenchmarkAblationInstanceReuse).
 	FreshInstance bool
-	// Tier pins every call by this plugin to one wasm execution tier.
-	// TierAuto (the zero value) follows the module's default tier, which
-	// starts at the interpreter and may be promoted by the fuel profile.
+	// Tier is the wasm execution tier of every instance this plugin creates.
+	// The zero value is wasm.TierClosure, the production path;
+	// wasm.TierInterp selects the reference interpreter for differential
+	// tests.
 	Tier wasm.Tier
-	// TierPromoteFuel, when non-zero, arms fuel-profiled tier promotion on
-	// the plugin's module at this cumulative-fuel threshold (negative
-	// disarms it). Zero leaves the module's existing promotion setting —
-	// typically the one installed by ModuleCache.SetTierPolicy — untouched.
-	TierPromoteFuel int64
 }
 
 func (p Policy) withDefaults() Policy {
@@ -113,10 +109,6 @@ type Env struct {
 // Module is compiled plugin code, instantiable many times.
 type Module struct {
 	cm *wasm.CompiledModule
-
-	// tier accumulates the fuel profile that drives interpreter-to-closure
-	// promotion; shared by every Plugin instantiated from this Module.
-	tier tierState
 }
 
 // CompileWasm compiles plugin bytecode (decode + validate + flatten).
@@ -234,6 +226,10 @@ func (p *Plugin) Stats() PluginStats {
 // call, or 0 when fuel metering is disabled.
 func (p *Plugin) LastFuelUsed() int64 { return p.lastFuel }
 
+// LastTier reports the execution tier the plugin's calls run on
+// (Policy.Tier, fixed for the plugin's lifetime).
+func (p *Plugin) LastTier() wasm.Tier { return p.inst.EffectiveTier() }
+
 // LastFailureClass reports the classification of the most recent call's
 // outcome (FailNone after a successful call or before any call).
 func (p *Plugin) LastFailureClass() FailureClass { return p.lastClass }
@@ -255,9 +251,6 @@ func (p *Plugin) Poisoned() bool {
 // Failures are *InstantiateError.
 func NewPlugin(mod *Module, policy Policy, env Env) (*Plugin, error) {
 	p := &Plugin{mod: mod, policy: policy.withDefaults(), env: env}
-	if p.policy.TierPromoteFuel != 0 {
-		mod.SetTierPromotion(p.policy.TierPromoteFuel)
-	}
 	inst, err := p.instantiate()
 	if err != nil {
 		return nil, &InstantiateError{Err: err}
@@ -466,7 +459,6 @@ func (p *Plugin) Call(entry string, input []byte) ([]byte, error) {
 	if p.policy.Fuel > 0 {
 		p.lastFuel = fuel - p.inst.Fuel()
 		p.totalFuel += p.lastFuel
-		p.mod.observeFuel(p.lastFuel)
 	}
 
 	if err != nil {

@@ -6,14 +6,15 @@ import (
 	"time"
 )
 
-// Closure tier: each (fused) instruction is lowered once, at promotion time,
-// to a Go closure with its immediates, branch targets and successor pc
-// captured as constants. Execution is a register-caching dispatch loop —
-// pc and sp live in registers, the operand stack is indexed (no append
-// traffic), and there is no per-instruction switch: the cost per op is one
-// indirect call. Opcodes embedded in fused instructions (the i32 binop /
-// compare selectors) are resolved to direct function values during
-// compilation, so no fused op re-dispatches on its selector at run time.
+// Closure tier: each (fused) instruction is lowered once per module, on the
+// first closure-tier instantiation, to a Go closure with its immediates,
+// branch targets and successor pc captured as constants. Execution is a
+// register-caching dispatch loop — pc and sp live in registers, the operand
+// stack is indexed (no append traffic), and there is no per-instruction
+// switch: the cost per op is one indirect call. Opcodes embedded in fused
+// instructions (the i32 binop / compare selectors) are resolved to direct
+// function values during compilation, so no fused op re-dispatches on its
+// selector at run time.
 //
 // Fuel/InstrCount/trap accounting is bit-identical to the interpreter, but
 // charged at straight-line segment granularity: the stream is cut at every
@@ -24,9 +25,9 @@ import (
 // pre-charge moves is fuel exhaustion itself — and Instance.chargeFuel
 // makes that land on the exact instruction boundary (InstrCount advances
 // only by the units actually paid), so exhaustion, InstrCount and every
-// trap class remain indistinguishable from per-instruction charging. Ops
-// whose trapping operation is not last (fused.load_eqz_br) still split
-// their charge exactly like the fused interpreter tier does.
+// trap class remain indistinguishable from per-instruction charging. The
+// one op whose trapping operation is not last (fLoadEqzBr) splits its
+// charge around the load (see fusedPreCharge).
 
 // closOp executes one lowered instruction and returns (next pc, next sp).
 // A negative pc terminates the loop; results sit at stack[sp-n:sp].
@@ -160,9 +161,9 @@ func clStore(next int, off, n uint64, put func([]byte, uint64)) closOp {
 	}
 }
 
-// i32binFn resolves an embedded i32 binop selector to a direct function at
-// compile time, so hot arithmetic costs one call, not a switch per
-// execution. Trapping ops (div/rem) fall through to the shared i32bin.
+// i32binFn resolves an i32 binop opcode (standalone or embedded in a fused
+// op as a selector) to a direct function at compile time, so arithmetic
+// costs one call, not a switch per execution.
 func i32binFn(op uint16) func(x, y uint32) uint32 {
 	switch op {
 	case uint16(OpI32Add):
@@ -171,6 +172,40 @@ func i32binFn(op uint16) func(x, y uint32) uint32 {
 		return func(x, y uint32) uint32 { return x - y }
 	case uint16(OpI32Mul):
 		return func(x, y uint32) uint32 { return x * y }
+	case uint16(OpI32DivS):
+		return func(x, y uint32) uint32 {
+			if y == 0 {
+				panic(newTrap(TrapIntegerDivideByZero))
+			}
+			if int32(x) == math.MinInt32 && int32(y) == -1 {
+				panic(newTrap(TrapIntegerOverflow))
+			}
+			return uint32(int32(x) / int32(y))
+		}
+	case uint16(OpI32DivU):
+		return func(x, y uint32) uint32 {
+			if y == 0 {
+				panic(newTrap(TrapIntegerDivideByZero))
+			}
+			return x / y
+		}
+	case uint16(OpI32RemS):
+		return func(x, y uint32) uint32 {
+			if y == 0 {
+				panic(newTrap(TrapIntegerDivideByZero))
+			}
+			if int32(x) == math.MinInt32 && int32(y) == -1 {
+				return 0
+			}
+			return uint32(int32(x) % int32(y))
+		}
+	case uint16(OpI32RemU):
+		return func(x, y uint32) uint32 {
+			if y == 0 {
+				panic(newTrap(TrapIntegerDivideByZero))
+			}
+			return x % y
+		}
 	case uint16(OpI32And):
 		return func(x, y uint32) uint32 { return x & y }
 	case uint16(OpI32Or):
@@ -183,8 +218,12 @@ func i32binFn(op uint16) func(x, y uint32) uint32 {
 		return func(x, y uint32) uint32 { return uint32(int32(x) >> (y & 31)) }
 	case uint16(OpI32ShrU):
 		return func(x, y uint32) uint32 { return x >> (y & 31) }
+	case uint16(OpI32Rotl):
+		return func(x, y uint32) uint32 { return bits.RotateLeft32(x, int(y&31)) }
+	case uint16(OpI32Rotr):
+		return func(x, y uint32) uint32 { return bits.RotateLeft32(x, -int(y&31)) }
 	}
-	return func(x, y uint32) uint32 { return i32bin(op, x, y) }
+	return func(x, y uint32) uint32 { panic(&Trap{Code: TrapHostError, Wrapped: errUnknownInstr(op)}) }
 }
 
 // i32cmpFn is the comparison counterpart of i32binFn.
@@ -211,20 +250,20 @@ func i32cmpFn(op uint16) func(x, y uint32) bool {
 	case uint16(OpI32GeU):
 		return func(x, y uint32) bool { return x >= y }
 	}
-	return func(x, y uint32) bool { return i32cmp(op, x, y) }
+	return func(x, y uint32) bool { panic(&Trap{Code: TrapHostError, Wrapped: errUnknownInstr(op)}) }
 }
 
-// compileClosures lowers a function's fused stream (built first by
-// ensureTier) to closures. It never fails: any instruction the compiler
-// emitted has a lowering, and an unknown op becomes a trapping closure, the
-// same internal-error trap the interpreter raises.
+// compileClosures lowers a function's fused stream (code, the fusion pass's
+// scratch output for f) to closures; nothing it returns references code. It
+// never fails: any instruction the compiler emitted has a lowering, and an
+// unknown op becomes a trapping closure, the same internal-error trap the
+// interpreter raises.
 //
 // The charge array is built by segmenting the code at every instruction
 // that can leave the straight line (trap, branch, call, return) and at
 // every branch target: each segment head carries the segment's total fused
 // width, every other pc charges zero.
-func compileClosures(cm *CompiledModule, f *compiledFunc) *closFunc {
-	code := f.fused
+func compileClosures(cm *CompiledModule, f *compiledFunc, code []instr) *closFunc {
 	cf := &closFunc{
 		ops:        make([]closOp, len(code)),
 		charge:     make([]uint32, len(code)),
@@ -321,10 +360,7 @@ func (in *Instance) callClosure(fx uint32, f *compiledFunc, args []uint64) []uin
 	if in.deadline != 0 {
 		in.pollDeadline()
 	}
-	if c := f.clos; c != nil {
-		return in.execClosures(c, args)
-	}
-	return in.exec(f, f.code, args)
+	return in.execClosures(f.clos, args)
 }
 
 // branchOp builds the taken-branch closure body shared by all branching
@@ -373,7 +409,7 @@ func lowerInstr(cm *CompiledModule, ins *instr, pc int) closOp {
 			return next, sp
 		}
 	case uint16(OpBrTable):
-		ts := ins.targets
+		ts := append([]branchTarget(nil), ins.targets...) // ins lives in fusion scratch
 		return func(e *closEnv, sp int) (int, int) {
 			sel := int(uint32(e.stack[sp-1]))
 			sp--
@@ -390,9 +426,9 @@ func lowerInstr(cm *CompiledModule, ins *instr, pc int) closOp {
 		np := len(cm.types[fx].Params)
 		if nImp := cm.m.numImportedFuncs; int(fx) >= nImp {
 			// Guest callee resolved at compile time: the import check and
-			// per-call tier switch drop out of the hot path. callee.clos is
-			// always built by the time this runs (buildClosures completes
-			// before the closure tier executes).
+			// tier switch drop out of the hot path. callee.clos is always
+			// built by the time this runs (buildClosures completes before
+			// any closure-tier instance exists).
 			callee := cm.funcs[int(fx)-nImp]
 			return func(e *closEnv, sp int) (int, int) {
 				res := e.in.callClosure(fx, callee, e.stack[sp-np:sp])

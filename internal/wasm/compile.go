@@ -46,12 +46,11 @@ type compiledFunc struct {
 	maxStack  int    // operand-stack high-water mark (capacity hint)
 	idx       uint32 // index in the module's function space
 
-	// Tiered forms, built once per module by CompiledModule.ensureTier:
-	// fused is the superinstruction stream (nil until the fused tier is
-	// requested); clos is the closure-compiled body (nil until the closure
-	// tier is requested). Both execute bit-identically to code.
-	fused []instr
-	clos  *closFunc
+	// clos is the closure-compiled body the production tier executes, built
+	// by CompiledModule.buildClosures (nil until a closure-tier instance
+	// exists). It executes bit-identically to code, which the reference
+	// interpreter runs.
+	clos *closFunc
 }
 
 // compFrame tracks one structured-control-flow nesting level during

@@ -1,11 +1,11 @@
 package wasm
 
 // Superinstruction fusion: a peephole pass over the flattened code that
-// collapses hot multi-instruction sequences into single fused opcodes, so
-// the interpreter pays one dispatch (and often zero operand-stack traffic)
-// where it paid two to four. The fused stream is a second, independent code
-// stream per function — the original stays untouched for the baseline tier —
-// and is itself the input to the closure tier, so both fast tiers compound.
+// collapses hot multi-instruction sequences into single fused opcodes, so the
+// closure tier lowers one closure (often with zero operand-stack traffic)
+// where the unfused stream would need two to four. The fused stream is an
+// intermediate: compileClosures consumes it and it is dropped; the original
+// stream stays untouched for the reference interpreter.
 //
 // Correctness rules the pass must respect:
 //
@@ -17,8 +17,8 @@ package wasm
 //     operation is last can pre-charge their full width; windows with an
 //     earlier trapping operation (fLoadEqzBr's load) split the charge
 //     around it. fusedPreCharge encodes that per opcode.
-//   - Branch-carrying fused ops clone their target slices before remapping,
-//     so the interpreter stream's targets are never aliased.
+//   - Branch-carrying fused ops get remapped copies of their targets, so the
+//     interpreter stream's targets are never written.
 
 // Fused opcodes live above the 0x100/0x200 internal ranges. Field use is
 // per-op (a/b hold local indices or selector opcodes, imm holds constants,
@@ -43,71 +43,23 @@ const (
 	fCmpBr                                 // i32 compare imm; br_if
 )
 
-// fusedWidth is the number of original instructions a fused op stands for
-// (1 for everything that is not a fused op), i.e. the fuel it must charge.
-func fusedWidth(op uint16) uint32 {
+// fusedPreCharge is the fuel an op charges before its body runs: the number
+// of original instructions it stands for (1 for everything that is not a
+// fused op), which stays bit-identical to sequential execution because the
+// only trapping operation of every window is last — except fLoadEqzBr, whose
+// load traps first, so it pre-charges 1 and its body charges the eqz+br_if
+// after the load.
+func fusedPreCharge(op uint16) uint32 {
 	switch op {
 	case fGetGet, fGetConst, fGetLoad32, fGetStore32, fGetBin32, fEqzBr, fCmpBr:
 		return 2
 	case fGetGetBin32, fGetGetCmp32, fGetConstBin32, fGetConstCmp32,
-		fGetGetStore32, fConstAddStore32, fLoadEqzBr:
+		fGetGetStore32, fConstAddStore32:
 		return 3
 	case fGetGetCmpBr, fGetConstCmpBr, fGetConstAddSet:
 		return 4
 	}
 	return 1
-}
-
-// fusedPreCharge is how much of the width may be charged before the op's
-// body runs while staying bit-identical to sequential execution: the full
-// width when the only trapping operation is last, 1 when a trapping
-// operation comes earlier (the body charges the remainder after it).
-func fusedPreCharge(op uint16) uint32 {
-	if op == fLoadEqzBr {
-		return 1 // the load traps first; charge the eqz+br_if after it
-	}
-	return fusedWidth(op)
-}
-
-// fusedName names a fused opcode for diagnostics.
-func fusedName(op uint16) string {
-	switch op {
-	case fGetGet:
-		return "fused.get_get"
-	case fGetConst:
-		return "fused.get_const"
-	case fGetLoad32:
-		return "fused.get_load32"
-	case fGetStore32:
-		return "fused.get_store32"
-	case fGetBin32:
-		return "fused.get_bin32"
-	case fGetGetBin32:
-		return "fused.get_get_bin32"
-	case fGetGetCmp32:
-		return "fused.get_get_cmp32"
-	case fGetConstBin32:
-		return "fused.get_const_bin32"
-	case fGetConstCmp32:
-		return "fused.get_const_cmp32"
-	case fGetGetStore32:
-		return "fused.get_get_store32"
-	case fConstAddStore32:
-		return "fused.const_add_store32"
-	case fGetGetCmpBr:
-		return "fused.get_get_cmp_br"
-	case fGetConstCmpBr:
-		return "fused.get_const_cmp_br"
-	case fGetConstAddSet:
-		return "fused.get_const_add_set"
-	case fLoadEqzBr:
-		return "fused.load_eqz_br"
-	case fEqzBr:
-		return "fused.eqz_br"
-	case fCmpBr:
-		return "fused.cmp_br"
-	}
-	return "fused.unknown"
 }
 
 // isI32Bin reports whether op is a two-operand i32 numeric instruction
@@ -122,129 +74,58 @@ func isI32Cmp(op uint16) bool {
 	return op >= uint16(OpI32Eq) && op <= uint16(OpI32GeU)
 }
 
-// i32bin applies a two-operand i32 numeric opcode. Shared by the fused
-// interpreter cases and the closure tier so trap behaviour has one home.
-func i32bin(op uint16, x, y uint32) uint32 {
-	switch op {
-	case uint16(OpI32Add):
-		return x + y
-	case uint16(OpI32Sub):
-		return x - y
-	case uint16(OpI32Mul):
-		return x * y
-	case uint16(OpI32DivS):
-		if y == 0 {
-			panic(newTrap(TrapIntegerDivideByZero))
-		}
-		if int32(x) == -2147483648 && int32(y) == -1 {
-			panic(newTrap(TrapIntegerOverflow))
-		}
-		return uint32(int32(x) / int32(y))
-	case uint16(OpI32DivU):
-		if y == 0 {
-			panic(newTrap(TrapIntegerDivideByZero))
-		}
-		return x / y
-	case uint16(OpI32RemS):
-		if y == 0 {
-			panic(newTrap(TrapIntegerDivideByZero))
-		}
-		if int32(x) == -2147483648 && int32(y) == -1 {
-			return 0
-		}
-		return uint32(int32(x) % int32(y))
-	case uint16(OpI32RemU):
-		if y == 0 {
-			panic(newTrap(TrapIntegerDivideByZero))
-		}
-		return x % y
-	case uint16(OpI32And):
-		return x & y
-	case uint16(OpI32Or):
-		return x | y
-	case uint16(OpI32Xor):
-		return x ^ y
-	case uint16(OpI32Shl):
-		return x << (y & 31)
-	case uint16(OpI32ShrS):
-		return uint32(int32(x) >> (y & 31))
-	case uint16(OpI32ShrU):
-		return x >> (y & 31)
-	case uint16(OpI32Rotl):
-		return x<<(y&31) | x>>(32-y&31)
-	case uint16(OpI32Rotr):
-		return x>>(y&31) | x<<(32-y&31)
-	}
-	panic(&Trap{Code: TrapHostError, Wrapped: errUnknownInstr(op)})
+// fuser holds the fusion pass's buffers so one module's functions share
+// them: nothing it returns outlives the next fuse call.
+type fuser struct {
+	leader  []bool
+	newPC   []uint32
+	fused   []instr
+	targets []branchTarget
 }
 
-// i32cmp applies a two-operand i32 comparison opcode.
-func i32cmp(op uint16, x, y uint32) bool {
-	switch op {
-	case uint16(OpI32Eq):
-		return x == y
-	case uint16(OpI32Ne):
-		return x != y
-	case uint16(OpI32LtS):
-		return int32(x) < int32(y)
-	case uint16(OpI32LtU):
-		return x < y
-	case uint16(OpI32GtS):
-		return int32(x) > int32(y)
-	case uint16(OpI32GtU):
-		return x > y
-	case uint16(OpI32LeS):
-		return int32(x) <= int32(y)
-	case uint16(OpI32LeU):
-		return x <= y
-	case uint16(OpI32GeS):
-		return int32(x) >= int32(y)
-	case uint16(OpI32GeU):
-		return x >= y
-	}
-	panic(&Trap{Code: TrapHostError, Wrapped: errUnknownInstr(op)})
-}
-
-// fuseCode builds the superinstruction stream for one function body. The
-// input stream is never modified; branch targets in the output are deep
-// copies remapped to fused pcs.
-func fuseCode(code []instr) []instr {
+// fuse builds the superinstruction stream for one function body. The input
+// stream is never modified; branch targets in the output are copies remapped
+// to fused pcs. The result aliases the fuser's buffers and is valid until
+// the next call.
+func (fs *fuser) fuse(code []instr) []instr {
 	// Leaders: every branch-target pc must remain the start of an
 	// instruction in the fused stream.
-	leader := make([]bool, len(code)+1)
+	fs.leader = append(fs.leader[:0], make([]bool, len(code)+1)...)
+	nTargets := 0
 	for i := range code {
 		for _, t := range code[i].targets {
-			leader[t.pc] = true
+			fs.leader[t.pc] = true
 		}
+		nTargets += len(code[i].targets)
 	}
 
-	fused := make([]instr, 0, len(code))
-	newPC := make([]uint32, len(code)+1)
+	fs.fused = fs.fused[:0]
+	fs.newPC = append(fs.newPC[:0], make([]uint32, len(code)+1)...)
 	for pc := 0; pc < len(code); {
-		newPC[pc] = uint32(len(fused))
-		w, ins := fuseAt(code, pc, leader)
-		for j := 1; j < w; j++ {
-			// Swallowed pcs are never leaders; map them to the fused op so a
-			// (hypothetical) stale reference still lands on an instruction.
-			newPC[pc+j] = uint32(len(fused))
-		}
-		fused = append(fused, ins)
+		fs.newPC[pc] = uint32(len(fs.fused))
+		w, ins := fuseAt(code, pc, fs.leader)
+		fs.fused = append(fs.fused, ins)
 		pc += w
 	}
-	newPC[len(code)] = uint32(len(fused))
+	fs.newPC[len(code)] = uint32(len(fs.fused))
 
-	for i := range fused {
-		if len(fused[i].targets) == 0 {
+	if cap(fs.targets) < nTargets {
+		fs.targets = make([]branchTarget, 0, nTargets)
+	}
+	ts := fs.targets[:0]
+	for i := range fs.fused {
+		n := len(fs.fused[i].targets)
+		if n == 0 {
 			continue
 		}
-		ts := make([]branchTarget, len(fused[i].targets))
-		copy(ts, fused[i].targets)
-		for j := range ts {
-			ts[j].pc = newPC[ts[j].pc]
+		ts = append(ts, fs.fused[i].targets...)
+		remapped := ts[len(ts)-n:]
+		for j := range remapped {
+			remapped[j].pc = fs.newPC[remapped[j].pc]
 		}
-		fused[i].targets = ts
+		fs.fused[i].targets = remapped
 	}
-	return fused
+	return fs.fused
 }
 
 // fuseAt matches the longest fusable pattern starting at pc and returns its

@@ -46,9 +46,9 @@ type Config struct {
 	// MeterFuel enables instruction counting: each executed instruction
 	// consumes one unit of the budget set via Instance.SetFuel.
 	MeterFuel bool
-	// Tier pins the instance to one execution tier. The zero value
-	// (TierAuto) follows the module's default tier, so profile-guided
-	// promotion can retier the instance between calls.
+	// Tier fixes the instance's execution tier for its lifetime. The zero
+	// value is TierClosure, the production path; TierInterp selects the
+	// reference interpreter the differential tests compare against.
 	Tier Tier
 }
 
@@ -61,11 +61,9 @@ type CompiledModule struct {
 	funcs []*compiledFunc // local functions only
 	types []FuncType      // signature per function-space index
 
-	// Tier state: the default tier new outermost calls resolve to, and the
-	// once-guards for the lazily built fused/closure code (see tier.go).
-	defaultTier atomic.Int32
-	fusedOnce   sync.Once
-	closOnce    sync.Once
+	// closOnce guards the closure-tier build, run by the first closure-tier
+	// instantiation (see buildClosures in tier.go).
+	closOnce sync.Once
 }
 
 // compileCount counts Compile invocations process-wide. The module cache's
@@ -128,14 +126,10 @@ type Instance struct {
 	depth       int
 	maxDepth    int
 
-	// tierPin is the instance-level tier override (TierAuto = follow the
-	// module default); tier is the tier resolved for the current outermost
-	// call; tierCalls counts outermost calls served per tier (surfaced as
-	// obs counters by the scheduler layer); deadlineEvents rate-limits
-	// wall-clock sampling on back-edge/call-boundary deadline polls.
-	tierPin        Tier
+	// tier is the execution tier, fixed at instantiation; deadlineEvents
+	// rate-limits wall-clock sampling on back-edge/call-boundary deadline
+	// polls.
 	tier           Tier
-	tierCalls      [NumTiers + 1]uint64
 	deadlineEvents uint32
 
 	// frameBufs reuses locals/stack buffers per call depth. Instances are
@@ -163,9 +157,15 @@ func (cm *CompiledModule) Instantiate(imports Imports, cfg Config) (*Instance, e
 	if cfg.MaxCallDepth == 0 {
 		cfg.MaxCallDepth = defaultMaxCallDepth
 	}
-	in := &Instance{cm: cm, cfg: cfg, maxDepth: cfg.MaxCallDepth, fuel: -1}
+	switch cfg.Tier {
+	case TierClosure:
+		cm.closOnce.Do(cm.buildClosures)
+	case TierInterp:
+	default:
+		return nil, fmt.Errorf("wasm: unknown execution tier %v", cfg.Tier)
+	}
+	in := &Instance{cm: cm, cfg: cfg, maxDepth: cfg.MaxCallDepth, fuel: -1, tier: cfg.Tier}
 	in.fuelEnabled = cfg.MeterFuel
-	in.tierPin = cfg.Tier
 
 	// Resolve imports. Only function imports are supported: plugin modules
 	// own their memory and table, which keeps the sandbox boundary crisp.
@@ -353,15 +353,6 @@ func (in *Instance) call(funcIdx uint32, args []uint64) (res []uint64, err error
 			panic(r)
 		}
 	}()
-	if in.depth == 0 {
-		// Resolve the execution tier once per outermost call: re-entrant
-		// calls from host functions inherit it, and promotion (a module
-		// default change) applies from the next outermost call.
-		t := in.resolveTier()
-		in.cm.ensureTier(t)
-		in.tier = t
-		in.tierCalls[t]++
-	}
 	out := in.invoke(funcIdx, args)
 	// Internal result buffers are pooled per depth; hand external callers a
 	// copy they may retain across later calls.
@@ -416,15 +407,8 @@ func (in *Instance) dispatch(funcIdx uint32, args []uint64) []uint64 {
 	}
 
 	f := in.cm.funcs[int(funcIdx)-nImp]
-	switch in.tier {
-	case TierClosure:
-		if f.clos != nil {
-			return in.execClosures(f.clos, args)
-		}
-	case TierFused:
-		if f.fused != nil {
-			return in.exec(f, f.fused, args)
-		}
+	if in.tier == TierInterp {
+		return in.exec(f, args)
 	}
-	return in.exec(f, f.code, args)
+	return in.execClosures(f.clos, args)
 }

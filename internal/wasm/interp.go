@@ -6,11 +6,11 @@ import (
 	"time"
 )
 
-// exec runs a compiled function body over the given code stream — f.code
-// for the baseline interpreter tier, f.fused for the superinstruction tier
-// (both share f's locals/stack shape). It panics with *Trap on any sandbox
-// fault; Instance.call converts that to an error at the outermost boundary.
-func (in *Instance) exec(f *compiledFunc, code []instr, args []uint64) []uint64 {
+// exec is the reference interpreter (TierInterp): it runs a compiled
+// function body one unfused instruction per switch dispatch. It panics with
+// *Trap on any sandbox fault; Instance.call converts that to an error at the
+// outermost boundary.
+func (in *Instance) exec(f *compiledFunc, args []uint64) []uint64 {
 	// Reuse this depth's buffers (the instance is single-threaded, so the
 	// depth uniquely identifies the live frame). Stack capacity comes from
 	// the compile-time high-water mark; +2 covers call-result appends.
@@ -30,14 +30,15 @@ func (in *Instance) exec(f *compiledFunc, code []instr, args []uint64) []uint64 
 	}
 	stack := fb.stack[:0]
 	mem := in.mem
+	code := f.code
 
 	for pc := 0; pc < len(code); pc++ {
 		if in.fuelEnabled {
 			// Exhaustion traps BEFORE the unpaid instruction runs, and
 			// InstrCount advances only for instructions that actually paid,
 			// so at the trap boundary InstrCount equals the fuel consumed —
-			// the invariant the profiler's fuel deltas and all three
-			// execution tiers agree on (see chargeFuel in tier.go).
+			// the invariant the profiler's fuel deltas and both execution
+			// tiers agree on (see chargeFuel in tier.go).
 			if in.fuel == 0 {
 				panic(newTrap(TrapFuelExhausted))
 			}
@@ -636,113 +637,6 @@ func (in *Instance) exec(f *compiledFunc, code []instr, args []uint64) []uint64 
 			d := mem.mustRange(dst, n)
 			for i := range d {
 				d[i] = val
-			}
-
-		// Fused superinstructions (present only in the fused stream). The
-		// loop header charged 1 unit for the fused op; each case charges the
-		// remaining width-1 units BEFORE executing, which is bit-identical
-		// to sequential execution because every window's trapping operation
-		// comes last — except fused.load_eqz_br, which splits its charge
-		// around the load (see chargeFuel).
-		case fGetGet:
-			in.chargeFuel(1)
-			stack = append(stack, locals[ins.a], locals[ins.b])
-		case fGetConst:
-			in.chargeFuel(1)
-			stack = append(stack, locals[ins.a], ins.imm)
-		case fGetLoad32:
-			in.chargeFuel(1)
-			a := uint64(uint32(locals[ins.a])) + ins.imm
-			stack = append(stack, uint64(leUint32(mem.mustRange(a, 4))))
-		case fGetStore32:
-			in.chargeFuel(1)
-			a := uint64(uint32(stack[len(stack)-1])) + ins.imm
-			stack = stack[:len(stack)-1]
-			putLeUint32(mem.mustRange(a, 4), uint32(locals[ins.a]))
-		case fGetBin32:
-			in.chargeFuel(1)
-			stack[len(stack)-1] = uint64(i32bin(uint16(ins.imm), uint32(stack[len(stack)-1]), uint32(locals[ins.a])))
-		case fGetGetBin32:
-			in.chargeFuel(2)
-			stack = append(stack, uint64(i32bin(uint16(ins.imm), uint32(locals[ins.a]), uint32(locals[ins.b]))))
-		case fGetGetCmp32:
-			in.chargeFuel(2)
-			stack = append(stack, b2i(i32cmp(uint16(ins.imm), uint32(locals[ins.a]), uint32(locals[ins.b]))))
-		case fGetConstBin32:
-			in.chargeFuel(2)
-			stack = append(stack, uint64(i32bin(uint16(ins.b), uint32(locals[ins.a]), uint32(ins.imm))))
-		case fGetConstCmp32:
-			in.chargeFuel(2)
-			stack = append(stack, b2i(i32cmp(uint16(ins.b), uint32(locals[ins.a]), uint32(ins.imm))))
-		case fGetGetStore32:
-			in.chargeFuel(2)
-			a := uint64(uint32(locals[ins.a])) + ins.imm
-			putLeUint32(mem.mustRange(a, 4), uint32(locals[ins.b]))
-		case fConstAddStore32:
-			in.chargeFuel(2)
-			v := uint32(stack[len(stack)-1]) + ins.a
-			a := uint64(uint32(stack[len(stack)-2])) + ins.imm
-			stack = stack[:len(stack)-2]
-			putLeUint32(mem.mustRange(a, 4), v)
-		case fGetGetCmpBr:
-			in.chargeFuel(3)
-			if i32cmp(uint16(ins.imm), uint32(locals[ins.a]), uint32(locals[ins.b])) {
-				t := ins.targets[0]
-				stack = takeBranch(stack, t)
-				if in.deadline != 0 && int(t.pc) <= pc {
-					in.pollDeadline()
-				}
-				pc = int(t.pc) - 1
-			}
-		case fGetConstCmpBr:
-			in.chargeFuel(3)
-			if i32cmp(uint16(ins.b), uint32(locals[ins.a]), uint32(ins.imm)) {
-				t := ins.targets[0]
-				stack = takeBranch(stack, t)
-				if in.deadline != 0 && int(t.pc) <= pc {
-					in.pollDeadline()
-				}
-				pc = int(t.pc) - 1
-			}
-		case fGetConstAddSet:
-			in.chargeFuel(3)
-			locals[ins.b] = uint64(uint32(locals[ins.a]) + uint32(ins.imm))
-		case fLoadEqzBr:
-			a := uint64(uint32(stack[len(stack)-1])) + ins.imm
-			stack = stack[:len(stack)-1]
-			v := leUint32(mem.mustRange(a, 4))
-			in.chargeFuel(2) // split charge: the load traps before eqz+br_if pay
-			if v == 0 {
-				t := ins.targets[0]
-				stack = takeBranch(stack, t)
-				if in.deadline != 0 && int(t.pc) <= pc {
-					in.pollDeadline()
-				}
-				pc = int(t.pc) - 1
-			}
-		case fEqzBr:
-			in.chargeFuel(1)
-			c := uint32(stack[len(stack)-1])
-			stack = stack[:len(stack)-1]
-			if c == 0 {
-				t := ins.targets[0]
-				stack = takeBranch(stack, t)
-				if in.deadline != 0 && int(t.pc) <= pc {
-					in.pollDeadline()
-				}
-				pc = int(t.pc) - 1
-			}
-		case fCmpBr:
-			in.chargeFuel(1)
-			x, y := uint32(stack[len(stack)-2]), uint32(stack[len(stack)-1])
-			stack = stack[:len(stack)-2]
-			if i32cmp(uint16(ins.imm), x, y) {
-				t := ins.targets[0]
-				stack = takeBranch(stack, t)
-				if in.deadline != 0 && int(t.pc) <= pc {
-					in.pollDeadline()
-				}
-				pc = int(t.pc) - 1
 			}
 
 		default:

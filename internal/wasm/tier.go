@@ -5,144 +5,54 @@ import (
 	"time"
 )
 
-// Tier selects how compiled function bodies execute. All tiers are
-// bit-identical on results, trap classes and fuel/InstrCount accounting
+// Tier selects how an instance executes function bodies. The tier is fixed
+// at instantiation (Config.Tier) and never changes afterwards. Both tiers
+// are bit-identical on results, trap classes and fuel/InstrCount accounting
 // (pinned by TestTierEquivalence and FuzzTierDifferential); they differ only
 // in dispatch cost:
 //
-//   - TierInterp: the baseline flattening interpreter (one switch per
-//     instruction).
-//   - TierFused: the same interpreter loop over a superinstruction stream —
-//     hot multi-op sequences (const+add+store, load+compare+br,
-//     local.get×2+binop, ...) are fused into single dispatches.
-//   - TierClosure: an AOT "compile to closures" tier — each (fused)
-//     instruction is lowered at promotion time to a Go closure with its
-//     immediates and successor pc captured as constants, executed by a
-//     register-caching dispatch loop with no per-instruction switch.
-//
-// The zero value TierAuto means "follow the module default", which starts at
-// the interpreter and is raised by profile-guided promotion (see
-// wabi.ModuleCache).
+//   - TierClosure (the zero value) is the production path: each function is
+//     run through the superinstruction fusion pass (fuse.go) and lowered to
+//     Go closures with immediates and successor pcs captured as constants,
+//     executed by a register-caching dispatch loop with no per-instruction
+//     switch (closure.go).
+//   - TierInterp is the flattening interpreter, one switch per unfused
+//     instruction. It is kept as the reference oracle the differential tests
+//     compare the closure tier against; no binary selects it.
 type Tier int32
 
 const (
-	TierAuto    Tier = iota // follow the module's default tier
-	TierInterp              // flattening interpreter (baseline)
-	TierFused               // superinstruction-fused interpreter
-	TierClosure             // AOT closure-compiled dispatch loop
+	TierClosure Tier = iota // closure-compiled dispatch loop (production)
+	TierInterp              // flattening interpreter (reference oracle)
 )
 
-// NumTiers is the number of concrete execution tiers (TierAuto excluded).
-const NumTiers = 3
+// NumTiers is the number of execution tiers.
+const NumTiers = 2
 
 // String implements fmt.Stringer.
 func (t Tier) String() string {
 	switch t {
-	case TierAuto:
-		return "auto"
-	case TierInterp:
-		return "interp"
-	case TierFused:
-		return "fused"
 	case TierClosure:
 		return "closure"
+	case TierInterp:
+		return "interp"
 	}
 	return fmt.Sprintf("tier(%d)", int32(t))
 }
 
-// ParseTier parses a tier name as accepted by `waranbench -tier`. The empty
-// string parses as TierAuto.
-func ParseTier(s string) (Tier, error) {
-	switch s {
-	case "", "auto":
-		return TierAuto, nil
-	case "interp", "interpreter":
-		return TierInterp, nil
-	case "fused":
-		return TierFused, nil
-	case "closure", "aot":
-		return TierClosure, nil
-	}
-	return TierAuto, fmt.Errorf("wasm: unknown execution tier %q (want auto, interp, fused or closure)", s)
-}
-
-// SetDefaultTier sets the tier used by instances that do not pin one
-// themselves (Config.Tier / SetTier left at TierAuto). Safe to call
-// concurrently with running instances: each outermost call re-reads the
-// default, so promotion applies from the next call. TierAuto resets to the
-// interpreter.
-func (cm *CompiledModule) SetDefaultTier(t Tier) {
-	if t == TierAuto {
-		t = TierInterp
-	}
-	cm.ensureTier(t)
-	cm.defaultTier.Store(int32(t))
-}
-
-// DefaultTier reports the module's current default execution tier.
-func (cm *CompiledModule) DefaultTier() Tier {
-	if t := Tier(cm.defaultTier.Load()); t != TierAuto {
-		return t
-	}
-	return TierInterp
-}
-
-// ensureTier lazily builds the executable form a tier needs, once per
-// module. The closure tier compounds on the fused stream, so it builds both.
-func (cm *CompiledModule) ensureTier(t Tier) {
-	switch t {
-	case TierFused:
-		cm.fusedOnce.Do(cm.buildFused)
-	case TierClosure:
-		cm.fusedOnce.Do(cm.buildFused)
-		cm.closOnce.Do(cm.buildClosures)
-	}
-}
-
-func (cm *CompiledModule) buildFused() {
-	for _, f := range cm.funcs {
-		f.fused = fuseCode(f.code)
-	}
-}
-
+// buildClosures lowers every function body to its closure form, once per
+// module, on the first closure-tier instantiation. The fused stream is an
+// intermediate held in scratch shared across the module's functions and
+// dropped when the build returns; only the closures are retained.
 func (cm *CompiledModule) buildClosures() {
+	var fs fuser
 	for _, f := range cm.funcs {
-		f.clos = compileClosures(cm, f)
+		f.clos = compileClosures(cm, f, fs.fuse(f.code))
 	}
 }
 
-// SetTier pins the instance to one execution tier; TierAuto (the default)
-// follows the module's default, so profile-guided promotion can retier the
-// instance between calls. Like the rest of the Instance API this must not
-// race with a running call.
-func (in *Instance) SetTier(t Tier) { in.tierPin = t }
-
-// EffectiveTier reports the tier resolved for the most recent outermost call
-// (TierInterp before any call).
-func (in *Instance) EffectiveTier() Tier {
-	if in.tier == TierAuto {
-		return TierInterp
-	}
-	return in.tier
-}
-
-// TierCalls reports how many outermost calls each tier served.
-func (in *Instance) TierCalls() (interp, fused, closure uint64) {
-	return in.tierCalls[TierInterp], in.tierCalls[TierFused], in.tierCalls[TierClosure]
-}
-
-// resolveTier computes the tier for the next outermost call: the instance
-// pin when set, else the module default.
-func (in *Instance) resolveTier() Tier {
-	t := in.tierPin
-	if t == TierAuto {
-		t = Tier(in.cm.defaultTier.Load())
-	}
-	if t == TierAuto {
-		t = TierInterp
-	}
-	return t
-}
+// EffectiveTier reports the tier the instance was instantiated on.
+func (in *Instance) EffectiveTier() Tier { return in.tier }
 
 // chargeFuel consumes k fuel units exactly as k sequential per-instruction
 // charges would: InstrCount advances only by the units actually paid for,

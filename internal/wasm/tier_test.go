@@ -9,11 +9,11 @@ import (
 	"waran/internal/wat"
 )
 
-// allTiers are the three concrete execution tiers under the bit-identity
-// contract.
-var allTiers = []wasm.Tier{wasm.TierInterp, wasm.TierFused, wasm.TierClosure}
+// allTiers are the two execution tiers under the bit-identity contract: the
+// reference interpreter first, then the production closure tier.
+var allTiers = []wasm.Tier{wasm.TierInterp, wasm.TierClosure}
 
-// tierInstance compiles src once per call and instantiates it pinned to t.
+// tierInstance compiles src once per call and instantiates it on tier.
 func tierInstance(t *testing.T, src string, tier wasm.Tier, cfg wasm.Config) *wasm.Instance {
 	t.Helper()
 	m, err := wat.Compile(src)
@@ -59,7 +59,7 @@ func runOnTier(t *testing.T, src string, tier wasm.Tier, fuel int64, fn string, 
 	return r
 }
 
-// assertTiersAgree runs one call on all three tiers and requires identical
+// assertTiersAgree runs one call on both tiers and requires identical
 // results, trap classes, instruction counts and remaining fuel.
 func assertTiersAgree(t *testing.T, src string, fuel int64, fn string, args ...uint64) tierRun {
 	t.Helper()
@@ -117,7 +117,7 @@ const tierCorpusWAT = `(module
         (br $acc2)))
     local.get $acc)
 
-  ;; Recursive call tree: exercises call boundaries under every tier.
+  ;; Recursive call tree: exercises call boundaries on both tiers.
   (func $fib (export "fib") (param $n i32) (result i32)
     (if (result i32) (i32.lt_u (local.get $n) (i32.const 2))
       (then (local.get $n))
@@ -198,7 +198,7 @@ func TestTierEquivalence(t *testing.T) {
 }
 
 // TestTierFuelSweep pins the exhaustion boundary: for every fuel value from
-// 0 up past the guest's exact cost, all tiers must agree on trap class,
+// 0 up past the guest's exact cost, both tiers must agree on trap class,
 // InstrCount (== fuel consumed, even at the trap boundary) and remaining
 // fuel. This is the regression test for the fuel off-by-one: InstrCount at
 // exhaustion used to count the instruction that never ran.
@@ -282,9 +282,11 @@ func TestTierDeadlineShortGuest(t *testing.T) {
 	}
 }
 
-// TestTierPromotion covers the module-default path: instances left on
-// TierAuto follow SetDefaultTier, while pinned instances ignore it.
-func TestTierPromotion(t *testing.T) {
+// TestTierFixedAtInstantiation covers tier resolution: a zero Config runs on
+// the closure tier from its first call, Config.Tier = TierInterp selects the
+// reference interpreter, instances of one module on different tiers do not
+// affect each other, and an out-of-range tier is refused.
+func TestTierFixedAtInstantiation(t *testing.T) {
 	m, err := wat.Compile(`(module (func (export "f") (result i32) (i32.const 3)))`)
 	if err != nil {
 		t.Fatal(err)
@@ -293,68 +295,32 @@ func TestTierPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := cm.Instantiate(nil, wasm.Config{})
+	oracle, err := cm.Instantiate(nil, wasm.Config{Tier: wasm.TierInterp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinned, err := cm.Instantiate(nil, wasm.Config{Tier: wasm.TierInterp})
+	prod, err := cm.Instantiate(nil, wasm.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if _, err := auto.Call("f"); err != nil {
-		t.Fatal(err)
-	}
-	if got := auto.EffectiveTier(); got != wasm.TierInterp {
-		t.Fatalf("before promotion: tier %v", got)
-	}
-	if got := cm.DefaultTier(); got != wasm.TierInterp {
-		t.Fatalf("module default %v before promotion", got)
-	}
-
-	cm.SetDefaultTier(wasm.TierClosure)
-	if _, err := auto.Call("f"); err != nil {
-		t.Fatal(err)
-	}
-	if got := auto.EffectiveTier(); got != wasm.TierClosure {
-		t.Fatalf("after promotion: tier %v, want closure", got)
-	}
-	if _, err := pinned.Call("f"); err != nil {
-		t.Fatal(err)
-	}
-	if got := pinned.EffectiveTier(); got != wasm.TierInterp {
-		t.Fatalf("pinned instance followed promotion to %v", got)
-	}
-
-	interp, fused, closure := auto.TierCalls()
-	if interp != 1 || fused != 0 || closure != 1 {
-		t.Fatalf("TierCalls = (%d, %d, %d), want (1, 0, 1)", interp, fused, closure)
-	}
-}
-
-func TestParseTier(t *testing.T) {
-	cases := map[string]wasm.Tier{
-		"":            wasm.TierAuto,
-		"auto":        wasm.TierAuto,
-		"interp":      wasm.TierInterp,
-		"interpreter": wasm.TierInterp,
-		"fused":       wasm.TierFused,
-		"closure":     wasm.TierClosure,
-		"aot":         wasm.TierClosure,
-	}
-	for s, want := range cases {
-		got, err := wasm.ParseTier(s)
-		if err != nil || got != want {
-			t.Errorf("ParseTier(%q) = %v, %v; want %v", s, got, err, want)
+	for i := 0; i < 3; i++ {
+		for _, in := range []*wasm.Instance{prod, oracle} {
+			if got, err := in.Call("f"); err != nil || got[0] != 3 {
+				t.Fatalf("call %d on %v: %v %v", i, in.EffectiveTier(), got, err)
+			}
+		}
+		if got := prod.EffectiveTier(); got != wasm.TierClosure {
+			t.Fatalf("call %d: zero Config ran on %v, want closure", i, got)
+		}
+		if got := oracle.EffectiveTier(); got != wasm.TierInterp {
+			t.Fatalf("call %d: TierInterp instance ran on %v", i, got)
 		}
 	}
-	if _, err := wasm.ParseTier("jit"); err == nil {
-		t.Error("ParseTier(jit) succeeded, want error")
+	if got := wasm.TierClosure.String() + "/" + wasm.TierInterp.String(); got != "closure/interp" {
+		t.Fatalf("tier names %q", got)
 	}
-	for _, tier := range []wasm.Tier{wasm.TierAuto, wasm.TierInterp, wasm.TierFused, wasm.TierClosure} {
-		if rt, err := wasm.ParseTier(tier.String()); err != nil || rt != tier {
-			t.Errorf("round trip %v -> %q -> %v, %v", tier, tier.String(), rt, err)
-		}
+	if _, err := cm.Instantiate(nil, wasm.Config{Tier: wasm.NumTiers}); err == nil {
+		t.Fatal("out-of-range tier instantiated")
 	}
 }
 
