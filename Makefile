@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check check-e2 check-obs check-guard check-trace check-abi check-scale check-overload check-flight lint-metrics measure bench fuzz
+.PHONY: build test check check-e2 check-obs check-guard check-trace check-abi check-scale check-overload check-flight check-flake lint-metrics measure fuzz
 
 ## build: compile every package.
 build:
@@ -53,7 +53,7 @@ check-trace:
 	$(GO) test -run '^FuzzMessageHeaderRoundTrip$$' -fuzz '^FuzzMessageHeaderRoundTrip$$' -fuzztime 10s ./internal/e2
 
 ## check-abi: zero-copy plugin ABI gate — race-enabled differential suites
-## (region negotiation/lifecycle in wabi, delta writer + response reader in
+## (region negotiation/lifecycle in wabi, request writer + response reader in
 ## sched, codec-vs-zerocopy bit-identity over real guests in plugins), plus
 ## a 10 s fuzz smoke of the request/response byte-equivalence contract
 ## between the zero-copy regions and the serializing binary codec.
@@ -64,7 +64,8 @@ check-abi:
 ## check-scale: city-scale gate — race-enabled sharded-association and
 ## windowed-batching suites (batch framing + capability negotiation in e2,
 ## batched-vs-unbatched bit-identity at the xApp boundary + shard fan-in in
-## ric, the UE fleet aggregate in ran, the sharded fleet driver in core),
+## ric, the UE fleet aggregate in ran — whose TestFleet* are why the regex
+## keeps Fleet — and the gNB's fleet attachment in core),
 ## plus a 10 s fuzz smoke of the batch frame round-trip across codecs.
 check-scale:
 	$(GO) test -race -count=1 -run 'Batch|Shard|Fleet|Capability' ./internal/e2 ./internal/ric ./internal/ran ./internal/core
@@ -87,6 +88,13 @@ check-flight:
 	$(GO) test -race -count=1 ./internal/obs/flight
 	$(GO) test -race -count=1 -run 'Flight|Journal|Detector|Bundle|Summarize|TransitionHook|SnapshotSince|SnapshotHeader' ./internal/core ./internal/guard ./internal/e2 ./internal/ric ./internal/obs ./internal/obs/trace
 	$(GO) test -run '^FuzzEventCodec$$' -fuzz '^FuzzEventCodec$$' -fuzztime 10s ./internal/obs/flight
+
+## check-flake: the slot path's packages, 20 times under the race detector at
+## one and at two Ps — a test that cannot pass 20/20 at both is a flake to fix
+## or delete, not to rerun.
+check-flake:
+	GOMAXPROCS=1 $(GO) test -race -count=20 -timeout 30m ./internal/core ./internal/sched ./internal/wabi ./internal/plugins
+	GOMAXPROCS=2 $(GO) test -race -count=20 -timeout 30m ./internal/core ./internal/sched ./internal/wabi ./internal/plugins
 
 ## lint-metrics: telemetry must go through internal/obs — fail on raw
 ## atomic.Uint64 counter fields outside internal/obs and internal/metrics.
@@ -134,11 +142,6 @@ lint-metrics:
 ## Performance claims are judged by `bash bench/run.sh -compare old.json new.json`.
 measure:
 	bash bench/run.sh -all
-
-## bench: root micro-benchmarks, for working on one function; not a
-## measurement anything is judged by (see measure).
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem .
 
 ## fuzz: open-ended fuzzing of the plugin upload path (Ctrl-C to stop).
 fuzz:

@@ -11,7 +11,7 @@
 //
 //	waranbench -list                  # experiments and their knobs
 //	waranbench -fig 5a|5b|5c|5d|safety|upload|all [-duration 10s]
-//	waranbench -fig multicell -multicell.cells 8 -multicell.abi zerocopy
+//	waranbench -fig multicell -multicell.cells 8 -multicell.par 0
 //	waranbench -fig e2faults -e2faults.drop 0.05 -e2faults.seed 1
 //	waranbench -fig citysim -citysim.cells 256 -citysim.ues 4096
 package main

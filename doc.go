@@ -7,7 +7,7 @@
 // (internal/wabi), the RAN substrate (internal/ran), the two-level slice
 // scheduler (internal/sched, internal/slicing), the E2-lite interface
 // (internal/e2), the near-RT RIC (internal/ric), and the experiment harness
-// (internal/core). Executables are under cmd/, runnable scenarios under
-// examples/, and bench_test.go regenerates every figure of the paper's
-// evaluation.
+// (internal/core). Executables are under cmd/ (cmd/waranbench regenerates
+// every figure of the paper's evaluation), runnable scenarios under
+// examples/, and the measurement harness under bench/.
 package waran

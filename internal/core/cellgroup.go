@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
+	"sync"
 	"time"
 
 	"waran/internal/guard"
@@ -43,12 +44,12 @@ type CellGroupConfig struct {
 const DefaultOverrunThreshold = 3
 
 // CellGroup owns N independent gNB cells and steps them concurrently each
-// slot through a bounded worker pool — the multi-cell deployment ORANSlice
-// evaluates, driven by one slot clock. Cells share one content-addressed
-// module cache, so hot-swapping the same plugin bytecode onto every cell
-// compiles it exactly once, and (optionally) share pooled plugin instances
-// via sched.PoolScheduler so intra-slice decisions from different cells
-// execute in parallel sandboxes of one compiled module.
+// slot over static stripes (worker w owns cells w, w+par, ...) — the
+// multi-cell deployment ORANSlice evaluates, driven by one slot clock. Cells
+// share one content-addressed module cache, so hot-swapping the same plugin
+// bytecode onto every cell compiles it exactly once, and (optionally) share
+// pooled plugin instances via sched.PoolScheduler so intra-slice decisions
+// from different cells execute in parallel sandboxes of one compiled module.
 //
 // Determinism: each cell's UEs, channels and traffic sources are seeded
 // per-cell and never shared, so a group stepped with Parallelism=1 yields
@@ -82,14 +83,6 @@ type CellGroup struct {
 	// point for the wasm profiler and other host extensions. Set before
 	// installing schedulers.
 	PluginEnv wabi.Env
-
-	// PluginABI selects the request/response path for every scheduler the
-	// group installs: sched.ABIAuto (default) negotiates zero-copy regions
-	// with capable guests and falls back to the serializing codec,
-	// sched.ABICodec forces the codec (ablation baseline), sched.ABIZeroCopy
-	// refuses guests without the region ABI. Set before installing
-	// schedulers.
-	PluginABI sched.ABIMode
 }
 
 // NewCellGroup creates cfg.Cells identical cells (defaults applied). The
@@ -153,43 +146,44 @@ func (cg *CellGroup) parallelism() int {
 // the cell's DeadlineMeter and, when FallbackOnOverrun is set, pin the cell
 // to native fallback scheduling after OverrunThreshold consecutive misses.
 func (cg *CellGroup) StepAll() []SlotResult {
-	n := len(cg.cells)
-	results := make([]SlotResult, n)
-	par := cg.parallelism()
-
-	if par == 1 {
-		// Serial fast path: no goroutines, identical to the classic loop.
-		for i := 0; i < n; i++ {
-			cg.stepCell(i, results)
-		}
+	results := make([]SlotResult, len(cg.cells))
+	if par := cg.parallelism(); par > 1 {
+		cg.stepStripes(par, results)
 	} else {
-		work := make(chan int)
-		done := make(chan struct{})
-		for w := 0; w < par; w++ {
-			go func() {
-				for i := range work {
-					cg.stepCell(i, results)
-					done <- struct{}{}
-				}
-			}()
-		}
-		go func() {
-			for i := 0; i < n; i++ {
-				work <- i
-			}
-			close(work)
-		}()
-		for i := 0; i < n; i++ {
-			<-done
-		}
+		cg.stepStripe(0, 1, results)
 	}
 	cg.slot++
 	return results
 }
 
-// stepCell runs one cell's slot under the deadline watchdog. Cell i is
-// touched by exactly one worker per slot, so consecOver/pinned accesses
-// race-free by construction.
+// stepStripe steps cells w, w+par, w+2*par, ... on the calling goroutine.
+func (cg *CellGroup) stepStripe(w, par int, results []SlotResult) {
+	for i := w; i < len(cg.cells); i += par {
+		cg.stepCell(i, results)
+	}
+}
+
+// stepStripes runs stripe 0 on the caller and stripes 1..par-1 on
+// goroutines, and returns when all have finished. It is a function of its
+// own, entered only when par > 1, because the WaitGroup the goroutines
+// capture is heap-allocated wherever it is declared: in StepAll it would
+// cost the serial path an allocation per slot.
+func (cg *CellGroup) stepStripes(par int, results []SlotResult) {
+	var wg sync.WaitGroup
+	wg.Add(par - 1)
+	for w := 1; w < par; w++ {
+		go func(w int) {
+			defer wg.Done()
+			cg.stepStripe(w, par, results)
+		}(w)
+	}
+	cg.stepStripe(0, par, results)
+	wg.Wait()
+}
+
+// stepCell runs one cell's slot under the deadline watchdog. Cell i belongs
+// to exactly one stripe, so consecOver/pinned accesses are race-free by
+// construction.
 func (cg *CellGroup) stepCell(i int, results []SlotResult) {
 	start := time.Now()
 	results[i] = cg.cells[i].Step()
@@ -355,11 +349,6 @@ func (cg *CellGroup) installPool(sliceID uint32, name string, mod *wabi.Module, 
 	ps, err := sched.NewPoolScheduler(name, pool, nil)
 	if err != nil {
 		return nil, err
-	}
-	if cg.PluginABI != sched.ABIAuto {
-		if err := ps.SetABIMode(cg.PluginABI); err != nil {
-			return nil, err
-		}
 	}
 	swapped := 0
 	for _, g := range cg.cells {

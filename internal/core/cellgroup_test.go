@@ -1,12 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
 	"waran/internal/e2"
+	"waran/internal/obs/flight"
 	"waran/internal/plugins"
 	"waran/internal/ran"
 	"waran/internal/sched"
@@ -89,45 +90,98 @@ func TestCellGroupSerialMatchesSingleCellLoop(t *testing.T) {
 	}
 }
 
-// TestCellGroupDeterminism is the tentpole's safety net: a 4-cell group
-// stepped with parallelism 1 and parallelism NumCPU over 2000 slots must
-// produce identical per-cell SlotResult sequences.
+// TestCellGroupDeterminism is the striped engine's safety net: for every
+// group size and Parallelism — stripes that do not divide the cells, more
+// workers than cells, the GOMAXPROCS default — each cell's SlotResult
+// sequence must equal the one the same cell produces standalone in a plain
+// serial loop, every cell must be stepped exactly once per slot, and the
+// shared schedulers must compile once group-wide.
 func TestCellGroupDeterminism(t *testing.T) {
-	const cells = 4
-	slots := 2000
+	const maxCells = 8
+	slots := 300
 	if testing.Short() {
-		slots = 300
+		slots = 100
 	}
 
-	run := func(par int) [][]SlotResult {
-		cg := buildGroup(t, cells, par)
-		// Shared pool-backed schedulers across all cells: the maximally
-		// concurrent configuration, and still deterministic because the
-		// built-in plugins are pure functions of the request.
-		if _, err := cg.InstallPooledScheduler(1, "rr", wabi.Policy{}, 2*cells); err != nil {
+	// Cells are seeded by index and share nothing, so one standalone run of
+	// maxCells cells is the reference for every smaller group too.
+	serial := make([][]SlotResult, maxCells)
+	for i := range serial {
+		g, err := NewGNB(ran.CellConfig{})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cg.InstallPooledScheduler(2, "pf", wabi.Policy{}, 2*cells); err != nil {
-			t.Fatal(err)
-		}
-		seq := make([][]SlotResult, cells)
+		populateCell(t, g, i)
 		for s := 0; s < slots; s++ {
-			res := cg.StepAll()
-			for i := range res {
-				seq[i] = append(seq[i], res[i])
-			}
+			serial[i] = append(serial[i], g.Step())
 		}
-		return seq
 	}
 
-	serial := run(1)
-	parallel := run(runtime.NumCPU())
+	for _, cells := range []int{1, 5, maxCells} {
+		for _, par := range []int{1, 2, 3, 8, 0} {
+			t.Run(fmt.Sprintf("cells=%d/par=%d", cells, par), func(t *testing.T) {
+				cg := buildGroup(t, cells, par)
+				// Shared pool-backed schedulers across all cells: the maximally
+				// concurrent configuration, and still deterministic because the
+				// built-in plugins are pure functions of the request.
+				for id, name := range map[uint32]string{1: "rr", 2: "pf"} {
+					if _, err := cg.InstallPooledScheduler(id, name, wabi.Policy{}, 2*cells); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if st := cg.Modules.Stats(); st.Misses != 2 {
+					t.Fatalf("2 shared schedulers compiled %d modules across %d cells", st.Misses, cells)
+				}
+				for s := 0; s < slots; s++ {
+					for i, got := range cg.StepAll() {
+						if !reflect.DeepEqual(serial[i][s], got) {
+							t.Fatalf("cell %d slot %d: group result differs\nserial: %+v\ngroup:  %+v",
+								i, s, serial[i][s], got)
+						}
+					}
+				}
+				if cg.Slot() != uint64(slots) {
+					t.Fatalf("group at slot %d, want %d", cg.Slot(), slots)
+				}
+				for i, ws := range cg.WatchdogStats() {
+					if ws.Slots != uint64(slots) || cg.Cell(i).Slot() != uint64(slots) {
+						t.Fatalf("cell %d: watchdog saw %d slots, cell at slot %d, want %d",
+							i, ws.Slots, cg.Cell(i).Slot(), slots)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestCellGroupStripesShareFlightRecorder steps a group whose every slot
+// overruns from two stripes into one attached flight recorder: every miss
+// must be journaled once, with its own cell. Meaningful under -race.
+func TestCellGroupStripesShareFlightRecorder(t *testing.T) {
+	const cells, slots = 5, 40
+	cg, err := NewCellGroup(ran.CellConfig{}, CellGroupConfig{
+		Cells: cells, Parallelism: 2, SlotDeadline: time.Nanosecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < cells; i++ {
-		for s := range serial[i] {
-			if !reflect.DeepEqual(serial[i][s], parallel[i][s]) {
-				t.Fatalf("cell %d slot %d: parallel result differs\nserial:   %+v\nparallel: %+v",
-					i, s, serial[i][s], parallel[i][s])
-			}
+		populateCell(t, cg.Cell(i), i)
+	}
+	rec := flight.NewRecorder(cells * slots)
+	cg.SetFlightRecorder(rec)
+	cg.RunSlots(slots, nil)
+
+	perCell := make([]int, cells)
+	for _, ev := range rec.Tail(cells * slots) {
+		if ev.Class != flight.EvSlotDeadlineMiss {
+			t.Fatalf("unexpected %v event", ev.Class)
+		}
+		perCell[ev.Cell]++
+	}
+	for i, n := range perCell {
+		if n != slots {
+			t.Fatalf("cell %d journaled %d misses, want %d", i, n, slots)
 		}
 	}
 }

@@ -40,9 +40,6 @@ type ExpConfig struct {
 	// paper's 1 ms; tests raise it so shared-machine jitter cannot register
 	// as a missed deadline.
 	SlotDeadline time.Duration
-	// ABI selects the plugin call path in experiments that install wasm
-	// schedulers: "auto" (default), "codec" or "zerocopy" (sched.ParseABIMode).
-	ABI string
 	// UEsPerCell / Sectors / Shards / BatchWindow shape the city-scale
 	// experiment (citysim): modeled UEs per cell, E2 associations per cell,
 	// RIC association shards, and the KPM batching window in report periods.

@@ -27,7 +27,6 @@ func init() {
 			IntExpFlag("cells", 8, "number of cells in the group", func(c *ExpConfig, v int) { c.Cells = v }),
 			IntExpFlag("slots", 2000, "slots to step", func(c *ExpConfig, v int) { c.Slots = v }),
 			IntExpFlag("par", 0, "worker parallelism (0 = GOMAXPROCS)", func(c *ExpConfig, v int) { c.Parallelism = v }),
-			StringExpFlag("abi", "auto", "plugin call path (auto, codec, zerocopy)", func(c *ExpConfig, v string) { c.ABI = v }),
 		},
 		func(cfg ExpConfig) (any, error) { return RunMulticell(cfg) })
 	RegisterExperimentWithFlags("pluginfaults", "plugin fault storm: breaker quarantine, shadow-validated recovery, sleeper rollback (JSON)",

@@ -279,3 +279,74 @@ func TestSliceMaxUEsEnforced(t *testing.T) {
 		t.Fatalf("seat not released: %v", err)
 	}
 }
+
+func TestGNBFleetScheduling(t *testing.T) {
+	g, err := NewGNB(ran.CellConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Slices.AddSlice(1, "iot", 10e6, sched.RoundRobin{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Slices.AddSlice(2, "mbb", 20e6, sched.RoundRobin{}, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	// Fleet on an unknown slice is refused at admission.
+	bad, err := ran.NewUEFleet(ran.FleetConfig{UEs: 10, SliceIDs: []uint32{9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AttachFleet(bad); err == nil {
+		t.Fatal("fleet on unregistered slice admitted")
+	}
+
+	fleet, err := ran.NewUEFleet(ran.FleetConfig{
+		UEs: 4096, ActiveK: 32, SliceIDs: []uint32{1, 2}, MeanRateBps: 256e3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AttachFleet(fleet); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AttachFleet(fleet); err == nil {
+		t.Fatal("second fleet admitted")
+	}
+	// An explicit UE coexists with the fleet.
+	ue := ran.NewUE(1, 1, 20)
+	ue.Traffic = ran.NewCBR(1e6)
+	if err := g.AttachUE(ue); err != nil {
+		t.Fatal(err)
+	}
+
+	var fleetBits int64
+	for i := 0; i < 256; i++ {
+		res := g.Step()
+		for id, gr := range res.PerUE {
+			if id >= 1<<20 { // fleet BaseID default
+				fleetBits += gr.Bits
+			}
+		}
+	}
+	if fleetBits == 0 {
+		t.Fatal("no fleet UE was ever granted")
+	}
+	st := fleet.Stats()
+	if st.DeliveredBits == 0 {
+		t.Fatal("fleet accounting saw no delivered bits")
+	}
+
+	// The KPM snapshot stays bounded: explicit UEs + the active window,
+	// never the full modeled population.
+	ind := g.Snapshot(1)
+	if got, limit := len(ind.UEs), 1+fleet.ActiveK(); got > limit {
+		t.Fatalf("snapshot carries %d UE rows, want <= %d", got, limit)
+	}
+	if len(ind.UEs) < 2 {
+		t.Fatalf("snapshot missing fleet window rows: %d", len(ind.UEs))
+	}
+	if len(ind.Slices) != 2 {
+		t.Fatalf("snapshot slice rows %d, want 2", len(ind.Slices))
+	}
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"strings"
 	"time"
 
 	"waran/internal/e2"
@@ -15,7 +14,7 @@ import (
 )
 
 // MulticellResult is the multi-cell scaling experiment outcome: one cell
-// group stepped serially and then with the worker pool, plus a fleet-wide
+// group stepped serially and then over parallel stripes, plus a fleet-wide
 // plugin hot swap through the content-addressed module cache. When the run
 // was instrumented (ExpConfig.Obs), Obs carries the registry snapshot.
 type MulticellResult struct {
@@ -35,22 +34,13 @@ type MulticellResult struct {
 	CacheHits           uint64  `json:"cache_hits"`
 	CacheMisses         uint64  `json:"cache_misses"`
 
-	// Plugin ABI accounting for the parallel run: which call path the
-	// schedulers used, the host-side cost per decision, and — over zero-copy
-	// — how effective the delta writer was (dirty records as a percentage of
-	// records carried; 100 means every record was rewritten every call).
-	ABI              string  `json:"abi"`
+	// Plugin call accounting for the parallel run: the host-side cost per
+	// decision and how many calls went over the zero-copy region ABI (all of
+	// them for the built-in guests, which export it).
 	SchedCalls       uint64  `json:"sched_calls"`
 	SchedNsPerCall   float64 `json:"sched_ns_per_call"`
 	SchedFuelPerCall float64 `json:"sched_fuel_per_call"`
 	ZCCalls          uint64  `json:"zc_calls"`
-	ZCDirtyRecordPct float64 `json:"zc_dirty_record_pct"`
-	// ABIWallSharePct is the share of in-sandbox wall time spent inside the
-	// "waran.*" ABI import functions (input_read, output_write, ...),
-	// measured by the wasm profiler over a short instrumented pass. The
-	// zero-copy path never calls them, so this is the serialization overhead
-	// the region ABI removes from the sandbox.
-	ABIWallSharePct float64 `json:"abi_wall_share_pct"`
 
 	// Execution-tier accounting for the parallel run: sandbox calls served
 	// by the closure tier (all of them) and by the reference interpreter
@@ -62,24 +52,14 @@ type MulticellResult struct {
 }
 
 // BuildMulticellGroup assembles a group of Fig. 5a-shaped cells whose
-// slices share pool-backed built-in schedulers: the deployment the
-// multicell experiment (and cmd/gnb's multi-cell mode) steps.
-func BuildMulticellGroup(cells, par int) (*CellGroup, error) {
-	cg, _, err := BuildMulticellGroupABI(cells, par, sched.ABIAuto, wabi.Env{})
-	return cg, err
-}
-
-// BuildMulticellGroupABI is BuildMulticellGroup with the plugin ABI forced
-// and an environment (profiler, chaos) merged into every pool. It also
-// returns the installed pool schedulers so callers can read per-path call
-// accounting after the run.
-func BuildMulticellGroupABI(cells, par int, abi sched.ABIMode, env wabi.Env) (*CellGroup, []*sched.PoolScheduler, error) {
+// slices share pool-backed built-in schedulers — the deployment the
+// multicell experiment steps. It also returns the installed pool schedulers
+// so callers can read call accounting after the run.
+func BuildMulticellGroup(cells, par int) (*CellGroup, []*sched.PoolScheduler, error) {
 	cg, err := NewCellGroup(ran.CellConfig{}, CellGroupConfig{Cells: cells, Parallelism: par})
 	if err != nil {
 		return nil, nil, err
 	}
-	cg.PluginABI = abi
-	cg.PluginEnv = env
 	specs := DefaultFig5aSpecs()
 	for c := 0; c < cells; c++ {
 		gnb := cg.Cell(c)
@@ -109,7 +89,7 @@ func BuildMulticellGroupABI(cells, par int, abi sched.ABIMode, env wabi.Env) (*C
 	return cg, scheds, nil
 }
 
-// RunMulticell steps a cell group serially and with the worker pool, then
+// RunMulticell steps a cell group serially and over parallel stripes, then
 // fans one plugin upload across every cell. The serial baseline always runs
 // un-instrumented; when cfg.Obs is set the parallel group registers its
 // instruments (and streams traces into cfg.Trace) and the result embeds the
@@ -127,20 +107,15 @@ func RunMulticell(cfg ExpConfig) (*MulticellResult, error) {
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	abi, err := sched.ParseABIMode(cfg.ABI)
-	if err != nil {
-		return nil, err
-	}
 	rep := &MulticellResult{
 		Cells:       cells,
 		Slots:       slots,
 		Parallelism: par,
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		ABI:         abi.String(),
 	}
 
 	timeRun := func(parallelism int, reg bool) (float64, *CellGroup, []*sched.PoolScheduler, error) {
-		cg, scheds, err := BuildMulticellGroupABI(cells, parallelism, abi, wabi.Env{})
+		cg, scheds, err := BuildMulticellGroup(cells, parallelism)
 		if err != nil {
 			return 0, nil, nil, err
 		}
@@ -153,39 +128,30 @@ func RunMulticell(cfg ExpConfig) (*MulticellResult, error) {
 		return float64(slots) / elapsed.Seconds(), cg, scheds, nil
 	}
 
-	if rep.SerialSlotsPerSec, _, _, err = timeRun(1, false); err != nil {
+	serialRate, _, _, err := timeRun(1, false)
+	if err != nil {
 		return nil, err
 	}
 	parRate, cg, scheds, err := timeRun(par, true)
 	if err != nil {
 		return nil, err
 	}
-	rep.ParallelSlotsPerSec = parRate
+	rep.SerialSlotsPerSec, rep.ParallelSlotsPerSec = serialRate, parRate
 	rep.Speedup = rep.ParallelSlotsPerSec / rep.SerialSlotsPerSec
 
 	var totalNs, totalFuel int64
-	var dirty, records uint64
 	for _, ps := range scheds {
 		st := ps.Stats()
 		rep.SchedCalls += st.Calls
 		rep.ZCCalls += st.ZCCalls
 		totalNs += st.TotalTime.Nanoseconds()
 		totalFuel += st.TotalFuel
-		dirty += st.ZCDirtyRecords
-		records += st.ZCRecords
 		rep.TierInterpCalls += st.TierInterpCalls
 		rep.TierClosureCalls += st.TierClosureCalls
 	}
 	if rep.SchedCalls > 0 {
 		rep.SchedNsPerCall = float64(totalNs) / float64(rep.SchedCalls)
 		rep.SchedFuelPerCall = float64(totalFuel) / float64(rep.SchedCalls)
-	}
-	if records > 0 {
-		rep.ZCDirtyRecordPct = 100 * float64(dirty) / float64(records)
-	}
-	rep.ABIWallSharePct, err = measureABIWallShare(abi)
-	if err != nil {
-		return nil, err
 	}
 
 	for _, st := range cg.WatchdogStats() {
@@ -225,31 +191,4 @@ func RunMulticell(cfg ExpConfig) (*MulticellResult, error) {
 		rep.Obs = cfg.Obs.Snapshot()
 	}
 	return rep, nil
-}
-
-// measureABIWallShare runs a short profiled pass of a small cell group and
-// returns the percentage of in-sandbox wall time spent inside the "waran.*"
-// ABI import functions — the serialization plumbing the zero-copy path
-// bypasses. Profiling distorts absolute timings, so this runs apart from
-// the timed passes and only the ratio is reported. Function names carry a
-// per-scheduler tag prefix ("rr:waran.input_read"), hence the substring
-// match.
-func measureABIWallShare(abi sched.ABIMode) (float64, error) {
-	prof := wasm.NewProfile()
-	cg, _, err := BuildMulticellGroupABI(2, 1, abi, wabi.Env{Profile: prof})
-	if err != nil {
-		return 0, err
-	}
-	cg.RunSlots(256, nil)
-	var abiNs, allNs int64
-	for _, f := range prof.Snapshot().Functions {
-		allNs += f.SelfNs
-		if strings.Contains(f.Name, "waran.") {
-			abiNs += f.SelfNs
-		}
-	}
-	if allNs == 0 {
-		return 0, nil
-	}
-	return 100 * float64(abiNs) / float64(allNs), nil
 }

@@ -29,7 +29,7 @@ func tierGroupStats(scheds []*sched.PoolScheduler) sched.SchedStats {
 func TestMulticellTierDecisionsIdentical(t *testing.T) {
 	const cells, slots = 2, 120
 	run := func(tier wasm.Tier) ([][]SlotResult, sched.SchedStats) {
-		cg, err := BuildMulticellGroup(cells, 1)
+		cg, _, err := BuildMulticellGroup(cells, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestMulticellTierDecisionsIdentical(t *testing.T) {
 // way cmd/gnb builds it (InstallPooledScheduler with a zero wabi.Policy)
 // serves every sandbox call on the closure tier, from the very first slot.
 func TestGroupClosureFromFirstCall(t *testing.T) {
-	cg, scheds, err := BuildMulticellGroupABI(2, 1, sched.ABIAuto, wabi.Env{})
+	cg, scheds, err := BuildMulticellGroup(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,9 @@ import (
 // This file is the wasm-level half of the zero-copy differential harness:
 // where internal/sched's FuzzABIDifferential proves the byte layers agree
 // without running wasm, these tests run the real guests over both call
-// paths and demand bit-identical decisions, correct delta behaviour across
-// instance lifecycles, and hostile/chaotic response regions that never
-// escape validation.
+// paths and demand bit-identical decisions, correct region behaviour across
+// slots and instance lifecycles, and hostile/chaotic response regions that
+// never escape validation.
 
 func newSchedABI(t *testing.T, name string, mode sched.ABIMode, env wabi.Env) *sched.PluginScheduler {
 	t.Helper()
@@ -24,6 +24,11 @@ func newSchedABI(t *testing.T, name string, mode sched.ABIMode, env wabi.Env) *s
 	if err != nil {
 		t.Fatalf("compile %s: %v", name, err)
 	}
+	return newModuleSchedABI(t, name, mod, mode, env)
+}
+
+func newModuleSchedABI(t *testing.T, name string, mod *wabi.Module, mode sched.ABIMode, env wabi.Env) *sched.PluginScheduler {
+	t.Helper()
 	p, err := wabi.NewPlugin(mod, wabi.Policy{Fuel: 50_000_000}, env)
 	if err != nil {
 		t.Fatalf("instantiate %s: %v", name, err)
@@ -100,12 +105,11 @@ func TestDifferentialCodecVsZeroCopy(t *testing.T) {
 	}
 }
 
-// TestDifferentialDeltaThousandSlots is the seeded multi-slot delta
-// sequence: 1000 slots of random UE-subset mutations through one zero-copy
-// instance (whose request region is only ever delta-updated) against a
-// codec scheduler that re-encodes from scratch every slot. Decisions must
-// stay bit-identical the whole way, and the delta writer must actually
-// skip unchanged records.
+// TestDifferentialDeltaThousandSlots is the seeded multi-slot sequence of
+// request deltas: 1000 slots of random UE-subset mutations through one
+// zero-copy instance (whose request region is rewritten over the previous
+// slot's bytes) against a codec scheduler that encodes into a fresh buffer
+// every slot. Decisions must stay bit-identical the whole way.
 func TestDifferentialDeltaThousandSlots(t *testing.T) {
 	for _, name := range []string{"rr", "pf", "mt"} {
 		t.Run(name, func(t *testing.T) {
@@ -130,23 +134,48 @@ func TestDifferentialDeltaThousandSlots(t *testing.T) {
 					t.Fatalf("slot %d: zerocopy: %v", slot, err)
 				}
 				if !allocsEqual(got.Allocs, want.Allocs) {
-					t.Fatalf("slot %d: delta-updated region produced a different decision\nzc:    %v\ncodec: %v",
+					t.Fatalf("slot %d: rewritten region produced a different decision\nzc:    %v\ncodec: %v",
 						slot, got.Allocs, want.Allocs)
 				}
 			}
 			st := zc.Stats()
-			if st.ZCRecords != 24_000 {
-				t.Fatalf("carried %d records, want 24000", st.ZCRecords)
-			}
-			// ~1/4 of records mutate per slot; full rewrites every slot would
-			// mean the shadow diff is broken.
-			if st.ZCDirtyRecords >= st.ZCRecords/2 {
-				t.Fatalf("delta writer ineffective: %d of %d records dirty", st.ZCDirtyRecords, st.ZCRecords)
+			if st.ZCRecords != 24_000 || st.ZCDirtyRecords != st.ZCRecords {
+				t.Fatalf("wrote %d records (%d dirty), want 24000 (all)", st.ZCRecords, st.ZCDirtyRecords)
 			}
 			if pl := zc.Plugin(); pl.RegionNegotiations() != 1 {
 				t.Fatalf("negotiations = %d, want 1 for a single live instance", pl.RegionNegotiations())
 			}
 		})
+	}
+}
+
+// TestDifferentialScribblingGuest runs a guest that overwrites its own
+// request region after reading it, over 150 slots with an unchanged UE set —
+// the traffic for which a host that only rewrote changed records would hand
+// the guest its own scribble back. Codec and zero-copy decisions must stay
+// bit-identical: the region is the host's to write, every call.
+func TestDifferentialScribblingGuest(t *testing.T) {
+	mod, err := wabi.CompileWAT(scribbleZCWAT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec := newModuleSchedABI(t, "zc-scribble", mod, sched.ABICodec, wabi.Env{})
+	zc := newModuleSchedABI(t, "zc-scribble", mod, sched.ABIZeroCopy, wabi.Env{})
+	req := randomRequest(rand.New(rand.NewSource(41)), 6, 0)
+	req.PRBBudget = 10
+	for slot := uint64(0); slot < 150; slot++ {
+		req.Slot = slot
+		want, err := codec.Schedule(req)
+		if err != nil {
+			t.Fatalf("slot %d: codec: %v", slot, err)
+		}
+		got, err := zc.Schedule(req)
+		if err != nil {
+			t.Fatalf("slot %d: zerocopy: %v", slot, err)
+		}
+		if !allocsEqual(got.Allocs, want.Allocs) {
+			t.Fatalf("slot %d: guest saw its own scribble\nzc:    %v\ncodec: %v", slot, got.Allocs, want.Allocs)
+		}
 	}
 }
 

@@ -4,8 +4,10 @@ package plugins
 // negotiation contract (regions carved from grown memory, so every fresh
 // instance must re-negotiate); the HostileZC* plugins lie through the
 // response region in each way the host's region validation must catch.
-// None of them export the classic "schedule" entry: they are zero-copy-only
-// guests, which also pins the capability-resolution rules.
+// None of those export the classic "schedule" entry: they are zero-copy-only
+// guests, which also pins the capability-resolution rules. scribbleZCWAT is
+// the one dual-path guest: it misbehaves on its own request region, and the
+// differential test needs its codec path as the reference.
 
 // GrowZCWAT negotiates its regions from memory grown during negotiation,
 // the way an allocator-backed guest (Rust, TinyGo) would: the module starts
@@ -88,6 +90,45 @@ const HostileZCNoSealWAT = `(module
   (func (export "schedule_zc") (result i32) (i32.const 0))
 )`
 
+// scribbleZCWAT reads its request and then overwrites it: the header's UE
+// count and the whole first UE record become all-ones bytes. Its request
+// buffer doubles as the zero-copy request region, so over zero-copy the
+// scribble lands in host-visible memory; a host that skipped rewriting
+// records it believed unchanged would feed the guest its own scribble next
+// slot. The decision rule is GrowZCWAT's (1 PRB to the first UE), exported
+// over both the serializing and the zero-copy entry.
+const scribbleZCWAT = `(module
+  (import "waran" "input_length" (func $input_length (result i32)))
+  (import "waran" "input_read"   (func $input_read (param i32 i32 i32) (result i32)))
+  (import "waran" "output_write" (func $output_write (param i32 i32)))
+  (memory (export "memory") 1 4)
+  (func (export "zc_req_region") (result i32) (i32.const 1024))
+  (func (export "zc_resp_region") (result i32) (i32.const 40960))
+
+  (func $core
+    (if (i32.eqz (i32.load (i32.const 1040)))  ;; nUE == 0
+      (then (i32.store (i32.const 40960) (i32.const 0)))
+      (else
+        (i32.store (i32.const 40960) (i32.const 1))
+        (i32.store (i32.const 40964) (i32.load (i32.const 1044)))  ;; first UE id
+        (i32.store (i32.const 40968) (i32.const 1))))
+    (i32.store (i32.const 1040) (i32.const -1))
+    (i64.store (i32.const 1044) (i64.const -1))
+    (i64.store (i32.const 1052) (i64.const -1))
+    (i64.store (i32.const 1060) (i64.const -1)))
+
+  (func (export "schedule") (result i32)
+    (drop (call $input_read (i32.const 1024) (i32.const 0) (call $input_length)))
+    (call $core)
+    (call $output_write
+      (i32.const 40960)
+      (i32.add (i32.const 4) (i32.mul (i32.load (i32.const 40960)) (i32.const 8))))
+    (i32.const 0))
+  (func (export "schedule_zc") (result i32)
+    (call $core)
+    (i32.const 0))
+)`
+
 // ZCFaultWAT returns the named zero-copy test plugin source.
 func ZCFaultWAT(name string) (string, bool) {
 	switch name {
@@ -99,6 +140,8 @@ func ZCFaultWAT(name string) (string, bool) {
 		return HostileZCOverlapWAT, true
 	case "zc-no-seal":
 		return HostileZCNoSealWAT, true
+	case "zc-scribble":
+		return scribbleZCWAT, true
 	default:
 		return "", false
 	}

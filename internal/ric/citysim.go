@@ -17,8 +17,8 @@ import (
 	"waran/internal/wabi"
 )
 
-// CitySimConfig parameterizes the city-scale experiment: a sharded cell
-// fleet with aggregate UE populations on the gNB side, a sharded RIC with
+// CitySimConfig parameterizes the city-scale experiment: one striped cell
+// group with aggregate UE populations on the gNB side, a sharded RIC with
 // windowed KPM batching on the other, joined by Cells x Sectors live E2
 // associations over loopback.
 type CitySimConfig struct {
@@ -111,7 +111,6 @@ type CitySimResult struct {
 	Sectors      int   `json:"sectors"`
 	Associations int64 `json:"associations_live"`
 	RICShards    int   `json:"ric_shards"`
-	FleetShards  int   `json:"fleet_shards"`
 	BatchWindow  int   `json:"batch_window"`
 	Slots        int   `json:"slots"`
 
@@ -133,11 +132,6 @@ type CitySimResult struct {
 
 	FleetDeliveredBits int64 `json:"fleet_delivered_bits"`
 	FleetDroppedBits   int64 `json:"fleet_dropped_bits"`
-
-	// StripeP99Us is the worst per-fleet-shard p99 wall time to step one
-	// stripe of cells; StripeOverruns counts slot-budget misses.
-	StripeP99Us    float64 `json:"stripe_p99_us"`
-	StripeOverruns uint64  `json:"stripe_overruns"`
 
 	// P99ControlLoopUs is the p99 of complete traced control loops
 	// (indication.encode through slot.effect) over CompleteLoops samples.
@@ -161,27 +155,26 @@ type CitySimResult struct {
 }
 
 // RunCitySim runs the city-scale experiment: Cells cells each modeling
-// UEsPerCell UEs through a ran.UEFleet, stepped by the sharded core.Fleet
-// driver; Cells x Sectors E2 agents hold concurrent associations to one
-// sharded RIC running the SLA-assurance xApp, coalescing KPM reports into
-// batched frames. The result reports sustained slots/sec, indications/sec
-// and the tracer-derived p99 control-loop latency.
+// UEsPerCell UEs through a ran.UEFleet, stepped by one core.CellGroup over
+// GOMAXPROCS stripes; Cells x Sectors E2 agents hold concurrent associations
+// to one sharded RIC running the SLA-assurance xApp, coalescing KPM reports
+// into batched frames. The result reports sustained slots/sec,
+// indications/sec and the tracer-derived p99 control-loop latency.
 func RunCitySim(cfg CitySimConfig) (*CitySimResult, error) {
 	cfg = cfg.withDefaults()
 	tracer := trace.NewTracer(cfg.SpanCap)
 
-	// --- gNB side: the sharded cell fleet --------------------------------
-	fleet, err := core.NewFleet(ran.CellConfig{}, core.FleetDriverConfig{Cells: cfg.Cells})
+	// --- gNB side: the striped cell group --------------------------------
+	cg, err := core.NewCellGroup(ran.CellConfig{}, core.CellGroupConfig{Cells: cfg.Cells})
 	if err != nil {
 		return nil, err
 	}
-	defer fleet.Close()
 	const (
 		iotSlice = 1
 		mbbSlice = 2
 	)
 	for c := 0; c < cfg.Cells; c++ {
-		gnb := fleet.Cell(c)
+		gnb := cg.Cell(c)
 		if _, err := gnb.Slices.AddSlice(iotSlice, "iot", 100e6, sched.RoundRobin{}, nil); err != nil {
 			return nil, err
 		}
@@ -201,16 +194,13 @@ func RunCitySim(cfg CitySimConfig) (*CitySimResult, error) {
 			return nil, err
 		}
 	}
-	// The iot slice runs a pooled Wasm scheduler per fleet shard (compiled
-	// once fleet-wide through the shared module cache); mbb keeps the
-	// native fallback so the slot budget carries both kinds of cost.
-	for s := 0; s < fleet.NumShards(); s++ {
-		sh := fleet.Shard(s)
-		if _, err := sh.InstallPooledScheduler(iotSlice, "rr", wabi.Policy{}, sh.NumCells()); err != nil {
-			return nil, err
-		}
-		sh.EnableTracing(tracer)
+	// The iot slice runs one pooled Wasm scheduler group-wide (the pool
+	// grows to one instance per concurrently stepping stripe); mbb keeps
+	// the native fallback so the slot budget carries both kinds of cost.
+	if _, err := cg.InstallPooledScheduler(iotSlice, "rr", wabi.Policy{}, cfg.Cells); err != nil {
+		return nil, err
 	}
+	cg.EnableTracing(tracer)
 
 	// --- RIC side: sharded fan-in, KPM store off, batching on ------------
 	r, err := New(Config{
@@ -260,7 +250,7 @@ func RunCitySim(cfg CitySimConfig) (*CitySimResult, error) {
 					return nil, fmt.Errorf("ric: citysim: association %d: %w", len(agents), err)
 				}
 				conn = e2.NewConn(raw, e2.BinaryCodec{})
-				agent, err = NewAgent(conn, fleet.Cell(c), AgentConfig{
+				agent, err = NewAgent(conn, cg.Cell(c), AgentConfig{
 					Cell:   uint32(c*cfg.Sectors + s),
 					Tracer: tracer,
 					Batch:  batch,
@@ -318,7 +308,7 @@ func RunCitySim(cfg CitySimConfig) (*CitySimResult, error) {
 	// --- the measured slot loop ------------------------------------------
 	start := time.Now()
 	for slot := uint64(0); slot < uint64(cfg.Slots); slot++ {
-		fleet.StepAll()
+		cg.StepAll()
 		for _, a := range agents {
 			_ = a.Tick(slot) // a dead association shows up in live counts
 		}
@@ -341,7 +331,6 @@ func RunCitySim(cfg CitySimConfig) (*CitySimResult, error) {
 		Sectors:      cfg.Sectors,
 		Associations: st.LiveAssociations,
 		RICShards:    cfg.RICShards,
-		FleetShards:  fleet.NumShards(),
 		BatchWindow:  cfg.BatchWindow,
 		Slots:        cfg.Slots,
 
@@ -369,15 +358,9 @@ func RunCitySim(cfg CitySimConfig) (*CitySimResult, error) {
 		}
 	}
 	for c := 0; c < cfg.Cells; c++ {
-		fs := fleet.Cell(c).Fleet().Stats()
+		fs := cg.Cell(c).Fleet().Stats()
 		res.FleetDeliveredBits += fs.DeliveredBits
 		res.FleetDroppedBits += fs.DroppedBits
-	}
-	for _, ws := range fleet.WatchdogStats() {
-		if ws.P99us > res.StripeP99Us {
-			res.StripeP99Us = ws.P99us
-		}
-		res.StripeOverruns += ws.Overruns
 	}
 	if ov, ok := r.OverloadStats(); ok {
 		res.Overload = &ov

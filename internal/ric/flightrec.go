@@ -11,9 +11,11 @@ package ric
 //  2. trigger pipeline — at least one bundle was captured by an anomaly
 //     trigger (not the final sweep), proving detectors and trigger classes
 //     actually page the capturer;
-//  3. overhead — an idle recorder attached to a clean slot loop costs
-//     nothing measurable: journal writes happen only on rare edges, so the
-//     steady-state slot path is unchanged within noise.
+//  3. idle path — a recorder attached to a clean slot loop journals only
+//     on the rare edge: exactly one event per watchdog overrun (none on a
+//     quiet box). The wall-clock cost of the attached recorder is reported
+//     as overhead_pct, not asserted: it is a ratio of two short timed loops
+//     and scheduler noise alone moves it by tens of percent.
 
 import (
 	"fmt"
@@ -117,8 +119,7 @@ type FlightRecResult struct {
 
 	// BaselineNsPerSlot / FlightNsPerSlot time a clean single-cell slot
 	// loop without and with an attached (idle) recorder; OverheadPct is
-	// the relative difference. Clean slots journal nothing, so this must
-	// stay within measurement noise.
+	// the relative difference, reported for the reader and not bounded.
 	BaselineNsPerSlot float64 `json:"baseline_ns_per_slot"`
 	FlightNsPerSlot   float64 `json:"flight_ns_per_slot"`
 	OverheadPct       float64 `json:"overhead_pct"`
@@ -131,8 +132,8 @@ var flightrecChain = []flight.Class{flight.EvBrownoutShift, flight.EvShed, fligh
 
 // RunFlightRec runs the flight-recorder experiment. A non-nil error flags a
 // hard invariant violation (no causal chain in the bundles, ledger
-// imbalance, pathological journal overhead); the partial result is still
-// returned for inspection.
+// imbalance, an idle recorder journaling on clean slots); the partial result
+// is still returned for inspection.
 func RunFlightRec(cfg FlightRecConfig) (*FlightRecResult, error) {
 	cfg = cfg.withDefaults()
 	res := &FlightRecResult{Agents: cfg.Agents}
@@ -264,23 +265,28 @@ func RunFlightRec(cfg FlightRecConfig) (*FlightRecResult, error) {
 		}
 	}
 
-	// Journal overhead: a clean slot loop with an idle recorder attached
-	// must cost the same as one with no recorder — the disabled/idle paths
-	// are a pointer compare and journal writes happen only on rare edges.
-	// The storm leaves GC and scheduler residue behind, so each arm runs
-	// twice, interleaved, and keeps its minimum: transient inflation hits
-	// one pass, not the best-of.
+	// Idle path: a clean slot loop with a recorder attached journals only
+	// deadline misses, so the journal must hold exactly as many events as
+	// the watchdog counted overruns. The two arms are also timed; the storm
+	// leaves GC and scheduler residue behind, so each runs twice,
+	// interleaved, and keeps its minimum.
 	res.BaselineNsPerSlot, res.FlightNsPerSlot = math.Inf(1), math.Inf(1)
 	for pass := 0; pass < 2; pass++ {
-		ns, err := flightrecSlotNs(nil, cfg.OverheadSlots)
+		ns, _, err := flightrecSlotNs(nil, cfg.OverheadSlots)
 		if err != nil {
 			return res, err
 		}
 		res.BaselineNsPerSlot = math.Min(res.BaselineNsPerSlot, ns)
-		if ns, err = flightrecSlotNs(flight.NewRecorder(4096), cfg.OverheadSlots); err != nil {
+		idle := flight.NewRecorder(4096)
+		ns, overruns, err := flightrecSlotNs(idle, cfg.OverheadSlots)
+		if err != nil {
 			return res, err
 		}
 		res.FlightNsPerSlot = math.Min(res.FlightNsPerSlot, ns)
+		if idle.Seq() != overruns {
+			return res, fmt.Errorf("ric: flightrec: idle recorder journaled %d events on a clean slot loop with %d watchdog overruns",
+				idle.Seq(), overruns)
+		}
 	}
 	if res.BaselineNsPerSlot > 0 {
 		res.OverheadPct = (res.FlightNsPerSlot - res.BaselineNsPerSlot) / res.BaselineNsPerSlot * 100
@@ -299,11 +305,6 @@ func RunFlightRec(cfg FlightRecConfig) (*FlightRecResult, error) {
 	}
 	if !res.LedgerConserved {
 		return res, fmt.Errorf("ric: flightrec: shed ledger violated: %+v", res.Ledger)
-	}
-	// The bound is deliberately generous: this guards against a pathology
-	// (journaling on the clean path), not against scheduler noise.
-	if res.OverheadPct > 50 {
-		return res, fmt.Errorf("ric: flightrec: idle journal overhead %.1f%% on the clean slot path", res.OverheadPct)
 	}
 	return res, nil
 }
@@ -358,20 +359,21 @@ func flightrecStorm(cfg FlightRecConfig, r *RIC, rec *flight.Recorder) error {
 
 // flightrecSlotNs times a clean single-cell slot loop (native round-robin
 // scheduler, one CBR UE) with the given recorder attached (nil = detached)
-// and returns nanoseconds per slot.
-func flightrecSlotNs(rec *flight.Recorder, slots int) (float64, error) {
+// and returns nanoseconds per slot plus the slot-deadline overruns the
+// group's watchdog counted over the whole run, warm-up included.
+func flightrecSlotNs(rec *flight.Recorder, slots int) (nsPerSlot float64, overruns uint64, err error) {
 	cg, err := core.NewCellGroup(ran.CellConfig{}, core.CellGroupConfig{Cells: 1})
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	gnb := cg.Cell(0)
 	if _, err := gnb.Slices.AddSlice(1, "tenant", 50e6, sched.RoundRobin{}, nil); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	ue := ran.NewUE(1, 1, 20)
 	ue.Traffic = ran.NewCBR(3e6)
 	if err := gnb.AttachUE(ue); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	cg.SetFlightRecorder(rec)
 	for i := 0; i < 100; i++ { // warm pools and caches off the clock
@@ -381,5 +383,5 @@ func flightrecSlotNs(rec *flight.Recorder, slots int) (float64, error) {
 	for i := 0; i < slots; i++ {
 		cg.StepAll()
 	}
-	return float64(time.Since(start).Nanoseconds()) / float64(slots), nil
+	return float64(time.Since(start).Nanoseconds()) / float64(slots), cg.WatchdogStats()[0].Overruns, nil
 }

@@ -42,22 +42,33 @@ type BinaryCodec struct{}
 // Name implements Codec.
 func (BinaryCodec) Name() string { return "binary" }
 
-// EncodeRequest implements Codec.
-func (BinaryCodec) EncodeRequest(req *Request) []byte {
-	b := make([]byte, binReqHeaderLen+binReqUELen*len(req.UEs))
+// putBinReqHeader and putBinReqUE lay one request header / one UE record
+// into b. The serializing encoder and the zero-copy region writer both go
+// through them, so the two paths cannot drift apart on layout.
+func putBinReqHeader(b []byte, req *Request) {
 	le := binary.LittleEndian
 	le.PutUint32(b[0:], req.SliceID)
 	le.PutUint64(b[4:], req.Slot)
 	le.PutUint32(b[12:], req.PRBBudget)
 	le.PutUint32(b[16:], uint32(len(req.UEs)))
+}
+
+func putBinReqUE(b []byte, u *UEInfo) {
+	le := binary.LittleEndian
+	le.PutUint32(b[0:], u.ID)
+	le.PutUint32(b[4:], uint32(u.MCS))
+	le.PutUint32(b[8:], u.BitsPerPRB)
+	le.PutUint32(b[12:], u.BufferBytes)
+	le.PutUint64(b[16:], math.Float64bits(u.AvgTputBps))
+}
+
+// EncodeRequest implements Codec.
+func (BinaryCodec) EncodeRequest(req *Request) []byte {
+	b := make([]byte, binReqHeaderLen+binReqUELen*len(req.UEs))
+	putBinReqHeader(b, req)
 	off := binReqHeaderLen
 	for i := range req.UEs {
-		u := &req.UEs[i]
-		le.PutUint32(b[off:], u.ID)
-		le.PutUint32(b[off+4:], uint32(u.MCS))
-		le.PutUint32(b[off+8:], u.BitsPerPRB)
-		le.PutUint32(b[off+12:], u.BufferBytes)
-		le.PutUint64(b[off+16:], math.Float64bits(u.AvgTputBps))
+		putBinReqUE(b[off:off+binReqUELen], &req.UEs[i])
 		off += binReqUELen
 	}
 	return b

@@ -6,7 +6,6 @@ import (
 
 	"waran/internal/obs"
 	"waran/internal/wabi"
-	"waran/internal/wasm"
 )
 
 // EntryPoint is the exported function name intra-slice scheduler plugins
@@ -17,8 +16,8 @@ const EntryPoint = "schedule"
 // the serializing path it encodes the request with the configured codec,
 // invokes the plugin's "schedule" export inside the sandbox, and decodes +
 // validates the response; over the zero-copy path (negotiated automatically
-// when the guest exports the region ABI, see zerocopy.go) it delta-writes
-// the request into shared memory, invokes "schedule_zc" and validates the
+// when the guest exports the region ABI, see zerocopy.go) it writes the
+// request into shared memory, invokes "schedule_zc" and validates the
 // response region in place. Serialization time is included in Stats either
 // way, matching the measurement methodology of Fig. 5d.
 type PluginScheduler struct {
@@ -26,49 +25,38 @@ type PluginScheduler struct {
 	plugin *wabi.Plugin
 	codec  Codec
 
-	abi      ABIMode
 	zeroCopy bool
 
 	// Call accounting, read through Stats(). Unsynchronized like the
 	// underlying Plugin: one goroutine at a time.
-	calls     uint64
-	faults    uint64
-	totalTime time.Duration
-	lastTime  time.Duration
-	zcCalls   uint64
-	zcDirty   uint64
-	zcRecords uint64
-	tierCalls [wasm.NumTiers]uint64 // indexed by wasm.Tier
+	stats callStats
 }
 
 // NewPluginScheduler wraps an instantiated plugin. codec nil means the
-// binary codec. The call path defaults to ABIAuto: zero-copy when the guest
-// negotiates it, codec otherwise; force either with SetABIMode.
+// binary codec. The call path is ABIAuto: zero-copy when the guest exports
+// the region ABI, codec otherwise.
 func NewPluginScheduler(name string, plugin *wabi.Plugin, codec Codec) (*PluginScheduler, error) {
 	if codec == nil {
 		codec = BinaryCodec{}
 	}
-	zc, err := resolveABI(name, plugin, ABIAuto)
-	if err != nil {
+	p := &PluginScheduler{name: name, plugin: plugin, codec: codec}
+	if err := p.SetABIMode(ABIAuto); err != nil {
 		return nil, err
 	}
-	return &PluginScheduler{name: name, plugin: plugin, codec: codec, zeroCopy: zc}, nil
+	return p, nil
 }
 
-// SetABIMode forces the call path. ABIZeroCopy fails for guests without the
-// region ABI; ABICodec fails for zero-copy-only guests.
+// SetABIMode forces the call path (the differential tests' selector).
+// ABIZeroCopy fails for guests without the region ABI; ABICodec fails for
+// zero-copy-only guests.
 func (p *PluginScheduler) SetABIMode(mode ABIMode) error {
 	zc, err := resolveABI(p.name, p.plugin, mode)
 	if err != nil {
 		return err
 	}
-	p.abi = mode
 	p.zeroCopy = zc
 	return nil
 }
-
-// ABI reports the requested ABI mode (ABIAuto unless forced).
-func (p *PluginScheduler) ABI() ABIMode { return p.abi }
 
 // ZeroCopy reports whether calls go over the zero-copy path.
 func (p *PluginScheduler) ZeroCopy() bool { return p.zeroCopy }
@@ -83,20 +71,10 @@ func (p *PluginScheduler) Plugin() *wabi.Plugin { return p.plugin }
 // Stats returns accounting accumulated across calls. Fuel figures come
 // from the underlying sandbox.
 func (p *PluginScheduler) Stats() SchedStats {
+	st := p.stats.snapshot()
 	ps := p.plugin.Stats()
-	return SchedStats{
-		Calls:            p.calls,
-		Faults:           p.faults,
-		TotalTime:        p.totalTime,
-		LastTime:         p.lastTime,
-		LastFuel:         ps.LastFuel,
-		TotalFuel:        ps.TotalFuel,
-		ZCCalls:          p.zcCalls,
-		ZCDirtyRecords:   p.zcDirty,
-		ZCRecords:        p.zcRecords,
-		TierInterpCalls:  p.tierCalls[wasm.TierInterp],
-		TierClosureCalls: p.tierCalls[wasm.TierClosure],
-	}
+	st.LastFuel, st.TotalFuel = ps.LastFuel, ps.TotalFuel
+	return st
 }
 
 // LastFuelUsed implements FuelReporter.
@@ -108,50 +86,45 @@ func (p *PluginScheduler) Register(reg *obs.Registry, labels ...obs.Label) {
 	registerSched(reg, p.Stats, labels)
 }
 
-// Schedule implements IntraSlice. The measured span covers the full
-// host-side cost of outsourcing the decision to the plugin: encode +
-// sandbox execution + decode on the codec path, delta-write + sandbox
-// execution + region validation on the zero-copy path.
-func (p *PluginScheduler) Schedule(req *Request) (*Response, error) {
-	start := time.Now()
-	defer func() {
-		p.lastTime = time.Since(start)
-		p.totalTime += p.lastTime
-		p.calls++
-		p.tierCalls[p.plugin.LastTier()]++
-	}()
-
+// schedule runs one scheduling decision on pl: encode + sandbox execution +
+// decode on the codec path, region write + sandbox execution + region
+// validation on the zero-copy path, then the semantic checks every response
+// must pass. PluginScheduler and PoolScheduler both call it; they differ only
+// in where pl comes from and what guards their counters.
+func schedule(pl *wabi.Plugin, codec Codec, zeroCopy bool, req *Request) (*Response, error) {
 	var resp *Response
-	var err error
-	if p.zeroCopy {
-		var st zcStats
-		resp, st, err = zcCall(p.plugin, req)
-		p.zcCalls++
-		p.zcDirty += uint64(st.dirty)
-		p.zcRecords += uint64(st.total)
+	if zeroCopy {
+		r, err := zcCall(pl, req)
 		if err != nil {
-			p.faults++
-			return nil, fmt.Errorf("sched: plugin %q: %w", p.name, err)
+			return nil, err
 		}
+		resp = r
 	} else {
-		in := p.codec.EncodeRequest(req)
-		var out []byte
-		out, err = p.plugin.Call(EntryPoint, in)
+		out, err := pl.Call(EntryPoint, codec.EncodeRequest(req))
 		if err != nil {
-			p.faults++
-			return nil, fmt.Errorf("sched: plugin %q: %w", p.name, err)
+			return nil, err
 		}
-		resp, err = p.codec.DecodeResponse(out)
-		if err != nil {
-			p.faults++
-			return nil, fmt.Errorf("sched: plugin %q returned malformed response: %w", p.name, err)
+		if resp, err = codec.DecodeResponse(out); err != nil {
+			return nil, fmt.Errorf("malformed response: %w", err)
 		}
 	}
 	if err := resp.Validate(req); err != nil {
-		p.faults++
 		// Semantic rejection of a decoded response is still bad output for
 		// the failure taxonomy: the sandbox completed and the result lied.
-		return nil, fmt.Errorf("sched: plugin %q: %w", p.name, &BadOutputError{Kind: BadOutputSemantic, Err: err})
+		return nil, &BadOutputError{Kind: BadOutputSemantic, Err: err}
+	}
+	return resp, nil
+}
+
+// Schedule implements IntraSlice. The measured span covers the full
+// host-side cost of outsourcing the decision to the plugin, serialization
+// included, matching the measurement methodology of Fig. 5d.
+func (p *PluginScheduler) Schedule(req *Request) (*Response, error) {
+	start := time.Now()
+	resp, err := schedule(p.plugin, p.codec, p.zeroCopy, req)
+	p.stats.record(p.plugin, time.Since(start), p.zeroCopy, req, err)
+	if err != nil {
+		return nil, fmt.Errorf("sched: plugin %q: %w", p.name, err)
 	}
 	return resp, nil
 }

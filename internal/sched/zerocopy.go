@@ -1,10 +1,7 @@
 package sched
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"waran/internal/wabi"
 	"waran/internal/wasm"
@@ -22,8 +19,7 @@ import (
 //     binary codec* — a 20-byte header (sliceID u32 | slot u64 | prbBudget
 //     u32 | nUE u32) followed by fixed-stride 24-byte UE records (id u32 |
 //     mcs u32 | bitsPerPRB u32 | bufferBytes u32 | avgTput f64). The host
-//     writes it in place and delta-updates only the records that changed
-//     since the previous slot served by that instance;
+//     writes all of it in place before every call;
 //
 //   - the response region holds the allocation table (count u32, then
 //     ueID u32 | prbs u32 records) which the guest writes in place.
@@ -74,7 +70,8 @@ const (
 	// ABIAuto uses the zero-copy path when the guest negotiates it and
 	// falls back to the serializing codec for legacy guests.
 	ABIAuto ABIMode = iota
-	// ABICodec forces the serializing codec path (ablation baseline).
+	// ABICodec forces the serializing codec path (the differential tests'
+	// reference).
 	ABICodec
 	// ABIZeroCopy requires the zero-copy path; construction fails if the
 	// guest cannot negotiate it.
@@ -93,113 +90,48 @@ func (m ABIMode) String() string {
 	}
 }
 
-// ParseABIMode parses the -abi flag values "auto", "codec" and "zerocopy".
-func ParseABIMode(s string) (ABIMode, error) {
-	switch s {
-	case "", "auto":
-		return ABIAuto, nil
-	case "codec", "binary":
-		return ABICodec, nil
-	case "zerocopy", "zero-copy", "zc":
-		return ABIZeroCopy, nil
-	default:
-		return ABIAuto, fmt.Errorf("sched: unknown ABI mode %q (want auto, codec or zerocopy)", s)
-	}
-}
-
-// zcStats is one zero-copy call's delta-update accounting.
-type zcStats struct {
-	dirty int // UE records actually written
-	total int // UE records in the request
-}
-
-// zeroCopyEligible reports whether pl can serve the zero-copy path: the
-// region exports plus the dedicated entry point.
-func zeroCopyEligible(pl *wabi.Plugin) bool {
-	return pl.ZeroCopyCapable() && pl.HasEntry(ZCEntryPoint)
-}
-
-// resolveABI picks the call path for a plugin under the requested mode.
+// resolveABI picks the call path for a plugin under the requested mode:
+// zero-copy needs the region exports plus the dedicated entry point, the
+// codec path needs the classic entry.
 func resolveABI(name string, pl *wabi.Plugin, mode ABIMode) (zeroCopy bool, err error) {
-	hasClassic := pl.HasEntry(EntryPoint)
-	hasZC := zeroCopyEligible(pl)
-	switch mode {
-	case ABICodec:
-		if !hasClassic {
-			return false, fmt.Errorf("sched: plugin %q does not export %q with signature () -> i32", name, EntryPoint)
-		}
-		return false, nil
-	case ABIZeroCopy:
-		if !hasZC {
-			return false, fmt.Errorf("sched: plugin %q is not zero-copy capable (needs %q, %q and %q exports)",
-				name, ZCEntryPoint, wabi.RegionRequestExport, wabi.RegionResponseExport)
-		}
+	hasZC := pl.ZeroCopyCapable() && pl.HasEntry(ZCEntryPoint)
+	switch {
+	case hasZC && mode != ABICodec:
 		return true, nil
-	default:
-		if hasZC {
-			return true, nil
-		}
-		if !hasClassic {
-			return false, fmt.Errorf("sched: plugin %q does not export %q with signature () -> i32", name, EntryPoint)
-		}
-		return false, nil
+	case mode == ABIZeroCopy:
+		return false, fmt.Errorf("sched: plugin %q is not zero-copy capable (needs %q, %q and %q exports)",
+			name, ZCEntryPoint, wabi.RegionRequestExport, wabi.RegionResponseExport)
+	case !pl.HasEntry(EntryPoint):
+		return false, fmt.Errorf("sched: plugin %q does not export %q with signature () -> i32", name, EntryPoint)
 	}
+	return false, nil
 }
 
-// zcWriteRequest delta-updates the request region of one instance: the
-// header and every UE record are encoded into a scratch stride and written
-// to guest memory only where they differ from the host's shadow of what the
-// region already holds. A fresh instance (empty shadow) gets a full write.
-func zcWriteRequest(mem *wasm.Memory, rg *wabi.Regions, req *Request) (zcStats, error) {
-	var st zcStats
+// zcWriteRequest writes the header and every UE record straight into the
+// instance's request region. The write is unconditional: on both cell
+// workloads of the benchmark every record differs from the previous slot's
+// (buffer and running average move each slot), so a diff against a host-side
+// copy never skipped one, and rewriting also means a guest that scribbles
+// its own request region cannot see the scribble again.
+func zcWriteRequest(mem *wasm.Memory, lay wabi.RegionLayout, req *Request) error {
 	if len(req.UEs) > ZCMaxUEs {
-		return st, fmt.Errorf("sched: zero-copy request with %d UEs exceeds region capacity %d", len(req.UEs), ZCMaxUEs)
+		return fmt.Errorf("sched: zero-copy request with %d UEs exceeds region capacity %d", len(req.UEs), ZCMaxUEs)
 	}
-	if rg.Shadow == nil {
-		rg.Shadow = make([]byte, ZCRequestRegionLen)
-		rg.ShadowLen = 0
-	}
-	le := binary.LittleEndian
-	base := rg.Layout.ReqPtr
-
 	var hdr [binReqHeaderLen]byte
-	le.PutUint32(hdr[0:], req.SliceID)
-	le.PutUint64(hdr[4:], req.Slot)
-	le.PutUint32(hdr[12:], req.PRBBudget)
-	le.PutUint32(hdr[16:], uint32(len(req.UEs)))
-	if rg.ShadowLen < binReqHeaderLen || !bytes.Equal(hdr[:], rg.Shadow[:binReqHeaderLen]) {
-		if err := mem.Write(base, hdr[:]); err != nil {
-			return st, fmt.Errorf("sched: zero-copy request header write: %w", err)
-		}
-		copy(rg.Shadow, hdr[:])
+	putBinReqHeader(hdr[:], req)
+	if err := mem.Write(lay.ReqPtr, hdr[:]); err != nil {
+		return fmt.Errorf("sched: zero-copy request header write: %w", err)
 	}
-
 	var rec [binReqUELen]byte
-	off := binReqHeaderLen
+	off := lay.ReqPtr + binReqHeaderLen
 	for i := range req.UEs {
-		u := &req.UEs[i]
-		le.PutUint32(rec[0:], u.ID)
-		le.PutUint32(rec[4:], uint32(u.MCS))
-		le.PutUint32(rec[8:], u.BitsPerPRB)
-		le.PutUint32(rec[12:], u.BufferBytes)
-		le.PutUint64(rec[16:], math.Float64bits(u.AvgTputBps))
-		st.total++
-		if rg.ShadowLen < off+binReqUELen || !bytes.Equal(rec[:], rg.Shadow[off:off+binReqUELen]) {
-			if err := mem.Write(base+uint32(off), rec[:]); err != nil {
-				return st, fmt.Errorf("sched: zero-copy UE record %d write: %w", i, err)
-			}
-			copy(rg.Shadow[off:], rec[:])
-			st.dirty++
+		putBinReqUE(rec[:], &req.UEs[i])
+		if err := mem.Write(off, rec[:]); err != nil {
+			return fmt.Errorf("sched: zero-copy UE record %d write: %w", i, err)
 		}
 		off += binReqUELen
 	}
-	// The shadow stays valid for records beyond this request's UE count:
-	// neither the host nor a well-behaved guest touched them, and the
-	// header's nUE keeps the guest from reading them. ShadowLen only grows.
-	if off > rg.ShadowLen {
-		rg.ShadowLen = off
-	}
-	return st, nil
+	return nil
 }
 
 // zcReadResponse validates and decodes the untrusted response region,
@@ -237,28 +169,23 @@ func zcReadResponse(mem *wasm.Memory, lay wabi.RegionLayout) (*Response, error) 
 }
 
 // zcCall runs one scheduling decision over the zero-copy path: negotiate
-// (or reuse) the instance's regions, delta-write the request, poison the
-// response count, invoke the entry, and validate + decode the response
-// region in place.
-func zcCall(pl *wabi.Plugin, req *Request) (*Response, zcStats, error) {
+// (or reuse) the instance's regions, write the request, poison the response
+// count, invoke the entry, and validate + decode the response region in
+// place.
+func zcCall(pl *wabi.Plugin, req *Request) (*Response, error) {
 	rg, err := pl.Regions(ZCRequestRegionLen, ZCResponseRegionLen)
 	if err != nil {
-		return nil, zcStats{}, err
+		return nil, err
 	}
 	mem := pl.Instance().Memory()
-	st, err := zcWriteRequest(mem, rg, req)
-	if err != nil {
-		return nil, st, err
+	if err := zcWriteRequest(mem, rg.Layout, req); err != nil {
+		return nil, err
 	}
 	if err := mem.WriteUint32(rg.Layout.RespPtr, zcRespPoison); err != nil {
-		return nil, st, fmt.Errorf("sched: zero-copy response poison write: %w", err)
+		return nil, fmt.Errorf("sched: zero-copy response poison write: %w", err)
 	}
 	if _, err := pl.Call(ZCEntryPoint, nil); err != nil {
-		return nil, st, err
+		return nil, err
 	}
-	resp, err := zcReadResponse(mem, rg.Layout)
-	if err != nil {
-		return nil, st, err
-	}
-	return resp, st, nil
+	return zcReadResponse(mem, rg.Layout)
 }

@@ -79,12 +79,8 @@ func TestZCWriteRequestMatchesBinaryEncode(t *testing.T) {
 			nUE = ZCMaxUEs // and the full region
 		}
 		req := zcRandomRequest(rng, nUE, uint64(trial))
-		st, err := zcWriteRequest(mem, rg, req)
-		if err != nil {
+		if err := zcWriteRequest(mem, rg.Layout, req); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if st.total != nUE || st.dirty != nUE {
-			t.Fatalf("trial %d: fresh write stats %+v, want all %d dirty", trial, st, nUE)
 		}
 		want := BinaryCodec{}.EncodeRequest(req)
 		got := regionRequestBytes(t, mem, rg, nUE)
@@ -97,30 +93,27 @@ func TestZCWriteRequestMatchesBinaryEncode(t *testing.T) {
 func TestZCWriteRequestRejectsOversize(t *testing.T) {
 	mem, rg := newTestRegions()
 	req := zcRandomRequest(rand.New(rand.NewSource(2)), ZCMaxUEs+1, 0)
-	if _, err := zcWriteRequest(mem, rg, req); err == nil {
+	if err := zcWriteRequest(mem, rg.Layout, req); err == nil {
 		t.Fatal("request with ZCMaxUEs+1 UEs accepted")
 	}
 }
 
-// TestZCDeltaWrite drives a multi-slot sequence with random UE mutations and
-// checks (a) the region always matches a full re-encode bit for bit, and
-// (b) only changed records are counted dirty.
+// TestZCDeltaWrite drives a multi-slot sequence of request deltas — random
+// UE mutations, the UE list shrinking and growing over bytes earlier slots
+// left behind — through one region and checks the live prefix always matches
+// a full re-encode bit for bit.
 func TestZCDeltaWrite(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	mem, rg := newTestRegions()
 	req := zcRandomRequest(rng, 32, 0)
-	if _, err := zcWriteRequest(mem, rg, req); err != nil {
+	if err := zcWriteRequest(mem, rg.Layout, req); err != nil {
 		t.Fatal(err)
 	}
 
 	for slot := uint64(1); slot <= 1000; slot++ {
-		// Mutate a random subset of UEs; occasionally shrink or grow the UE
-		// list so the shadow's live prefix moves.
-		mutated := 0
 		for i := range req.UEs {
 			if rng.Intn(8) == 0 {
 				req.UEs[i].BufferBytes = uint32(rng.Intn(1 << 20))
-				mutated++
 			}
 		}
 		switch rng.Intn(10) {
@@ -135,56 +128,14 @@ func TestZCDeltaWrite(t *testing.T) {
 		}
 		req.Slot = slot
 
-		st, err := zcWriteRequest(mem, rg, req)
-		if err != nil {
+		if err := zcWriteRequest(mem, rg.Layout, req); err != nil {
 			t.Fatalf("slot %d: %v", slot, err)
 		}
-		if st.total != len(req.UEs) {
-			t.Fatalf("slot %d: total = %d, want %d", slot, st.total, len(req.UEs))
-		}
-		// Dirty count can exceed the in-place mutations when the list was
-		// resized (records shifted or appeared), but a pure in-place
-		// mutation round must write exactly the mutated records.
 		want := BinaryCodec{}.EncodeRequest(req)
 		got := regionRequestBytes(t, mem, rg, len(req.UEs))
 		if !bytes.Equal(got, want) {
-			t.Fatalf("slot %d: delta-updated region diverges from full re-encode", slot)
+			t.Fatalf("slot %d: rewritten region diverges from full re-encode", slot)
 		}
-	}
-}
-
-// TestZCDeltaWriteDirtyAccounting pins the dirty counter exactly for
-// controlled mutations: only touched records are rewritten.
-func TestZCDeltaWriteDirtyAccounting(t *testing.T) {
-	mem, rg := newTestRegions()
-	req := zcRandomRequest(rand.New(rand.NewSource(4)), 16, 0)
-	if _, err := zcWriteRequest(mem, rg, req); err != nil {
-		t.Fatal(err)
-	}
-
-	// Same request, same slot: nothing dirty.
-	st, err := zcWriteRequest(mem, rg, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.dirty != 0 {
-		t.Fatalf("idempotent rewrite dirtied %d records", st.dirty)
-	}
-
-	// New slot, two UEs touched: exactly two records dirty (the header is
-	// rewritten but headers are not records).
-	req.Slot = 1
-	req.UEs[3].BufferBytes++
-	req.UEs[9].MCS++
-	st, err = zcWriteRequest(mem, rg, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.dirty != 2 {
-		t.Fatalf("dirty = %d, want 2", st.dirty)
-	}
-	if got, want := regionRequestBytes(t, mem, rg, 16), (BinaryCodec{}).EncodeRequest(req); !bytes.Equal(got, want) {
-		t.Fatal("region diverges after partial rewrite")
 	}
 }
 
@@ -285,27 +236,9 @@ func TestZCReadResponseHostileKinds(t *testing.T) {
 	}
 }
 
-func TestParseABIMode(t *testing.T) {
-	for in, want := range map[string]ABIMode{
-		"": ABIAuto, "auto": ABIAuto, "codec": ABICodec, "binary": ABICodec,
-		"zerocopy": ABIZeroCopy, "zero-copy": ABIZeroCopy, "zc": ABIZeroCopy,
-	} {
-		got, err := ParseABIMode(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseABIMode(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseABIMode("capnproto"); err == nil {
-		t.Fatal("unknown mode accepted")
-	}
-	if ABIZeroCopy.String() != "zerocopy" || ABICodec.String() != "codec" || ABIAuto.String() != "auto" {
-		t.Fatal("ABIMode.String mismatch")
-	}
-}
-
 // FuzzABIDifferential is the differential engine for the ABI layer proper,
 // no wasm execution involved: random requests must produce bit-identical
-// request bytes through the delta writer and the serializing encoder, and
+// request bytes through the region writer and the serializing encoder, and
 // arbitrary response-region content must be accepted/rejected identically
 // (same allocations, same BadOutputKind) by the region reader and the
 // serializing decoder.
@@ -319,27 +252,27 @@ func FuzzABIDifferential(f *testing.F) {
 		mem, rg := newTestRegions()
 		enc := BinaryCodec{}
 
-		// --- Request direction: delta writer vs serializing encoder.
+		// --- Request direction: region writer vs serializing encoder.
 		req := zcRandomRequest(rng, int(nUE)%(ZCMaxUEs+1), uint64(seed))
-		if _, err := zcWriteRequest(mem, rg, req); err != nil {
+		if err := zcWriteRequest(mem, rg.Layout, req); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 		if got, want := regionRequestBytes(t, mem, rg, len(req.UEs)), enc.EncodeRequest(req); !bytes.Equal(got, want) {
 			t.Fatal("fresh write diverges from binary encoding")
 		}
-		// Mutate a random UE and re-write: the delta path must land on the
-		// exact same bytes as a full re-encode.
+		// Mutate a random UE and re-write over the previous slot's bytes: the
+		// region must land on the exact same bytes as a full re-encode.
 		if len(req.UEs) > 0 {
 			i := rng.Intn(len(req.UEs))
 			req.UEs[i].AvgTputBps = math.Float64frombits(rng.Uint64())
 			req.UEs[i].BufferBytes = rng.Uint32()
 		}
 		req.Slot++
-		if _, err := zcWriteRequest(mem, rg, req); err != nil {
-			t.Fatalf("delta write: %v", err)
+		if err := zcWriteRequest(mem, rg.Layout, req); err != nil {
+			t.Fatalf("rewrite: %v", err)
 		}
 		if got, want := regionRequestBytes(t, mem, rg, len(req.UEs)), enc.EncodeRequest(req); !bytes.Equal(got, want) {
-			t.Fatal("delta write diverges from binary re-encoding")
+			t.Fatal("rewrite diverges from binary re-encoding")
 		}
 
 		// --- Response direction: region reader vs serializing decoder.

@@ -18,9 +18,9 @@ import (
 // The host calls them once per instance ("negotiation") and then exchanges
 // scheduling state through the returned linear-memory windows instead of the
 // input_read/output_write copy ABI: the request region is written in place
-// (delta-updated between slots by the layer above), the guest reads it
-// directly, writes its response table directly, and the host validates the
-// response region with the same hardened rules as the serializing decode.
+// by the layer above before every call, the guest reads it directly, writes
+// its response table directly, and the host validates the response region
+// with the same hardened rules as the serializing decode.
 //
 // Contract: the returned pointers must be stable for the lifetime of the
 // instance, and the guest must reserve at least the host-requested number of
@@ -44,18 +44,11 @@ type RegionLayout struct {
 	RespLen uint32 `json:"resp_len"`
 }
 
-// Regions is the per-instance zero-copy state: the negotiated layout plus
-// the host's shadow of the request region, which the caller (the scheduling
-// ABI layer) diffs against to write only records that changed since the
-// last slot. Regions is owned by exactly one Plugin and shares its
-// single-goroutine discipline.
+// Regions is the per-instance zero-copy state: the negotiated layout.
+// Regions is owned by exactly one Plugin and shares its single-goroutine
+// discipline.
 type Regions struct {
 	Layout RegionLayout
-	// Shadow mirrors what the host has written into this instance's request
-	// region; ShadowLen is the valid prefix in bytes. A fresh negotiation
-	// starts with ShadowLen 0 (everything dirty).
-	Shadow    []byte
-	ShadowLen int
 }
 
 // ZeroCopyCapable reports whether the plugin exports both region pointer
@@ -152,7 +145,7 @@ func validateRegionLayout(lay RegionLayout, mem *wasm.Memory) error {
 	return nil
 }
 
-// invalidateRegions drops the cached layout and shadow. Called whenever the
+// invalidateRegions drops the cached layout. Called whenever the
 // underlying instance is replaced (Reset, fresh-instance calls) or discarded
 // (Pool.Put of a poisoned instance): the replacement's heap starts over, so
 // reusing the old offsets would read and write the wrong memory.

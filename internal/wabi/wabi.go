@@ -397,8 +397,8 @@ func (p *Plugin) Call(entry string, input []byte) ([]byte, error) {
 			return nil, &InstantiateError{Err: err}
 		}
 		p.inst = inst
-		// The fresh instance's memory starts over; any region layout and
-		// request shadow negotiated against the old one is stale.
+		// The fresh instance's memory starts over; any region layout
+		// negotiated against the old one is stale.
 		p.invalidateRegions()
 	}
 	p.input = input
