@@ -27,32 +27,40 @@ import (
 )
 
 func main() {
-	listen := flag.String("listen", "127.0.0.1:36421", "address to accept E2 associations on")
-	xapps := flag.String("xapps", "steer,sla", "comma list of xApps: steer, sla, ping, pong")
-	codecName := flag.String("codec", "binary", "E2 codec: binary, json, varint")
-	shim := flag.Bool("widen-shim", false, "wrap the E2 codec in the 8->12-bit vendor adaptation plugin")
-	period := flag.Uint("period", 100, "indication report period in ms")
-	hb := flag.Duration("hb", 100*time.Millisecond, "heartbeat interval for association liveness (0 disables)")
-	once := flag.Bool("once", false, "exit after the first association ends")
-	nonRT := flag.Bool("nonrt", false, "run the non-RT RIC (SLA-tuner rApp) over the KPM history")
-	httpAddr := flag.String("http", "", "serve /metrics and pprof on this address (empty = off)")
-	traceOn := flag.Bool("trace", false, "enable control-loop span tracing and the xApp fuel profiler (served at /debug/trace and /debug/wasm/profile)")
-	shards := flag.Int("shards", 0, "association shard count (0 = default)")
-	noBatch := flag.Bool("nobatch", false, "do not advertise windowed indication batching to agents")
-	overload := flag.Bool("overload", false, "arm the overload guard: token-bucket admission, bounded queues + shed policy, brownout, per-xApp breakers (DESIGN.md 17)")
-	flightOn := flag.Bool("flight", false, "arm the flight recorder: always-on incident journal, SLO burn-rate detectors, anomaly-triggered diagnostic bundles (served at /debug/flight, DESIGN.md 18)")
-	flightDir := flag.String("flight-dir", "flight-bundles", "directory anomaly-triggered diagnostic bundles are written into")
-	flag.Parse()
-
-	if err := run(runOpts{
-		listen: *listen, xapps: *xapps, codecName: *codecName, shim: *shim,
-		period: uint32(*period), hb: *hb, once: *once, nonRT: *nonRT,
-		httpAddr: *httpAddr, traceOn: *traceOn, shards: *shards, noBatch: *noBatch,
-		overload: *overload, flightOn: *flightOn, flightDir: *flightDir,
-	}); err != nil {
+	o, err := parseFlags(os.Args[1:])
+	if err == flag.ErrHelp {
+		return
+	}
+	if err != nil {
+		os.Exit(2) // the flag set has already said why
+	}
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "ric:", err)
 		os.Exit(1)
 	}
+}
+
+// parseFlags maps the command line onto run's options.
+func parseFlags(args []string) (runOpts, error) {
+	fs := flag.NewFlagSet("ric", flag.ContinueOnError)
+	var o runOpts
+	fs.StringVar(&o.listen, "listen", "127.0.0.1:36421", "address to accept E2 associations on")
+	fs.StringVar(&o.xapps, "xapps", "steer,sla", "comma list of xApps: steer, sla, ping, pong")
+	fs.StringVar(&o.codecName, "codec", "binary", "E2 codec: binary, json, varint")
+	fs.BoolVar(&o.shim, "widen-shim", false, "wrap the E2 codec in the 8->12-bit vendor adaptation plugin")
+	period := fs.Uint("period", 100, "indication report period in ms")
+	fs.DurationVar(&o.hb, "hb", 100*time.Millisecond, "heartbeat interval for association liveness (0 disables)")
+	fs.BoolVar(&o.once, "once", false, "exit after the first association ends")
+	fs.BoolVar(&o.nonRT, "nonrt", false, "run the non-RT RIC (SLA-tuner rApp) over the KPM history")
+	fs.StringVar(&o.httpAddr, "http", "", "serve /metrics and pprof on this address (empty = off)")
+	fs.BoolVar(&o.traceOn, "trace", false, "enable control-loop span tracing and the xApp fuel profiler (served at /debug/trace and /debug/wasm/profile)")
+	fs.IntVar(&o.shards, "shards", 0, "association shard count (0 = default)")
+	fs.BoolVar(&o.noBatch, "nobatch", false, "do not advertise windowed indication batching to agents")
+	fs.BoolVar(&o.flightOn, "flight", false, "arm the flight recorder: always-on incident journal, SLO burn-rate detectors, anomaly-triggered diagnostic bundles (served at /debug/flight, DESIGN.md 18)")
+	fs.StringVar(&o.flightDir, "flight-dir", "flight-bundles", "directory anomaly-triggered diagnostic bundles are written into")
+	err := fs.Parse(args)
+	o.period = uint32(*period)
+	return o, err
 }
 
 type runOpts struct {
@@ -62,7 +70,6 @@ type runOpts struct {
 	hb                                 time.Duration
 	shards                             int
 	noBatch                            bool
-	overload                           bool
 	flightOn                           bool
 	flightDir                          string
 }
@@ -70,6 +77,36 @@ type runOpts struct {
 // flightDepth is the flight recorder's journal ring capacity when -flight
 // is on.
 const flightDepth = 4096
+
+// sloDetectors burns the RIC's two SLOs against its own ledger: the shed
+// ratio of offered indications, and the dispatch-latency p99 against the
+// brownout controller's budget (when that trigger is on).
+func sloDetectors(frec *flight.Recorder, r *ric.RIC) *flight.DetectorSet {
+	fdet := flight.NewDetectorSet(frec)
+	fdet.MustAdd(flight.SLO{
+		Name:      "shed-ratio",
+		Objective: shedObjective,
+		Bad: func() uint64 {
+			s, _ := r.OverloadStats()
+			return s.ShedOverflow + s.ShedStale + s.ShedTeardown + s.RefusedLate
+		},
+		Total: func() uint64 {
+			s, _ := r.OverloadStats()
+			return s.Offered
+		},
+	}, flight.DetectorConfig{})
+	if budget := r.Config().Overload.LoopP99Budget; budget > 0 {
+		fdet.MustAdd(flight.SLO{
+			Name: "dispatch-p99",
+			Value: func() float64 {
+				s, _ := r.OverloadStats()
+				return s.DispatchP99Ms
+			},
+			Budget: float64(budget) / float64(time.Millisecond),
+		}, flight.DetectorConfig{})
+	}
+	return fdet
+}
 
 // shedObjective is the RIC's shed-ratio SLO: at most 1% of offered
 // indications may shed before the burn-rate detector pages.
@@ -82,6 +119,37 @@ var xappSources = map[string]string{
 	"pong":  plugins.PongXAppWAT,
 }
 
+// newRIC builds the RIC the options describe — cfg carries the instruments —
+// and installs the requested xApps.
+func newRIC(o runOpts, cfg ric.Config) (*ric.RIC, error) {
+	cfg.ReportPeriodMs = o.period
+	cfg.HeartbeatInterval = o.hb
+	cfg.Shards = o.shards
+	cfg.DisableBatching = o.noBatch
+	cfg.OnFault = func(xapp string, err error) {
+		fmt.Printf("xApp %s fault (contained): %v\n", xapp, err)
+	}
+	cfg.OnLog = func(xapp, msg string) {
+		fmt.Printf("xApp %s: %s\n", xapp, msg)
+	}
+	r, err := ric.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range strings.Split(o.xapps, ",") {
+		name = strings.TrimSpace(name)
+		src, ok := xappSources[name]
+		if !ok {
+			return nil, fmt.Errorf("unknown xApp %q (have: steer, sla, ping, pong)", name)
+		}
+		if _, err := r.AddXAppWAT(name, src, wabi.Policy{}); err != nil {
+			return nil, err
+		}
+		fmt.Printf("installed xApp %q (Wasm plugin)\n", name)
+	}
+	return r, nil
+}
+
 func run(o runOpts) error {
 	var tracer *trace.Tracer
 	var profile *wasm.Profile
@@ -91,45 +159,13 @@ func run(o runOpts) error {
 		fmt.Println("tracing: control-loop spans + xApp fuel profiler enabled")
 	}
 	assoc := &ric.AssocMetrics{}
-	var ov *ric.OverloadConfig
-	if o.overload {
-		ov = &ric.OverloadConfig{}
-		fmt.Println("overload guard: admission + bounded queues + brownout + xApp breakers armed")
-	}
 	var frec *flight.Recorder
 	if o.flightOn {
 		frec = flight.NewRecorder(flightDepth)
 	}
-	r, err := ric.New(ric.Config{
-		ReportPeriodMs:    o.period,
-		HeartbeatInterval: o.hb,
-		Shards:            o.shards,
-		DisableBatching:   o.noBatch,
-		Overload:          ov,
-		Assoc:             assoc,
-		Tracer:            tracer,
-		Flight:            frec,
-		Profile:           profile,
-		OnFault: func(xapp string, err error) {
-			fmt.Printf("xApp %s fault (contained): %v\n", xapp, err)
-		},
-		OnLog: func(xapp, msg string) {
-			fmt.Printf("xApp %s: %s\n", xapp, msg)
-		},
-	})
+	r, err := newRIC(o, ric.Config{Assoc: assoc, Tracer: tracer, Flight: frec, Profile: profile})
 	if err != nil {
 		return err
-	}
-	for _, name := range strings.Split(o.xapps, ",") {
-		name = strings.TrimSpace(name)
-		src, ok := xappSources[name]
-		if !ok {
-			return fmt.Errorf("unknown xApp %q (have: steer, sla, ping, pong)", name)
-		}
-		if _, err := r.AddXAppWAT(name, src, wabi.Policy{}); err != nil {
-			return err
-		}
-		fmt.Printf("installed xApp %q (Wasm plugin)\n", name)
 	}
 
 	codec, ok := e2.CodecByName(o.codecName)
@@ -168,31 +204,7 @@ func run(o runOpts) error {
 	var fcap *flight.Capturer
 	if frec != nil {
 		frec.Register(reg)
-		fdet = flight.NewDetectorSet(frec)
-		if oc := r.Config().Overload; oc != nil {
-			fdet.MustAdd(flight.SLO{
-				Name:      "shed-ratio",
-				Objective: shedObjective,
-				Bad: func() uint64 {
-					s, _ := r.OverloadStats()
-					return s.ShedOverflow + s.ShedStale + s.ShedTeardown + s.RefusedLate
-				},
-				Total: func() uint64 {
-					s, _ := r.OverloadStats()
-					return s.Offered
-				},
-			}, flight.DetectorConfig{})
-			if oc.LoopP99Budget > 0 {
-				fdet.MustAdd(flight.SLO{
-					Name: "dispatch-p99",
-					Value: func() float64 {
-						s, _ := r.OverloadStats()
-						return s.DispatchP99Ms
-					},
-					Budget: float64(oc.LoopP99Budget) / float64(time.Millisecond),
-				}, flight.DetectorConfig{})
-			}
-		}
+		fdet = sloDetectors(frec, r)
 		frec.SetTriggers(flight.EvDetectorFire, flight.EvBrownoutShift, flight.EvBreakerOpen)
 		ccfg := flight.CapturerConfig{Dir: o.flightDir, Registry: reg, Detectors: fdet, Tracer: tracer}
 		if profile != nil {

@@ -57,9 +57,6 @@ type ExpConfig struct {
 	Outage     time.Duration
 	Dwell      time.Duration
 	StallIters int
-	// Overload, when nonzero, enables the RIC overload guard in experiments
-	// that support it as an optional arm (citysim).
-	Overload int
 	// Flight, when nonzero, arms the flight recorder in experiments that
 	// support it (overload, pluginfaults; flightrec is always armed): state
 	// transitions are journaled and anomaly triggers capture diagnostic

@@ -44,7 +44,7 @@ const BatchCapabilityToken = "batch-v1"
 
 // CapabilityBits masks every capability-advertisement bit a RIC may set in
 // SubscriptionRequest.RANFunction.
-const CapabilityBits = TraceCapabilityBit | BatchCapabilityBit | BusyCapabilityBit
+const CapabilityBits = TraceCapabilityBit | BatchCapabilityBit
 
 // MaxBatchIndications bounds the entries in one batch frame: a full window
 // at the longest sensible flush deadline stays far below this, and the

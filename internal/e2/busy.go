@@ -17,24 +17,13 @@ import (
 //     spreads the actual redial uniformly over (0, hint] (full jitter) so a
 //     thousand refused agents do not re-arrive in phase.
 //
-//   - Mid-association: a browned-out RIC may send TypeBusy to an agent that
-//     negotiated OverloadCapabilityToken; the agent pauses KPM reporting for
-//     the hinted duration and counts every skipped report as shed. Control
-//     and heartbeat traffic is never paused — only measurement load.
+//   - Mid-association: a critically browned-out RIC sends TypeBusy; the agent
+//     pauses KPM reporting for the hinted duration and counts every skipped
+//     report as shed. Control and heartbeat traffic is never paused — only
+//     measurement load.
 //
-// Old peers never see a mid-association TypeBusy (capability-gated); an old
-// peer refused at admission treats the unknown frame like the TypeError
-// refusal it replaces — a failed subscription followed by backoff — so the
-// admission path needs no negotiation.
-
-// BusyCapabilityBit is OR-ed into SubscriptionRequest.RANFunction by a RIC
-// that can send mid-association TypeBusy backpressure. Agents that
-// understand it answer with OverloadCapabilityToken.
-const BusyCapabilityBit uint32 = 1 << 29
-
-// OverloadCapabilityToken is included in the SubscriptionResponse Reason
-// token list by an agent that honors mid-association TypeBusy frames.
-const OverloadCapabilityToken = "busy-v1"
+// Neither use is negotiated: every RIC can send the frame and every agent
+// honours it.
 
 // MaxRetryAfter bounds the retry-after hint a peer will honor, so a
 // corrupted or hostile frame cannot park an agent for hours.

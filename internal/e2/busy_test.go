@@ -92,20 +92,6 @@ func TestBusyErrorMessage(t *testing.T) {
 	}
 }
 
-func TestOverloadCapabilityToken(t *testing.T) {
-	reason := AppendCapabilityToken("subscribed", TraceCapabilityToken)
-	reason = AppendCapabilityToken(reason, OverloadCapabilityToken)
-	if !HasCapabilityToken(reason, OverloadCapabilityToken) {
-		t.Fatalf("token missing from %q", reason)
-	}
-	if HasCapabilityToken("subscribed busy-v2", OverloadCapabilityToken) {
-		t.Fatal("matched wrong token")
-	}
-	if CapabilityBits&BusyCapabilityBit == 0 {
-		t.Fatal("BusyCapabilityBit not in CapabilityBits mask")
-	}
-}
-
 // FuzzBusyRoundTrip fuzzes the TypeBusy body across all three codecs: every
 // encodable busy frame must decode back to itself, traced or not.
 func FuzzBusyRoundTrip(f *testing.F) {

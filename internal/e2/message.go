@@ -44,7 +44,7 @@ const (
 	// TypeBusy tells the peer the receiver is overloaded and carries a
 	// retry-after hint (see busy.go). Sent at admission (a refused
 	// association should redial after the hint) or mid-association as
-	// backpressure toward peers that negotiated OverloadCapabilityToken.
+	// backpressure: the agent pauses KPM reporting for the hint.
 	TypeBusy
 )
 

@@ -182,7 +182,7 @@ func TestDifferentialScribblingGuest(t *testing.T) {
 // TestDifferentialConcurrentPools races both paths across pooled instances
 // sharing one compiled module: N goroutines (cells) with disjoint seeded
 // request streams, each verifying zero-copy against its own codec baseline.
-// Meaningful under -race (make check-abi runs it so).
+// Meaningful under -race (make check runs it so).
 func TestDifferentialConcurrentPools(t *testing.T) {
 	mod, err := CompileScheduler("pf")
 	if err != nil {

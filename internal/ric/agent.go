@@ -83,7 +83,6 @@ type Agent struct {
 	dead        atomic.Bool
 	peerTraced  atomic.Bool // RIC advertised e2.TraceCapabilityBit and we accepted
 	peerBatched atomic.Bool // both sides advertised batch capability
-	peerBusy    atomic.Bool // RIC advertised e2.BusyCapabilityBit and we accepted
 
 	// pausedUntilNs, when in the future, is a busy-frame backpressure pause:
 	// due-slot indications are shed at the source until it passes.
@@ -206,12 +205,6 @@ func (a *Agent) applySubscription(m *e2.Message) error {
 		a.peerBatched.Store(true)
 	} else {
 		a.peerBatched.Store(false)
-	}
-	if m.RANFunction&e2.BusyCapabilityBit != 0 {
-		reason = e2.AppendCapabilityToken(reason, e2.OverloadCapabilityToken)
-		a.peerBusy.Store(true)
-	} else {
-		a.peerBusy.Store(false)
 	}
 	ack.SubscriptionResp.Reason = reason
 	if err := a.conn.Send(ack); err != nil {

@@ -271,11 +271,12 @@ func TestShardedFanInDistributesAndCounts(t *testing.T) {
 	}
 }
 
-// TestShardBudgetRefusesWithErrorFrame pins the overload contract: an
-// association arriving at a full shard is turned away with an explicit e2
-// error frame naming the exhausted budget — not a silent close — and the
-// refusal is counted without disturbing the association already served.
-func TestShardBudgetRefusesWithErrorFrame(t *testing.T) {
+// TestShardBudgetRefusesWithBusyFrame pins the overload contract: an
+// association arriving when every shard is full is turned away with an
+// explicit TypeBusy frame naming the exhausted budget and carrying a
+// retry-after hint — not a silent close — and the refusal is counted without
+// disturbing the association already served.
+func TestShardBudgetRefusesWithBusyFrame(t *testing.T) {
 	r, addr := servedRIC(t, Config{Shards: 1, MaxAssocPerShard: 1, ReportPeriodMs: 1})
 
 	first := startAgent(t, addr, &seqRAN{}, AgentConfig{Cell: 1})
@@ -292,11 +293,14 @@ func TestShardBudgetRefusesWithErrorFrame(t *testing.T) {
 	if err != nil {
 		t.Fatalf("refused association got no frame: %v", err)
 	}
-	if m.Type != e2.TypeError {
-		t.Fatalf("refused association got %s, want an error frame", m.Type)
+	if m.Type != e2.TypeBusy {
+		t.Fatalf("refused association got %s, want a busy frame", m.Type)
 	}
-	if !strings.Contains(m.Error.Reason, "budget") {
-		t.Fatalf("refusal reason %q does not name the budget", m.Error.Reason)
+	if !strings.Contains(m.Busy.Reason, "budget") {
+		t.Fatalf("refusal reason %q does not name the budget", m.Busy.Reason)
+	}
+	if m.Busy.RetryAfter() != DefaultRetryAfter {
+		t.Fatalf("refusal retry-after = %v, want the %v hint", m.Busy.RetryAfter(), DefaultRetryAfter)
 	}
 
 	s := r.Stats()

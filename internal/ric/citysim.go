@@ -53,10 +53,6 @@ type CitySimConfig struct {
 	Pacing time.Duration
 	// SpanCap is each plane's span-ring capacity (default 32768).
 	SpanCap int
-	// Overload, when non-nil, enables the RIC's overload-control layer
-	// (admission gate, bounded queued dispatch, brownout state machine) for
-	// the run — the happy-path no-regression arm of the overload work.
-	Overload *OverloadConfig
 	// Obs, when non-nil, receives the RIC's instruments (per-shard series
 	// included) and the result embeds its snapshot.
 	Obs *obs.Registry
@@ -147,9 +143,8 @@ type CitySimResult struct {
 	// Hops is the per-hop latency distribution across all spans retained.
 	Hops []trace.HopStat `json:"hops"`
 
-	// Overload is the RIC's shed ledger and brownout accounting when the
-	// overload guard was enabled for the run (nil otherwise).
-	Overload *OverloadStats `json:"overload,omitempty"`
+	// Overload is the RIC's shed ledger and brownout accounting.
+	Overload OverloadStats `json:"overload"`
 
 	Obs map[string]any `json:"obs,omitempty"`
 }
@@ -208,7 +203,6 @@ func RunCitySim(cfg CitySimConfig) (*CitySimResult, error) {
 		Shards:         cfg.RICShards,
 		KPMHistory:     NoKPMHistory,
 		Tracer:         tracer,
-		Overload:       cfg.Overload,
 	})
 	if err != nil {
 		return nil, err
@@ -239,8 +233,8 @@ func RunCitySim(cfg CitySimConfig) (*CitySimResult, error) {
 		for s := 0; s < cfg.Sectors; s++ {
 			var agent *Agent
 			var conn *e2.Conn
-			// With the overload guard on, the fleet bring-up itself runs
-			// through the admission gate: a TypeBusy refusal is honored by
+			// The fleet bring-up itself runs through the admission gate: a
+			// TypeBusy refusal is honored by
 			// sleeping out the retry-after hint, exactly as a supervised
 			// agent session would, so the 1024-association dial burst enters
 			// as a ramp instead of failing the run.
@@ -362,9 +356,7 @@ func RunCitySim(cfg CitySimConfig) (*CitySimResult, error) {
 		res.FleetDeliveredBits += fs.DeliveredBits
 		res.FleetDroppedBits += fs.DroppedBits
 	}
-	if ov, ok := r.OverloadStats(); ok {
-		res.Overload = &ov
-	}
+	res.Overload, _ = r.OverloadStats()
 	spans := tracer.Snapshot()
 	res.Hops = trace.HopStats(spans)
 	res.P99ControlLoopUs, res.P99RICLoopUs, res.CompleteLoops = controlLoopP99(spans)

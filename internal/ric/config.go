@@ -91,7 +91,8 @@ type Config struct {
 	Shards int
 	// MaxAssocPerShard is the per-shard association goroutine budget
 	// (default DefaultMaxAssocPerShard); an association arriving at a full
-	// shard is refused with an e2 error frame.
+	// shard spills onto one with room, and is refused with TypeBusy when
+	// every shard is full.
 	MaxAssocPerShard int
 	// DisableBatching stops the RIC from advertising batch capability at
 	// subscription; agents then keep sending per-slot indications.
@@ -99,11 +100,12 @@ type Config struct {
 	// KPMHistory sizes the per-cell KPM ring (0 = DefaultKPMHistory,
 	// NoKPMHistory = no store at all).
 	KPMHistory int
-	// Overload, when non-nil, enables the overload-control layer (see
-	// overload.go): admission token buckets with TypeBusy refusals, bounded
+	// Overload tunes the guards every association passes (see overload.go):
+	// admission token buckets with TypeBusy refusals, bounded
 	// per-association indication queues with drop-oldest shedding, the
-	// brownout state machine, shard spill-over, and per-xApp breakers plus
-	// dispatch deadlines. Nil keeps the pre-overload synchronous RIC.
+	// brownout state machine, shard spill-over, and per-xApp breakers. Nil
+	// means the zero OverloadConfig, i.e. the defaults; RIC.Config() always
+	// returns it resolved.
 	Overload *OverloadConfig
 
 	// Assoc, when set, receives association-resilience counters.
@@ -141,12 +143,7 @@ func (c Config) Validate() error {
 	if c.KPMHistory < NoKPMHistory {
 		return fmt.Errorf("ric: KPM history %d (use %d to disable)", c.KPMHistory, NoKPMHistory)
 	}
-	if c.Overload != nil {
-		if err := c.Overload.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.Overload.orZero().Validate()
 }
 
 func (c Config) withDefaults() Config {
@@ -183,11 +180,9 @@ func New(cfg Config) (*RIC, error) {
 	for i := range r.shards {
 		r.shards[i] = newShard(i, cfg.MaxAssocPerShard)
 	}
-	if cfg.Overload != nil {
-		ov := cfg.Overload.withDefaults()
-		r.cfg.Overload = &ov
-		r.ov = newOverload(ov, cfg.Shards, cfg.Tracer, cfg.Flight)
-	}
+	ov := cfg.Overload.orZero().withDefaults()
+	r.cfg.Overload = &ov
+	r.ov = newOverload(ov, cfg.Shards, cfg.Tracer, cfg.Flight)
 	return r, nil
 }
 

@@ -31,8 +31,12 @@ type E2FaultsConfig struct {
 	// ResetAfterWrites forces a reset on the Nth write in the default
 	// fault schedule (default 25).
 	ResetAfterWrites int
-	// Faults assigns one FaultConfig per agent connection in dial order;
-	// connections beyond the list are clean, so recovery is observable.
+	// Faults is the storm, in order: each FaultConfig is given to the
+	// agent's next connection, and again to the one after if that
+	// connection ended before the fault fired (wall-clock liveness on a
+	// stalled box can end any association early), so every fault is
+	// exercised however the timing falls. Connections dialled after the
+	// last fault has fired are clean, so recovery is observable.
 	// When empty, a default two-connection storm is used: the first
 	// association goes half-open (blackhole — only heartbeat liveness can
 	// catch it), the second drops frames at Drop and is forcibly reset
@@ -161,12 +165,12 @@ func RunE2Faults(cfg E2FaultsConfig, ran RANControl, step func(slot uint64)) (*E
 		ricSess.Run(stop)
 	}()
 
-	// The agent's first len(Faults) connections each get their assigned
-	// fault schedule; per-dial seeds keep each connection's schedule
+	// Each dial gets the next fault that has not fired yet (see
+	// E2FaultsConfig.Faults); per-dial seeds keep each connection's schedule
 	// deterministic yet distinct.
 	var mu sync.Mutex
 	var faultConns []*e2.FaultConn
-	dials := 0
+	pending := 0 // index of the first fault that has not fired
 	addr := lis.Addr().String()
 	dial := func() (*e2.Conn, error) {
 		raw, err := net.DialTimeout("tcp", addr, time.Second)
@@ -174,21 +178,25 @@ func RunE2Faults(cfg E2FaultsConfig, ran RANControl, step func(slot uint64)) (*E
 			return nil, err
 		}
 		mu.Lock()
-		dials++
-		n := dials
-		mu.Unlock()
-		if n <= len(cfg.Faults) {
-			fcfg := cfg.Faults[n-1]
-			if fcfg.Seed == 0 {
-				fcfg.Seed = cfg.Seed + int64(n)
-			}
-			fc := e2.NewFaultConn(raw, fcfg)
-			mu.Lock()
-			faultConns = append(faultConns, fc)
-			mu.Unlock()
-			return e2.NewConn(fc, e2.BinaryCodec{}), nil
+		defer mu.Unlock()
+		if n := len(faultConns); n > 0 && pending < len(cfg.Faults) && faultConns[n-1].Stats().Total() > 0 {
+			pending++
 		}
-		return e2.NewConn(raw, e2.BinaryCodec{}), nil
+		if pending == len(cfg.Faults) {
+			return e2.NewConn(raw, e2.BinaryCodec{}), nil
+		}
+		fcfg := cfg.Faults[pending]
+		if fcfg.Seed == 0 {
+			fcfg.Seed = cfg.Seed + int64(len(faultConns)+1)
+		}
+		fc := e2.NewFaultConn(raw, fcfg)
+		faultConns = append(faultConns, fc)
+		return e2.NewConn(fc, e2.BinaryCodec{}), nil
+	}
+	stormOver := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return pending == len(cfg.Faults)
 	}
 
 	sess, err := NewAgentSession(AgentSessionConfig{
@@ -213,10 +221,10 @@ func RunE2Faults(cfg E2FaultsConfig, ran RANControl, step func(slot uint64)) (*E
 		time.Sleep(cfg.Pacing)
 	}
 
-	// Keep stepping (bounded) until the storm is over — a clean
-	// association (beyond the faulty list) is live and has delivered at
-	// least one control — so the "recovered" claim in the result is
-	// measured, not assumed.
+	// Keep stepping (bounded) until the storm is over — every fault has
+	// fired, and the clean association dialled after the last one is live
+	// and has delivered at least one control — so the "recovered" claim in
+	// the result is measured, not assumed.
 	res := &E2FaultsResult{
 		Slots:       cfg.Slots,
 		DropProb:    cfg.Drop,
@@ -226,7 +234,7 @@ func RunE2Faults(cfg E2FaultsConfig, ran RANControl, step func(slot uint64)) (*E
 	extra := uint64(cfg.Slots) * 4
 	for i := uint64(0); i < extra; i++ {
 		_, controlsOK, live := sess.LiveCounters()
-		if live && controlsOK > 0 && sess.Associations() > uint64(len(cfg.Faults)) {
+		if live && controlsOK > 0 && stormOver() {
 			res.FinalAssocControlsOK = controlsOK
 			break
 		}

@@ -33,18 +33,17 @@ func init() {
 			core.IntExpFlag("shards", 16, "RIC association shards", func(c *core.ExpConfig, v int) { c.Shards = v }),
 			core.IntExpFlag("window", 8, "KPM batching window in report periods (1 disables)", func(c *core.ExpConfig, v int) { c.BatchWindow = v }),
 			core.Int64ExpFlag("seed", 1, "per-cell population seed", func(c *core.ExpConfig, v int64) { c.Seed = v }),
-			core.IntExpFlag("overload", 0, "enable the RIC overload guard (1 enables, defaults applied)", func(c *core.ExpConfig, v int) { c.Overload = v }),
 		},
 		runCitySimExperiment)
 	core.RegisterExperimentWithFlags("overload",
-		"overload chaos: RIC kill+restart reconnect ramp, shed-ledger conservation, slow-xApp isolation on/off (JSON)",
+		"overload chaos: RIC kill+restart reconnect ramp, shed-ledger conservation, slow-xApp isolation (JSON)",
 		[]core.ExpFlag{
 			core.IntExpFlag("agents", 1024, "reconnect-storm fleet size", func(c *core.ExpConfig, v int) { c.Agents = v }),
 			core.IntExpFlag("shards", 16, "RIC association shards", func(c *core.ExpConfig, v int) { c.Shards = v }),
 			core.FloatExpFlag("admitrate", 64, "admission tokens/sec per shard", func(c *core.ExpConfig, v float64) { c.AdmitRate = v }),
 			core.IntExpFlag("burst", 8, "admission token bucket capacity", func(c *core.ExpConfig, v int) { c.AdmitBurst = v }),
 			core.DurationExpFlag("outage", 250*time.Millisecond, "RIC downtime before the restart", func(c *core.ExpConfig, v time.Duration) { c.Outage = v }),
-			core.DurationExpFlag("dwell", 3*time.Second, "slow-xApp measurement window per arm", func(c *core.ExpConfig, v time.Duration) { c.Dwell = v }),
+			core.DurationExpFlag("dwell", 3*time.Second, "slow-xApp measurement window", func(c *core.ExpConfig, v time.Duration) { c.Dwell = v }),
 			core.IntExpFlag("stalliters", 1_000_000, "slow xApp spin iterations per dispatch", func(c *core.ExpConfig, v int) { c.StallIters = v }),
 			core.Int64ExpFlag("seed", 1, "session jitter schedule seed", func(c *core.ExpConfig, v int64) { c.Seed = v }),
 			core.IntExpFlag("flight", 0, "arm the flight recorder; fail unless admission refusals and the breaker trip reach a diagnostic bundle", func(c *core.ExpConfig, v int) { c.Flight = v }),
@@ -75,7 +74,7 @@ func init() {
 // runCitySimExperiment maps the shared knob set onto the city-scale
 // experiment's config.
 func runCitySimExperiment(cfg core.ExpConfig) (any, error) {
-	csc := CitySimConfig{
+	return RunCitySim(CitySimConfig{
 		Cells:       cfg.Cells,
 		UEsPerCell:  cfg.UEsPerCell,
 		Sectors:     cfg.Sectors,
@@ -84,11 +83,7 @@ func runCitySimExperiment(cfg core.ExpConfig) (any, error) {
 		BatchWindow: cfg.BatchWindow,
 		Seed:        cfg.Seed,
 		Obs:         cfg.Obs,
-	}
-	if cfg.Overload != 0 {
-		csc.Overload = &OverloadConfig{}
-	}
-	return RunCitySim(csc)
+	})
 }
 
 // runOverloadExperiment maps the shared knob set onto the overload chaos

@@ -14,7 +14,20 @@ import (
 type KPMStore struct {
 	mu    sync.RWMutex
 	limit int
-	cells map[uint32][]*StampedIndication
+	cells map[uint32]kpmRing
+}
+
+// kpmRing is one cell's history: buf grows to the store's limit and is then
+// overwritten in place, head naming the oldest entry — an evicted indication
+// is unreachable the moment its slot is reused.
+type kpmRing struct {
+	buf  []*StampedIndication
+	head int
+}
+
+// at returns the i-th oldest entry, 0 <= i < len(r.buf).
+func (r kpmRing) at(i int) *StampedIndication {
+	return r.buf[(r.head+i)%len(r.buf)]
 }
 
 // StampedIndication pairs an indication with its arrival time.
@@ -31,18 +44,26 @@ func NewKPMStore(limit int) *KPMStore {
 	if limit <= 0 {
 		limit = DefaultKPMHistory
 	}
-	return &KPMStore{limit: limit, cells: make(map[uint32][]*StampedIndication)}
+	return &KPMStore{limit: limit, cells: make(map[uint32]kpmRing)}
 }
 
-// Record stores one indication.
+// Record stores one indication, evicting the cell's oldest once limit are
+// held.
 func (k *KPMStore) Record(at time.Time, ind *e2.Indication) {
+	si := &StampedIndication{At: at, Indication: ind}
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	ring := append(k.cells[ind.Cell], &StampedIndication{At: at, Indication: ind})
-	if len(ring) > k.limit {
-		ring = ring[len(ring)-k.limit:]
+	r := k.cells[ind.Cell]
+	if r.buf == nil {
+		r.buf = make([]*StampedIndication, 0, k.limit)
 	}
-	k.cells[ind.Cell] = ring
+	if len(r.buf) < k.limit {
+		r.buf = append(r.buf, si)
+	} else {
+		r.buf[r.head] = si
+		r.head = (r.head + 1) % k.limit
+	}
+	k.cells[ind.Cell] = r
 }
 
 // Cells lists cell IDs with recorded history.
@@ -60,23 +81,26 @@ func (k *KPMStore) Cells() []uint32 {
 func (k *KPMStore) Latest(cell uint32) (*StampedIndication, bool) {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
-	ring := k.cells[cell]
-	if len(ring) == 0 {
+	r := k.cells[cell]
+	if len(r.buf) == 0 {
 		return nil, false
 	}
-	return ring[len(ring)-1], true
+	return r.at(len(r.buf) - 1), true
 }
 
 // History returns up to n most recent indications for a cell, oldest first.
 func (k *KPMStore) History(cell uint32, n int) []*StampedIndication {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
-	ring := k.cells[cell]
-	if n <= 0 || n > len(ring) {
-		n = len(ring)
+	r := k.cells[cell]
+	all := len(r.buf)
+	if n <= 0 || n > all {
+		n = all
 	}
 	out := make([]*StampedIndication, n)
-	copy(out, ring[len(ring)-n:])
+	for i := range out {
+		out[i] = r.at(all - n + i)
+	}
 	return out
 }
 
@@ -86,8 +110,9 @@ func (k *KPMStore) UETputSeries(cell, ueID uint32) []float64 {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
 	var out []float64
-	for _, si := range k.cells[cell] {
-		for _, u := range si.Indication.UEs {
+	r := k.cells[cell]
+	for i := range r.buf {
+		for _, u := range r.at(i).Indication.UEs {
 			if u.UEID == ueID {
 				out = append(out, u.TputBps)
 				break
@@ -102,8 +127,9 @@ func (k *KPMStore) UETputSeries(cell, ueID uint32) []float64 {
 func (k *KPMStore) SliceSLACompliance(cell, sliceID uint32, frac float64) (met, total int) {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
-	for _, si := range k.cells[cell] {
-		for _, s := range si.Indication.Slices {
+	r := k.cells[cell]
+	for i := range r.buf {
+		for _, s := range r.at(i).Indication.Slices {
 			if s.SliceID != sliceID || s.TargetBps <= 0 {
 				continue
 			}

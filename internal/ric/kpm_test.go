@@ -61,6 +61,45 @@ func TestKPMStoreRingBound(t *testing.T) {
 	}
 }
 
+// TestKPMStoreFixedRing pins the retention contract: a cell's storage is one
+// limit-slot array for the store's lifetime (an evicted indication is
+// overwritten, not parked behind a resliced backing array), every query still
+// reads oldest first across the wrap, and a steady-state Record allocates
+// only the stamp.
+func TestKPMStoreFixedRing(t *testing.T) {
+	const limit = 8
+	k := NewKPMStore(limit)
+	for i := 0; i < 3*limit+3; i++ { // +3: the head sits mid-array
+		k.Record(time.Now(), mkInd(1, uint64(i), float64(i), 0))
+	}
+	if r := k.cells[1]; cap(r.buf) != limit || len(r.buf) != limit {
+		t.Fatalf("per-cell storage len %d cap %d, want both %d", len(r.buf), cap(r.buf), limit)
+	}
+	const last = 3*limit + 2
+	hist := k.History(1, 0)
+	if len(hist) != limit {
+		t.Fatalf("history holds %d, want %d", len(hist), limit)
+	}
+	for i, si := range hist {
+		if want := uint64(last - limit + 1 + i); si.Indication.Slot != want {
+			t.Fatalf("history[%d] = slot %d, want %d (oldest first)", i, si.Indication.Slot, want)
+		}
+	}
+	if h := k.History(1, 3); len(h) != 3 || h[0].Indication.Slot != last-2 || h[2].Indication.Slot != last {
+		t.Fatalf("History(3) = %d entries from slot %d, want the last 3", len(h), h[0].Indication.Slot)
+	}
+	if l, ok := k.Latest(1); !ok || l.Indication.Slot != last {
+		t.Fatalf("Latest = %+v", l)
+	}
+	if s := k.UETputSeries(1, 1); len(s) != limit || s[0] != last-limit+1 || s[limit-1] != last {
+		t.Fatalf("UETputSeries = %v, want oldest first", s)
+	}
+	ind := mkInd(1, 0, 0, 0)
+	if n := testing.AllocsPerRun(100, func() { k.Record(time.Time{}, ind) }); n != 1 {
+		t.Fatalf("steady-state Record allocates %v objects, want 1 (the stamp)", n)
+	}
+}
+
 func TestKPMSLACompliance(t *testing.T) {
 	k := NewKPMStore(0)
 	// 6 samples above 90% of target, 4 below.

@@ -122,5 +122,11 @@ func TestOneRICManyGNBs(t *testing.T) {
 		t.Fatalf("KPM store cells = %v", r.KPM.Cells())
 	}
 
+	// Teardown: the zero-Config RIC queued every indication it was offered,
+	// and each left its queue through exactly one ledger column.
 	close(stop)
+	serveWG.Wait()
+	if st, ok := r.OverloadStats(); !ok || st.Offered == 0 || !ledgerConserved(st) {
+		t.Fatalf("shed ledger after teardown (ok=%v): %+v", ok, st)
+	}
 }

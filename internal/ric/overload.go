@@ -1,15 +1,12 @@
 package ric
 
-// Overload control and mass-recovery (DESIGN.md §17): admission token
-// buckets and TypeBusy refusals at the front door, bounded per-association
-// indication queues with an explicit shed policy behind it, a three-level
+// The guards every association passes (DESIGN.md §17): admission token
+// buckets and TypeBusy refusals at the front door, a bounded per-association
+// indication queue with an explicit shed policy behind it, a three-level
 // brownout state machine driving report-period widening / stale shedding /
-// subscription refusal, and per-xApp breakers + dispatch deadlines so one
-// stalled wasm xApp cannot back up a shard's fan-in.
-//
-// Everything here is gated on Config.Overload: a nil OverloadConfig keeps
-// the pre-overload RIC byte-for-byte — synchronous dispatch from the
-// receive loop, TypeError budget refusals, no queues, no brownout.
+// subscription refusal, and a per-xApp breaker so one faulting wasm xApp
+// cannot back up a shard's fan-in. There is no RIC without them;
+// Config.Overload only tunes the thresholds.
 
 import (
 	"fmt"
@@ -36,9 +33,6 @@ const (
 	// DefaultStaleAfter is how old a queued KPM indication may grow before
 	// a browned-out RIC sheds it instead of dispatching it.
 	DefaultStaleAfter = 250 * time.Millisecond
-	// DefaultXAppDeadline is the per-xApp dispatch wall-clock bound applied
-	// to xApps installed without an explicit Policy.CallTimeout.
-	DefaultXAppDeadline = 10 * time.Millisecond
 	// DefaultWidenFactor multiplies the report period while browned out.
 	DefaultWidenFactor = 2
 	// DefaultBrownoutPoll is the brownout re-evaluation cadence.
@@ -46,8 +40,8 @@ const (
 	// DefaultRetryAfter is the retry-after hint on TypeBusy admission
 	// refusals.
 	DefaultRetryAfter = 500 * time.Millisecond
-	// DefaultBusyPause is the KPM pause hinted to busy-capable agents while
-	// the RIC is critically browned out.
+	// DefaultBusyPause is the KPM pause hinted to agents while the RIC is
+	// critically browned out.
 	DefaultBusyPause = time.Second
 	// DefaultLoopP99Budget is the dispatch-latency p99 above which the
 	// brownout controller escalates (2x above it escalates to critical).
@@ -70,7 +64,7 @@ const (
 	// older than StaleAfter is shed at dispatch.
 	BrownoutDegraded
 	// BrownoutCritical: additionally, new subscriptions are refused with
-	// TypeBusy and busy-capable agents are asked to pause reporting.
+	// TypeBusy and agents are asked to pause reporting.
 	BrownoutCritical
 )
 
@@ -88,10 +82,9 @@ func (l BrownoutLevel) String() string {
 	}
 }
 
-// OverloadConfig tunes the RIC's overload-control layer. Setting
-// Config.Overload to a non-nil OverloadConfig (the zero value works)
-// enables admission control, bounded queued dispatch, the brownout state
-// machine, and per-xApp isolation.
+// OverloadConfig tunes the RIC's guards: admission control, bounded queued
+// dispatch, the brownout state machine, and per-xApp isolation. The zero
+// value is the defaults below.
 type OverloadConfig struct {
 	// AdmitRate is the per-shard association admission rate in
 	// associations/second (default DefaultAdmitRate; negative disables the
@@ -107,9 +100,10 @@ type OverloadConfig struct {
 	// StaleAfter is the queued-KPM age shed while browned out (default
 	// DefaultStaleAfter; negative disables stale shedding).
 	StaleAfter time.Duration
-	// XAppDeadline is the wall-clock dispatch bound installed as
-	// Policy.CallTimeout on xApps that did not set one (default
-	// DefaultXAppDeadline; negative leaves policies untouched).
+	// XAppDeadline, when > 0, is a wall-clock dispatch bound installed as
+	// Policy.CallTimeout on xApps that did not set one. Zero (or negative)
+	// installs none: every xApp is already bounded by Policy.Fuel, which is
+	// deterministic and cannot misfire when the host thread is descheduled.
 	XAppDeadline time.Duration
 	// Breaker tunes the per-xApp circuit breaker (zero value = guard
 	// defaults).
@@ -132,9 +126,9 @@ type OverloadConfig struct {
 	// RetryAfter is the hint carried on TypeBusy admission refusals
 	// (default DefaultRetryAfter).
 	RetryAfter time.Duration
-	// BusyPause is the reporting pause hinted to busy-capable agents at
-	// critical brownout (default DefaultBusyPause; negative disables
-	// mid-association backpressure).
+	// BusyPause is the reporting pause hinted to agents at critical brownout
+	// (default DefaultBusyPause; negative disables mid-association
+	// backpressure).
 	BusyPause time.Duration
 }
 
@@ -159,6 +153,14 @@ func (c OverloadConfig) Validate() error {
 	return nil
 }
 
+// orZero resolves Config.Overload: a nil pointer is the zero value.
+func (c *OverloadConfig) orZero() OverloadConfig {
+	if c == nil {
+		return OverloadConfig{}
+	}
+	return *c
+}
+
 func (c OverloadConfig) withDefaults() OverloadConfig {
 	if c.AdmitRate == 0 {
 		c.AdmitRate = DefaultAdmitRate
@@ -171,9 +173,6 @@ func (c OverloadConfig) withDefaults() OverloadConfig {
 	}
 	if c.StaleAfter == 0 {
 		c.StaleAfter = DefaultStaleAfter
-	}
-	if c.XAppDeadline == 0 {
-		c.XAppDeadline = DefaultXAppDeadline
 	}
 	if c.EnterDegraded == 0 {
 		c.EnterDegraded = DefaultEnterDegraded
@@ -202,8 +201,8 @@ func (c OverloadConfig) withDefaults() OverloadConfig {
 	return c
 }
 
-// overload is the RIC's runtime overload state (nil when Config.Overload
-// is nil). The shed ledger counters conserve exactly:
+// overload is the RIC's runtime guard state. The shed ledger counters
+// conserve exactly:
 //
 //	offered == delivered + shed_overflow + shed_stale + shed_teardown + refused_late
 //
@@ -455,12 +454,12 @@ func (r *RIC) recordShed(it queuedInd, reason string) {
 	r.cfg.Tracer.Record(sp)
 }
 
-// dispatchLoop is one association's dispatcher: it drains the queue through
-// the exact synchronous delivery path, sheds stale KPM while browned out,
-// applies brownout transitions to the association (re-subscribing at a
-// widened period, pausing busy-capable agents), and on teardown drains the
-// residue into the shed ledger.
-func (r *RIC) dispatchLoop(sh *shard, conn *e2.Conn, q *assocQueue, busyCapable *atomic.Bool) {
+// dispatchLoop is one association's dispatcher, the only caller of deliver:
+// it drains the queue, sheds stale KPM while browned out, applies brownout
+// transitions to the association (re-subscribing at a widened period,
+// pausing the agent), and on teardown drains the residue into the shed
+// ledger.
+func (r *RIC) dispatchLoop(sh *shard, conn *e2.Conn, q *assocQueue) {
 	defer close(q.done)
 	o := r.ov
 	reqID := uint32(100)
@@ -482,9 +481,9 @@ func (r *RIC) dispatchLoop(sh *shard, conn *e2.Conn, q *assocQueue, busyCapable 
 			lvl := o.Level()
 			if lvl != applied {
 				reqID++
-				r.applyBrownout(conn, reqID, lvl, busyCapable, &lastBusy)
+				r.applyBrownout(conn, reqID, lvl, &lastBusy)
 				applied = lvl
-			} else if lvl == BrownoutCritical && o.cfg.BusyPause > 0 && busyCapable.Load() &&
+			} else if lvl == BrownoutCritical && o.cfg.BusyPause > 0 &&
 				time.Since(lastBusy) > o.cfg.BusyPause*3/4 {
 				// Refresh the pause before the agent's previous hint expires.
 				o.busyFrames.Inc()
@@ -502,7 +501,7 @@ func (r *RIC) dispatchLoop(sh *shard, conn *e2.Conn, q *assocQueue, busyCapable 
 			// receive loop observes it too and tears the association down.
 			// The indication still reached the xApps, so it counts as
 			// delivered either way.
-			_ = r.deliver(sh, conn, it.ind, it.ctx, &reqID)
+			r.deliver(sh, conn, it.ind, it.ctx, &reqID)
 			o.delivered.Inc()
 			o.observeDispatch(time.Since(start))
 			o.maybeEval(time.Now())
@@ -512,9 +511,9 @@ func (r *RIC) dispatchLoop(sh *shard, conn *e2.Conn, q *assocQueue, busyCapable 
 
 // applyBrownout pushes a brownout level change onto one association: the
 // report period widens (or restores) through a mid-association
-// re-subscription, and at critical level busy-capable agents are asked to
-// pause reporting.
-func (r *RIC) applyBrownout(conn *e2.Conn, reqID uint32, lvl BrownoutLevel, busyCapable *atomic.Bool, lastBusy *time.Time) {
+// re-subscription, and at critical level the agent is asked to pause
+// reporting.
+func (r *RIC) applyBrownout(conn *e2.Conn, reqID uint32, lvl BrownoutLevel, lastBusy *time.Time) {
 	o := r.ov
 	period := r.cfg.ReportPeriodMs
 	if lvl >= BrownoutDegraded {
@@ -523,7 +522,7 @@ func (r *RIC) applyBrownout(conn *e2.Conn, reqID uint32, lvl BrownoutLevel, busy
 	sub := r.subscriptionMsg(period)
 	sub.RequestID = reqID
 	_ = conn.Send(sub)
-	if lvl == BrownoutCritical && o.cfg.BusyPause > 0 && busyCapable.Load() {
+	if lvl == BrownoutCritical && o.cfg.BusyPause > 0 {
 		o.busyFrames.Inc()
 		*lastBusy = time.Now()
 		_ = conn.Send(e2.NewBusyMessage(o.cfg.BusyPause, "ric: brownout critical"))
@@ -539,9 +538,6 @@ func (r *RIC) acquireShard(preferred *shard) (*shard, bool) {
 	case preferred.sem <- struct{}{}:
 		return preferred, true
 	default:
-	}
-	if r.ov == nil {
-		return nil, false
 	}
 	for i := 1; i < len(r.shards); i++ {
 		sh := r.shards[(preferred.id+i)%len(r.shards)]
@@ -574,13 +570,11 @@ type OverloadStats struct {
 	DispatchP99Ms        float64 `json:"dispatch_p99_ms"`
 }
 
-// OverloadStats snapshots the overload layer; ok is false when overload
-// control is disabled.
+// OverloadStats snapshots the guards. The second result is always true:
+// there is no RIC without them, and the signature survives only because
+// bench/ reads it.
 func (r *RIC) OverloadStats() (OverloadStats, bool) {
 	o := r.ov
-	if o == nil {
-		return OverloadStats{}, false
-	}
 	return OverloadStats{
 		BrownoutLevel:        o.Level().String(),
 		Offered:              o.offered.Value(),
@@ -598,11 +592,5 @@ func (r *RIC) OverloadStats() (OverloadStats, bool) {
 	}, true
 }
 
-// BrownoutLevel returns the current brownout level (BrownoutNormal when
-// overload control is disabled).
-func (r *RIC) BrownoutLevel() BrownoutLevel {
-	if r.ov == nil {
-		return BrownoutNormal
-	}
-	return r.ov.Level()
-}
+// BrownoutLevel returns the current brownout level.
+func (r *RIC) BrownoutLevel() BrownoutLevel { return r.ov.Level() }

@@ -3,7 +3,6 @@ package ric
 import (
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,6 +43,90 @@ func connPair(t *testing.T) (server, client *e2.Conn) {
 		}
 	})
 	return server, client
+}
+
+// TestZeroConfigIsGuarded pins that there is one RIC: the zero Config
+// carries the ledger, a breaker per xApp and TypeBusy refusals, and
+// negotiates nothing beyond trace and batch.
+func TestZeroConfigIsGuarded(t *testing.T) {
+	r := MustNew(Config{})
+	if got := *r.Config().Overload; got.QueueDepth != DefaultQueueDepth || got.AdmitBurst != DefaultAdmitBurst {
+		t.Fatalf("zero Config resolves Overload to %+v, want the defaults", got)
+	}
+	if _, ok := r.OverloadStats(); !ok {
+		t.Fatal("zero-Config RIC reports no overload ledger")
+	}
+	x, err := r.AddXAppWAT("sla", plugins.SLAAssureXAppWAT, wabi.Policy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x.Breaker() == nil {
+		t.Fatal("zero-Config xApp has no breaker")
+	}
+
+	stop := make(chan struct{})
+	defer close(stop)
+	server, client := connPair(t)
+	go r.ServeConn(server, stop)
+	sub, err := client.Recv()
+	if err != nil || sub.Type != e2.TypeSubscriptionRequest {
+		t.Fatalf("first frame = %v, %v; want a subscription request", sub, err)
+	}
+	if extra := sub.RANFunction &^ e2.RANFunctionKPM &^ (e2.TraceCapabilityBit | e2.BatchCapabilityBit); extra != 0 {
+		t.Fatalf("subscription advertises bits %#x outside trace|batch", extra)
+	}
+
+	// Every shard's budget full: the refusal is TypeBusy with a retry-after.
+	for _, sh := range r.shards {
+		for len(sh.sem) < cap(sh.sem) {
+			sh.sem <- struct{}{}
+		}
+	}
+	server2, client2 := connPair(t)
+	if err := r.ServeConn(server2, stop); err == nil {
+		t.Fatal("ServeConn accepted an association with every shard full")
+	}
+	m, err := client2.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Type != e2.TypeBusy || m.Busy.RetryAfter() <= 0 {
+		t.Fatalf("refusal frame = %s %+v, want busy with a retry-after", m.Type, m.Busy)
+	}
+}
+
+// TestZeroConfigNoWallClockDeadline pins the default dispatch bound: fuel,
+// not wall clock. A guest that spins forever exhausts Policy.Fuel and faults
+// as FailFuel; no default arms a deadline that a descheduled host thread
+// could trip instead.
+func TestZeroConfigNoWallClockDeadline(t *testing.T) {
+	r := MustNew(Config{})
+	if d := r.Config().Overload.XAppDeadline; d != 0 {
+		t.Fatalf("zero Config resolves XAppDeadline to %v, want none", d)
+	}
+	x, err := r.AddXAppWAT("spin", stallXAppWAT, wabi.Policy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctrls := r.HandleIndication(&e2.Indication{Cell: 1}); len(ctrls) != 0 {
+		t.Fatalf("spinning xApp produced %d controls", len(ctrls))
+	}
+	if st := x.Stats(); st.Faults != 1 {
+		t.Fatalf("spinning xApp stats %+v, want one fault", st)
+	}
+	if got := x.Plugin().LastFailureClass(); got != wabi.FailFuel {
+		t.Fatalf("spinning xApp faulted as %v, want %v", got, wabi.FailFuel)
+	}
+	// A negative XAppDeadline means the same as zero.
+	r2 := MustNew(Config{Overload: &OverloadConfig{XAppDeadline: -1}})
+	x2, err := r2.AddXAppWAT("spin", stallXAppWAT, wabi.Policy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2.HandleIndication(&e2.Indication{Cell: 1})
+	if got := x2.Plugin().LastFailureClass(); got != wabi.FailFuel {
+		t.Fatalf("XAppDeadline -1: faulted as %v, want %v", got, wabi.FailFuel)
+	}
 }
 
 func TestOverloadConfigValidate(t *testing.T) {
@@ -173,14 +256,6 @@ func TestAcquireShardSpill(t *testing.T) {
 	if st.Spills != 2 {
 		t.Fatalf("Spills = %d, want 2", st.Spills)
 	}
-
-	// Without overload control the old semantics hold: full preferred shard
-	// means refusal, no spill.
-	r2 := MustNew(Config{Shards: 3, MaxAssocPerShard: 1})
-	r2.shards[0].sem <- struct{}{}
-	if _, ok := r2.acquireShard(r2.shards[0]); ok {
-		t.Fatal("overload-off acquire spilled; want refusal")
-	}
 }
 
 // TestSpillEventualPlacement is the e2e half: with one association slot per
@@ -306,8 +381,7 @@ func TestShedLedgerConservation(t *testing.T) {
 		t.Fatalf("after overflow: offered=%d shedOverflow=%d, want 10/8", st.Offered, st.ShedOverflow)
 	}
 	// Start the dispatcher: the two survivors are delivered.
-	var busyCapable atomic.Bool
-	go r.dispatchLoop(r.shards[0], server, q, &busyCapable)
+	go r.dispatchLoop(r.shards[0], server, q)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		st, _ = r.OverloadStats()
@@ -339,8 +413,7 @@ func TestShedLedgerConservation(t *testing.T) {
 		r2.enqueueIndication(q2, mk(s))
 	}
 	close(q2.quit)
-	var bc2 atomic.Bool
-	r2.dispatchLoop(r2.shards[0], server2, q2, &bc2) // returns after the drain
+	r2.dispatchLoop(r2.shards[0], server2, q2) // returns after the drain
 	st2, _ := r2.OverloadStats()
 	if st2.Offered != 3 || st2.Delivered+st2.ShedTeardown != 3 {
 		t.Fatalf("teardown ledger violated: %+v", st2)
@@ -349,7 +422,7 @@ func TestShedLedgerConservation(t *testing.T) {
 
 // TestBrownoutWidensShedsAndPauses walks one association through a forced
 // brownout: the dispatcher re-subscribes at a widened period, sheds the
-// stale indication, and sends a busy pause to the capable agent.
+// stale indication, and sends a busy pause to the agent.
 func TestBrownoutWidensShedsAndPauses(t *testing.T) {
 	r := MustNew(Config{ReportPeriodMs: 100, Overload: &OverloadConfig{
 		StaleAfter: time.Nanosecond, // every queued indication is stale once browned out
@@ -365,21 +438,13 @@ func TestBrownoutWidensShedsAndPauses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sub.RANFunction&e2.BusyCapabilityBit == 0 {
-		t.Fatal("overload-enabled RIC did not advertise busy capability")
-	}
 	err = client.Send(&e2.Message{
 		Type: e2.TypeSubscriptionResponse, RequestID: sub.RequestID, RANFunction: sub.RANFunction,
-		SubscriptionResp: &e2.SubscriptionResponse{
-			Accepted: true,
-			Reason:   e2.AppendCapabilityToken("", e2.OverloadCapabilityToken),
-		},
+		SubscriptionResp: &e2.SubscriptionResponse{Accepted: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Give the recv loop a moment to store busyCapable, then force brownout.
-	time.Sleep(20 * time.Millisecond)
 	r.ov.level.Store(int32(BrownoutCritical))
 	err = client.Send(&e2.Message{
 		Type: e2.TypeIndication, RANFunction: e2.RANFunctionKPM,
@@ -448,8 +513,9 @@ func TestCriticalBrownoutRefusesSubscriptions(t *testing.T) {
 	}
 }
 
-// stallXAppWAT never returns; only the wall-clock dispatch deadline
-// (Policy.CallTimeout, installed by the overload layer) can stop it.
+// stallXAppWAT never returns; given fuel enough to outlast a test, only a
+// wall-clock dispatch deadline (Policy.CallTimeout, from
+// OverloadConfig.XAppDeadline) can stop it.
 const stallXAppWAT = `(module
   (import "waran" "output_write" (func $output_write (param i32 i32)))
   (memory (export "memory") 1)
@@ -518,7 +584,7 @@ func TestAgentPausesOnBusyFrame(t *testing.T) {
 	ricEnd, agent, _ := agentPair(t)
 	err := ricEnd.Send(&e2.Message{
 		Type: e2.TypeSubscriptionRequest, RequestID: 1,
-		RANFunction:  e2.RANFunctionKPM | e2.BusyCapabilityBit,
+		RANFunction:  e2.RANFunctionKPM,
 		Subscription: &e2.SubscriptionRequest{ReportPeriodMs: 1},
 	})
 	if err != nil {
@@ -527,12 +593,8 @@ func TestAgentPausesOnBusyFrame(t *testing.T) {
 	if _, err := agent.Start(); err != nil {
 		t.Fatal(err)
 	}
-	ack, err := ricEnd.Recv()
-	if err != nil {
+	if _, err := ricEnd.Recv(); err != nil { // the subscription ack
 		t.Fatal(err)
-	}
-	if !e2.HasCapabilityToken(ack.SubscriptionResp.Reason, e2.OverloadCapabilityToken) {
-		t.Fatalf("agent did not answer busy capability: %q", ack.SubscriptionResp.Reason)
 	}
 
 	if err := ricEnd.Send(e2.NewBusyMessage(80*time.Millisecond, "test pause")); err != nil {

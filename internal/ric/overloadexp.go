@@ -10,11 +10,10 @@ package ric
 //  2. shed accounting — the ledger conserves exactly at quiescence
 //     (offered == delivered + shed_overflow + shed_stale + shed_teardown +
 //     refused_late) on both the killed and the restarted RIC;
-//  3. slow-xApp isolation — with the guard on (dispatch deadline + breaker)
-//     a stalling xApp is trapped and skipped, so the fan-in keeps moving;
-//     with it off the stall serializes the whole RIC and backs up into the
-//     agents' slot loops. Both arms run the same topology and report tick
-//     p99 and applied controls/second side by side.
+//  3. slow-xApp isolation — a stalling xApp is trapped at its dispatch
+//     deadline, its breaker opens (before the consecutive-fault quarantine)
+//     and it is skipped, so the fan-in keeps moving: the healthy xApp behind
+//     it keeps producing controls and the agents' ticks stay flat.
 
 import (
 	"fmt"
@@ -33,10 +32,9 @@ import (
 
 // slowXAppWATTemplate is a deliberately slow but *successful* xApp: it spins
 // for a configured number of iterations, then returns a valid empty control
-// list. Bounded (unlike an infinite loop) so that without the overload guard
-// it neither exhausts fuel nor trips the consecutive-fault quarantine — it
-// just dwells, which is exactly the failure mode the per-xApp dispatch
-// deadline and breaker exist to contain.
+// list. Bounded (unlike an infinite loop) and given fuel to finish, so only
+// the explicit per-xApp dispatch deadline cuts it off — it just dwells, which
+// is exactly the failure mode the deadline and the breaker exist to contain.
 const slowXAppWATTemplate = `(module
   (import "waran" "output_write" (func $output_write (param i32 i32)))
   (memory (export "memory") 1)
@@ -79,11 +77,10 @@ type OverloadExpConfig struct {
 	// Pacing is the simulated slot interval for the tick driver (default
 	// 1 ms).
 	Pacing time.Duration
-	// Dwell is the slow-xApp measurement window per arm (default 3 s).
+	// Dwell is the slow-xApp measurement window (default 3 s).
 	Dwell time.Duration
-	// DwellAgents is the dwell arms' fleet size (default 32; the dwell arms
-	// measure xApp isolation, not admission, so they stay small enough that
-	// the guard-off arm finishes in bounded wall time).
+	// DwellAgents is the dwell arm's fleet size (default 32; it measures
+	// xApp isolation, not admission).
 	DwellAgents int
 	// StallIters is the slow xApp's spin length in loop iterations (default
 	// 1e6 — far past any sane dispatch deadline at interpreter speed).
@@ -154,12 +151,11 @@ func (c OverloadExpConfig) withDefaults() OverloadExpConfig {
 	return c
 }
 
-// OverloadDwell is one arm of the slow-xApp isolation comparison.
+// OverloadDwell is the slow-xApp isolation arm's report.
 type OverloadDwell struct {
-	Guard bool `json:"guard"`
 	// TickP99Ms is the p99 wall time of one full fleet tick (every agent's
-	// Tick called once). With the guard off a stalling xApp eventually backs
-	// the TCP stream up into these ticks; with it on they stay flat.
+	// Tick called once): flat as long as the stall never backs the TCP
+	// stream up into the agents.
 	TickP99Ms float64 `json:"tick_p99_ms"`
 	TickMaxMs float64 `json:"tick_max_ms"`
 	Ticks     int     `json:"ticks"`
@@ -171,7 +167,7 @@ type OverloadDwell struct {
 	SlowInvocations uint64 `json:"slow_invocations"`
 	SlowSkipped     uint64 `json:"slow_skipped"`
 	SlowFaults      uint64 `json:"slow_faults"`
-	SlowBreaker     string `json:"slow_breaker,omitempty"`
+	SlowBreaker     string `json:"slow_breaker"`
 	SlowDisabled    bool   `json:"slow_disabled"`
 }
 
@@ -205,8 +201,7 @@ type OverloadResult struct {
 	LedgerConserved bool          `json:"ledger_conserved"`
 
 	// --- slow-xApp isolation ----------------------------------------------
-	GuardOn  OverloadDwell `json:"guard_on"`
-	GuardOff OverloadDwell `json:"guard_off"`
+	GuardOn OverloadDwell `json:"guard_on"`
 
 	// Flight is the incident-journal digest when the experiment ran with
 	// the flight recorder armed.
@@ -251,8 +246,8 @@ func (o *overloadRAN) Apply(c *e2.ControlRequest) error {
 }
 
 // RunOverload runs the overload chaos experiment: a reconnect-storm arm
-// (kill + restart under admission control) followed by the two slow-xApp
-// dwell arms. A non-nil error flags a hard invariant violation (warmup or
+// (kill + restart under admission control) followed by the slow-xApp dwell
+// arm. A non-nil error flags a hard invariant violation (warmup or
 // reassociation failure, ledger imbalance); the partial result is still
 // returned for inspection.
 func RunOverload(cfg OverloadExpConfig) (*OverloadResult, error) {
@@ -266,7 +261,7 @@ func RunOverload(cfg OverloadExpConfig) (*OverloadResult, error) {
 	}
 
 	// With the flight knob armed, one recorder journals every arm (the
-	// restarted storm RIC and both dwell RICs share it) and anomaly
+	// restarted storm RIC and the dwell RIC share it) and anomaly
 	// triggers capture bundles along the way; the run fails unless the
 	// storm's admission refusals and the guarded dwell's breaker trip are
 	// both covered by a bundle.
@@ -300,10 +295,7 @@ func RunOverload(cfg OverloadExpConfig) (*OverloadResult, error) {
 	}
 
 	var err error
-	if res.GuardOn, err = runOverloadDwell(cfg, true, frec); err != nil {
-		return res, err
-	}
-	if res.GuardOff, err = runOverloadDwell(cfg, false, frec); err != nil {
+	if res.GuardOn, err = runOverloadDwell(cfg, frec); err != nil {
 		return res, err
 	}
 	if fcap != nil {
@@ -327,7 +319,7 @@ func RunOverload(cfg OverloadExpConfig) (*OverloadResult, error) {
 }
 
 // runOverloadStorm is the kill/restart arm: warm the fleet up against one
-// overloaded-guarded RIC, kill it, restart on the same address, and measure
+// RIC, kill it, restart on the same address, and measure
 // how the stampede re-admits.
 func runOverloadStorm(cfg OverloadExpConfig, res *OverloadResult, frec *flight.Recorder) error {
 	ran := &overloadRAN{}
@@ -546,19 +538,20 @@ func runOverloadStorm(cfg OverloadExpConfig, res *OverloadResult, frec *flight.R
 	return nil
 }
 
-// runOverloadDwell runs one slow-xApp isolation arm: DwellAgents agents
+// runOverloadDwell runs the slow-xApp isolation arm: DwellAgents agents
 // report every slot into a RIC hosting a stalling xApp ahead of the SLA
-// xApp, with the overload guard on or off.
-func runOverloadDwell(cfg OverloadExpConfig, guarded bool, frec *flight.Recorder) (OverloadDwell, error) {
-	dw := OverloadDwell{Guard: guarded}
+// xApp.
+func runOverloadDwell(cfg OverloadExpConfig, frec *flight.Recorder) (OverloadDwell, error) {
+	var dw OverloadDwell
 	ran := &overloadRAN{}
-
-	var ov *OverloadConfig
-	if guarded {
-		ov = &OverloadConfig{
+	r, err := New(Config{
+		ReportPeriodMs: 1, // report every slot: offered load well past a stalled dispatcher
+		Shards:         4,
+		KPMHistory:     NoKPMHistory,
+		Overload: &OverloadConfig{
 			// The dwell arm isolates the xApp guard: admission and source
 			// backpressure are the storm arm's subject, so they are disabled
-			// here to keep the two arms' offered load identical.
+			// here.
 			AdmitRate:    -1,
 			BusyPause:    -1,
 			XAppDeadline: cfg.XAppDeadline,
@@ -567,22 +560,16 @@ func runOverloadDwell(cfg OverloadExpConfig, guarded bool, frec *flight.Recorder
 			// a probe backoff past the window so measurements see a cleanly
 			// open breaker rather than probe churn.
 			Breaker: guard.BreakerConfig{MinSamples: 2, Backoff: cfg.Dwell + time.Second},
-		}
-	}
-	r, err := New(Config{
-		ReportPeriodMs: 1, // report every slot: offered load well past a stalled dispatcher
-		Shards:         4,
-		KPMHistory:     NoKPMHistory,
-		Overload:       ov,
-		Flight:         frec,
+		},
+		Flight: frec,
 	})
 	if err != nil {
 		return dw, err
 	}
 	slowSrc := fmt.Sprintf(slowXAppWATTemplate, cfg.StallIters)
 	// Installed first, the stall sits in front of the SLA xApp in dispatch
-	// order — without isolation every indication pays it before any useful
-	// work happens.
+	// order: until its breaker opens every indication pays it before any
+	// useful work happens.
 	slow, err := r.AddXAppWAT("slow", slowSrc, wabi.Policy{Fuel: 1 << 30})
 	if err != nil {
 		return dw, err
@@ -624,9 +611,7 @@ func runOverloadDwell(cfg OverloadExpConfig, guarded bool, frec *flight.Recorder
 		agents = append(agents, a)
 	}
 
-	// The measured loop: each tick sends one indication per agent. With the
-	// guard off the stall eventually fills the transport buffers and the
-	// send — hence the whole fleet tick — blocks behind the slow xApp.
+	// The measured loop: each tick sends one indication per agent.
 	var ticks []float64
 	start := time.Now()
 	end := start.Add(cfg.Dwell)

@@ -7,11 +7,11 @@ import (
 
 // TestRunOverloadSmall runs the full overload chaos experiment at reduced
 // scale: the fleet must fully reassociate after the kill+restart, both shed
-// ledgers must conserve exactly, and the guarded dwell arm must isolate the
-// stalling xApp (breaker open, not quarantined) while sustaining more useful
-// control throughput than the unguarded arm.
+// ledgers must conserve exactly, and the dwell arm must isolate the stalling
+// xApp (breaker open, not quarantined) while the healthy xApp behind it
+// answers the offered load.
 func TestRunOverloadSmall(t *testing.T) {
-	res, err := RunOverload(OverloadExpConfig{
+	cfg := OverloadExpConfig{
 		Agents:         32,
 		Shards:         4,
 		AdmitRate:      100,
@@ -27,7 +27,8 @@ func TestRunOverloadSmall(t *testing.T) {
 		StallIters:     600_000,
 		XAppDeadline:   time.Millisecond,
 		Seed:           7,
-	})
+	}
+	res, err := RunOverload(cfg)
 	if err != nil {
 		t.Fatalf("RunOverload: %v (result %+v)", err, res)
 	}
@@ -52,32 +53,29 @@ func TestRunOverloadSmall(t *testing.T) {
 			res.LedgerPreKill, res.Ledger)
 	}
 
-	// Slow-xApp isolation: with the guard on the breaker opens and skips the
-	// stall instead of quarantining the xApp.
-	on, off := res.GuardOn, res.GuardOff
+	// Slow-xApp isolation: the breaker opens and skips the stall instead of
+	// quarantining the xApp.
+	on := res.GuardOn
 	if on.SlowSkipped == 0 {
-		t.Fatalf("guard-on arm never skipped the stalled xApp: %+v", on)
+		t.Fatalf("dwell arm never skipped the stalled xApp: %+v", on)
 	}
 	if on.SlowDisabled {
-		t.Fatalf("guard-on arm quarantined the xApp instead of breaking it: %+v", on)
+		t.Fatalf("dwell arm quarantined the xApp instead of breaking it: %+v", on)
 	}
 	if on.SlowBreaker != "open" && on.SlowBreaker != "half-open" {
-		t.Fatalf("guard-on breaker state %q, want open/half-open", on.SlowBreaker)
+		t.Fatalf("dwell arm breaker state %q, want open/half-open", on.SlowBreaker)
 	}
-	// The guarded arm keeps useful work flowing around the stall; the
-	// unguarded arm serializes on it. The margin is enormous in practice
-	// (orders of magnitude); 2x keeps the assertion robust on loaded boxes.
-	if off.ControlsPerSec*2 > on.ControlsPerSec {
-		t.Fatalf("guard-on controls/sec %.1f not clearly above guard-off %.1f",
-			on.ControlsPerSec, off.ControlsPerSec)
-	}
-	if off.SlowSkipped != 0 || off.SlowBreaker != "" {
-		t.Fatalf("guard-off arm unexpectedly guarded: %+v", off)
+	// Useful work flows around the stall: the SLA xApp answers every
+	// delivered indication with one control, so controls applied track the
+	// indications offered (ticks x agents). A stall that serialized the RIC
+	// would apply a few hundredths of that (EXPERIMENTS.md, history row);
+	// half keeps the assertion robust on loaded boxes.
+	offered := float64(on.Ticks * cfg.DwellAgents)
+	if applied := on.ControlsPerSec * cfg.Dwell.Seconds(); applied < offered/2 {
+		t.Fatalf("dwell arm applied ~%.0f controls for %.0f offered indications: %+v", applied, offered, on)
 	}
 	t.Logf("reassoc99=%.0fms reassoc100=%.0fms wave=%.2f busyRefusals=%d", res.Reassoc99Ms,
 		res.Reassoc100Ms, res.MaxWaveFraction, res.BusyRefusals)
-	t.Logf("guard on:  tickP99=%.2fms controls/s=%.0f slow{inv=%d skip=%d breaker=%s}",
-		on.TickP99Ms, on.ControlsPerSec, on.SlowInvocations, on.SlowSkipped, on.SlowBreaker)
-	t.Logf("guard off: tickP99=%.2fms controls/s=%.0f slow{inv=%d}",
-		off.TickP99Ms, off.ControlsPerSec, off.SlowInvocations)
+	t.Logf("dwell: tickP99=%.2fms ticks=%d controls/s=%.0f slow{inv=%d skip=%d breaker=%s}",
+		on.TickP99Ms, on.Ticks, on.ControlsPerSec, on.SlowInvocations, on.SlowSkipped, on.SlowBreaker)
 }

@@ -53,8 +53,8 @@ type RIC struct {
 	shards    []*shard
 	nextShard atomic.Uint64 // metric-exempt: round-robin tiebreak, not telemetry
 
-	// ov is the overload-control state (nil when Config.Overload is nil):
-	// admission gates, shed ledger, brownout level. See overload.go.
+	// ov is the guard state every association passes: admission gates, shed
+	// ledger, brownout level. See overload.go.
 	ov *overload
 }
 
@@ -153,34 +153,32 @@ func (r *RIC) AddXApp(name string, mod *wabi.Module, policy wabi.Policy) (*XApp,
 	if policy.Fuel == 0 {
 		policy.Fuel = 10_000_000
 	}
-	x := &XApp{Name: name}
-	if ov := r.cfg.Overload; ov != nil {
-		// Slow-xApp isolation: bound every dispatch by a wall-clock deadline
-		// (a stalled guest traps with wabi.FailDeadline) and meter outcomes
-		// through a guard breaker so a persistently bad xApp is skipped.
-		if policy.CallTimeout == 0 && ov.XAppDeadline > 0 {
-			policy.CallTimeout = ov.XAppDeadline
-		}
-		x.breaker = guard.NewBreaker(ov.Breaker)
-		if rec := r.cfg.Flight; rec.Enabled() {
-			// Journal every breaker transition so a diagnostic bundle shows
-			// which xApp tripped, and when, relative to the brownout shifts
-			// and sheds around it.
-			xname := name
-			x.breaker.SetTransitionHook(func(from, to guard.State) {
-				cls := flight.EvBreakerClose
-				switch to {
-				case guard.Open:
-					cls = flight.EvBreakerOpen
-				case guard.HalfOpen:
-					cls = flight.EvBreakerHalfOpen
-				}
-				rec.Record(flight.Event{
-					Class: cls, Plane: flight.PlaneRIC,
-					Detail: xname + ": " + from.String() + "->" + to.String(),
-				})
+	// xApp isolation: every dispatch is bounded by Policy.Fuel (a spinning
+	// guest traps with wabi.FailFuel), optionally by a wall-clock deadline
+	// too, and outcomes are metered through a guard breaker so a
+	// persistently bad xApp is skipped.
+	ov := r.cfg.Overload
+	if policy.CallTimeout == 0 && ov.XAppDeadline > 0 {
+		policy.CallTimeout = ov.XAppDeadline
+	}
+	x := &XApp{Name: name, breaker: guard.NewBreaker(ov.Breaker)}
+	if rec := r.cfg.Flight; rec.Enabled() {
+		// Journal every breaker transition so a diagnostic bundle shows
+		// which xApp tripped, and when, relative to the brownout shifts
+		// and sheds around it.
+		x.breaker.SetTransitionHook(func(from, to guard.State) {
+			cls := flight.EvBreakerClose
+			switch to {
+			case guard.Open:
+				cls = flight.EvBreakerOpen
+			case guard.HalfOpen:
+				cls = flight.EvBreakerHalfOpen
+			}
+			rec.Record(flight.Event{
+				Class: cls, Plane: flight.PlaneRIC,
+				Detail: name + ": " + from.String() + "->" + to.String(),
 			})
-		}
+		})
 	}
 	env := wabi.Env{
 		HostFuncs: wasm.Imports{"ric": r.hostFuncs(x)},
@@ -370,8 +368,8 @@ type RICStats struct {
 	BatchFrames uint64 `json:"batch_frames"`
 	// LiveAssociations is the number of associations currently served.
 	LiveAssociations int64 `json:"live_associations"`
-	// RefusedAssociations counts associations turned away by full shard
-	// budgets.
+	// RefusedAssociations counts associations turned away at admission:
+	// critical brownout, an empty token bucket, or every shard budget full.
 	RefusedAssociations uint64 `json:"refused_associations"`
 }
 
@@ -399,8 +397,9 @@ func (r *RIC) ShardStats() []ShardStats {
 
 // Register exposes the RIC on reg: dispatch counters, per-shard
 // association fan-in instruments (one labelled series per shard), per-xApp
-// invocation accounting, the xApp module cache, and — when Assoc is set —
-// the association-resilience counters.
+// invocation accounting, the shed ledger and brownout counters, the xApp
+// module cache, and — when Assoc is set — the association-resilience
+// counters.
 func (r *RIC) Register(reg *obs.Registry, labels ...obs.Label) {
 	reg.MustRegister("waran_ric", "near-RT RIC indication/control dispatch counters", obs.Func{
 		Kind: obs.KindUntyped,
@@ -457,30 +456,28 @@ func (r *RIC) Register(reg *obs.Registry, labels ...obs.Label) {
 			return out
 		},
 	}, labels...)
-	if r.ov != nil {
-		reg.MustRegister("waran_ric_overload", "overload-control shed ledger and brownout counters", obs.Func{
-			Kind: obs.KindUntyped,
-			Collect: func() []obs.Sample {
-				s, _ := r.OverloadStats()
-				return []obs.Sample{
-					{Suffix: "_offered_total", Value: float64(s.Offered)},
-					{Suffix: "_delivered_total", Value: float64(s.Delivered)},
-					{Suffix: "_shed_overflow_total", Value: float64(s.ShedOverflow)},
-					{Suffix: "_shed_stale_total", Value: float64(s.ShedStale)},
-					{Suffix: "_shed_teardown_total", Value: float64(s.ShedTeardown)},
-					{Suffix: "_refused_late_total", Value: float64(s.RefusedLate)},
-					{Suffix: "_busy_admission_refusals_total", Value: float64(s.BusyAdmission)},
-					{Suffix: "_refused_subscriptions_total", Value: float64(s.RefusedSubscriptions)},
-					{Suffix: "_busy_backpressure_frames_total", Value: float64(s.BusyBackpressure)},
-					{Suffix: "_shard_spills_total", Value: float64(s.Spills)},
-					{Suffix: "_brownout_transitions_total", Value: float64(s.BrownoutTransitions)},
-					{Suffix: "_brownout_level", Value: float64(r.ov.level.Load())},
-					{Suffix: "_dispatch_p99_ms", Value: s.DispatchP99Ms},
-				}
-			},
-			JSON: func() any { s, _ := r.OverloadStats(); return s },
-		}, labels...)
-	}
+	reg.MustRegister("waran_ric_overload", "overload-control shed ledger and brownout counters", obs.Func{
+		Kind: obs.KindUntyped,
+		Collect: func() []obs.Sample {
+			s, _ := r.OverloadStats()
+			return []obs.Sample{
+				{Suffix: "_offered_total", Value: float64(s.Offered)},
+				{Suffix: "_delivered_total", Value: float64(s.Delivered)},
+				{Suffix: "_shed_overflow_total", Value: float64(s.ShedOverflow)},
+				{Suffix: "_shed_stale_total", Value: float64(s.ShedStale)},
+				{Suffix: "_shed_teardown_total", Value: float64(s.ShedTeardown)},
+				{Suffix: "_refused_late_total", Value: float64(s.RefusedLate)},
+				{Suffix: "_busy_admission_refusals_total", Value: float64(s.BusyAdmission)},
+				{Suffix: "_refused_subscriptions_total", Value: float64(s.RefusedSubscriptions)},
+				{Suffix: "_busy_backpressure_frames_total", Value: float64(s.BusyBackpressure)},
+				{Suffix: "_shard_spills_total", Value: float64(s.Spills)},
+				{Suffix: "_brownout_transitions_total", Value: float64(s.BrownoutTransitions)},
+				{Suffix: "_brownout_level", Value: float64(r.ov.level.Load())},
+				{Suffix: "_dispatch_p99_ms", Value: s.DispatchP99Ms},
+			}
+		},
+		JSON: func() any { s, _ := r.OverloadStats(); return s },
+	}, labels...)
 	r.Modules.Register(reg, labels...)
 	if r.cfg.Assoc != nil {
 		r.cfg.Assoc.Register(reg, labels...)
@@ -542,48 +539,36 @@ func (r *RIC) Serve(lis *e2.Listener, stop <-chan struct{}) error {
 // closed, or (with HeartbeatInterval set) liveness fails. Control acks and
 // heartbeat echoes are consumed and counted. Closing stop closes the conn
 // so a Recv blocked on a silent peer returns promptly. The association
-// occupies one slot of its shard's goroutine budget; a full shard refuses
-// the association — with an e2 error frame, or, when overload control is
-// enabled and every shard is full, with a TypeBusy retry-after hint.
+// occupies one slot of a shard's goroutine budget.
 //
-// With overload control enabled, admission additionally passes the shard's
-// token bucket (refusals carry a retry-after hint sized to the bucket's
-// refill) and a critically browned-out RIC refuses the association outright,
-// so a reconnect stampede after a RIC restart ramps at AdmitRate per shard.
+// Admission runs three gates in order, each refusing with a TypeBusy
+// retry-after hint: a critically browned-out RIC refuses outright; the hashed
+// shard's token bucket (hint sized to its refill) turns a reconnect stampede
+// after a RIC restart into a ramp at AdmitRate per shard; and the shard
+// budget, spilling onto any shard with room, refuses only when every shard
+// is full.
 func (r *RIC) ServeConn(conn *e2.Conn, stop <-chan struct{}) error {
 	hashed := r.shardFor(conn)
-	if r.ov != nil {
-		if lvl := r.ov.Level(); lvl >= BrownoutCritical {
-			hashed.refused.Inc()
-			r.ov.refusedSubs.Inc()
-			r.recordAdmissionRefused("brownout-critical")
-			_ = conn.Send(e2.NewBusyMessage(r.ov.cfg.RetryAfter, "ric: brownout critical, refusing new subscriptions"))
-			conn.Close()
-			return fmt.Errorf("ric: refusing association at brownout %s", lvl)
-		}
-		if ok, retryAfter := r.ov.admitAssoc(hashed.id, time.Now()); !ok {
-			hashed.refused.Inc()
-			r.ov.busyAdmission.Inc()
-			r.recordAdmissionRefused("token-bucket")
-			_ = conn.Send(e2.NewBusyMessage(retryAfter, fmt.Sprintf("ric: shard %d admission", hashed.id)))
-			conn.Close()
-			return fmt.Errorf("ric: shard %d admission gate closed (retry in %v)", hashed.id, retryAfter)
-		}
+	refuse := func(counter *metrics.Counter, gate string, retryAfter time.Duration, reason string) error {
+		hashed.refused.Inc()
+		counter.Inc()
+		r.recordAdmissionRefused(gate)
+		_ = conn.Send(e2.NewBusyMessage(retryAfter, "ric: "+reason))
+		conn.Close()
+		return fmt.Errorf("ric: refusing association: %s (retry in %v)", reason, retryAfter)
+	}
+	if lvl := r.ov.Level(); lvl >= BrownoutCritical {
+		return refuse(&r.ov.refusedSubs, "brownout-critical", r.ov.cfg.RetryAfter,
+			fmt.Sprintf("brownout %s, refusing new subscriptions", lvl))
+	}
+	if ok, retryAfter := r.ov.admitAssoc(hashed.id, time.Now()); !ok {
+		return refuse(&r.ov.busyAdmission, "token-bucket", retryAfter,
+			fmt.Sprintf("shard %d admission gate closed", hashed.id))
 	}
 	sh, ok := r.acquireShard(hashed)
 	if !ok {
-		hashed.refused.Inc()
-		if r.ov != nil {
-			r.ov.busyAdmission.Inc()
-			r.recordAdmissionRefused("budget-exhausted")
-			_ = conn.Send(e2.NewBusyMessage(r.ov.cfg.RetryAfter, fmt.Sprintf("ric: shard %d association budget exhausted", hashed.id)))
-		} else {
-			_ = conn.Send(&e2.Message{Type: e2.TypeError, Error: &e2.ErrorBody{
-				Reason: fmt.Sprintf("ric: shard %d association budget exhausted", hashed.id),
-			}})
-		}
-		conn.Close()
-		return fmt.Errorf("ric: shard %d association budget (%d) exhausted", hashed.id, cap(hashed.sem))
+		return refuse(&r.ov.busyAdmission, "budget-exhausted", r.ov.cfg.RetryAfter,
+			fmt.Sprintf("shard %d association budget (%d) exhausted", hashed.id, cap(hashed.sem)))
 	}
 	defer func() { <-sh.sem }()
 	sh.assocTotal.Inc()
@@ -622,9 +607,6 @@ func (r *RIC) subscriptionMsg(reportPeriodMs uint32) *e2.Message {
 	if !r.cfg.DisableBatching {
 		sub.RANFunction |= e2.BatchCapabilityBit
 	}
-	if r.ov != nil {
-		sub.RANFunction |= e2.BusyCapabilityBit
-	}
 	return sub
 }
 
@@ -642,20 +624,14 @@ func (r *RIC) serveConn(sh *shard, conn *e2.Conn, stop <-chan struct{}) error {
 	go r.supervise(conn, stop, recvDone, superviseDone, &stopped, &dead)
 	defer func() { close(recvDone); <-superviseDone }()
 
-	// With overload control enabled, KPM indications take the queued path:
-	// the receive loop only enqueues (so a slow dispatch can never back the
-	// TCP stream up into the agent) and the dispatcher drains through the
-	// same deliver path, shedding by policy. Control acks, heartbeats and
-	// errors are still handled inline — they are never queued, never shed.
-	var q *assocQueue
-	var busyCapable atomic.Bool
-	if r.ov != nil {
-		q = newAssocQueue(r.ov.cfg.QueueDepth)
-		go r.dispatchLoop(sh, conn, q, &busyCapable)
-		defer func() { close(q.quit); <-q.done }()
-	}
+	// The receive loop only enqueues KPM indications (so a slow dispatch can
+	// never back the TCP stream up into the agent); the dispatcher drains
+	// the bounded queue, shedding by policy. Control acks, heartbeats and
+	// errors are handled inline — they are never queued, never shed.
+	q := newAssocQueue(r.ov.cfg.QueueDepth)
+	go r.dispatchLoop(sh, conn, q)
+	defer func() { close(q.quit); <-q.done }()
 
-	reqID := uint32(100)
 	assocTraced := false // agent answered with e2.TraceCapabilityToken
 	for {
 		m, err := conn.Recv()
@@ -680,36 +656,21 @@ func (r *RIC) serveConn(sh *shard, conn *e2.Conn, stop <-chan struct{}) error {
 			// (inside the Reason's capability token list) does.
 			assocTraced = r.cfg.Tracer.Enabled() &&
 				e2.HasCapabilityToken(m.SubscriptionResp.Reason, e2.TraceCapabilityToken)
-			busyCapable.Store(e2.HasCapabilityToken(m.SubscriptionResp.Reason, e2.OverloadCapabilityToken))
 		case e2.TypeIndication:
 			ctx := r.decodeCtx(conn, m.Trace, assocTraced, m.Indication.Slot, m.Indication.Cell)
-			if q != nil {
-				r.enqueueIndication(q, queuedInd{ind: m.Indication, ctx: ctx, enq: time.Now()})
-				continue
-			}
-			if err := r.deliver(sh, conn, m.Indication, ctx, &reqID); err != nil {
-				return err
-			}
+			r.enqueueIndication(q, queuedInd{ind: m.Indication, ctx: ctx, enq: time.Now()})
 		case e2.TypeIndicationBatch:
-			// Unbatch in arrival order through the exact per-indication
-			// path, so batched delivery is indistinguishable to xApps.
+			// Unbatch in arrival order into the per-indication queue, so
+			// batched delivery is indistinguishable to xApps.
 			sh.batchFrames.Inc()
 			inds := m.Batch.Indications
 			ctx := trace.Context{}
 			if len(inds) > 0 {
 				ctx = r.decodeCtx(conn, m.Trace, assocTraced, inds[0].Slot, inds[0].Cell)
 			}
-			if q != nil {
-				now := time.Now()
-				for i := range inds {
-					r.enqueueIndication(q, queuedInd{ind: &inds[i], ctx: ctx, enq: now})
-				}
-				continue
-			}
+			now := time.Now()
 			for i := range inds {
-				if err := r.deliver(sh, conn, &inds[i], ctx, &reqID); err != nil {
-					return err
-				}
+				r.enqueueIndication(q, queuedInd{ind: &inds[i], ctx: ctx, enq: now})
 			}
 		case e2.TypeControlAck, e2.TypeHeartbeat:
 			// Counted implicitly by the transport; nothing to do.
@@ -740,16 +701,16 @@ func (r *RIC) decodeCtx(conn *e2.Conn, wire trace.Context, assocTraced bool, slo
 }
 
 // deliver dispatches one per-slot indication to the xApps and sends the
-// resulting controls back on the association.
-func (r *RIC) deliver(sh *shard, conn *e2.Conn, ind *e2.Indication, ctx trace.Context, reqID *uint32) error {
+// resulting controls back on the association, stopping at the first send
+// the dying conn refuses.
+func (r *RIC) deliver(sh *shard, conn *e2.Conn, ind *e2.Indication, ctx trace.Context, reqID *uint32) {
 	controls, cctx := r.handleIndicationOn(sh, ind, ctx)
 	for i := range controls {
 		*reqID++
-		if err := r.SendControl(conn, *reqID, &controls[i], cctx); err != nil {
-			return err
+		if r.SendControl(conn, *reqID, &controls[i], cctx) != nil {
+			return
 		}
 	}
-	return nil
 }
 
 // supervise watches one association from the side: it closes the conn when

@@ -411,15 +411,21 @@ func TestE2EFaultyAssociationRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Liveness is wall clock, so a scheduling stall longer than the silence
+	// bound kills an association before its fault fires (under -race on one P
+	// a 3 ms heartbeat lost nearly every association that way). Each fault
+	// therefore triggers within the first handful of writes — the handshake
+	// and the first report or two — and the heartbeat leaves 30 ms of silence
+	// before either side gives up.
 	res, err := RunE2Faults(E2FaultsConfig{
 		Slots:     2000,
-		Heartbeat: 3 * time.Millisecond,
+		Heartbeat: 10 * time.Millisecond,
 		Pacing:    100 * time.Microsecond,
 		Seed:      7,
 		Faults: []e2.FaultConfig{
-			{BlackholeAfterWrites: 31}, // half-open: only liveness catches it
-			{ResetAfterWrites: 25},     // abrupt reset mid-association
-			{DropProb: 0.2},            // lossy: desyncs the RIC's framing
+			{BlackholeAfterWrites: 7}, // half-open: only liveness catches it
+			{ResetAfterWrites: 9},     // abrupt reset mid-association
+			{DropProb: 0.5},           // lossy: desyncs the RIC's framing
 		},
 	}, gnb, func(uint64) { gnb.Step() })
 	if err != nil {

@@ -28,14 +28,16 @@ type XApp struct {
 	Name   string
 	plugin *wabi.Plugin
 
-	// breaker, when non-nil (overload control enabled), is the xApp's
-	// guard-style circuit: a stalling or faulting xApp trips it open and is
-	// skipped (at zero dispatch cost) until its probes succeed again, so
-	// one bad xApp cannot back up a shard's fan-in.
+	// breaker is the xApp's guard-style circuit: a stalling or faulting xApp
+	// trips it open and is skipped (at zero dispatch cost) until its probes
+	// succeed again, so one bad xApp cannot back up a shard's fan-in.
 	breaker *guard.Breaker
 
-	// callMu serializes sandbox invocations: one RIC may serve several E2
-	// associations concurrently, but a plugin instance is single-threaded.
+	// callMu serializes sandbox invocations — one RIC serves several E2
+	// associations concurrently, but a plugin instance is single-threaded —
+	// and makes the breaker gate, the call, its outcome and the quarantine
+	// count one decision (see invoke). mu guards the fields below for
+	// readers and for host calls made from inside a sandbox call.
 	callMu            sync.Mutex
 	mu                sync.Mutex
 	mailbox           [][]byte
@@ -60,8 +62,8 @@ type XAppStats struct {
 	// Skipped counts dispatches bypassed while the xApp's breaker was open.
 	Skipped  uint64 `json:"skipped"`
 	Disabled bool   `json:"disabled"`
-	// BreakerState is the guard breaker state label ("" without a breaker).
-	BreakerState string `json:"breaker_state,omitempty"`
+	// BreakerState is the guard breaker state label.
+	BreakerState string `json:"breaker_state"`
 }
 
 // Stats returns invocation and fault counters.
@@ -69,14 +71,11 @@ func (x *XApp) Stats() XAppStats {
 	x.mu.Lock()
 	s := XAppStats{Invocations: x.invocations, Faults: x.totalFaults, Skipped: x.skipped, Disabled: x.disabled}
 	x.mu.Unlock()
-	if x.breaker != nil {
-		s.BreakerState = x.breaker.State().String()
-	}
+	s.BreakerState = x.breaker.State().String()
 	return s
 }
 
-// Breaker exposes the xApp's circuit breaker (nil when overload control is
-// disabled).
+// Breaker exposes the xApp's circuit breaker.
 func (x *XApp) Breaker() *guard.Breaker { return x.breaker }
 
 // Plugin exposes the underlying sandbox.
@@ -155,63 +154,59 @@ func (r *RIC) hostFuncs(self *XApp) map[string]*wasm.HostFunc {
 // control actions. Faults are contained and counted; a quarantined xApp
 // returns no actions.
 func (x *XApp) invoke(r *RIC, indication []byte) ([]e2.ControlRequest, error) {
+	list, err := x.call(indication)
+	if err != nil {
+		if r.cfg.OnFault != nil {
+			r.cfg.OnFault(x.Name, err)
+		}
+		return nil, fmt.Errorf("ric: xApp %q: %w", x.Name, err)
+	}
+	return list, nil
+}
+
+// call is one dispatch decision. The breaker gate, the sandbox call, the
+// breaker's record of its outcome and the consecutive-fault count all happen
+// under callMu: a dispatch that queued behind the calls that tripped the
+// breaker sees it open and is skipped, so it can neither run nor count
+// toward the blunt quarantine the breaker exists to pre-empt.
+func (x *XApp) call(indication []byte) ([]e2.ControlRequest, error) {
+	x.callMu.Lock()
+	defer x.callMu.Unlock()
 	x.mu.Lock()
-	if x.disabled {
-		x.mu.Unlock()
+	disabled := x.disabled
+	x.mu.Unlock()
+	if disabled {
 		return nil, nil
 	}
 	// An open breaker skips the dispatch outright: the stalled xApp costs
 	// the fan-in nothing until a half-open probe proves it healthy again.
-	if x.breaker != nil && !x.breaker.Allow() {
-		x.skipped++
-		x.mu.Unlock()
-		return nil, nil
-	}
-	x.mu.Unlock()
-
-	x.callMu.Lock()
-	// Several associations dispatch concurrently, so this dispatch may have
-	// queued behind the very calls that tripped the breaker. It is skipped
-	// like one arriving now: otherwise the queued stragglers all run, fault,
-	// and reach the blunt consecutive-fault quarantine the breaker exists to
-	// pre-empt.
-	if x.breaker != nil && x.breaker.State() == guard.Open {
-		x.callMu.Unlock()
-		x.mu.Lock()
-		x.skipped++
-		x.mu.Unlock()
-		return nil, nil
-	}
+	run := x.breaker.Allow()
 	x.mu.Lock()
-	x.invocations++
+	if run {
+		x.invocations++
+	} else {
+		x.skipped++
+	}
 	x.mu.Unlock()
+	if !run {
+		return nil, nil
+	}
+	var list []e2.ControlRequest
 	out, err := x.plugin.Call(XAppEntry, indication)
-	x.callMu.Unlock()
 	if err == nil {
-		var list []e2.ControlRequest
 		list, err = e2.DecodeControlList(out)
-		if err == nil {
-			if x.breaker != nil {
-				x.breaker.Record(wabi.FailNone)
-			}
-			x.mu.Lock()
-			x.consecutiveFaults = 0
-			x.mu.Unlock()
-			return list, nil
-		}
 	}
-	if x.breaker != nil {
-		x.breaker.Record(wabi.ClassOf(err))
-	}
+	x.breaker.Record(wabi.ClassOf(err))
 	x.mu.Lock()
-	x.totalFaults++
-	x.consecutiveFaults++
-	if x.consecutiveFaults >= DefaultXAppQuarantine {
-		x.disabled = true
+	defer x.mu.Unlock()
+	if err != nil {
+		x.totalFaults++
+		x.consecutiveFaults++
+		if x.consecutiveFaults >= DefaultXAppQuarantine {
+			x.disabled = true
+		}
+		return nil, err
 	}
-	x.mu.Unlock()
-	if r.cfg.OnFault != nil {
-		r.cfg.OnFault(x.Name, err)
-	}
-	return nil, fmt.Errorf("ric: xApp %q: %w", x.Name, err)
+	x.consecutiveFaults = 0
+	return list, nil
 }
