@@ -28,8 +28,10 @@ check: build lint-metrics
 
 ## check-flake: the slot path's and the control loop's packages, 20 times
 ## under the race detector at one and at two Ps — a test that cannot pass
-## 20/20 at both is a flake to fix or delete, not to rerun.
-FLAKE_PKGS = ./internal/core ./internal/sched ./internal/wabi ./internal/plugins ./internal/ric ./internal/e2
+## 20/20 at both is a flake to fix or delete, not to rerun. slicing and obs
+## are in for their sharing contracts: slice-owned response storage,
+## ring-owned event storage.
+FLAKE_PKGS = ./internal/core ./internal/sched ./internal/wabi ./internal/plugins ./internal/ric ./internal/e2 ./internal/slicing ./internal/obs
 check-flake:
 	GOMAXPROCS=1 $(GO) test -race -count=20 -timeout 60m $(FLAKE_PKGS)
 	GOMAXPROCS=2 $(GO) test -race -count=20 -timeout 60m $(FLAKE_PKGS)

@@ -67,6 +67,7 @@ type CellGroup struct {
 	consecOver []int
 	pinned     []bool
 	slot       uint64
+	results    []SlotResult // what StepAll returns, refilled every slot
 
 	// flight is the incident journal (nil = off). Set via SetFlightRecorder
 	// before the slot loop starts; stepCell reads it without synchronization
@@ -106,6 +107,7 @@ func NewCellGroup(cell ran.CellConfig, cfg CellGroupConfig) (*CellGroup, error) 
 		watch:      make([]*metrics.DeadlineMeter, cfg.Cells),
 		consecOver: make([]int, cfg.Cells),
 		pinned:     make([]bool, cfg.Cells),
+		results:    make([]SlotResult, cfg.Cells),
 	}
 	for i := range cg.cells {
 		g, err := NewGNB(cell)
@@ -145,8 +147,10 @@ func (cg *CellGroup) parallelism() int {
 // cell's step is timed against the slot deadline; overruns are recorded in
 // the cell's DeadlineMeter and, when FallbackOnOverrun is set, pin the cell
 // to native fallback scheduling after OverrunThreshold consecutive misses.
+// The returned slice and every SlotResult in it are the group's and the
+// cells' own storage, valid until the next StepAll.
 func (cg *CellGroup) StepAll() []SlotResult {
-	results := make([]SlotResult, len(cg.cells))
+	results := cg.results
 	if par := cg.parallelism(); par > 1 {
 		cg.stepStripes(par, results)
 	} else {
@@ -220,7 +224,7 @@ func (cg *CellGroup) stepCell(i int, results []SlotResult) {
 }
 
 // RunSlots advances the group n slots, invoking observe (if non-nil) per
-// cell per slot.
+// cell per slot. Each result is valid for the duration of that observe call.
 func (cg *CellGroup) RunSlots(n int, observe func(cell int, r SlotResult)) {
 	for i := 0; i < n; i++ {
 		res := cg.StepAll()

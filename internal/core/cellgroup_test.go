@@ -113,7 +113,7 @@ func TestCellGroupDeterminism(t *testing.T) {
 		}
 		populateCell(t, g, i)
 		for s := 0; s < slots; s++ {
-			serial[i] = append(serial[i], g.Step())
+			serial[i] = append(serial[i], g.Step().Clone())
 		}
 	}
 

@@ -6,6 +6,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -42,6 +43,7 @@ type GNB struct {
 	slot      uint64
 	sliceRate map[uint32]float64 // served-rate EWMA per slice, for E2 KPM
 	obsv      *gnbObs            // set by EnableObservability, nil otherwise
+	scratch   slotScratch
 
 	// Causal tracing (EnableTracing). effect is the armed slot.effect span:
 	// set when a traced control is applied, closed at the end of the next
@@ -51,6 +53,17 @@ type GNB struct {
 	tracer    *trace.Tracer
 	traceCell uint32
 	effect    *effectArm
+}
+
+// slotScratch is everything Step builds anew each slot, kept so that a
+// steady-state slot allocates nothing: it is overwritten under mu by the
+// next Step, which is why a SlotResult is valid only until then.
+type slotScratch struct {
+	slices  []*slicing.Slice    // this slot's slice list, registration order
+	reqs    []sched.Request     // one per slice; reqs[i].UEs is the slice's UE view
+	demands []sched.SliceDemand // one per slice
+	res     SlotResult          // the maps every Step clears and refills
+	event   obs.SlotEvent       // the trace entry, copied into the ring
 }
 
 // effectArm is a pending slot.effect span: the decision it closes and when
@@ -76,6 +89,10 @@ func NewGNB(cell ran.CellConfig) (*GNB, error) {
 		Modules:   wabi.NewModuleCache(),
 		byID:      make(map[uint32]*ran.UE),
 		sliceRate: make(map[uint32]float64),
+		scratch: slotScratch{res: SlotResult{
+			PerUE:    make(map[uint32]UEGrant),
+			PerSlice: make(map[uint32]SliceSlot),
+		}},
 	}, nil
 }
 
@@ -192,24 +209,32 @@ type SliceSlot struct {
 	UsedFallback bool
 }
 
-// SlotResult reports everything that happened in one slot.
+// SlotResult reports everything that happened in one slot. Its maps are the
+// cell's own slot scratch: a result is valid until that cell's next Step,
+// which clears and refills them. Clone what must outlive it.
 type SlotResult struct {
 	Slot     uint64
 	PerUE    map[uint32]UEGrant
 	PerSlice map[uint32]SliceSlot
 }
 
+// Clone returns a copy that the cell's next Step leaves alone.
+func (r SlotResult) Clone() SlotResult {
+	return SlotResult{Slot: r.Slot, PerUE: maps.Clone(r.PerUE), PerSlice: maps.Clone(r.PerSlice)}
+}
+
 // Step advances the gNB by one slot: traffic and channel evolution,
 // inter-slice division, intra-slice decisions (with fault protection), and
-// grant application.
+// grant application. The result is valid until the next Step (see
+// SlotResult).
 func (g *GNB) Step() SlotResult {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	res := SlotResult{
-		Slot:     g.slot,
-		PerUE:    make(map[uint32]UEGrant, len(g.ues)+len(g.fleetWin)),
-		PerSlice: make(map[uint32]SliceSlot),
-	}
+	sc := &g.scratch
+	res := sc.res
+	res.Slot = g.slot
+	clear(res.PerUE)
+	clear(res.PerSlice)
 
 	o := g.obsv
 	var slotStart time.Time
@@ -217,7 +242,8 @@ func (g *GNB) Step() SlotResult {
 	if o != nil {
 		slotStart = time.Now()
 		if o.ring != nil {
-			ev = &obs.SlotEvent{}
+			ev = &sc.event
+			*ev = obs.SlotEvent{Slices: ev.Slices[:0]}
 		}
 	}
 
@@ -235,11 +261,14 @@ func (g *GNB) Step() SlotResult {
 	}
 
 	// 2. Build per-slice UE views and demands.
-	slices := g.Slices.Slices()
-	ueViews := make(map[uint32][]sched.UEInfo, len(slices))
-	demands := make([]sched.SliceDemand, 0, len(slices))
-	for _, s := range slices {
-		var view []sched.UEInfo
+	sc.slices = g.Slices.AppendSlices(sc.slices[:0])
+	slices := sc.slices
+	for len(sc.reqs) < len(slices) {
+		sc.reqs = append(sc.reqs, sched.Request{})
+	}
+	sc.demands = sc.demands[:0]
+	for i, s := range slices {
+		view := sc.reqs[i].UEs[:0]
 		var demandPRBs uint64
 		for _, pool := range [2][]*ran.UE{g.ues, g.fleetWin} {
 			for _, u := range pool {
@@ -247,20 +276,19 @@ func (g *GNB) Step() SlotResult {
 					continue
 				}
 				per := uint32(g.Cell.BitsPerPRB(u.MCS))
-				info := sched.UEInfo{
+				view = append(view, sched.UEInfo{
 					ID:          u.ID,
 					MCS:         int32(u.MCS),
 					BitsPerPRB:  per,
 					BufferBytes: u.BufferBytes(),
 					AvgTputBps:  u.AvgTputBps,
-				}
-				view = append(view, info)
+				})
 				if per > 0 && u.BufferBits > 0 {
 					demandPRBs += (uint64(u.BufferBits) + uint64(per) - 1) / uint64(per)
 				}
 			}
 		}
-		ueViews[s.ID] = view
+		sc.reqs[i].UEs = view
 		d := sched.SliceDemand{
 			SliceID:       s.ID,
 			TargetRateBps: s.TargetRate(),
@@ -271,7 +299,7 @@ func (g *GNB) Step() SlotResult {
 			demandPRBs = uint64(g.Cell.PRBs)
 		}
 		d.DemandPRBs = uint32(demandPRBs)
-		demands = append(demands, d)
+		sc.demands = append(sc.demands, d)
 	}
 
 	// 3. Inter-slice division.
@@ -279,22 +307,18 @@ func (g *GNB) Step() SlotResult {
 	if inter == nil {
 		inter = sched.TargetRate{}
 	}
-	shares := inter.Divide(g.slot, uint32(g.Cell.PRBs), demands)
+	shares := inter.Divide(g.slot, uint32(g.Cell.PRBs), sc.demands)
 
 	// 4. Intra-slice decisions and grant application.
-	for _, s := range slices {
+	for i, s := range slices {
 		budget := shares[s.ID]
 		ss := SliceSlot{BudgetPRBs: budget}
-		if budget == 0 || len(ueViews[s.ID]) == 0 {
+		req := &sc.reqs[i]
+		if budget == 0 || len(req.UEs) == 0 {
 			res.PerSlice[s.ID] = ss
 			continue
 		}
-		req := &sched.Request{
-			SliceID:   s.ID,
-			Slot:      g.slot,
-			PRBBudget: budget,
-			UEs:       ueViews[s.ID],
-		}
+		req.SliceID, req.Slot, req.PRBBudget = s.ID, g.slot, budget
 		before := s.Stats().FallbackSlots
 		var schedStart time.Time
 		if o != nil {
@@ -335,7 +359,7 @@ func (g *GNB) Step() SlotResult {
 		}
 		res.PerSlice[s.ID] = ss
 		if o != nil {
-			o.observeSlice(ev, s, ss, time.Since(schedStart))
+			o.observeSlice(ev, s, ss, resp.FuelUsed, time.Since(schedStart))
 		}
 	}
 
@@ -391,7 +415,8 @@ func (g *GNB) EnableTracing(tr *trace.Tracer, cell uint32) {
 	}
 }
 
-// RunSlots advances n slots, invoking observe (if non-nil) per slot.
+// RunSlots advances n slots, invoking observe (if non-nil) per slot. Each
+// result is valid for the duration of that observe call.
 func (g *GNB) RunSlots(n int, observe func(SlotResult)) {
 	for i := 0; i < n; i++ {
 		r := g.Step()

@@ -6,13 +6,12 @@ import (
 	"time"
 
 	"waran/internal/obs"
-	"waran/internal/sched"
 	"waran/internal/slicing"
 )
 
 // gnbObs holds one gNB's registered instruments plus the shared trace ring.
 // It is created by EnableObservability and read by Step on the cell's slot
-// goroutine; the lazily created per-slice counters are the only shared
+// goroutine; the lazily created per-slice instruments are the only shared
 // mutable state and carry their own lock.
 type gnbObs struct {
 	reg      *obs.Registry
@@ -25,8 +24,15 @@ type gnbObs struct {
 	fallbacks   *obs.Counter
 	fuel        *obs.Histogram
 
-	mu        sync.Mutex
-	prbGrants map[uint32]*obs.Counter
+	mu       sync.Mutex
+	perSlice map[uint32]*sliceObs
+}
+
+// sliceObs is what observeSlice needs per slice and would otherwise rebuild
+// every slot: the PRB-grant counter and the slice's label string.
+type sliceObs struct {
+	label  string
+	grants *obs.Counter
 }
 
 // EnableObservability registers this gNB's slot instruments on reg under
@@ -46,43 +52,48 @@ func (g *GNB) EnableObservability(reg *obs.Registry, ring *obs.TraceRing, cell i
 		overruns:    reg.Counter("waran_slot_overruns_total", "slots exceeding the deadline budget", cellLabel),
 		fallbacks:   reg.Counter("waran_slice_fallback_slots_total", "slice-slots served by the native fallback scheduler", cellLabel),
 		fuel:        reg.Histogram("waran_plugin_fuel_per_call", "fuel consumed per intra-slice plugin call", cellLabel),
-		prbGrants:   make(map[uint32]*obs.Counter),
+		perSlice:    make(map[uint32]*sliceObs),
 	}
 	g.mu.Lock()
 	g.obsv = o
 	g.mu.Unlock()
 }
 
-// grantCounter returns the per-slice PRB-grant counter, creating the series
-// on first sight of the slice.
-func (o *gnbObs) grantCounter(sliceID uint32) *obs.Counter {
+// slice returns the per-slice instruments, creating the counter series on
+// first sight of the slice.
+func (o *gnbObs) slice(sliceID uint32) *sliceObs {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	c, ok := o.prbGrants[sliceID]
+	so, ok := o.perSlice[sliceID]
 	if !ok {
-		c = o.reg.Counter("waran_sched_granted_prbs_total", "PRBs granted by intra-slice schedulers",
-			obs.L("cell", strconv.Itoa(o.cell)), obs.L("slice", strconv.FormatUint(uint64(sliceID), 10)))
-		o.prbGrants[sliceID] = c
+		label := strconv.FormatUint(uint64(sliceID), 10)
+		so = &sliceObs{
+			label: label,
+			grants: o.reg.Counter("waran_sched_granted_prbs_total", "PRBs granted by intra-slice schedulers",
+				obs.L("cell", strconv.Itoa(o.cell)), obs.L("slice", label)),
+		}
+		o.perSlice[sliceID] = so
 	}
-	return c
+	return so
 }
 
 // observeSlice records one slice's outcome: PRB grants, fallback and fuel
-// accounting, plus the trace entry when tracing is on.
-func (o *gnbObs) observeSlice(ev *obs.SlotEvent, s *slicing.Slice, ss SliceSlot, wall time.Duration) {
-	o.grantCounter(s.ID).Add(uint64(ss.GrantedPRBs))
+// accounting, plus the trace entry when tracing is on. fuelUsed is the
+// decision's own (sched.Response.FuelUsed): a scheduler shared by cells
+// stepped in parallel cannot say whose call its last one was.
+func (o *gnbObs) observeSlice(ev *obs.SlotEvent, s *slicing.Slice, ss SliceSlot, fuelUsed int64, wall time.Duration) {
+	so := o.slice(s.ID)
+	so.grants.Add(uint64(ss.GrantedPRBs))
 	if ss.UsedFallback {
 		o.fallbacks.Inc()
+		fuelUsed = 0
 	}
-	var fuelUsed int64
-	if fr, ok := s.Scheduler().(sched.FuelReporter); ok && !ss.UsedFallback {
-		if fuelUsed = fr.LastFuelUsed(); fuelUsed > 0 {
-			o.fuel.Observe(float64(fuelUsed))
-		}
+	if fuelUsed > 0 {
+		o.fuel.Observe(float64(fuelUsed))
 	}
 	if ev != nil {
 		ev.Slices = append(ev.Slices, obs.SliceTrace{
-			Slice:    strconv.FormatUint(uint64(s.ID), 10),
+			Slice:    so.label,
 			Sched:    s.SchedulerName(),
 			PRBs:     int(ss.GrantedPRBs),
 			Bits:     int(ss.Bits),

@@ -44,7 +44,11 @@ func TestMulticellTierDecisionsIdentical(t *testing.T) {
 		}
 		var seq [][]SlotResult
 		for i := 0; i < slots; i++ {
-			seq = append(seq, cg.StepAll())
+			var slot []SlotResult
+			for _, r := range cg.StepAll() {
+				slot = append(slot, r.Clone())
+			}
+			seq = append(seq, slot)
 		}
 		return seq, tierGroupStats(scheds)
 	}

@@ -30,7 +30,10 @@ type SlotEvent struct {
 
 // TraceRing is a fixed-size ring buffer of SlotEvents, safe for concurrent
 // producers (one per cell worker) and readers (the /debug/slots scrape).
-// Memory is bounded: once full, each Add evicts the oldest event.
+// Memory is bounded: once full, each Add evicts the oldest event. The ring
+// owns its storage: Add copies the event's Slices into the evicted entry's
+// array and Last copies them out, so a producer may reuse one SlotEvent
+// every slot and a reader keeps what it was handed.
 type TraceRing struct {
 	mu   sync.Mutex
 	buf  []SlotEvent
@@ -46,9 +49,10 @@ func NewTraceRing(n int) *TraceRing {
 	return &TraceRing{buf: make([]SlotEvent, n)}
 }
 
-// Add records one slot event, evicting the oldest when full.
+// Add records a copy of one slot event, evicting the oldest when full.
 func (r *TraceRing) Add(ev SlotEvent) {
 	r.mu.Lock()
+	ev.Slices = append(r.buf[r.next].Slices[:0], ev.Slices...)
 	r.buf[r.next] = ev
 	r.next++
 	if r.next == len(r.buf) {
@@ -92,9 +96,7 @@ func (r *TraceRing) Len() int {
 	return r.next
 }
 
-// Last returns up to n most recent events, oldest first. Slices inside the
-// events are shared with producers only until the ring wraps, so callers
-// must treat the result as read-only.
+// Last returns copies of up to n most recent events, oldest first.
 func (r *TraceRing) Last(n int) []SlotEvent {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -112,6 +114,7 @@ func (r *TraceRing) Last(n int) []SlotEvent {
 			idx += len(r.buf)
 		}
 		out[i] = r.buf[idx]
+		out[i].Slices = append([]SliceTrace(nil), r.buf[idx].Slices...)
 	}
 	return out
 }

@@ -454,10 +454,11 @@ func (r *RIC) recordShed(it queuedInd, reason string) {
 	r.cfg.Tracer.Record(sp)
 }
 
-// dispatchLoop is one association's dispatcher, the only caller of deliver:
-// it drains the queue, sheds stale KPM while browned out, applies brownout
-// transitions to the association (re-subscribing at a widened period,
-// pausing the agent), and on teardown drains the residue into the shed
+// dispatchLoop is one association's dispatcher, the only place an indication
+// meets the xApps: it drains the queue, sheds stale KPM while browned out,
+// applies brownout transitions to the association (re-subscribing at a
+// widened period, pausing the agent), hands the rest to the xApps and sends
+// their controls back, and on teardown drains the residue into the shed
 // ledger.
 func (r *RIC) dispatchLoop(sh *shard, conn *e2.Conn, q *assocQueue) {
 	defer close(q.done)
@@ -497,12 +498,20 @@ func (r *RIC) dispatchLoop(sh *shard, conn *e2.Conn, q *assocQueue) {
 				continue
 			}
 			start := time.Now()
-			// A send failure inside deliver means the conn is dying; the
-			// receive loop observes it too and tears the association down.
-			// The indication still reached the xApps, so it counts as
-			// delivered either way.
-			r.deliver(sh, conn, it.ind, it.ctx, &reqID)
+			controls, cctx := r.handleIndicationOn(sh, it.ind, it.ctx)
+			// The indication has reached the xApps, so it is delivered, and
+			// the ledger says so before the first control leaves: an agent
+			// that has applied the last control of a run finds offered ==
+			// delivered + shed + refused already true.
 			o.delivered.Inc()
+			for i := range controls {
+				reqID++
+				// A send failure means the conn is dying; the receive loop
+				// observes it too and tears the association down.
+				if r.SendControl(conn, reqID, &controls[i], cctx) != nil {
+					break
+				}
+			}
 			o.observeDispatch(time.Since(start))
 			o.maybeEval(time.Now())
 		}

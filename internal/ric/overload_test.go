@@ -2,6 +2,7 @@ package ric
 
 import (
 	"math/rand"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -476,7 +477,14 @@ func TestBrownoutWidensShedsAndPauses(t *testing.T) {
 			paused = true
 		}
 	}
+	// The dispatcher writes the brownout frames first and sheds the
+	// indication next: having read both frames orders nothing against the
+	// shed, so wait for it.
 	st, _ := r.OverloadStats()
+	for st.ShedStale == 0 && st.Delivered == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		st, _ = r.OverloadStats()
+	}
 	if st.ShedStale != 1 || st.Delivered != 0 {
 		t.Fatalf("stale shed not applied: %+v", st)
 	}
@@ -485,6 +493,64 @@ func TestBrownoutWidensShedsAndPauses(t *testing.T) {
 	}
 	if st.Offered != st.Delivered+st.ShedOverflow+st.ShedStale+st.ShedTeardown+st.RefusedLate {
 		t.Fatalf("ledger violated: %+v", st)
+	}
+}
+
+// TestLedgerSettledBeforeControlsLeave pins when an indication counts as
+// delivered: once the xApps have run, before the first control is written.
+// An agent (and the bench oracle) reads the ledger the moment it has applied
+// the last control of a run. The pipe is unbuffered, so while the test holds
+// the first of two controls the dispatcher is still blocked writing the
+// second, and the ledger must already balance.
+func TestLedgerSettledBeforeControlsLeave(t *testing.T) {
+	r := MustNew(Config{})
+	for _, name := range []string{"a", "b"} {
+		if _, err := r.AddXAppWAT(name, plugins.SLAAssureXAppWAT, wabi.Policy{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc, cc := net.Pipe()
+	server, client := e2.NewConn(sc, e2.BinaryCodec{}), e2.NewConn(cc, e2.BinaryCodec{})
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() { done <- r.ServeConn(server, stop) }()
+	defer func() {
+		close(stop)
+		client.Close()
+		<-done
+	}()
+
+	_ = client.SetReadDeadline(time.Now().Add(5 * time.Second))
+	sub, err := client.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = client.Send(&e2.Message{
+		Type: e2.TypeSubscriptionResponse, RequestID: sub.RequestID, RANFunction: sub.RANFunction,
+		SubscriptionResp: &e2.SubscriptionResponse{Accepted: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Served rate at half the target: each SLA xApp answers with a control.
+	err = client.Send(&e2.Message{
+		Type: e2.TypeIndication, RANFunction: e2.RANFunctionKPM,
+		Indication: mkInd(1, 1, 0, 5e6),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		m, err := client.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Type == e2.TypeControlRequest {
+			break
+		}
+	}
+	if st, _ := r.OverloadStats(); st.Offered != 1 || st.Delivered != 1 {
+		t.Fatalf("first control in hand, ledger not settled: %+v", st)
 	}
 }
 

@@ -700,19 +700,6 @@ func (r *RIC) decodeCtx(conn *e2.Conn, wire trace.Context, assocTraced bool, slo
 	return trace.Context{TraceID: wire.TraceID, SpanID: decID}
 }
 
-// deliver dispatches one per-slot indication to the xApps and sends the
-// resulting controls back on the association, stopping at the first send
-// the dying conn refuses.
-func (r *RIC) deliver(sh *shard, conn *e2.Conn, ind *e2.Indication, ctx trace.Context, reqID *uint32) {
-	controls, cctx := r.handleIndicationOn(sh, ind, ctx)
-	for i := range controls {
-		*reqID++
-		if r.SendControl(conn, *reqID, &controls[i], cctx) != nil {
-			return
-		}
-	}
-}
-
 // supervise watches one association from the side: it closes the conn when
 // stop fires (prompt shutdown even with a silent peer), and when
 // heartbeats are enabled it sends the probe at every interval and declares

@@ -1,7 +1,8 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 )
 
 // SliceDemand is the inter-slice scheduler's per-slice input.
@@ -48,63 +49,58 @@ func (TargetRate) Divide(_ uint64, budget uint32, demands []SliceDemand) map[uin
 	for _, d := range demands {
 		totalTarget += d.TargetRateBps
 	}
+	// Grants accumulate per slice ID in acc, in demand order, and reach the
+	// map once at the end. Slice IDs are normally distinct; a repeated one
+	// shares the grant of its first appearance.
+	var (
+		gbuf   [interSliceStack]sliceGrant
+		abuf   [interSliceStack]sliceAcc
+		grants = gbuf[:0]
+		acc    = abuf[:0]
+	)
+	for i, d := range demands {
+		slot := i
+		for _, g := range grants {
+			if g.d.SliceID == d.SliceID {
+				slot = g.slot
+				break
+			}
+		}
+		grants = append(grants, sliceGrant{d: d, slot: slot})
+		acc = append(acc, sliceAcc{})
+		acc[slot].demand = d.DemandPRBs // the last appearance caps the base share
+	}
 	remaining := budget
 	if totalTarget > 0 {
 		// Proportional base shares (floor), capped by demand.
-		type share struct {
-			id    uint32
-			exact float64
-		}
-		shares := make([]share, 0, len(demands))
-		for _, d := range demands {
-			exact := float64(budget) * d.TargetRateBps / totalTarget
-			shares = append(shares, share{id: d.SliceID, exact: exact})
-		}
-		demandByID := make(map[uint32]uint32, len(demands))
-		for _, d := range demands {
-			demandByID[d.SliceID] = d.DemandPRBs
-		}
-		for _, s := range shares {
-			g := uint32(s.exact)
-			if g > demandByID[s.id] {
-				g = demandByID[s.id]
-			}
-			if g > remaining {
-				g = remaining
-			}
-			out[s.id] += g
-			remaining -= g
+		for _, g := range grants {
+			a := &acc[g.slot]
+			base := min(uint32(float64(budget)*g.d.TargetRateBps/totalTarget), a.demand, remaining)
+			a.prbs += base
+			remaining -= base
 		}
 	}
 	// Redistribute leftover PRBs to slices with residual demand: slices
 	// furthest behind their contracted rate first (deficit-aware), then by
 	// larger target, so under-SLA slices catch up before best-effort bulk.
 	if remaining > 0 {
-		deficit := func(d SliceDemand) float64 {
-			if d.TargetRateBps <= 0 {
-				return 0
+		slices.SortStableFunc(grants, func(a, b sliceGrant) int {
+			if da, db := a.deficit(), b.deficit(); da != db {
+				return cmpDesc(da, db)
 			}
-			return (d.TargetRateBps - d.AchievedBps) / d.TargetRateBps
-		}
-		ordered := append([]SliceDemand(nil), demands...)
-		sort.SliceStable(ordered, func(i, j int) bool {
-			di, dj := deficit(ordered[i]), deficit(ordered[j])
-			if di != dj {
-				return di > dj
+			if a.d.TargetRateBps != b.d.TargetRateBps {
+				return cmpDesc(a.d.TargetRateBps, b.d.TargetRateBps)
 			}
-			if ordered[i].TargetRateBps != ordered[j].TargetRateBps {
-				return ordered[i].TargetRateBps > ordered[j].TargetRateBps
-			}
-			return ordered[i].SliceID < ordered[j].SliceID
+			return cmp.Compare(a.d.SliceID, b.d.SliceID)
 		})
 		for remaining > 0 {
 			progressed := false
-			for _, d := range ordered {
+			for i := range grants {
 				if remaining == 0 {
 					break
 				}
-				if out[d.SliceID] < d.DemandPRBs {
-					out[d.SliceID]++
+				if a := &acc[grants[i].slot]; a.prbs < grants[i].d.DemandPRBs {
+					a.prbs++
 					remaining--
 					progressed = true
 				}
@@ -114,7 +110,50 @@ func (TargetRate) Divide(_ uint64, budget uint32, demands []SliceDemand) map[uin
 			}
 		}
 	}
+	for _, g := range grants {
+		if prbs := acc[g.slot].prbs; totalTarget > 0 || prbs > 0 {
+			out[g.d.SliceID] = prbs
+		}
+	}
 	return out
+}
+
+// interSliceStack is how many slices Divide handles without leaving the
+// stack; a cell with more pays two allocations more per call.
+const interSliceStack = 8
+
+// sliceGrant is one demand and where TargetRate accumulates its grant: the
+// index of the first demand with the same slice ID.
+type sliceGrant struct {
+	d    SliceDemand
+	slot int
+}
+
+// sliceAcc is what one slice ID has been granted so far and the demand that
+// caps its base share.
+type sliceAcc struct {
+	prbs, demand uint32
+}
+
+// deficit is how far the slice is behind its contracted rate, as a fraction
+// of it; best-effort slices have none.
+func (g sliceGrant) deficit() float64 {
+	if g.d.TargetRateBps <= 0 {
+		return 0
+	}
+	return (g.d.TargetRateBps - g.d.AchievedBps) / g.d.TargetRateBps
+}
+
+// cmpDesc orders the larger float first. A NaN is neither above nor below
+// anything.
+func cmpDesc(a, b float64) int {
+	switch {
+	case a > b:
+		return -1
+	case a < b:
+		return 1
+	}
+	return 0
 }
 
 // FixedShare gives each slice a fixed fraction of the budget (by Weight),
@@ -170,7 +209,8 @@ func (WeightedFair) Divide(_ uint64, budget uint32, demands []SliceDemand) map[u
 		w      float64
 		demand uint32
 	}
-	pend := make([]st, 0, len(demands))
+	var buf [interSliceStack]st
+	pend := buf[:0]
 	for _, d := range demands {
 		w := d.Weight
 		if w <= 0 {

@@ -1,7 +1,8 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 )
 
 // Native intra-slice schedulers. These are both the fallback policies the
@@ -18,27 +19,27 @@ type RoundRobin struct{}
 func (RoundRobin) Name() string { return "rr" }
 
 // Schedule implements IntraSlice.
-func (RoundRobin) Schedule(req *Request) (*Response, error) {
-	active := activeUEs(req)
-	if len(active) == 0 || req.PRBBudget == 0 {
-		return &Response{}, nil
-	}
-	n := uint32(len(active))
-	resp := &Response{Allocs: make([]Allocation, 0, n)}
-	grants := make(map[int]uint32, n)
+func (rr RoundRobin) Schedule(req *Request) (*Response, error) { return scheduleNew(rr, req) }
 
+func (RoundRobin) scheduleInto(req *Request, resp *Response) error {
+	sc := getScratch()
+	defer putScratch(sc)
+	active := sc.active(req, nil)
+	if len(active) == 0 || req.PRBBudget == 0 {
+		return nil
+	}
+	sc.grants = append(sc.grants[:0], make([]uint32, len(active))...)
+	grants := sc.grants
 	remaining := req.PRBBudget
 	// Equal base share, then distribute the remainder one PRB at a time
 	// starting at the rotating offset; capped at each UE's buffer need with
 	// spill to the next UE so the budget is not wasted.
 	start := int(req.Slot % uint64(len(active)))
-	for round := 0; remaining > 0; round++ {
+	for remaining > 0 {
 		progressed := false
 		for i := 0; i < len(active) && remaining > 0; i++ {
 			ix := (start + i) % len(active)
-			u := active[ix]
-			need := prbsNeeded(u)
-			if grants[ix] >= need {
+			if grants[ix] >= active[ix].need {
 				continue
 			}
 			grants[ix]++
@@ -49,12 +50,13 @@ func (RoundRobin) Schedule(req *Request) (*Response, error) {
 			break
 		}
 	}
-	for i, u := range active {
-		if grants[i] > 0 {
-			resp.Allocs = append(resp.Allocs, Allocation{UEID: u.ID, PRBs: grants[i]})
+	resp.Allocs = slices.Grow(resp.Allocs, len(active))
+	for i, g := range grants {
+		if g > 0 {
+			resp.Allocs = append(resp.Allocs, Allocation{UEID: active[i].id, PRBs: g})
 		}
 	}
-	return resp, nil
+	return nil
 }
 
 // MaxThroughput greedily serves the best-channel UEs first, maximizing cell
@@ -66,20 +68,15 @@ type MaxThroughput struct{}
 func (MaxThroughput) Name() string { return "mt" }
 
 // Schedule implements IntraSlice.
-func (MaxThroughput) Schedule(req *Request) (*Response, error) {
-	active := activeUEs(req)
-	if len(active) == 0 || req.PRBBudget == 0 {
-		return &Response{}, nil
-	}
-	// Sort by per-PRB capacity descending; tie-break on lower UE ID for
-	// determinism (and so plugins can reproduce the exact decision).
-	sort.SliceStable(active, func(i, j int) bool {
-		if active[i].BitsPerPRB != active[j].BitsPerPRB {
-			return active[i].BitsPerPRB > active[j].BitsPerPRB
-		}
-		return active[i].ID < active[j].ID
-	})
-	return fillInOrder(active, req.PRBBudget), nil
+func (mt MaxThroughput) Schedule(req *Request) (*Response, error) { return scheduleNew(mt, req) }
+
+func (MaxThroughput) scheduleInto(req *Request, resp *Response) error {
+	sc := getScratch()
+	defer putScratch(sc)
+	// Per-PRB capacity; a float64 holds a uint32 exactly.
+	ranked := sc.active(req, func(u *UEInfo) float64 { return float64(u.BitsPerPRB) })
+	fillRanked(ranked, req.PRBBudget, resp)
+	return nil
 }
 
 // ProportionalFair ranks UEs by instantaneous-rate over long-term-average
@@ -96,70 +93,51 @@ type ProportionalFair struct {
 func (ProportionalFair) Name() string { return "pf" }
 
 // Schedule implements IntraSlice.
-func (p ProportionalFair) Schedule(req *Request) (*Response, error) {
+func (p ProportionalFair) Schedule(req *Request) (*Response, error) { return scheduleNew(p, req) }
+
+func (p ProportionalFair) scheduleInto(req *Request, resp *Response) error {
 	minAvg := p.MinAvgBps
 	if minAvg <= 0 {
 		minAvg = 1000
 	}
-	active := activeUEs(req)
-	if len(active) == 0 || req.PRBBudget == 0 {
-		return &Response{}, nil
-	}
-	type scored struct {
-		u      *UEInfo
-		metric float64
-	}
-	scoredUEs := make([]scored, len(active))
-	for i, u := range active {
+	sc := getScratch()
+	defer putScratch(sc)
+	ranked := sc.active(req, func(u *UEInfo) float64 {
 		avg := u.AvgTputBps
 		if avg < minAvg {
 			avg = minAvg
 		}
-		scoredUEs[i] = scored{u: u, metric: float64(u.BitsPerPRB) / avg}
-	}
-	sort.SliceStable(scoredUEs, func(i, j int) bool {
-		if scoredUEs[i].metric != scoredUEs[j].metric {
-			return scoredUEs[i].metric > scoredUEs[j].metric
-		}
-		return scoredUEs[i].u.ID < scoredUEs[j].u.ID
+		return float64(u.BitsPerPRB) / avg
 	})
-	ordered := make([]*UEInfo, len(scoredUEs))
-	for i, s := range scoredUEs {
-		ordered[i] = s.u
-	}
-	return fillInOrder(ordered, req.PRBBudget), nil
+	fillRanked(ranked, req.PRBBudget, resp)
+	return nil
 }
 
-// activeUEs returns pointers to UEs with queued data, preserving order.
-func activeUEs(req *Request) []*UEInfo {
-	out := make([]*UEInfo, 0, len(req.UEs))
-	for i := range req.UEs {
-		if req.UEs[i].BufferBytes > 0 && req.UEs[i].BitsPerPRB > 0 {
-			out = append(out, &req.UEs[i])
+// fillRanked grants each UE its buffer need in descending metric order
+// until the budget is exhausted. Ties go to the lower UE ID, for determinism
+// and so plugins can reproduce the exact decision.
+func fillRanked(ranked []ueEntry, budget uint32, resp *Response) {
+	if budget == 0 {
+		return
+	}
+	slices.SortStableFunc(ranked, func(a, b ueEntry) int {
+		if a.metric != b.metric {
+			return cmpDesc(a.metric, b.metric)
 		}
-	}
-	return out
-}
-
-// fillInOrder grants each UE its buffer need in priority order until the
-// budget is exhausted.
-func fillInOrder(ordered []*UEInfo, budget uint32) *Response {
-	resp := &Response{}
-	for _, u := range ordered {
+		return cmp.Compare(a.id, b.id)
+	})
+	resp.Allocs = slices.Grow(resp.Allocs, len(ranked))
+	for i := range ranked {
 		if budget == 0 {
 			break
 		}
-		g := prbsNeeded(u)
-		if g > budget {
-			g = budget
-		}
+		g := min(ranked[i].need, budget)
 		if g == 0 {
 			continue
 		}
-		resp.Allocs = append(resp.Allocs, Allocation{UEID: u.ID, PRBs: g})
+		resp.Allocs = append(resp.Allocs, Allocation{UEID: ranked[i].id, PRBs: g})
 		budget -= g
 	}
-	return resp
 }
 
 // ByName returns a native scheduler by its short name.

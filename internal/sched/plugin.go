@@ -22,6 +22,7 @@ const EntryPoint = "schedule"
 // way, matching the measurement methodology of Fig. 5d.
 type PluginScheduler struct {
 	name   string
+	label  string // Name(), built once
 	plugin *wabi.Plugin
 	codec  Codec
 
@@ -39,7 +40,7 @@ func NewPluginScheduler(name string, plugin *wabi.Plugin, codec Codec) (*PluginS
 	if codec == nil {
 		codec = BinaryCodec{}
 	}
-	p := &PluginScheduler{name: name, plugin: plugin, codec: codec}
+	p := &PluginScheduler{name: name, label: "plugin:" + name, plugin: plugin, codec: codec}
 	if err := p.SetABIMode(ABIAuto); err != nil {
 		return nil, err
 	}
@@ -62,7 +63,7 @@ func (p *PluginScheduler) SetABIMode(mode ABIMode) error {
 func (p *PluginScheduler) ZeroCopy() bool { return p.zeroCopy }
 
 // Name implements IntraSlice.
-func (p *PluginScheduler) Name() string { return "plugin:" + p.name }
+func (p *PluginScheduler) Name() string { return p.label }
 
 // Plugin exposes the underlying sandbox for observation (memory footprint,
 // fuel accounting).
@@ -86,45 +87,47 @@ func (p *PluginScheduler) Register(reg *obs.Registry, labels ...obs.Label) {
 	registerSched(reg, p.Stats, labels)
 }
 
-// schedule runs one scheduling decision on pl: encode + sandbox execution +
-// decode on the codec path, region write + sandbox execution + region
-// validation on the zero-copy path, then the semantic checks every response
-// must pass. PluginScheduler and PoolScheduler both call it; they differ only
-// in where pl comes from and what guards their counters.
-func schedule(pl *wabi.Plugin, codec Codec, zeroCopy bool, req *Request) (*Response, error) {
-	var resp *Response
+// schedule runs one scheduling decision on pl into resp: encode + sandbox
+// execution + decode on the codec path, region write + sandbox execution +
+// region validation on the zero-copy path, then the semantic checks every
+// response must pass. PluginScheduler and PoolScheduler both call it; they
+// differ only in where pl comes from and what guards their counters.
+func schedule(pl *wabi.Plugin, codec Codec, zeroCopy bool, req *Request, resp *Response) error {
 	if zeroCopy {
-		r, err := zcCall(pl, req)
-		if err != nil {
-			return nil, err
+		if err := zcCall(pl, req, resp); err != nil {
+			return err
 		}
-		resp = r
 	} else {
 		out, err := pl.Call(EntryPoint, codec.EncodeRequest(req))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if resp, err = codec.DecodeResponse(out); err != nil {
-			return nil, fmt.Errorf("malformed response: %w", err)
+		decoded, err := codec.DecodeResponse(out)
+		if err != nil {
+			return fmt.Errorf("malformed response: %w", err)
 		}
+		resp.Allocs = append(resp.Allocs[:0], decoded.Allocs...)
 	}
+	resp.FuelUsed = pl.LastFuelUsed()
 	if err := resp.Validate(req); err != nil {
 		// Semantic rejection of a decoded response is still bad output for
 		// the failure taxonomy: the sandbox completed and the result lied.
-		return nil, &BadOutputError{Kind: BadOutputSemantic, Err: err}
+		return &BadOutputError{Kind: BadOutputSemantic, Err: err}
 	}
-	return resp, nil
+	return nil
 }
 
 // Schedule implements IntraSlice. The measured span covers the full
 // host-side cost of outsourcing the decision to the plugin, serialization
 // included, matching the measurement methodology of Fig. 5d.
-func (p *PluginScheduler) Schedule(req *Request) (*Response, error) {
+func (p *PluginScheduler) Schedule(req *Request) (*Response, error) { return scheduleNew(p, req) }
+
+func (p *PluginScheduler) scheduleInto(req *Request, resp *Response) error {
 	start := time.Now()
-	resp, err := schedule(p.plugin, p.codec, p.zeroCopy, req)
+	err := schedule(p.plugin, p.codec, p.zeroCopy, req, resp)
 	p.stats.record(p.plugin, time.Since(start), p.zeroCopy, req, err)
 	if err != nil {
-		return nil, fmt.Errorf("sched: plugin %q: %w", p.name, err)
+		return fmt.Errorf("sched: plugin %q: %w", p.name, err)
 	}
-	return resp, nil
+	return nil
 }

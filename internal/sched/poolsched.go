@@ -22,6 +22,7 @@ import (
 // served a call.
 type PoolScheduler struct {
 	name  string
+	label string // Name(), built once: the slot tracer asks every slot
 	pool  *wabi.Pool
 	codec Codec
 
@@ -39,7 +40,7 @@ func NewPoolScheduler(name string, pool *wabi.Pool, codec Codec) (*PoolScheduler
 	if codec == nil {
 		codec = BinaryCodec{}
 	}
-	p := &PoolScheduler{name: name, pool: pool, codec: codec}
+	p := &PoolScheduler{name: name, label: "pool:" + name, pool: pool, codec: codec}
 	if err := p.SetABIMode(ABIAuto); err != nil {
 		return nil, err
 	}
@@ -75,7 +76,7 @@ func (p *PoolScheduler) ZeroCopy() bool {
 }
 
 // Name implements IntraSlice.
-func (p *PoolScheduler) Name() string { return "pool:" + p.name }
+func (p *PoolScheduler) Name() string { return p.label }
 
 // Pool exposes the underlying instance pool for observation.
 func (p *PoolScheduler) Pool() *wabi.Pool { return p.pool }
@@ -106,7 +107,9 @@ func (p *PoolScheduler) Register(reg *obs.Registry, labels ...obs.Label) {
 // return the instance. The measured span matches PluginScheduler, excluding
 // time spent waiting for a free instance so pool-exhaustion stalls are
 // visible as wall-clock, not mistaken for plugin cost.
-func (p *PoolScheduler) Schedule(req *Request) (*Response, error) {
+func (p *PoolScheduler) Schedule(req *Request) (*Response, error) { return scheduleNew(p, req) }
+
+func (p *PoolScheduler) scheduleInto(req *Request, resp *Response) error {
 	p.mu.Lock()
 	zeroCopy := p.zeroCopy
 	p.mu.Unlock()
@@ -114,17 +117,17 @@ func (p *PoolScheduler) Schedule(req *Request) (*Response, error) {
 	pl, err := p.pool.Get()
 	if err != nil {
 		p.record(nil, 0, zeroCopy, req, err)
-		return nil, fmt.Errorf("sched: pool plugin %q: %w", p.name, err)
+		return fmt.Errorf("sched: pool plugin %q: %w", p.name, err)
 	}
 	defer p.pool.Put(pl)
 
 	start := time.Now()
-	resp, err := schedule(pl, p.codec, zeroCopy, req)
+	err = schedule(pl, p.codec, zeroCopy, req, resp)
 	p.record(pl, time.Since(start), zeroCopy, req, err)
 	if err != nil {
-		return nil, fmt.Errorf("sched: pool plugin %q: %w", p.name, err)
+		return fmt.Errorf("sched: pool plugin %q: %w", p.name, err)
 	}
-	return resp, nil
+	return nil
 }
 
 // record folds one Schedule outcome into the accounting under the lock. pl

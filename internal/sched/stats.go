@@ -84,8 +84,9 @@ func (c *callStats) snapshot() SchedStats {
 }
 
 // FuelReporter is implemented by schedulers that can report the fuel
-// consumed by their most recent sandbox call. The slot tracer asserts for
-// it when attributing per-slice cost.
+// consumed by their most recent sandbox call. On a scheduler shared by cells
+// stepped in parallel that is the last call by any of them, so the slot path
+// attributes per-slice cost from Response.FuelUsed instead.
 type FuelReporter interface {
 	LastFuelUsed() int64
 }

@@ -47,6 +47,11 @@ type Allocation struct {
 // Response is the intra-slice scheduling decision.
 type Response struct {
 	Allocs []Allocation
+	// FuelUsed is the sandbox fuel this decision consumed: set by the plugin
+	// schedulers, 0 for native policies and when metering is off. It travels
+	// with the decision because a scheduler shared by concurrently stepped
+	// cells has no per-caller "last call".
+	FuelUsed int64
 }
 
 // IntraSlice is one slice's scheduling policy. Implementations must treat
@@ -58,6 +63,40 @@ type IntraSlice interface {
 	Schedule(req *Request) (*Response, error)
 }
 
+// intoScheduler is the hook behind ScheduleInto: the schedulers of this
+// package write their decision into resp (already reset) instead of
+// allocating one. Their Schedule is the same body run on a fresh Response.
+type intoScheduler interface {
+	scheduleInto(req *Request, resp *Response) error
+}
+
+// ScheduleInto runs s on req with caller-owned response storage. The
+// schedulers of this package fill resp and return it, reusing its Allocs
+// array; any other IntraSlice (a decorator, a supervisor, a third-party
+// policy) decides through Schedule and returns its own response. Either way
+// the result is valid until resp is passed in again.
+func ScheduleInto(s IntraSlice, req *Request, resp *Response) (*Response, error) {
+	in, ok := s.(intoScheduler)
+	if !ok {
+		return s.Schedule(req)
+	}
+	resp.Allocs, resp.FuelUsed = resp.Allocs[:0], 0
+	if err := in.scheduleInto(req, resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// scheduleNew is Schedule for an intoScheduler: the hook, run on a fresh
+// Response.
+func scheduleNew(s intoScheduler, req *Request) (*Response, error) {
+	resp := &Response{}
+	if err := s.scheduleInto(req, resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
 // ErrInvalidResponse is wrapped by Validate for malformed decisions.
 var ErrInvalidResponse = errors.New("sched: invalid scheduling response")
 
@@ -66,20 +105,24 @@ var ErrInvalidResponse = errors.New("sched: invalid scheduling response")
 // Intra-slice plugins are untrusted, so the host calls this before applying
 // any decision (paper §6A fault tolerance).
 func (r *Response) Validate(req *Request) error {
-	known := make(map[uint32]bool, len(req.UEs))
-	for _, u := range req.UEs {
-		known[u.ID] = true
+	sc := getScratch()
+	defer putScratch(sc)
+	// ids holds 0 for a known UE and 1 once a grant named it.
+	ids := sc.ids
+	clear(ids)
+	for i := range req.UEs {
+		ids[req.UEs[i].ID] = 0
 	}
-	seen := make(map[uint32]bool, len(r.Allocs))
 	var total uint64
 	for _, a := range r.Allocs {
-		if !known[a.UEID] {
+		granted, known := ids[a.UEID]
+		if !known {
 			return fmt.Errorf("%w: grant to unknown UE %d", ErrInvalidResponse, a.UEID)
 		}
-		if seen[a.UEID] {
+		if granted != 0 {
 			return fmt.Errorf("%w: duplicate grant to UE %d", ErrInvalidResponse, a.UEID)
 		}
-		seen[a.UEID] = true
+		ids[a.UEID] = 1
 		total += uint64(a.PRBs)
 	}
 	if total > uint64(req.PRBBudget) {

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"waran/internal/wabi"
 	"waran/internal/wasm"
@@ -134,58 +135,61 @@ func zcWriteRequest(mem *wasm.Memory, lay wabi.RegionLayout, req *Request) error
 	return nil
 }
 
-// zcReadResponse validates and decodes the untrusted response region,
-// mirroring BinaryCodec.DecodeResponse's hostile-input posture: an
-// allocation count past the region bound is BadOutputOOB, two grants naming
-// the same UE are BadOutputOverlap. Arithmetic is done in uint64 so a
+// zcReadResponse validates the untrusted response region and decodes it into
+// resp.Allocs, mirroring BinaryCodec.DecodeResponse's hostile-input posture:
+// an allocation count past the region bound is BadOutputOOB, two grants
+// naming the same UE are BadOutputOverlap. Arithmetic is done in uint64 so a
 // hostile count cannot overflow the bound computation.
-func zcReadResponse(mem *wasm.Memory, lay wabi.RegionLayout) (*Response, error) {
+func zcReadResponse(mem *wasm.Memory, lay wabi.RegionLayout, resp *Response) error {
 	n, err := mem.ReadUint32(lay.RespPtr)
 	if err != nil {
-		return nil, badOutputKind(BadOutputOOB, "sched: zero-copy response region unreadable: %v", err)
+		return badOutputKind(BadOutputOOB, "sched: zero-copy response region unreadable: %v", err)
 	}
 	if n > ZCMaxAllocs || 4+uint64(n)*binRespAllocLen > uint64(lay.RespLen) {
-		return nil, badOutputKind(BadOutputOOB,
+		return badOutputKind(BadOutputOOB,
 			"sched: zero-copy response claims %d allocations: allocation table out of bounds (region %d bytes, max %d allocations)",
 			n, lay.RespLen, ZCMaxAllocs)
 	}
-	resp := &Response{Allocs: make([]Allocation, n)}
-	seen := make(map[uint32]int, n)
+	sc := getScratch()
+	defer putScratch(sc)
+	seen := sc.ids // UE ID -> index of the allocation that named it
+	clear(seen)
+	resp.Allocs = slices.Grow(resp.Allocs[:0], int(n))
 	off := lay.RespPtr + 4
-	for i := 0; i < int(n); i++ {
+	for i := uint32(0); i < n; i++ {
 		id, err1 := mem.ReadUint32(off)
 		prbs, err2 := mem.ReadUint32(off + 4)
 		if err1 != nil || err2 != nil {
-			return nil, badOutputKind(BadOutputOOB, "sched: zero-copy response record %d unreadable", i)
+			return badOutputKind(BadOutputOOB, "sched: zero-copy response record %d unreadable", i)
 		}
-		if j, dup := seen[id]; dup {
-			return nil, badOutputKind(BadOutputOverlap, "sched: zero-copy response allocations %d and %d overlap on UE %d", j, i, id)
+		if first, dup := seen[id]; dup {
+			return badOutputKind(BadOutputOverlap, "sched: zero-copy response allocations %d and %d overlap on UE %d", first, i, id)
 		}
 		seen[id] = i
-		resp.Allocs[i] = Allocation{UEID: id, PRBs: prbs}
+		resp.Allocs = append(resp.Allocs, Allocation{UEID: id, PRBs: prbs})
 		off += binRespAllocLen
 	}
-	return resp, nil
+	return nil
 }
 
 // zcCall runs one scheduling decision over the zero-copy path: negotiate
 // (or reuse) the instance's regions, write the request, poison the response
-// count, invoke the entry, and validate + decode the response region in
-// place.
-func zcCall(pl *wabi.Plugin, req *Request) (*Response, error) {
+// count, invoke the entry, and validate + decode the response region into
+// resp.
+func zcCall(pl *wabi.Plugin, req *Request, resp *Response) error {
 	rg, err := pl.Regions(ZCRequestRegionLen, ZCResponseRegionLen)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	mem := pl.Instance().Memory()
 	if err := zcWriteRequest(mem, rg.Layout, req); err != nil {
-		return nil, err
+		return err
 	}
 	if err := mem.WriteUint32(rg.Layout.RespPtr, zcRespPoison); err != nil {
-		return nil, fmt.Errorf("sched: zero-copy response poison write: %w", err)
+		return fmt.Errorf("sched: zero-copy response poison write: %w", err)
 	}
 	if _, err := pl.Call(ZCEntryPoint, nil); err != nil {
-		return nil, err
+		return err
 	}
-	return zcReadResponse(mem, rg.Layout)
+	return zcReadResponse(mem, rg.Layout, resp)
 }

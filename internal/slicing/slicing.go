@@ -43,6 +43,11 @@ type Slice struct {
 	fallbackSlots     uint64
 	quarantined       bool
 	swaps             uint64
+
+	// resp is the decision storage Manager.Schedule hands schedulers that
+	// can fill it. It is not guarded by mu: one goroutine at a time
+	// schedules a given slice (the cell's slot loop).
+	resp sched.Response
 }
 
 // TargetRate returns the contracted cumulative downlink rate.
@@ -124,7 +129,7 @@ func (s *Slice) Stats() SliceStats {
 type Manager struct {
 	mu     sync.RWMutex
 	slices map[uint32]*Slice
-	order  []uint32 // deterministic iteration order (registration order)
+	order  []*Slice // deterministic iteration order (registration order)
 	// forceFallback pins every slice to its native fallback scheduler —
 	// the cell-group deadline watchdog's recovery action when plugin
 	// scheduling blows the slot budget.
@@ -178,7 +183,7 @@ func (m *Manager) AddSlice(id uint32, name string, targetRateBps float64, schedu
 		fallback:      fallback,
 	}
 	m.slices[id] = s
-	m.order = append(m.order, id)
+	m.order = append(m.order, s)
 	return s, nil
 }
 
@@ -192,7 +197,7 @@ func (m *Manager) RemoveSlice(id uint32) error {
 	}
 	delete(m.slices, id)
 	for i, v := range m.order {
-		if v == id {
+		if v.ID == id {
 			m.order = append(m.order[:i], m.order[i+1:]...)
 			break
 		}
@@ -210,13 +215,15 @@ func (m *Manager) Slice(id uint32) (*Slice, bool) {
 
 // Slices returns all slices in registration order.
 func (m *Manager) Slices() []*Slice {
+	return m.AppendSlices(nil)
+}
+
+// AppendSlices appends all slices in registration order to dst: Slices for
+// a caller that asks every slot and keeps the storage.
+func (m *Manager) AppendSlices(dst []*Slice) []*Slice {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make([]*Slice, 0, len(m.order))
-	for _, id := range m.order {
-		out = append(out, m.slices[id])
-	}
-	return out
+	return append(dst, m.order...)
 }
 
 // HotSwap atomically replaces a slice's intra-slice scheduler between
@@ -262,7 +269,9 @@ func (m *Manager) ForceFallback() bool {
 // protection: a trap, timeout (fuel), malformed or over-budget response is
 // absorbed — the slot is rescued by the fallback scheduler, and after
 // QuarantineThreshold consecutive faults the plugin is quarantined.
-// The returned response is always valid for req.
+// The returned response is always valid for req. It may live in storage the
+// slice owns, so it is good until the next Schedule of the same slice, and
+// one goroutine at a time schedules a given slice.
 func (m *Manager) Schedule(s *Slice, req *sched.Request) (*sched.Response, error) {
 	threshold := m.QuarantineThreshold
 	if threshold == 0 {
@@ -280,7 +289,7 @@ func (m *Manager) Schedule(s *Slice, req *sched.Request) (*sched.Response, error
 	s.mu.Unlock()
 
 	if !quarantined && !forced {
-		resp, err := scheduler.Schedule(req)
+		resp, err := sched.ScheduleInto(scheduler, req, &s.resp)
 		if err == nil {
 			if verr := resp.Validate(req); verr == nil {
 				s.mu.Lock()
@@ -307,7 +316,7 @@ func (m *Manager) Schedule(s *Slice, req *sched.Request) (*sched.Response, error
 	s.mu.Lock()
 	s.fallbackSlots++
 	s.mu.Unlock()
-	resp, err := fallback.Schedule(req)
+	resp, err := sched.ScheduleInto(fallback, req, &s.resp)
 	if err != nil {
 		return nil, fmt.Errorf("slicing: fallback scheduler for slice %d failed: %w", s.ID, err)
 	}

@@ -180,6 +180,12 @@ type Plugin struct {
 	output   []byte
 	guestErr string
 
+	// ret is what the "waran" host functions return their one result in,
+	// and callRes where the entry function's result lands: both are read
+	// before the next call of their kind overwrites them.
+	ret     [1]uint64
+	callRes [1]uint64
+
 	// zc is the negotiated zero-copy region state for the current instance,
 	// nil until the first Regions call and invalidated whenever the instance
 	// is replaced or discarded. zcNegotiations counts negotiations across
@@ -293,7 +299,7 @@ func (p *Plugin) abiModule() map[string]*wasm.HostFunc {
 			Name: "input_length",
 			Type: wasm.FuncType{Results: []wasm.ValType{i32}},
 			Fn: func(ctx *wasm.CallContext, args []uint64) ([]uint64, error) {
-				return []uint64{uint64(uint32(len(p.input)))}, nil
+				return p.result(uint32(len(p.input))), nil
 			},
 		},
 		"input_read": {
@@ -302,7 +308,7 @@ func (p *Plugin) abiModule() map[string]*wasm.HostFunc {
 			Fn: func(ctx *wasm.CallContext, args []uint64) ([]uint64, error) {
 				dst, off, n := uint32(args[0]), uint32(args[1]), uint32(args[2])
 				if off >= uint32(len(p.input)) {
-					return []uint64{0}, nil
+					return p.result(0), nil
 				}
 				src := p.input[off:]
 				if uint32(len(src)) > n {
@@ -311,7 +317,7 @@ func (p *Plugin) abiModule() map[string]*wasm.HostFunc {
 				if err := ctx.Memory().Write(dst, src); err != nil {
 					return nil, err
 				}
-				return []uint64{uint64(uint32(len(src)))}, nil
+				return p.result(uint32(len(src))), nil
 			},
 		},
 		"output_write": {
@@ -358,6 +364,12 @@ func (p *Plugin) abiModule() map[string]*wasm.HostFunc {
 			},
 		},
 	}
+}
+
+// result stores a host function's i32 result in the plugin's scratch.
+func (p *Plugin) result(v uint32) []uint64 {
+	p.ret[0] = uint64(v)
+	return p.ret[:]
 }
 
 // HasEntry reports whether the plugin exports entry with the () -> i32
@@ -452,7 +464,7 @@ func (p *Plugin) Call(entry string, input []byte) ([]byte, error) {
 	}
 
 	start := time.Now()
-	res, err := p.inst.Call(entry)
+	res, err := p.inst.CallInto(p.callRes[:0], entry)
 	p.lastDur = time.Since(start)
 	p.totalDur += p.lastDur
 	p.calls++

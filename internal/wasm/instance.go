@@ -26,6 +26,7 @@ type frameBuf struct {
 }
 
 // CallContext is passed to host functions and exposes the calling instance.
+// It is valid for the duration of the host call only.
 type CallContext struct {
 	Instance *Instance
 }
@@ -145,6 +146,9 @@ type Instance struct {
 	// from host functions via CallContext.
 	HostData any
 
+	// hostCtx is the one CallContext every host call of this instance gets.
+	hostCtx CallContext
+
 	// prof, when non-nil, routes every call through the shadow-stack
 	// profiler (see profile.go). Nil costs one pointer check per call.
 	prof *instProf
@@ -165,6 +169,7 @@ func (cm *CompiledModule) Instantiate(imports Imports, cfg Config) (*Instance, e
 		return nil, fmt.Errorf("wasm: unknown execution tier %v", cfg.Tier)
 	}
 	in := &Instance{cm: cm, cfg: cfg, maxDepth: cfg.MaxCallDepth, fuel: -1, tier: cfg.Tier}
+	in.hostCtx.Instance = in
 	in.fuelEnabled = cfg.MeterFuel
 
 	// Resolve imports. Only function imports are supported: plugin modules
@@ -255,7 +260,7 @@ func (cm *CompiledModule) Instantiate(imports Imports, cfg Config) (*Instance, e
 
 	// Start function.
 	if m.Start != nil {
-		if _, err := in.call(*m.Start, nil); err != nil {
+		if _, err := in.call(*m.Start, nil, nil); err != nil {
 			return nil, fmt.Errorf("wasm: start function: %w", err)
 		}
 	}
@@ -311,16 +316,22 @@ func (in *Instance) GlobalValue(name string) (uint64, bool) {
 // Call invokes the exported function by name. Arguments and results are raw
 // 64-bit values (floats bit-cast). A sandbox fault is returned as *Trap.
 func (in *Instance) Call(name string, args ...uint64) ([]uint64, error) {
+	return in.CallInto(nil, name, args...)
+}
+
+// CallInto is Call with the results appended to dst[:0], for callers that
+// invoke per slot and keep the result storage.
+func (in *Instance) CallInto(dst []uint64, name string, args ...uint64) ([]uint64, error) {
 	fx, ok := in.cm.m.ExportedFunc(name)
 	if !ok {
 		return nil, fmt.Errorf("wasm: no exported function %q", name)
 	}
-	return in.call(fx, args)
+	return in.call(fx, args, dst)
 }
 
 // CallIndex invokes a function by index in the module's function space.
 func (in *Instance) CallIndex(funcIdx uint32, args ...uint64) ([]uint64, error) {
-	return in.call(funcIdx, args)
+	return in.call(funcIdx, args, nil)
 }
 
 // HasExport reports whether the module exports a function with that name.
@@ -338,7 +349,10 @@ func (in *Instance) FuncType(name string) (FuncType, bool) {
 	return in.cm.types[fx], true
 }
 
-func (in *Instance) call(funcIdx uint32, args []uint64) (res []uint64, err error) {
+// call runs funcIdx and appends its results to dst[:0]: the internal result
+// buffers are pooled per depth, so what the caller gets is a copy it may
+// retain across later calls, in storage it chose.
+func (in *Instance) call(funcIdx uint32, args, dst []uint64) (res []uint64, err error) {
 	ft := in.cm.types[funcIdx]
 	if len(args) != len(ft.Params) {
 		return nil, fmt.Errorf("wasm: function %d takes %d arguments, got %d", funcIdx, len(ft.Params), len(args))
@@ -354,12 +368,10 @@ func (in *Instance) call(funcIdx uint32, args []uint64) (res []uint64, err error
 		}
 	}()
 	out := in.invoke(funcIdx, args)
-	// Internal result buffers are pooled per depth; hand external callers a
-	// copy they may retain across later calls.
 	if len(out) == 0 {
 		return nil, nil
 	}
-	return append([]uint64(nil), out...), nil
+	return append(dst[:0], out...), nil
 }
 
 // invoke dispatches to a host or guest function; panics with *Trap on fault.
@@ -388,7 +400,7 @@ func (in *Instance) dispatch(funcIdx uint32, args []uint64) []uint64 {
 	nImp := in.cm.m.numImportedFuncs
 	if int(funcIdx) < nImp {
 		hf := in.hostFuncs[funcIdx]
-		res, err := hf.Fn(&CallContext{Instance: in}, args)
+		res, err := hf.Fn(&in.hostCtx, args)
 		if err != nil {
 			if t, ok := err.(*Trap); ok {
 				panic(t)
