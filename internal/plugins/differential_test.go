@@ -18,7 +18,7 @@ import (
 // slots and instance lifecycles, and hostile/chaotic response regions that
 // never escape validation.
 
-func newSchedABI(t *testing.T, name string, mode sched.ABIMode, env wabi.Env) *sched.PluginScheduler {
+func newSchedABI(t testing.TB, name string, mode sched.ABIMode, env wabi.Env) *sched.PluginScheduler {
 	t.Helper()
 	mod, err := CompileScheduler(name)
 	if err != nil {
@@ -27,7 +27,7 @@ func newSchedABI(t *testing.T, name string, mode sched.ABIMode, env wabi.Env) *s
 	return newModuleSchedABI(t, name, mod, mode, env)
 }
 
-func newModuleSchedABI(t *testing.T, name string, mod *wabi.Module, mode sched.ABIMode, env wabi.Env) *sched.PluginScheduler {
+func newModuleSchedABI(t testing.TB, name string, mod *wabi.Module, mode sched.ABIMode, env wabi.Env) *sched.PluginScheduler {
 	t.Helper()
 	p, err := wabi.NewPlugin(mod, wabi.Policy{Fuel: 50_000_000}, env)
 	if err != nil {
@@ -102,6 +102,39 @@ func TestDifferentialCodecVsZeroCopy(t *testing.T) {
 				t.Fatalf("codec path recorded zero-copy calls: %+v", cst)
 			}
 		})
+	}
+}
+
+// TestDifferentialPFNaNAverages pins the PF floor on the one average no
+// comparison orders: with AvgTputBps NaN the metric used to be NaN, the
+// ranking stopped being a strict weak order, and native's merge sort and a
+// guest's selection could disagree once more than 20 UEs were active. Both
+// sides floor a NaN average like any average under 1 kb/s, so 0–64 UEs with
+// NaN and ±Inf averages must match native through both ABIs.
+func TestDifferentialPFNaNAverages(t *testing.T) {
+	native := sched.ProportionalFair{}
+	guests := []*sched.PluginScheduler{
+		newSchedABI(t, "pf", sched.ABICodec, wabi.Env{}),
+		newSchedABI(t, "pf", sched.ABIZeroCopy, wabi.Env{}),
+	}
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 500; trial++ {
+		req := hostileRequest(rng, trial%65, uint64(trial))
+		req.PRBBudget = 52
+		want, err := native.Schedule(req)
+		if err != nil {
+			t.Fatalf("trial %d: native: %v", trial, err)
+		}
+		for _, g := range guests {
+			got, err := g.Schedule(req)
+			if err != nil {
+				t.Fatalf("trial %d: zerocopy=%v: %v", trial, g.ZeroCopy(), err)
+			}
+			if !allocsEqual(got.Allocs, want.Allocs) {
+				t.Fatalf("trial %d (%d UEs, zerocopy=%v):\nplugin: %v\nnative: %v",
+					trial, len(req.UEs), g.ZeroCopy(), got.Allocs, want.Allocs)
+			}
+		}
 	}
 }
 

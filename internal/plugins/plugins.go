@@ -21,19 +21,23 @@ import (
 //
 //	0     .. 1023   scratch
 //	1024  .. 20479  request buffer (header 20 B + 24 B per UE, ≤512 UEs)
-//	20480 .. 22527  order array   (u32 per active UE)
-//	24576 .. 28671  metric array  (f64 per UE, PF only)
-//	32768 .. 34815  grant array   (u32 per active UE, RR only)
-//	36864 .. 38911  need array    (u32 per active UE, RR only)
+//	20480 .. 28671  entry array   (16 B per active UE: f64 key | u32 id | u32 need)
 //	40960 .. 45059  response buffer
 //
 // The request and response buffers double as the zero-copy regions
 // (zc_req_region/zc_resp_region): the serializing path copies the request
 // into the same buffer via input_read that the zero-copy host writes
-// directly, so every field accessor below serves both ABIs unchanged. Each
-// scheduler's decision logic lives in a $core function that reads the
-// request buffer and seals the response count in place; "schedule" wraps it
-// with the input_read/output_write copy plumbing, "schedule_zc" skips both.
+// directly, so one decision body serves both ABIs unchanged. Each
+// scheduler's decision logic is its $core function, exported as
+// "schedule_zc": it reads the request buffer and seals the response count in
+// place; "schedule" wraps it with the input_read/output_write copy plumbing.
+//
+// Every guest is the same two steps. $collect walks the request once by
+// pointer and caches, per active UE, everything the decision needs — the
+// ranking key (the prelude's first %s), the id and the PRB need — so
+// nothing after it touches a UE record or calls a per-field accessor. $core
+// (the second %s) then spends the budget over the entries and appends its
+// grants at $out.
 const watPrelude = `
   (import "waran" "input_length" (func $input_length (result i32)))
   (import "waran" "input_read"   (func $input_read (param i32 i32 i32) (result i32)))
@@ -41,308 +45,177 @@ const watPrelude = `
   (import "waran" "error_set"    (func $error_set (param i32 i32)))
   (import "waran" "log"          (func $log (param i32 i32)))
   (memory (export "memory") 1 4)
-  (global $outn (mut i32) (i32.const 0))
-
-  ;; load_input copies the request into guest memory and returns the UE count.
-  (func $load_input (result i32)
-    (local $n i32)
-    (local.set $n (call $input_length))
-    (drop (call $input_read (i32.const 1024) (i32.const 0) (local.get $n)))
-    (i32.load (i32.const 1040)))
-
-  (func $budget (result i32) (i32.load (i32.const 1036)))
-  (func $slot (result i64) (i64.load (i32.const 1028)))
-
-  ;; ue_ptr returns the address of UE record i.
-  (func $ue_ptr (param $i i32) (result i32)
-    (i32.add (i32.const 1044) (i32.mul (local.get $i) (i32.const 24))))
-
-  (func $ue_id (param $i i32) (result i32)
-    (i32.load (call $ue_ptr (local.get $i))))
-  (func $ue_per (param $i i32) (result i32)
-    (i32.load offset=8 (call $ue_ptr (local.get $i))))
-  (func $ue_buf (param $i i32) (result i32)
-    (i32.load offset=12 (call $ue_ptr (local.get $i))))
-  (func $ue_avg (param $i i32) (result f64)
-    (f64.load offset=16 (call $ue_ptr (local.get $i))))
-
-  ;; need returns the PRBs required to drain UE i's buffer this slot.
-  (func $need (param $i i32) (result i32)
-    (local $per i64) (local $buf i64)
-    (local.set $per (i64.extend_i32_u (call $ue_per (local.get $i))))
-    (if (result i32) (i64.eqz (local.get $per))
-      (then (i32.const 0))
-      (else (i32.wrap_i64
-        (i64.div_u
-          (i64.sub
-            (i64.add
-              (i64.mul (i64.extend_i32_u (call $ue_buf (local.get $i))) (i64.const 8))
-              (local.get $per))
-            (i64.const 1))
-          (local.get $per))))))
-
-  ;; active reports whether UE i has queued data and usable channel.
-  (func $active (param $i i32) (result i32)
-    (i32.and
-      (i32.ne (call $ue_buf (local.get $i)) (i32.const 0))
-      (i32.ne (call $ue_per (local.get $i)) (i32.const 0))))
-
-  (func $ord_get (param $k i32) (result i32)
-    (i32.load (i32.add (i32.const 20480) (i32.shl (local.get $k) (i32.const 2)))))
-  (func $ord_set (param $k i32) (param $v i32)
-    (i32.store (i32.add (i32.const 20480) (i32.shl (local.get $k) (i32.const 2))) (local.get $v)))
-
-  ;; collect_active fills the order array with indices of active UEs and
-  ;; returns the count.
-  (func $collect_active (param $n i32) (result i32)
-    (local $i i32) (local $m i32)
-    (block $done
-      (loop $top
-        (br_if $done (i32.ge_u (local.get $i) (local.get $n)))
-        (if (call $active (local.get $i))
-          (then
-            (call $ord_set (local.get $m) (local.get $i))
-            (local.set $m (i32.add (local.get $m) (i32.const 1)))))
-        (local.set $i (i32.add (local.get $i) (i32.const 1)))
-        (br $top)))
-    (local.get $m))
-
-  ;; emit appends one allocation record to the response buffer.
-  (func $emit (param $id i32) (param $prbs i32)
-    (local $p i32)
-    (local.set $p (i32.add (i32.const 40964) (i32.mul (global.get $outn) (i32.const 8))))
-    (i32.store (local.get $p) (local.get $id))
-    (i32.store offset=4 (local.get $p) (local.get $prbs))
-    (global.set $outn (i32.add (global.get $outn) (i32.const 1))))
-
-  ;; seal finalizes the response in place: the count word makes the
-  ;; allocation table valid for a host reading the response region directly.
-  (func $seal
-    (i32.store (i32.const 40960) (global.get $outn)))
-
-  ;; publish copies the sealed response out through the serializing ABI.
-  (func $publish
-    (call $output_write
-      (i32.const 40960)
-      (i32.add (i32.const 4) (i32.mul (i32.load (i32.const 40960)) (i32.const 8)))))
 
   ;; Zero-copy region negotiation: the request buffer and response buffer
   ;; are the shared-memory windows.
   (func (export "zc_req_region") (result i32) (i32.const 1024))
   (func (export "zc_resp_region") (result i32) (i32.const 40960))
 
-  ;; fill grants each UE in order-array sequence its full need until the
-  ;; budget runs out (the greedy tail shared by MT and PF).
-  (func $fill (param $m i32) (param $budget i32)
-    (local $k i32) (local $i i32) (local $g i32)
+  ;; collect appends one entry per UE with queued data and a usable channel,
+  ;; in request order, and returns the address past the last one. need is
+  ;; the PRBs that drain the buffer, ceil(8*buf / per), saturated at 2^32-1.
+  (func $collect (result i32)
+    (local $p i32) (local $end i32) (local $e i32)
+    (local $per i32) (local $buf i32) (local $need i64)
+    (local.set $p (i32.const 1044))
+    (local.set $end
+      (i32.add (i32.const 1044) (i32.mul (i32.load (i32.const 1040)) (i32.const 24))))
+    (local.set $e (i32.const 20480))
     (block $done
       (loop $top
-        (br_if $done (i32.ge_u (local.get $k) (local.get $m)))
-        (br_if $done (i32.eqz (local.get $budget)))
-        (local.set $i (call $ord_get (local.get $k)))
-        (local.set $g (call $need (local.get $i)))
-        (if (i32.gt_u (local.get $g) (local.get $budget))
-          (then (local.set $g (local.get $budget))))
-        (if (i32.ne (local.get $g) (i32.const 0))
-          (then
-            (call $emit (call $ue_id (local.get $i)) (local.get $g))
-            (local.set $budget (i32.sub (local.get $budget) (local.get $g)))))
-        (local.set $k (i32.add (local.get $k) (i32.const 1)))
-        (br $top))))
+        (br_if $done (i32.ge_u (local.get $p) (local.get $end)))
+        (block $idle
+          (br_if $idle (i32.eqz (local.tee $per (i32.load offset=8 (local.get $p)))))
+          (br_if $idle (i32.eqz (local.tee $buf (i32.load offset=12 (local.get $p)))))
+          (f64.store (local.get $e) %s)
+          (i32.store offset=8 (local.get $e) (i32.load (local.get $p)))
+          (local.set $need
+            (i64.div_u
+              (i64.add
+                (i64.shl (i64.extend_i32_u (local.get $buf)) (i64.const 3))
+                (i64.extend_i32_u (i32.sub (local.get $per) (i32.const 1))))
+              (i64.extend_i32_u (local.get $per))))
+          (i32.store offset=12 (local.get $e)
+            (select
+              (i32.const -1)
+              (i32.wrap_i64 (local.get $need))
+              (i64.gt_u (local.get $need) (i64.const 0xFFFFFFFF))))
+          (local.set $e (i32.add (local.get $e) (i32.const 16))))
+        (local.set $p (i32.add (local.get $p) (i32.const 24)))
+        (br $top)))
+    (local.get $e))
+%s
+  (func (export "schedule") (result i32)
+    (drop (call $input_read (i32.const 1024) (i32.const 0) (call $input_length)))
+    (drop (call $core))
+    (call $output_write
+      (i32.const 40960)
+      (i32.add (i32.const 4) (i32.shl (i32.load (i32.const 40960)) (i32.const 3))))
+    (i32.const 0))
 `
 
-// watSort generates a stable insertion sort over the order array using the
-// named comparator ("less(a,b) = a sorts before b").
-func watSort(name, lessFunc string) string {
-	return fmt.Sprintf(`
-  (func %s (param $m i32)
-    (local $i i32) (local $j i32) (local $key i32)
-    (local.set $i (i32.const 1))
+// watRanked is the body MT and PF share: serve the best remaining entry —
+// highest key, then lowest UE id, then earliest in the request — its full
+// need until the budget is spent. That is the order a stable sort by
+// (key desc, id asc) produces, found by selection because the budget
+// usually covers one or two UEs: O(entries × grants) instead of a sort of
+// all of them. A served entry's key drops to -2, below the scan's starting
+// bound of -1 and every real key (all ≥ 0), so one compare rejects served
+// and outranked entries alike.
+const watRanked = `
+  (func $core (export "schedule_zc") (result i32)
+    (local $end i32) (local $budget i32) (local $out i32)
+    (local $e i32) (local $best i32) (local $g i32)
+    (local $k f64) (local $bk f64)
+    (local.set $end (call $collect))
+    (local.set $budget (i32.load (i32.const 1036)))
+    (local.set $out (i32.const 40964))
     (block $done
-      (loop $outer
-        (br_if $done (i32.ge_u (local.get $i) (local.get $m)))
-        (local.set $key (call $ord_get (local.get $i)))
-        (local.set $j (local.get $i))
-        (block $placed
-          (loop $shift
-            (br_if $placed (i32.eqz (local.get $j)))
-            (br_if $placed (i32.eqz
-              (call %s (local.get $key) (call $ord_get (i32.sub (local.get $j) (i32.const 1))))))
-            (call $ord_set (local.get $j) (call $ord_get (i32.sub (local.get $j) (i32.const 1))))
-            (local.set $j (i32.sub (local.get $j) (i32.const 1)))
-            (br $shift)))
-        (call $ord_set (local.get $j) (local.get $key))
-        (local.set $i (i32.add (local.get $i) (i32.const 1)))
-        (br $outer))))
-`, name, lessFunc)
+      (br_if $done (i32.eq (local.get $end) (i32.const 20480)))
+      (loop $next
+        (br_if $done (i32.eqz (local.get $budget)))
+        (local.set $best (i32.const 0))
+        (local.set $bk (f64.const -1))
+        (local.set $e (i32.const 20480))
+        (loop $scan
+          (block $worse
+            (br_if $worse (f64.lt (local.tee $k (f64.load (local.get $e))) (local.get $bk)))
+            (if (f64.eq (local.get $k) (local.get $bk))
+              (then (br_if $worse
+                (i32.ge_u (i32.load offset=8 (local.get $e)) (i32.load offset=8 (local.get $best))))))
+            (local.set $best (local.get $e))
+            (local.set $bk (local.get $k)))
+          (local.set $e (i32.add (local.get $e) (i32.const 16)))
+          (br_if $scan (i32.lt_u (local.get $e) (local.get $end))))
+        (br_if $done (i32.eqz (local.get $best)))
+        (local.set $g (i32.load offset=12 (local.get $best)))
+        (if (i32.gt_u (local.get $g) (local.get $budget))
+          (then (local.set $g (local.get $budget))))
+        (i32.store (local.get $out) (i32.load offset=8 (local.get $best)))
+        (i32.store offset=4 (local.get $out) (local.get $g))
+        (local.set $out (i32.add (local.get $out) (i32.const 8)))
+        (local.set $budget (i32.sub (local.get $budget) (local.get $g)))
+        (f64.store (local.get $best) (f64.const -2))
+        (br $next)))
+    (i32.store (i32.const 40960)
+      (i32.shr_u (i32.sub (local.get $out) (i32.const 40964)) (i32.const 3)))
+    (i32.const 0))
+`
+
+// watScheduler assembles a scheduler guest from the f64 ranking key $collect
+// caches per entry (an expression over $p, the UE record, and $per) and the
+// body that spends the budget.
+func watScheduler(key, body string) string {
+	return "(module " + fmt.Sprintf(watPrelude, key, body) + ")"
 }
 
-// MaxThroughputWAT is the MT intra-slice scheduler: best channel first.
-var MaxThroughputWAT = "(module " + watPrelude + `
-  ;; mt_less: higher bits-per-PRB first; ties broken by lower UE id.
-  (func $mt_less (param $a i32) (param $b i32) (result i32)
-    (local $ea i32) (local $eb i32)
-    (local.set $ea (call $ue_per (local.get $a)))
-    (local.set $eb (call $ue_per (local.get $b)))
-    (if (result i32) (i32.gt_u (local.get $ea) (local.get $eb))
-      (then (i32.const 1))
-      (else (if (result i32) (i32.eq (local.get $ea) (local.get $eb))
-        (then (i32.lt_u (call $ue_id (local.get $a)) (call $ue_id (local.get $b))))
-        (else (i32.const 0))))))
-` + watSort("$mt_sort", "$mt_less") + `
-  (func $core (param $n i32)
-    (local $m i32)
-    (global.set $outn (i32.const 0))
-    (local.set $m (call $collect_active (local.get $n)))
-    (call $mt_sort (local.get $m))
-    (call $fill (local.get $m) (call $budget))
-    (call $seal))
-
-  (func (export "schedule") (result i32)
-    (call $core (call $load_input))
-    (call $publish)
-    (i32.const 0))
-
-  (func (export "schedule_zc") (result i32)
-    (call $core (i32.load (i32.const 1040)))
-    (i32.const 0))
-)`
+// MaxThroughputWAT is the MT intra-slice scheduler: best channel first
+// (key: bits per PRB, which a float64 holds exactly).
+var MaxThroughputWAT = watScheduler(`(f64.convert_i32_u (local.get $per))`, watRanked)
 
 // ProportionalFairWAT is the PF intra-slice scheduler: rank by
-// instantaneous-rate over long-term average throughput.
-var ProportionalFairWAT = "(module " + watPrelude + `
-  (func $metric_get (param $i i32) (result f64)
-    (f64.load (i32.add (i32.const 24576) (i32.shl (local.get $i) (i32.const 3)))))
-  (func $metric_set (param $i i32) (param $v f64)
-    (f64.store (i32.add (i32.const 24576) (i32.shl (local.get $i) (i32.const 3))) (local.get $v)))
-
-  ;; compute_metrics stores bitsPerPRB / max(avg, 1000) for every UE.
-  (func $compute_metrics (param $n i32)
-    (local $i i32) (local $avg f64)
-    (block $done
-      (loop $top
-        (br_if $done (i32.ge_u (local.get $i) (local.get $n)))
-        (local.set $avg (call $ue_avg (local.get $i)))
-        (if (f64.lt (local.get $avg) (f64.const 1000))
-          (then (local.set $avg (f64.const 1000))))
-        (call $metric_set (local.get $i)
-          (f64.div
-            (f64.convert_i32_u (call $ue_per (local.get $i)))
-            (local.get $avg)))
-        (local.set $i (i32.add (local.get $i) (i32.const 1)))
-        (br $top))))
-
-  ;; pf_less: higher metric first; ties broken by lower UE id.
-  (func $pf_less (param $a i32) (param $b i32) (result i32)
-    (local $ma f64) (local $mb f64)
-    (local.set $ma (call $metric_get (local.get $a)))
-    (local.set $mb (call $metric_get (local.get $b)))
-    (if (result i32) (f64.gt (local.get $ma) (local.get $mb))
-      (then (i32.const 1))
-      (else (if (result i32) (f64.eq (local.get $ma) (local.get $mb))
-        (then (i32.lt_u (call $ue_id (local.get $a)) (call $ue_id (local.get $b))))
-        (else (i32.const 0))))))
-` + watSort("$pf_sort", "$pf_less") + `
-  (func $core (param $n i32)
-    (local $m i32)
-    (global.set $outn (i32.const 0))
-    (call $compute_metrics (local.get $n))
-    (local.set $m (call $collect_active (local.get $n)))
-    (call $pf_sort (local.get $m))
-    (call $fill (local.get $m) (call $budget))
-    (call $seal))
-
-  (func (export "schedule") (result i32)
-    (call $core (call $load_input))
-    (call $publish)
-    (i32.const 0))
-
-  (func (export "schedule_zc") (result i32)
-    (call $core (i32.load (i32.const 1040)))
-    (i32.const 0))
-)`
+// instantaneous-rate over long-term average throughput, the average floored
+// at 1000 b/s — also when it is NaN, so no key ever is.
+var ProportionalFairWAT = watScheduler(`
+            (f64.div
+              (f64.convert_i32_u (local.get $per))
+              (select
+                (f64.load offset=16 (local.get $p))
+                (f64.const 1000)
+                (f64.ge (f64.load offset=16 (local.get $p)) (f64.const 1000))))`, watRanked)
 
 // RoundRobinWAT is the RR intra-slice scheduler: equal rotating shares,
-// capped at buffer need, with spill.
-var RoundRobinWAT = "(module " + watPrelude + `
-  (func $grant_get (param $k i32) (result i32)
-    (i32.load (i32.add (i32.const 32768) (i32.shl (local.get $k) (i32.const 2)))))
-  (func $grant_set (param $k i32) (param $v i32)
-    (i32.store (i32.add (i32.const 32768) (i32.shl (local.get $k) (i32.const 2))) (local.get $v)))
-  (func $need_get (param $k i32) (result i32)
-    (i32.load (i32.add (i32.const 36864) (i32.shl (local.get $k) (i32.const 2)))))
-  (func $need_set (param $k i32) (param $v i32)
-    (i32.store (i32.add (i32.const 36864) (i32.shl (local.get $k) (i32.const 2))) (local.get $v)))
-
-  (func $core (param $n i32)
-    (local $m i32) (local $budget i32) (local $start i32)
-    (local $i i32) (local $ix i32) (local $progressed i32)
-    (global.set $outn (i32.const 0))
-    (local.set $m (call $collect_active (local.get $n)))
-    (local.set $budget (call $budget))
-    (if (i32.or (i32.eqz (local.get $m)) (i32.eqz (local.get $budget)))
-      (then
-        (call $seal)
-        (return)))
-
-    ;; Cache per-position need, zero grants.
-    (local.set $i (i32.const 0))
-    (block $cdone
-      (loop $cache
-        (br_if $cdone (i32.ge_u (local.get $i) (local.get $m)))
-        (call $need_set (local.get $i) (call $need (call $ord_get (local.get $i))))
-        (call $grant_set (local.get $i) (i32.const 0))
-        (local.set $i (i32.add (local.get $i) (i32.const 1)))
-        (br $cache)))
-
-    (local.set $start
-      (i32.wrap_i64 (i64.rem_u (call $slot) (i64.extend_i32_u (local.get $m)))))
-
-    ;; Rotating one-PRB rounds until the budget or all needs are exhausted.
-    (block $rdone
-      (loop $rounds
-        (local.set $progressed (i32.const 0))
-        (local.set $i (i32.const 0))
-        (block $idone
-          (loop $inner
-            (br_if $idone (i32.ge_u (local.get $i) (local.get $m)))
-            (br_if $idone (i32.eqz (local.get $budget)))
-            (local.set $ix
-              (i32.rem_u (i32.add (local.get $start) (local.get $i)) (local.get $m)))
-            (if (i32.lt_u (call $grant_get (local.get $ix)) (call $need_get (local.get $ix)))
-              (then
-                (call $grant_set (local.get $ix)
-                  (i32.add (call $grant_get (local.get $ix)) (i32.const 1)))
-                (local.set $budget (i32.sub (local.get $budget) (i32.const 1)))
-                (local.set $progressed (i32.const 1))))
-            (local.set $i (i32.add (local.get $i) (i32.const 1)))
-            (br $inner)))
-        (br_if $rdone (i32.eqz (local.get $progressed)))
-        (br_if $rdone (i32.eqz (local.get $budget)))
-        (br $rounds)))
-
-    ;; Emit grants in active order.
-    (local.set $i (i32.const 0))
-    (block $edone
-      (loop $emitl
-        (br_if $edone (i32.ge_u (local.get $i) (local.get $m)))
-        (if (i32.ne (call $grant_get (local.get $i)) (i32.const 0))
-          (then (call $emit
-            (call $ue_id (call $ord_get (local.get $i)))
-            (call $grant_get (local.get $i)))))
-        (local.set $i (i32.add (local.get $i) (i32.const 1)))
-        (br $emitl)))
-    (call $seal))
-
-  (func (export "schedule") (result i32)
-    (call $core (call $load_input))
-    (call $publish)
+// capped at buffer need, with spill. The entry's key slot holds the running
+// grant (a u32, zeroed by the 0.0 key); the rounds are one cyclic walk from
+// the slot's starting entry, one PRB per unsatisfied entry, until the
+// budget is spent or a whole lap grants nothing.
+var RoundRobinWAT = watScheduler(`(f64.const 0)`, `
+  (func $core (export "schedule_zc") (result i32)
+    (local $end i32) (local $m i32) (local $budget i32) (local $out i32)
+    (local $e i32) (local $g i32) (local $idle i32)
+    (local.set $end (call $collect))
+    (local.set $m (i32.shr_u (i32.sub (local.get $end) (i32.const 20480)) (i32.const 4)))
+    (local.set $budget (i32.load (i32.const 1036)))
+    (local.set $out (i32.const 40964))
+    (block $done
+      (br_if $done (i32.eqz (local.get $m)))
+      (br_if $done (i32.eqz (local.get $budget)))
+      (local.set $e
+        (i32.add
+          (i32.const 20480)
+          (i32.shl
+            (i32.wrap_i64
+              (i64.rem_u (i64.load (i32.const 1028)) (i64.extend_i32_u (local.get $m))))
+            (i32.const 4))))
+      (block $spent
+        (loop $step
+          (if (i32.lt_u (local.tee $g (i32.load (local.get $e))) (i32.load offset=12 (local.get $e)))
+            (then
+              (i32.store (local.get $e) (i32.add (local.get $g) (i32.const 1)))
+              (local.set $budget (i32.sub (local.get $budget) (i32.const 1)))
+              (br_if $spent (i32.eqz (local.get $budget)))
+              (local.set $idle (i32.const 0)))
+            (else
+              (local.set $idle (i32.add (local.get $idle) (i32.const 1)))
+              (br_if $spent (i32.eq (local.get $idle) (local.get $m)))))
+          (local.set $e (i32.add (local.get $e) (i32.const 16)))
+          (if (i32.eq (local.get $e) (local.get $end))
+            (then (local.set $e (i32.const 20480))))
+          (br $step)))
+      ;; Emit grants in request order.
+      (local.set $e (i32.const 20480))
+      (loop $emit
+        (if (local.tee $g (i32.load (local.get $e)))
+          (then
+            (i32.store (local.get $out) (i32.load offset=8 (local.get $e)))
+            (i32.store offset=4 (local.get $out) (local.get $g))
+            (local.set $out (i32.add (local.get $out) (i32.const 8)))))
+        (local.set $e (i32.add (local.get $e) (i32.const 16)))
+        (br_if $emit (i32.lt_u (local.get $e) (local.get $end)))))
+    (i32.store (i32.const 40960)
+      (i32.shr_u (i32.sub (local.get $out) (i32.const 40964)) (i32.const 3)))
     (i32.const 0))
-
-  (func (export "schedule_zc") (result i32)
-    (call $core (i32.load (i32.const 1040)))
-    (i32.const 0))
-)`
+`)
 
 // SchedulerWAT returns the WAT source of the named built-in scheduler
 // plugin ("rr", "pf" or "mt").

@@ -2,6 +2,7 @@ package plugins
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -55,6 +56,21 @@ func randomRequest(rng *rand.Rand, nUE int, slot uint64) *sched.Request {
 	return req
 }
 
+// edgeRequests are the requests the random draw does not reach; every
+// policy serves them before TestDifferentialPluginVsNative's seeded trials.
+var edgeRequests = []*sched.Request{
+	// Needs 2^32 + 0xc033054 PRBs: both sides saturate at MaxUint32 instead
+	// of wrapping.
+	{PRBBudget: 52, UEs: []sched.UEInfo{{ID: 7, BitsPerPRB: 6, BufferBytes: 0xc902643f, AvgTputBps: 1e6}}},
+	// Needs exactly 2^32, which wrapped to 0 and dropped the UE.
+	{PRBBudget: 52, Slot: 1, UEs: []sched.UEInfo{
+		{ID: 1, BitsPerPRB: 1, BufferBytes: 1 << 29, AvgTputBps: 1e6},
+		{ID: 2, BitsPerPRB: 1000, BufferBytes: 2500, AvgTputBps: 1e6},
+	}},
+	// The largest need that fits.
+	{PRBBudget: 52, UEs: []sched.UEInfo{{ID: 8, BitsPerPRB: 8, BufferBytes: math.MaxUint32, AvgTputBps: 1e6}}},
+}
+
 // TestDifferentialPluginVsNative is the keystone equivalence check: for any
 // request, the Wasm plugin and the native Go policy must produce the exact
 // same allocation list.
@@ -74,6 +90,9 @@ func TestDifferentialPluginVsNative(t *testing.T) {
 			for trial := 0; trial < 300; trial++ {
 				nUE := rng.Intn(24)
 				req := randomRequest(rng, nUE, uint64(trial))
+				if trial < len(edgeRequests) {
+					req = edgeRequests[trial]
+				}
 				want, err := tc.native.Schedule(req)
 				if err != nil {
 					t.Fatalf("native: %v", err)

@@ -104,7 +104,7 @@ func (p ProportionalFair) scheduleInto(req *Request, resp *Response) error {
 	defer putScratch(sc)
 	ranked := sc.active(req, func(u *UEInfo) float64 {
 		avg := u.AvgTputBps
-		if avg < minAvg {
+		if !(avg >= minAvg) { // a NaN average is floored too: no metric is ever NaN
 			avg = minAvg
 		}
 		return float64(u.BitsPerPRB) / avg

@@ -81,7 +81,7 @@ func refProportionalFair(p ProportionalFair, req *Request) *Response {
 	scoredUEs := make([]scored, len(active))
 	for i, u := range active {
 		avg := u.AvgTputBps
-		if avg < minAvg {
+		if !(avg >= minAvg) { // the one edit to the kept PF: NaN is floored, as in ProportionalFair
 			avg = minAvg
 		}
 		scoredUEs[i] = scored{u: u, metric: float64(u.BitsPerPRB) / avg}

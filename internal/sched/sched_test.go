@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -318,11 +319,15 @@ func TestQuickPrbsNeeded(t *testing.T) {
 			return need == 0
 		}
 		bits := uint64(buf) * 8
-		// need is the least n with n*per >= bits.
-		if uint64(need)*uint64(per) < bits {
+		// need is the least n with n*per >= bits, or MaxUint32 when that n
+		// does not fit.
+		if uint64(need)*uint64(per) < bits && need != math.MaxUint32 {
 			return false
 		}
 		return uint64(need-1)*uint64(per) < bits
+	}
+	if !f(6, 0xc902643f) { // least n is 2^32 + 0xc033054: the draw that used to wrap
+		t.Fatal("need past 2^32 PRBs is not saturated")
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

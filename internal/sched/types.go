@@ -11,6 +11,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // UEInfo is the per-UE scheduling input visible to intra-slice schedulers
@@ -140,12 +141,13 @@ func (r *Response) TotalPRBs() uint32 {
 	return t
 }
 
-// prbsNeeded returns how many PRBs drain the UE's buffer this slot.
+// prbsNeeded returns how many PRBs drain the UE's buffer this slot,
+// saturated at MaxUint32.
 func prbsNeeded(u *UEInfo) uint32 {
 	if u.BufferBytes == 0 || u.BitsPerPRB == 0 {
 		return 0
 	}
 	bits := uint64(u.BufferBytes) * 8
 	per := uint64(u.BitsPerPRB)
-	return uint32((bits + per - 1) / per)
+	return uint32(min((bits+per-1)/per, math.MaxUint32))
 }
