@@ -133,10 +133,10 @@ func run(cfg gnbConfig) error {
 		// is built below.
 		cg.PluginEnv = wabi.Env{Profile: profile}
 	}
-	// The flight recorder journals slot deadline misses and fallback pins
-	// from the hot loop (rare edges only: a clean slot records nothing),
-	// feeds the slot-miss SLO's burn-rate detector, and captures a
-	// diagnostic bundle when a detector fires or a fallback pins.
+	// The flight recorder journals slot deadline misses from the hot loop
+	// (rare edges only: a clean slot records nothing), feeds the slot-miss
+	// SLO's burn-rate detector, and captures a diagnostic bundle when a
+	// detector fires, a breaker opens or a swap rolls back.
 	var frec *flight.Recorder
 	var fdet *flight.DetectorSet
 	var fcap *flight.Capturer
@@ -152,7 +152,7 @@ func run(cfg gnbConfig) error {
 			Bad:       func() uint64 { return frec.Count(flight.EvSlotDeadlineMiss) },
 			Total:     slotsStepped.Load,
 		}, flight.DetectorConfig{})
-		frec.SetTriggers(flight.EvDetectorFire, flight.EvFallbackPin, flight.EvRollback, flight.EvBreakerOpen)
+		frec.SetTriggers(flight.EvDetectorFire, flight.EvRollback, flight.EvBreakerOpen)
 		ccfg := flight.CapturerConfig{Dir: cfg.flightDir, Registry: reg, Detectors: fdet, Tracer: tracer}
 		if profile != nil {
 			ccfg.Profile = profile

@@ -3,6 +3,7 @@ package main
 import (
 	"testing"
 
+	"waran/internal/e2"
 	"waran/internal/obs/flight"
 	"waran/internal/ric"
 )
@@ -19,7 +20,8 @@ func TestNoOverloadFlag(t *testing.T) {
 }
 
 // TestDefaultFlagsArmNoWallClockBound builds the RIC exactly as `ric` with no
-// arguments does: its xApps are bounded by fuel, not by a wall-clock deadline.
+// arguments does: its xApps are bounded by fuel, the only bound on a call, so
+// every dispatch is metered.
 func TestDefaultFlagsArmNoWallClockBound(t *testing.T) {
 	o, err := parseFlags(nil)
 	if err != nil {
@@ -32,8 +34,11 @@ func TestDefaultFlagsArmNoWallClockBound(t *testing.T) {
 	if len(r.XApps()) != 2 {
 		t.Fatalf("default xApps = %d, want steer+sla", len(r.XApps()))
 	}
-	if d := r.Config().Overload.XAppDeadline; d != 0 {
-		t.Fatalf("default flags install a %v wall-clock xApp deadline", d)
+	r.HandleIndication(&e2.Indication{Cell: 1, UEs: []e2.UEMeasurement{{UEID: 7, SliceID: 1, MCS: 2}}})
+	for _, x := range r.XApps() {
+		if x.Plugin().LastFuelUsed() <= 0 {
+			t.Fatalf("xApp %s ran without a fuel meter", x.Name)
+		}
 	}
 }
 

@@ -23,22 +23,12 @@ type CellGroupConfig struct {
 	// Parallelism bounds concurrent cell steps per slot. 0 means
 	// GOMAXPROCS; 1 reproduces the serial single-cell loop exactly.
 	Parallelism int
-	// SlotDeadline is the per-cell wall-clock budget the watchdog checks
-	// each slot. 0 means the cell's slot duration (the paper's 1 ms).
+	// SlotDeadline is the per-cell wall-clock budget the watchdog measures
+	// each slot against. 0 means the cell's slot duration (the paper's
+	// 1 ms). The watchdog only observes: a miss is counted and journaled,
+	// never acted on.
 	SlotDeadline time.Duration
-	// FallbackOnOverrun pins a cell's slices to their native fallback
-	// schedulers after OverrunThreshold consecutive deadline overruns —
-	// the cell-wide analogue of a plugin's breaker opening. Off by default
-	// because wall-clock-driven decisions are nondeterministic.
-	FallbackOnOverrun bool
-	// OverrunThreshold is the consecutive-overrun limit before a cell is
-	// pinned (0 means 3).
-	OverrunThreshold int
 }
-
-// DefaultOverrunThreshold is the consecutive slot-deadline overruns after
-// which a cell falls back to native scheduling (when enabled).
-const DefaultOverrunThreshold = 3
 
 // CellGroup owns N independent gNB cells and steps them concurrently each
 // slot over static stripes (worker w owns cells w, w+par, ...) — the
@@ -61,11 +51,9 @@ type CellGroup struct {
 	// cache; every cell's upload path resolves bytecode through it.
 	Modules *wabi.ModuleCache
 
-	watch      []*metrics.DeadlineMeter
-	consecOver []int
-	pinned     []bool
-	slot       uint64
-	results    []SlotResult // what StepAll returns, refilled every slot
+	watch   []*metrics.DeadlineMeter
+	slot    uint64
+	results []SlotResult // what StepAll returns, refilled every slot
 
 	// flight is the incident journal (nil = off). Set via SetFlightRecorder
 	// before the slot loop starts; stepCell reads it without synchronization
@@ -100,17 +88,12 @@ func NewCellGroup(cell ran.CellConfig, cfg CellGroupConfig) (*CellGroup, error) 
 	if cfg.SlotDeadline == 0 {
 		cfg.SlotDeadline = cell.SlotDuration
 	}
-	if cfg.OverrunThreshold == 0 {
-		cfg.OverrunThreshold = DefaultOverrunThreshold
-	}
 	cg := &CellGroup{
-		cfg:        cfg,
-		cells:      make([]*GNB, cfg.Cells),
-		Modules:    wabi.NewModuleCache(),
-		watch:      make([]*metrics.DeadlineMeter, cfg.Cells),
-		consecOver: make([]int, cfg.Cells),
-		pinned:     make([]bool, cfg.Cells),
-		results:    make([]SlotResult, cfg.Cells),
+		cfg:     cfg,
+		cells:   make([]*GNB, cfg.Cells),
+		Modules: wabi.NewModuleCache(),
+		watch:   make([]*metrics.DeadlineMeter, cfg.Cells),
+		results: make([]SlotResult, cfg.Cells),
 	}
 	for i := range cg.cells {
 		g, err := NewGNB(cell)
@@ -149,10 +132,9 @@ func (cg *CellGroup) parallelism() int {
 // StepAll advances every cell by one slot, at most Parallelism cells
 // concurrently, and returns the per-cell results indexed by cell. Each
 // cell's step is timed against the slot deadline; overruns are recorded in
-// the cell's DeadlineMeter and, when FallbackOnOverrun is set, pin the cell
-// to native fallback scheduling after OverrunThreshold consecutive misses.
-// The returned slice and every SlotResult in it are the group's and the
-// cells' own storage, valid until the next StepAll.
+// the cell's DeadlineMeter and journaled. The returned slice and every
+// SlotResult in it are the group's and the cells' own storage, valid until
+// the next StepAll.
 func (cg *CellGroup) StepAll() []SlotResult {
 	results := cg.results
 	if par := cg.parallelism(); par > 1 {
@@ -190,14 +172,12 @@ func (cg *CellGroup) stepStripes(par int, results []SlotResult) {
 }
 
 // stepCell runs one cell's slot under the deadline watchdog. Cell i belongs
-// to exactly one stripe, so consecOver/pinned accesses are race-free by
-// construction.
+// to exactly one stripe, so its meter is written by one goroutine.
 func (cg *CellGroup) stepCell(i int, results []SlotResult) {
 	start := time.Now()
 	results[i] = cg.cells[i].Step()
 	dur := time.Since(start)
-	overrun := cg.watch[i].Observe(dur)
-	if overrun {
+	if cg.watch[i].Observe(dur) {
 		// Journal the miss on the rare edge only; the common in-budget slot
 		// never touches the recorder (nil recorder adds 0 allocs, pinned by
 		// TestDisabledFlightRecorderAddsZeroAllocs).
@@ -206,24 +186,6 @@ func (cg *CellGroup) stepCell(i int, results []SlotResult) {
 			Cell: uint32(i), Slot: cg.slot,
 			Value: float64(dur.Nanoseconds()),
 		})
-	}
-
-	if !cg.cfg.FallbackOnOverrun {
-		return
-	}
-	if overrun {
-		cg.consecOver[i]++
-		if !cg.pinned[i] && cg.consecOver[i] >= cg.cfg.OverrunThreshold {
-			cg.pinned[i] = true
-			cg.cells[i].Slices.SetForceFallback(true)
-			cg.flight.Record(flight.Event{
-				Class: flight.EvFallbackPin, Plane: flight.PlaneGNB,
-				Cell: uint32(i), Slot: cg.slot,
-				Value: float64(cg.consecOver[i]),
-			})
-		}
-	} else {
-		cg.consecOver[i] = 0
 	}
 }
 
@@ -273,27 +235,11 @@ func (cg *CellGroup) WatchdogStats() []metrics.DeadlineStats {
 	return out
 }
 
-// CellPinned reports whether the watchdog has pinned cell i to native
-// fallback scheduling.
-func (cg *CellGroup) CellPinned(i int) bool { return cg.pinned[i] }
-
-// ReleaseCell lifts a watchdog pin (e.g. after the operator uploaded a
-// faster plugin), re-enabling plugin scheduling on the cell.
-func (cg *CellGroup) ReleaseCell(i int) {
-	cg.pinned[i] = false
-	cg.consecOver[i] = 0
-	cg.cells[i].Slices.SetForceFallback(false)
-	cg.flight.Record(flight.Event{
-		Class: flight.EvFallbackRelease, Plane: flight.PlaneGNB,
-		Cell: uint32(i), Slot: cg.slot,
-	})
-}
-
 // SetFlightRecorder attaches the incident journal to the group: slot
-// deadline misses, fallback pins/releases and every installed supervisor's
-// lifecycle transitions are journaled into rec. Call before the slot loop
-// starts (the same contract as PluginEnv); nil detaches. Supervisors
-// installed later inherit the recorder.
+// deadline misses and every installed supervisor's lifecycle transitions
+// are journaled into rec. Call before the slot loop starts (the same
+// contract as PluginEnv); nil detaches. Supervisors installed later inherit
+// the recorder.
 func (cg *CellGroup) SetFlightRecorder(rec *flight.Recorder) {
 	cg.mu.Lock()
 	defer cg.mu.Unlock()

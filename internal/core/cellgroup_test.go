@@ -232,49 +232,6 @@ func TestCellGroupModuleCacheCompilesOnce(t *testing.T) {
 	}
 }
 
-// TestCellGroupWatchdogPinsSlowCell: consecutive deadline overruns must pin
-// the cell to native fallback scheduling, as an open breaker pins one slice,
-// and ReleaseCell must lift the pin.
-func TestCellGroupWatchdogPinsSlowCell(t *testing.T) {
-	cg, err := NewCellGroup(ran.CellConfig{}, CellGroupConfig{
-		Cells:             2,
-		Parallelism:       2,
-		SlotDeadline:      time.Nanosecond, // everything overruns
-		FallbackOnOverrun: true,
-		OverrunThreshold:  2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		populateCell(t, cg.Cell(i), i)
-	}
-	cg.RunSlots(5, nil)
-
-	for i := 0; i < 2; i++ {
-		if !cg.CellPinned(i) {
-			t.Fatalf("cell %d not pinned after persistent overruns", i)
-		}
-		st := cg.WatchdogStats()[i]
-		if st.Slots != 5 || st.Overruns != 5 {
-			t.Fatalf("cell %d watchdog = %+v", i, st)
-		}
-	}
-	// Pinned cells schedule natively: the next slot uses fallback.
-	res := cg.StepAll()
-	for i := 0; i < 2; i++ {
-		for sliceID, ss := range res[i].PerSlice {
-			if ss.BudgetPRBs > 0 && !ss.UsedFallback {
-				t.Fatalf("cell %d slice %d still ran its plugin while pinned", i, sliceID)
-			}
-		}
-	}
-	cg.ReleaseCell(0)
-	if cg.CellPinned(0) || cg.Cell(0).Slices.ForceFallback() {
-		t.Fatal("ReleaseCell did not lift the pin")
-	}
-}
-
 // TestCellGroupValidation covers constructor edges.
 func TestCellGroupValidation(t *testing.T) {
 	if _, err := NewCellGroup(ran.CellConfig{}, CellGroupConfig{Cells: 0}); err == nil {

@@ -48,37 +48,44 @@ func TestDisabledFlightRecorderAddsZeroAllocs(t *testing.T) {
 }
 
 // TestCellGroupJournalsMissAndPin drives every slot past an impossible
-// deadline and checks the gNB plane journals both edges: the per-slot
-// deadline miss and the fallback pin once the overrun streak crosses the
-// threshold.
+// deadline and checks the gNB plane journals each miss, while the watchdog
+// only observes: no overrun streak pins the cell, so every slot still runs
+// the slices' plugins rather than their fallbacks.
 func TestCellGroupJournalsMissAndPin(t *testing.T) {
-	cg := flightTestGroup(t, CellGroupConfig{
-		SlotDeadline:      time.Nanosecond, // everything overruns
-		FallbackOnOverrun: true,
-		OverrunThreshold:  2,
+	cg, err := NewCellGroup(ran.CellConfig{}, CellGroupConfig{
+		Cells:        1,
+		SlotDeadline: time.Nanosecond, // everything overruns
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	populateCell(t, cg.Cell(0), 0)
 	rec := flight.NewRecorder(64)
 	cg.SetFlightRecorder(rec)
-	cg.RunSlots(5, nil)
+	scheduled := 0
+	cg.RunSlots(5, func(_ int, r SlotResult) {
+		for id, ss := range r.PerSlice {
+			if ss.UsedFallback {
+				t.Fatalf("slot %d slice %d routed to the fallback", r.Slot, id)
+			}
+			if ss.BudgetPRBs > 0 {
+				scheduled++
+			}
+		}
+	})
+	if scheduled == 0 {
+		t.Fatal("no slice was scheduled")
+	}
 
 	if n := rec.Count(flight.EvSlotDeadlineMiss); n != 5 {
 		t.Fatalf("slot deadline misses journaled = %d, want 5", n)
 	}
-	if n := rec.Count(flight.EvFallbackPin); n != 1 {
-		t.Fatalf("fallback pins journaled = %d, want 1", n)
+	if st := cg.WatchdogStats()[0]; st.Slots != 5 || st.Overruns != 5 {
+		t.Fatalf("watchdog = %+v, want 5 slots, 5 overruns", st)
 	}
 	for _, ev := range rec.Tail(16) {
 		if ev.Plane != flight.PlaneGNB {
 			t.Fatalf("event %v journaled on plane %v, want gnb", ev.Class, ev.Plane)
 		}
-	}
-	// Releasing journals the release; re-pinning journals a fresh pin.
-	cg.ReleaseCell(0)
-	if n := rec.Count(flight.EvFallbackRelease); n != 1 {
-		t.Fatalf("fallback releases journaled = %d, want 1", n)
-	}
-	cg.RunSlots(2, nil)
-	if n := rec.Count(flight.EvFallbackPin); n != 2 {
-		t.Fatalf("fallback pins after release+re-pin = %d, want 2", n)
 	}
 }

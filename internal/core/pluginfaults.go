@@ -278,8 +278,7 @@ func RunPluginFaults(cfg ExpConfig) (*PluginFaultsResult, error) {
 	br := sup.Breaker()
 	rep.FaultClassesMatch = br.FailureCount(wabi.FailTrap) == rep.HostileChaos.Traps+rep.LiarChaos.Traps &&
 		br.FailureCount(wabi.FailFuel) == rep.HostileChaos.FuelThefts+rep.LiarChaos.FuelThefts &&
-		br.FailureCount(wabi.FailBadOutput) == rep.HostileChaos.Corruptions+rep.LiarChaos.Corruptions &&
-		br.FailureCount(wabi.FailDeadline) == rep.HostileChaos.Stalls+rep.LiarChaos.Stalls
+		br.FailureCount(wabi.FailBadOutput) == rep.HostileChaos.Corruptions+rep.LiarChaos.Corruptions
 
 	if fcap != nil {
 		// Sweep the journal tail (rollback events may have landed inside the

@@ -99,10 +99,9 @@ func TestPluginFaultsE2E(t *testing.T) {
 			snap.Promotions, snap.Rollbacks, s.Promotions, s.Rollbacks)
 	}
 	wantByClass := map[string]uint64{
-		"trap":             rep.HostileChaos.Traps + rep.LiarChaos.Traps,
-		"fuel-exhausted":   rep.HostileChaos.FuelThefts + rep.LiarChaos.FuelThefts,
-		"bad-output":       rep.HostileChaos.Corruptions + rep.LiarChaos.Corruptions,
-		"deadline-overrun": rep.HostileChaos.Stalls + rep.LiarChaos.Stalls,
+		"trap":           rep.HostileChaos.Traps + rep.LiarChaos.Traps,
+		"fuel-exhausted": rep.HostileChaos.FuelThefts + rep.LiarChaos.FuelThefts,
+		"bad-output":     rep.HostileChaos.Corruptions + rep.LiarChaos.Corruptions,
 	}
 	for class, want := range wantByClass {
 		if got := snap.Breaker.FailuresByClass[class]; got != want {

@@ -1,9 +1,9 @@
 // Package flight is WA-RAN's always-on incident journal: a fixed-memory,
 // lock-free flight recorder that captures significant state transitions from
-// every plane — slot deadline misses and fallback pins (core), breaker and
-// canary transitions (guard), brownout shifts, sheds and admission refusals
-// (ric), sandbox failure classes (wabi/wasm), and
-// association lifecycle (e2) — as typed events.
+// every plane — slot deadline misses (core), breaker and canary transitions
+// (guard), brownout shifts, sheds and admission refusals (ric), sandbox
+// failure classes (wabi/wasm), and association lifecycle (e2) — as typed
+// events.
 //
 // On top of the journal sit SLO burn-rate detectors (multi-window, in the
 // Google SRE style) and a trigger pipeline: when a detector fires or an
@@ -38,12 +38,11 @@ const (
 
 	// EvSlotDeadlineMiss: one cell overran its slot deadline budget.
 	EvSlotDeadlineMiss
-	// EvFallbackPin: repeated overruns pinned a cell to the native
-	// fallback scheduler.
-	EvFallbackPin
-	// EvFallbackRelease: an operator released a pinned cell back to its
-	// plugin scheduler.
-	EvFallbackRelease
+	// Classes 2 and 3 journaled the slot watchdog's retired fallback pin
+	// and its release. Their numbers stay reserved (no name, never
+	// emitted) so no later class is renumbered.
+	_
+	_
 
 	// Guard plane: the plugin lifecycle supervisor.
 
@@ -105,8 +104,6 @@ const (
 var classNames = [numClasses]string{
 	EvNone:             "none",
 	EvSlotDeadlineMiss: "slot.deadline_miss",
-	EvFallbackPin:      "fallback.pin",
-	EvFallbackRelease:  "fallback.release",
 	EvBreakerOpen:      "breaker.open",
 	EvBreakerHalfOpen:  "breaker.half_open",
 	EvBreakerClose:     "breaker.close",
@@ -123,19 +120,22 @@ var classNames = [numClasses]string{
 	EvBundleCaptured:   "bundle.captured",
 }
 
-// Classes enumerates every event class in declaration order, EvNone
-// excluded — the iteration surface for obs registration and the HTTP index.
+// Classes enumerates every event class in declaration order, EvNone and
+// the reserved numbers excluded — the iteration surface for obs
+// registration and the HTTP index.
 func Classes() []Class {
 	out := make([]Class, 0, int(numClasses)-1)
 	for c := EvNone + 1; c < numClasses; c++ {
-		out = append(out, c)
+		if classNames[c] != "" {
+			out = append(out, c)
+		}
 	}
 	return out
 }
 
 // String returns the stable name of the class.
 func (c Class) String() string {
-	if c < numClasses {
+	if c < numClasses && classNames[c] != "" {
 		return classNames[c]
 	}
 	return fmt.Sprintf("class(%d)", uint8(c))
@@ -144,7 +144,7 @@ func (c Class) String() string {
 // ParseClass resolves a stable class name back to its Class.
 func ParseClass(s string) (Class, bool) {
 	for c := EvNone; c < numClasses; c++ {
-		if classNames[c] == s {
+		if classNames[c] == s && s != "" {
 			return c, true
 		}
 	}

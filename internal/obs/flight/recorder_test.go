@@ -161,4 +161,12 @@ func TestClassRoundTrip(t *testing.T) {
 	if _, ok := ParseClass("no-such-class"); ok {
 		t.Fatal("ParseClass accepted garbage")
 	}
+	if _, ok := ParseClass(""); ok {
+		t.Fatal("ParseClass resolved the empty name to a reserved class")
+	}
+	// The codec carries the class number: retiring a class reserves its
+	// number instead of shifting the ones after it.
+	if EvBreakerOpen != 4 || EvBundleCaptured != 17 {
+		t.Fatalf("classes renumbered: breaker.open=%d bundle.captured=%d", EvBreakerOpen, EvBundleCaptured)
+	}
 }

@@ -43,11 +43,9 @@ type FlightRecConfig struct {
 	// deliberately shallow so the stall overflows into the shed ledger
 	// within milliseconds).
 	QueueDepth int
-	// StallIters is the slow xApp's spin length per dispatch (default
-	// 400_000 — far past the dispatch deadline at interpreter speed).
+	// StallIters is the slow xApps' spin length per dispatch (default
+	// 400_000).
 	StallIters int
-	// XAppDeadline is the per-dispatch wall-clock bound (default 2 ms).
-	XAppDeadline time.Duration
 	// Dwell is the storm window (default 1.5 s).
 	Dwell time.Duration
 	// Pacing is the simulated slot interval (default 1 ms).
@@ -73,9 +71,6 @@ func (c FlightRecConfig) withDefaults() FlightRecConfig {
 	}
 	if c.StallIters <= 0 {
 		c.StallIters = 400_000
-	}
-	if c.XAppDeadline <= 0 {
-		c.XAppDeadline = 2 * time.Millisecond
 	}
 	if c.Dwell <= 0 {
 		c.Dwell = 1500 * time.Millisecond
@@ -144,11 +139,11 @@ func RunFlightRec(cfg FlightRecConfig) (*FlightRecResult, error) {
 	}
 
 	// The storm RIC: shallow queues so the saturated dispatch overflows
-	// into the shed ledger, a tight dispatch deadline with a low-sample
-	// breaker so the stuck xApp trips before the consecutive-fault
-	// quarantine disables it (backoff past the dwell keeps half-open
-	// probes — and their faults — out of the run), and a tight loop budget
-	// + fast poll so the brownout controller reacts inside the dwell.
+	// into the shed ledger, a low-sample breaker so the stuck xApp trips
+	// before the consecutive-fault quarantine disables it (backoff past the
+	// dwell keeps half-open probes — and their faults — out of the run),
+	// and a tight loop budget + fast poll so the brownout controller reacts
+	// inside the dwell.
 	r, err := New(Config{
 		ReportPeriodMs: 1,
 		Shards:         2,
@@ -159,7 +154,6 @@ func RunFlightRec(cfg FlightRecConfig) (*FlightRecResult, error) {
 			BusyPause:     -1,
 			QueueDepth:    cfg.QueueDepth,
 			StaleAfter:    50 * time.Millisecond,
-			XAppDeadline:  cfg.XAppDeadline,
 			LoopP99Budget: 300 * time.Microsecond,
 			Poll:          5 * time.Millisecond,
 			Breaker: guard.BreakerConfig{
@@ -211,21 +205,20 @@ func RunFlightRec(cfg FlightRecConfig) (*FlightRecResult, error) {
 	go fcap.Run(fstop)
 	go fdet.Run(fstop, 50*time.Millisecond)
 
-	// Two bad xApps, one failure mode each. "stuck" inherits the dispatch
-	// deadline, so its stall traps with FailDeadline and the low-sample
+	// Two bad xApps, one failure mode each. "stuck" gets less fuel than its
+	// stall needs, so every call traps with FailFuel and the low-sample
 	// breaker opens on the second fault — one sample short of the
 	// consecutive-fault quarantine, so the trip is journaled rather than
-	// the xApp silently disabled. "lag" carries its own generous
-	// CallTimeout, so the same stall *succeeds*: the breaker stays closed
-	// and every dispatch keeps paying the stall for the whole dwell, which
-	// is what saturates dispatch and overflows the shallow queues into the
-	// shed ledger.
+	// the xApp silently disabled. "lag" gets fuel to spare, so the same
+	// stall *succeeds*: the breaker stays closed and every dispatch keeps
+	// paying the stall for the whole dwell, which is what saturates
+	// dispatch and overflows the shallow queues into the shed ledger.
 	slowSrc := fmt.Sprintf(slowXAppWATTemplate, cfg.StallIters)
-	if _, err := r.AddXAppWAT("stuck", slowSrc, wabi.Policy{Fuel: 1 << 30}); err != nil {
+	if _, err := r.AddXAppWAT("stuck", slowSrc, slowXAppCutoff(cfg.StallIters)); err != nil {
 		close(fstop)
 		return res, err
 	}
-	if _, err := r.AddXAppWAT("lag", slowSrc, wabi.Policy{Fuel: 1 << 30, CallTimeout: 250 * time.Millisecond}); err != nil {
+	if _, err := r.AddXAppWAT("lag", slowSrc, wabi.Policy{Fuel: 1 << 30}); err != nil {
 		close(fstop)
 		return res, err
 	}

@@ -100,10 +100,11 @@ type OverloadConfig struct {
 	// StaleAfter is the queued-KPM age shed while browned out (default
 	// DefaultStaleAfter; negative disables stale shedding).
 	StaleAfter time.Duration
-	// XAppDeadline, when > 0, is a wall-clock dispatch bound installed as
-	// Policy.CallTimeout on xApps that did not set one. Zero (or negative)
-	// installs none: every xApp is already bounded by Policy.Fuel, which is
-	// deterministic and cannot misfire when the host thread is descheduled.
+	// XAppDeadline is read by nothing: every xApp call is bounded by
+	// Policy.Fuel alone, which is deterministic and cannot misfire when the
+	// host thread is descheduled. Kept because bench/ sets it.
+	//
+	// Deprecated: no effect.
 	XAppDeadline time.Duration
 	// Breaker tunes the per-xApp circuit breaker (zero value = guard
 	// defaults).

@@ -98,13 +98,9 @@ func TestZeroConfigIsGuarded(t *testing.T) {
 
 // TestZeroConfigNoWallClockDeadline pins the default dispatch bound: fuel,
 // not wall clock. A guest that spins forever exhausts Policy.Fuel and faults
-// as FailFuel; no default arms a deadline that a descheduled host thread
-// could trip instead.
+// as FailFuel; nothing a descheduled host thread could trip stops it first.
 func TestZeroConfigNoWallClockDeadline(t *testing.T) {
 	r := MustNew(Config{})
-	if d := r.Config().Overload.XAppDeadline; d != 0 {
-		t.Fatalf("zero Config resolves XAppDeadline to %v, want none", d)
-	}
 	x, err := r.AddXAppWAT("spin", stallXAppWAT, wabi.Policy{})
 	if err != nil {
 		t.Fatal(err)
@@ -117,16 +113,6 @@ func TestZeroConfigNoWallClockDeadline(t *testing.T) {
 	}
 	if got := x.Plugin().LastFailureClass(); got != wabi.FailFuel {
 		t.Fatalf("spinning xApp faulted as %v, want %v", got, wabi.FailFuel)
-	}
-	// A negative XAppDeadline means the same as zero.
-	r2 := MustNew(Config{Overload: &OverloadConfig{XAppDeadline: -1}})
-	x2, err := r2.AddXAppWAT("spin", stallXAppWAT, wabi.Policy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2.HandleIndication(&e2.Indication{Cell: 1})
-	if got := x2.Plugin().LastFailureClass(); got != wabi.FailFuel {
-		t.Fatalf("XAppDeadline -1: faulted as %v, want %v", got, wabi.FailFuel)
 	}
 }
 
@@ -579,9 +565,8 @@ func TestCriticalBrownoutRefusesSubscriptions(t *testing.T) {
 	}
 }
 
-// stallXAppWAT never returns; given fuel enough to outlast a test, only a
-// wall-clock dispatch deadline (Policy.CallTimeout, from
-// OverloadConfig.XAppDeadline) can stop it.
+// stallXAppWAT never returns: every call ends when its fuel runs out, as
+// wabi.FailFuel.
 const stallXAppWAT = `(module
   (import "waran" "output_write" (func $output_write (param i32 i32)))
   (memory (export "memory") 1)
@@ -591,17 +576,14 @@ const stallXAppWAT = `(module
 )`
 
 // TestSlowXAppIsolation pins the isolation contract: a stalled xApp is cut
-// off at the dispatch deadline, trips its breaker open after MinSamples, and
-// is then skipped at zero cost — while a healthy xApp keeps producing
-// controls in every round.
+// off when its fuel runs out, trips its breaker open after MinSamples, and
+// is then skipped without being invoked — while a healthy xApp keeps
+// producing controls in every round.
 func TestSlowXAppIsolation(t *testing.T) {
-	deadlineBudget := 20 * time.Millisecond
 	r := MustNew(Config{Overload: &OverloadConfig{
-		XAppDeadline: deadlineBudget,
-		Breaker:      guard.BreakerConfig{Window: 8, MinSamples: 2, FailureRate: 0.5, Backoff: time.Hour},
+		Breaker: guard.BreakerConfig{Window: 8, MinSamples: 2, FailureRate: 0.5, Backoff: time.Hour},
 	}})
-	// Huge fuel: only the installed CallTimeout can stop the spin.
-	if _, err := r.AddXAppWAT("stall", stallXAppWAT, wabi.Policy{Fuel: 1 << 60}); err != nil {
+	if _, err := r.AddXAppWAT("stall", stallXAppWAT, wabi.Policy{Fuel: 100_000}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.AddXAppWAT("steer", plugins.TrafficSteerXAppWAT, wabi.Policy{}); err != nil {
@@ -611,17 +593,14 @@ func TestSlowXAppIsolation(t *testing.T) {
 	ind := &e2.Indication{Cell: 1, UEs: []e2.UEMeasurement{{UEID: 7, SliceID: 1, MCS: 2}}}
 
 	for i := 0; i < 5; i++ {
-		start := time.Now()
-		ctrls := r.HandleIndication(ind)
-		elapsed := time.Since(start)
-		if len(ctrls) == 0 {
+		if ctrls := r.HandleIndication(ind); len(ctrls) == 0 {
 			t.Fatalf("round %d: healthy xApp produced no control behind the stalled one", i)
-		}
-		if elapsed > deadlineBudget+100*time.Millisecond {
-			t.Fatalf("round %d: dispatch took %v, stalled xApp exceeded its deadline budget", i, elapsed)
 		}
 	}
 	stall, _ := r.XApp("stall")
+	if got := stall.Plugin().LastFailureClass(); got != wabi.FailFuel {
+		t.Fatalf("stalled xApp faulted as %v, want %v", got, wabi.FailFuel)
+	}
 	st := stall.Stats()
 	if st.BreakerState != "open" {
 		t.Fatalf("stalled xApp breaker state = %q, want open (stats %+v)", st.BreakerState, st)
@@ -632,14 +611,13 @@ func TestSlowXAppIsolation(t *testing.T) {
 	if stall.Disabled() {
 		t.Fatal("quarantine fired; the breaker should govern before consecutive-fault quarantine")
 	}
-	// With the breaker open the stalled xApp costs nothing: the whole
-	// dispatch is far under the deadline budget.
-	start := time.Now()
+	// With the breaker open the stalled xApp costs nothing: it is not
+	// invoked again.
 	if ctrls := r.HandleIndication(ind); len(ctrls) == 0 {
 		t.Fatal("healthy xApp stopped producing after breaker opened")
 	}
-	if elapsed := time.Since(start); elapsed > deadlineBudget {
-		t.Fatalf("open-breaker dispatch took %v, want well under the %v deadline", elapsed, deadlineBudget)
+	if n := stall.Stats().Invocations; n != st.Invocations {
+		t.Fatalf("open breaker still invoked the stalled xApp: %d invocations, was %d", n, st.Invocations)
 	}
 }
 

@@ -10,10 +10,10 @@ package ric
 //  2. shed accounting — the ledger conserves exactly at quiescence
 //     (offered == delivered + shed_overflow + shed_stale + shed_teardown +
 //     refused_late) on both the killed and the restarted RIC;
-//  3. slow-xApp isolation — a stalling xApp is trapped at its dispatch
-//     deadline, its breaker opens (before the consecutive-fault quarantine)
-//     and it is skipped, so the fan-in keeps moving: the healthy xApp behind
-//     it keeps producing controls and the agents' ticks stay flat.
+//  3. slow-xApp isolation — a stalling xApp exhausts its fuel, its breaker
+//     opens (before the consecutive-fault quarantine) and it is skipped, so
+//     the fan-in keeps moving: the healthy xApp behind it keeps producing
+//     controls and the agents' ticks stay flat.
 
 import (
 	"fmt"
@@ -30,11 +30,12 @@ import (
 	"waran/internal/wabi"
 )
 
-// slowXAppWATTemplate is a deliberately slow but *successful* xApp: it spins
-// for a configured number of iterations, then returns a valid empty control
-// list. Bounded (unlike an infinite loop) and given fuel to finish, so only
-// the explicit per-xApp dispatch deadline cuts it off — it just dwells, which
-// is exactly the failure mode the deadline and the breaker exist to contain.
+// slowXAppWATTemplate is a deliberately slow xApp: it spins for a configured
+// number of iterations, then returns a valid empty control list. Because the
+// spin is bounded, the fuel the host grants decides the outcome: with
+// slowXAppCutoff every call ends as FailFuel, which is the failure mode the
+// breaker exists to contain; with fuel to spare the stall succeeds and just
+// dwells.
 const slowXAppWATTemplate = `(module
   (import "waran" "output_write" (func $output_write (param i32 i32)))
   (memory (export "memory") 1)
@@ -50,6 +51,11 @@ const slowXAppWATTemplate = `(module
     (call $output_write (i32.const 32768) (i32.const 2))
     (i32.const 0))
 )`
+
+// slowXAppCutoff is a policy whose fuel slowXAppWATTemplate always exhausts
+// when it spins iters times: one instruction per iteration, where each
+// iteration costs nine.
+func slowXAppCutoff(iters int) wabi.Policy { return wabi.Policy{Fuel: int64(iters)} }
 
 // OverloadExpConfig parameterizes the overload chaos experiment.
 type OverloadExpConfig struct {
@@ -83,11 +89,9 @@ type OverloadExpConfig struct {
 	// xApp isolation, not admission).
 	DwellAgents int
 	// StallIters is the slow xApp's spin length in loop iterations (default
-	// 1e6 — far past any sane dispatch deadline at interpreter speed).
+	// 1e6). The dwell arm grants it slowXAppCutoff, so every call ends as
+	// FailFuel.
 	StallIters int
-	// XAppDeadline is the dwell arm's per-dispatch wall-clock bound (default
-	// 1 ms, well under one StallIters spin).
-	XAppDeadline time.Duration
 	// Seed spreads the session jitter schedules (default 1; session i uses
 	// Seed+i).
 	Seed int64
@@ -141,9 +145,6 @@ func (c OverloadExpConfig) withDefaults() OverloadExpConfig {
 	}
 	if c.StallIters <= 0 {
 		c.StallIters = 1_000_000
-	}
-	if c.XAppDeadline <= 0 {
-		c.XAppDeadline = time.Millisecond
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -552,9 +553,8 @@ func runOverloadDwell(cfg OverloadExpConfig, frec *flight.Recorder) (OverloadDwe
 			// The dwell arm isolates the xApp guard: admission and source
 			// backpressure are the storm arm's subject, so they are disabled
 			// here.
-			AdmitRate:    -1,
-			BusyPause:    -1,
-			XAppDeadline: cfg.XAppDeadline,
+			AdmitRate: -1,
+			BusyPause: -1,
 			// MinSamples below the consecutive-fault quarantine so the
 			// breaker opens (recoverable) before the blunt disable fires, and
 			// a probe backoff past the window so measurements see a cleanly
@@ -569,8 +569,9 @@ func runOverloadDwell(cfg OverloadExpConfig, frec *flight.Recorder) (OverloadDwe
 	slowSrc := fmt.Sprintf(slowXAppWATTemplate, cfg.StallIters)
 	// Installed first, the stall sits in front of the SLA xApp in dispatch
 	// order: until its breaker opens every indication pays it before any
-	// useful work happens.
-	slow, err := r.AddXAppWAT("slow", slowSrc, wabi.Policy{Fuel: 1 << 30})
+	// useful work happens. Its fuel runs out before the spin does, so every
+	// call it gets is a FailFuel fault, however busy the machine is.
+	slow, err := r.AddXAppWAT("slow", slowSrc, slowXAppCutoff(cfg.StallIters))
 	if err != nil {
 		return dw, err
 	}

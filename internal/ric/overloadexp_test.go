@@ -25,7 +25,6 @@ func TestRunOverloadSmall(t *testing.T) {
 		Dwell:          1200 * time.Millisecond,
 		DwellAgents:    12,
 		StallIters:     600_000,
-		XAppDeadline:   time.Millisecond,
 		Seed:           7,
 	}
 	res, err := RunOverload(cfg)

@@ -154,14 +154,9 @@ func (r *RIC) AddXApp(name string, mod *wabi.Module, policy wabi.Policy) (*XApp,
 		policy.Fuel = 10_000_000
 	}
 	// xApp isolation: every dispatch is bounded by Policy.Fuel (a spinning
-	// guest traps with wabi.FailFuel), optionally by a wall-clock deadline
-	// too, and outcomes are metered through a guard breaker so a
-	// persistently bad xApp is skipped.
-	ov := r.cfg.Overload
-	if policy.CallTimeout == 0 && ov.XAppDeadline > 0 {
-		policy.CallTimeout = ov.XAppDeadline
-	}
-	x := &XApp{Name: name, breaker: guard.NewBreaker(ov.Breaker)}
+	// guest traps with wabi.FailFuel), and outcomes are metered through a
+	// guard breaker so a persistently bad xApp is skipped.
+	x := &XApp{Name: name, breaker: guard.NewBreaker(r.cfg.Overload.Breaker)}
 	if rec := r.cfg.Flight; rec.Enabled() {
 		// Journal every breaker transition so a diagnostic bundle shows
 		// which xApp tripped, and when, relative to the brownout shifts

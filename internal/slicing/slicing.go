@@ -85,7 +85,7 @@ func (s *Slice) SchedulerName() string { return s.Scheduler().Name() }
 
 // SliceStats summarizes the slice's fault history. TotalFaults counts the
 // scheduler's own failures; FallbackSlots counts every slot the native
-// fallback served, refusals and forced fallback included.
+// fallback served, breaker refusals included.
 type SliceStats struct {
 	TotalFaults   uint64 `json:"total_faults"`
 	FallbackSlots uint64 `json:"fallback_slots"`
@@ -111,10 +111,6 @@ type Manager struct {
 	mu     sync.RWMutex
 	slices map[uint32]*Slice
 	order  []*Slice // deterministic iteration order (registration order)
-	// forceFallback pins every slice to its native fallback scheduler —
-	// the cell-group deadline watchdog's recovery action when plugin
-	// scheduling blows the slot budget.
-	forceFallback bool
 
 	// CapacityBps, when positive, enables admission control: AddSlice
 	// refuses a slice whose contracted rate would push the sum of targets
@@ -225,23 +221,6 @@ func (m *Manager) HotSwap(id uint32, scheduler sched.IntraSlice) error {
 	return nil
 }
 
-// SetForceFallback pins (on) or releases (off) every slice to its native
-// fallback scheduler. While pinned, Schedule skips plugins entirely — the
-// same rescue path a faulting plugin takes, applied cell-wide. Fallback
-// slots are counted per slice as usual; fault counters are untouched.
-func (m *Manager) SetForceFallback(on bool) {
-	m.mu.Lock()
-	m.forceFallback = on
-	m.mu.Unlock()
-}
-
-// ForceFallback reports whether the manager is pinned to native fallbacks.
-func (m *Manager) ForceFallback() bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.forceFallback
-}
-
 // Schedule runs the slice's intra-slice policy on req with full fault
 // protection: a trap, timeout (fuel), malformed or over-budget response is
 // absorbed — counted as a fault and the slot rescued by the fallback
@@ -251,36 +230,30 @@ func (m *Manager) ForceFallback() bool {
 // until the next Schedule of the same slice, and one goroutine at a time
 // schedules a given slice.
 func (m *Manager) Schedule(s *Slice, req *sched.Request) (*sched.Response, error) {
-	m.mu.RLock()
-	forced := m.forceFallback
-	m.mu.RUnlock()
-
 	s.mu.Lock()
 	scheduler := s.scheduler
 	fallback := s.fallback
 	s.mu.Unlock()
 
-	if !forced {
-		resp, err := sched.ScheduleInto(scheduler, req, &s.resp)
-		if err == nil {
-			if err = resp.Validate(req); err == nil {
-				return resp, nil
-			}
+	resp, err := sched.ScheduleInto(scheduler, req, &s.resp)
+	if err == nil {
+		if err = resp.Validate(req); err == nil {
+			return resp, nil
 		}
-		if !errors.Is(err, sched.ErrRefused) {
-			if m.OnFault != nil {
-				m.OnFault(s.ID, err)
-			}
-			s.mu.Lock()
-			s.totalFaults++
-			s.mu.Unlock()
+	}
+	if !errors.Is(err, sched.ErrRefused) {
+		if m.OnFault != nil {
+			m.OnFault(s.ID, err)
 		}
+		s.mu.Lock()
+		s.totalFaults++
+		s.mu.Unlock()
 	}
 
 	s.mu.Lock()
 	s.fallbackSlots++
 	s.mu.Unlock()
-	resp, err := sched.ScheduleInto(fallback, req, &s.resp)
+	resp, err = sched.ScheduleInto(fallback, req, &s.resp)
 	if err != nil {
 		return nil, fmt.Errorf("slicing: fallback scheduler for slice %d failed: %w", s.ID, err)
 	}

@@ -3,7 +3,6 @@ package wabi
 import (
 	"math/rand"
 	"sync"
-	"time"
 )
 
 // stolenFuelBudget is what a fuel-theft fault leaves the guest: enough to
@@ -14,7 +13,7 @@ const stolenFuelBudget = 2
 // ChaosConfig is a seeded schedule of plugin-plane faults — the wasm-layer
 // counterpart of e2.FaultConfig. The zero value injects nothing. All
 // probabilities are evaluated independently per Call in the order trap,
-// fuel theft, stall, corrupt; the same Seed over the same call sequence
+// fuel theft, corrupt; the same Seed over the same call sequence
 // reproduces the same schedule, so supervisor and containment behaviour is
 // testable without writing hostile bytecode for every failure mode.
 type ChaosConfig struct {
@@ -32,12 +31,6 @@ type ChaosConfig struct {
 	// fuel-exhausted error.
 	FuelTheftProb float64
 
-	// StallProb sleeps Stall and then surfaces a deadline trap — a plugin
-	// that was on course to blow the slot budget. Stall defaults to 2ms
-	// (double the slot) when StallProb is set.
-	StallProb float64
-	Stall     time.Duration
-
 	// CorruptProb lets the call complete and then mangles the output bytes,
 	// so the fault is only catchable by the decode/validate layer above —
 	// the "lying plugin" case.
@@ -54,13 +47,12 @@ type ChaosStats struct {
 	Calls       uint64 `json:"calls"`
 	Traps       uint64 `json:"traps"`
 	FuelThefts  uint64 `json:"fuel_thefts"`
-	Stalls      uint64 `json:"stalls"`
 	Corruptions uint64 `json:"corruptions"`
 }
 
 // Total sums all injected faults.
 func (s ChaosStats) Total() uint64 {
-	return s.Traps + s.FuelThefts + s.Stalls + s.Corruptions
+	return s.Traps + s.FuelThefts + s.Corruptions
 }
 
 // Chaos deterministically injects plugin faults from a seeded schedule.
@@ -81,7 +73,6 @@ const (
 	chaosNone chaosAction = iota
 	chaosForceTrap
 	chaosStealFuel
-	chaosStallCall
 	chaosCorruptOutput
 )
 
@@ -91,9 +82,6 @@ func NewChaos(cfg ChaosConfig) *Chaos {
 	if seed == 0 {
 		seed = 1
 	}
-	if cfg.Stall == 0 {
-		cfg.Stall = 2 * time.Millisecond
-	}
 	return &Chaos{cfg: cfg, rng: rand.New(rand.NewSource(seed))}
 }
 
@@ -102,9 +90,6 @@ func NewChaos(cfg ChaosConfig) *Chaos {
 // live plugins — e.g. trap exactly once, then verify the replacement
 // instance recovers cleanly.
 func (c *Chaos) SetConfig(cfg ChaosConfig) {
-	if cfg.Stall == 0 {
-		cfg.Stall = 2 * time.Millisecond
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cfg = cfg
@@ -117,30 +102,26 @@ func (c *Chaos) Stats() ChaosStats {
 	return c.stats
 }
 
-// decide rolls the seeded schedule for one Call, returning the action and,
-// for stalls, how long to sleep.
-func (c *Chaos) decide() (chaosAction, time.Duration) {
+// decide rolls the seeded schedule for one Call.
+func (c *Chaos) decide() chaosAction {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.Calls++
 	if c.cfg.ActivateAfter > 0 && c.stats.Calls <= uint64(c.cfg.ActivateAfter) {
-		return chaosNone, 0
+		return chaosNone
 	}
 	switch {
 	case c.roll(c.cfg.TrapProb):
 		c.stats.Traps++
-		return chaosForceTrap, 0
+		return chaosForceTrap
 	case c.roll(c.cfg.FuelTheftProb):
 		c.stats.FuelThefts++
-		return chaosStealFuel, 0
-	case c.roll(c.cfg.StallProb):
-		c.stats.Stalls++
-		return chaosStallCall, c.cfg.Stall
+		return chaosStealFuel
 	case c.roll(c.cfg.CorruptProb):
 		c.stats.Corruptions++
-		return chaosCorruptOutput, 0
+		return chaosCorruptOutput
 	}
-	return chaosNone, 0
+	return chaosNone
 }
 
 // roll consumes one PRNG draw when p > 0 so the schedule depends only on

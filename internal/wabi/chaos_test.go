@@ -3,7 +3,6 @@ package wabi
 import (
 	"errors"
 	"testing"
-	"time"
 )
 
 func chaosPlugin(t *testing.T, cfg ChaosConfig, policy Policy) (*Plugin, *Chaos) {
@@ -51,21 +50,6 @@ func TestChaosFuelTheftWithoutMetering(t *testing.T) {
 	_, err := p.Call("run", nil)
 	if got := ClassOf(err); got != FailFuel {
 		t.Fatalf("class = %v, want %v (err=%v)", got, FailFuel, err)
-	}
-}
-
-func TestChaosStall(t *testing.T) {
-	p, ch := chaosPlugin(t, ChaosConfig{StallProb: 1, Stall: 5 * time.Millisecond}, Policy{})
-	start := time.Now()
-	_, err := p.Call("run", nil)
-	if got := ClassOf(err); got != FailDeadline {
-		t.Fatalf("class = %v, want %v (err=%v)", got, FailDeadline, err)
-	}
-	if elapsed := time.Since(start); elapsed < 5*time.Millisecond {
-		t.Fatalf("stall only lasted %v", elapsed)
-	}
-	if ch.Stats().Stalls != 1 {
-		t.Fatalf("stats = %+v", ch.Stats())
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 // plugin invocation can produce — at compile, instantiation or call time, in
 // this package or in the scheduling ABI above it — maps to exactly one class,
 // so supervisors can meter, threshold and alert per failure mode instead of
-// string-matching undifferentiated errors. The set is append-only: consumers
-// (circuit breakers, metrics, experiment reports) key on it.
+// string-matching undifferentiated errors. Consumers (circuit breakers,
+// metrics, experiment reports) key on it; the String labels are stable.
 type FailureClass uint8
 
 // Failure classes, in severity-neutral registration order.
@@ -25,9 +25,6 @@ const (
 	// FailFuel is per-call instruction-budget exhaustion (infinite loops,
 	// runaway computation) converted to a deterministic trap by the meter.
 	FailFuel
-	// FailDeadline is the wall-clock bound tripping inside the interpreter —
-	// the plugin was on course to blow the slot deadline.
-	FailDeadline
 	// FailBadOutput is a structurally complete call whose result the host
 	// rejected: malformed response bytes, out-of-bounds or overlapping
 	// allocation regions, over-budget grants.
@@ -55,8 +52,6 @@ func (c FailureClass) String() string {
 		return "trap"
 	case FailFuel:
 		return "fuel-exhausted"
-	case FailDeadline:
-		return "deadline-overrun"
 	case FailBadOutput:
 		return "bad-output"
 	case FailInstantiate:
@@ -72,7 +67,7 @@ func (c FailureClass) String() string {
 // registration and report rendering loops.
 func FailureClasses() []FailureClass {
 	return []FailureClass{
-		FailTrap, FailFuel, FailDeadline, FailBadOutput,
+		FailTrap, FailFuel, FailBadOutput,
 		FailInstantiate, FailGuestError, FailUnknown,
 	}
 }
@@ -104,18 +99,14 @@ func ClassOf(err error) FailureClass {
 }
 
 func classOfTrap(t *wasm.Trap) FailureClass {
-	switch t.Code {
-	case wasm.TrapFuelExhausted:
+	if t.Code == wasm.TrapFuelExhausted {
 		return FailFuel
-	case wasm.TrapDeadlineExceeded:
-		return FailDeadline
-	default:
-		return FailTrap
 	}
+	return FailTrap
 }
 
-// FailureClass implements ClassedError: traps split into trap / fuel /
-// deadline by trap code; a non-zero entry return is a guest error.
+// FailureClass implements ClassedError: traps split into trap / fuel by
+// trap code; a non-zero entry return is a guest error.
 func (e *CallError) FailureClass() FailureClass {
 	if e.Trap != nil {
 		return classOfTrap(e.Trap)

@@ -33,7 +33,6 @@ func TestClassOfTaxonomy(t *testing.T) {
 		{"oob-trap", &CallError{Entry: "run", Trap: &wasm.Trap{Code: wasm.TrapOutOfBoundsMemory}}, FailTrap},
 		{"host-trap", &CallError{Entry: "run", Trap: &wasm.Trap{Code: wasm.TrapHostError}}, FailTrap},
 		{"fuel", &CallError{Entry: "run", Trap: &wasm.Trap{Code: wasm.TrapFuelExhausted}}, FailFuel},
-		{"deadline", &CallError{Entry: "run", Trap: &wasm.Trap{Code: wasm.TrapDeadlineExceeded}}, FailDeadline},
 		{"guest-code", &CallError{Entry: "run", Code: 3}, FailGuestError},
 		{"instantiate", &InstantiateError{Err: errors.New("no memory")}, FailInstantiate},
 		{"bare-trap", &wasm.Trap{Code: wasm.TrapIntegerDivideByZero}, FailTrap},
@@ -59,7 +58,6 @@ func TestFailureClassLabelsStable(t *testing.T) {
 		FailNone:        "none",
 		FailTrap:        "trap",
 		FailFuel:        "fuel-exhausted",
-		FailDeadline:    "deadline-overrun",
 		FailBadOutput:   "bad-output",
 		FailInstantiate: "instantiation-failure",
 		FailGuestError:  "guest-error",

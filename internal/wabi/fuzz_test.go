@@ -2,7 +2,6 @@ package wabi
 
 import (
 	"testing"
-	"time"
 
 	"waran/internal/wasm"
 	"waran/internal/wat"
@@ -44,7 +43,6 @@ func FuzzClassify(f *testing.F) {
 		p, err := NewPlugin(mod, Policy{
 			MaxMemoryPages: 4,
 			Fuel:           20_000,
-			CallTimeout:    50 * time.Millisecond,
 		}, Env{})
 		if err != nil {
 			if got := ClassOf(err); got != FailInstantiate {
@@ -65,7 +63,7 @@ func FuzzClassify(f *testing.F) {
 			}
 			got := ClassOf(err)
 			switch got {
-			case FailTrap, FailFuel, FailDeadline, FailGuestError:
+			case FailTrap, FailFuel, FailGuestError:
 				// A fuzzed guest may only fail in ways the supervisor meters.
 			default:
 				t.Fatalf("call error classified %v, want a call-failure class: %v", got, err)

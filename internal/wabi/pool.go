@@ -93,7 +93,7 @@ func (p *Pool) Get() (*Plugin, error) {
 }
 
 // Put returns an instance to the pool. Instances whose last call aborted
-// mid-execution (trap, fuel exhaustion, deadline) are discarded instead of
+// mid-execution (trap or fuel exhaustion) are discarded instead of
 // recycled: their linear memory is in an unknown intermediate state and must
 // never be handed to the next caller. The creation slot is released so a
 // future Get instantiates a fresh, zeroed replacement. The discarded

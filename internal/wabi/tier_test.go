@@ -1,9 +1,7 @@
 package wabi
 
 import (
-	"errors"
 	"testing"
-	"time"
 
 	"waran/internal/wasm"
 	"waran/internal/wat"
@@ -85,45 +83,6 @@ func TestPluginClosureFromFirstCall(t *testing.T) {
 		}
 		if got := p.LastTier(); got != wasm.TierClosure {
 			t.Fatalf("policy %+v: instance after Reset is on %v", policy, got)
-		}
-	}
-}
-
-// TestSlowHostFunctionDeadline is the regression test for the deadline
-// escape at call boundaries: a guest that executes only a handful of
-// instructions — far under the 64 Ki periodic check — but blocks in a slow
-// host function must still trap once the host call returns past the
-// deadline. Before the call-boundary check, this call succeeded.
-func TestSlowHostFunctionDeadline(t *testing.T) {
-	src := `(module
-	  (import "test" "slow" (func $slow))
-	  (memory (export "memory") 1)
-	  (func (export "run") (result i32)
-	    (call $slow)
-	    (i32.const 0)))`
-	hostDelay := 30 * time.Millisecond
-	env := Env{HostFuncs: wasm.Imports{"test": {
-		"slow": &wasm.HostFunc{
-			Name: "slow",
-			Type: wasm.FuncType{},
-			Fn: func(ctx *wasm.CallContext, args []uint64) ([]uint64, error) {
-				time.Sleep(hostDelay)
-				return nil, nil
-			},
-		},
-	}}}
-	for _, tier := range bothTiers {
-		p := mustPlugin(t, src, Policy{Fuel: 10_000, CallTimeout: time.Millisecond, Tier: tier}, Env{HostFuncs: env.HostFuncs})
-		_, err := p.Call("run", nil)
-		var ce *CallError
-		if !errors.As(err, &ce) || ce.Trap == nil || ce.Trap.Code != wasm.TrapDeadlineExceeded {
-			t.Fatalf("tier %v: slow host call returned %v, want deadline trap", tier, err)
-		}
-		if got := p.LastFailureClass(); got != FailDeadline {
-			t.Fatalf("tier %v: failure class %v, want FailDeadline", tier, got)
-		}
-		if !p.Poisoned() {
-			t.Fatalf("tier %v: deadline overrun did not poison the instance", tier)
 		}
 	}
 }

@@ -52,11 +52,6 @@ type Policy struct {
 	MaxMemoryPages uint32
 	// Fuel is the per-call instruction budget. Zero disables metering.
 	Fuel int64
-	// CallTimeout is a wall-clock bound per call, enforced inside the
-	// interpreter (checked every 64 Ki instructions; requires Fuel > 0).
-	// Zero disables it. Fuel is the deterministic budget; CallTimeout is
-	// the belt-and-braces bound against slow host functions.
-	CallTimeout time.Duration
 	// MaxInputBytes bounds Call input size. Zero means the default.
 	MaxInputBytes int
 	// MaxOutputBytes bounds what the guest may emit. Zero means the default.
@@ -88,7 +83,9 @@ func (p Policy) withDefaults() Policy {
 // Env supplies optional host extensions and observers.
 type Env struct {
 	// HostFuncs maps module name -> function name -> implementation, merged
-	// with (and unable to override) the "waran" ABI module.
+	// with (and unable to override) the "waran" ABI module. A host function
+	// must not block: fuel is the only bound on a call, and it cannot see
+	// time spent inside the host.
 	HostFuncs wasm.Imports
 	// OnLog receives guest log lines, if set.
 	OnLog func(msg string)
@@ -240,13 +237,13 @@ func (p *Plugin) LastTier() wasm.Tier { return p.inst.EffectiveTier() }
 // outcome (FailNone after a successful call or before any call).
 func (p *Plugin) LastFailureClass() FailureClass { return p.lastClass }
 
-// Poisoned reports whether the last call aborted mid-execution — a trap,
-// fuel exhaustion or deadline overrun — leaving the linear memory in an
-// unknown intermediate state. Poisoned instances must not be handed to
-// another caller; Pool.Put discards them.
+// Poisoned reports whether the last call aborted mid-execution — a trap
+// or fuel exhaustion — leaving the linear memory in an unknown
+// intermediate state. Poisoned instances must not be handed to another
+// caller; Pool.Put discards them.
 func (p *Plugin) Poisoned() bool {
 	switch p.lastClass {
-	case FailTrap, FailFuel, FailDeadline:
+	case FailTrap, FailFuel:
 		return true
 	default:
 		return false
@@ -418,15 +415,13 @@ func (p *Plugin) Call(entry string, input []byte) ([]byte, error) {
 	p.guestErr = ""
 	p.lastClass = FailNone
 
-	// Chaos injection point: a forced trap or stall replaces the guest call
-	// entirely; fuel theft and output corruption pass through it.
+	// Chaos injection point: a forced trap replaces the guest call entirely;
+	// fuel theft and output corruption pass through it.
 	var act chaosAction
-	var stall time.Duration
 	if p.env.Chaos != nil {
-		act, stall = p.env.Chaos.decide()
+		act = p.env.Chaos.decide()
 	}
-	switch act {
-	case chaosForceTrap:
+	if act == chaosForceTrap {
 		p.calls++
 		p.faults++
 		p.lastClass = FailTrap
@@ -436,12 +431,6 @@ func (p *Plugin) Call(entry string, input []byte) ([]byte, error) {
 		// the half-written table for a decision.
 		p.chaosScribbleRegions()
 		return nil, &CallError{Entry: entry, Trap: &wasm.Trap{Code: wasm.TrapUnreachable}}
-	case chaosStallCall:
-		time.Sleep(stall)
-		p.calls++
-		p.faults++
-		p.lastClass = FailDeadline
-		return nil, &CallError{Entry: entry, Trap: &wasm.Trap{Code: wasm.TrapDeadlineExceeded}}
 	}
 
 	fuel := p.policy.Fuel
@@ -458,9 +447,6 @@ func (p *Plugin) Call(entry string, input []byte) ([]byte, error) {
 	}
 	if p.policy.Fuel > 0 {
 		p.inst.SetFuel(fuel)
-		if p.policy.CallTimeout > 0 {
-			p.inst.SetDeadline(time.Now().Add(p.policy.CallTimeout))
-		}
 	}
 
 	start := time.Now()

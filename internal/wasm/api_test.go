@@ -3,7 +3,6 @@ package wasm_test
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"waran/internal/wasm"
 	"waran/internal/wat"
@@ -48,11 +47,6 @@ func TestInstanceAccessors(t *testing.T) {
 	in.SetFuel(100)
 	if in.Fuel() != 100 {
 		t.Fatalf("Fuel = %d", in.Fuel())
-	}
-	// Zero deadline disarms.
-	in.SetDeadline(time.Time{})
-	if _, err := in.Call("noargs"); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -3,7 +3,6 @@ package wasm
 import (
 	"math"
 	"math/bits"
-	"time"
 )
 
 // Closure tier: each (fused) instruction is lowered once per module, on the
@@ -87,10 +86,6 @@ func (in *Instance) execClosures(cf *closFunc, args []uint64) []uint64 {
 				if f := in.fuel; f >= int64(k) {
 					in.fuel = f - int64(k)
 					in.InstrCount += uint64(k)
-					if in.deadline != 0 && in.InstrCount>>16 != (in.InstrCount-uint64(k))>>16 &&
-						time.Now().UnixNano() > in.deadline {
-						panic(newTrap(TrapDeadlineExceeded))
-					}
 				} else {
 					in.chargeFuel(k) // slow path: unlimited (-1) or exhaustion
 				}
@@ -110,14 +105,6 @@ func (in *Instance) execClosures(cf *closFunc, args []uint64) []uint64 {
 	res := fb.res[:n]
 	copy(res, e.stack[sp-n:sp])
 	return res
-}
-
-// takeBranchSP applies a branch target to the indexed operand stack.
-func takeBranchSP(stack []uint64, sp int, t branchTarget) int {
-	if t.keep > 0 {
-		copy(stack[t.unwind:], stack[sp-int(t.keep):sp])
-	}
-	return int(t.unwind + t.keep)
 }
 
 // Generic closure generators. The hot i32/fused ops get hand-specialized
@@ -346,8 +333,8 @@ func i32binTraps(op uint16) bool {
 
 // callClosure is dispatch specialized for a compile-time-resolved guest
 // callee on the closure tier. Semantics are identical to dispatch: same
-// depth guard, same call-boundary deadline poll, and the profiled path
-// falls back to the shared shadow-stack wrapper.
+// depth guard, and the profiled path falls back to the shared shadow-stack
+// wrapper.
 func (in *Instance) callClosure(fx uint32, f *compiledFunc, args []uint64) []uint64 {
 	if in.prof != nil {
 		return in.invokeProfiled(fx, args)
@@ -357,19 +344,17 @@ func (in *Instance) callClosure(fx uint32, f *compiledFunc, args []uint64) []uin
 	}
 	in.depth++
 	defer func() { in.depth-- }()
-	if in.deadline != 0 {
-		in.pollDeadline()
-	}
 	return in.execClosures(f.clos, args)
 }
 
-// branchOp builds the taken-branch closure body shared by all branching
-// lowerings: deadline poll on back-edges, stack adjustment, target pc.
-func takeBranchOp(e *closEnv, sp int, t branchTarget, back bool) (int, int) {
-	if back && e.in.deadline != 0 {
-		e.in.pollDeadline()
+// takeBranchOp is the taken-branch body shared by all branching lowerings:
+// it applies the target's stack adjustment to the indexed operand stack and
+// returns the target pc.
+func takeBranchOp(e *closEnv, sp int, t branchTarget) (int, int) {
+	if t.keep > 0 {
+		copy(e.stack[t.unwind:], e.stack[sp-int(t.keep):sp])
 	}
-	return int(t.pc), takeBranchSP(e.stack, sp, t)
+	return int(t.pc), int(t.unwind + t.keep)
 }
 
 func lowerInstr(cm *CompiledModule, ins *instr, pc int) closOp {
@@ -384,27 +369,24 @@ func lowerInstr(cm *CompiledModule, ins *instr, pc int) closOp {
 		return func(e *closEnv, sp int) (int, int) { panic(newTrap(TrapUnreachable)) }
 	case opJump:
 		t := ins.targets[0]
-		back := int(t.pc) <= pc
-		return func(e *closEnv, sp int) (int, int) { return takeBranchOp(e, sp, t, back) }
+		return func(e *closEnv, sp int) (int, int) { return takeBranchOp(e, sp, t) }
 	case opBrIfFalse:
 		t := ins.targets[0]
-		back := int(t.pc) <= pc
 		return func(e *closEnv, sp int) (int, int) {
 			c := uint32(e.stack[sp-1])
 			sp--
 			if c == 0 {
-				return takeBranchOp(e, sp, t, back)
+				return takeBranchOp(e, sp, t)
 			}
 			return next, sp
 		}
 	case uint16(OpBrIf):
 		t := ins.targets[0]
-		back := int(t.pc) <= pc
 		return func(e *closEnv, sp int) (int, int) {
 			c := uint32(e.stack[sp-1])
 			sp--
 			if c != 0 {
-				return takeBranchOp(e, sp, t, back)
+				return takeBranchOp(e, sp, t)
 			}
 			return next, sp
 		}
@@ -417,7 +399,7 @@ func lowerInstr(cm *CompiledModule, ins *instr, pc int) closOp {
 				sel = len(ts) - 1
 			}
 			t := ts[sel]
-			return takeBranchOp(e, sp, t, int(t.pc) <= pc)
+			return takeBranchOp(e, sp, t)
 		}
 	case opReturnOp:
 		return func(e *closEnv, sp int) (int, int) { return -1, sp }
@@ -952,20 +934,18 @@ func lowerInstr(cm *CompiledModule, ins *instr, pc int) closOp {
 	case fGetGetCmpBr:
 		a, b, fn := int(ins.a), int(ins.b), i32cmpFn(uint16(ins.imm))
 		t := ins.targets[0]
-		back := int(t.pc) <= pc
 		return func(e *closEnv, sp int) (int, int) {
 			if fn(uint32(e.locals[a]), uint32(e.locals[b])) {
-				return takeBranchOp(e, sp, t, back)
+				return takeBranchOp(e, sp, t)
 			}
 			return next, sp
 		}
 	case fGetConstCmpBr:
 		a, c, fn := int(ins.a), uint32(ins.imm), i32cmpFn(uint16(ins.b))
 		t := ins.targets[0]
-		back := int(t.pc) <= pc
 		return func(e *closEnv, sp int) (int, int) {
 			if fn(uint32(e.locals[a]), c) {
-				return takeBranchOp(e, sp, t, back)
+				return takeBranchOp(e, sp, t)
 			}
 			return next, sp
 		}
@@ -978,37 +958,34 @@ func lowerInstr(cm *CompiledModule, ins *instr, pc int) closOp {
 	case fLoadEqzBr:
 		off := ins.imm
 		t := ins.targets[0]
-		back := int(t.pc) <= pc
 		return func(e *closEnv, sp int) (int, int) {
 			addr := uint64(uint32(e.stack[sp-1])) + off
 			v := leUint32(e.mem.mustRange(addr, 4))
 			sp--
 			e.in.chargeFuel(2) // split charge: the load traps before eqz+br_if pay
 			if v == 0 {
-				return takeBranchOp(e, sp, t, back)
+				return takeBranchOp(e, sp, t)
 			}
 			return next, sp
 		}
 	case fEqzBr:
 		t := ins.targets[0]
-		back := int(t.pc) <= pc
 		return func(e *closEnv, sp int) (int, int) {
 			c := uint32(e.stack[sp-1])
 			sp--
 			if c == 0 {
-				return takeBranchOp(e, sp, t, back)
+				return takeBranchOp(e, sp, t)
 			}
 			return next, sp
 		}
 	case fCmpBr:
 		fn := i32cmpFn(uint16(ins.imm))
 		t := ins.targets[0]
-		back := int(t.pc) <= pc
 		return func(e *closEnv, sp int) (int, int) {
 			x, y := uint32(e.stack[sp-2]), uint32(e.stack[sp-1])
 			sp -= 2
 			if fn(x, y) {
-				return takeBranchOp(e, sp, t, back)
+				return takeBranchOp(e, sp, t)
 			}
 			return next, sp
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // HostFunc is a function the host exposes to sandboxed code. Errors returned
@@ -123,15 +122,11 @@ type Instance struct {
 
 	fuel        int64
 	fuelEnabled bool
-	deadline    int64 // unix nanos; 0 = none (see pollDeadline in tier.go)
 	depth       int
 	maxDepth    int
 
-	// tier is the execution tier, fixed at instantiation; deadlineEvents
-	// rate-limits wall-clock sampling on back-edge/call-boundary deadline
-	// polls.
-	tier           Tier
-	deadlineEvents uint32
+	// tier is the execution tier, fixed at instantiation.
+	tier Tier
 
 	// frameBufs reuses locals/stack buffers per call depth. Instances are
 	// single-threaded, and depth uniquely identifies the live frame even
@@ -289,17 +284,6 @@ func (in *Instance) SetFuel(f int64) { in.fuel = f }
 // Fuel returns the remaining instruction budget.
 func (in *Instance) Fuel() int64 { return in.fuel }
 
-// SetDeadline arms a wall-clock execution deadline for subsequent calls,
-// checked every 64 Ki executed instructions (requires MeterFuel). The zero
-// time disarms it. Exceeding the deadline traps with TrapDeadlineExceeded.
-func (in *Instance) SetDeadline(t time.Time) {
-	if t.IsZero() {
-		in.deadline = 0
-		return
-	}
-	in.deadline = t.UnixNano()
-}
-
 // GlobalValue returns the raw value of the exported global with that name.
 func (in *Instance) GlobalValue(name string) (uint64, bool) {
 	for _, e := range in.cm.m.Exports {
@@ -390,13 +374,6 @@ func (in *Instance) dispatch(funcIdx uint32, args []uint64) []uint64 {
 	in.depth++
 	defer func() { in.depth-- }()
 
-	// Call boundaries are deadline poll points: short guests never reach
-	// the interpreter's periodic 64 Ki-instruction check, but any guest
-	// that keeps running must either loop (back-edge polls) or call.
-	if in.deadline != 0 {
-		in.pollDeadline()
-	}
-
 	nImp := in.cm.m.numImportedFuncs
 	if int(funcIdx) < nImp {
 		hf := in.hostFuncs[funcIdx]
@@ -409,11 +386,6 @@ func (in *Instance) dispatch(funcIdx uint32, args []uint64) []uint64 {
 		}
 		if len(res) != len(hf.Type.Results) {
 			panic(&Trap{Code: TrapHostError, Wrapped: fmt.Errorf("host function %q returned %d values, want %d", hf.Name, len(res), len(hf.Type.Results))})
-		}
-		// A stalled host call must surface the deadline immediately on
-		// return — the call itself dwarfs the unconditional clock read.
-		if in.deadline != 0 {
-			in.checkDeadlineNow()
 		}
 		return res
 	}

@@ -3,7 +3,6 @@ package wasm
 import (
 	"math"
 	"math/bits"
-	"time"
 )
 
 // exec is the reference interpreter (TierInterp): it runs a compiled
@@ -46,10 +45,6 @@ func (in *Instance) exec(f *compiledFunc, args []uint64) []uint64 {
 				in.fuel--
 			}
 			in.InstrCount++
-			if in.deadline != 0 && in.InstrCount&0xFFFF == 0 &&
-				time.Now().UnixNano() > in.deadline {
-				panic(newTrap(TrapDeadlineExceeded))
-			}
 		}
 		ins := &code[pc]
 		switch ins.op {
@@ -60,9 +55,6 @@ func (in *Instance) exec(f *compiledFunc, args []uint64) []uint64 {
 		case opJump:
 			t := ins.targets[0]
 			stack = takeBranch(stack, t)
-			if in.deadline != 0 && int(t.pc) <= pc {
-				in.pollDeadline() // loop back-edge
-			}
 			pc = int(t.pc) - 1
 		case opBrIfFalse:
 			c := stack[len(stack)-1]
@@ -70,9 +62,6 @@ func (in *Instance) exec(f *compiledFunc, args []uint64) []uint64 {
 			if uint32(c) == 0 {
 				t := ins.targets[0]
 				stack = takeBranch(stack, t)
-				if in.deadline != 0 && int(t.pc) <= pc {
-					in.pollDeadline()
-				}
 				pc = int(t.pc) - 1
 			}
 		case uint16(OpBrIf):
@@ -81,9 +70,6 @@ func (in *Instance) exec(f *compiledFunc, args []uint64) []uint64 {
 			if uint32(c) != 0 {
 				t := ins.targets[0]
 				stack = takeBranch(stack, t)
-				if in.deadline != 0 && int(t.pc) <= pc {
-					in.pollDeadline()
-				}
 				pc = int(t.pc) - 1
 			}
 		case uint16(OpBrTable):
@@ -95,9 +81,6 @@ func (in *Instance) exec(f *compiledFunc, args []uint64) []uint64 {
 			}
 			t := ins.targets[ti]
 			stack = takeBranch(stack, t)
-			if in.deadline != 0 && int(t.pc) <= pc {
-				in.pollDeadline()
-			}
 			pc = int(t.pc) - 1
 		case opReturnOp:
 			// Results ride in this depth's reusable buffer: the caller

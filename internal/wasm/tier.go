@@ -1,9 +1,6 @@
 package wasm
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Tier selects how an instance executes function bodies. The tier is fixed
 // at instantiation (Config.Tier) and never changes afterwards. Both tiers
@@ -58,8 +55,7 @@ func (in *Instance) EffectiveTier() Tier { return in.tier }
 // charges would: InstrCount advances only by the units actually paid for,
 // and exhaustion traps at the precise instruction boundary, so fused
 // superinstructions and closure-tier dispatch stay bit-identical to the
-// interpreter's accounting. The deadline test fires when the charge crosses
-// a 64 Ki-instruction boundary, mirroring the interpreter's periodic check.
+// interpreter's accounting.
 func (in *Instance) chargeFuel(k uint32) {
 	if !in.fuelEnabled || k == 0 {
 		return
@@ -75,34 +71,5 @@ func (in *Instance) chargeFuel(k uint32) {
 		in.InstrCount += uint64(f)
 		in.fuel = 0
 		panic(newTrap(TrapFuelExhausted))
-	}
-	if in.deadline != 0 && in.InstrCount>>16 != (in.InstrCount-uint64(k))>>16 &&
-		time.Now().UnixNano() > in.deadline {
-		panic(newTrap(TrapDeadlineExceeded))
-	}
-}
-
-// pollDeadline is called on loop back-edges and call boundaries while a
-// deadline is armed. The interpreter's periodic check only fires every
-// 64 Ki instructions, which a short stalling call never reaches; polling
-// the two control-flow events that every non-terminating guest must repeat
-// closes that escape. The wall clock is sampled every 64th event to keep
-// armed-deadline overhead off the hot path.
-func (in *Instance) pollDeadline() {
-	in.deadlineEvents++
-	if in.deadlineEvents&63 != 0 {
-		return
-	}
-	if time.Now().UnixNano() > in.deadline {
-		panic(newTrap(TrapDeadlineExceeded))
-	}
-}
-
-// checkDeadlineNow samples the wall clock unconditionally — used after host
-// function returns, where a stalled host call must surface immediately and
-// the call itself dwarfs the clock read.
-func (in *Instance) checkDeadlineNow() {
-	if time.Now().UnixNano() > in.deadline {
-		panic(newTrap(TrapDeadlineExceeded))
 	}
 }

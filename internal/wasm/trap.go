@@ -18,7 +18,6 @@ const (
 	TrapInvalidConversion
 	TrapCallStackExhausted
 	TrapFuelExhausted
-	TrapDeadlineExceeded
 	TrapHostError
 )
 
@@ -45,8 +44,6 @@ func (c TrapCode) String() string {
 		return "call stack exhausted"
 	case TrapFuelExhausted:
 		return "fuel exhausted"
-	case TrapDeadlineExceeded:
-		return "deadline exceeded"
 	case TrapHostError:
 		return "host function error"
 	default:
