@@ -33,7 +33,7 @@ func init() {
 		[]ExpFlag{
 			IntExpFlag("cells", 4, "number of cells in the group", func(c *ExpConfig, v int) { c.Cells = v }),
 			IntExpFlag("par", 0, "worker parallelism (0 = cells)", func(c *ExpConfig, v int) { c.Parallelism = v }),
-			Int64ExpFlag("seed", 7, "chaos schedule seed", func(c *ExpConfig, v int64) { c.Seed = v }),
+			Int64ExpFlag("seed", 7, "chaos guests' seed", func(c *ExpConfig, v int64) { c.Seed = v }),
 			IntExpFlag("flight", 0, "arm the flight recorder; fail unless the breaker trip and rollback reach a diagnostic bundle", func(c *ExpConfig, v int) { c.Flight = v }),
 			StringExpFlag("flightdir", "", "diagnostic bundle directory (empty = temp dir)", func(c *ExpConfig, v string) { c.FlightDir = v }),
 		},

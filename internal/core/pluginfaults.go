@@ -9,6 +9,7 @@ import (
 	"waran/internal/guard"
 	"waran/internal/obs/flight"
 	"waran/internal/plugins"
+	"waran/internal/sched"
 	"waran/internal/wabi"
 	"waran/internal/wat"
 )
@@ -29,10 +30,10 @@ func (c *slotClock) Now() time.Time {
 func (c *slotClock) Tick() { c.slot.Add(1) }
 
 // PluginFaultsResult is the plugin-fault-storm experiment outcome: a
-// multi-cell group with one chaos-wrapped hostile plugin, reporting how fast
-// the breaker contained it, what quarantined operation cost, the shadow-
+// multi-cell group with one hostile chaos guest, reporting how fast the
+// breaker contained it, what quarantined operation cost, the shadow-
 // validated recovery swap, the sleeper-candidate rollback, and whether the
-// supervisor's per-class failure counters exactly match the injected fault
+// supervisor's per-class failure counters exactly match the chaos guests'
 // schedule.
 type PluginFaultsResult struct {
 	Cells       int   `json:"cells"`
@@ -52,16 +53,18 @@ type PluginFaultsResult struct {
 	// served across all cells: the plugin failed them or its breaker refused.
 	FallbackSlots uint64 `json:"fallback_slots"`
 
-	HostileChaos wabi.ChaosStats `json:"hostile_chaos"`
-	LiarChaos    wabi.ChaosStats `json:"liar_chaos"`
+	// ScheduledFaults is the chaos guests' schedule recomputed in Go, by
+	// failure class: each slot, the calls a guest served times the class it
+	// produces for that slot.
+	ScheduledFaults map[string]uint64 `json:"scheduled_faults"`
 
 	RecoveryShadow *guard.ShadowReport `json:"recovery_shadow"`
 	LiarShadow     *guard.ShadowReport `json:"liar_shadow"`
 
 	Supervisor guard.SupervisorStats `json:"supervisor"`
 
-	// FaultClassesMatch is the ledger check: every injected fault appears in
-	// the breaker's per-class counters exactly once, and nothing else does.
+	// FaultClassesMatch is the ledger check: the breaker's per-class
+	// counters equal ScheduledFaults for trap, fuel-exhausted and bad-output.
 	FaultClassesMatch bool   `json:"fault_classes_match"`
 	ActiveScheduler   string `json:"active_scheduler"`
 
@@ -81,28 +84,42 @@ func flightBundleDir(dir string) (string, error) {
 	return os.MkdirTemp("", "waran-flight-")
 }
 
+// chaosFuel is the per-call instruction budget of the experiment's chaos
+// guests: ample for a scheduler decision, and a spinning call burns it in
+// well under a slot.
+const chaosFuel = 100_000
+
 // BuildSupervisedGroup assembles the Fig. 5a multi-cell deployment the way
 // every group is built, one supervised pooled plugin per slice, with gcfg as
-// the group's Guard. The slice with hostileID runs its plugin under the given
-// chaos schedule; all supervisors share the breaker configuration (and
-// therefore its clock).
-func BuildSupervisedGroup(cells, par int, hostileID uint32, chaos *wabi.Chaos, gcfg guard.Config, deadline time.Duration) (*CellGroup, error) {
+// the group's Guard. The slice with hostileID runs the hostile bytecode under
+// policy instead of its built-in scheduler; all supervisors share the breaker
+// configuration (and therefore its clock).
+func BuildSupervisedGroup(cells, par int, hostileID uint32, hostile []byte, policy wabi.Policy, gcfg guard.Config, deadline time.Duration) (*CellGroup, error) {
 	cg, err := fig5aGroup(CellGroupConfig{Cells: cells, Parallelism: par, SlotDeadline: deadline})
 	if err != nil {
 		return nil, err
 	}
 	cg.Guard = gcfg
 	for _, sp := range DefaultFig5aSpecs() {
-		cg.PluginEnv.Chaos = nil
 		if sp.ID == hostileID {
-			cg.PluginEnv.Chaos = chaos
+			_, err = cg.installPooled(sp.ID, "chaos-"+sp.Scheduler, hostile, policy, cells)
+		} else {
+			_, err = cg.InstallPooledScheduler(sp.ID, sp.Scheduler, wabi.Policy{}, cells)
 		}
-		if _, err := cg.InstallPooledScheduler(sp.ID, sp.Scheduler, wabi.Policy{}, cells); err != nil {
+		if err != nil {
 			return nil, err
 		}
 	}
-	cg.PluginEnv.Chaos = nil
 	return cg, nil
+}
+
+// chaosBinary assembles the chaos guest around the built-in scheduler inner.
+func chaosBinary(inner string, seed, cleanBefore uint64) ([]byte, error) {
+	src, ok := plugins.ChaosWAT(inner, seed, cleanBefore)
+	if !ok {
+		return nil, fmt.Errorf("core: unknown built-in scheduler %q", inner)
+	}
+	return wat.CompileToBinary(src)
 }
 
 // RunPluginFaults storms a multi-cell group with a hostile plugin and walks
@@ -124,14 +141,14 @@ func RunPluginFaults(cfg ExpConfig) (*PluginFaultsResult, error) {
 	const hostileSlice = 1
 
 	clock := &slotClock{}
-	// Every hostile call fails fast — traps, stolen fuel and corrupted
-	// outputs, never stalls — so containment costs microseconds, not slots.
-	hostileChaos := wabi.NewChaos(wabi.ChaosConfig{
-		Seed:          seed,
-		TrapProb:      0.5,
-		FuelTheftProb: 0.25,
-		CorruptProb:   1,
-	})
+	// The hostile slice (MVNO-1, MT) runs a chaos guest that faults on every
+	// call from slot 0 — traps, spins the meter stops after chaosFuel
+	// instructions, corrupt counts — so containment costs well under a slot
+	// per call.
+	hostile, err := chaosBinary("mt", uint64(seed), 0)
+	if err != nil {
+		return nil, err
+	}
 	gcfg := guard.Config{
 		Breaker: guard.BreakerConfig{
 			Window:         32,
@@ -150,7 +167,7 @@ func RunPluginFaults(cfg ExpConfig) (*PluginFaultsResult, error) {
 		// single-CPU box under the race detector blows spuriously mid-replay.
 		ShadowLatencyBudget: 10 * time.Millisecond,
 	}
-	cg, err := BuildSupervisedGroup(cells, par, hostileSlice, hostileChaos, gcfg, cfg.SlotDeadline)
+	cg, err := BuildSupervisedGroup(cells, par, hostileSlice, hostile, wabi.Policy{Fuel: chaosFuel}, gcfg, cfg.SlotDeadline)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +175,7 @@ func RunPluginFaults(cfg ExpConfig) (*PluginFaultsResult, error) {
 		cg.EnableObservability(cfg.Obs, cfg.Trace)
 	}
 	sup := cg.Supervisor(hostileSlice)
-	rep := &PluginFaultsResult{Cells: cells, Parallelism: par, Seed: seed}
+	rep := &PluginFaultsResult{Cells: cells, Parallelism: par, Seed: seed, ScheduledFaults: map[string]uint64{}}
 
 	// With the flight knob armed the whole storm is journaled, and the
 	// breaker trip and sleeper rollback must each trigger (or be swept into)
@@ -185,10 +202,28 @@ func RunPluginFaults(cfg ExpConfig) (*PluginFaultsResult, error) {
 		go fcap.Run(fstop)
 	}
 
+	// guests are the chaos guests installed so far. Every call a guest
+	// serves in a slot fails with the class ChaosFault recomputes for that
+	// slot, so the slot adds the calls the guest's own pool served to the
+	// schedule under that class.
+	type chaosGuest struct {
+		ps                *sched.PoolScheduler
+		seed, cleanBefore uint64
+	}
+	guests := []chaosGuest{{sup.Active().(*sched.PoolScheduler), uint64(seed), 0}}
 	runSlots := func(n int) {
 		for i := 0; i < n; i++ {
+			slot, before := cg.Slot(), make([]uint64, len(guests))
+			for k, g := range guests {
+				before[k] = g.ps.Stats().Calls
+			}
 			cg.StepAll()
 			clock.Tick()
+			for k, g := range guests {
+				if class := plugins.ChaosFault(g.seed, g.cleanBefore, hostileSlice, slot); class != wabi.FailNone {
+					rep.ScheduledFaults[class.String()] += g.ps.Stats().Calls - before[k]
+				}
+			}
 		}
 	}
 	overruns := func() uint64 {
@@ -229,20 +264,16 @@ func RunPluginFaults(cfg ExpConfig) (*PluginFaultsResult, error) {
 	// promoted candidate.
 	runSlots(1100)
 
-	// Phase 5 — a sleeper candidate: passes shadow validation (its chaos
-	// schedule is inert for more calls than the replay ring holds), then
-	// turns 100% hostile inside the probation window. The breaker trip must
+	// Phase 5 — a sleeper candidate: an MT chaos guest that is clean for the
+	// recorded slots it is shadow-validated on and for 8 slots after, then
+	// faults on every call inside the probation window. The breaker trip must
 	// roll back to the last-known-good PF scheduler.
-	liarChaos := wabi.NewChaos(wabi.ChaosConfig{
-		Seed:          seed + 1,
-		TrapProb:      1,
-		ActivateAfter: 64,
-	})
-	liarBlob, err := wat.CompileToBinary(plugins.MaxThroughputWAT)
+	liarSeed, liarTurns := uint64(seed)+1, cg.Slot()+8
+	liarBlob, err := chaosBinary("mt", liarSeed, liarTurns)
 	if err != nil {
 		return nil, err
 	}
-	liar, err := cg.BuildPooledCandidate("mt-sleeper", liarBlob, wabi.Policy{}, wabi.Env{Chaos: liarChaos}, par)
+	liar, err := cg.BuildPooledCandidate("mt-sleeper", liarBlob, wabi.Policy{Fuel: chaosFuel}, par)
 	if err != nil {
 		return nil, err
 	}
@@ -250,6 +281,7 @@ func RunPluginFaults(cfg ExpConfig) (*PluginFaultsResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: pluginfaults: sleeper candidate failed shadow validation it was built to pass: %w", err)
 	}
+	guests = append(guests, chaosGuest{liar, liarSeed, liarTurns})
 	for i := 0; i < 300 && sup.Stats().Rollbacks == 0; i++ {
 		runSlots(1)
 	}
@@ -263,8 +295,6 @@ func RunPluginFaults(cfg ExpConfig) (*PluginFaultsResult, error) {
 	rep.SlotsTotal = cg.Slot()
 	rep.SlotsPostOpen = rep.SlotsTotal - rep.SlotsToOpen
 	rep.OverrunsPostOpen = overruns() - atOpen
-	rep.HostileChaos = hostileChaos.Stats()
-	rep.LiarChaos = liarChaos.Stats()
 	rep.Supervisor = sup.Stats()
 	for c := 0; c < cells; c++ {
 		if s, ok := cg.Cell(c).Slices.Slice(hostileSlice); ok {
@@ -273,12 +303,14 @@ func RunPluginFaults(cfg ExpConfig) (*PluginFaultsResult, error) {
 	}
 	rep.ActiveScheduler = sup.Active().Name()
 
-	// Ledger check: injected faults and metered failures must agree per
-	// class — every chaos draw was one plugin call, classified exactly once.
-	br := sup.Breaker()
-	rep.FaultClassesMatch = br.FailureCount(wabi.FailTrap) == rep.HostileChaos.Traps+rep.LiarChaos.Traps &&
-		br.FailureCount(wabi.FailFuel) == rep.HostileChaos.FuelThefts+rep.LiarChaos.FuelThefts &&
-		br.FailureCount(wabi.FailBadOutput) == rep.HostileChaos.Corruptions+rep.LiarChaos.Corruptions
+	// Ledger check: the breaker metered exactly the recomputed schedule —
+	// every faulting call classified once, in the class its guest chose.
+	rep.FaultClassesMatch = true
+	for _, class := range []wabi.FailureClass{wabi.FailTrap, wabi.FailFuel, wabi.FailBadOutput} {
+		if sup.Breaker().FailureCount(class) != rep.ScheduledFaults[class.String()] {
+			rep.FaultClassesMatch = false
+		}
+	}
 
 	if fcap != nil {
 		// Sweep the journal tail (rollback events may have landed inside the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 // single missed deadline, a healthy candidate must hot-swap in through
 // shadow validation, a sleeper candidate must be rolled back inside its
 // probation window, and the obs snapshot's per-class failure counters must
-// match the injected fault schedule exactly.
+// match the chaos guests' recomputed schedule exactly.
 func TestPluginFaultsE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-thousand-slot chaos run")
@@ -23,10 +24,10 @@ func TestPluginFaultsE2E(t *testing.T) {
 	reg := obs.NewRegistry()
 	rep, err := RunPluginFaults(ExpConfig{
 		Obs: reg,
-		// Every injected fault fails fast (no stalls), so after the breaker
-		// opens a missed deadline could only come from the supervisor path
-		// itself. The budget is generous against shared-machine jitter; the
-		// CLI run keeps the paper's 1 ms default.
+		// Every chaos-guest fault ends within its 100 000-instruction fuel,
+		// so after the breaker opens a missed deadline could only come from
+		// the supervisor path itself. The budget is generous against
+		// shared-machine jitter; the CLI run keeps the paper's 1 ms default.
 		SlotDeadline: 250 * time.Millisecond,
 	})
 	if err != nil {
@@ -73,11 +74,11 @@ func TestPluginFaultsE2E(t *testing.T) {
 		t.Errorf("breaker ended %q, want closed", s.Breaker.State)
 	}
 
-	// Ledger: every injected fault was classified exactly once, nothing was
+	// Ledger: every guest fault was classified exactly once, nothing was
 	// double-counted across the 4 concurrent cells, and nothing was lost.
 	if !rep.FaultClassesMatch {
-		t.Errorf("breaker per-class counters diverge from the chaos schedule: breaker=%v hostile=%+v liar=%+v",
-			s.Breaker.FailuresByClass, rep.HostileChaos, rep.LiarChaos)
+		t.Errorf("breaker per-class counters diverge from the chaos schedule: breaker=%v scheduled=%v",
+			s.Breaker.FailuresByClass, rep.ScheduledFaults)
 	}
 
 	// The same counters must surface in the obs snapshot under the hostile
@@ -98,41 +99,90 @@ func TestPluginFaultsE2E(t *testing.T) {
 		t.Errorf("obs snapshot promotions=%d rollbacks=%d, want %d/%d",
 			snap.Promotions, snap.Rollbacks, s.Promotions, s.Rollbacks)
 	}
-	wantByClass := map[string]uint64{
-		"trap":           rep.HostileChaos.Traps + rep.LiarChaos.Traps,
-		"fuel-exhausted": rep.HostileChaos.FuelThefts + rep.LiarChaos.FuelThefts,
-		"bad-output":     rep.HostileChaos.Corruptions + rep.LiarChaos.Corruptions,
-	}
-	for class, want := range wantByClass {
-		if got := snap.Breaker.FailuresByClass[class]; got != want {
-			t.Errorf("obs failures_by_class[%s] = %d, want %d (injected)", class, got, want)
+	for _, class := range []string{"trap", "fuel-exhausted", "bad-output"} {
+		if want, got := rep.ScheduledFaults[class], snap.Breaker.FailuresByClass[class]; got != want {
+			t.Errorf("obs failures_by_class[%s] = %d, want %d (scheduled)", class, got, want)
 		}
 	}
 }
 
-// TestPluginFaultsDeterministicLedger locks in that two runs with the same
-// seed inject byte-identical fault schedules and the breaker meters them
-// identically — the chaos PRNG, the breaker clock and the slot engine are
-// all deterministic.
+// TestPluginFaultsLedgerOddCells: with 3 cells the 32-call breaker window
+// is not a whole number of slots, so the sleeper's trip lands mid-slot and
+// the rest of that slot runs the restored scheduler. The ledger counts the
+// calls each chaos guest served, so it still matches.
+func TestPluginFaultsLedgerOddCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-thousand-slot chaos run")
+	}
+	rep, err := RunPluginFaults(ExpConfig{Cells: 3, Seed: 10, SlotDeadline: 250 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.FaultClassesMatch {
+		t.Errorf("breaker=%v scheduled=%v", rep.Supervisor.Breaker.FailuresByClass, rep.ScheduledFaults)
+	}
+	if s := rep.Supervisor; s.Rollbacks != 1 || rep.ActiveScheduler != "pool:pf-recovery" {
+		t.Errorf("rollbacks=%d active=%q, want 1 and pool:pf-recovery", s.Rollbacks, rep.ActiveScheduler)
+	}
+}
+
+// pluginFaultsCounts is every count field of a PluginFaultsResult.
+type pluginFaultsCounts struct {
+	SlotsTotal, SlotsToOpen, SlotsPostOpen, OverrunsPreOpen, OverrunsPostOpen, FallbackSlots uint64
+	ScheduledFaults                                                                          map[string]uint64
+	RecoveryRuns, LiarRuns                                                                   int
+	Calls, Successes, Promotions, Rollbacks, ShadowPass, ShadowFail                          uint64
+	Probation                                                                                int
+	Opens, Reopens, Probes, ProbeFails, Rejects                                              uint64
+	FailuresByClass                                                                          map[string]uint64
+	FaultClassesMatch                                                                        bool
+	ActiveScheduler                                                                          string
+}
+
+func countsOf(r *PluginFaultsResult) pluginFaultsCounts {
+	s, b := r.Supervisor, r.Supervisor.Breaker
+	return pluginFaultsCounts{
+		r.SlotsTotal, r.SlotsToOpen, r.SlotsPostOpen, r.OverrunsPreOpen, r.OverrunsPostOpen, r.FallbackSlots,
+		r.ScheduledFaults,
+		r.RecoveryShadow.Runs, r.LiarShadow.Runs,
+		s.Calls, s.Successes, s.Promotions, s.Rollbacks, s.ShadowPass, s.ShadowFail,
+		s.Probation,
+		b.Opens, b.Reopens, b.Probes, b.ProbeFails, b.Rejects,
+		b.FailuresByClass,
+		r.FaultClassesMatch,
+		r.ActiveScheduler,
+	}
+}
+
+// TestPluginFaultsDeterministicLedger locks in that the storm is a function
+// of its seed: every count of the result — slots, overruns, fallbacks, the
+// scheduled faults, shadow runs, supervisor and breaker counters — reads the
+// same on two runs, at Parallelism 1 and at 4. The chaos guests' schedule
+// hashes the slot, not the call order, so how the stripes interleave cannot
+// change it.
 func TestPluginFaultsDeterministicLedger(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-thousand-slot chaos run")
 	}
-	run := func() *PluginFaultsResult {
-		rep, err := RunPluginFaults(ExpConfig{Seed: 11, SlotDeadline: 250 * time.Millisecond})
+	run := func(par int) pluginFaultsCounts {
+		rep, err := RunPluginFaults(ExpConfig{Seed: 11, Parallelism: par, SlotDeadline: 250 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep
+		if !rep.FaultClassesMatch {
+			t.Errorf("parallelism %d: ledger check failed on a seeded run", par)
+		}
+		return countsOf(rep)
 	}
-	a, b := run(), run()
-	if a.HostileChaos != b.HostileChaos {
-		t.Errorf("hostile chaos schedules diverge: %+v vs %+v", a.HostileChaos, b.HostileChaos)
+	want := run(1)
+	for _, class := range []string{"trap", "fuel-exhausted", "bad-output"} {
+		if want.ScheduledFaults[class] == 0 {
+			t.Errorf("seed 11 scheduled no %s faults: %v", class, want.ScheduledFaults)
+		}
 	}
-	if a.LiarChaos != b.LiarChaos {
-		t.Errorf("liar chaos schedules diverge: %+v vs %+v", a.LiarChaos, b.LiarChaos)
-	}
-	if !a.FaultClassesMatch || !b.FaultClassesMatch {
-		t.Error("ledger check failed on a seeded run")
+	for _, par := range []int{1, 4, 4} {
+		if got := run(par); !reflect.DeepEqual(got, want) {
+			t.Errorf("parallelism %d diverges from the first run:\n got  %+v\n want %+v", par, got, want)
+		}
 	}
 }

@@ -66,7 +66,13 @@ func (cg *CellGroup) InstallPooledScheduler(sliceID uint32, name string, policy 
 	if err != nil {
 		return nil, err
 	}
-	ps, err := cg.BuildPooledCandidate(name, bin, policy, cg.PluginEnv, poolMax)
+	return cg.installPooled(sliceID, name, bin, policy, poolMax)
+}
+
+// installPooled is InstallPooledScheduler for any bytecode, built-in or not
+// (the experiments' hostile guests).
+func (cg *CellGroup) installPooled(sliceID uint32, name string, bin []byte, policy wabi.Policy, poolMax int) (*sched.PoolScheduler, error) {
+	ps, err := cg.BuildPooledCandidate(name, bin, policy, poolMax)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +98,7 @@ func (cg *CellGroup) UploadSchedulerAll(sliceID uint32, name string, bin []byte,
 	if err != nil {
 		return nil, err
 	}
-	ps, err := cg.BuildPooledCandidate(name, bin, policy, cg.PluginEnv, poolMax)
+	ps, err := cg.BuildPooledCandidate(name, bin, policy, poolMax)
 	if err != nil {
 		return nil, err
 	}
@@ -100,20 +106,18 @@ func (cg *CellGroup) UploadSchedulerAll(sliceID uint32, name string, bin []byte,
 }
 
 // BuildPooledCandidate resolves bytecode through the group's module cache
-// and wraps it in a pool of up to poolMax sandboxes under env and policy
-// (zero limits get the default policy), without installing it anywhere —
-// the candidate half of a supervised hot-swap; a caller with its own env (a
-// chaos schedule) offers it to Supervisor.Swap itself. The group's profiler
-// is inherited unless env brings its own, and is tagged with name unless it
-// names its own tag.
-func (cg *CellGroup) BuildPooledCandidate(name string, bin []byte, policy wabi.Policy, env wabi.Env, poolMax int) (*sched.PoolScheduler, error) {
+// and wraps it in a pool of up to poolMax sandboxes under the group's
+// PluginEnv and policy (zero limits get the default policy), without
+// installing it anywhere — the candidate half of a supervised hot-swap; a
+// caller with its own candidate (the pluginfaults sleeper) offers it to
+// Supervisor.Swap itself. The group's profiler tags the candidate's functions
+// with name unless PluginEnv names its own tag.
+func (cg *CellGroup) BuildPooledCandidate(name string, bin []byte, policy wabi.Policy, poolMax int) (*sched.PoolScheduler, error) {
 	mod, err := cg.Modules.Load(bin)
 	if err != nil {
 		return nil, fmt.Errorf("core: rejected bytecode for %q: %w", name, err)
 	}
-	if env.Profile == nil {
-		env.Profile, env.ProfileTag = cg.PluginEnv.Profile, cg.PluginEnv.ProfileTag
-	}
+	env := cg.PluginEnv
 	if env.Profile != nil && env.ProfileTag == "" {
 		env.ProfileTag = name
 	}

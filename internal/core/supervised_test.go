@@ -38,8 +38,11 @@ func TestSupervisedFallbackCounted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cg.PluginEnv.Chaos = wabi.NewChaos(wabi.ChaosConfig{Seed: 1, TrapProb: 1})
-	if _, err := cg.InstallPooledScheduler(1, "rr", wabi.Policy{}, 1); err != nil {
+	trap, err := wat.CompileToBinary(plugins.NullDerefWAT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cg.installPooled(1, "null-deref", trap, wabi.Policy{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	const slots = 100

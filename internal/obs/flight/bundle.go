@@ -66,8 +66,9 @@ type CapturerConfig struct {
 	// MaxBundles caps retained bundle files; the oldest is deleted when
 	// the cap is exceeded. Default 8.
 	MaxBundles int
-	// Debounce suppresses captures closer than this to the previous one
-	// (the suppressed count is folded into the next bundle). Default 5s.
+	// Debounce holds back captures closer than this to the previous one;
+	// Run captures a held-back trigger when the window closes, with the
+	// suppressed count folded in. Default 5s.
 	Debounce time.Duration
 	// GoroutineDump bounds the goroutine dump size in bytes (0 = default
 	// 1 MiB, negative = omit the dump).
@@ -126,17 +127,45 @@ func NewCapturer(rec *Recorder, cfg CapturerConfig) (*Capturer, error) {
 	return &Capturer{rec: rec, cfg: cfg, spanCursor: make(map[string]uint64)}, nil
 }
 
-// Run consumes trigger pokes until stop closes. Debounced triggers are
-// counted, not dropped: the next bundle reports how many it folded in.
+// Run consumes trigger pokes until stop closes. A trigger inside the
+// debounce window is not lost: once the window closes Run captures it, in
+// one bundle that reports how many triggers it folded in.
 func (c *Capturer) Run(stop <-chan struct{}) {
+	var due <-chan time.Time
+	var pending string
 	for {
 		select {
 		case <-stop:
 			return
 		case class := <-c.rec.TriggerC():
-			_, _ = c.Capture("class:" + class.String())
+			reason := "class:" + class.String()
+			if b, err := c.Capture(reason); b == nil && err == nil && due == nil {
+				pending = reason
+				due = c.retry(pending)
+			}
+		case <-due:
+			due = c.retry(pending)
 		}
 	}
+}
+
+// retry captures the triggers the debounce window suppressed once it has
+// closed, under reason. While the window is open it returns when to try
+// again; once nothing is pending (captured here, or by a CaptureNow since)
+// it returns nil.
+func (c *Capturer) retry(reason string) <-chan time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.suppressed == 0 {
+		return nil
+	}
+	now := c.cfg.Now()
+	if wait := c.lastCapture.Add(c.cfg.Debounce).Sub(now); wait > 0 {
+		return time.After(wait)
+	}
+	// Run has no caller to report a failed write to, as with Capture.
+	_, _ = c.captureLocked(now, reason)
+	return nil
 }
 
 // Capture captures a bundle unless the debounce window suppresses it.

@@ -199,6 +199,53 @@ func TestCapturerRunConsumesTriggers(t *testing.T) {
 	}
 }
 
+// TestCapturerRunCapturesDebouncedTrigger: a trigger that lands inside the
+// debounce window is captured once the window closes, in a second bundle
+// whose journal holds it and which reports the trigger it folded in.
+func TestCapturerRunCapturesDebouncedTrigger(t *testing.T) {
+	rec := NewRecorder(64)
+	rec.SetTriggers(EvBreakerOpen)
+	cap := testCapturer(t, rec, func(c *CapturerConfig) { c.Debounce = 50 * time.Millisecond })
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() { defer close(done); cap.Run(stop) }()
+	defer func() { close(stop); <-done }()
+
+	waitBundles := func(n int) []BundleInfo {
+		t.Helper()
+		deadline := time.After(5 * time.Second)
+		for {
+			if idx := cap.Index(); len(idx) >= n {
+				return idx
+			}
+			select {
+			case <-deadline:
+				t.Fatalf("%d bundles after 5s, want %d", len(cap.Index()), n)
+			case <-time.After(5 * time.Millisecond):
+			}
+		}
+	}
+	rec.Record(Event{Class: EvBreakerOpen, Plane: PlaneGNB, Detail: "first"})
+	waitBundles(1)
+	rec.Record(Event{Class: EvBreakerOpen, Plane: PlaneGNB, Detail: "second"})
+	idx := waitBundles(2)
+
+	b, err := ReadBundle(idx[1].File)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Suppressed != 1 {
+		t.Fatalf("second bundle folded in %d triggers, want 1", b.Suppressed)
+	}
+	found := false
+	for _, ev := range b.Journal {
+		found = found || (ev.Class == EvBreakerOpen && ev.Detail == "second")
+	}
+	if !found {
+		t.Fatalf("second bundle's journal lacks the debounced trigger: %+v", b.Journal)
+	}
+}
+
 func TestCapturerValidation(t *testing.T) {
 	if _, err := NewCapturer(nil, CapturerConfig{Dir: t.TempDir()}); err == nil {
 		t.Fatal("nil recorder accepted")

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -269,32 +270,31 @@ func TestDifferentialConcurrentPools(t *testing.T) {
 }
 
 // TestZeroCopyChaosInterleavings proves half-written response regions never
-// escape: under a seeded mix of forced traps (which scribble the response
-// region mid-write) and output corruption (which mangles the sealed count),
-// every successful Schedule is bit-identical to an undisturbed reference,
-// and every failure classifies as a trap or bad output — never a plausible
-// but wrong decision.
+// escape. The chaos guest around MT is clean before slot 200; from then on
+// it traps after scribbling its response region, spins, or seals a corrupt
+// count. It runs as the gNB runs it: pooled, so an instance that faulted is
+// discarded. Every successful Schedule is bit-identical to an undisturbed
+// reference, and every failure is the class the schedule predicts — never a
+// plausible but wrong decision.
 func TestZeroCopyChaosInterleavings(t *testing.T) {
-	ch := wabi.NewChaos(wabi.ChaosConfig{TrapProb: 0.2, CorruptProb: 0.2, Seed: 99})
-	mod, err := CompileScheduler("mt")
+	const seed, cleanBefore = 99, 200
+	src, _ := ChaosWAT("mt", seed, cleanBefore)
+	mod, err := wabi.CompileWAT(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := wabi.NewPlugin(mod, wabi.Policy{Fuel: 50_000_000}, wabi.Env{Chaos: ch})
+	pool := wabi.NewPool(mod, wabi.Policy{Fuel: 100_000}, wabi.Env{}, 1)
+	chaotic, err := sched.NewPoolScheduler("chaos-mt", pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaotic, err := sched.NewPluginScheduler("mt", p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := chaotic.SetABIMode(sched.ABIZeroCopy); err != nil {
-		t.Fatal(err)
+	if !chaotic.ZeroCopy() {
+		t.Fatal("chaos guest did not auto-select zero-copy")
 	}
 	reference := newSchedABI(t, "mt", sched.ABIZeroCopy, wabi.Env{})
 
 	rng := rand.New(rand.NewSource(31))
-	var clean, trapped, rejected int
+	var clean, trapped, spun, rejected int
 	for trial := 0; trial < 400; trial++ {
 		req := hostileRequest(rng, rng.Intn(24), uint64(trial))
 		want, err := reference.Schedule(req)
@@ -302,6 +302,9 @@ func TestZeroCopyChaosInterleavings(t *testing.T) {
 			t.Fatalf("trial %d: reference: %v", trial, err)
 		}
 		got, err := chaotic.Schedule(req)
+		if class, fault := wabi.ClassOf(err), ChaosFault(seed, cleanBefore, req.SliceID, req.Slot); class != fault {
+			t.Fatalf("trial %d: outcome %v, schedule says %v (err=%v)", trial, class, fault, err)
+		}
 		if err == nil {
 			clean++
 			if !allocsEqual(got.Allocs, want.Allocs) {
@@ -310,18 +313,11 @@ func TestZeroCopyChaosInterleavings(t *testing.T) {
 			}
 			continue
 		}
-		// Failures must be classified faults, never silent.
 		switch wabi.ClassOf(err) {
 		case wabi.FailTrap:
 			trapped++
-			// The trap scribbled the region; the instance is poisoned and
-			// must be replaced before the next decision.
-			if !chaotic.Plugin().Poisoned() {
-				t.Fatalf("trial %d: trap did not poison", trial)
-			}
-			if err := chaotic.Plugin().Reset(); err != nil {
-				t.Fatal(err)
-			}
+		case wabi.FailFuel:
+			spun++
 		case wabi.FailBadOutput:
 			rejected++
 			var bo *sched.BadOutputError
@@ -331,13 +327,16 @@ func TestZeroCopyChaosInterleavings(t *testing.T) {
 			if bo.Kind != sched.BadOutputOOB {
 				t.Fatalf("trial %d: corrupted count classified %v, want oob", trial, bo.Kind)
 			}
-		default:
-			t.Fatalf("trial %d: unexpected failure class %v (%v)", trial, wabi.ClassOf(err), err)
 		}
 	}
 	if clean == 0 || trapped == 0 || rejected == 0 {
 		t.Fatalf("chaos schedule did not exercise all outcomes: clean=%d trapped=%d rejected=%d",
 			clean, trapped, rejected)
+	}
+	// The trap scribbled the region and poisoned its instance: every
+	// instance that trapped or spun was discarded, never handed a decision.
+	if d := pool.Stats().Discards; d != uint64(trapped+spun) {
+		t.Fatalf("discards = %d, want %d (trapped %d + spun %d)", d, trapped+spun, trapped, spun)
 	}
 }
 
@@ -397,12 +396,19 @@ func TestHostileZCGuestsClassified(t *testing.T) {
 // and produce the correct decision instead of writing through the dead
 // layout.
 func TestZeroCopyPoolTrapRenegotiates(t *testing.T) {
-	mod, err := wabi.CompileWAT(GrowZCWAT)
+	// GrowZCWAT with a guest global that makes each instance trap on its
+	// second decision.
+	src := strings.Replace(GrowZCWAT, `(func (export "schedule_zc") (result i32)
+    (local $req i32) (local $resp i32)`, `(global $calls (mut i32) (i32.const 0))
+  (func (export "schedule_zc") (result i32)
+    (local $req i32) (local $resp i32)
+    (global.set $calls (i32.add (global.get $calls) (i32.const 1)))
+    (if (i32.eq (global.get $calls) (i32.const 2)) (then (unreachable)))`, 1)
+	mod, err := wabi.CompileWAT(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := wabi.NewChaos(wabi.ChaosConfig{TrapProb: 1, ActivateAfter: 1, Seed: 17})
-	pool := wabi.NewPool(mod, wabi.Policy{Fuel: 1_000_000}, wabi.Env{Chaos: ch}, 1)
+	pool := wabi.NewPool(mod, wabi.Policy{Fuel: 1_000_000}, wabi.Env{}, 1)
 	ps, err := sched.NewPoolScheduler("zc-grow", pool, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -423,14 +429,13 @@ func TestZeroCopyPoolTrapRenegotiates(t *testing.T) {
 		t.Fatalf("allocs = %v, want %v", resp.Allocs, wantAllocs)
 	}
 
-	if _, err := ps.Schedule(req); err == nil { // call 2: chaos trap, instance discarded
-		t.Fatal("chaos-armed call did not fail")
+	if _, err := ps.Schedule(req); wabi.ClassOf(err) != wabi.FailTrap { // call 2: trap, instance discarded
+		t.Fatalf("second decision: want a trap, got %v", err)
 	}
 	if d := pool.Stats().Discards; d != 1 {
 		t.Fatalf("discards = %d, want 1", d)
 	}
 
-	ch.SetConfig(wabi.ChaosConfig{})
 	resp, err = ps.Schedule(req) // call 3: fresh instance, renegotiated regions
 	if err != nil {
 		t.Fatalf("replacement instance: %v", err)

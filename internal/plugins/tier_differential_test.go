@@ -163,6 +163,54 @@ func TestDifferentialTiersHostileZCGuests(t *testing.T) {
 	}
 }
 
+// TestDifferentialTiersChaosGuest: over 1 200 seeded requests on both sides
+// of the sleeper threshold, the chaos guest fails with the class its Go twin
+// recomputes, and the closure tier reproduces the interpreter's class, fuel
+// and decision. Both tiers run it pooled, as the gNB does, so an instance
+// that faulted is replaced.
+func TestDifferentialTiersChaosGuest(t *testing.T) {
+	const seed, cleanBefore = 42, 400
+	src, _ := ChaosWAT("mt", seed, cleanBefore)
+	mod, err := wabi.CompileWAT(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tiers [2]*sched.PoolScheduler
+	for i, tier := range []wasm.Tier{wasm.TierInterp, wasm.TierClosure} {
+		pool := wabi.NewPool(mod, wabi.Policy{Fuel: 100_000, Tier: tier}, wabi.Env{}, 1)
+		if tiers[i], err = sched.NewPoolScheduler("chaos-mt", pool, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(29))
+	seen := map[wabi.FailureClass]int{}
+	for slot := uint64(0); slot < 1200; slot++ {
+		req := hostileRequest(rng, rng.Intn(32), slot)
+		want := ChaosFault(seed, cleanBefore, req.SliceID, slot)
+		var resps [2]*sched.Response
+		var fuel [2]int64
+		for i, ps := range tiers {
+			resp, err := ps.Schedule(req)
+			if class := wabi.ClassOf(err); class != want {
+				t.Fatalf("slot %d tier %d: class %v, Go twin %v (err=%v)", slot, i, class, want, err)
+			}
+			resps[i], fuel[i] = resp, ps.LastFuelUsed()
+		}
+		if fuel[0] != fuel[1] {
+			t.Fatalf("slot %d (%v): closure burned %d fuel, interpreter %d", slot, want, fuel[1], fuel[0])
+		}
+		if want == wabi.FailNone && !allocsEqual(resps[1].Allocs, resps[0].Allocs) {
+			t.Fatalf("slot %d: closure diverged\ngot:  %v\nwant: %v", slot, resps[1].Allocs, resps[0].Allocs)
+		}
+		seen[want]++
+	}
+	for _, c := range []wabi.FailureClass{wabi.FailNone, wabi.FailTrap, wabi.FailFuel, wabi.FailBadOutput} {
+		if seen[c] == 0 {
+			t.Errorf("no request produced %v: %v", c, seen)
+		}
+	}
+}
+
 // tierFuzzPair lazily builds one scheduler per (guest, tier) — interpreter
 // first, closure second — reused for the whole fuzz run: both tier instances
 // of a guest see the same call history, so outcome comparisons stay valid

@@ -38,8 +38,8 @@ const (
 	// sandbox completed cleanly; the plugin itself declined.
 	FailGuestError
 	// FailUnknown is the catch-all for errors outside the plugin taxonomy
-	// (host misuse, I/O). Supervisors treat it as a failure; the chaos fuzz
-	// target asserts plugin-originated failures never land here.
+	// (host misuse, I/O). Supervisors treat it as a failure; FuzzClassify
+	// asserts plugin-originated failures never land here.
 	FailUnknown
 )
 

@@ -28,9 +28,9 @@ import (
 // is how allocator-backed guests carve regions from the heap). The two
 // regions must not overlap. A fresh instance of the same module may
 // legitimately return different pointers (its heap starts over), which is
-// why every cached RegionLayout dies with its instance: Reset, per-call
-// fresh instantiation and Pool.Put's poisoned-instance discard all
-// invalidate, forcing re-negotiation on the replacement.
+// why every cached RegionLayout dies with its instance: Pool.Put's
+// poisoned-instance discard invalidates it, forcing re-negotiation on the
+// replacement.
 const (
 	RegionRequestExport  = "zc_req_region"
 	RegionResponseExport = "zc_resp_region"
@@ -145,41 +145,7 @@ func validateRegionLayout(lay RegionLayout, mem *wasm.Memory) error {
 	return nil
 }
 
-// invalidateRegions drops the cached layout. Called whenever the
-// underlying instance is replaced (Reset, fresh-instance calls) or discarded
-// (Pool.Put of a poisoned instance): the replacement's heap starts over, so
-// reusing the old offsets would read and write the wrong memory.
+// invalidateRegions drops the cached layout when Pool.Put discards a
+// poisoned instance: the replacement's heap starts over, so reusing the old
+// offsets would read and write the wrong memory.
 func (p *Plugin) invalidateRegions() { p.zc = nil }
-
-// chaosScribbleRegions simulates a guest that trapped midway through writing
-// its response: the first half of the response region (count word included)
-// is overwritten with a recognizable garbage pattern. Validation above must
-// reject anything read from it.
-func (p *Plugin) chaosScribbleRegions() {
-	rg := p.zc
-	if rg == nil {
-		return
-	}
-	n := rg.Layout.RespLen / 2
-	if n == 0 {
-		n = rg.Layout.RespLen
-	}
-	junk := make([]byte, n)
-	for i := range junk {
-		junk[i] = 0xa5
-	}
-	// Best effort: the region was validated at negotiation, so this cannot
-	// fail unless the instance is already broken.
-	_ = p.inst.Memory().Write(rg.Layout.RespPtr, junk)
-}
-
-// chaosCorruptRegions is the zero-copy analogue of corruptOutput: the call
-// completed, but the allocation count is replaced with an absurd claim so
-// only the hardened region validation above can catch the lie.
-func (p *Plugin) chaosCorruptRegions() {
-	rg := p.zc
-	if rg == nil {
-		return
-	}
-	_ = p.inst.Memory().WriteUint32(rg.Layout.RespPtr, 0xffff_ffff)
-}

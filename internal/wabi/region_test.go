@@ -9,13 +9,20 @@ import (
 
 // zcEchoWAT is a minimal zero-copy-capable guest with statically placed
 // regions: it copies the first 4 bytes of its request region into its
-// response region when "poke" runs.
+// response region when "poke" runs. Its second poke dies midway through the
+// response: it fills the first 64 bytes with 0xa5 and traps.
 const zcEchoWAT = `(module
   (import "waran" "output_write" (func $output_write (param i32 i32)))
   (memory (export "memory") 1)
+  (global $pokes (mut i32) (i32.const 0))
   (func (export "zc_req_region") (result i32) (i32.const 1024))
   (func (export "zc_resp_region") (result i32) (i32.const 4096))
   (func (export "poke") (result i32)
+    (global.set $pokes (i32.add (global.get $pokes) (i32.const 1)))
+    (if (i32.eq (global.get $pokes) (i32.const 2))
+      (then
+        (memory.fill (i32.const 4096) (i32.const 0xa5) (i32.const 64))
+        (unreachable)))
     (i32.store (i32.const 4096) (i32.load (i32.const 1024)))
     (i32.const 0))
 )`
@@ -23,11 +30,12 @@ const zcEchoWAT = `(module
 // zcGrowWAT negotiates regions from memory grown on first use, the way an
 // allocator-backed guest would. A fresh instance starts back at one page,
 // so any cached layout from a previous instance points past the end of the
-// replacement's memory.
+// replacement's memory. Each instance traps on its second poke.
 const zcGrowWAT = `(module
   (import "waran" "output_write" (func $output_write (param i32 i32)))
   (memory (export "memory") 1 4)
   (global $base (mut i32) (i32.const 0))
+  (global $pokes (mut i32) (i32.const 0))
   (func $alloc (result i32)
     (if (i32.eqz (global.get $base))
       (then
@@ -38,6 +46,9 @@ const zcGrowWAT = `(module
   (func (export "zc_resp_region") (result i32)
     (i32.add (call $alloc) (i32.const 4096)))
   (func (export "poke") (result i32)
+    (global.set $pokes (i32.add (global.get $pokes) (i32.const 1)))
+    (if (i32.eq (global.get $pokes) (i32.const 2))
+      (then (unreachable)))
     (i32.store (i32.add (call $alloc) (i32.const 4096))
       (i32.load (call $alloc)))
     (i32.const 0))
@@ -164,82 +175,6 @@ func TestValidateRegionLayoutUnits(t *testing.T) {
 	}
 }
 
-// TestResetRenegotiatesGrownRegions pins the stale-layout hazard: a guest
-// that carves its regions from grown memory negotiates pointers past the
-// first page; after Reset the fresh instance is back to one page, so
-// reusing the cached layout would address unmapped memory. Reset must force
-// a renegotiation (which grows the fresh instance again).
-func TestResetRenegotiatesGrownRegions(t *testing.T) {
-	p := mustPlugin(t, zcGrowWAT, Policy{Fuel: 1_000_000}, Env{})
-	rg, err := p.Regions(256, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rg.Layout.ReqPtr != 65536 {
-		t.Fatalf("grown request region at %d, want 65536", rg.Layout.ReqPtr)
-	}
-	if err := p.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	// The fresh instance has one page again: the old layout is unmappable.
-	if got := p.MemoryBytes(); got != 65536 {
-		t.Fatalf("fresh instance memory = %d, want 65536", got)
-	}
-	rg2, err := p.Regions(256, 128)
-	if err != nil {
-		t.Fatalf("renegotiation after Reset: %v", err)
-	}
-	if p.RegionNegotiations() != 2 {
-		t.Fatalf("negotiations = %d, want 2", p.RegionNegotiations())
-	}
-	// The regrown layout must be valid against the new memory.
-	if err := validateRegionLayout(rg2.Layout, p.Instance().Memory()); err != nil {
-		t.Fatal(err)
-	}
-	// And usable: write through it, run the guest, read back.
-	mem := p.Instance().Memory()
-	if err := mem.WriteUint32(rg2.Layout.ReqPtr, 0xc0ffee); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Call("poke", nil); err != nil {
-		t.Fatal(err)
-	}
-	// Call on a non-FreshInstance policy keeps the instance; the response
-	// region now holds the echoed word.
-	got, err := p.Instance().Memory().ReadUint32(p.zc.Layout.RespPtr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0xc0ffee {
-		t.Fatalf("guest echoed %#x through regions, want 0xc0ffee", got)
-	}
-}
-
-// TestFreshInstancePolicyInvalidatesRegions: with FreshInstance, every call
-// replaces the instance, so a layout negotiated before the call is dead
-// after it.
-func TestFreshInstancePolicyInvalidatesRegions(t *testing.T) {
-	p := mustPlugin(t, zcGrowWAT, Policy{FreshInstance: true, Fuel: 1_000_000}, Env{})
-	if _, err := p.Regions(256, 128); err != nil {
-		t.Fatal(err)
-	}
-	// poke runs on a brand-new instance ($base back to 0) and succeeds; the
-	// point is the layout negotiated against the previous instance must be
-	// gone afterwards.
-	if _, err := p.Call("poke", nil); err != nil {
-		t.Fatal(err)
-	}
-	if p.zc != nil {
-		t.Fatal("FreshInstance call left a cached region layout behind")
-	}
-	if _, err := p.Regions(256, 128); err != nil {
-		t.Fatalf("renegotiation after fresh-instance call: %v", err)
-	}
-	if p.RegionNegotiations() != 2 {
-		t.Fatalf("negotiations = %d, want 2", p.RegionNegotiations())
-	}
-}
-
 // TestPoolZeroCopyTrapThenReuse is the pool-level regression for the
 // stale-layout hazard: instance serves zero-copy traffic, traps, is
 // discarded by Put, and the replacement instance must renegotiate its
@@ -251,8 +186,7 @@ func TestPoolZeroCopyTrapThenReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := NewChaos(ChaosConfig{TrapProb: 1, ActivateAfter: 1, Seed: 7})
-	pool := NewPool(mod, Policy{Fuel: 1_000_000}, Env{Chaos: ch}, 1)
+	pool := NewPool(mod, Policy{Fuel: 1_000_000}, Env{}, 1)
 
 	zcRound := func(pl *Plugin, wantWord uint32) error {
 		rg, err := pl.Regions(256, 128)
@@ -276,7 +210,7 @@ func TestPoolZeroCopyTrapThenReuse(t *testing.T) {
 		return nil
 	}
 
-	// Call 1: clean (chaos activates after 1 call).
+	// Call 1: clean.
 	pl, err := pool.Get()
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +220,7 @@ func TestPoolZeroCopyTrapThenReuse(t *testing.T) {
 	}
 	pool.Put(pl)
 
-	// Call 2: same recycled instance, chaos forces a trap mid-call.
+	// Call 2: same recycled instance, which traps on its second poke.
 	pl, err = pool.Get()
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +229,7 @@ func TestPoolZeroCopyTrapThenReuse(t *testing.T) {
 		t.Fatalf("recycled instance renegotiated (%d), want cached layout", pl.RegionNegotiations())
 	}
 	if err := zcRound(pl, 0x2222); err == nil {
-		t.Fatal("chaos-armed call did not trap")
+		t.Fatal("second poke did not trap")
 	}
 	if !pl.Poisoned() {
 		t.Fatal("trapped instance not poisoned")
@@ -311,7 +245,6 @@ func TestPoolZeroCopyTrapThenReuse(t *testing.T) {
 	// Call 3: replacement instance. Must renegotiate (grow again) and serve
 	// a correct decision; stale 65536-based pointers on the fresh one-page
 	// memory would make zcRound's writes fail.
-	ch.SetConfig(ChaosConfig{}) // stop injecting
 	pl, err = pool.Get()
 	if err != nil {
 		t.Fatal(err)
@@ -328,12 +261,12 @@ func TestPoolZeroCopyTrapThenReuse(t *testing.T) {
 	pool.Put(pl)
 }
 
-// TestChaosScribbleLeavesPoisonDetectable: a forced trap on a zero-copy
-// plugin scribbles the response region; whatever the host might read there
-// must look like garbage (the scribble pattern), not a valid table.
+// TestChaosScribbleCoversResponseRegion: a guest that traps midway through
+// writing its response leaves the half-written region in memory — the
+// sandbox rolls nothing back — so the host must never read a trapped call's
+// region, and the instance is poisoned.
 func TestChaosScribbleCoversResponseRegion(t *testing.T) {
-	ch := NewChaos(ChaosConfig{TrapProb: 1, ActivateAfter: 1, Seed: 3})
-	p := mustPlugin(t, zcEchoWAT, Policy{Fuel: 1_000_000}, Env{Chaos: ch})
+	p := mustPlugin(t, zcEchoWAT, Policy{Fuel: 1_000_000}, Env{})
 	rg, err := p.Regions(256, 128)
 	if err != nil {
 		t.Fatal(err)
@@ -341,8 +274,11 @@ func TestChaosScribbleCoversResponseRegion(t *testing.T) {
 	if _, err := p.Call("poke", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Call("poke", nil); err == nil {
-		t.Fatal("chaos-armed call did not trap")
+	if _, err := p.Call("poke", nil); ClassOf(err) != FailTrap {
+		t.Fatalf("second poke: want a trap, got %v", err)
+	}
+	if !p.Poisoned() {
+		t.Fatal("trapped instance not poisoned")
 	}
 	head, err := p.Instance().Memory().Read(rg.Layout.RespPtr, rg.Layout.RespLen/2)
 	if err != nil {

@@ -54,8 +54,8 @@ func TestTierFuelIdenticalAcrossTiers(t *testing.T) {
 }
 
 // TestPluginClosureFromFirstCall pins the shipped default: a zero Policy
-// runs the closure tier from the module's very first call, on every instance
-// the plugin creates (cached module, Reset, fresh-instance calls).
+// runs the closure tier from the module's very first call, on a cached
+// module too.
 func TestPluginClosureFromFirstCall(t *testing.T) {
 	bin, err := wat.CompileToBinary(spinWAT)
 	if err != nil {
@@ -65,7 +65,7 @@ func TestPluginClosureFromFirstCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, policy := range []Policy{{}, {Fuel: 100_000}, {Fuel: 100_000, FreshInstance: true}} {
+	for _, policy := range []Policy{{}, {Fuel: 100_000}} {
 		p, err := NewPlugin(mod, policy, Env{})
 		if err != nil {
 			t.Fatal(err)
@@ -77,12 +77,6 @@ func TestPluginClosureFromFirstCall(t *testing.T) {
 			if got := p.LastTier(); got != wasm.TierClosure {
 				t.Fatalf("policy %+v call %d ran on %v, want closure", policy, i, got)
 			}
-		}
-		if err := p.Reset(); err != nil {
-			t.Fatal(err)
-		}
-		if got := p.LastTier(); got != wasm.TierClosure {
-			t.Fatalf("policy %+v: instance after Reset is on %v", policy, got)
 		}
 	}
 }

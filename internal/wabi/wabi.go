@@ -38,11 +38,14 @@ import (
 	"waran/internal/wat"
 )
 
-// Default resource policy values.
+// DefaultMaxMemoryPages is the memory cap of a Policy that sets none.
+const DefaultMaxMemoryPages = 256 // 16 MiB
+
+// maxInputBytes and maxOutputBytes bound every call's input and what its
+// guest may emit.
 const (
-	DefaultMaxMemoryPages = 256 // 16 MiB
-	DefaultMaxInputBytes  = 1 << 20
-	DefaultMaxOutputBytes = 1 << 20
+	maxInputBytes  = 1 << 20
+	maxOutputBytes = 1 << 20
 )
 
 // Policy bounds the resources one plugin may consume per call and overall.
@@ -52,14 +55,6 @@ type Policy struct {
 	MaxMemoryPages uint32
 	// Fuel is the per-call instruction budget. Zero disables metering.
 	Fuel int64
-	// MaxInputBytes bounds Call input size. Zero means the default.
-	MaxInputBytes int
-	// MaxOutputBytes bounds what the guest may emit. Zero means the default.
-	MaxOutputBytes int
-	// FreshInstance re-instantiates the module for every call, giving
-	// maximum isolation between invocations at extra cost (ablation:
-	// BenchmarkAblationInstanceReuse).
-	FreshInstance bool
 	// Tier is the wasm execution tier of every instance this plugin creates.
 	// The zero value is wasm.TierClosure, the production path;
 	// wasm.TierInterp selects the reference interpreter for differential
@@ -70,12 +65,6 @@ type Policy struct {
 func (p Policy) withDefaults() Policy {
 	if p.MaxMemoryPages == 0 {
 		p.MaxMemoryPages = DefaultMaxMemoryPages
-	}
-	if p.MaxInputBytes == 0 {
-		p.MaxInputBytes = DefaultMaxInputBytes
-	}
-	if p.MaxOutputBytes == 0 {
-		p.MaxOutputBytes = DefaultMaxOutputBytes
 	}
 	return p
 }
@@ -89,14 +78,9 @@ type Env struct {
 	HostFuncs wasm.Imports
 	// OnLog receives guest log lines, if set.
 	OnLog func(msg string)
-	// Chaos, when non-nil, injects seeded faults into every call made by
-	// plugins sharing this Env — the wasm-layer counterpart of
-	// e2.FaultConn, for supervisor and containment testing. Production
-	// environments leave it nil.
-	Chaos *Chaos
 	// Profile, when non-nil, attaches the per-function fuel/wall-time
-	// profiler to every instance created under this Env (including pool
-	// refills, resets and fresh-instance calls). ProfileTag prefixes the
+	// profiler to every instance created under this Env (pool refills
+	// included). ProfileTag prefixes the
 	// recorded function names ("sla:on_indication") so one collector can
 	// aggregate scheduler plugins and xApps side by side.
 	Profile    *wasm.Profile
@@ -168,7 +152,6 @@ func (e *CallError) Unwrap() error {
 // Plugin is an instantiated plugin ready to receive calls. Not safe for
 // concurrent use; callers serialize or use one Plugin per goroutine.
 type Plugin struct {
-	mod    *Module
 	policy Policy
 	env    Env
 	inst   *wasm.Instance
@@ -253,8 +236,8 @@ func (p *Plugin) Poisoned() bool {
 // NewPlugin instantiates mod under the given policy and environment.
 // Failures are *InstantiateError.
 func NewPlugin(mod *Module, policy Policy, env Env) (*Plugin, error) {
-	p := &Plugin{mod: mod, policy: policy.withDefaults(), env: env}
-	inst, err := p.instantiate()
+	p := &Plugin{policy: policy.withDefaults(), env: env}
+	inst, err := p.instantiate(mod)
 	if err != nil {
 		return nil, &InstantiateError{Err: err}
 	}
@@ -262,7 +245,7 @@ func NewPlugin(mod *Module, policy Policy, env Env) (*Plugin, error) {
 	return p, nil
 }
 
-func (p *Plugin) instantiate() (*wasm.Instance, error) {
+func (p *Plugin) instantiate(mod *Module) (*wasm.Instance, error) {
 	imports := wasm.Imports{"waran": p.abiModule()}
 	for mod, fns := range p.env.HostFuncs {
 		if mod == "waran" {
@@ -270,7 +253,7 @@ func (p *Plugin) instantiate() (*wasm.Instance, error) {
 		}
 		imports[mod] = fns
 	}
-	inst, err := p.mod.cm.Instantiate(imports, wasm.Config{
+	inst, err := mod.cm.Instantiate(imports, wasm.Config{
 		MaxMemoryPages: p.policy.MaxMemoryPages,
 		MeterFuel:      p.policy.Fuel > 0,
 		Tier:           p.policy.Tier,
@@ -322,8 +305,8 @@ func (p *Plugin) abiModule() map[string]*wasm.HostFunc {
 			Type: wasm.FuncType{Params: []wasm.ValType{i32, i32}},
 			Fn: func(ctx *wasm.CallContext, args []uint64) ([]uint64, error) {
 				ptr, n := uint32(args[0]), uint32(args[1])
-				if int(n) > p.policy.MaxOutputBytes {
-					return nil, fmt.Errorf("wabi: output of %d bytes exceeds limit %d", n, p.policy.MaxOutputBytes)
+				if n > maxOutputBytes {
+					return nil, fmt.Errorf("wabi: output of %d bytes exceeds limit %d", n, maxOutputBytes)
 				}
 				b, err := ctx.Memory().Read(ptr, n)
 				if err != nil {
@@ -396,57 +379,15 @@ func (p *Plugin) MemoryBytes() int {
 // exhaustion, non-zero return codes — surface as *CallError; the host and
 // the plugin's module remain usable.
 func (p *Plugin) Call(entry string, input []byte) ([]byte, error) {
-	if len(input) > p.policy.MaxInputBytes {
-		return nil, fmt.Errorf("wabi: input of %d bytes exceeds limit %d", len(input), p.policy.MaxInputBytes)
-	}
-	if p.policy.FreshInstance {
-		inst, err := p.instantiate()
-		if err != nil {
-			p.lastClass = FailInstantiate
-			return nil, &InstantiateError{Err: err}
-		}
-		p.inst = inst
-		// The fresh instance's memory starts over; any region layout
-		// negotiated against the old one is stale.
-		p.invalidateRegions()
+	if len(input) > maxInputBytes {
+		return nil, fmt.Errorf("wabi: input of %d bytes exceeds limit %d", len(input), maxInputBytes)
 	}
 	p.input = input
 	p.output = nil
 	p.guestErr = ""
 	p.lastClass = FailNone
-
-	// Chaos injection point: a forced trap replaces the guest call entirely;
-	// fuel theft and output corruption pass through it.
-	var act chaosAction
-	if p.env.Chaos != nil {
-		act = p.env.Chaos.decide()
-	}
-	if act == chaosForceTrap {
-		p.calls++
-		p.faults++
-		p.lastClass = FailTrap
-		// For zero-copy plugins the forced trap models a guest dying midway
-		// through writing its response region: scribble garbage over it so
-		// a host that (wrongly) read the region anyway could never mistake
-		// the half-written table for a decision.
-		p.chaosScribbleRegions()
-		return nil, &CallError{Entry: entry, Trap: &wasm.Trap{Code: wasm.TrapUnreachable}}
-	}
-
-	fuel := p.policy.Fuel
-	if act == chaosStealFuel {
-		if fuel > stolenFuelBudget {
-			fuel = stolenFuelBudget
-		} else if fuel == 0 {
-			// Metering is off; the theft degenerates to a forced fuel trap.
-			p.calls++
-			p.faults++
-			p.lastClass = FailFuel
-			return nil, &CallError{Entry: entry, Trap: &wasm.Trap{Code: wasm.TrapFuelExhausted}}
-		}
-	}
 	if p.policy.Fuel > 0 {
-		p.inst.SetFuel(fuel)
+		p.inst.SetFuel(p.policy.Fuel)
 	}
 
 	start := time.Now()
@@ -455,7 +396,7 @@ func (p *Plugin) Call(entry string, input []byte) ([]byte, error) {
 	p.totalDur += p.lastDur
 	p.calls++
 	if p.policy.Fuel > 0 {
-		p.lastFuel = fuel - p.inst.Fuel()
+		p.lastFuel = p.policy.Fuel - p.inst.Fuel()
 		p.totalFuel += p.lastFuel
 	}
 
@@ -475,23 +416,5 @@ func (p *Plugin) Call(entry string, input []byte) ([]byte, error) {
 		p.lastClass = FailGuestError
 		return nil, &CallError{Entry: entry, Code: code, Message: p.guestErr}
 	}
-	if act == chaosCorruptOutput {
-		p.output = corruptOutput(p.output)
-		p.chaosCorruptRegions()
-	}
 	return p.output, nil
-}
-
-// Reset discards the current instance and creates a fresh one, wiping all
-// guest state. Used when quarantining plugins after faults. Any negotiated
-// zero-copy region layout dies with the old instance: the fresh memory may
-// lay its heap out differently, so the next zero-copy call re-negotiates.
-func (p *Plugin) Reset() error {
-	inst, err := p.instantiate()
-	if err != nil {
-		return err
-	}
-	p.inst = inst
-	p.invalidateRegions()
-	return nil
 }

@@ -69,20 +69,21 @@ func TestEmptyInputAndOutput(t *testing.T) {
 }
 
 func TestInputTooLarge(t *testing.T) {
-	p := mustPlugin(t, echoWAT, Policy{MaxInputBytes: 8}, Env{})
-	if _, err := p.Call("run", make([]byte, 9)); err == nil {
+	p := mustPlugin(t, echoWAT, Policy{}, Env{})
+	if _, err := p.Call("run", make([]byte, maxInputBytes+1)); err == nil {
 		t.Fatal("oversized input accepted")
 	}
 }
 
 func TestOutputTooLarge(t *testing.T) {
+	// 17 pages hold one byte more than the output limit.
 	src := `(module
 	  (import "waran" "output_write" (func $output_write (param i32 i32)))
-	  (memory (export "memory") 1)
+	  (memory (export "memory") 17)
 	  (func (export "run") (result i32)
-	    (call $output_write (i32.const 0) (i32.const 60000))
+	    (call $output_write (i32.const 0) (i32.const 1048577))
 	    (i32.const 0)))`
-	p := mustPlugin(t, src, Policy{MaxOutputBytes: 1024}, Env{})
+	p := mustPlugin(t, src, Policy{}, Env{})
 	_, err := p.Call("run", nil)
 	var ce *CallError
 	if !errors.As(err, &ce) || ce.Trap == nil {
@@ -214,60 +215,41 @@ func TestFuelExhaustionIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestFreshInstanceIsolation(t *testing.T) {
-	// A plugin that increments a persistent counter; with FreshInstance the
-	// counter must reset between calls.
-	src := `(module
-	  (import "waran" "output_write" (func $output_write (param i32 i32)))
-	  (memory (export "memory") 1)
-	  (global $n (mut i32) (i32.const 0))
-	  (func (export "run") (result i32)
-	    (global.set $n (i32.add (global.get $n) (i32.const 1)))
-	    (i32.store (i32.const 0) (global.get $n))
-	    (call $output_write (i32.const 0) (i32.const 4))
-	    (i32.const 0)))`
-	counter := func(p *Plugin) uint32 {
-		out, err := p.Call("run", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return uint32(out[0])
-	}
-	reuse := mustPlugin(t, src, Policy{}, Env{})
-	counter(reuse)
-	if got := counter(reuse); got != 2 {
-		t.Fatalf("reused instance counter = %d, want 2", got)
-	}
-	fresh := mustPlugin(t, src, Policy{FreshInstance: true}, Env{})
-	counter(fresh)
-	if got := counter(fresh); got != 1 {
-		t.Fatalf("fresh instance counter = %d, want 1", got)
-	}
-}
-
+// TestResetWipesState: an instance that trapped is never reused; the pool's
+// replacement starts from the module's initial state.
 func TestResetWipesState(t *testing.T) {
 	src := `(module
+	  (import "waran" "input_length" (func $input_length (result i32)))
 	  (import "waran" "output_write" (func $output_write (param i32 i32)))
 	  (memory (export "memory") 1)
 	  (global $n (mut i32) (i32.const 0))
 	  (func (export "run") (result i32)
 	    (global.set $n (i32.add (global.get $n) (i32.const 1)))
+	    (if (call $input_length) (then (unreachable)))
 	    (i32.store (i32.const 0) (global.get $n))
 	    (call $output_write (i32.const 0) (i32.const 4))
 	    (i32.const 0)))`
-	p := mustPlugin(t, src, Policy{}, Env{})
-	if _, err := p.Call("run", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	out, err := p.Call("run", nil)
+	mod, err := CompileWAT(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out[0] != 1 {
-		t.Fatalf("counter after reset = %d, want 1", out[0])
+	pool := NewPool(mod, Policy{}, Env{}, 1)
+	count := func() byte {
+		out, err := pool.Call("run", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out[0]
+	}
+	count()
+	if got := count(); got != 2 {
+		t.Fatalf("reused instance counter = %d, want 2", got)
+	}
+	if _, err := pool.Call("run", []byte("trap")); ClassOf(err) != FailTrap {
+		t.Fatalf("want a trap, got %v", err)
+	}
+	if got := count(); got != 1 {
+		t.Fatalf("counter after the trapped instance was replaced = %d, want 1", got)
 	}
 }
 
