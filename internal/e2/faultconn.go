@@ -24,7 +24,10 @@ var (
 // injects nothing. All probabilities are evaluated independently per Write
 // call in the order reset, truncate, partial, drop, delay; the same Seed
 // over the same call sequence reproduces the same schedule, so failure
-// scenarios are testable without real networks.
+// scenarios are testable without real networks. One Write may carry
+// several frames (Conn.SendAll), so a drop, truncate or partial write hits
+// the whole write — every frame in it — and the *AfterWrites counts are
+// counts of writes, not of frames.
 type FaultConfig struct {
 	// Seed selects the deterministic schedule (0 behaves as 1).
 	Seed int64

@@ -36,15 +36,18 @@ var ErrAssociationDead = errors.New("e2: association dead: missed heartbeats")
 
 // Conn is a framed, codec-aware E2-lite association over a byte stream.
 // Frames are u32 big-endian length prefixes followed by the codec payload.
-// Send is safe for concurrent use; Recv must be called from one goroutine.
+// A send is one Write however many frames it carries: Send writes one
+// frame, SendAll a list of frames back to back, and the wire cannot tell
+// the two apart. Sends are safe for concurrent use; Recv and FrameBuffered
+// must be called from one goroutine.
 type Conn struct {
 	c      net.Conn
 	codec  Codec
 	br     *bufio.Reader
 	sendMu sync.Mutex
-	// sendBuf is the frame buffer reused across Sends (guarded by sendMu):
-	// 4-byte length header followed by the encoded payload, written in one
-	// Write call.
+	// sendBuf is the frame buffer reused across sends (guarded by sendMu):
+	// each frame's 4-byte length header followed by its encoded payload,
+	// all written in one Write call.
 	sendBuf []byte
 
 	// Counters (obs.Counter is atomic: Stats may be read while Send/Recv
@@ -54,9 +57,9 @@ type Conn struct {
 	bytesReceived  obs.Counter
 	lastRecv       atomic.Int64 // unix nanos of the last complete frame
 
-	// Codec timing for the tracing layer: how long the last Send spent in
-	// Encode and the last Recv in Decode, so transport spans can separate
-	// wire time from codec time.
+	// Codec timing for the tracing layer: how long the last send spent
+	// encoding (all of its frames) and the last Recv in Decode, so
+	// transport spans can separate wire time from codec time.
 	lastEncNs atomic.Int64
 	lastDecNs atomic.Int64
 
@@ -86,33 +89,48 @@ func Dial(addr string, codec Codec) (*Conn, error) {
 	return NewConn(c, codec), nil
 }
 
-// Send encodes and writes one message. Codecs implementing AppendEncoder
-// encode straight into a per-association buffer reused across calls, so a
-// steady indication stream allocates nothing; other codecs fall back to a
-// fresh payload copied into the same buffer. Header and payload go out in
-// one Write.
-func (c *Conn) Send(m *Message) error {
+// Send encodes and writes one message: SendAll with a list of one.
+func (c *Conn) Send(m *Message) error { return c.SendAll(m) }
+
+// SendAll encodes ms, each as its own length-prefixed frame, into the
+// association's reused send buffer and writes them with a single Write. The
+// bytes on the wire, and the frame and byte counts in Stats, are exactly
+// those of sending each message in turn with Send; a peer cannot tell the
+// difference, it only reads fewer segments. Codecs implementing
+// AppendEncoder encode straight into the buffer, so a steady stream
+// allocates nothing; other codecs fall back to a fresh payload copied in.
+// An encode error or an oversized frame anywhere in ms writes nothing.
+func (c *Conn) SendAll(ms ...*Message) error {
+	if len(ms) == 0 {
+		return nil
+	}
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	buf := append(c.sendBuf[:0], 0, 0, 0, 0) // length header, patched below
+	ae, appendable := c.codec.(AppendEncoder)
+	buf := c.sendBuf[:0]
 	encStart := time.Now()
-	var err error
-	if ae, ok := c.codec.(AppendEncoder); ok {
-		buf, err = ae.AppendEncode(buf, m)
-	} else {
-		var payload []byte
-		payload, err = c.codec.Encode(m)
-		buf = append(buf, payload...)
+	for _, m := range ms {
+		at := len(buf)
+		buf = append(buf, 0, 0, 0, 0) // length header, patched below
+		var err error
+		if appendable {
+			buf, err = ae.AppendEncode(buf, m)
+		} else {
+			var payload []byte
+			payload, err = c.codec.Encode(m)
+			buf = append(buf, payload...)
+		}
+		if err != nil {
+			c.lastEncNs.Store(int64(time.Since(encStart)))
+			return err
+		}
+		n := len(buf) - at - 4
+		if n > MaxFrameBytes {
+			return fmt.Errorf("e2: frame of %d bytes exceeds limit", n)
+		}
+		binary.BigEndian.PutUint32(buf[at:], uint32(n))
 	}
 	c.lastEncNs.Store(int64(time.Since(encStart)))
-	if err != nil {
-		return err
-	}
-	n := len(buf) - 4
-	if n > MaxFrameBytes {
-		return fmt.Errorf("e2: frame of %d bytes exceeds limit", n)
-	}
-	binary.BigEndian.PutUint32(buf[:4], uint32(n))
 	if cap(buf) <= maxRetainedSendBuf {
 		c.sendBuf = buf
 	} else {
@@ -121,9 +139,21 @@ func (c *Conn) Send(m *Message) error {
 	if _, err := c.c.Write(buf); err != nil {
 		return fmt.Errorf("e2: send: %w", err)
 	}
-	c.sent.Inc()
-	c.bytesSent.Add(uint64(n) + 4)
+	c.sent.Add(uint64(len(ms)))
+	c.bytesSent.Add(uint64(len(buf)))
 	return nil
+}
+
+// FrameBuffered reports whether a whole next frame has already been read
+// off the network, so that Recv returns without blocking. Like Recv, it
+// must be called from the receiving goroutine.
+func (c *Conn) FrameBuffered() bool {
+	avail := c.br.Buffered()
+	if avail < 4 {
+		return false
+	}
+	hdr, _ := c.br.Peek(4) // cannot block: 4 bytes are buffered
+	return uint64(avail-4) >= uint64(binary.BigEndian.Uint32(hdr))
 }
 
 // Recv reads and decodes one message, blocking until available.
@@ -193,7 +223,8 @@ func (c *Conn) LastRecv() time.Time {
 	return time.Unix(0, c.lastRecv.Load())
 }
 
-// LastEncodeDur reports how long the most recent Send spent encoding.
+// LastEncodeDur reports how long the most recent send spent encoding, all
+// of its frames together.
 func (c *Conn) LastEncodeDur() time.Duration { return time.Duration(c.lastEncNs.Load()) }
 
 // LastDecodeDur reports how long the most recent Recv spent decoding.

@@ -66,7 +66,9 @@ func (c AgentConfig) Validate() error {
 // RIC's subscription (including mid-association re-subscriptions), streams
 // indications at the subscribed cadence (driven by Tick from the MAC slot
 // loop), applies incoming control actions, and echoes heartbeats so the
-// RIC can track liveness.
+// RIC can track liveness. Its replies (control acks, heartbeat echoes) are
+// held only while the next frame is already buffered, so a run of controls
+// that arrived together is answered in one write.
 //
 // With batching configured and negotiated, due-slot indications coalesce
 // into one e2.IndicationBatch frame per window; a partial window is flushed
@@ -106,7 +108,25 @@ type Agent struct {
 	resubscribes uint64
 	busyFrames   uint64 // TypeBusy backpressure frames received mid-association
 	pausedSheds  uint64 // due-slot indications shed at the source while paused
-	lostInFlush  uint64 // window remainder lost when a Flush send died mid-loop
+	lostInFlush  uint64 // indications lost when a Flush write failed
+
+	// replies are the control acks, heartbeat echoes and error reports the
+	// receive loop owes the RIC. They wait only behind frames already
+	// buffered, and leave together in one write (flushReplies). Owned by the
+	// receive loop; never more than maxPendingReplies long.
+	replies   []reply
+	replyPtrs []*e2.Message
+}
+
+// maxPendingReplies bounds the replies the receive loop holds back: a run
+// of buffered frames longer than this is answered in several writes.
+const maxPendingReplies = 64
+
+// reply is one queued answer, with storage for a control ack's body so
+// queueing allocates nothing once the slice has grown.
+type reply struct {
+	msg e2.Message
+	ack e2.ControlAck
 }
 
 // NewAgent creates an agent for one association from a validated
@@ -240,8 +260,16 @@ func (a *Agent) watchdog(recvDone <-chan struct{}) {
 
 func (a *Agent) recvLoop() error {
 	for {
+		// Answer before any Recv that could block: a reply waits for the
+		// frames already read off the network, never for the network.
+		if n := len(a.replies); n > 0 && (n == maxPendingReplies || !a.conn.FrameBuffered()) {
+			if err := a.flushReplies(); err != nil {
+				return err
+			}
+		}
 		m, err := a.conn.Recv()
 		if err != nil {
+			_ = a.flushReplies() // best effort: the association is ending
 			if a.dead.Load() {
 				return e2.ErrAssociationDead
 			}
@@ -253,28 +281,19 @@ func (a *Agent) recvLoop() error {
 		switch m.Type {
 		case e2.TypeControlRequest:
 			applyErr := a.applyControl(m)
-			ack := &e2.Message{
-				Type:        e2.TypeControlAck,
-				RequestID:   m.RequestID,
-				RANFunction: m.RANFunction,
-				ControlAck:  &e2.ControlAck{Accepted: applyErr == nil},
-			}
+			r := a.queueReply(e2.Message{Type: e2.TypeControlAck, RequestID: m.RequestID, RANFunction: m.RANFunction})
+			r.ack.Accepted = applyErr == nil
 			a.mu.Lock()
 			if applyErr == nil {
 				a.controlsOK++
 			} else {
 				a.controlsFail++
-				ack.ControlAck.Reason = applyErr.Error()
+				r.ack.Reason = applyErr.Error()
 			}
 			a.mu.Unlock()
-			if err := a.conn.Send(ack); err != nil {
-				return err
-			}
 		case e2.TypeHeartbeat:
 			// Echo heartbeats so both sides can detect liveness.
-			if err := a.conn.Send(&e2.Message{Type: e2.TypeHeartbeat}); err != nil {
-				return err
-			}
+			a.queueReply(e2.Message{Type: e2.TypeHeartbeat})
 		case e2.TypeBusy:
 			// Mid-association backpressure: the RIC is in brownout and asks
 			// us to pause KPM generation. Due-slot indications during the
@@ -291,22 +310,50 @@ func (a *Agent) recvLoop() error {
 			a.mu.Lock()
 			a.resubscribes++
 			a.mu.Unlock()
+			if err := a.flushReplies(); err != nil { // keep replies in order
+				return err
+			}
 			if err := a.applySubscription(m); err != nil {
 				return err
 			}
 		default:
 			// Unknown or out-of-place message: report it to the peer
 			// instead of silently dropping the frame.
-			reply := &e2.Message{
+			a.queueReply(e2.Message{
 				Type:      e2.TypeError,
 				RequestID: m.RequestID,
 				Error:     &e2.ErrorBody{Reason: fmt.Sprintf("agent: unexpected %s", m.Type)},
-			}
-			if err := a.conn.Send(reply); err != nil {
-				return err
-			}
+			})
 		}
 	}
+}
+
+// queueReply appends m to the replies owed and returns its slot, valid
+// until the next queueReply.
+func (a *Agent) queueReply(m e2.Message) *reply {
+	a.replies = append(a.replies, reply{msg: m})
+	return &a.replies[len(a.replies)-1]
+}
+
+// flushReplies sends every queued reply in one write and empties the
+// queue, keeping its storage.
+func (a *Agent) flushReplies() error {
+	if len(a.replies) == 0 {
+		return nil
+	}
+	ptrs := a.replyPtrs[:0]
+	for i := range a.replies {
+		r := &a.replies[i]
+		if r.msg.Type == e2.TypeControlAck {
+			r.msg.ControlAck = &r.ack
+		}
+		ptrs = append(ptrs, &r.msg)
+	}
+	err := a.conn.SendAll(ptrs...)
+	clear(a.replies) // drop references to reasons and error bodies
+	a.replies = a.replies[:0]
+	a.replyPtrs = ptrs[:0]
+	return err
 }
 
 // applyControl routes a control request into the RAN, through the traced
@@ -450,19 +497,19 @@ func (a *Agent) Flush() error {
 	if !a.peerBatched.Load() {
 		// The peer renegotiated away from batching mid-window (RIC restart
 		// re-subscribed without the capability): deliver the buffered
-		// indications individually rather than sending a frame it no
-		// longer expects.
+		// indications as individual frames, in one write, rather than
+		// sending a frame it no longer expects.
+		msgs := make([]*e2.Message, len(pending))
 		for i := range pending {
-			msg := &e2.Message{Type: e2.TypeIndication, RANFunction: e2.RANFunctionKPM, Indication: &pending[i]}
-			if err := a.conn.Send(msg); err != nil {
-				// The conn died mid-loop: the rest of the window dies with
-				// it. Account for every undelivered indication (including
-				// the one that failed) instead of silently forgetting them.
-				a.mu.Lock()
-				a.lostInFlush += uint64(len(pending) - i)
-				a.mu.Unlock()
-				return err
-			}
+			msgs[i] = &e2.Message{Type: e2.TypeIndication, RANFunction: e2.RANFunctionKPM, Indication: &pending[i]}
+		}
+		if err := a.conn.SendAll(msgs...); err != nil {
+			// The window died with the write: account for every
+			// indication in it instead of silently forgetting them.
+			a.mu.Lock()
+			a.lostInFlush += uint64(len(pending))
+			a.mu.Unlock()
+			return err
 		}
 		return nil
 	}
@@ -492,7 +539,7 @@ func (a *Agent) Paused() bool { return a.paused() }
 
 // OverloadCounters reports agent-side overload accounting: busy frames
 // received mid-association, due-slot indications shed at the source while
-// paused, and indications lost when a Flush send died mid-window.
+// paused, and indications lost with a failed Flush write.
 func (a *Agent) OverloadCounters() (busyFrames, pausedSheds, lostInFlush uint64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -459,8 +459,8 @@ func (r *RIC) recordShed(it queuedInd, reason string) {
 // meets the xApps: it drains the queue, sheds stale KPM while browned out,
 // applies brownout transitions to the association (re-subscribing at a
 // widened period, pausing the agent), hands the rest to the xApps and sends
-// their controls back, and on teardown drains the residue into the shed
-// ledger.
+// each indication's controls back in one write, and on teardown drains the
+// residue into the shed ledger.
 func (r *RIC) dispatchLoop(sh *shard, conn *e2.Conn, q *assocQueue) {
 	defer close(q.done)
 	o := r.ov
@@ -505,14 +505,11 @@ func (r *RIC) dispatchLoop(sh *shard, conn *e2.Conn, q *assocQueue) {
 			// that has applied the last control of a run finds offered ==
 			// delivered + shed + refused already true.
 			o.delivered.Inc()
-			for i := range controls {
-				reqID++
-				// A send failure means the conn is dying; the receive loop
-				// observes it too and tears the association down.
-				if r.SendControl(conn, reqID, &controls[i], cctx) != nil {
-					break
-				}
-			}
+			// All of the indication's controls leave in one write. A send
+			// failure means the conn is dying; the receive loop observes it
+			// too and tears the association down.
+			_ = r.SendControl(conn, reqID+1, controls, cctx)
+			reqID += uint32(len(controls))
 			o.observeDispatch(time.Since(start))
 			o.maybeEval(time.Now())
 		}

@@ -307,33 +307,55 @@ func (r *RIC) LastIndicationTrace() trace.Context {
 	return trace.Context{}
 }
 
-// SendControl sends one control request on conn. When parent belongs to a
-// live trace (and a tracer is attached) the message carries the trace
-// trailer and the send is recorded as control.encode + transport spans.
-// Callers must only pass a live parent on associations whose agent
-// negotiated trace capability — old decoders reject unexpected trailers.
-func (r *RIC) SendControl(conn *e2.Conn, reqID uint32, c *e2.ControlRequest, parent trace.Context) error {
-	cm := &e2.Message{
-		Type:        e2.TypeControlRequest,
-		RequestID:   reqID,
-		RANFunction: e2.RANFunctionRC,
-		Control:     c,
+// SendControl sends cs on conn as control requests numbered reqID,
+// reqID+1, …, all in one write. When parent belongs to a live trace (and a
+// tracer is attached) every request carries the trace trailer, each is
+// recorded as a control.encode span (the write's encode time split evenly
+// across its frames), and the write as one transport span parented to the
+// last encode, whose ID every request carries on the wire. Callers must
+// only pass a live parent on associations whose agent negotiated trace
+// capability — old decoders reject unexpected trailers.
+func (r *RIC) SendControl(conn *e2.Conn, reqID uint32, cs []e2.ControlRequest, parent trace.Context) error {
+	if len(cs) == 0 {
+		return nil
 	}
-	if !r.cfg.Tracer.Enabled() || !parent.Valid() {
-		return conn.Send(cm)
+	traced := r.cfg.Tracer.Enabled() && parent.Valid()
+	var transportID uint64
+	if traced {
+		transportID = trace.NewSpanID()
 	}
-	encodeID := trace.NewSpanID()
-	transportID := trace.NewSpanID()
-	cm.Trace = trace.Context{TraceID: parent.TraceID, SpanID: transportID}
+	msgs := make([]e2.Message, len(cs))
+	var small [4]*e2.Message // an xApp round's usual list: no allocation
+	ptrs := small[:0]
+	for i := range cs {
+		msgs[i] = e2.Message{
+			Type:        e2.TypeControlRequest,
+			RequestID:   reqID + uint32(i),
+			RANFunction: e2.RANFunctionRC,
+			Control:     &cs[i],
+		}
+		if traced {
+			msgs[i].Trace = trace.Context{TraceID: parent.TraceID, SpanID: transportID}
+		}
+		ptrs = append(ptrs, &msgs[i])
+	}
+	if !traced {
+		return conn.SendAll(ptrs...)
+	}
 	sendStart := time.Now()
-	err := conn.Send(cm)
+	err := conn.SendAll(ptrs...)
 	sendDur := time.Since(sendStart)
 	encDur := conn.LastEncodeDur()
-	r.cfg.Tracer.Record(&trace.Span{
-		TraceID: parent.TraceID, SpanID: encodeID, Parent: parent.SpanID,
-		Name: trace.SpanControlEncode, Plane: trace.PlaneRIC,
-		StartNs: sendStart.UnixNano(), DurNs: int64(encDur),
-	})
+	each := encDur / time.Duration(len(cs))
+	var encodeID uint64
+	for i := range cs {
+		encodeID = trace.NewSpanID()
+		r.cfg.Tracer.Record(&trace.Span{
+			TraceID: parent.TraceID, SpanID: encodeID, Parent: parent.SpanID,
+			Name: trace.SpanControlEncode, Plane: trace.PlaneRIC,
+			StartNs: sendStart.Add(time.Duration(i) * each).UnixNano(), DurNs: int64(each),
+		})
+	}
 	sp := &trace.Span{
 		TraceID: parent.TraceID, SpanID: transportID, Parent: encodeID,
 		Name: trace.SpanTransport, Plane: trace.PlaneRIC,

@@ -240,7 +240,7 @@ func RunTraceLat(cfg TraceLatConfig) (*TraceLatResult, error) {
 			}
 			mu.Unlock()
 			if parent.Valid() && conn != nil {
-				ctrl := &e2.ControlRequest{Action: e2.ActionSwapScheduler, SliceID: sliceID, Text: "pf"}
+				ctrl := []e2.ControlRequest{{Action: e2.ActionSwapScheduler, SliceID: sliceID, Text: "pf"}}
 				if err := r.SendControl(conn, 9000, ctrl, parent); err == nil {
 					res.SwapInjected = true
 				}
