@@ -36,7 +36,13 @@ func TestDefaultFlagsArmNoWallClockBound(t *testing.T) {
 	}
 	r.HandleIndication(&e2.Indication{Cell: 1, UEs: []e2.UEMeasurement{{UEID: 7, SliceID: 1, MCS: 2}}})
 	for _, x := range r.XApps() {
-		if x.Plugin().LastFuelUsed() <= 0 {
+		pl, err := x.Pool().Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fuel := pl.LastFuelUsed()
+		x.Pool().Put(pl)
+		if fuel <= 0 {
 			t.Fatalf("xApp %s ran without a fuel meter", x.Name)
 		}
 	}

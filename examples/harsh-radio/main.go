@@ -1,13 +1,13 @@
 // Harsh radio: the extension features working together under realistic
 // radio conditions. Three tenants share a capacity-limited cell with
 // fading channels and HARQ losses; admission control turns away an
-// overcommitting fourth tenant; every plugin draws its execution budget
-// from one per-slot pool (§6B); and when one tenant uploads a buggy
-// scheduler mid-run, the fault-tolerance path keeps the cell serving: every
-// tenant's plugin runs under a supervisor, which rejects the update after
-// replaying the slots it recorded through it; a plugin that fails in service
-// is served around by the slice's native fallback until the supervisor's
-// breaker gives up on it.
+// overcommitting fourth tenant; every plugin gets a fixed weighted share of
+// one per-slot execution budget as its fuel (§6B); and when one tenant
+// uploads a buggy scheduler mid-run, the fault-tolerance path keeps the cell
+// serving: every tenant's plugin runs under a supervisor, which rejects the
+// update after replaying the slots it recorded through it; a plugin that
+// fails in service is served around by the slice's native fallback until the
+// supervisor's breaker gives up on it.
 //
 //	go run ./examples/harsh-radio
 package main
@@ -46,24 +46,29 @@ func run() error {
 		fmt.Printf("  [fault contained] slice %d: %v\n", sliceID, err)
 	}
 
-	// One shared execution budget for all plugins: ~30% of a 1 ms slot at
-	// the interpreter's ~50 M instr/s.
-	pool := wabi.NewBudgetPool(100_000)
+	// One execution budget for all plugins, ~30% of a 1 ms slot at the
+	// interpreter's ~50 M instr/s, split by weight: each tenant's share is
+	// its plugin's per-call fuel.
+	const slotBudget = 100_000
 
 	type tenant struct {
 		id     uint32
 		name   string
 		sched  string
 		target float64
-		weight float64
+		weight int64
 	}
 	tenants := []tenant{
 		{1, "eMBB-Co", "pf", 14e6, 3},
 		{2, "IoT-Net", "rr", 6e6, 1},
 		{3, "Gamer-X", "mt", 9e6, 2},
 	}
+	var totalWeight int64
 	for _, tn := range tenants {
-		ps, err := core.NewPluginScheduler(tn.sched, wabi.Policy{Fuel: 1})
+		totalWeight += tn.weight
+	}
+	for _, tn := range tenants {
+		ps, err := core.NewPluginScheduler(tn.sched, wabi.Policy{Fuel: slotBudget * tn.weight / totalWeight})
 		if err != nil {
 			return err
 		}
@@ -73,10 +78,7 @@ func run() error {
 		if _, err := gnb.Supervise(tn.id); err != nil {
 			return err
 		}
-		if err := pool.Register(tn.name, ps.Plugin(), tn.weight); err != nil {
-			return err
-		}
-		fmt.Printf("admitted %-8s (%s plugin, %.0f Mb/s SLA, budget weight %.0f)\n",
+		fmt.Printf("admitted %-8s (%s plugin, %.0f Mb/s SLA, budget weight %d)\n",
 			tn.name, tn.sched, tn.target/1e6, tn.weight)
 	}
 
@@ -131,9 +133,7 @@ func run() error {
 			}
 			fmt.Printf("\nslot %d: Gamer-X uploads a broken scheduler: %s\n", slot, verdict)
 		}
-		pool.BeginSlot()
 		r := gnb.Step()
-		pool.EndSlot()
 		for id, ss := range r.PerSlice {
 			meters[id].AddSlot(ss.Bits)
 		}

@@ -23,15 +23,13 @@ func main() {
 }
 
 func run() error {
-	// The integrator uploads the shim plugin; the RAN host sandboxes it.
+	// The integrator uploads the shim plugin; the RAN host sandboxes it in
+	// a pool of one instance, checked out per call.
 	mod, err := wabi.CompileWAT(plugins.Widen8To12CommWAT)
 	if err != nil {
 		return err
 	}
-	shim, err := wabi.NewPlugin(mod, wabi.Policy{Fuel: 10_000_000}, wabi.Env{})
-	if err != nil {
-		return err
-	}
+	shim := wabi.NewPool(mod, wabi.Policy{Fuel: wabi.DefaultFuel}, wabi.Env{}, 1)
 
 	// Vendor A's frame: four 8-bit radio power levels.
 	vendorA := []byte{0x00, 0x40, 0x80, 0xFF}

@@ -21,16 +21,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. Instantiate it in a sandbox: 16 MiB memory cap, 10M-instruction
-	//    fuel budget per call.
-	plugin, err := wabi.NewPlugin(mod, wabi.Policy{
-		MaxMemoryPages: 256,
-		Fuel:           10_000_000,
-	}, wabi.Env{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	scheduler, err := sched.NewPluginScheduler("pf", plugin, nil)
+	// 2. Host it in a pool of one sandbox: the default 16 MiB memory cap
+	//    and a 10M-instruction fuel budget per call. A call checks the
+	//    instance out; one that traps is discarded, never called again.
+	pool := wabi.NewPool(mod, wabi.Policy{Fuel: wabi.DefaultFuel}, wabi.Env{}, 1)
+	scheduler, err := sched.NewPoolScheduler("pf", pool, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -435,11 +435,7 @@ func RunSafetyMatrix() ([]SafetyRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: safety: compile %s: %w", name, err)
 		}
-		p, err := wabi.NewPlugin(mod, wabi.Policy{Fuel: 1_000_000}, wabi.Env{})
-		if err != nil {
-			return nil, err
-		}
-		ps, err := sched.NewPluginScheduler(name, p, nil)
+		ps, err := sched.NewPoolScheduler(name, wabi.NewPool(mod, wabi.Policy{Fuel: 1_000_000}, wabi.Env{}, 1), nil)
 		if err != nil {
 			return nil, err
 		}

@@ -427,20 +427,16 @@ func (g *GNB) RunSlots(n int, observe func(SlotResult)) {
 	}
 }
 
-// NewPluginScheduler compiles-and-instantiates one of the built-in WAT
-// scheduler plugins ("rr", "pf", "mt") under the given policy (zero limits
-// get defaultPolicy's), ready to be installed into a slice. It is one
-// unpooled sandbox: safe for one cell, not for cells stepped concurrently.
-func NewPluginScheduler(name string, policy wabi.Policy) (*sched.PluginScheduler, error) {
+// NewPluginScheduler compiles one of the built-in WAT scheduler plugins
+// ("rr", "pf", "mt") under the given policy (no fuel means wabi.DefaultFuel)
+// into a pool of one sandbox, ready to be installed into a slice. Concurrent
+// callers queue for its one instance; a trapped instance is replaced.
+func NewPluginScheduler(name string, policy wabi.Policy) (*sched.PoolScheduler, error) {
 	mod, err := plugins.CompileScheduler(name)
 	if err != nil {
 		return nil, err
 	}
-	p, err := wabi.NewPlugin(mod, defaultPolicy(policy), wabi.Env{})
-	if err != nil {
-		return nil, err
-	}
-	return sched.NewPluginScheduler(name, p, nil)
+	return sched.NewPoolScheduler(name, wabi.NewPool(mod, defaultPolicy(policy), wabi.Env{}, 1), nil)
 }
 
 // SlotsForDuration converts an experiment duration into a slot count.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -220,6 +221,35 @@ func TestPluginBackedGNBMatchesNative(t *testing.T) {
 	}
 	if native == 0 {
 		t.Fatal("scenario served nothing")
+	}
+}
+
+// TestPluginSchedulerSchedulesAfterTrap: a scheduler from NewPluginScheduler
+// that runs out of fuel once schedules the next request, on a fresh
+// instance — the one that tripped is discarded, never called again.
+func TestPluginSchedulerSchedulesAfterTrap(t *testing.T) {
+	ps, err := NewPluginScheduler("mt", wabi.Policy{Fuel: 3000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := &sched.Request{PRBBudget: 52}
+	for i := 0; i < 512; i++ {
+		long.UEs = append(long.UEs, sched.UEInfo{ID: uint32(i + 1), MCS: 20, BitsPerPRB: 500, BufferBytes: 10_000, AvgTputBps: 1e6})
+	}
+	if _, err := ps.Schedule(long); wabi.ClassOf(err) != wabi.FailFuel {
+		t.Fatalf("512 UEs on 3000 fuel: err %v, want a fuel trip", err)
+	}
+	req := &sched.Request{PRBBudget: 52, UEs: long.UEs[:3]}
+	got, err := ps.Schedule(req)
+	if err != nil {
+		t.Fatalf("request after the trap: %v", err)
+	}
+	want, _ := sched.MaxThroughput{}.Schedule(req)
+	if !reflect.DeepEqual(got.Allocs, want.Allocs) {
+		t.Fatalf("allocs %v, native %v", got.Allocs, want.Allocs)
+	}
+	if st := ps.Pool().Stats(); st.Max != 1 || st.Discards != 1 || st.Created != 1 {
+		t.Fatalf("pool %+v, want one instance, the tripped one discarded", st)
 	}
 }
 

@@ -21,15 +21,10 @@ import (
 // module cache and offered to Supervisor.Swap. A lone gNB is supervised as a
 // group of one.
 
-// defaultPolicy fills the sandbox limits a caller left zero: a 16 MiB memory
-// cap and a 10M-instruction fuel budget — comfortable for 20 UEs, small
-// enough to bound slot overruns.
+// defaultPolicy arms a policy that sets no fuel with wabi.DefaultFuel.
 func defaultPolicy(p wabi.Policy) wabi.Policy {
-	if p.MaxMemoryPages == 0 {
-		p.MaxMemoryPages = 256
-	}
 	if p.Fuel == 0 {
-		p.Fuel = 10_000_000
+		p.Fuel = wabi.DefaultFuel
 	}
 	return p
 }
@@ -107,7 +102,7 @@ func (cg *CellGroup) UploadSchedulerAll(sliceID uint32, name string, bin []byte,
 
 // BuildPooledCandidate resolves bytecode through the group's module cache
 // and wraps it in a pool of up to poolMax sandboxes under the group's
-// PluginEnv and policy (zero limits get the default policy), without
+// PluginEnv and policy (no fuel means wabi.DefaultFuel), without
 // installing it anywhere — the candidate half of a supervised hot-swap; a
 // caller with its own candidate (the pluginfaults sleeper) offers it to
 // Supervisor.Swap itself. The group's profiler tags the candidate's functions

@@ -19,7 +19,7 @@ import (
 // slots and instance lifecycles, and hostile/chaotic response regions that
 // never escape validation.
 
-func newSchedABI(t testing.TB, name string, mode sched.ABIMode, env wabi.Env) *sched.PluginScheduler {
+func newSchedABI(t testing.TB, name string, mode sched.ABIMode, env wabi.Env) *sched.PoolScheduler {
 	t.Helper()
 	mod, err := CompileScheduler(name)
 	if err != nil {
@@ -28,18 +28,22 @@ func newSchedABI(t testing.TB, name string, mode sched.ABIMode, env wabi.Env) *s
 	return newModuleSchedABI(t, name, mod, mode, env)
 }
 
-func newModuleSchedABI(t testing.TB, name string, mod *wabi.Module, mode sched.ABIMode, env wabi.Env) *sched.PluginScheduler {
+func newModuleSchedABI(t testing.TB, name string, mod *wabi.Module, mode sched.ABIMode, env wabi.Env) *sched.PoolScheduler {
 	t.Helper()
-	p, err := wabi.NewPlugin(mod, wabi.Policy{Fuel: 50_000_000}, env)
-	if err != nil {
-		t.Fatalf("instantiate %s: %v", name, err)
-	}
-	ps, err := sched.NewPluginScheduler(name, p, nil)
-	if err != nil {
-		t.Fatalf("wrap %s: %v", name, err)
-	}
+	ps := poolSched(t, name, mod, wabi.Policy{Fuel: 50_000_000}, env)
 	if err := ps.SetABIMode(mode); err != nil {
 		t.Fatalf("force %v on %s: %v", mode, name, err)
+	}
+	return ps
+}
+
+// poolSched hosts mod the way every plugin slice is hosted: a PoolScheduler
+// over a pool of one instance, which a call that traps discards.
+func poolSched(t testing.TB, name string, mod *wabi.Module, policy wabi.Policy, env wabi.Env) *sched.PoolScheduler {
+	t.Helper()
+	ps, err := sched.NewPoolScheduler(name, wabi.NewPool(mod, policy, env, 1), nil)
+	if err != nil {
+		t.Fatalf("host %s: %v", name, err)
 	}
 	return ps
 }
@@ -114,7 +118,7 @@ func TestDifferentialCodecVsZeroCopy(t *testing.T) {
 // NaN and ±Inf averages must match native through both ABIs.
 func TestDifferentialPFNaNAverages(t *testing.T) {
 	native := sched.ProportionalFair{}
-	guests := []*sched.PluginScheduler{
+	guests := []*sched.PoolScheduler{
 		newSchedABI(t, "pf", sched.ABICodec, wabi.Env{}),
 		newSchedABI(t, "pf", sched.ABIZeroCopy, wabi.Env{}),
 	}
@@ -176,8 +180,13 @@ func TestDifferentialDeltaThousandSlots(t *testing.T) {
 			if st.ZCRecords != 24_000 || st.ZCDirtyRecords != st.ZCRecords {
 				t.Fatalf("wrote %d records (%d dirty), want 24000 (all)", st.ZCRecords, st.ZCDirtyRecords)
 			}
-			if pl := zc.Plugin(); pl.RegionNegotiations() != 1 {
-				t.Fatalf("negotiations = %d, want 1 for a single live instance", pl.RegionNegotiations())
+			pl, err := zc.Pool().Get()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer zc.Pool().Put(pl)
+			if n := pl.RegionNegotiations(); n != 1 || zc.Pool().Stats().Discards != 0 {
+				t.Fatalf("negotiations = %d, want 1 for a single live instance", n)
 			}
 		})
 	}
@@ -363,14 +372,7 @@ func TestHostileZCGuestsClassified(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := wabi.NewPlugin(mod, wabi.Policy{Fuel: 1_000_000}, wabi.Env{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ps, err := sched.NewPluginScheduler(tc.name, p, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ps := poolSched(t, tc.name, mod, wabi.Policy{Fuel: 1_000_000}, wabi.Env{})
 			if !ps.ZeroCopy() {
 				t.Fatal("zc-only guest did not auto-select zero-copy")
 			}
@@ -457,14 +459,7 @@ func TestABIModeGating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := wabi.NewPlugin(legacyMod, wabi.Policy{}, wabi.Env{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls, err := sched.NewPluginScheduler("legacy", legacy, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ls := poolSched(t, "legacy", legacyMod, wabi.Policy{}, wabi.Env{})
 	if ls.ZeroCopy() {
 		t.Fatal("legacy guest auto-selected zero-copy")
 	}
@@ -477,14 +472,7 @@ func TestABIModeGating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zcOnly, err := wabi.NewPlugin(zcMod, wabi.Policy{}, wabi.Env{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	zs, err := sched.NewPluginScheduler("zc-only", zcOnly, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	zs := poolSched(t, "zc-only", zcMod, wabi.Policy{}, wabi.Env{})
 	if !zs.ZeroCopy() {
 		t.Fatal("zero-copy-only guest did not auto-select zero-copy")
 	}

@@ -40,7 +40,7 @@ func fuelRequest(nUE int, budget uint32, onePRB bool) *sched.Request {
 // (reference_test.go runs them), by the 10 M budget core and bench/ arm,
 // and at the cell's real PRB budget by 1 M.
 func TestSchedulerFuelCeilings(t *testing.T) {
-	fuel := func(s *sched.PluginScheduler, req *sched.Request) int64 {
+	fuel := func(s *sched.PoolScheduler, req *sched.Request) int64 {
 		if _, err := s.Schedule(req); err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -74,7 +74,7 @@ func TestSchedulerFuelCeilings(t *testing.T) {
 				if got > was {
 					t.Errorf("%s at 512 UEs, budget %d, onePRB %v: fuel %d above the replaced guest's %d", name, budget, onePRB, got, was)
 				}
-				limit := int64(10_000_000) // Policy.Fuel as core and bench/ arm it
+				limit := int64(wabi.DefaultFuel) // Policy.Fuel as core and bench/ arm it
 				if budget == 52 {
 					limit = 1_000_000
 				}

@@ -12,21 +12,13 @@ import (
 	"waran/internal/wasm"
 )
 
-func newSched(t *testing.T, name string) *sched.PluginScheduler {
+func newSched(t *testing.T, name string) *sched.PoolScheduler {
 	t.Helper()
 	mod, err := CompileScheduler(name)
 	if err != nil {
 		t.Fatalf("compile %s: %v", name, err)
 	}
-	p, err := wabi.NewPlugin(mod, wabi.Policy{Fuel: 50_000_000}, wabi.Env{})
-	if err != nil {
-		t.Fatalf("instantiate %s: %v", name, err)
-	}
-	ps, err := sched.NewPluginScheduler(name, p, nil)
-	if err != nil {
-		t.Fatalf("wrap %s: %v", name, err)
-	}
-	return ps
+	return poolSched(t, name, mod, wabi.Policy{Fuel: 50_000_000}, wabi.Env{})
 }
 
 func randomRequest(rng *rand.Rand, nUE int, slot uint64) *sched.Request {
@@ -203,14 +195,7 @@ func TestBadOutputRejectedByDecoder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := wabi.NewPlugin(mod, wabi.Policy{}, wabi.Env{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, err := sched.NewPluginScheduler("bad", p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ps := poolSched(t, "bad", mod, wabi.Policy{}, wabi.Env{})
 	req := &sched.Request{PRBBudget: 10, UEs: []sched.UEInfo{{ID: 1, BitsPerPRB: 100, BufferBytes: 100}}}
 	if _, err := ps.Schedule(req); err == nil {
 		t.Fatal("malformed output unexpectedly accepted")
@@ -222,14 +207,7 @@ func TestOverBudgetRejectedByValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := wabi.NewPlugin(mod, wabi.Policy{}, wabi.Env{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, err := sched.NewPluginScheduler("greedy", p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ps := poolSched(t, "greedy", mod, wabi.Policy{}, wabi.Env{})
 	req := &sched.Request{PRBBudget: 10, UEs: []sched.UEInfo{{ID: 1, BitsPerPRB: 100, BufferBytes: 100}}}
 	_, err = ps.Schedule(req)
 	if !errors.Is(err, sched.ErrInvalidResponse) {

@@ -415,13 +415,18 @@ func corpusRequest(rng *rand.Rand, trial int) (req *sched.Request, nanAvg, hugeN
 // A request with duplicate UE IDs can draw two grants for one ID, which both
 // response decoders reject as overlapping; the list is then read from the
 // guest's response buffer, where either ABI leaves it sealed.
-func guestDecision(s *sched.PluginScheduler, req *sched.Request, resp *sched.Response) ([]sched.Allocation, error) {
+func guestDecision(s *sched.PoolScheduler, req *sched.Request, resp *sched.Response) ([]sched.Allocation, error) {
 	_, err := sched.ScheduleInto(s, req, resp)
 	var bo *sched.BadOutputError
 	if err == nil || !errors.As(err, &bo) || bo.Kind != sched.BadOutputOverlap {
 		return resp.Allocs, err
 	}
-	mem := s.Plugin().Instance().Memory()
+	pl, err := s.Pool().Get() // the pool's one instance, which just answered
+	if err != nil {
+		return nil, err
+	}
+	defer s.Pool().Put(pl)
+	mem := pl.Instance().Memory()
 	n, err := mem.ReadUint32(40960)
 	if err != nil {
 		return nil, err
@@ -457,7 +462,7 @@ func TestReferenceGuestEquivalence(t *testing.T) {
 			}
 			type leg struct {
 				name string
-				s    *sched.PluginScheduler
+				s    *sched.PoolScheduler
 				old  bool
 			}
 			legs := []leg{

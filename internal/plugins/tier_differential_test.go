@@ -18,20 +18,13 @@ import (
 // and fuel — the contract that makes the interpreter an oracle for the tier
 // every binary ships.
 
-func newTierSched(t testing.TB, name string, tier wasm.Tier, mode sched.ABIMode) *sched.PluginScheduler {
+func newTierSched(t testing.TB, name string, tier wasm.Tier, mode sched.ABIMode) *sched.PoolScheduler {
 	t.Helper()
 	mod, err := CompileScheduler(name)
 	if err != nil {
 		t.Fatalf("compile %s: %v", name, err)
 	}
-	p, err := wabi.NewPlugin(mod, wabi.Policy{Fuel: 50_000_000, Tier: tier}, wabi.Env{})
-	if err != nil {
-		t.Fatalf("instantiate %s: %v", name, err)
-	}
-	ps, err := sched.NewPluginScheduler(name, p, nil)
-	if err != nil {
-		t.Fatalf("wrap %s: %v", name, err)
-	}
+	ps := poolSched(t, name, mod, wabi.Policy{Fuel: 50_000_000, Tier: tier}, wabi.Env{})
 	if err := ps.SetABIMode(mode); err != nil {
 		t.Fatalf("force %v on %s: %v", mode, name, err)
 	}
@@ -40,7 +33,7 @@ func newTierSched(t testing.TB, name string, tier wasm.Tier, mode sched.ABIMode)
 
 // tierOutcome flattens one Schedule call into a comparable record: a stable
 // outcome class, the allocations, and the fuel burned in the sandbox.
-func tierOutcome(ps *sched.PluginScheduler, req *sched.Request) (string, []sched.Allocation, int64) {
+func tierOutcome(ps *sched.PoolScheduler, req *sched.Request) (string, []sched.Allocation, int64) {
 	resp, err := ps.Schedule(req)
 	fuel := ps.LastFuelUsed()
 	if err == nil {
@@ -144,14 +137,7 @@ func TestDifferentialTiersHostileZCGuests(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				p, err := wabi.NewPlugin(mod, wabi.Policy{Fuel: 1_000_000, Tier: tier}, wabi.Env{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ps, err := sched.NewPluginScheduler(name, p, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+				ps := poolSched(t, name, mod, wabi.Policy{Fuel: 1_000_000, Tier: tier}, wabi.Env{})
 				class, _, _ := tierOutcome(ps, req)
 				return class
 			}
@@ -217,10 +203,10 @@ func TestDifferentialTiersChaosGuest(t *testing.T) {
 // across iterations.
 var (
 	tierFuzzMu     sync.Mutex
-	tierFuzzScheds = map[string]*[2]*sched.PluginScheduler{}
+	tierFuzzScheds = map[string]*[2]*sched.PoolScheduler{}
 )
 
-func tierFuzzPair(t testing.TB, name string) *[2]*sched.PluginScheduler {
+func tierFuzzPair(t testing.TB, name string) *[2]*sched.PoolScheduler {
 	tierFuzzMu.Lock()
 	defer tierFuzzMu.Unlock()
 	if tr, ok := tierFuzzScheds[name]; ok {
@@ -239,7 +225,7 @@ func tierFuzzPair(t testing.TB, name string) *[2]*sched.PluginScheduler {
 		}
 		src = s
 	}
-	var tr [2]*sched.PluginScheduler
+	var tr [2]*sched.PoolScheduler
 	for i, tier := range []wasm.Tier{wasm.TierInterp, wasm.TierClosure} {
 		var mod *wabi.Module
 		var err error
@@ -251,15 +237,7 @@ func tierFuzzPair(t testing.TB, name string) *[2]*sched.PluginScheduler {
 		if err != nil {
 			t.Fatalf("compile %s: %v", name, err)
 		}
-		p, err := wabi.NewPlugin(mod, wabi.Policy{Fuel: 50_000_000, Tier: tier}, wabi.Env{})
-		if err != nil {
-			t.Fatalf("instantiate %s: %v", name, err)
-		}
-		ps, err := sched.NewPluginScheduler(name, p, nil)
-		if err != nil {
-			t.Fatalf("wrap %s: %v", name, err)
-		}
-		tr[i] = ps
+		tr[i] = poolSched(t, name, mod, wabi.Policy{Fuel: 50_000_000, Tier: tier}, wabi.Env{})
 	}
 	tierFuzzScheds[name] = &tr
 	return &tr

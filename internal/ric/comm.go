@@ -2,7 +2,6 @@ package ric
 
 import (
 	"fmt"
-	"sync"
 
 	"waran/internal/e2"
 	"waran/internal/wabi"
@@ -21,42 +20,37 @@ type PluginCodec struct {
 	name  string
 	inner e2.Codec
 
-	// callMu serializes sandbox invocations: e2.Conn.Send is documented
-	// safe for concurrent use (heartbeats and control pushes come from
-	// different goroutines) and Send/Recv run concurrently, but a plugin
-	// instance is single-threaded — unsynchronized Calls race on its
-	// linear memory and I/O buffers.
-	callMu sync.Mutex
-	plugin *wabi.Plugin
-}
-
-// NewPluginCodec wraps inner with the plugin's encode/decode transforms.
-// The plugin must export "encode" and "decode" with the wabi entry
-// signature.
-func NewPluginCodec(name string, inner e2.Codec, plugin *wabi.Plugin) (*PluginCodec, error) {
-	if inner == nil {
-		inner = e2.BinaryCodec{}
-	}
-	for _, entry := range []string{"encode", "decode"} {
-		if !plugin.HasEntry(entry) {
-			return nil, fmt.Errorf("ric: communication plugin %q does not export %q", name, entry)
-		}
-	}
-	return &PluginCodec{name: name, inner: inner, plugin: plugin}, nil
+	// pool hosts the plugin's one instance. e2.Conn.Send is documented safe
+	// for concurrent use (heartbeats and control pushes come from different
+	// goroutines) and Send/Recv run concurrently, so every transform checks
+	// the instance out; one that trapped or ran out of fuel is discarded,
+	// never called again.
+	pool *wabi.Pool
 }
 
 // NewPluginCodecWAT compiles a communication plugin from WAT and wraps
-// inner with it.
+// inner (nil means the binary codec) with its "encode"/"decode" transforms,
+// which it must export with the wabi entry signature.
 func NewPluginCodecWAT(name, src string, inner e2.Codec) (*PluginCodec, error) {
 	mod, err := wabi.CompileWAT(src)
 	if err != nil {
 		return nil, fmt.Errorf("ric: compile communication plugin %q: %w", name, err)
 	}
-	plugin, err := wabi.NewPlugin(mod, wabi.Policy{Fuel: 50_000_000}, wabi.Env{})
+	if inner == nil {
+		inner = e2.BinaryCodec{}
+	}
+	p := &PluginCodec{name: name, inner: inner, pool: wabi.NewPool(mod, wabi.Policy{Fuel: 50_000_000}, wabi.Env{}, 1)}
+	pl, err := p.pool.Get()
 	if err != nil {
 		return nil, err
 	}
-	return NewPluginCodec(name, inner, plugin)
+	defer p.pool.Put(pl)
+	for _, entry := range []string{"encode", "decode"} {
+		if !pl.HasEntry(entry) {
+			return nil, fmt.Errorf("ric: communication plugin %q does not export %q", name, entry)
+		}
+	}
+	return p, nil
 }
 
 // Name implements e2.Codec.
@@ -68,9 +62,7 @@ func (p *PluginCodec) Encode(m *e2.Message) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.callMu.Lock()
-	wire, err := p.plugin.Call("encode", host)
-	p.callMu.Unlock()
+	wire, err := p.pool.Call("encode", host)
 	if err != nil {
 		return nil, fmt.Errorf("ric: communication plugin %q encode: %w", p.name, err)
 	}
@@ -79,9 +71,7 @@ func (p *PluginCodec) Encode(m *e2.Message) ([]byte, error) {
 
 // Decode implements e2.Codec.
 func (p *PluginCodec) Decode(b []byte) (*e2.Message, error) {
-	p.callMu.Lock()
-	host, err := p.plugin.Call("decode", b)
-	p.callMu.Unlock()
+	host, err := p.pool.Call("decode", b)
 	if err != nil {
 		return nil, fmt.Errorf("ric: communication plugin %q decode: %w", p.name, err)
 	}

@@ -139,9 +139,9 @@ func RunFlightRec(cfg FlightRecConfig) (*FlightRecResult, error) {
 	}
 
 	// The storm RIC: shallow queues so the saturated dispatch overflows
-	// into the shed ledger, a low-sample breaker so the stuck xApp trips
-	// before the consecutive-fault quarantine disables it (backoff past the
-	// dwell keeps half-open probes — and their faults — out of the run),
+	// into the shed ledger, a low-sample breaker so the stuck xApp trips on
+	// its second fault (backoff past the dwell keeps half-open probes — and
+	// their faults — out of the run),
 	// and a tight loop budget + fast poll so the brownout controller reacts
 	// inside the dwell.
 	r, err := New(Config{
@@ -207,9 +207,8 @@ func RunFlightRec(cfg FlightRecConfig) (*FlightRecResult, error) {
 
 	// Two bad xApps, one failure mode each. "stuck" gets less fuel than its
 	// stall needs, so every call traps with FailFuel and the low-sample
-	// breaker opens on the second fault — one sample short of the
-	// consecutive-fault quarantine, so the trip is journaled rather than
-	// the xApp silently disabled. "lag" gets fuel to spare, so the same
+	// breaker opens on the second fault, a trip the journal records. "lag"
+	// gets fuel to spare, so the same
 	// stall *succeeds*: the breaker stays closed and every dispatch keeps
 	// paying the stall for the whole dwell, which is what saturates
 	// dispatch and overflows the shallow queues into the shed ledger.

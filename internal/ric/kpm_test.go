@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"waran/internal/e2"
+	"waran/internal/guard"
 	"waran/internal/plugins"
 	"waran/internal/wabi"
 	"waran/internal/wasm"
@@ -138,9 +139,21 @@ const faultyXAppWAT = `(module
   (memory (export "memory") 1)
   (func (export "on_indication") (result i32) unreachable))`
 
+// TestXAppQuarantineAfterFaults: the breaker is an xApp's one give-up rule.
+// A faulty xApp's breaker opens once its window holds MinSamples faults, and
+// an open breaker invokes it no more — every later dispatch is skipped until
+// the backoff lets one probe through — while the healthy xApp beside it
+// keeps producing controls throughout.
 func TestXAppQuarantineAfterFaults(t *testing.T) {
+	const minSamples, rounds = 4, 20
 	var faults int
-	r := MustNew(Config{OnFault: func(string, error) { faults++ }})
+	now := time.Unix(0, 0)
+	r := MustNew(Config{
+		OnFault: func(string, error) { faults++ },
+		Overload: &OverloadConfig{Breaker: guard.BreakerConfig{
+			MinSamples: minSamples, Backoff: time.Second, Now: func() time.Time { return now },
+		}},
+	})
 	x, err := r.AddXAppWAT("bad", faultyXAppWAT, wabi.Policy{})
 	if err != nil {
 		t.Fatal(err)
@@ -149,21 +162,30 @@ func TestXAppQuarantineAfterFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	ind := mkInd(1, 0, 0, 5e6) // under target => SLA xApp emits a boost
-	for i := 0; i < DefaultXAppQuarantine+2; i++ {
-		controls := r.HandleIndication(ind)
+	for i := 0; i < rounds; i++ {
 		// The healthy xApp keeps working through its peer's faults.
-		if len(controls) == 0 {
+		if controls := r.HandleIndication(ind); len(controls) == 0 {
 			t.Fatalf("round %d: healthy xApp silenced", i)
 		}
 	}
-	if !x.Disabled() {
-		t.Fatal("faulty xApp not quarantined")
+	if got := x.Breaker().State(); got != guard.Open {
+		t.Fatalf("faulty xApp's breaker %v, want open", got)
 	}
-	if faults != DefaultXAppQuarantine {
-		t.Fatalf("fault observer saw %d faults, want %d (quarantined after)", faults, DefaultXAppQuarantine)
+	if faults != minSamples {
+		t.Fatalf("fault observer saw %d faults, want %d (breaker open after)", faults, minSamples)
 	}
-	if st := x.Stats(); st.Invocations != DefaultXAppQuarantine || st.Faults != DefaultXAppQuarantine {
-		t.Fatalf("stats = %d/%d", st.Invocations, st.Faults)
+	if st := x.Stats(); st.Invocations != minSamples || st.Faults != minSamples || st.Skipped != rounds-minSamples {
+		t.Fatalf("stats = %+v, want %d invocations and faults, %d skipped", st, minSamples, rounds-minSamples)
+	}
+	// Past the backoff one probe runs, fails and reopens the breaker.
+	now = now.Add(time.Second)
+	r.HandleIndication(ind)
+	r.HandleIndication(ind)
+	if st := x.Stats(); st.Invocations != minSamples+1 || x.Breaker().State() != guard.Open {
+		t.Fatalf("after the backoff: stats = %+v, breaker %v; want one failed probe", st, x.Breaker().State())
+	}
+	if got := x.Breaker().FailureCount(wabi.FailTrap); got != minSamples+1 {
+		t.Fatalf("breaker counted %d traps, want %d", got, minSamples+1)
 	}
 }
 
@@ -181,8 +203,14 @@ func TestXAppClosureFromFirstCall(t *testing.T) {
 		if len(r.HandleIndication(ind)) == 0 {
 			t.Fatalf("indication %d: no control", i)
 		}
-		if got := x.Plugin().LastTier(); got != wasm.TierClosure {
-			t.Fatalf("indication %d ran on %v, want closure", i, got)
+		pl, err := x.Pool().Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tier := pl.LastTier()
+		x.Pool().Put(pl)
+		if tier != wasm.TierClosure {
+			t.Fatalf("indication %d ran on %v, want closure", i, tier)
 		}
 	}
 	if st := x.Stats(); st.Invocations != 100 || st.Faults != 0 {

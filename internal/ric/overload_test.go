@@ -111,8 +111,8 @@ func TestZeroConfigNoWallClockDeadline(t *testing.T) {
 	if st := x.Stats(); st.Faults != 1 {
 		t.Fatalf("spinning xApp stats %+v, want one fault", st)
 	}
-	if got := x.Plugin().LastFailureClass(); got != wabi.FailFuel {
-		t.Fatalf("spinning xApp faulted as %v, want %v", got, wabi.FailFuel)
+	if got := x.Breaker().FailureCount(wabi.FailFuel); got != 1 {
+		t.Fatalf("spinning xApp's breaker counted %d fuel faults, want 1", got)
 	}
 }
 
@@ -598,18 +598,15 @@ func TestSlowXAppIsolation(t *testing.T) {
 		}
 	}
 	stall, _ := r.XApp("stall")
-	if got := stall.Plugin().LastFailureClass(); got != wabi.FailFuel {
-		t.Fatalf("stalled xApp faulted as %v, want %v", got, wabi.FailFuel)
-	}
 	st := stall.Stats()
+	if got := stall.Breaker().FailureCount(wabi.FailFuel); got == 0 || got != st.Faults {
+		t.Fatalf("stalled xApp's breaker counted %d fuel faults of %d, want all", got, st.Faults)
+	}
 	if st.BreakerState != "open" {
 		t.Fatalf("stalled xApp breaker state = %q, want open (stats %+v)", st.BreakerState, st)
 	}
 	if st.Skipped == 0 {
 		t.Fatalf("stalled xApp was never skipped: %+v", st)
-	}
-	if stall.Disabled() {
-		t.Fatal("quarantine fired; the breaker should govern before consecutive-fault quarantine")
 	}
 	// With the breaker open the stalled xApp costs nothing: it is not
 	// invoked again.

@@ -11,8 +11,7 @@ package ric
 //     (offered == delivered + shed_overflow + shed_stale + shed_teardown +
 //     refused_late) on both the killed and the restarted RIC;
 //  3. slow-xApp isolation — a stalling xApp exhausts its fuel, its breaker
-//     opens (before the consecutive-fault quarantine) and it is skipped, so
-//     the fan-in keeps moving: the healthy xApp behind it keeps producing
+//     opens and it is skipped, so the fan-in keeps moving: the healthy xApp behind it keeps producing
 //     controls and the agents' ticks stay flat.
 
 import (
@@ -169,7 +168,6 @@ type OverloadDwell struct {
 	SlowSkipped     uint64 `json:"slow_skipped"`
 	SlowFaults      uint64 `json:"slow_faults"`
 	SlowBreaker     string `json:"slow_breaker"`
-	SlowDisabled    bool   `json:"slow_disabled"`
 }
 
 // OverloadResult is the overload chaos experiment's report.
@@ -555,8 +553,7 @@ func runOverloadDwell(cfg OverloadExpConfig, frec *flight.Recorder) (OverloadDwe
 			// here.
 			AdmitRate: -1,
 			BusyPause: -1,
-			// MinSamples below the consecutive-fault quarantine so the
-			// breaker opens (recoverable) before the blunt disable fires, and
+			// A low MinSamples so the breaker opens on the second fault, and
 			// a probe backoff past the window so measurements see a cleanly
 			// open breaker rather than probe churn.
 			Breaker: guard.BreakerConfig{MinSamples: 2, Backoff: cfg.Dwell + time.Second},
@@ -641,6 +638,5 @@ func runOverloadDwell(cfg OverloadExpConfig, frec *flight.Recorder) (OverloadDwe
 	dw.SlowSkipped = ss.Skipped
 	dw.SlowFaults = ss.Faults
 	dw.SlowBreaker = ss.BreakerState
-	dw.SlowDisabled = ss.Disabled
 	return dw, nil
 }

@@ -119,7 +119,7 @@ func (r *RIC) Tracer() *trace.Tracer { return r.cfg.Tracer }
 
 // AddXAppWAT compiles WAT source and installs it as an xApp. The plugin
 // gets the RIC host functions under module "ric" plus the standard wabi
-// ABI; a zero policy receives a 16 MiB cap and 10M-instruction fuel budget.
+// ABI; a policy without fuel gets wabi.DefaultFuel.
 func (r *RIC) AddXAppWAT(name, src string, policy wabi.Policy) (*XApp, error) {
 	mod, err := wabi.CompileWAT(src)
 	if err != nil {
@@ -147,11 +147,8 @@ func (r *RIC) AddXApp(name string, mod *wabi.Module, policy wabi.Policy) (*XApp,
 	if _, dup := byName[name]; dup {
 		return nil, fmt.Errorf("ric: xApp %q already installed", name)
 	}
-	if policy.MaxMemoryPages == 0 {
-		policy.MaxMemoryPages = 256
-	}
 	if policy.Fuel == 0 {
-		policy.Fuel = 10_000_000
+		policy.Fuel = wabi.DefaultFuel
 	}
 	// xApp isolation: every dispatch is bounded by Policy.Fuel (a spinning
 	// guest traps with wabi.FailFuel), and outcomes are metered through a
@@ -185,14 +182,18 @@ func (r *RIC) AddXApp(name string, mod *wabi.Module, policy wabi.Policy) (*XApp,
 		env.Profile = r.cfg.Profile
 		env.ProfileTag = name
 	}
-	plugin, err := wabi.NewPlugin(mod, policy, env)
+	// The first instance is made here, so a module that cannot instantiate
+	// or lacks the entry point is refused at install, and it waits warm.
+	x.pool = wabi.NewPool(mod, policy, env, 1)
+	pl, err := x.pool.Get()
 	if err != nil {
 		return nil, fmt.Errorf("ric: instantiate xApp %q: %w", name, err)
 	}
-	if !plugin.HasEntry(XAppEntry) {
+	hasEntry := pl.HasEntry(XAppEntry)
+	x.pool.Put(pl)
+	if !hasEntry {
 		return nil, fmt.Errorf("ric: xApp %q does not export %q with signature () -> i32", name, XAppEntry)
 	}
-	x.plugin = plugin
 	list := append(append([]*XApp(nil), r.xappSnapshot()...), x)
 	next := make(map[string]*XApp, len(byName)+1)
 	for k, v := range byName {
@@ -240,10 +241,10 @@ func (r *RIC) RemoveXApp(name string) error {
 	return nil
 }
 
-// HandleIndication dispatches one indication to every enabled xApp and
+// HandleIndication dispatches one indication to every installed xApp and
 // returns the aggregated control actions. Individual xApp faults are
-// contained (counted, possibly quarantining the xApp) and do not fail the
-// dispatch.
+// contained (counted, possibly opening the xApp's breaker) and do not fail
+// the dispatch.
 func (r *RIC) HandleIndication(ind *e2.Indication) []e2.ControlRequest {
 	out, _ := r.HandleIndicationTraced(ind, trace.Context{})
 	return out

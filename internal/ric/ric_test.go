@@ -153,7 +153,12 @@ func TestInterXAppMessaging(t *testing.T) {
 	}
 	// ping ran 3 times; pong drained mailbox on invocations 2 and 3, so the
 	// last counter it saw is from ping's 3rd run.
-	last, ok := pong.Plugin().Instance().GlobalValue("last_counter")
+	pl, err := pong.Pool().Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, ok := pl.Instance().GlobalValue("last_counter")
+	pong.Pool().Put(pl)
 	if !ok {
 		t.Fatal("pong does not export last_counter")
 	}

@@ -19,40 +19,28 @@ import (
 // encoded e2 indication as call input and returns an encoded control list.
 const XAppEntry = "on_indication"
 
-// DefaultXAppQuarantine is the consecutive-fault limit before an xApp is
-// disabled.
-const DefaultXAppQuarantine = 3
-
 // XApp is one sandboxed control application.
 type XApp struct {
-	Name   string
-	plugin *wabi.Plugin
+	Name string
+	// pool hosts the xApp's one sandbox instance. It is one wide because the
+	// messaging xApps keep state in guest globals; one RIC serves several E2
+	// associations concurrently, so dispatches queue for the instance, and
+	// one that trapped or ran out of fuel is discarded, never called again.
+	pool *wabi.Pool
 
-	// breaker is the xApp's guard-style circuit: a stalling or faulting xApp
-	// trips it open and is skipped (at zero dispatch cost) until its probes
-	// succeed again, so one bad xApp cannot back up a shard's fan-in.
+	// breaker is the xApp's guard-style circuit and its one give-up rule: a
+	// stalling or faulting xApp trips it open and is skipped (at zero
+	// dispatch cost) until its probes succeed again, so one bad xApp cannot
+	// back up a shard's fan-in.
 	breaker *guard.Breaker
 
-	// callMu serializes sandbox invocations — one RIC serves several E2
-	// associations concurrently, but a plugin instance is single-threaded —
-	// and makes the breaker gate, the call, its outcome and the quarantine
-	// count one decision (see invoke). mu guards the fields below for
-	// readers and for host calls made from inside a sandbox call.
-	callMu            sync.Mutex
-	mu                sync.Mutex
-	mailbox           [][]byte
-	consecutiveFaults int
-	totalFaults       uint64
-	disabled          bool
-	invocations       uint64
-	skipped           uint64
-}
-
-// Disabled reports whether the xApp has been quarantined after faults.
-func (x *XApp) Disabled() bool {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.disabled
+	// mu guards the fields below for readers and for host calls made from
+	// inside a sandbox call.
+	mu          sync.Mutex
+	mailbox     [][]byte
+	totalFaults uint64
+	invocations uint64
+	skipped     uint64
 }
 
 // XAppStats is the flat snapshot of an xApp's invocation accounting.
@@ -60,8 +48,10 @@ type XAppStats struct {
 	Invocations uint64 `json:"invocations"`
 	Faults      uint64 `json:"faults"`
 	// Skipped counts dispatches bypassed while the xApp's breaker was open.
-	Skipped  uint64 `json:"skipped"`
-	Disabled bool   `json:"disabled"`
+	Skipped uint64 `json:"skipped"`
+	// Deprecated: always false; the breaker is the one give-up rule. Kept
+	// because bench/ reads it.
+	Disabled bool `json:"disabled"`
 	// BreakerState is the guard breaker state label.
 	BreakerState string `json:"breaker_state"`
 }
@@ -69,7 +59,7 @@ type XAppStats struct {
 // Stats returns invocation and fault counters.
 func (x *XApp) Stats() XAppStats {
 	x.mu.Lock()
-	s := XAppStats{Invocations: x.invocations, Faults: x.totalFaults, Skipped: x.skipped, Disabled: x.disabled}
+	s := XAppStats{Invocations: x.invocations, Faults: x.totalFaults, Skipped: x.skipped}
 	x.mu.Unlock()
 	s.BreakerState = x.breaker.State().String()
 	return s
@@ -78,8 +68,8 @@ func (x *XApp) Stats() XAppStats {
 // Breaker exposes the xApp's circuit breaker.
 func (x *XApp) Breaker() *guard.Breaker { return x.breaker }
 
-// Plugin exposes the underlying sandbox.
-func (x *XApp) Plugin() *wabi.Plugin { return x.plugin }
+// Pool exposes the pool hosting the xApp's sandbox.
+func (x *XApp) Pool() *wabi.Pool { return x.pool }
 
 // deliver appends a message to the xApp's mailbox (inter-xApp messaging).
 func (x *XApp) deliver(msg []byte) {
@@ -151,8 +141,8 @@ func (r *RIC) hostFuncs(self *XApp) map[string]*wasm.HostFunc {
 }
 
 // invoke runs the xApp on an encoded indication, returning its requested
-// control actions. Faults are contained and counted; a quarantined xApp
-// returns no actions.
+// control actions. Faults are contained and counted; an xApp whose breaker
+// is open returns no actions.
 func (x *XApp) invoke(r *RIC, indication []byte) ([]e2.ControlRequest, error) {
 	list, err := x.call(indication)
 	if err != nil {
@@ -164,19 +154,15 @@ func (x *XApp) invoke(r *RIC, indication []byte) ([]e2.ControlRequest, error) {
 	return list, nil
 }
 
-// call is one dispatch decision. The breaker gate, the sandbox call, the
-// breaker's record of its outcome and the consecutive-fault count all happen
-// under callMu: a dispatch that queued behind the calls that tripped the
-// breaker sees it open and is skipped, so it can neither run nor count
-// toward the blunt quarantine the breaker exists to pre-empt.
+// call is one dispatch decision. The breaker gate, the sandbox call and the
+// breaker's record of its outcome all happen while the instance is checked
+// out: a dispatch that queued behind the calls that tripped the breaker sees
+// it open and is skipped. A replacement instance that fails to instantiate
+// is a fault like any other.
 func (x *XApp) call(indication []byte) ([]e2.ControlRequest, error) {
-	x.callMu.Lock()
-	defer x.callMu.Unlock()
-	x.mu.Lock()
-	disabled := x.disabled
-	x.mu.Unlock()
-	if disabled {
-		return nil, nil
+	pl, err := x.pool.Get()
+	if err == nil {
+		defer x.pool.Put(pl)
 	}
 	// An open breaker skips the dispatch outright: the stalled xApp costs
 	// the fan-in nothing until a half-open probe proves it healthy again.
@@ -192,21 +178,18 @@ func (x *XApp) call(indication []byte) ([]e2.ControlRequest, error) {
 		return nil, nil
 	}
 	var list []e2.ControlRequest
-	out, err := x.plugin.Call(XAppEntry, indication)
 	if err == nil {
-		list, err = e2.DecodeControlList(out)
+		var out []byte
+		if out, err = pl.Call(XAppEntry, indication); err == nil {
+			list, err = e2.DecodeControlList(out)
+		}
 	}
 	x.breaker.Record(wabi.ClassOf(err))
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	if err != nil {
+		x.mu.Lock()
 		x.totalFaults++
-		x.consecutiveFaults++
-		if x.consecutiveFaults >= DefaultXAppQuarantine {
-			x.disabled = true
-		}
+		x.mu.Unlock()
 		return nil, err
 	}
-	x.consecutiveFaults = 0
 	return list, nil
 }

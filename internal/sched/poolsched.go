@@ -9,12 +9,23 @@ import (
 	"waran/internal/wabi"
 )
 
+// EntryPoint is the exported function name intra-slice scheduler plugins
+// must provide.
+const EntryPoint = "schedule"
+
 // PoolScheduler adapts a pool of sandbox instances of one compiled plugin
-// to the IntraSlice interface. Where PluginScheduler serializes every call
-// on a single instance, PoolScheduler checks an instance out per call, so a
-// multi-cell gNB stepping cells concurrently fans intra-slice decisions
-// across up to Pool.max sandboxes of the same module — one upload, one
-// compilation, N parallel executions.
+// to the IntraSlice interface, and is the only one: every plugin slice
+// scheduler checks an instance out per call. Over the serializing path a
+// call encodes the request with the configured codec, invokes the guest's
+// "schedule" export and decodes + validates the response; over the
+// zero-copy path (negotiated automatically when the guest exports the
+// region ABI, see zerocopy.go) it writes the request into shared memory,
+// invokes "schedule_zc" and validates the response region in place. An
+// instance whose call trapped or ran out of fuel is discarded by Pool.Put,
+// never called again. A multi-cell gNB stepping cells concurrently fans
+// intra-slice decisions across up to Pool.max sandboxes of the same module —
+// one upload, one compilation, N parallel executions; a width-1 pool
+// serializes its callers on one instance.
 //
 // PoolScheduler is safe for concurrent use; the plugins it runs should be
 // stateless across calls (pure functions of the request), which all the
@@ -104,9 +115,11 @@ func (p *PoolScheduler) Register(reg *obs.Registry, labels ...obs.Label) {
 }
 
 // Schedule implements IntraSlice: check out an instance, run the decision,
-// return the instance. The measured span matches PluginScheduler, excluding
-// time spent waiting for a free instance so pool-exhaustion stalls are
-// visible as wall-clock, not mistaken for plugin cost.
+// return the instance. The measured span covers the full host-side cost of
+// outsourcing the decision to the plugin, serialization included (the
+// methodology of Fig. 5d), excluding time spent waiting for a free instance
+// so pool-exhaustion stalls are visible as wall-clock, not mistaken for
+// plugin cost.
 func (p *PoolScheduler) Schedule(req *Request) (*Response, error) { return scheduleNew(p, req) }
 
 // ScheduleInto implements IntoScheduler.
@@ -127,6 +140,35 @@ func (p *PoolScheduler) ScheduleInto(req *Request, resp *Response) error {
 	p.record(pl, time.Since(start), zeroCopy, req, err)
 	if err != nil {
 		return fmt.Errorf("sched: pool plugin %q: %w", p.name, err)
+	}
+	return nil
+}
+
+// schedule runs one scheduling decision on pl into resp: encode + sandbox
+// execution + decode on the codec path, region write + sandbox execution +
+// region validation on the zero-copy path, then the semantic checks every
+// response must pass.
+func schedule(pl *wabi.Plugin, codec Codec, zeroCopy bool, req *Request, resp *Response) error {
+	if zeroCopy {
+		if err := zcCall(pl, req, resp); err != nil {
+			return err
+		}
+	} else {
+		out, err := pl.Call(EntryPoint, codec.EncodeRequest(req))
+		if err != nil {
+			return err
+		}
+		decoded, err := codec.DecodeResponse(out)
+		if err != nil {
+			return fmt.Errorf("malformed response: %w", err)
+		}
+		resp.Allocs = append(resp.Allocs[:0], decoded.Allocs...)
+	}
+	resp.FuelUsed = pl.LastFuelUsed()
+	if err := resp.Validate(req); err != nil {
+		// Semantic rejection of a decoded response is still bad output for
+		// the failure taxonomy: the sandbox completed and the result lied.
+		return &BadOutputError{Kind: BadOutputSemantic, Err: err}
 	}
 	return nil
 }

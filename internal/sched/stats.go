@@ -36,8 +36,7 @@ type SchedStats struct {
 	TierFusedCalls uint64 `json:"tier_fused_calls,omitempty"`
 }
 
-// callStats is the call accounting PluginScheduler and PoolScheduler both
-// keep; the owner supplies the synchronization (none, or its mutex).
+// callStats is PoolScheduler's call accounting, guarded by its mutex.
 type callStats struct {
 	calls     uint64
 	faults    uint64

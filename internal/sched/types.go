@@ -58,7 +58,7 @@ type Response struct {
 // IntraSlice is one slice's scheduling policy. Implementations must treat
 // the request as read-only and must not retain it.
 type IntraSlice interface {
-	// Name identifies the policy ("rr", "pf", "mt", "plugin:...").
+	// Name identifies the policy ("rr", "pf", "mt", "pool:...").
 	Name() string
 	// Schedule divides req.PRBBudget among req.UEs.
 	Schedule(req *Request) (*Response, error)

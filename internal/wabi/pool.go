@@ -2,6 +2,7 @@ package wabi
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"waran/internal/obs"
@@ -34,6 +35,9 @@ type Pool struct {
 	newFn func() (*Plugin, error)
 }
 
+// maxSpins is how many times an exhausted Get yields before it queues.
+const maxSpins = 16
+
 // NewPool creates a pool bounded to max concurrent instances (0 means 16).
 func NewPool(mod *Module, policy Policy, env Env, max int) *Pool {
 	if max <= 0 {
@@ -49,9 +53,8 @@ func NewPool(mod *Module, policy Policy, env Env, max int) *Pool {
 func (p *Pool) Get() (*Plugin, error) {
 	p.mu.Lock()
 	p.gets++
-	p.mu.Unlock()
+	spins := 0
 	for {
-		p.mu.Lock()
 		if n := len(p.idle); n > 0 {
 			pl := p.idle[n-1]
 			p.idle = p.idle[:n-1]
@@ -70,18 +73,25 @@ func (p *Pool) Get() (*Plugin, error) {
 				// The creation slot just freed. A waiter may have queued
 				// while this Get held the last slot; wake one so it retries
 				// instead of waiting for a Put that may never come.
-				if len(p.waiters) > 0 {
-					ch := p.waiters[0]
-					p.waiters = p.waiters[1:]
-					ch <- nil
-				}
+				p.wakeOne(nil)
 				p.mu.Unlock()
 				return nil, err
 			}
 			return pl, nil
 		}
-		// Exhausted: wait for a Put (instance delivered) or a failed
-		// creation (nil delivered; loop and retry the slot).
+		// Exhausted. A checkout usually ends within microseconds, and
+		// parking turns each hand-off into a goroutine wake-up that the
+		// next caller queues behind, so yield a few times first, as
+		// sync.Mutex spins before it parks.
+		if spins < maxSpins {
+			spins++
+			p.mu.Unlock()
+			runtime.Gosched()
+			p.mu.Lock()
+			continue
+		}
+		// Wait for a Put (instance delivered) or a failed creation (nil
+		// delivered; loop and retry the slot).
 		ch := make(chan *Plugin, 1)
 		p.waiters = append(p.waiters, ch)
 		p.waits++
@@ -89,7 +99,20 @@ func (p *Pool) Get() (*Plugin, error) {
 		if pl := <-ch; pl != nil {
 			return pl, nil
 		}
+		p.mu.Lock()
 	}
+}
+
+// wakeOne hands pl (nil: a freed creation slot) to the longest waiter, if
+// any; callers hold mu. It reports whether a waiter took it.
+func (p *Pool) wakeOne(pl *Plugin) bool {
+	if len(p.waiters) == 0 {
+		return false
+	}
+	ch := p.waiters[0]
+	p.waiters = p.waiters[1:]
+	ch <- pl // buffered: never blocks
+	return true
 }
 
 // Put returns an instance to the pool. Instances whose last call aborted
@@ -105,31 +128,20 @@ func (p *Pool) Put(pl *Plugin) {
 	if pl == nil {
 		return
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if pl.Poisoned() {
 		pl.invalidateRegions()
-		p.mu.Lock()
 		p.created--
 		p.discards++
-		// A waiter may be parked; wake one with nil so it retries the freed
-		// creation slot instead of waiting for a Put that never comes.
-		if len(p.waiters) > 0 {
-			ch := p.waiters[0]
-			p.waiters = p.waiters[1:]
-			ch <- nil
-		}
-		p.mu.Unlock()
+		// A parked waiter retries the freed creation slot instead of
+		// waiting for a Put that never comes.
+		p.wakeOne(nil)
 		return
 	}
-	p.mu.Lock()
-	if len(p.waiters) > 0 {
-		ch := p.waiters[0]
-		p.waiters = p.waiters[1:]
-		p.mu.Unlock()
-		ch <- pl
-		return
+	if !p.wakeOne(pl) {
+		p.idle = append(p.idle, pl)
 	}
-	p.idle = append(p.idle, pl)
-	p.mu.Unlock()
 }
 
 // Call is the checkout-call-return convenience wrapper.

@@ -110,7 +110,6 @@ func (p *Plugin) callRegionExport(name string) (uint32, error) {
 	}
 	res, err := p.inst.Call(name)
 	if err != nil {
-		p.faults++
 		var trap *wasm.Trap
 		if errors.As(err, &trap) {
 			ce := &CallError{Entry: name, Trap: trap}

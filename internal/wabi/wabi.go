@@ -32,7 +32,6 @@ package wabi
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"waran/internal/wasm"
 	"waran/internal/wat"
@@ -40,6 +39,12 @@ import (
 
 // DefaultMaxMemoryPages is the memory cap of a Policy that sets none.
 const DefaultMaxMemoryPages = 256 // 16 MiB
+
+// DefaultFuel is the per-call instruction budget the gNB and the RIC arm a
+// scheduler or xApp with when its policy sets none: comfortable for 20 UEs,
+// small enough to bound a slot overrun. A Policy's own zero Fuel still means
+// no metering.
+const DefaultFuel = 10_000_000
 
 // maxInputBytes and maxOutputBytes bound every call's input and what its
 // guest may emit.
@@ -173,39 +178,10 @@ type Plugin struct {
 	zc             *Regions
 	zcNegotiations uint64
 
-	// Per-call accounting, read through Stats(). Unsynchronized like the
-	// rest of the Plugin: one goroutine at a time.
-	calls     uint64
-	totalDur  time.Duration
-	lastDur   time.Duration
-	faults    uint64
+	// The last call's outcome. Unsynchronized like the rest of the Plugin:
+	// one goroutine at a time.
 	lastFuel  int64
-	totalFuel int64
 	lastClass FailureClass
-}
-
-// PluginStats is the flat snapshot of a Plugin's per-call accounting.
-// Durations marshal as nanoseconds; fuel is in interpreter instructions
-// (zero when metering is disabled).
-type PluginStats struct {
-	Calls         uint64        `json:"calls"`
-	Faults        uint64        `json:"faults"`
-	TotalDuration time.Duration `json:"total_duration_ns"`
-	LastDuration  time.Duration `json:"last_duration_ns"`
-	LastFuel      int64         `json:"last_fuel"`
-	TotalFuel     int64         `json:"total_fuel"`
-}
-
-// Stats returns accounting accumulated across calls.
-func (p *Plugin) Stats() PluginStats {
-	return PluginStats{
-		Calls:         p.calls,
-		Faults:        p.faults,
-		TotalDuration: p.totalDur,
-		LastDuration:  p.lastDur,
-		LastFuel:      p.lastFuel,
-		TotalFuel:     p.totalFuel,
-	}
 }
 
 // LastFuelUsed reports the instruction budget consumed by the most recent
@@ -390,18 +366,12 @@ func (p *Plugin) Call(entry string, input []byte) ([]byte, error) {
 		p.inst.SetFuel(p.policy.Fuel)
 	}
 
-	start := time.Now()
 	res, err := p.inst.CallInto(p.callRes[:0], entry)
-	p.lastDur = time.Since(start)
-	p.totalDur += p.lastDur
-	p.calls++
 	if p.policy.Fuel > 0 {
 		p.lastFuel = p.policy.Fuel - p.inst.Fuel()
-		p.totalFuel += p.lastFuel
 	}
 
 	if err != nil {
-		p.faults++
 		var trap *wasm.Trap
 		if errors.As(err, &trap) {
 			ce := &CallError{Entry: entry, Trap: trap, Message: p.guestErr}
@@ -412,7 +382,6 @@ func (p *Plugin) Call(entry string, input []byte) ([]byte, error) {
 		return nil, err
 	}
 	if code := int32(uint32(res[0])); code != 0 {
-		p.faults++
 		p.lastClass = FailGuestError
 		return nil, &CallError{Entry: entry, Code: code, Message: p.guestErr}
 	}

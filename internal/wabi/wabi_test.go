@@ -52,8 +52,8 @@ func TestEchoRoundTrip(t *testing.T) {
 	if len(logged) != 1 || logged[0] != "echoing" {
 		t.Fatalf("logs = %v", logged)
 	}
-	if st := p.Stats(); st.Calls != 1 || st.Faults != 0 {
-		t.Fatalf("stats: calls=%d faults=%d", st.Calls, st.Faults)
+	if p.LastFailureClass() != FailNone {
+		t.Fatalf("class = %v after a clean call", p.LastFailureClass())
 	}
 }
 
@@ -139,8 +139,8 @@ func TestGuestErrorSurfaced(t *testing.T) {
 	if ce.Code != 3 || ce.Message != "bad input" {
 		t.Fatalf("code=%d msg=%q", ce.Code, ce.Message)
 	}
-	if st := p.Stats(); st.Faults != 1 {
-		t.Fatalf("faults = %d", st.Faults)
+	if p.LastFailureClass() != FailGuestError {
+		t.Fatalf("class = %v, want %v", p.LastFailureClass(), FailGuestError)
 	}
 }
 
@@ -209,9 +209,6 @@ func TestFuelExhaustionIsDeterministic(t *testing.T) {
 		if !errors.As(err, &ce) || ce.Trap == nil || ce.Trap.Code != wasm.TrapFuelExhausted {
 			t.Fatalf("call %d: want fuel trap, got %v", i, err)
 		}
-	}
-	if st := p.Stats(); st.Faults != 3 {
-		t.Fatalf("faults = %d", st.Faults)
 	}
 }
 
