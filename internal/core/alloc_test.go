@@ -66,8 +66,24 @@ func pinAllocs(t *testing.T, limit float64, step func()) {
 		step()
 	}
 	if got := testing.AllocsPerRun(200, step); got > limit {
-		t.Fatalf("%.1f allocs per slot, want <= %.0f", got, limit)
+		t.Fatalf("%.1f allocs per call, want <= %.0f", got, limit)
 	}
+}
+
+// TestSnapshotAllocs pins the KPM snapshot the agent sends: the indication
+// and its UE and slice rows, each allocated once at its final size.
+func TestSnapshotAllocs(t *testing.T) {
+	g, err := NewGNB(ran.CellConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig5aCell(t, g, 8)
+	g.Step()
+	ind := g.Snapshot(1)
+	if len(ind.UEs) != 24 || len(ind.Slices) != 3 {
+		t.Fatalf("snapshot has %d UE and %d slice rows, want 24 and 3", len(ind.UEs), len(ind.Slices))
+	}
+	pinAllocs(t, 3, func() { g.Snapshot(1) })
 }
 
 func TestStepAllocsNative(t *testing.T) {

@@ -16,6 +16,8 @@ import (
 // GNB implements ric.RANControl.
 
 // Snapshot builds a KPM indication of current per-UE and per-slice state.
+// The indication is the caller's (the agent sends it, a KPM store keeps
+// it); its rows are allocated once, at their final length.
 func (g *GNB) Snapshot(cell uint32) *e2.Indication {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -24,6 +26,9 @@ func (g *GNB) Snapshot(cell uint32) *e2.Indication {
 	// so the report stays bounded (O(attached + ActiveK)) no matter how
 	// large the modeled population is; the slice rows below aggregate
 	// everything the cell served, fleet included.
+	if n := len(g.ues) + len(g.fleetWin); n > 0 {
+		ind.UEs = make([]e2.UEMeasurement, 0, n)
+	}
 	for _, pool := range [2][]*ran.UE{g.ues, g.fleetWin} {
 		for _, u := range pool {
 			ind.UEs = append(ind.UEs, e2.UEMeasurement{
@@ -35,12 +40,16 @@ func (g *GNB) Snapshot(cell uint32) *e2.Indication {
 			})
 		}
 	}
-	for _, s := range g.Slices.Slices() {
-		ind.Slices = append(ind.Slices, e2.SliceMeasurement{
+	g.snapSlices = g.Slices.AppendSlices(g.snapSlices[:0])
+	if len(g.snapSlices) > 0 {
+		ind.Slices = make([]e2.SliceMeasurement, len(g.snapSlices))
+	}
+	for i, s := range g.snapSlices {
+		ind.Slices[i] = e2.SliceMeasurement{
 			SliceID:   s.ID,
 			TargetBps: s.TargetRate(),
 			ServedBps: g.sliceRate[s.ID],
-		})
+		}
 	}
 	return ind
 }

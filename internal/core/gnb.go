@@ -45,6 +45,8 @@ type GNB struct {
 	sliceRate map[uint32]float64 // served-rate EWMA per slice, for E2 KPM
 	obsv      *gnbObs            // set by EnableObservability, nil otherwise
 	scratch   slotScratch
+	// snapSlices is Snapshot's copy of the slice list, reused under mu.
+	snapSlices []*slicing.Slice
 
 	// Causal tracing (EnableTracing). effect is the armed slot.effect span:
 	// set when a traced control is applied, closed at the end of the next

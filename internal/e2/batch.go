@@ -93,24 +93,28 @@ func appendBatchBody(b []byte, batch *IndicationBatch) []byte {
 	return w.b
 }
 
-// readBatchBody parses a batch body (binary layout).
-func readBatchBody(r *breader) (*IndicationBatch, error) {
+// readBatchBodyInto decodes a batch body (binary layout) into batch, each
+// entry in place.
+func readBatchBodyInto(r *breader, batch *IndicationBatch) error {
 	n, err := r.u16()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if int(n) > MaxBatchIndications {
-		return nil, fmt.Errorf("%w: batch of %d indications exceeds limit", ErrMalformed, n)
+		return fmt.Errorf("%w: batch of %d indications exceeds limit", ErrMalformed, n)
 	}
-	batch := &IndicationBatch{}
-	for i := 0; i < int(n); i++ {
-		ind, err := readIndicationBody(r)
-		if err != nil {
-			return nil, err
+	if r.left() < int(n)*minIndicationBytes {
+		return ErrMalformed
+	}
+	if n > 0 {
+		batch.Indications = make([]Indication, n)
+	}
+	for i := range batch.Indications {
+		if err := readIndicationBodyInto(r, &batch.Indications[i]); err != nil {
+			return err
 		}
-		batch.Indications = append(batch.Indications, *ind)
 	}
-	return batch, nil
+	return nil
 }
 
 // validateBatch checks batch-specific invariants beyond body presence.

@@ -1,6 +1,10 @@
 package e2
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+)
 
 // Body-level encoding of indications and control requests in the binary
 // codec's layout. These are the payloads crossing the xApp plugin boundary:
@@ -45,11 +49,22 @@ func AppendIndicationBody(b []byte, ind *Indication) []byte {
 	return w.b
 }
 
+// Encoded sizes the decoders check a declared count against before they
+// allocate for it, so a forged count costs nothing: one UE or slice row,
+// an indication body with no rows, and a control body with empty text and
+// blob.
+const (
+	ueRowBytes         = 24
+	sliceRowBytes      = 24
+	minIndicationBytes = 8 + 4 + 2 + 2
+	minControlBytes    = 1 + 4 + 4 + 8 + 2 + 4
+)
+
 // DecodeIndicationBody parses an encoded indication.
 func DecodeIndicationBody(b []byte) (*Indication, error) {
 	r := &breader{b: b}
-	ind, err := readIndicationBody(r)
-	if err != nil {
+	ind := &Indication{}
+	if err := readIndicationBodyInto(r, ind); err != nil {
 		return nil, err
 	}
 	if r.left() != 0 {
@@ -58,61 +73,57 @@ func DecodeIndicationBody(b []byte) (*Indication, error) {
 	return ind, nil
 }
 
-func readIndicationBody(r *breader) (*Indication, error) {
-	ind := &Indication{}
+// readIndicationBodyInto decodes an indication body into ind, its rows into
+// slices of exactly the declared length (nil for none).
+func readIndicationBodyInto(r *breader, ind *Indication) error {
 	var err error
 	if ind.Slot, err = r.u64(); err != nil {
-		return nil, err
+		return err
 	}
 	if ind.Cell, err = r.u32(); err != nil {
-		return nil, err
+		return err
 	}
 	nUE, err := r.u16()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	for i := 0; i < int(nUE); i++ {
-		var u UEMeasurement
-		if u.UEID, err = r.u32(); err != nil {
-			return nil, err
+	rows, err := r.take(int(nUE) * ueRowBytes)
+	if err != nil {
+		return err
+	}
+	if nUE > 0 {
+		ind.UEs = make([]UEMeasurement, nUE)
+	}
+	for i := range ind.UEs {
+		row := rows[i*ueRowBytes:]
+		ind.UEs[i] = UEMeasurement{
+			UEID:        binary.LittleEndian.Uint32(row),
+			SliceID:     binary.LittleEndian.Uint32(row[4:]),
+			MCS:         int32(binary.LittleEndian.Uint32(row[8:])),
+			BufferBytes: binary.LittleEndian.Uint32(row[12:]),
+			TputBps:     math.Float64frombits(binary.LittleEndian.Uint64(row[16:])),
 		}
-		if u.SliceID, err = r.u32(); err != nil {
-			return nil, err
-		}
-		mcs, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		u.MCS = int32(mcs)
-		if u.BufferBytes, err = r.u32(); err != nil {
-			return nil, err
-		}
-		if u.TputBps, err = r.f64(); err != nil {
-			return nil, err
-		}
-		ind.UEs = append(ind.UEs, u)
 	}
 	nSl, err := r.u16()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	for i := 0; i < int(nSl); i++ {
-		var s SliceMeasurement
-		if s.SliceID, err = r.u32(); err != nil {
-			return nil, err
-		}
-		if s.TargetBps, err = r.f64(); err != nil {
-			return nil, err
-		}
-		if s.ServedBps, err = r.f64(); err != nil {
-			return nil, err
-		}
-		if s.UsedPRBs, err = r.u32(); err != nil {
-			return nil, err
-		}
-		ind.Slices = append(ind.Slices, s)
+	if rows, err = r.take(int(nSl) * sliceRowBytes); err != nil {
+		return err
 	}
-	return ind, nil
+	if nSl > 0 {
+		ind.Slices = make([]SliceMeasurement, nSl)
+	}
+	for i := range ind.Slices {
+		row := rows[i*sliceRowBytes:]
+		ind.Slices[i] = SliceMeasurement{
+			SliceID:   binary.LittleEndian.Uint32(row),
+			TargetBps: math.Float64frombits(binary.LittleEndian.Uint64(row[4:])),
+			ServedBps: math.Float64frombits(binary.LittleEndian.Uint64(row[12:])),
+			UsedPRBs:  binary.LittleEndian.Uint32(row[20:]),
+		}
+	}
+	return nil
 }
 
 // AppendControlBody appends one encoded control request to b.
@@ -128,38 +139,37 @@ func AppendControlBody(b []byte, c *ControlRequest) []byte {
 	return w.b
 }
 
-func readControlBody(r *breader) (*ControlRequest, error) {
-	c := &ControlRequest{}
+// readControlBodyInto decodes one control request body into c.
+func readControlBodyInto(r *breader, c *ControlRequest) error {
 	a, err := r.u8()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	c.Action = ControlAction(a)
 	if c.SliceID, err = r.u32(); err != nil {
-		return nil, err
+		return err
 	}
 	if c.UEID, err = r.u32(); err != nil {
-		return nil, err
+		return err
 	}
 	if c.Value, err = r.f64(); err != nil {
-		return nil, err
+		return err
 	}
 	if c.Text, err = r.str(); err != nil {
-		return nil, err
+		return err
 	}
 	blobLen, err := r.u32()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if r.left() < int(blobLen) {
-		return nil, ErrMalformed
+	blob, err := r.take(int(blobLen))
+	if err != nil {
+		return err
 	}
 	if blobLen > 0 {
-		c.Blob = make([]byte, blobLen)
-		copy(c.Blob, r.b[r.pos:])
-		r.pos += int(blobLen)
+		c.Blob = append([]byte(nil), blob...)
 	}
-	return c, nil
+	return nil
 }
 
 // AppendControlList appends an encoded control list to b.
@@ -179,13 +189,14 @@ func DecodeControlList(b []byte) ([]ControlRequest, error) {
 	if err != nil {
 		return nil, err
 	}
-	list := make([]ControlRequest, 0, n)
-	for i := 0; i < int(n); i++ {
-		c, err := readControlBody(r)
-		if err != nil {
+	if r.left() < int(n)*minControlBytes {
+		return nil, ErrMalformed
+	}
+	list := make([]ControlRequest, n)
+	for i := range list {
+		if err := readControlBodyInto(r, &list[i]); err != nil {
 			return nil, err
 		}
-		list = append(list, *c)
 	}
 	if r.left() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes in control list", ErrMalformed, r.left())

@@ -17,6 +17,9 @@ import (
 type Codec interface {
 	Name() string
 	Encode(m *Message) ([]byte, error)
+	// Decode parses one frame payload. It must not keep b, or any part of
+	// it, after it returns: Conn.Recv reads the next frame into the same
+	// storage, so every string and byte slice of the message is a copy.
 	Decode(b []byte) (*Message, error)
 }
 
@@ -104,6 +107,17 @@ func (r *breader) f64() (float64, error) {
 	return math.Float64frombits(v), err
 }
 
+// take consumes the next n bytes, or fails without consuming any when
+// fewer are left.
+func (r *breader) take(n int) ([]byte, error) {
+	if n < 0 || r.left() < n {
+		return nil, ErrMalformed
+	}
+	b := r.b[r.pos : r.pos+n]
+	r.pos += n
+	return b, nil
+}
+
 func (r *breader) str() (string, error) {
 	n, err := r.u16()
 	if err != nil {
@@ -160,21 +174,46 @@ func (BinaryCodec) AppendEncode(dst []byte, m *Message) ([]byte, error) {
 	return w.b, nil
 }
 
-// Decode implements Codec.
+// Frames whose Message and body BinaryCodec.Decode allocates as one object:
+// the near-RT loop's indications, controls and acks, and batches.
+type (
+	indicationFrame struct {
+		msg Message
+		ind Indication
+	}
+	batchFrame struct {
+		msg   Message
+		batch IndicationBatch
+	}
+	controlFrame struct {
+		msg  Message
+		ctrl ControlRequest
+	}
+	ackFrame struct {
+		msg Message
+		ack ControlAck
+	}
+)
+
+// Decode implements Codec. An indication, batch, control or ack frame's
+// Message and body are one allocation, and rows are decoded in place into
+// storage sized from the frame's counts.
 func (BinaryCodec) Decode(b []byte) (*Message, error) {
 	r := &breader{b: b}
 	t, err := r.u8()
 	if err != nil {
 		return nil, err
 	}
-	m := &Message{Type: MessageType(t)}
-	if m.RequestID, err = r.u32(); err != nil {
+	reqID, err := r.u32()
+	if err != nil {
 		return nil, err
 	}
-	if m.RANFunction, err = r.u32(); err != nil {
+	ranFn, err := r.u32()
+	if err != nil {
 		return nil, err
 	}
-	switch m.Type {
+	var m *Message
+	switch MessageType(t) {
 	case TypeSubscriptionRequest:
 		sub := &SubscriptionRequest{}
 		if sub.ReportPeriodMs, err = r.u32(); err != nil {
@@ -191,7 +230,7 @@ func (BinaryCodec) Decode(b []byte) (*Message, error) {
 			}
 			sub.SliceIDs = append(sub.SliceIDs, id)
 		}
-		m.Subscription = sub
+		m = &Message{Subscription: sub}
 	case TypeSubscriptionResponse:
 		resp := &SubscriptionResponse{}
 		ok, err := r.u8()
@@ -202,36 +241,46 @@ func (BinaryCodec) Decode(b []byte) (*Message, error) {
 		if resp.Reason, err = r.str(); err != nil {
 			return nil, err
 		}
-		m.SubscriptionResp = resp
+		m = &Message{SubscriptionResp: resp}
 	case TypeIndication:
-		if m.Indication, err = readIndicationBody(r); err != nil {
+		f := &indicationFrame{}
+		if err := readIndicationBodyInto(r, &f.ind); err != nil {
 			return nil, err
 		}
+		f.msg.Indication = &f.ind
+		m = &f.msg
 	case TypeIndicationBatch:
-		if m.Batch, err = readBatchBody(r); err != nil {
+		f := &batchFrame{}
+		if err := readBatchBodyInto(r, &f.batch); err != nil {
 			return nil, err
 		}
+		f.msg.Batch = &f.batch
+		m = &f.msg
 	case TypeControlRequest:
-		if m.Control, err = readControlBody(r); err != nil {
+		f := &controlFrame{}
+		if err := readControlBodyInto(r, &f.ctrl); err != nil {
 			return nil, err
 		}
+		f.msg.Control = &f.ctrl
+		m = &f.msg
 	case TypeControlAck:
-		ack := &ControlAck{}
+		f := &ackFrame{}
 		ok, err := r.u8()
 		if err != nil {
 			return nil, err
 		}
-		ack.Accepted = ok != 0
-		if ack.Reason, err = r.str(); err != nil {
+		f.ack.Accepted = ok != 0
+		if f.ack.Reason, err = r.str(); err != nil {
 			return nil, err
 		}
-		m.ControlAck = ack
+		f.msg.ControlAck = &f.ack
+		m = &f.msg
 	case TypeError:
 		e := &ErrorBody{}
 		if e.Reason, err = r.str(); err != nil {
 			return nil, err
 		}
-		m.Error = e
+		m = &Message{Error: e}
 	case TypeBusy:
 		busy := &BusyBody{}
 		if busy.RetryAfterMs, err = r.u32(); err != nil {
@@ -240,11 +289,13 @@ func (BinaryCodec) Decode(b []byte) (*Message, error) {
 		if busy.Reason, err = r.str(); err != nil {
 			return nil, err
 		}
-		m.Busy = busy
+		m = &Message{Busy: busy}
 	case TypeHeartbeat:
+		m = &Message{}
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownType, t)
 	}
+	m.Type, m.RequestID, m.RANFunction = MessageType(t), reqID, ranFn
 	switch r.left() {
 	case 0: // untraced peer — the pre-trace wire format
 	case traceTrailerLen:

@@ -103,7 +103,9 @@ func TestTraceTrailerRejectsCorruption(t *testing.T) {
 // codecs and checks the trace-trailer contract on everything that decodes:
 // the untraced encoding is a strict byte prefix of the traced one (old
 // decoders see the exact pre-trace format), decoders tolerate absence, and
-// a traced frame round-trips its context.
+// a traced frame round-trips its context. It also checks the Codec
+// no-retain contract: a message decoded from bytes that are overwritten
+// afterwards re-encodes exactly as one decoded from a pristine copy.
 func FuzzMessageHeaderRoundTrip(f *testing.F) {
 	for _, msg := range sampleMessages() {
 		for _, codec := range traceCodecs() {
@@ -115,9 +117,20 @@ func FuzzMessageHeaderRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, tid, sid uint64) {
 		ctx := trace.Context{TraceID: tid | 1, SpanID: sid}
 		for _, codec := range traceCodecs() {
-			m, err := codec.Decode(data)
-			if err != nil || m.Validate() != nil {
+			m, ref, ok := decodeOverwritten(codec, data)
+			if !ok {
 				continue
+			}
+			got, err := codec.Encode(m)
+			if err != nil {
+				t.Fatalf("%s: re-encode: %v", codec.Name(), err)
+			}
+			want, err := codec.Encode(ref)
+			if err != nil {
+				t.Fatalf("%s: encode of the pristine decode: %v", codec.Name(), err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: the decoded message changed when its input was overwritten", codec.Name())
 			}
 			m.Trace = trace.Context{}
 			wireU, err := codec.Encode(m)

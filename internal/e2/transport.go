@@ -49,6 +49,12 @@ type Conn struct {
 	// each frame's 4-byte length header followed by its encoded payload,
 	// all written in one Write call.
 	sendBuf []byte
+	// recvHdr and recvBuf are the receiving goroutine's: the last frame's
+	// length header and payload storage, which the next frame overwrites
+	// when it fits. Codecs keep nothing of the bytes they decode (Codec),
+	// so no decoded message refers into recvBuf.
+	recvHdr [4]byte
+	recvBuf []byte
 
 	// Counters (obs.Counter is atomic: Stats may be read while Send/Recv
 	// run, or scraped through a registry).
@@ -156,19 +162,32 @@ func (c *Conn) FrameBuffered() bool {
 	return uint64(avail-4) >= uint64(binary.BigEndian.Uint32(hdr))
 }
 
-// Recv reads and decodes one message, blocking until available.
+// Recv reads and decodes one message, blocking until available. A frame
+// that fits the previous frame's buffer is read into it; a larger one is
+// read incrementally (readPayload), and its buffer replaces the kept one
+// only up to recvChunkBytes, so one large upload pins nothing.
 func (c *Conn) Recv() (*Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.br, c.recvHdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(c.recvHdr[:])
 	if n > MaxFrameBytes {
 		return nil, fmt.Errorf("e2: incoming frame of %d bytes exceeds limit", n)
 	}
-	payload, err := readPayload(c.br, int(n))
-	if err != nil {
-		return nil, err
+	var payload []byte
+	if int(n) <= cap(c.recvBuf) {
+		payload = c.recvBuf[:n]
+		if _, err := io.ReadFull(c.br, payload); err != nil {
+			return nil, err
+		}
+	} else {
+		var err error
+		if payload, err = readPayload(c.br, int(n)); err != nil {
+			return nil, err
+		}
+		if cap(payload) <= recvChunkBytes {
+			c.recvBuf = payload
+		}
 	}
 	decStart := time.Now()
 	m, err := c.codec.Decode(payload)

@@ -467,6 +467,7 @@ func (r *RIC) dispatchLoop(sh *shard, conn *e2.Conn, q *assocQueue) {
 	reqID := uint32(100)
 	applied := BrownoutNormal
 	var lastBusy time.Time
+	var sc dispatchScratch
 	for {
 		select {
 		case <-q.quit:
@@ -498,22 +499,31 @@ func (r *RIC) dispatchLoop(sh *shard, conn *e2.Conn, q *assocQueue) {
 				o.maybeEval(time.Now())
 				continue
 			}
-			start := time.Now()
-			controls, cctx := r.handleIndicationOn(sh, it.ind, it.ctx)
-			// The indication has reached the xApps, so it is delivered, and
-			// the ledger says so before the first control leaves: an agent
-			// that has applied the last control of a run finds offered ==
-			// delivered + shed + refused already true.
-			o.delivered.Inc()
-			// All of the indication's controls leave in one write. A send
-			// failure means the conn is dying; the receive loop observes it
-			// too and tears the association down.
-			_ = r.SendControl(conn, reqID+1, controls, cctx)
-			reqID += uint32(len(controls))
-			o.observeDispatch(time.Since(start))
-			o.maybeEval(time.Now())
+			reqID = r.dispatch(sh, conn, it, reqID, &sc)
 		}
 	}
+}
+
+// dispatch hands one indication to the xApps and sends its controls,
+// numbered on from reqID, in one write; it returns the last number used.
+// sc is the dispatcher's, reused from its previous indication.
+func (r *RIC) dispatch(sh *shard, conn *e2.Conn, it queuedInd, reqID uint32, sc *dispatchScratch) uint32 {
+	o := r.ov
+	start := time.Now()
+	controls, cctx := r.handleIndicationOn(sh, it.ind, it.ctx, sc)
+	// The indication has reached the xApps, so it is delivered, and the
+	// ledger says so before the first control leaves: an agent that has
+	// applied the last control of a run finds offered == delivered + shed +
+	// refused already true.
+	o.delivered.Inc()
+	// All of the indication's controls leave in one write. A send failure
+	// means the conn is dying; the receive loop observes it too and tears
+	// the association down.
+	_ = r.sendControl(conn, reqID+1, controls, cctx, sc)
+	clear(controls) // sent: drop their texts and blobs
+	o.observeDispatch(time.Since(start))
+	o.maybeEval(time.Now())
+	return reqID + uint32(len(controls))
 }
 
 // applyBrownout pushes a brownout level change onto one association: the

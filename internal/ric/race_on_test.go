@@ -1,0 +1,7 @@
+//go:build race
+
+package ric
+
+// raceEnabled reports whether the race detector is active; it allocates on
+// its own, so the allocation pins skip under it.
+const raceEnabled = true

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -259,10 +260,28 @@ func (r *RIC) HandleIndication(ind *e2.Indication) []e2.ControlRequest {
 // Direct calls account on shard 0; associations served by ServeConn account
 // on their own shard.
 func (r *RIC) HandleIndicationTraced(ind *e2.Indication, ctx trace.Context) ([]e2.ControlRequest, trace.Context) {
-	return r.handleIndicationOn(r.shards[0], ind, ctx)
+	var sc dispatchScratch
+	return r.handleIndicationOn(r.shards[0], ind, ctx, &sc)
 }
 
-func (r *RIC) handleIndicationOn(sh *shard, ind *e2.Indication, ctx trace.Context) ([]e2.ControlRequest, trace.Context) {
+// dispatchScratch is the storage one indication's dispatch reuses from the
+// last: the encoded indication the xApps read, their merged control list,
+// and the messages that list is sent as. An association's dispatcher owns
+// one and sends each list before it handles the next indication; a direct
+// caller gets a fresh one, so the list it is returned is its own.
+type dispatchScratch struct {
+	payload  []byte
+	controls []e2.ControlRequest
+	msgs     []e2.Message
+	ptrs     []*e2.Message
+}
+
+// maxRetainedPayload caps the encoded indication a dispatcher keeps between
+// indications, as the transport caps its buffers: one outsized report must
+// not pin its encoding for the association's life.
+const maxRetainedPayload = 64 << 10
+
+func (r *RIC) handleIndicationOn(sh *shard, ind *e2.Indication, ctx trace.Context, sc *dispatchScratch) ([]e2.ControlRequest, trace.Context) {
 	tracing := r.cfg.Tracer.Enabled() && ctx.Valid()
 	var start time.Time
 	if tracing {
@@ -282,8 +301,8 @@ func (r *RIC) handleIndicationOn(sh *shard, ind *e2.Indication, ctx trace.Contex
 	if r.KPM != nil {
 		r.KPM.Record(time.Now(), ind)
 	}
-	payload := e2.AppendIndicationBody(nil, ind)
-	var out []e2.ControlRequest
+	payload := e2.AppendIndicationBody(sc.payload[:0], ind)
+	out := sc.controls[:0]
 	for _, x := range r.xappSnapshot() {
 		list, err := x.invoke(r, payload)
 		if err != nil {
@@ -291,6 +310,10 @@ func (r *RIC) handleIndicationOn(sh *shard, ind *e2.Indication, ctx trace.Contex
 		}
 		out = append(out, list...)
 	}
+	if cap(payload) <= maxRetainedPayload {
+		sc.payload = payload
+	}
+	sc.controls = out
 	sh.indications.Inc()
 	if len(out) > 0 {
 		sh.controls.Add(uint64(len(out)))
@@ -317,6 +340,12 @@ func (r *RIC) LastIndicationTrace() trace.Context {
 // only pass a live parent on associations whose agent negotiated trace
 // capability — old decoders reject unexpected trailers.
 func (r *RIC) SendControl(conn *e2.Conn, reqID uint32, cs []e2.ControlRequest, parent trace.Context) error {
+	var sc dispatchScratch
+	return r.sendControl(conn, reqID, cs, parent, &sc)
+}
+
+// sendControl is SendControl framing cs in sc's messages.
+func (r *RIC) sendControl(conn *e2.Conn, reqID uint32, cs []e2.ControlRequest, parent trace.Context, sc *dispatchScratch) error {
 	if len(cs) == 0 {
 		return nil
 	}
@@ -325,21 +354,24 @@ func (r *RIC) SendControl(conn *e2.Conn, reqID uint32, cs []e2.ControlRequest, p
 	if traced {
 		transportID = trace.NewSpanID()
 	}
-	msgs := make([]e2.Message, len(cs))
-	var small [4]*e2.Message // an xApp round's usual list: no allocation
-	ptrs := small[:0]
+	msgs := slices.Grow(sc.msgs[:0], len(cs))
 	for i := range cs {
-		msgs[i] = e2.Message{
+		m := e2.Message{
 			Type:        e2.TypeControlRequest,
 			RequestID:   reqID + uint32(i),
 			RANFunction: e2.RANFunctionRC,
 			Control:     &cs[i],
 		}
 		if traced {
-			msgs[i].Trace = trace.Context{TraceID: parent.TraceID, SpanID: transportID}
+			m.Trace = trace.Context{TraceID: parent.TraceID, SpanID: transportID}
 		}
+		msgs = append(msgs, m)
+	}
+	ptrs := slices.Grow(sc.ptrs[:0], len(msgs))
+	for i := range msgs {
 		ptrs = append(ptrs, &msgs[i])
 	}
+	sc.msgs, sc.ptrs = msgs, ptrs
 	if !traced {
 		return conn.SendAll(ptrs...)
 	}
