@@ -116,6 +116,26 @@ func TestStepAllocsPooledPlugin(t *testing.T) {
 	}
 }
 
+// TestStepAllStripedAllocs pins the stripe hand-off: a slot stepped on two
+// stripes allocates no more than the same group stepped on one. The worker
+// that steps stripe 1 is the same goroutine slot after slot, so the slot
+// spawns nothing and captures nothing.
+func TestStepAllStripedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	twoStripes(t)
+	serial, striped := pooledGroup(t, 4, 1), pooledGroup(t, 4, 2)
+	if striped.parallelism() != 2 {
+		t.Fatalf("%d stripes, want 2", striped.parallelism())
+	}
+	for i := 0; i < 200; i++ {
+		serial.StepAll()
+	}
+	want := testing.AllocsPerRun(200, func() { serial.StepAll() })
+	pinAllocs(t, want, func() { striped.StepAll() })
+}
+
 // TestSlotResultValidUntilNextStep is the lifetime rule as a test: the
 // result a Step returns is the cell's slot scratch, so the next Step
 // overwrites it and a Clone is what survives.

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"waran/internal/guard"
@@ -55,6 +56,17 @@ type CellGroup struct {
 	slot    uint64
 	results []SlotResult // what StepAll returns, refilled every slot
 
+	// The stripe hand-off (StepAll). stripes is the slot's stripe count,
+	// written before a slot is posted; workers[w-1] serves stripe w. gapNs
+	// and returnedNs are the caller's last gap between StepAll calls and
+	// the clock at its last return, which workers read to decide whether
+	// slots come back to back.
+	epoch      time.Time
+	stripes    int
+	workers    []*stripeWorker
+	gapNs      atomic.Int64
+	returnedNs atomic.Int64
+
 	// flight is the incident journal (nil = off). Set via SetFlightRecorder
 	// before the slot loop starts; stepCell reads it without synchronization
 	// on the same set-before-run contract as PluginEnv.
@@ -94,6 +106,7 @@ func NewCellGroup(cell ran.CellConfig, cfg CellGroupConfig) (*CellGroup, error) 
 		Modules: wabi.NewModuleCache(),
 		watch:   make([]*metrics.DeadlineMeter, cfg.Cells),
 		results: make([]SlotResult, cfg.Cells),
+		epoch:   time.Now(),
 	}
 	for i := range cg.cells {
 		g, err := NewGNB(cell)
@@ -117,11 +130,15 @@ func (cg *CellGroup) Cell(i int) *GNB { return cg.cells[i] }
 // Slot returns the group slot counter (slots completed by StepAll).
 func (cg *CellGroup) Slot() uint64 { return cg.slot }
 
-// parallelism resolves the effective worker count for this group.
+// parallelism resolves the effective stripe count for this slot:
+// Parallelism (0 meaning GOMAXPROCS), capped at the cell count and at
+// GOMAXPROCS. A stripe that cannot run alongside the others would only add a
+// worker polling for the P the caller holds.
 func (cg *CellGroup) parallelism() int {
+	procs := runtime.GOMAXPROCS(0)
 	p := cg.cfg.Parallelism
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
+	if p <= 0 || p > procs {
+		p = procs
 	}
 	if p > len(cg.cells) {
 		p = len(cg.cells)
@@ -136,46 +153,168 @@ func (cg *CellGroup) parallelism() int {
 // SlotResult in it are the group's and the cells' own storage, valid until
 // the next StepAll.
 func (cg *CellGroup) StepAll() []SlotResult {
-	results := cg.results
-	if par := cg.parallelism(); par > 1 {
-		cg.stepStripes(par, results)
-	} else {
-		cg.stepStripe(0, 1, results)
+	par := cg.parallelism()
+	if par > 1 {
+		cg.post(par)
+	}
+	cg.stepStripe(0, par)
+	if par > 1 {
+		cg.join(par)
 	}
 	cg.slot++
-	return results
+	return cg.results
 }
 
 // stepStripe steps cells w, w+par, w+2*par, ... on the calling goroutine.
-func (cg *CellGroup) stepStripe(w, par int, results []SlotResult) {
+func (cg *CellGroup) stepStripe(w, par int) {
 	for i := w; i < len(cg.cells); i += par {
-		cg.stepCell(i, results)
+		cg.stepCell(i)
 	}
 }
 
-// stepStripes runs stripe 0 on the caller and stripes 1..par-1 on
-// goroutines, and returns when all have finished. It is a function of its
-// own, entered only when par > 1, because the WaitGroup the goroutines
-// capture is heap-allocated wherever it is declared: in StepAll it would
-// cost the serial path an allocation per slot.
-func (cg *CellGroup) stepStripes(par int, results []SlotResult) {
-	var wg sync.WaitGroup
-	wg.Add(par - 1)
-	for w := 1; w < par; w++ {
-		go func(w int) {
-			defer wg.Done()
-			cg.stepStripe(w, par, results)
-		}(w)
-	}
-	cg.stepStripe(0, par, results)
-	wg.Wait()
+// stripeWorker is the hand-off to the goroutine that steps one stripe other
+// than stripe 0. The caller bumps req to post a slot; the worker steps its
+// stripe and stores the slot's sequence number in done. At most one
+// goroutine serves a stripe: whoever sets running starts or keeps it.
+type stripeWorker struct {
+	req     atomic.Uint64 // metric-exempt: slot hand-off sequence, not telemetry
+	done    atomic.Uint64 // metric-exempt: slot hand-off sequence, not telemetry
+	running atomic.Bool
+	// wake carries the completion of a worker's first slot, the one slot
+	// the caller blocks for instead of polling (buffered: never blocks).
+	wake chan struct{}
+	// cold is the caller's own note that it started this slot's worker.
+	cold bool
 }
+
+// A waiting worker checks its request counter spinPolls times between a
+// yield and a clock read. It waits on-CPU only while slots come back to
+// back: while the caller's last gap between StepAll calls was under a
+// gapDivisor-th of the worker's own stripe step and under maxWait
+// (awaitSlot). A waiting worker holds a P that the network poller and the
+// timers of the rest of the program cannot use, so a caller that rests
+// longer than maxWait between slots — one that sleeps or does I/O there —
+// gets no waiting worker: polling through such gaps cost -fig citysim
+// 5–9 % of its cell-slots/s.
+const (
+	spinPolls  = 32
+	gapDivisor = 8
+	maxWait    = int64(50 * time.Microsecond)
+)
+
+// post publishes a slot to stripes 1..par-1. A stripe whose worker is still
+// waiting on-CPU picks the slot up from its counter; any other gets a fresh
+// goroutine, which is what a slot cost before workers waited.
+//
+// A goroutine readied while the other P sleeps starts only when its readier
+// blocks, so a worker parked on a channel or semaphore runs after stripe 0,
+// not beside it. Only a worker that is already on a CPU when the slot is
+// posted steps its stripe in parallel.
+func (cg *CellGroup) post(par int) {
+	now := cg.clock()
+	cg.gapNs.Store(now - cg.returnedNs.Load())
+	cg.stripes = par
+	for len(cg.workers) < par-1 {
+		cg.workers = append(cg.workers, &stripeWorker{wake: make(chan struct{}, 1)})
+	}
+	for w := 1; w < par; w++ {
+		sw := cg.workers[w-1]
+		sw.req.Add(1)
+		sw.cold = sw.running.CompareAndSwap(false, true)
+		if sw.cold {
+			go cg.runStripe(w, sw)
+		}
+	}
+}
+
+// join waits for stripes 1..par-1 of the posted slot. It polls a worker
+// that was already running, and blocks on the channel of one it started:
+// the started goroutine may only get the caller's P once the caller blocks.
+func (cg *CellGroup) join(par int) {
+	for _, sw := range cg.workers[:par-1] {
+		if sw.cold {
+			<-sw.wake
+			continue
+		}
+		seq := sw.req.Load()
+		for i := 1; sw.done.Load() != seq; i++ {
+			if i%spinPolls == 0 {
+				runtime.Gosched()
+			}
+		}
+	}
+	cg.returnedNs.Store(cg.clock())
+}
+
+// runStripe is a stripe worker: it steps stripe w for every slot posted to
+// sw until the slots stop coming back to back, then returns. Its first slot
+// is the one the caller blocks for; it polls for every later one.
+func (cg *CellGroup) runStripe(w int, sw *stripeWorker) {
+	for first := true; ; first = false {
+		// Step only a slot nobody has served. A worker the caller posted to
+		// can serve the slot and exit before the caller's CAS, which then
+		// starts a second worker for a slot already done; and a worker that
+		// retakes running below can find its slot served by that second one.
+		seq, finish, step := sw.req.Load(), cg.clock(), int64(0)
+		if seq != sw.done.Load() {
+			cg.stepStripe(w, cg.stripes)
+			start := finish
+			finish = cg.clock()
+			step = finish - start
+			sw.done.Store(seq)
+		}
+		if first {
+			sw.wake <- struct{}{}
+		}
+		if !cg.awaitSlot(sw, seq, finish, step) {
+			// Clear running, then look once more: a slot posted before the
+			// clear was posted to a running worker, which must serve it.
+			sw.running.Store(false)
+			if sw.req.Load() == seq || !sw.running.CompareAndSwap(false, true) {
+				return
+			}
+		}
+	}
+}
+
+// awaitSlot polls sw's request counter on-CPU for the slot after served and
+// reports whether one was posted. With bound a gapDivisor-th of the stripe
+// step the worker just took, at most maxWait, it waits only while the
+// caller's last gap between slots was under bound, and then until the
+// caller has been out of StepAll for bound — or, while the caller is still
+// joining the slot the worker finished at finish, for at most another
+// stripe step.
+func (cg *CellGroup) awaitSlot(sw *stripeWorker, served uint64, finish, step int64) bool {
+	bound := min(step/gapDivisor, maxWait)
+	if cg.gapNs.Load() >= bound {
+		return false
+	}
+	for {
+		for i := 0; i < spinPolls; i++ {
+			if sw.req.Load() != served {
+				return true
+			}
+		}
+		runtime.Gosched()
+		now, returned := cg.clock(), cg.returnedNs.Load()
+		if returned < finish {
+			if now-finish > step {
+				return false
+			}
+		} else if now-returned > bound {
+			return false
+		}
+	}
+}
+
+// clock is monotonic nanoseconds since the group was built.
+func (cg *CellGroup) clock() int64 { return int64(time.Since(cg.epoch)) }
 
 // stepCell runs one cell's slot under the deadline watchdog. Cell i belongs
 // to exactly one stripe, so its meter is written by one goroutine.
-func (cg *CellGroup) stepCell(i int, results []SlotResult) {
+func (cg *CellGroup) stepCell(i int) {
 	start := time.Now()
-	results[i] = cg.cells[i].Step()
+	cg.results[i] = cg.cells[i].Step()
 	dur := time.Since(start)
 	if cg.watch[i].Observe(dur) {
 		// Journal the miss on the rare edge only; the common in-budget slot

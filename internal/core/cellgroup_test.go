@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -150,6 +151,162 @@ func TestCellGroupDeterminism(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// withProcs sets GOMAXPROCS to n for the rest of the test.
+func withProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// twoStripes gives the test at least two Ps, so a group at Parallelism 2
+// runs a stripe worker whatever the machine's CPU count.
+func twoStripes(t *testing.T) {
+	t.Helper()
+	if runtime.GOMAXPROCS(0) < 2 {
+		withProcs(t, 2)
+	}
+}
+
+// pooledGroup is buildGroup with both slices scheduled by group-wide pooled
+// plugins, the configuration TestCellGroupDeterminism steps.
+func pooledGroup(t testing.TB, cells, parallelism int) *CellGroup {
+	t.Helper()
+	cg := buildGroup(t, cells, parallelism)
+	for id, name := range map[uint32]string{1: "rr", 2: "pf"} {
+		if _, err := cg.InstallPooledScheduler(id, name, wabi.Policy{}, 2*cells); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cg
+}
+
+// TestCellGroupDeterminismOneP runs the determinism table again with a
+// single P, where every Parallelism resolves to one stripe on the caller: a
+// stripe that waited for the P its caller holds would hang here.
+func TestCellGroupDeterminismOneP(t *testing.T) {
+	withProcs(t, 1)
+	TestCellGroupDeterminism(t)
+}
+
+// TestParallelismCapsAtGOMAXPROCS: the stripe count is Parallelism (0
+// meaning GOMAXPROCS) capped at the cell count and at GOMAXPROCS.
+func TestParallelismCapsAtGOMAXPROCS(t *testing.T) {
+	for _, procs := range []int{1, 2, 4} {
+		withProcs(t, procs)
+		for _, tc := range []struct{ cells, par, want int }{
+			{8, 0, min(8, procs)},
+			{8, 1, 1},
+			{8, 3, min(3, procs)},
+			{8, 8, procs},
+			{3, 8, min(3, procs)},
+			{1, 0, 1},
+		} {
+			cg, err := NewCellGroup(ran.CellConfig{}, CellGroupConfig{Cells: tc.cells, Parallelism: tc.par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := cg.parallelism(); got != tc.want {
+				t.Fatalf("GOMAXPROCS=%d cells=%d Parallelism=%d: %d stripes, want %d",
+					procs, tc.cells, tc.par, got, tc.want)
+			}
+		}
+	}
+}
+
+// waitGoroutines polls until at most n goroutines are left, for up to 1 s.
+func waitGoroutines(t *testing.T, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 1 s after the last slot, want at most %d", runtime.NumGoroutine(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestStripeWorkersDoNotOutliveTheSlots: a group stepped on two stripes
+// leaves no goroutine behind once its slots stop — there is no Close — and,
+// stepped again, goes on producing its serial twin's results. The bursts
+// step back to back, so the worker is waiting on-CPU when they end.
+func TestStripeWorkersDoNotOutliveTheSlots(t *testing.T) {
+	twoStripes(t)
+	const cells = 4
+	before := runtime.NumGoroutine()
+	striped, serial := pooledGroup(t, cells, 2), pooledGroup(t, cells, 1)
+
+	lockstep := func(slots int) {
+		t.Helper()
+		for s := 0; s < slots; s++ {
+			if got, want := striped.StepAll(), serial.StepAll(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("slot %d: striped results differ from the serial twin's\nserial:  %+v\nstriped: %+v",
+					striped.Slot(), want, got)
+			}
+		}
+	}
+	burst := func(slots int) {
+		t.Helper()
+		for s := 0; s < slots; s++ {
+			striped.StepAll()
+		}
+		for s := 0; s < slots; s++ {
+			serial.StepAll()
+		}
+		lockstep(1)
+	}
+
+	lockstep(50)
+	burst(200)
+	waitGoroutines(t, before)
+	lockstep(50)
+	burst(200)
+	waitGoroutines(t, before)
+}
+
+// TestStartedWorkerStepsNoServedSlot: the worker the caller found running
+// can serve a posted slot and exit before the caller's CAS, so the caller
+// starts a second worker for a slot already done. That worker must answer
+// the caller's wait without stepping its cells a second time.
+func TestStartedWorkerStepsNoServedSlot(t *testing.T) {
+	cg := buildGroup(t, 4, 2)
+	cg.stripes = 2
+	sw := &stripeWorker{wake: make(chan struct{}, 1)}
+	sw.req.Store(5)
+	sw.done.Store(5)
+	sw.running.Store(true)
+	cg.runStripe(1, sw)
+	select {
+	case <-sw.wake:
+	default:
+		t.Fatal("the started worker returned without waking the caller")
+	}
+	for _, i := range []int{1, 3} {
+		if s := cg.Cell(i).Slot(); s != 0 {
+			t.Fatalf("cell %d stepped to slot %d for a slot already served", i, s)
+		}
+	}
+	if sw.running.Load() || sw.done.Load() != 5 {
+		t.Fatalf("running=%v done=%d after the worker returned, want false and 5", sw.running.Load(), sw.done.Load())
+	}
+}
+
+// TestPacedStepAllLeavesNoWorkerBetweenSlots: when the caller rests for
+// many stripe steps between slots, as a real-time slot clock does, the
+// worker does not wait for the next slot — every slot starts a new one.
+func TestPacedStepAllLeavesNoWorkerBetweenSlots(t *testing.T) {
+	twoStripes(t)
+	cg := pooledGroup(t, 4, 2)
+	start := time.Now()
+	cg.StepAll()
+	pause := max(10*time.Since(start), 5*time.Millisecond)
+	for s := 0; s < 20; s++ {
+		time.Sleep(pause)
+		cg.StepAll()
+		if !cg.workers[0].cold {
+			t.Fatalf("slot %d was posted to a worker still running %v after the last slot", cg.Slot(), pause)
 		}
 	}
 }
