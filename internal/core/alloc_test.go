@@ -152,14 +152,15 @@ func TestSlotResultValidUntilNextStep(t *testing.T) {
 		t.Fatalf("first slot granted nothing: %+v", want)
 	}
 
-	// Detaching the granted UEs makes the second slot's maps differ in keys,
-	// not only in values.
-	for id := range want.PerUE {
-		if err := g.DetachUE(id); err != nil {
-			t.Fatal(err)
-		}
+	// Detaching the first granted UE makes the second slot's first grant
+	// name another UE, so the entries differ in IDs, not only in values.
+	if err := g.DetachUE(want.PerUE[0].UEID); err != nil {
+		t.Fatal(err)
 	}
 	second := g.Step()
+	if len(second.PerUE) == 0 {
+		t.Fatal("second slot granted nothing")
+	}
 
 	if !reflect.DeepEqual(kept, want) {
 		t.Fatalf("a cloned result changed under the next Step:\n got %+v\nwant %+v", kept, want)
@@ -167,10 +168,10 @@ func TestSlotResultValidUntilNextStep(t *testing.T) {
 	if first.Slot != 0 || second.Slot != 1 {
 		t.Fatalf("slots %d, %d", first.Slot, second.Slot)
 	}
-	if reflect.DeepEqual(first.PerUE, want.PerUE) {
-		t.Fatal("the uncopied result still reads as slot 0: Step no longer reuses its maps")
+	if first.PerUE[0] == want.PerUE[0] {
+		t.Fatal("the uncopied result still reads as slot 0: Step no longer reuses its grant array")
 	}
-	if !reflect.DeepEqual(first.PerUE, second.PerUE) || !reflect.DeepEqual(first.PerSlice, second.PerSlice) {
+	if &first.PerUE[0] != &second.PerUE[0] || !reflect.DeepEqual(first.PerSlice, second.PerSlice) {
 		t.Fatal("the uncopied result does not alias the next slot's")
 	}
 }

@@ -234,7 +234,13 @@ func RunFig5b(duration time.Duration, pfTimeConstant float64) (*Fig5bResult, err
 		}
 		r := gnb.Step()
 		for _, ue := range gnb.UEs() {
-			meters[ue.ID].AddSlot(r.PerUE[ue.ID].Bits)
+			var bits int64
+			for _, gr := range r.PerUE {
+				if gr.UEID == ue.ID {
+					bits = gr.Bits
+				}
+			}
+			meters[ue.ID].AddSlot(bits)
 		}
 	}
 

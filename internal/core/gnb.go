@@ -7,6 +7,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -37,10 +38,9 @@ type GNB struct {
 	group     *CellGroup // the group g is a cell of; nil for a lone gNB
 	mu        sync.Mutex
 	ues       []*ran.UE
-	byID      map[uint32]*ran.UE
+	byID      map[uint32]*ran.UE // the admin paths: attach, detach, UE
 	fleet     *ran.UEFleet       // aggregate population, nil unless AttachFleet
 	fleetWin  []*ran.UE          // fleet UEs materialized for the current slot
-	fleetByID map[uint32]*ran.UE // grant lookup for the materialized window
 	slot      uint64
 	sliceRate map[uint32]float64 // served-rate EWMA per slice, for E2 KPM
 	obsv      *gnbObs            // set by EnableObservability, nil otherwise
@@ -62,10 +62,17 @@ type GNB struct {
 // steady-state slot allocates nothing: it is overwritten under mu by the
 // next Step, which is why a SlotResult is valid only until then.
 type slotScratch struct {
-	slices  []*slicing.Slice    // this slot's slice list, registration order
+	slices []*slicing.Slice // this slot's slice list, registration order
+	// ues is this slot's UEs, the attached ones then the fleet window; index
+	// maps a UE ID to its position there (the first: an attached UE shadows
+	// a fleet UE of the same ID) and granted marks the positions served.
+	ues     []*ran.UE
+	index   sched.IDIndex
+	granted []bool
+	grants  []UEGrant           // the array behind res.PerUE
 	reqs    []sched.Request     // one per slice; reqs[i].UEs is the slice's UE view
 	demands []sched.SliceDemand // one per slice
-	res     SlotResult          // the maps every Step clears and refills
+	res     SlotResult          // what every Step empties and refills
 	event   obs.SlotEvent       // the trace entry, copied into the ring
 }
 
@@ -92,10 +99,7 @@ func NewGNB(cell ran.CellConfig) (*GNB, error) {
 		Modules:   wabi.NewModuleCache(),
 		byID:      make(map[uint32]*ran.UE),
 		sliceRate: make(map[uint32]float64),
-		scratch: slotScratch{res: SlotResult{
-			PerUE:    make(map[uint32]UEGrant),
-			PerSlice: make(map[uint32]SliceSlot),
-		}},
+		scratch:   slotScratch{res: SlotResult{PerSlice: make(map[uint32]SliceSlot)}},
 	}, nil
 }
 
@@ -144,7 +148,6 @@ func (g *GNB) AttachFleet(f *ran.UEFleet) error {
 		}
 	}
 	g.fleet = f
-	g.fleetByID = make(map[uint32]*ran.UE, f.ActiveK())
 	return nil
 }
 
@@ -198,8 +201,9 @@ func (g *GNB) Slot() uint64 {
 	return g.slot
 }
 
-// UEGrant is the outcome of one slot for one UE.
+// UEGrant is the outcome of one slot for one granted UE.
 type UEGrant struct {
+	UEID uint32
 	PRBs uint32
 	Bits int64
 }
@@ -212,31 +216,34 @@ type SliceSlot struct {
 	UsedFallback bool
 }
 
-// SlotResult reports everything that happened in one slot. Its maps are the
-// cell's own slot scratch: a result is valid until that cell's next Step,
-// which clears and refills them. Clone what must outlive it.
+// SlotResult reports everything that happened in one slot. PerUE lists the
+// grants in the order they were applied, slice by slice; a UE without a
+// grant is absent. PerUE's array and the PerSlice map are the cell's own slot
+// scratch: a result is valid until that cell's next Step, which empties and
+// refills them. Clone what must outlive it.
 type SlotResult struct {
 	Slot     uint64
-	PerUE    map[uint32]UEGrant
+	PerUE    []UEGrant
 	PerSlice map[uint32]SliceSlot
 }
 
 // Clone returns a copy that the cell's next Step leaves alone.
 func (r SlotResult) Clone() SlotResult {
-	return SlotResult{Slot: r.Slot, PerUE: maps.Clone(r.PerUE), PerSlice: maps.Clone(r.PerSlice)}
+	return SlotResult{Slot: r.Slot, PerUE: slices.Clone(r.PerUE), PerSlice: maps.Clone(r.PerSlice)}
 }
 
 // Step advances the gNB by one slot: traffic and channel evolution,
 // inter-slice division, intra-slice decisions (with fault protection), and
 // grant application. The result is valid until the next Step (see
-// SlotResult).
+// SlotResult). Every grant is resolved to its UE through one ID index built
+// per slot, so the decision path does no map operation per UE.
 func (g *GNB) Step() SlotResult {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	sc := &g.scratch
-	res := sc.res
+	res := &sc.res
 	res.Slot = g.slot
-	clear(res.PerUE)
+	grants := sc.grants[:0]
 	clear(res.PerSlice)
 
 	o := g.obsv
@@ -251,17 +258,21 @@ func (g *GNB) Step() SlotResult {
 	}
 
 	// 1. Evolve traffic and channels; materialize this slot's fleet window
-	// (its arrivals since last touch are accrued lazily inside Advance).
+	// (its arrivals since last touch are accrued lazily inside Advance) and
+	// index the slot's UEs by ID.
 	for _, u := range g.ues {
 		u.StepSlot(g.slot, g.Cell.SlotDuration)
 	}
 	if g.fleet != nil {
 		g.fleetWin = g.fleet.Advance(g.slot, g.Cell.SlotDuration)
-		clear(g.fleetByID)
-		for _, u := range g.fleetWin {
-			g.fleetByID[u.ID] = u
-		}
 	}
+	sc.ues = append(append(sc.ues[:0], g.ues...), g.fleetWin...)
+	ues := sc.ues
+	sc.index.Reset(len(ues))
+	for i, u := range ues {
+		sc.index.Add(u.ID, uint32(i))
+	}
+	sc.granted = append(sc.granted[:0], make([]bool, len(ues))...)
 
 	// 2. Build per-slice UE views and demands.
 	sc.slices = g.Slices.AppendSlices(sc.slices[:0])
@@ -273,31 +284,25 @@ func (g *GNB) Step() SlotResult {
 	for i, s := range slices {
 		view := sc.reqs[i].UEs[:0]
 		var demandPRBs uint64
-		for _, pool := range [2][]*ran.UE{g.ues, g.fleetWin} {
-			for _, u := range pool {
-				if u.SliceID != s.ID {
-					continue
-				}
-				per := uint32(g.Cell.BitsPerPRB(u.MCS))
-				view = append(view, sched.UEInfo{
-					ID:          u.ID,
-					MCS:         int32(u.MCS),
-					BitsPerPRB:  per,
-					BufferBytes: u.BufferBytes(),
-					AvgTputBps:  u.AvgTputBps,
-				})
-				if per > 0 && u.BufferBits > 0 {
-					demandPRBs += (uint64(u.BufferBits) + uint64(per) - 1) / uint64(per)
-				}
+		for _, u := range ues {
+			if u.SliceID != s.ID {
+				continue
+			}
+			per := uint32(g.Cell.BitsPerPRB(u.MCS))
+			view = append(view, sched.UEInfo{
+				ID:          u.ID,
+				MCS:         int32(u.MCS),
+				BitsPerPRB:  per,
+				BufferBytes: u.BufferBytes(),
+				AvgTputBps:  u.AvgTputBps,
+			})
+			if per > 0 && u.BufferBits > 0 {
+				demandPRBs += (uint64(u.BufferBits) + uint64(per) - 1) / uint64(per)
 			}
 		}
 		sc.reqs[i].UEs = view
-		d := sched.SliceDemand{
-			SliceID:       s.ID,
-			TargetRateBps: s.TargetRate(),
-			AchievedBps:   g.sliceRate[s.ID],
-			Weight:        s.Weight(),
-		}
+		d := sched.SliceDemand{SliceID: s.ID, AchievedBps: g.sliceRate[s.ID]}
+		d.TargetRateBps, d.Weight = s.TargetAndWeight()
 		if demandPRBs > uint64(g.Cell.PRBs) {
 			demandPRBs = uint64(g.Cell.PRBs)
 		}
@@ -322,26 +327,23 @@ func (g *GNB) Step() SlotResult {
 			continue
 		}
 		req.SliceID, req.Slot, req.PRBBudget = s.ID, g.slot, budget
-		before := s.Stats().FallbackSlots
 		var schedStart time.Time
 		if o != nil {
 			schedStart = time.Now()
 		}
-		resp, err := g.Slices.Schedule(s, req)
+		resp, fellBack, err := g.Slices.Schedule(s, req)
 		if err != nil {
 			// Both plugin and fallback failed; skip the slice this slot.
 			res.PerSlice[s.ID] = ss
 			continue
 		}
-		ss.UsedFallback = s.Stats().FallbackSlots > before
+		ss.UsedFallback = fellBack
 		for _, a := range resp.Allocs {
-			u, ok := g.byID[a.UEID]
-			if !ok {
-				u, ok = g.fleetByID[a.UEID]
-			}
+			pos, ok := sc.index.Get(a.UEID)
 			if !ok {
 				continue
 			}
+			u := ues[pos]
 			tbs := int64(g.Cell.TransportBlockBits(u.MCS, int(a.PRBs)))
 			served := tbs
 			if served > u.BufferBits {
@@ -356,7 +358,8 @@ func (g *GNB) Step() SlotResult {
 				}
 			}
 			u.RecordService(served, g.Cell.SlotDuration, g.PFTimeConstant)
-			res.PerUE[a.UEID] = UEGrant{PRBs: a.PRBs, Bits: served}
+			sc.granted[pos] = true
+			grants = append(grants, UEGrant{UEID: a.UEID, PRBs: a.PRBs, Bits: served})
 			ss.GrantedPRBs += a.PRBs
 			ss.Bits += served
 		}
@@ -366,12 +369,12 @@ func (g *GNB) Step() SlotResult {
 		}
 	}
 
+	sc.grants, res.PerUE = grants, grants
+
 	// UEs with no grant still update their PF average (toward zero).
-	for _, pool := range [2][]*ran.UE{g.ues, g.fleetWin} {
-		for _, u := range pool {
-			if _, granted := res.PerUE[u.ID]; !granted {
-				u.RecordService(0, g.Cell.SlotDuration, g.PFTimeConstant)
-			}
+	for i, u := range ues {
+		if !sc.granted[i] {
+			u.RecordService(0, g.Cell.SlotDuration, g.PFTimeConstant)
 		}
 	}
 	// Fold the window's outcomes back into the fleet's compact arrays and
@@ -402,7 +405,7 @@ func (g *GNB) Step() SlotResult {
 		g.effect = nil
 	}
 	g.slot++
-	return res
+	return *res
 }
 
 // EnableTracing attaches the causal tracing layer: traced control requests

@@ -85,10 +85,10 @@ func TestStepConservation(t *testing.T) {
 			t.Fatalf("slot %d: per-slice and per-UE accounting disagree", slot)
 		}
 		// Bits served per UE cannot exceed the TBS of its grant.
-		for id, g := range r.PerUE {
-			ue, _ := gnb.UE(id)
+		for _, g := range r.PerUE {
+			ue, _ := gnb.UE(g.UEID)
 			if max := int64(gnb.Cell.TransportBlockBits(ue.MCS, int(g.PRBs))); g.Bits > max {
-				t.Fatalf("slot %d: UE %d served %d bits > TBS %d", slot, id, g.Bits, max)
+				t.Fatalf("slot %d: UE %d served %d bits > TBS %d", slot, g.UEID, g.Bits, max)
 			}
 		}
 	}
@@ -353,8 +353,8 @@ func TestGNBFleetScheduling(t *testing.T) {
 	var fleetBits int64
 	for i := 0; i < 256; i++ {
 		res := g.Step()
-		for id, gr := range res.PerUE {
-			if id >= 1<<20 { // fleet BaseID default
+		for _, gr := range res.PerUE {
+			if gr.UEID >= 1<<20 { // fleet BaseID default
 				fleetBits += gr.Bits
 			}
 		}

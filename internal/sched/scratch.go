@@ -3,21 +3,25 @@ package sched
 import "sync"
 
 // scratch is the working memory one scheduling decision or validation needs:
-// a UE-ID map, the per-UE entries the native policies rank, and round-robin's
-// running grants. Requests must not carry pointers (callers copy them by
-// value) and the native schedulers are plain values, so the memory is
-// borrowed from a pool for the duration of one call and holds nothing
-// afterwards.
+// a UE-ID index, the per-UE entries the native policies rank, and
+// round-robin's running grants. Requests must not carry pointers (callers
+// copy them by value) and the native schedulers are plain values, so the
+// memory is borrowed from a pool for the duration of one call and holds
+// nothing afterwards.
 type scratch struct {
-	ids    map[uint32]uint32 // cleared by its user, buckets kept
+	ids    IDIndex // Reset by its user; putScratch drops an outsized table
 	ents   []ueEntry
 	grants []uint32
 }
 
-var scratchPool = sync.Pool{New: func() any { return &scratch{ids: make(map[uint32]uint32)} }}
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-func getScratch() *scratch  { return scratchPool.Get().(*scratch) }
-func putScratch(s *scratch) { scratchPool.Put(s) }
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+func putScratch(s *scratch) {
+	s.ids.trim()
+	scratchPool.Put(s)
+}
 
 // ueEntry is one active UE as the native policies see it: how many PRBs
 // drain its buffer and its ranking metric. It is 16 bytes because MT and PF

@@ -115,21 +115,20 @@ func (r *Response) Validate(req *Request) error {
 	sc := getScratch()
 	defer putScratch(sc)
 	// ids holds 0 for a known UE and 1 once a grant named it.
-	ids := sc.ids
-	clear(ids)
+	ids := &sc.ids
+	ids.Reset(len(req.UEs))
 	for i := range req.UEs {
-		ids[req.UEs[i].ID] = 0
+		ids.Add(req.UEs[i].ID, 0)
 	}
 	var total uint64
 	for _, a := range r.Allocs {
-		granted, known := ids[a.UEID]
+		granted, known := ids.Swap(a.UEID, 1)
 		if !known {
 			return fmt.Errorf("%w: grant to unknown UE %d", ErrInvalidResponse, a.UEID)
 		}
 		if granted != 0 {
 			return fmt.Errorf("%w: duplicate grant to UE %d", ErrInvalidResponse, a.UEID)
 		}
-		ids[a.UEID] = 1
 		total += uint64(a.PRBs)
 	}
 	if total > uint64(req.PRBBudget) {

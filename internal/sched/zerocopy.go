@@ -152,8 +152,8 @@ func zcReadResponse(mem *wasm.Memory, lay wabi.RegionLayout, resp *Response) err
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	seen := sc.ids // UE ID -> index of the allocation that named it
-	clear(seen)
+	seen := &sc.ids // UE ID -> index of the allocation that named it
+	seen.Reset(int(n))
 	resp.Allocs = slices.Grow(resp.Allocs[:0], int(n))
 	off := lay.RespPtr + 4
 	for i := uint32(0); i < n; i++ {
@@ -162,10 +162,9 @@ func zcReadResponse(mem *wasm.Memory, lay wabi.RegionLayout, resp *Response) err
 		if err1 != nil || err2 != nil {
 			return badOutputKind(BadOutputOOB, "sched: zero-copy response record %d unreadable", i)
 		}
-		if first, dup := seen[id]; dup {
+		if first, dup := seen.Add(id, i); dup {
 			return badOutputKind(BadOutputOverlap, "sched: zero-copy response allocations %d and %d overlap on UE %d", first, i, id)
 		}
-		seen[id] = i
 		resp.Allocs = append(resp.Allocs, Allocation{UEID: id, PRBs: prbs})
 		off += binRespAllocLen
 	}

@@ -66,6 +66,14 @@ func (s *Slice) Weight() float64 {
 	return s.weight
 }
 
+// TargetAndWeight returns the contracted rate and the share weight under
+// one lock: what the slot reads of a slice for its inter-slice demand.
+func (s *Slice) TargetAndWeight() (targetRateBps, weight float64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.targetRateBps, s.weight
+}
+
 // SetWeight updates the inter-slice share weight.
 func (s *Slice) SetWeight(w float64) {
 	s.mu.Lock()
@@ -225,20 +233,21 @@ func (m *Manager) HotSwap(id uint32, scheduler sched.IntraSlice) error {
 // protection: a trap, timeout (fuel), malformed or over-budget response is
 // absorbed — counted as a fault and the slot rescued by the fallback
 // scheduler — and a refusal (sched.ErrRefused: the plugin's breaker is open)
-// is rescued the same way without counting a fault. The returned response is
-// always valid for req. It may live in storage the slice owns, so it is good
-// until the next Schedule of the same slice, and one goroutine at a time
-// schedules a given slice.
-func (m *Manager) Schedule(s *Slice, req *sched.Request) (*sched.Response, error) {
+// is rescued the same way without counting a fault. fellBack reports whether
+// the fallback served the slot. The returned response is always valid for
+// req. It may live in storage the slice owns, so it is good until the next
+// Schedule of the same slice, and one goroutine at a time schedules a given
+// slice.
+func (m *Manager) Schedule(s *Slice, req *sched.Request) (resp *sched.Response, fellBack bool, err error) {
 	s.mu.Lock()
 	scheduler := s.scheduler
 	fallback := s.fallback
 	s.mu.Unlock()
 
-	resp, err := sched.ScheduleInto(scheduler, req, &s.resp)
+	resp, err = sched.ScheduleInto(scheduler, req, &s.resp)
 	if err == nil {
 		if err = resp.Validate(req); err == nil {
-			return resp, nil
+			return resp, false, nil
 		}
 	}
 	if !errors.Is(err, sched.ErrRefused) {
@@ -255,10 +264,10 @@ func (m *Manager) Schedule(s *Slice, req *sched.Request) (*sched.Response, error
 	s.mu.Unlock()
 	resp, err = sched.ScheduleInto(fallback, req, &s.resp)
 	if err != nil {
-		return nil, fmt.Errorf("slicing: fallback scheduler for slice %d failed: %w", s.ID, err)
+		return nil, true, fmt.Errorf("slicing: fallback scheduler for slice %d failed: %w", s.ID, err)
 	}
 	if err := resp.Validate(req); err != nil {
-		return nil, fmt.Errorf("slicing: fallback scheduler for slice %d invalid: %w", s.ID, err)
+		return nil, true, fmt.Errorf("slicing: fallback scheduler for slice %d invalid: %w", s.ID, err)
 	}
-	return resp, nil
+	return resp, true, nil
 }

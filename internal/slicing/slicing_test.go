@@ -87,12 +87,12 @@ func TestNilSchedulerRejected(t *testing.T) {
 func TestScheduleHappyPath(t *testing.T) {
 	m := NewManager()
 	s, _ := m.AddSlice(1, "a", 0, sched.RoundRobin{}, nil)
-	resp, err := m.Schedule(s, testRequest())
+	resp, fellBack, err := m.Schedule(s, testRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.TotalPRBs() != 10 {
-		t.Fatalf("allocated %d PRBs", resp.TotalPRBs())
+	if resp.TotalPRBs() != 10 || fellBack {
+		t.Fatalf("allocated %d PRBs, fellBack %v", resp.TotalPRBs(), fellBack)
 	}
 	if st := s.Stats(); st.TotalFaults != 0 || st.FallbackSlots != 0 {
 		t.Fatalf("stats = %+v", st)
@@ -106,13 +106,13 @@ func TestFallbackOnError(t *testing.T) {
 			var faults []error
 			m.OnFault = func(_ uint32, err error) { faults = append(faults, err) }
 			s, _ := m.AddSlice(1, "a", 0, &flakyScheduler{failures: 1, misbehave: mode}, nil)
-			resp, err := m.Schedule(s, testRequest())
+			resp, fellBack, err := m.Schedule(s, testRequest())
 			if err != nil {
 				t.Fatalf("fault not absorbed: %v", err)
 			}
 			// The slot is rescued by the fallback: full budget still granted.
-			if resp.TotalPRBs() != 10 {
-				t.Fatalf("fallback allocated %d PRBs", resp.TotalPRBs())
+			if resp.TotalPRBs() != 10 || !fellBack {
+				t.Fatalf("fallback allocated %d PRBs, fellBack %v", resp.TotalPRBs(), fellBack)
 			}
 			if len(faults) != 1 {
 				t.Fatalf("observed %d faults", len(faults))
@@ -131,8 +131,12 @@ func TestRecoveryResetsConsecutiveCount(t *testing.T) {
 	req := testRequest()
 	// Two faults, then healthy: the plugin serves again from the third slot.
 	for i := 0; i < 5; i++ {
-		if _, err := m.Schedule(s, req); err != nil {
+		_, fellBack, err := m.Schedule(s, req)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if fellBack != (i < 2) {
+			t.Fatalf("slot %d: fellBack %v", i, fellBack)
 		}
 	}
 	if st := s.Stats(); st.TotalFaults != 2 || st.FallbackSlots != 2 {
@@ -148,7 +152,7 @@ func TestPersistentFaultsNeverPinTheSlice(t *testing.T) {
 	flaky := &flakyScheduler{failures: 1000}
 	s, _ := m.AddSlice(1, "a", 0, flaky, nil)
 	for i := 0; i < 10; i++ {
-		resp, err := m.Schedule(s, testRequest())
+		resp, _, err := m.Schedule(s, testRequest())
 		if err != nil || resp.TotalPRBs() != 10 {
 			t.Fatalf("slot %d not rescued: %v", i, err)
 		}
@@ -170,8 +174,12 @@ func TestRefusalFallsBackWithoutFault(t *testing.T) {
 	m.OnFault = func(uint32, error) { faults++ }
 	s, _ := m.AddSlice(1, "a", 0, &flakyScheduler{failures: 3, misbehave: "refuse"}, nil)
 	for i := 0; i < 5; i++ {
-		if _, err := m.Schedule(s, testRequest()); err != nil {
+		_, fellBack, err := m.Schedule(s, testRequest())
+		if err != nil {
 			t.Fatal(err)
+		}
+		if fellBack != (i < 3) {
+			t.Fatalf("slot %d: fellBack %v", i, fellBack)
 		}
 	}
 	if st := s.Stats(); faults != 0 || st.TotalFaults != 0 || st.FallbackSlots != 3 {
@@ -196,6 +204,16 @@ func TestSwapCountTracked(t *testing.T) {
 	}
 	if st := s.Stats(); st.Swaps != 3 {
 		t.Fatalf("swaps = %d", st.Swaps)
+	}
+}
+
+func TestTargetAndWeight(t *testing.T) {
+	m := NewManager()
+	s, _ := m.AddSlice(1, "a", 5e6, sched.RoundRobin{}, nil)
+	s.SetTargetRate(7e6)
+	s.SetWeight(2.5)
+	if rate, w := s.TargetAndWeight(); rate != s.TargetRate() || w != s.Weight() || rate != 7e6 || w != 2.5 {
+		t.Fatalf("TargetAndWeight = %v, %v; want %v, %v", rate, w, s.TargetRate(), s.Weight())
 	}
 }
 
@@ -224,7 +242,7 @@ func TestConcurrentSwapWhileScheduling(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 2000; i++ {
-		resp, err := m.Schedule(s, req)
+		resp, _, err := m.Schedule(s, req)
 		if err != nil {
 			t.Fatalf("slot %d: %v", i, err)
 		}
@@ -240,7 +258,7 @@ func TestFallbackFailureSurfaces(t *testing.T) {
 	m := NewManager()
 	bad := &flakyScheduler{failures: 1 << 30}
 	s, _ := m.AddSlice(1, "a", 0, bad, badFallback{})
-	if _, err := m.Schedule(s, testRequest()); err == nil {
+	if _, _, err := m.Schedule(s, testRequest()); err == nil {
 		t.Fatal("fallback failure swallowed")
 	}
 }
