@@ -48,7 +48,7 @@ func (g *GNB) Snapshot(cell uint32) *e2.Indication {
 		ind.Slices[i] = e2.SliceMeasurement{
 			SliceID:   s.ID,
 			TargetBps: s.TargetRate(),
-			ServedBps: g.sliceRate[s.ID],
+			ServedBps: servedBps(g.rates, s.ID),
 		}
 	}
 	return ind

@@ -35,16 +35,16 @@ type GNB struct {
 	// NewCellGroup share one cache; a standalone gNB gets its own.
 	Modules *wabi.ModuleCache
 
-	group     *CellGroup // the group g is a cell of; nil for a lone gNB
-	mu        sync.Mutex
-	ues       []*ran.UE
-	byID      map[uint32]*ran.UE // the admin paths: attach, detach, UE
-	fleet     *ran.UEFleet       // aggregate population, nil unless AttachFleet
-	fleetWin  []*ran.UE          // fleet UEs materialized for the current slot
-	slot      uint64
-	sliceRate map[uint32]float64 // served-rate EWMA per slice, for E2 KPM
-	obsv      *gnbObs            // set by EnableObservability, nil otherwise
-	scratch   slotScratch
+	group    *CellGroup // the group g is a cell of; nil for a lone gNB
+	mu       sync.Mutex
+	ues      []*ran.UE
+	byID     map[uint32]*ran.UE // the admin paths: attach, detach, UE
+	fleet    *ran.UEFleet       // aggregate population, nil unless AttachFleet
+	fleetWin []*ran.UE          // fleet UEs materialized for the current slot
+	slot     uint64
+	rates    []sliceRate // served-rate EWMA per slice, for E2 KPM
+	obsv     *gnbObs     // set by EnableObservability, nil otherwise
+	scratch  slotScratch
 	// snapSlices is Snapshot's copy of the slice list, reused under mu.
 	snapSlices []*slicing.Slice
 
@@ -86,6 +86,46 @@ type effectArm struct {
 // sliceRateAlpha is the EWMA weight for per-slice served rate reporting.
 const sliceRateAlpha = 1.0 / 200
 
+// sliceRate is one slice's served-rate EWMA. GNB.rates keeps them in the
+// slice list's registration order, so Step reaches a slice's rate by its
+// position; alignRates re-keys the list when slices come or go.
+type sliceRate struct {
+	id   uint32
+	bps  float64
+	bits int64 // served this slot
+}
+
+// alignRates makes g.rates parallel to slices, keeping the rate of every
+// slice the last slot served; any other slice starts from zero.
+func (g *GNB) alignRates(slices []*slicing.Slice) {
+	if len(g.rates) == len(slices) {
+		i := 0
+		for i < len(slices) && g.rates[i].id == slices[i].ID {
+			i++
+		}
+		if i == len(slices) {
+			return
+		}
+	}
+	old := g.rates
+	g.rates = make([]sliceRate, len(slices))
+	for i, s := range slices {
+		g.rates[i].id = s.ID
+		g.rates[i].bps = servedBps(old, s.ID)
+	}
+}
+
+// servedBps looks a slice's served-rate EWMA up by ID: zero for one no
+// slot has seen yet.
+func servedBps(rates []sliceRate, id uint32) float64 {
+	for _, r := range rates {
+		if r.id == id {
+			return r.bps
+		}
+	}
+	return 0
+}
+
 // NewGNB creates a gNB for the given cell (defaults applied).
 func NewGNB(cell ran.CellConfig) (*GNB, error) {
 	cell = cell.WithDefaults()
@@ -93,18 +133,20 @@ func NewGNB(cell ran.CellConfig) (*GNB, error) {
 		return nil, err
 	}
 	return &GNB{
-		Cell:      cell,
-		Slices:    slicing.NewManager(),
-		Inter:     sched.TargetRate{},
-		Modules:   wabi.NewModuleCache(),
-		byID:      make(map[uint32]*ran.UE),
-		sliceRate: make(map[uint32]float64),
-		scratch:   slotScratch{res: SlotResult{PerSlice: make(map[uint32]SliceSlot)}},
+		Cell:    cell,
+		Slices:  slicing.NewManager(),
+		Inter:   sched.TargetRate{},
+		Modules: wabi.NewModuleCache(),
+		byID:    make(map[uint32]*ran.UE),
+		scratch: slotScratch{res: SlotResult{PerSlice: make(map[uint32]SliceSlot)}},
 	}, nil
 }
 
 // AttachUE admits a UE to the cell. The UE's SliceID must name a registered
-// slice (the admission-control role the paper delegates to the AMF).
+// slice (the admission-control role the paper delegates to the AMF), and
+// its ID must be free: neither attached nor inside an attached fleet's ID
+// range, where the slice's request would carry the ID twice and every
+// decision would fail validation.
 func (g *GNB) AttachUE(ue *ran.UE) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -114,6 +156,9 @@ func (g *GNB) AttachUE(ue *ran.UE) error {
 	}
 	if _, dup := g.byID[ue.ID]; dup {
 		return fmt.Errorf("core: UE %d already attached", ue.ID)
+	}
+	if g.fleet != nil && g.fleet.Owns(ue.ID) {
+		return fmt.Errorf("core: UE %d collides with the cell's fleet IDs", ue.ID)
 	}
 	if s.MaxUEs > 0 {
 		attached := 0
@@ -133,9 +178,10 @@ func (g *GNB) AttachUE(ue *ran.UE) error {
 
 // AttachFleet admits an aggregate modeled population (ran.UEFleet) to the
 // cell. Every slice the fleet subscribes to must already be registered, like
-// AttachUE's admission check. Each slot, the fleet's rotating active window
-// competes for PRBs alongside explicitly attached UEs; the rest of the
-// population accrues traffic lazily. One fleet per cell.
+// AttachUE's admission check, and its ID range must cover no attached UE.
+// Each slot, the fleet's rotating active window competes for PRBs alongside
+// explicitly attached UEs; the rest of the population accrues traffic
+// lazily. One fleet per cell.
 func (g *GNB) AttachFleet(f *ran.UEFleet) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -145,6 +191,11 @@ func (g *GNB) AttachFleet(f *ran.UEFleet) error {
 	for _, id := range f.SliceIDs() {
 		if _, ok := g.Slices.Slice(id); !ok {
 			return fmt.Errorf("core: fleet subscribes to unknown slice %d", id)
+		}
+	}
+	for _, u := range g.ues {
+		if f.Owns(u.ID) {
+			return fmt.Errorf("core: fleet IDs cover attached UE %d", u.ID)
 		}
 	}
 	g.fleet = f
@@ -277,6 +328,7 @@ func (g *GNB) Step() SlotResult {
 	// 2. Build per-slice UE views and demands.
 	sc.slices = g.Slices.AppendSlices(sc.slices[:0])
 	slices := sc.slices
+	g.alignRates(slices)
 	for len(sc.reqs) < len(slices) {
 		sc.reqs = append(sc.reqs, sched.Request{})
 	}
@@ -301,7 +353,7 @@ func (g *GNB) Step() SlotResult {
 			}
 		}
 		sc.reqs[i].UEs = view
-		d := sched.SliceDemand{SliceID: s.ID, AchievedBps: g.sliceRate[s.ID]}
+		d := sched.SliceDemand{SliceID: s.ID, AchievedBps: g.rates[i].bps}
 		d.TargetRateBps, d.Weight = s.TargetAndWeight()
 		if demandPRBs > uint64(g.Cell.PRBs) {
 			demandPRBs = uint64(g.Cell.PRBs)
@@ -321,6 +373,7 @@ func (g *GNB) Step() SlotResult {
 	for i, s := range slices {
 		budget := shares[s.ID]
 		ss := SliceSlot{BudgetPRBs: budget}
+		g.rates[i].bits = 0
 		req := &sc.reqs[i]
 		if budget == 0 || len(req.UEs) == 0 {
 			res.PerSlice[s.ID] = ss
@@ -364,6 +417,7 @@ func (g *GNB) Step() SlotResult {
 			ss.Bits += served
 		}
 		res.PerSlice[s.ID] = ss
+		g.rates[i].bits = ss.Bits
 		if o != nil {
 			o.observeSlice(ev, s, ss, resp.FuelUsed, time.Since(schedStart))
 		}
@@ -385,9 +439,10 @@ func (g *GNB) Step() SlotResult {
 
 	// Track served-rate EWMA per slice for E2 KPM reporting.
 	slotSec := g.Cell.SlotDuration.Seconds()
-	for id, ss := range res.PerSlice {
-		inst := float64(ss.Bits) / slotSec
-		g.sliceRate[id] = (1-sliceRateAlpha)*g.sliceRate[id] + sliceRateAlpha*inst
+	for i := range g.rates {
+		r := &g.rates[i]
+		inst := float64(r.bits) / slotSec
+		r.bps = (1-sliceRateAlpha)*r.bps + sliceRateAlpha*inst
 	}
 
 	if o != nil {

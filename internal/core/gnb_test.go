@@ -380,3 +380,113 @@ func TestGNBFleetScheduling(t *testing.T) {
 		t.Fatalf("snapshot slice rows %d, want 2", len(ind.Slices))
 	}
 }
+
+// TestFleetIDCollisionRefused: a UE whose ID lies in an attached fleet's ID
+// range is refused, and so is a fleet whose range covers an attached UE.
+// Admitting either put one ID in the slice's request twice, so round-robin
+// granted it twice, validation rejected every decision and the slice got no
+// PRB in any slot.
+func TestFleetIDCollisionRefused(t *testing.T) {
+	g, err := NewGNB(ran.CellConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Slices.AddSlice(1, "rr", 20e6, sched.RoundRobin{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := ran.NewUEFleet(ran.FleetConfig{UEs: 8, ActiveK: 8, SliceIDs: []uint32{1}, MeanRateBps: 1e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AttachFleet(fleet); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []uint32{1 << 20, 1<<20 + 7} {
+		if err := g.AttachUE(ran.NewUE(id, 1, 20)); err == nil {
+			t.Fatalf("UE %d inside the fleet's IDs admitted", id)
+		}
+	}
+	if err := g.AttachUE(ran.NewUE(1<<20+8, 1, 20)); err != nil {
+		t.Fatalf("UE just past the fleet's IDs refused: %v", err)
+	}
+	for i := 0; i < 50; i++ {
+		g.Step()
+	}
+	if ss := g.Step().PerSlice[1]; ss.GrantedPRBs == 0 {
+		t.Fatalf("slice granted no PRB: %+v", ss)
+	}
+	if s, _ := g.Slices.Slice(1); s.Stats().TotalFaults != 0 {
+		t.Fatalf("slice recorded %d faults", s.Stats().TotalFaults)
+	}
+
+	// The other way round: a fleet whose range covers an attached UE.
+	g2, err := NewGNB(ran.CellConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g2.Slices.AddSlice(1, "rr", 20e6, sched.RoundRobin{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := g2.AttachUE(ran.NewUE(1<<20+3, 1, 20)); err != nil {
+		t.Fatal(err)
+	}
+	if err := g2.AttachFleet(fleet); err == nil {
+		t.Fatal("fleet covering an attached UE admitted")
+	}
+}
+
+// TestServedRateMatchesPerSliceBits: the served-rate EWMA that feeds the
+// inter-slice demand and the KPM report equals, bit for bit, one recomputed
+// from every slot's per-slice bits, across slices leaving and joining.
+func TestServedRateMatchesPerSliceBits(t *testing.T) {
+	g, err := NewGNB(ran.CellConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := uint32(1)
+	for _, sl := range []uint32{1, 2, 3} {
+		if _, err := g.Slices.AddSlice(sl, "s"+string(rune('0'+sl)), float64(sl)*10e6, sched.RoundRobin{}, nil); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 4; k++ {
+			ue := ran.NewUE(id, sl, 12+int(id))
+			ue.Traffic = ran.NewCBR(float64(sl) * 4e6)
+			if err := g.AttachUE(ue); err != nil {
+				t.Fatal(err)
+			}
+			id++
+		}
+	}
+	ref := map[uint32]float64{}
+	slotSec := g.Cell.SlotDuration.Seconds()
+	for slot := 0; slot < 300; slot++ {
+		switch slot {
+		case 100:
+			if err := g.Slices.RemoveSlice(2); err != nil {
+				t.Fatal(err)
+			}
+			delete(ref, 2)
+		case 200:
+			if _, err := g.Slices.AddSlice(4, "s4", 5e6, sched.RoundRobin{}, nil); err != nil {
+				t.Fatal(err)
+			}
+			ue := ran.NewUE(id, 4, 20)
+			ue.Traffic = ran.NewCBR(3e6)
+			if err := g.AttachUE(ue); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for sid, ss := range g.Step().PerSlice {
+			ref[sid] = (1-sliceRateAlpha)*ref[sid] + sliceRateAlpha*(float64(ss.Bits)/slotSec)
+		}
+		ind := g.Snapshot(1)
+		for _, sm := range ind.Slices {
+			if sm.ServedBps != ref[sm.SliceID] {
+				t.Fatalf("slot %d slice %d: ServedBps %v, recomputed %v", slot, sm.SliceID, sm.ServedBps, ref[sm.SliceID])
+			}
+		}
+		if slot == 299 && ref[1] == 0 {
+			t.Fatal("slice 1 never served")
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"waran/internal/sched"
 	"waran/internal/wabi"
 	"waran/internal/wasm"
+	"waran/internal/wat"
 )
 
 // This file is the execution-tier half of the differential harness: where
@@ -119,6 +120,61 @@ func TestDifferentialTiersFaultGuests(t *testing.T) {
 				t.Fatalf("closure (%q, fuel %d), interpreter (%q, fuel %d)", class, fuel, wantClass, wantFuel)
 			}
 		})
+	}
+}
+
+// TestTierFuelSweepRealGuests runs rr, pf and mt on one fixed 3-UE request
+// at every fuel value from 0 to the call's cost + 2, on both tiers: trap
+// class, InstrCount and fuel left must agree at every boundary, including
+// the ones inside the closure tier's ops that fold several instructions.
+// The guests run on bare instances whose ABI imports serve the request.
+func TestTierFuelSweepRealGuests(t *testing.T) {
+	req := sched.BinaryCodec{}.EncodeRequest(fuelRequest(3, 10, false))
+	i32 := wasm.ValI32
+	noop := func(*wasm.CallContext, []uint64) ([]uint64, error) { return nil, nil }
+	imports := wasm.Imports{"waran": {
+		"input_length": {Name: "input_length", Type: wasm.FuncType{Results: []wasm.ValType{i32}},
+			Fn: func(*wasm.CallContext, []uint64) ([]uint64, error) { return []uint64{uint64(len(req))}, nil }},
+		"input_read": {Name: "input_read", Type: wasm.FuncType{Params: []wasm.ValType{i32, i32, i32}, Results: []wasm.ValType{i32}},
+			Fn: func(ctx *wasm.CallContext, a []uint64) ([]uint64, error) {
+				return []uint64{a[2]}, ctx.Memory().Write(uint32(a[0]), req[a[1]:a[1]+a[2]])
+			}},
+		"output_write": {Name: "output_write", Type: wasm.FuncType{Params: []wasm.ValType{i32, i32}}, Fn: noop},
+		"error_set":    {Name: "error_set", Type: wasm.FuncType{Params: []wasm.ValType{i32, i32}}, Fn: noop},
+		"log":          {Name: "log", Type: wasm.FuncType{Params: []wasm.ValType{i32, i32}}, Fn: noop},
+	}}
+	for _, name := range []string{"rr", "pf", "mt"} {
+		src, _ := SchedulerWAT(name)
+		m, err := wat.Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm, err := wasm.Compile(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(tier wasm.Tier, fuel int64) (string, uint64, int64) {
+			in, err := cm.Instantiate(imports, wasm.Config{MeterFuel: true, Tier: tier})
+			if err != nil {
+				t.Fatal(err)
+			}
+			in.SetFuel(fuel)
+			class := "ok"
+			if _, err := in.Call("schedule"); err != nil {
+				class = err.Error()
+			}
+			return class, in.InstrCount, in.Fuel()
+		}
+		class, cost, _ := run(wasm.TierInterp, 1<<30)
+		if class != "ok" || cost < 100 {
+			t.Fatalf("%s: baseline run %q after %d instructions", name, class, cost)
+		}
+		for fuel := int64(0); fuel <= int64(cost)+2; fuel++ {
+			wc, wn, wf := run(wasm.TierInterp, fuel)
+			if c, n, f := run(wasm.TierClosure, fuel); c != wc || n != wn || f != wf {
+				t.Fatalf("%s at fuel %d: closure (%q, count %d, left %d), interpreter (%q, %d, %d)", name, fuel, c, n, f, wc, wn, wf)
+			}
+		}
 	}
 }
 

@@ -220,6 +220,12 @@ func (f *UEFleet) Absorb(slot uint64) {
 // Size returns the modeled population.
 func (f *UEFleet) Size() int { return f.cfg.UEs }
 
+// Owns reports whether id falls in the population's ID range
+// [BaseID, BaseID+UEs).
+func (f *UEFleet) Owns(id uint32) bool {
+	return id >= f.cfg.BaseID && uint64(id) < uint64(f.cfg.BaseID)+uint64(f.cfg.UEs)
+}
+
 // ActiveK returns the per-slot window size.
 func (f *UEFleet) ActiveK() int {
 	k := f.cfg.ActiveK

@@ -1,35 +1,53 @@
 package wasm
 
-import (
-	"math"
-	"math/bits"
-)
-
-// Closure tier: each (fused) instruction is lowered once per module, on the
-// first closure-tier instantiation, to a Go closure with its immediates,
-// branch targets and successor pc captured as constants. Execution is a
+// Closure tier: each function body is lowered once per module, on the first
+// closure-tier instantiation, to Go closures with their immediates, branch
+// targets and successor pc captured as constants. Execution is a
 // register-caching dispatch loop — pc and sp live in registers, the operand
 // stack is indexed (no append traffic), and there is no per-instruction
-// switch: the cost per op is one indirect call. Opcodes embedded in fused
-// instructions (the i32 binop / compare selectors) are resolved to direct
-// function values during compilation, so no fused op re-dispatches on its
-// selector at run time.
+// switch: the cost per op is one indirect call.
+//
+// The lowering is one linear pass that folds operands instead of
+// dispatching them:
+//
+//   - A local.get or constant gets no op of its own. It stays pending, and
+//     the next op that consumes it — a unary, binary or compare, a load or
+//     store, a local.set/tee, a br_if/if condition, select's condition or
+//     drop — reads the local or the constant directly.
+//   - A result that goes straight into local.set/tee is written to the local
+//     in place (a tee also pushes it), and a compare or eqz followed by
+//     br_if/if branches without pushing its result.
+//   - A pending operand is pushed, by an op at its own pc, whenever the op
+//     that follows cannot fold it: at a branch target, before a call, br,
+//     br_table, return or any other op that needs the concrete stack, and
+//     when it sits beneath the operands the next op consumes (which covers a
+//     local.set/tee of the same local before its consumer: the set consumes
+//     something above it, so the get is pushed first).
+//
+// An op is placed at the pc of the first instruction it covers, so branch
+// targets (never covered by an op that starts earlier) keep their pcs and
+// the original stream needs no remapping. Templates differ only by operand
+// shape — stack, local or constant sources; stack, local or branch
+// destination — and take the numeric operation as a function value from the
+// per-opcode tables in closure_ops.go.
 //
 // Fuel/InstrCount/trap accounting is bit-identical to the interpreter, but
-// charged at straight-line segment granularity: the stream is cut at every
-// instruction that can trap, branch, call or return (and at every branch
-// target), and the dispatch loop pre-charges each segment's total fused
-// width at the segment's first op. Because nothing before a segment's
-// final instruction can fault or leave the segment, the only early exit a
+// charged at straight-line segment granularity: the original stream is cut
+// at every instruction that can trap, branch, call, return or change state
+// the caller sees after a trap (global.set, memory.grow), and at every
+// branch target; the dispatch loop pre-charges a segment's full length at
+// the op that covers its head. Because nothing before a segment's final
+// instruction can fault or leave the segment, the only early exit a
 // pre-charge moves is fuel exhaustion itself — and Instance.chargeFuel
 // makes that land on the exact instruction boundary (InstrCount advances
 // only by the units actually paid), so exhaustion, InstrCount and every
 // trap class remain indistinguishable from per-instruction charging. The
-// one op whose trapping operation is not last (fLoadEqzBr) splits its
-// charge around the load (see fusedPreCharge).
+// one op that covers a head past its trapping instruction — a load whose
+// result is folded into local.set/tee — pays that segment after the load
+// succeeds and before it writes the local.
 
-// closOp executes one lowered instruction and returns (next pc, next sp).
-// A negative pc terminates the loop; results sit at stack[sp-n:sp].
+// closOp executes one lowered op and returns (next pc, next sp). A negative
+// pc terminates the loop; results sit at stack[sp-n:sp].
 type closOp func(e *closEnv, sp int) (int, int)
 
 // closEnv is the per-depth execution environment, cached in frameBuf so an
@@ -42,15 +60,22 @@ type closEnv struct {
 	stack  []uint64
 }
 
-// closFunc is the closure-compiled form of one function body. charge holds
-// the batch fuel charge per pc: the segment's total fused width at each
-// segment head, zero for mid-segment ops.
+// closFunc is the closure-compiled form of one function body, indexed by
+// the pc of the original stream: steps[pc].op is nil where an op placed
+// earlier covers pc.
 type closFunc struct {
-	ops        []closOp
-	charge     []uint32
+	steps      []closStep
 	numLocals  int // params + locals
 	numResults int
 	stackCap   int
+}
+
+// closStep is one lowered op and the fuel the dispatch loop pre-charges
+// before it runs: the length of every segment whose head the op covers,
+// zero for ops inside a segment.
+type closStep struct {
+	op     closOp
+	charge uint32
 }
 
 // execClosures runs a closure-compiled body. Panics with *Trap on fault,
@@ -77,12 +102,12 @@ func (in *Instance) execClosures(cf *closFunc, args []uint64) []uint64 {
 	e.in = in
 	e.mem = in.mem
 
-	ops := cf.ops
+	steps := cf.steps
 	sp := 0
 	if in.fuelEnabled {
-		charge := cf.charge
 		for pc := 0; pc >= 0; {
-			if k := charge[pc]; k != 0 { // mid-segment ops were charged at their head
+			st := &steps[pc]
+			if k := st.charge; k != 0 { // mid-segment ops were charged at their head
 				if f := in.fuel; f >= int64(k) {
 					in.fuel = f - int64(k)
 					in.InstrCount += uint64(k)
@@ -90,11 +115,11 @@ func (in *Instance) execClosures(cf *closFunc, args []uint64) []uint64 {
 					in.chargeFuel(k) // slow path: unlimited (-1) or exhaustion
 				}
 			}
-			pc, sp = ops[pc](e, sp)
+			pc, sp = st.op(e, sp)
 		}
 	} else {
 		for pc := 0; pc >= 0; {
-			pc, sp = ops[pc](e, sp)
+			pc, sp = steps[pc].op(e, sp)
 		}
 	}
 
@@ -107,234 +132,11 @@ func (in *Instance) execClosures(cf *closFunc, args []uint64) []uint64 {
 	return res
 }
 
-// Generic closure generators. The hot i32/fused ops get hand-specialized
-// closures below; everything else funnels through these.
-
-func clUn(next int, fn func(uint64) uint64) closOp {
-	return func(e *closEnv, sp int) (int, int) {
-		e.stack[sp-1] = fn(e.stack[sp-1])
-		return next, sp
-	}
-}
-
-func clBin(next int, fn func(x, y uint64) uint64) closOp {
-	return func(e *closEnv, sp int) (int, int) {
-		e.stack[sp-2] = fn(e.stack[sp-2], e.stack[sp-1])
-		return next, sp - 1
-	}
-}
-
-func clCmp(next int, fn func(x, y uint64) bool) closOp {
-	return func(e *closEnv, sp int) (int, int) {
-		e.stack[sp-2] = b2i(fn(e.stack[sp-2], e.stack[sp-1]))
-		return next, sp - 1
-	}
-}
-
-func clLoad(next int, off, n uint64, conv func([]byte) uint64) closOp {
-	return func(e *closEnv, sp int) (int, int) {
-		a := uint64(uint32(e.stack[sp-1])) + off
-		e.stack[sp-1] = conv(e.mem.mustRange(a, n))
-		return next, sp
-	}
-}
-
-func clStore(next int, off, n uint64, put func([]byte, uint64)) closOp {
-	return func(e *closEnv, sp int) (int, int) {
-		v := e.stack[sp-1]
-		a := uint64(uint32(e.stack[sp-2])) + off
-		put(e.mem.mustRange(a, n), v)
-		return next, sp - 2
-	}
-}
-
-// i32binFn resolves an i32 binop opcode (standalone or embedded in a fused
-// op as a selector) to a direct function at compile time, so arithmetic
-// costs one call, not a switch per execution.
-func i32binFn(op uint16) func(x, y uint32) uint32 {
-	switch op {
-	case uint16(OpI32Add):
-		return func(x, y uint32) uint32 { return x + y }
-	case uint16(OpI32Sub):
-		return func(x, y uint32) uint32 { return x - y }
-	case uint16(OpI32Mul):
-		return func(x, y uint32) uint32 { return x * y }
-	case uint16(OpI32DivS):
-		return func(x, y uint32) uint32 {
-			if y == 0 {
-				panic(newTrap(TrapIntegerDivideByZero))
-			}
-			if int32(x) == math.MinInt32 && int32(y) == -1 {
-				panic(newTrap(TrapIntegerOverflow))
-			}
-			return uint32(int32(x) / int32(y))
-		}
-	case uint16(OpI32DivU):
-		return func(x, y uint32) uint32 {
-			if y == 0 {
-				panic(newTrap(TrapIntegerDivideByZero))
-			}
-			return x / y
-		}
-	case uint16(OpI32RemS):
-		return func(x, y uint32) uint32 {
-			if y == 0 {
-				panic(newTrap(TrapIntegerDivideByZero))
-			}
-			if int32(x) == math.MinInt32 && int32(y) == -1 {
-				return 0
-			}
-			return uint32(int32(x) % int32(y))
-		}
-	case uint16(OpI32RemU):
-		return func(x, y uint32) uint32 {
-			if y == 0 {
-				panic(newTrap(TrapIntegerDivideByZero))
-			}
-			return x % y
-		}
-	case uint16(OpI32And):
-		return func(x, y uint32) uint32 { return x & y }
-	case uint16(OpI32Or):
-		return func(x, y uint32) uint32 { return x | y }
-	case uint16(OpI32Xor):
-		return func(x, y uint32) uint32 { return x ^ y }
-	case uint16(OpI32Shl):
-		return func(x, y uint32) uint32 { return x << (y & 31) }
-	case uint16(OpI32ShrS):
-		return func(x, y uint32) uint32 { return uint32(int32(x) >> (y & 31)) }
-	case uint16(OpI32ShrU):
-		return func(x, y uint32) uint32 { return x >> (y & 31) }
-	case uint16(OpI32Rotl):
-		return func(x, y uint32) uint32 { return bits.RotateLeft32(x, int(y&31)) }
-	case uint16(OpI32Rotr):
-		return func(x, y uint32) uint32 { return bits.RotateLeft32(x, -int(y&31)) }
-	}
-	return func(x, y uint32) uint32 { panic(&Trap{Code: TrapHostError, Wrapped: errUnknownInstr(op)}) }
-}
-
-// i32cmpFn is the comparison counterpart of i32binFn.
-func i32cmpFn(op uint16) func(x, y uint32) bool {
-	switch op {
-	case uint16(OpI32Eq):
-		return func(x, y uint32) bool { return x == y }
-	case uint16(OpI32Ne):
-		return func(x, y uint32) bool { return x != y }
-	case uint16(OpI32LtS):
-		return func(x, y uint32) bool { return int32(x) < int32(y) }
-	case uint16(OpI32LtU):
-		return func(x, y uint32) bool { return x < y }
-	case uint16(OpI32GtS):
-		return func(x, y uint32) bool { return int32(x) > int32(y) }
-	case uint16(OpI32GtU):
-		return func(x, y uint32) bool { return x > y }
-	case uint16(OpI32LeS):
-		return func(x, y uint32) bool { return int32(x) <= int32(y) }
-	case uint16(OpI32LeU):
-		return func(x, y uint32) bool { return x <= y }
-	case uint16(OpI32GeS):
-		return func(x, y uint32) bool { return int32(x) >= int32(y) }
-	case uint16(OpI32GeU):
-		return func(x, y uint32) bool { return x >= y }
-	}
-	return func(x, y uint32) bool { panic(&Trap{Code: TrapHostError, Wrapped: errUnknownInstr(op)}) }
-}
-
-// compileClosures lowers a function's fused stream (code, the fusion pass's
-// scratch output for f) to closures; nothing it returns references code. It
-// never fails: any instruction the compiler emitted has a lowering, and an
-// unknown op becomes a trapping closure, the same internal-error trap the
-// interpreter raises.
-//
-// The charge array is built by segmenting the code at every instruction
-// that can leave the straight line (trap, branch, call, return) and at
-// every branch target: each segment head carries the segment's total fused
-// width, every other pc charges zero.
-func compileClosures(cm *CompiledModule, f *compiledFunc, code []instr) *closFunc {
-	cf := &closFunc{
-		ops:        make([]closOp, len(code)),
-		charge:     make([]uint32, len(code)),
-		numLocals:  f.numParams + f.numLocals,
-		numResults: len(f.typ.Results),
-		stackCap:   f.maxStack + 2,
-	}
-	for pc := range code {
-		cf.ops[pc] = lowerInstr(cm, &code[pc], pc)
-	}
-
-	// head[pc] marks the first instruction of a charge segment: the entry,
-	// every branch target (control can land there without paying the
-	// segment head), and every successor of a segment-ending instruction.
-	head := make([]bool, len(code)+1)
-	head[0] = true
-	for pc := range code {
-		for _, t := range code[pc].targets {
-			head[t.pc] = true
-		}
-		if !closMidSegment(&code[pc]) {
-			head[pc+1] = true
-		}
-	}
-	for pc := 0; pc < len(code); {
-		end := pc
-		for !head[end+1] {
-			end++
-		}
-		var k uint32
-		for i := pc; i <= end; i++ {
-			k += fusedPreCharge(code[i].op)
-		}
-		cf.charge[pc] = k
-		pc = end + 1
-	}
-	return cf
-}
-
-// closMidSegment reports whether an instruction may sit before the end of a
-// fuel pre-charge segment: it must not trap, branch, call or return, so the
-// only way execution leaves a pre-charged segment early is fuel exhaustion
-// at the segment head — the boundary chargeFuel accounts for exactly.
-// Anything unrecognized conservatively ends its segment.
-func closMidSegment(ins *instr) bool {
-	op := ins.op
-	switch op {
-	case uint16(OpDrop), uint16(OpSelect),
-		uint16(OpLocalGet), uint16(OpLocalSet), uint16(OpLocalTee),
-		uint16(OpGlobalGet), uint16(OpGlobalSet),
-		uint16(OpMemorySize), uint16(OpMemoryGrow),
-		fGetGet, fGetConst, fGetGetCmp32, fGetConstCmp32, fGetConstAddSet:
-		return true
-	case fGetBin32, fGetGetBin32:
-		return !i32binTraps(uint16(ins.imm))
-	case fGetConstBin32:
-		return !i32binTraps(uint16(ins.b))
-	}
-	switch {
-	case op >= uint16(OpI32Const) && op <= uint16(OpF64Ge):
-		return true // constants, tests, comparisons
-	case op >= uint16(OpI32Clz) && op <= uint16(OpI64Rotr):
-		return !i32binTraps(op) && !(op >= uint16(OpI64DivS) && op <= uint16(OpI64RemU))
-	case op >= uint16(OpF32Abs) && op <= uint16(OpI32WrapI64):
-		return true // float arithmetic never traps
-	case op >= uint16(OpI32TruncF32S) && op <= uint16(OpI64TruncF64U):
-		return op == uint16(OpI64ExtendI32S) || op == uint16(OpI64ExtendI32U)
-	case op >= uint16(OpF32ConvertI32S) && op <= uint16(OpI64Extend32S):
-		return true // conversions, reinterprets, sign extensions
-	case op >= miscBase+uint16(MiscI32TruncSatF32S) && op <= miscBase+uint16(MiscI64TruncSatF64U):
-		return true // saturating truncation never traps
-	}
-	return false
-}
-
-// i32binTraps reports whether an i32 binop selector can trap (div/rem).
-func i32binTraps(op uint16) bool {
-	return op >= uint16(OpI32DivS) && op <= uint16(OpI32RemU)
-}
-
 // callClosure is dispatch specialized for a compile-time-resolved guest
 // callee on the closure tier. Semantics are identical to dispatch: same
 // depth guard, and the profiled path falls back to the shared shadow-stack
-// wrapper.
+// wrapper. A trap unwinds past the depth decrement; Instance.call restores
+// the depth it entered with.
 func (in *Instance) callClosure(fx uint32, f *compiledFunc, args []uint64) []uint64 {
 	if in.prof != nil {
 		return in.invokeProfiled(fx, args)
@@ -343,11 +145,12 @@ func (in *Instance) callClosure(fx uint32, f *compiledFunc, args []uint64) []uin
 		panic(newTrap(TrapCallStackExhausted))
 	}
 	in.depth++
-	defer func() { in.depth-- }()
-	return in.execClosures(f.clos, args)
+	res := in.execClosures(f.clos, args)
+	in.depth--
+	return res
 }
 
-// takeBranchOp is the taken-branch body shared by all branching lowerings:
+// takeBranchOp is the taken-branch body shared by all branching templates:
 // it applies the target's stack adjustment to the indexed operand stack and
 // returns the target pc.
 func takeBranchOp(e *closEnv, sp int, t branchTarget) (int, int) {
@@ -357,49 +160,655 @@ func takeBranchOp(e *closEnv, sp int, t branchTarget) (int, int) {
 	return int(t.pc), int(t.unwind + t.keep)
 }
 
-func lowerInstr(cm *CompiledModule, ins *instr, pc int) closOp {
-	next := pc + 1
-	op := ins.op
+// put writes a folded local.set/tee result: the local, and for a tee also
+// the stack at sp. It returns the new sp.
+func (e *closEnv) put(ix int, v uint64, sp int, tee bool) int {
+	e.locals[ix] = v
+	if tee {
+		e.stack[sp] = v
+		sp++
+	}
+	return sp
+}
 
-	// Embedded-selector fused ops resolve their function values up front.
+// Operand sources.
+const (
+	fromStack uint8 = iota
+	fromLocal
+	fromConst
+)
+
+// operand is where a lowered op reads one input: the stack, or a pending
+// local.get (v is the local index) or constant (v is its value) at pc.
+type operand struct {
+	src uint8
+	v   uint64
+	pc  int
+}
+
+// Operand shapes of two-input templates: first<<2 | second. Only the top
+// operand may be a constant, and only a held one may sit beneath a stack
+// value (see lowerer.operands).
+const (
+	ss = fromStack<<2 | fromStack
+	sl = fromStack<<2 | fromLocal
+	sc = fromStack<<2 | fromConst
+	ll = fromLocal<<2 | fromLocal
+	lc = fromLocal<<2 | fromConst
+	ls = fromLocal<<2 | fromStack // a held first operand
+)
+
+// Result destinations.
+const (
+	toStack  uint8 = iota
+	toLocal        // a folded local.set, or local.tee (tee set)
+	toBranch       // a folded br_if (nz set) or if (branch when zero)
+)
+
+type dest struct {
+	kind uint8
+	ix   int  // toLocal: the local
+	tee  bool // toLocal: also push the result
+	nz   bool // toBranch: branch when the result is non-zero
+	t    branchTarget
+	post uint32 // toLocal after a load: fuel paid once the load succeeded
+}
+
+// lowerer holds the lowering pass's state and scratch; buildClosures shares
+// one across a module's functions.
+type lowerer struct {
+	cm     *CompiledModule
+	code   []instr
+	cf     *closFunc
+	target []bool    // branch targets
+	segK   []uint32  // length of the fuel segment headed at pc, 0 inside one
+	pend   []operand // pending operands: a run of local.get/const right before pc
+	// held is a pending local.get left beneath values pushed since (above
+	// of them), for the op that consumes it to read in place; src is
+	// fromStack when there is none. The first op placed after it also
+	// covers its pc.
+	held  operand
+	above int
+}
+
+// compileClosures lowers one function body in a single pass over its
+// stream. It never fails: any instruction the compiler emitted has a
+// lowering, and an unknown op becomes a trapping closure, the same
+// internal-error trap the interpreter raises.
+func (l *lowerer) compileClosures(cm *CompiledModule, f *compiledFunc) *closFunc {
+	code := f.code
+	n := len(code)
+	l.cm, l.code = cm, code
+	l.cf = &closFunc{
+		steps:      make([]closStep, n),
+		numLocals:  f.numParams + f.numLocals,
+		numResults: len(f.typ.Results),
+		stackCap:   f.maxStack + 2,
+	}
+	l.target = append(l.target[:0], make([]bool, n+1)...)
+	l.segK = append(l.segK[:0], make([]uint32, n+1)...)
+	l.pend, l.held = l.pend[:0], operand{}
+	for pc := range code {
+		for _, t := range code[pc].targets {
+			l.target[t.pc] = true
+		}
+	}
+	// A segment head is the entry, a branch target (control lands there
+	// without passing the previous head) or the successor of an instruction
+	// that cannot sit inside a segment.
+	head := 0
+	for pc := 1; pc <= n; pc++ {
+		if pc == n || l.target[pc] || !closMidSegment(code[pc-1].op) {
+			l.segK[head] = uint32(pc - head)
+			head = pc
+		}
+	}
+
+	for pc := 0; pc < n; pc++ {
+		if l.target[pc] {
+			l.barrier()
+		}
+		switch ins := &code[pc]; ins.op {
+		case uint16(OpLocalGet):
+			l.pend = append(l.pend, operand{src: fromLocal, v: uint64(ins.a), pc: pc})
+		case uint16(OpI32Const), uint16(OpI64Const), uint16(OpF32Const), uint16(OpF64Const):
+			l.pend = append(l.pend, operand{src: fromConst, v: ins.imm, pc: pc})
+		default:
+			pc = l.lower(pc)
+		}
+	}
+	l.barrier()
+	return l.cf
+}
+
+// closMidSegment reports whether an instruction may sit before the end of a
+// fuel pre-charge segment: it must not trap, branch, call or return, nor
+// change what a trapped caller can observe (globals, memory size), so the
+// only way execution leaves a pre-charged segment early is fuel exhaustion
+// at its head — the boundary chargeFuel accounts for exactly. Anything
+// unrecognized conservatively ends its segment.
+func closMidSegment(op uint16) bool {
+	switch {
+	case op >= uint16(OpI32DivS) && op <= uint16(OpI32RemU), op >= uint16(OpI64DivS) && op <= uint16(OpI64RemU):
+		return false // division by zero
+	case op >= uint16(OpI32TruncF32S) && op <= uint16(OpI64TruncF64U):
+		return op == uint16(OpI64ExtendI32S) || op == uint16(OpI64ExtendI32U) // NaN/overflow
+	case op >= uint16(OpI32Const) && op <= uint16(OpF64Const), op == uint16(OpI32Eqz), op == uint16(OpI64Eqz):
+		return true
+	}
 	switch op {
+	case uint16(OpDrop), uint16(OpSelect), uint16(OpLocalGet), uint16(OpLocalSet),
+		uint16(OpLocalTee), uint16(OpGlobalGet), uint16(OpMemorySize):
+		return true
+	}
+	return binOps[op] != nil || unOps[op] != nil
+}
 
-	// Control flow ------------------------------------------------------
+// place puts op at s and charges it every segment head from s to c, its
+// trapping instruction. The first op placed above a held operand moves down
+// onto the held pc, so control falling through finds an op there.
+func (l *lowerer) place(s, c int, op closOp) {
+	if h := l.held; h.src == fromLocal && s == h.pc+1 && l.cf.steps[h.pc].op == nil {
+		s = h.pc
+	}
+	st := &l.cf.steps[s]
+	st.op = op
+	for pc := s; pc <= c; pc++ {
+		st.charge += l.segK[pc]
+	}
+}
+
+// flush pushes all but the top keep pending operands, each by an op at its
+// own pc. With keep > 0 the bottom one, if a local.get, is held instead
+// when nothing is.
+func (l *lowerer) flush(keep int) {
+	k := len(l.pend) - keep
+	if k <= 0 {
+		return
+	}
+	for i, o := range l.pend[:k] {
+		if i == 0 && keep > 0 && o.src == fromLocal && l.held.src != fromLocal {
+			l.held, l.above = o, 0
+			continue
+		}
+		l.place(o.pc, o.pc, pushOp(o.pc+1, o))
+		if l.held.src == fromLocal {
+			l.above++
+		}
+	}
+	l.pend = append(l.pend[:0], l.pend[k:]...)
+}
+
+// barrier materializes every operand: the next op needs the concrete stack.
+func (l *lowerer) barrier() {
+	l.unhold()
+	l.flush(0)
+}
+
+// unhold pushes the held operand after all, by an op at its own pc; the op
+// placed there moves up one pc and gives back the held pc's charge.
+func (l *lowerer) unhold() {
+	h := l.held
+	if h.src != fromLocal {
+		return
+	}
+	l.held = operand{}
+	st := &l.cf.steps[h.pc]
+	if st.op != nil {
+		l.cf.steps[h.pc+1] = closStep{st.op, st.charge - l.segK[h.pc]}
+	}
+	*st = closStep{pushOp(h.pc+1, h), l.segK[h.pc]}
+}
+
+// operands takes the n virtual-stack operands of the op at pc and returns
+// the top fold (n, or 1 for select's condition) of them, bottom first:
+// pending ones fold, the others are the stack's (the zero operand). It
+// returns the pc the op is placed at, its first covered instruction. A
+// pending operand beneath the foldable ones is pushed (or held) first, and
+// so is a constant anywhere but on top — or anywhere, without topConst —
+// because templates read a constant only as their last input. A held
+// operand the op consumes is read in place when it is the op's first input
+// and all inputs fold, else pushed.
+func (l *lowerer) operands(n, fold, pc int, topConst bool) (xs [2]operand, start int) {
+	l.flush(fold)
+	for len(l.pend) > 0 && l.pend[0].src == fromConst && (len(l.pend) > 1 || !topConst) {
+		l.flush(len(l.pend) - 1)
+	}
+	k := len(l.pend)
+	start = pc
+	if k > 0 {
+		start = l.pend[0].pc
+	}
+	if l.held.src == fromLocal && n-k > l.above {
+		if fold < n || n-k > l.above+1 { // not its first input, or not all fold
+			l.unhold()
+		} else {
+			xs[0], l.held = l.held, operand{}
+			copy(xs[1+l.above:n], l.pend)
+			l.pend = l.pend[:0]
+			return xs, start
+		}
+	}
+	l.above -= n - k
+	copy(xs[fold-k:fold], l.pend)
+	l.pend = l.pend[:0]
+	return xs, start
+}
+
+// dest folds the instruction after pc into the op at pc when all it does is
+// move that op's result: local.set/tee write it to the local, and — with
+// branch — br_if/if branch on it. Nothing folds across a branch target, and
+// a successor that heads a fuel segment (the op at pc can trap) folds only
+// with post: the template then pays that segment after its own work
+// succeeded.
+func (l *lowerer) dest(pc int, branch, post bool) (dest, int) {
+	nx := pc + 1
+	if nx >= len(l.code) || l.target[nx] || (l.segK[nx] != 0 && !post) {
+		return dest{}, pc
+	}
+	switch ins := &l.code[nx]; {
+	case ins.op == uint16(OpLocalSet), ins.op == uint16(OpLocalTee):
+		return dest{kind: toLocal, ix: int(ins.a), tee: ins.op == uint16(OpLocalTee), post: l.segK[nx]}, nx
+	case branch && (ins.op == uint16(OpBrIf) || ins.op == opBrIfFalse):
+		return dest{kind: toBranch, nz: ins.op == uint16(OpBrIf), t: ins.targets[0]}, nx
+	}
+	return dest{}, pc
+}
+
+// follow returns where control goes after the op whose last covered pc is
+// end, and the last pc the op covers then: a br right after it that only
+// moves control — it keeps no values, the stack already sits at the
+// target's height, and it is neither a branch target nor a segment head —
+// is folded in. A held operand needs no push here: the br keeps the stack
+// height, so a held operand lies below the target block's entry and was
+// held before it — the target is ahead (a loop head is a barrier), and its
+// barrier pushes the operand at its own pc, before the br runs.
+func (l *lowerer) follow(end int) (next, last int) {
+	j := end + 1
+	if j < len(l.code) && l.code[j].op == opJump && !l.target[j] && l.segK[j] == 0 {
+		if t := l.code[j].targets[0]; t.keep == 0 && t.unwind == l.code[j].a {
+			return int(t.pc), j
+		}
+	}
+	return j, end
+}
+
+// pushes is how many values an op with destination d leaves on the stack.
+func (d dest) pushes() int {
+	if d.kind == toStack || d.tee {
+		return 1
+	}
+	return 0
+}
+
+// lower places the op for the instruction at pc (not a local.get or
+// constant), folding the pending operands it consumes and, through dest and
+// follow, the instructions after it. It returns the last pc the op covers.
+func (l *lowerer) lower(pc int) int {
+	ins := &l.code[pc]
+	op := ins.op
+	var (
+		xs  [2]operand
+		s   int
+		d   dest
+		end = pc
+		out int // values the op leaves on the concrete stack
+		mk  func(next int) closOp
+	)
+	switch {
+	case op == uint16(OpI32Eqz) || op == uint16(OpI64Eqz):
+		xs, s = l.operands(1, 1, pc, false)
+		xs[1] = operand{src: fromConst} // eqz x is eq x, 0
+		d, end = l.dest(pc, true, false)
+		out = d.pushes()
+		fn := binOps[uint16(OpI32Eq)]
+		if op == uint16(OpI64Eqz) {
+			fn = binOps[uint16(OpI64Eq)]
+		}
+		mk = func(next int) closOp { return binOp(next, xs[0], xs[1], fn, d) }
+	case binOps[op] != nil:
+		xs, s = l.operands(2, 2, pc, true)
+		d, end = l.dest(pc, true, false)
+		out = d.pushes()
+		mk = func(next int) closOp { return binOp(next, xs[0], xs[1], binOps[op], d) }
+	case unOps[op] != nil:
+		xs, s = l.operands(1, 1, pc, false)
+		d, end = l.dest(pc, false, false)
+		out = d.pushes()
+		mk = func(next int) closOp { return unOp(next, xs[0], unOps[op], d) }
+	case loadOps[op] != nil:
+		xs, s = l.operands(1, 1, pc, true)
+		d, end = l.dest(pc, false, true)
+		out = d.pushes()
+		mk = func(next int) closOp { return loadOp(next, xs[0], ins.imm, loadOps[op], d) }
+	case storeOps[op] != nil:
+		xs, s = l.operands(2, 2, pc, true)
+		mk = func(next int) closOp { return storeOp(next, xs[0], xs[1], ins.imm, storeOps[op]) }
+	case op == uint16(OpLocalSet) || op == uint16(OpLocalTee):
+		xs, s = l.operands(1, 1, pc, true)
+		d = dest{kind: toLocal, ix: int(ins.a), tee: op == uint16(OpLocalTee)}
+		out = d.pushes()
+		mk = func(next int) closOp { return setOp(next, xs[0], d.ix, d.tee) }
+	case op == uint16(OpBrIf) || op == opBrIfFalse:
+		xs, s = l.operands(1, 1, pc, false)
+		d = dest{kind: toBranch}
+		mk = func(next int) closOp { return brOp(next, xs[0], op == uint16(OpBrIf), ins.targets[0]) }
+	case op == uint16(OpSelect):
+		xs, s = l.operands(3, 1, pc, false) // the condition folds; both values are on the stack
+		out = 1
+		mk = func(next int) closOp { return selectOp(next, xs[0]) }
+	case op == uint16(OpDrop):
+		xs, s = l.operands(1, 1, pc, true)
+		mk = func(next int) closOp { return dropOp(next, xs[0]) }
+	default:
+		l.barrier()
+		s = pc
+		mk = func(next int) closOp { return l.stackOp(ins, next) }
+	}
+	if h := l.held; h.src == fromLocal && (d.kind == toBranch || d.kind == toLocal && uint64(d.ix) == h.v) {
+		l.unhold() // the op branches, or overwrites the held local
+	}
+	next, end := l.follow(end)
+	l.place(s, pc, mk(next))
+	l.above += out
+	return end
+}
+
+func pushOp(next int, o operand) closOp {
+	if o.src == fromLocal {
+		ix := int(o.v)
+		return func(e *closEnv, sp int) (int, int) {
+			e.stack[sp] = e.locals[ix]
+			return next, sp + 1
+		}
+	}
+	c := o.v
+	return func(e *closEnv, sp int) (int, int) {
+		e.stack[sp] = c
+		return next, sp + 1
+	}
+}
+
+func binOp(next int, x, y operand, fn binFn, d dest) closOp {
+	a, b, c := int(x.v), int(y.v), y.v
+	switch shape := x.src<<2 | y.src; d.kind {
+	case toLocal:
+		ix, tee := d.ix, d.tee
+		switch shape {
+		case ss:
+			return func(e *closEnv, sp int) (int, int) {
+				return next, e.put(ix, fn(e.stack[sp-2], e.stack[sp-1]), sp-2, tee)
+			}
+		case sl:
+			return func(e *closEnv, sp int) (int, int) {
+				return next, e.put(ix, fn(e.stack[sp-1], e.locals[b]), sp-1, tee)
+			}
+		case sc:
+			return func(e *closEnv, sp int) (int, int) { return next, e.put(ix, fn(e.stack[sp-1], c), sp-1, tee) }
+		case ll:
+			return func(e *closEnv, sp int) (int, int) { return next, e.put(ix, fn(e.locals[a], e.locals[b]), sp, tee) }
+		case ls:
+			return func(e *closEnv, sp int) (int, int) {
+				return next, e.put(ix, fn(e.locals[a], e.stack[sp-1]), sp-1, tee)
+			}
+		default:
+			return func(e *closEnv, sp int) (int, int) { return next, e.put(ix, fn(e.locals[a], c), sp, tee) }
+		}
+	case toBranch:
+		t, nz := d.t, d.nz
+		switch shape {
+		case ss:
+			return func(e *closEnv, sp int) (int, int) {
+				if (fn(e.stack[sp-2], e.stack[sp-1]) != 0) == nz {
+					return takeBranchOp(e, sp-2, t)
+				}
+				return next, sp - 2
+			}
+		case sl:
+			return func(e *closEnv, sp int) (int, int) {
+				if (fn(e.stack[sp-1], e.locals[b]) != 0) == nz {
+					return takeBranchOp(e, sp-1, t)
+				}
+				return next, sp - 1
+			}
+		case sc:
+			return func(e *closEnv, sp int) (int, int) {
+				if (fn(e.stack[sp-1], c) != 0) == nz {
+					return takeBranchOp(e, sp-1, t)
+				}
+				return next, sp - 1
+			}
+		case ll:
+			return func(e *closEnv, sp int) (int, int) {
+				if (fn(e.locals[a], e.locals[b]) != 0) == nz {
+					return takeBranchOp(e, sp, t)
+				}
+				return next, sp
+			}
+		case ls:
+			return func(e *closEnv, sp int) (int, int) {
+				if (fn(e.locals[a], e.stack[sp-1]) != 0) == nz {
+					return takeBranchOp(e, sp-1, t)
+				}
+				return next, sp - 1
+			}
+		default:
+			return func(e *closEnv, sp int) (int, int) {
+				if (fn(e.locals[a], c) != 0) == nz {
+					return takeBranchOp(e, sp, t)
+				}
+				return next, sp
+			}
+		}
+	}
+	switch shape := x.src<<2 | y.src; shape {
+	case ss:
+		return func(e *closEnv, sp int) (int, int) {
+			e.stack[sp-2] = fn(e.stack[sp-2], e.stack[sp-1])
+			return next, sp - 1
+		}
+	case sl:
+		return func(e *closEnv, sp int) (int, int) {
+			e.stack[sp-1] = fn(e.stack[sp-1], e.locals[b])
+			return next, sp
+		}
+	case sc:
+		return func(e *closEnv, sp int) (int, int) {
+			e.stack[sp-1] = fn(e.stack[sp-1], c)
+			return next, sp
+		}
+	case ll:
+		return func(e *closEnv, sp int) (int, int) {
+			e.stack[sp] = fn(e.locals[a], e.locals[b])
+			return next, sp + 1
+		}
+	case ls:
+		return func(e *closEnv, sp int) (int, int) {
+			e.stack[sp-1] = fn(e.locals[a], e.stack[sp-1])
+			return next, sp
+		}
+	default:
+		return func(e *closEnv, sp int) (int, int) {
+			e.stack[sp] = fn(e.locals[a], c)
+			return next, sp + 1
+		}
+	}
+}
+
+func unOp(next int, x operand, fn unFn, d dest) closOp {
+	a, ix, tee := int(x.v), d.ix, d.tee
+	switch {
+	case x.src == fromStack && d.kind == toLocal:
+		return func(e *closEnv, sp int) (int, int) { return next, e.put(ix, fn(e.stack[sp-1]), sp-1, tee) }
+	case d.kind == toLocal:
+		return func(e *closEnv, sp int) (int, int) { return next, e.put(ix, fn(e.locals[a]), sp, tee) }
+	case x.src == fromStack:
+		return func(e *closEnv, sp int) (int, int) {
+			e.stack[sp-1] = fn(e.stack[sp-1])
+			return next, sp
+		}
+	}
+	return func(e *closEnv, sp int) (int, int) {
+		e.stack[sp] = fn(e.locals[a])
+		return next, sp + 1
+	}
+}
+
+func loadOp(next int, x operand, off uint64, ld loadFn, d dest) closOp {
+	a, addr, ix, tee, post := int(x.v), uint64(uint32(x.v))+off, d.ix, d.tee, d.post
+	if d.kind == toLocal {
+		switch x.src {
+		case fromStack:
+			return func(e *closEnv, sp int) (int, int) {
+				v := ld(e.mem, uint64(uint32(e.stack[sp-1]))+off)
+				e.in.chargeFuel(post)
+				return next, e.put(ix, v, sp-1, tee)
+			}
+		case fromLocal:
+			return func(e *closEnv, sp int) (int, int) {
+				v := ld(e.mem, uint64(uint32(e.locals[a]))+off)
+				e.in.chargeFuel(post)
+				return next, e.put(ix, v, sp, tee)
+			}
+		}
+		return func(e *closEnv, sp int) (int, int) {
+			v := ld(e.mem, addr)
+			e.in.chargeFuel(post)
+			return next, e.put(ix, v, sp, tee)
+		}
+	}
+	switch x.src {
+	case fromStack:
+		return func(e *closEnv, sp int) (int, int) {
+			e.stack[sp-1] = ld(e.mem, uint64(uint32(e.stack[sp-1]))+off)
+			return next, sp
+		}
+	case fromLocal:
+		return func(e *closEnv, sp int) (int, int) {
+			e.stack[sp] = ld(e.mem, uint64(uint32(e.locals[a]))+off)
+			return next, sp + 1
+		}
+	}
+	return func(e *closEnv, sp int) (int, int) {
+		e.stack[sp] = ld(e.mem, addr)
+		return next, sp + 1
+	}
+}
+
+// storeOp: x is the address, y the value.
+func storeOp(next int, x, y operand, off uint64, st storeFn) closOp {
+	a, b, c := int(x.v), int(y.v), y.v
+	switch x.src<<2 | y.src {
+	case ss:
+		return func(e *closEnv, sp int) (int, int) {
+			st(e.mem, uint64(uint32(e.stack[sp-2]))+off, e.stack[sp-1])
+			return next, sp - 2
+		}
+	case sl:
+		return func(e *closEnv, sp int) (int, int) {
+			st(e.mem, uint64(uint32(e.stack[sp-1]))+off, e.locals[b])
+			return next, sp - 1
+		}
+	case sc:
+		return func(e *closEnv, sp int) (int, int) {
+			st(e.mem, uint64(uint32(e.stack[sp-1]))+off, c)
+			return next, sp - 1
+		}
+	case ll:
+		return func(e *closEnv, sp int) (int, int) {
+			st(e.mem, uint64(uint32(e.locals[a]))+off, e.locals[b])
+			return next, sp
+		}
+	case ls:
+		return func(e *closEnv, sp int) (int, int) {
+			st(e.mem, uint64(uint32(e.locals[a]))+off, e.stack[sp-1])
+			return next, sp - 1
+		}
+	}
+	return func(e *closEnv, sp int) (int, int) {
+		st(e.mem, uint64(uint32(e.locals[a]))+off, c)
+		return next, sp
+	}
+}
+
+func setOp(next int, x operand, ix int, tee bool) closOp {
+	a, c := int(x.v), x.v
+	switch x.src {
+	case fromStack:
+		return func(e *closEnv, sp int) (int, int) { return next, e.put(ix, e.stack[sp-1], sp-1, tee) }
+	case fromLocal:
+		return func(e *closEnv, sp int) (int, int) { return next, e.put(ix, e.locals[a], sp, tee) }
+	}
+	return func(e *closEnv, sp int) (int, int) { return next, e.put(ix, c, sp, tee) }
+}
+
+// brOp is a br_if (nz) or a compiled if's branch past its then-arm on a
+// condition that no compare produced.
+func brOp(next int, x operand, nz bool, t branchTarget) closOp {
+	if x.src == fromLocal {
+		a := int(x.v)
+		return func(e *closEnv, sp int) (int, int) {
+			if (uint32(e.locals[a]) != 0) == nz {
+				return takeBranchOp(e, sp, t)
+			}
+			return next, sp
+		}
+	}
+	return func(e *closEnv, sp int) (int, int) {
+		if (uint32(e.stack[sp-1]) != 0) == nz {
+			return takeBranchOp(e, sp-1, t)
+		}
+		return next, sp - 1
+	}
+}
+
+// selectOp keeps the lower of the two stacked values unless the condition
+// is zero.
+func selectOp(next int, x operand) closOp {
+	if x.src == fromLocal {
+		a := int(x.v)
+		return func(e *closEnv, sp int) (int, int) {
+			if uint32(e.locals[a]) == 0 {
+				e.stack[sp-2] = e.stack[sp-1]
+			}
+			return next, sp - 1
+		}
+	}
+	return func(e *closEnv, sp int) (int, int) {
+		if uint32(e.stack[sp-1]) == 0 {
+			e.stack[sp-3] = e.stack[sp-2]
+		}
+		return next, sp - 2
+	}
+}
+
+// dropOp discards the stack top; a dropped pending operand was never
+// pushed, so its op only passes control (and charges) through.
+func dropOp(next int, x operand) closOp {
+	if x.src != fromStack {
+		return func(e *closEnv, sp int) (int, int) { return next, sp }
+	}
+	return func(e *closEnv, sp int) (int, int) { return next, sp - 1 }
+}
+
+// stackOp lowers the instructions that work on the concrete stack: control
+// transfer, calls, globals and the memory-wide operations.
+func (l *lowerer) stackOp(ins *instr, next int) closOp {
+	cm := l.cm
+	switch op := ins.op; op {
 	case uint16(OpUnreachable):
 		return func(e *closEnv, sp int) (int, int) { panic(newTrap(TrapUnreachable)) }
 	case opJump:
 		t := ins.targets[0]
 		return func(e *closEnv, sp int) (int, int) { return takeBranchOp(e, sp, t) }
-	case opBrIfFalse:
-		t := ins.targets[0]
-		return func(e *closEnv, sp int) (int, int) {
-			c := uint32(e.stack[sp-1])
-			sp--
-			if c == 0 {
-				return takeBranchOp(e, sp, t)
-			}
-			return next, sp
-		}
-	case uint16(OpBrIf):
-		t := ins.targets[0]
-		return func(e *closEnv, sp int) (int, int) {
-			c := uint32(e.stack[sp-1])
-			sp--
-			if c != 0 {
-				return takeBranchOp(e, sp, t)
-			}
-			return next, sp
-		}
 	case uint16(OpBrTable):
-		ts := append([]branchTarget(nil), ins.targets...) // ins lives in fusion scratch
+		ts := ins.targets
 		return func(e *closEnv, sp int) (int, int) {
 			sel := int(uint32(e.stack[sp-1]))
-			sp--
 			if sel >= len(ts)-1 {
 				sel = len(ts) - 1
 			}
-			t := ts[sel]
-			return takeBranchOp(e, sp, t)
+			return takeBranchOp(e, sp-1, ts[sel])
 		}
 	case opReturnOp:
 		return func(e *closEnv, sp int) (int, int) { return -1, sp }
@@ -414,16 +823,12 @@ func lowerInstr(cm *CompiledModule, ins *instr, pc int) closOp {
 			callee := cm.funcs[int(fx)-nImp]
 			return func(e *closEnv, sp int) (int, int) {
 				res := e.in.callClosure(fx, callee, e.stack[sp-np:sp])
-				sp -= np
-				sp += copy(e.stack[sp:], res)
-				return next, sp
+				return next, sp - np + copy(e.stack[sp-np:], res)
 			}
 		}
 		return func(e *closEnv, sp int) (int, int) {
 			res := e.in.invoke(fx, e.stack[sp-np:sp])
-			sp -= np
-			sp += copy(e.stack[sp:], res)
-			return next, sp
+			return next, sp - np + copy(e.stack[sp-np:], res)
 		}
 	case uint16(OpCallIndirect):
 		want := cm.m.Types[ins.a]
@@ -444,40 +849,7 @@ func lowerInstr(cm *CompiledModule, ins *instr, pc int) closOp {
 				panic(newTrap(TrapIndirectCallTypeMismatch))
 			}
 			res := in.invoke(funcIdx, e.stack[sp-np:sp])
-			sp -= np
-			sp += copy(e.stack[sp:], res)
-			return next, sp
-		}
-
-	// Parametric --------------------------------------------------------
-	case uint16(OpDrop):
-		return func(e *closEnv, sp int) (int, int) { return next, sp - 1 }
-	case uint16(OpSelect):
-		return func(e *closEnv, sp int) (int, int) {
-			if uint32(e.stack[sp-1]) == 0 {
-				e.stack[sp-3] = e.stack[sp-2]
-			}
-			return next, sp - 2
-		}
-
-	// Variables ---------------------------------------------------------
-	case uint16(OpLocalGet):
-		ix := int(ins.a)
-		return func(e *closEnv, sp int) (int, int) {
-			e.stack[sp] = e.locals[ix]
-			return next, sp + 1
-		}
-	case uint16(OpLocalSet):
-		ix := int(ins.a)
-		return func(e *closEnv, sp int) (int, int) {
-			e.locals[ix] = e.stack[sp-1]
-			return next, sp - 1
-		}
-	case uint16(OpLocalTee):
-		ix := int(ins.a)
-		return func(e *closEnv, sp int) (int, int) {
-			e.locals[ix] = e.stack[sp-1]
-			return next, sp
+			return next, sp - np + copy(e.stack[sp-np:], res)
 		}
 	case uint16(OpGlobalGet):
 		ix := int(ins.a)
@@ -491,53 +863,6 @@ func lowerInstr(cm *CompiledModule, ins *instr, pc int) closOp {
 			e.in.globals[ix] = e.stack[sp-1]
 			return next, sp - 1
 		}
-
-	// Memory ------------------------------------------------------------
-	case uint16(OpI32Load):
-		off := ins.imm
-		return func(e *closEnv, sp int) (int, int) {
-			a := uint64(uint32(e.stack[sp-1])) + off
-			e.stack[sp-1] = uint64(leUint32(e.mem.mustRange(a, 4)))
-			return next, sp
-		}
-	case uint16(OpI64Load), uint16(OpF64Load):
-		return clLoad(next, ins.imm, 8, leUint64)
-	case uint16(OpF32Load):
-		return clLoad(next, ins.imm, 4, func(b []byte) uint64 { return uint64(leUint32(b)) })
-	case uint16(OpI32Load8S):
-		return clLoad(next, ins.imm, 1, func(b []byte) uint64 { return uint64(uint32(int32(int8(b[0])))) })
-	case uint16(OpI32Load8U), uint16(OpI64Load8U):
-		return clLoad(next, ins.imm, 1, func(b []byte) uint64 { return uint64(b[0]) })
-	case uint16(OpI32Load16S):
-		return clLoad(next, ins.imm, 2, func(b []byte) uint64 { return uint64(uint32(int32(int16(leUint16(b))))) })
-	case uint16(OpI32Load16U), uint16(OpI64Load16U):
-		return clLoad(next, ins.imm, 2, func(b []byte) uint64 { return uint64(leUint16(b)) })
-	case uint16(OpI64Load8S):
-		return clLoad(next, ins.imm, 1, func(b []byte) uint64 { return uint64(int64(int8(b[0]))) })
-	case uint16(OpI64Load16S):
-		return clLoad(next, ins.imm, 2, func(b []byte) uint64 { return uint64(int64(int16(leUint16(b)))) })
-	case uint16(OpI64Load32S):
-		return clLoad(next, ins.imm, 4, func(b []byte) uint64 { return uint64(int64(int32(leUint32(b)))) })
-	case uint16(OpI64Load32U):
-		return clLoad(next, ins.imm, 4, func(b []byte) uint64 { return uint64(leUint32(b)) })
-
-	case uint16(OpI32Store):
-		off := ins.imm
-		return func(e *closEnv, sp int) (int, int) {
-			v := uint32(e.stack[sp-1])
-			a := uint64(uint32(e.stack[sp-2])) + off
-			putLeUint32(e.mem.mustRange(a, 4), v)
-			return next, sp - 2
-		}
-	case uint16(OpF32Store), uint16(OpI64Store32):
-		return clStore(next, ins.imm, 4, func(b []byte, v uint64) { putLeUint32(b, uint32(v)) })
-	case uint16(OpI64Store), uint16(OpF64Store):
-		return clStore(next, ins.imm, 8, putLeUint64)
-	case uint16(OpI32Store8), uint16(OpI64Store8):
-		return clStore(next, ins.imm, 1, func(b []byte, v uint64) { b[0] = byte(v) })
-	case uint16(OpI32Store16), uint16(OpI64Store16):
-		return clStore(next, ins.imm, 2, func(b []byte, v uint64) { b[0], b[1] = byte(v), byte(v>>8) })
-
 	case uint16(OpMemorySize):
 		return func(e *closEnv, sp int) (int, int) {
 			e.stack[sp] = uint64(e.mem.Size())
@@ -546,295 +871,17 @@ func lowerInstr(cm *CompiledModule, ins *instr, pc int) closOp {
 	case uint16(OpMemoryGrow):
 		return func(e *closEnv, sp int) (int, int) {
 			prev, ok := e.mem.Grow(uint32(e.stack[sp-1]))
-			if ok {
-				e.stack[sp-1] = uint64(prev)
-			} else {
-				e.stack[sp-1] = uint64(uint32(0xFFFFFFFF))
+			if !ok {
+				prev = 0xFFFFFFFF
 			}
+			e.stack[sp-1] = uint64(prev)
 			return next, sp
 		}
-
-	// Constants ---------------------------------------------------------
-	case uint16(OpI32Const), uint16(OpI64Const), uint16(OpF32Const), uint16(OpF64Const):
-		imm := ins.imm
-		return func(e *closEnv, sp int) (int, int) {
-			e.stack[sp] = imm
-			return next, sp + 1
-		}
-
-	// i32/i64 tests -----------------------------------------------------
-	case uint16(OpI32Eqz):
-		return clUn(next, func(v uint64) uint64 { return b2i(uint32(v) == 0) })
-	case uint16(OpI64Eqz):
-		return clUn(next, func(v uint64) uint64 { return b2i(v == 0) })
-
-	// i64 comparisons ---------------------------------------------------
-	case uint16(OpI64Eq):
-		return clCmp(next, func(x, y uint64) bool { return x == y })
-	case uint16(OpI64Ne):
-		return clCmp(next, func(x, y uint64) bool { return x != y })
-	case uint16(OpI64LtS):
-		return clCmp(next, func(x, y uint64) bool { return int64(x) < int64(y) })
-	case uint16(OpI64LtU):
-		return clCmp(next, func(x, y uint64) bool { return x < y })
-	case uint16(OpI64GtS):
-		return clCmp(next, func(x, y uint64) bool { return int64(x) > int64(y) })
-	case uint16(OpI64GtU):
-		return clCmp(next, func(x, y uint64) bool { return x > y })
-	case uint16(OpI64LeS):
-		return clCmp(next, func(x, y uint64) bool { return int64(x) <= int64(y) })
-	case uint16(OpI64LeU):
-		return clCmp(next, func(x, y uint64) bool { return x <= y })
-	case uint16(OpI64GeS):
-		return clCmp(next, func(x, y uint64) bool { return int64(x) >= int64(y) })
-	case uint16(OpI64GeU):
-		return clCmp(next, func(x, y uint64) bool { return x >= y })
-
-	// float comparisons -------------------------------------------------
-	case uint16(OpF32Eq):
-		return clCmp(next, func(x, y uint64) bool { return f32FromBits(x) == f32FromBits(y) })
-	case uint16(OpF32Ne):
-		return clCmp(next, func(x, y uint64) bool { return f32FromBits(x) != f32FromBits(y) })
-	case uint16(OpF32Lt):
-		return clCmp(next, func(x, y uint64) bool { return f32FromBits(x) < f32FromBits(y) })
-	case uint16(OpF32Gt):
-		return clCmp(next, func(x, y uint64) bool { return f32FromBits(x) > f32FromBits(y) })
-	case uint16(OpF32Le):
-		return clCmp(next, func(x, y uint64) bool { return f32FromBits(x) <= f32FromBits(y) })
-	case uint16(OpF32Ge):
-		return clCmp(next, func(x, y uint64) bool { return f32FromBits(x) >= f32FromBits(y) })
-	case uint16(OpF64Eq):
-		return clCmp(next, func(x, y uint64) bool { return f64FromBits(x) == f64FromBits(y) })
-	case uint16(OpF64Ne):
-		return clCmp(next, func(x, y uint64) bool { return f64FromBits(x) != f64FromBits(y) })
-	case uint16(OpF64Lt):
-		return clCmp(next, func(x, y uint64) bool { return f64FromBits(x) < f64FromBits(y) })
-	case uint16(OpF64Gt):
-		return clCmp(next, func(x, y uint64) bool { return f64FromBits(x) > f64FromBits(y) })
-	case uint16(OpF64Le):
-		return clCmp(next, func(x, y uint64) bool { return f64FromBits(x) <= f64FromBits(y) })
-	case uint16(OpF64Ge):
-		return clCmp(next, func(x, y uint64) bool { return f64FromBits(x) >= f64FromBits(y) })
-
-	// i32 unary ---------------------------------------------------------
-	case uint16(OpI32Clz):
-		return clUn(next, func(v uint64) uint64 { return uint64(bits.LeadingZeros32(uint32(v))) })
-	case uint16(OpI32Ctz):
-		return clUn(next, func(v uint64) uint64 { return uint64(bits.TrailingZeros32(uint32(v))) })
-	case uint16(OpI32Popcnt):
-		return clUn(next, func(v uint64) uint64 { return uint64(bits.OnesCount32(uint32(v))) })
-
-	// i64 arithmetic ----------------------------------------------------
-	case uint16(OpI64Clz):
-		return clUn(next, func(v uint64) uint64 { return uint64(bits.LeadingZeros64(v)) })
-	case uint16(OpI64Ctz):
-		return clUn(next, func(v uint64) uint64 { return uint64(bits.TrailingZeros64(v)) })
-	case uint16(OpI64Popcnt):
-		return clUn(next, func(v uint64) uint64 { return uint64(bits.OnesCount64(v)) })
-	case uint16(OpI64Add):
-		return clBin(next, func(x, y uint64) uint64 { return x + y })
-	case uint16(OpI64Sub):
-		return clBin(next, func(x, y uint64) uint64 { return x - y })
-	case uint16(OpI64Mul):
-		return clBin(next, func(x, y uint64) uint64 { return x * y })
-	case uint16(OpI64DivS):
-		return clBin(next, func(x, y uint64) uint64 {
-			if y == 0 {
-				panic(newTrap(TrapIntegerDivideByZero))
-			}
-			if int64(x) == math.MinInt64 && int64(y) == -1 {
-				panic(newTrap(TrapIntegerOverflow))
-			}
-			return uint64(int64(x) / int64(y))
-		})
-	case uint16(OpI64DivU):
-		return clBin(next, func(x, y uint64) uint64 {
-			if y == 0 {
-				panic(newTrap(TrapIntegerDivideByZero))
-			}
-			return x / y
-		})
-	case uint16(OpI64RemS):
-		return clBin(next, func(x, y uint64) uint64 {
-			if y == 0 {
-				panic(newTrap(TrapIntegerDivideByZero))
-			}
-			if int64(x) == math.MinInt64 && int64(y) == -1 {
-				return 0
-			}
-			return uint64(int64(x) % int64(y))
-		})
-	case uint16(OpI64RemU):
-		return clBin(next, func(x, y uint64) uint64 {
-			if y == 0 {
-				panic(newTrap(TrapIntegerDivideByZero))
-			}
-			return x % y
-		})
-	case uint16(OpI64And):
-		return clBin(next, func(x, y uint64) uint64 { return x & y })
-	case uint16(OpI64Or):
-		return clBin(next, func(x, y uint64) uint64 { return x | y })
-	case uint16(OpI64Xor):
-		return clBin(next, func(x, y uint64) uint64 { return x ^ y })
-	case uint16(OpI64Shl):
-		return clBin(next, func(x, y uint64) uint64 { return x << (y & 63) })
-	case uint16(OpI64ShrS):
-		return clBin(next, func(x, y uint64) uint64 { return uint64(int64(x) >> (y & 63)) })
-	case uint16(OpI64ShrU):
-		return clBin(next, func(x, y uint64) uint64 { return x >> (y & 63) })
-	case uint16(OpI64Rotl):
-		return clBin(next, func(x, y uint64) uint64 { return bits.RotateLeft64(x, int(y&63)) })
-	case uint16(OpI64Rotr):
-		return clBin(next, func(x, y uint64) uint64 { return bits.RotateLeft64(x, -int(y&63)) })
-
-	// f32 arithmetic ----------------------------------------------------
-	case uint16(OpF32Abs):
-		return clUn(next, func(v uint64) uint64 { return uint64(uint32(v) &^ (1 << 31)) })
-	case uint16(OpF32Neg):
-		return clUn(next, func(v uint64) uint64 { return uint64(uint32(v) ^ (1 << 31)) })
-	case uint16(OpF32Ceil):
-		return clUn(next, func(v uint64) uint64 { return f32Bits(float32(math.Ceil(float64(f32FromBits(v))))) })
-	case uint16(OpF32Floor):
-		return clUn(next, func(v uint64) uint64 { return f32Bits(float32(math.Floor(float64(f32FromBits(v))))) })
-	case uint16(OpF32Trunc):
-		return clUn(next, func(v uint64) uint64 { return f32Bits(float32(math.Trunc(float64(f32FromBits(v))))) })
-	case uint16(OpF32Nearest):
-		return clUn(next, func(v uint64) uint64 { return f32Bits(float32(math.RoundToEven(float64(f32FromBits(v))))) })
-	case uint16(OpF32Sqrt):
-		return clUn(next, func(v uint64) uint64 { return f32Bits(float32(math.Sqrt(float64(f32FromBits(v))))) })
-	case uint16(OpF32Add):
-		return clBin(next, func(x, y uint64) uint64 { return f32Bits(f32FromBits(x) + f32FromBits(y)) })
-	case uint16(OpF32Sub):
-		return clBin(next, func(x, y uint64) uint64 { return f32Bits(f32FromBits(x) - f32FromBits(y)) })
-	case uint16(OpF32Mul):
-		return clBin(next, func(x, y uint64) uint64 { return f32Bits(f32FromBits(x) * f32FromBits(y)) })
-	case uint16(OpF32Div):
-		return clBin(next, func(x, y uint64) uint64 { return f32Bits(f32FromBits(x) / f32FromBits(y)) })
-	case uint16(OpF32Min):
-		return clBin(next, func(x, y uint64) uint64 {
-			return f32Bits(float32(math.Min(float64(f32FromBits(x)), float64(f32FromBits(y)))))
-		})
-	case uint16(OpF32Max):
-		return clBin(next, func(x, y uint64) uint64 {
-			return f32Bits(float32(math.Max(float64(f32FromBits(x)), float64(f32FromBits(y)))))
-		})
-	case uint16(OpF32Copysign):
-		return clBin(next, func(x, y uint64) uint64 {
-			return f32Bits(float32(math.Copysign(float64(f32FromBits(x)), float64(f32FromBits(y)))))
-		})
-
-	// f64 arithmetic ----------------------------------------------------
-	case uint16(OpF64Abs):
-		return clUn(next, func(v uint64) uint64 { return v &^ (1 << 63) })
-	case uint16(OpF64Neg):
-		return clUn(next, func(v uint64) uint64 { return v ^ (1 << 63) })
-	case uint16(OpF64Ceil):
-		return clUn(next, func(v uint64) uint64 { return math.Float64bits(math.Ceil(f64FromBits(v))) })
-	case uint16(OpF64Floor):
-		return clUn(next, func(v uint64) uint64 { return math.Float64bits(math.Floor(f64FromBits(v))) })
-	case uint16(OpF64Trunc):
-		return clUn(next, func(v uint64) uint64 { return math.Float64bits(math.Trunc(f64FromBits(v))) })
-	case uint16(OpF64Nearest):
-		return clUn(next, func(v uint64) uint64 { return math.Float64bits(math.RoundToEven(f64FromBits(v))) })
-	case uint16(OpF64Sqrt):
-		return clUn(next, func(v uint64) uint64 { return math.Float64bits(math.Sqrt(f64FromBits(v))) })
-	case uint16(OpF64Add):
-		return clBin(next, func(x, y uint64) uint64 { return math.Float64bits(f64FromBits(x) + f64FromBits(y)) })
-	case uint16(OpF64Sub):
-		return clBin(next, func(x, y uint64) uint64 { return math.Float64bits(f64FromBits(x) - f64FromBits(y)) })
-	case uint16(OpF64Mul):
-		return clBin(next, func(x, y uint64) uint64 { return math.Float64bits(f64FromBits(x) * f64FromBits(y)) })
-	case uint16(OpF64Div):
-		return clBin(next, func(x, y uint64) uint64 { return math.Float64bits(f64FromBits(x) / f64FromBits(y)) })
-	case uint16(OpF64Min):
-		return clBin(next, func(x, y uint64) uint64 { return math.Float64bits(math.Min(f64FromBits(x), f64FromBits(y))) })
-	case uint16(OpF64Max):
-		return clBin(next, func(x, y uint64) uint64 { return math.Float64bits(math.Max(f64FromBits(x), f64FromBits(y))) })
-	case uint16(OpF64Copysign):
-		return clBin(next, func(x, y uint64) uint64 { return math.Float64bits(math.Copysign(f64FromBits(x), f64FromBits(y))) })
-
-	// Conversions -------------------------------------------------------
-	case uint16(OpI32WrapI64), uint16(OpI64ExtendI32U):
-		return clUn(next, func(v uint64) uint64 { return uint64(uint32(v)) })
-	case uint16(OpI32TruncF32S):
-		return clUn(next, func(v uint64) uint64 { return uint64(uint32(truncToI32S(float64(f32FromBits(v))))) })
-	case uint16(OpI32TruncF32U):
-		return clUn(next, func(v uint64) uint64 { return uint64(truncToI32U(float64(f32FromBits(v)))) })
-	case uint16(OpI32TruncF64S):
-		return clUn(next, func(v uint64) uint64 { return uint64(uint32(truncToI32S(f64FromBits(v)))) })
-	case uint16(OpI32TruncF64U):
-		return clUn(next, func(v uint64) uint64 { return uint64(truncToI32U(f64FromBits(v))) })
-	case uint16(OpI64ExtendI32S):
-		return clUn(next, func(v uint64) uint64 { return uint64(int64(int32(v))) })
-	case uint16(OpI64TruncF32S):
-		return clUn(next, func(v uint64) uint64 { return uint64(truncToI64S(float64(f32FromBits(v)))) })
-	case uint16(OpI64TruncF32U):
-		return clUn(next, func(v uint64) uint64 { return truncToI64U(float64(f32FromBits(v))) })
-	case uint16(OpI64TruncF64S):
-		return clUn(next, func(v uint64) uint64 { return uint64(truncToI64S(f64FromBits(v))) })
-	case uint16(OpI64TruncF64U):
-		return clUn(next, func(v uint64) uint64 { return truncToI64U(f64FromBits(v)) })
-	case uint16(OpF32ConvertI32S):
-		return clUn(next, func(v uint64) uint64 { return f32Bits(float32(int32(v))) })
-	case uint16(OpF32ConvertI32U):
-		return clUn(next, func(v uint64) uint64 { return f32Bits(float32(uint32(v))) })
-	case uint16(OpF32ConvertI64S):
-		return clUn(next, func(v uint64) uint64 { return f32Bits(float32(int64(v))) })
-	case uint16(OpF32ConvertI64U):
-		return clUn(next, func(v uint64) uint64 { return f32Bits(float32(v)) })
-	case uint16(OpF32DemoteF64):
-		return clUn(next, func(v uint64) uint64 { return f32Bits(float32(f64FromBits(v))) })
-	case uint16(OpF64ConvertI32S):
-		return clUn(next, func(v uint64) uint64 { return math.Float64bits(float64(int32(v))) })
-	case uint16(OpF64ConvertI32U):
-		return clUn(next, func(v uint64) uint64 { return math.Float64bits(float64(uint32(v))) })
-	case uint16(OpF64ConvertI64S):
-		return clUn(next, func(v uint64) uint64 { return math.Float64bits(float64(int64(v))) })
-	case uint16(OpF64ConvertI64U):
-		return clUn(next, func(v uint64) uint64 { return math.Float64bits(float64(v)) })
-	case uint16(OpF64PromoteF32):
-		return clUn(next, func(v uint64) uint64 { return math.Float64bits(float64(f32FromBits(v))) })
-	case uint16(OpI32ReinterpretF32), uint16(OpI64ReinterpretF64),
-		uint16(OpF32ReinterpretI32), uint16(OpF64ReinterpretI64):
-		return func(e *closEnv, sp int) (int, int) { return next, sp }
-
-	// Sign extension ----------------------------------------------------
-	case uint16(OpI32Extend8S):
-		return clUn(next, func(v uint64) uint64 { return uint64(uint32(int32(int8(v)))) })
-	case uint16(OpI32Extend16S):
-		return clUn(next, func(v uint64) uint64 { return uint64(uint32(int32(int16(v)))) })
-	case uint16(OpI64Extend8S):
-		return clUn(next, func(v uint64) uint64 { return uint64(int64(int8(v))) })
-	case uint16(OpI64Extend16S):
-		return clUn(next, func(v uint64) uint64 { return uint64(int64(int16(v))) })
-	case uint16(OpI64Extend32S):
-		return clUn(next, func(v uint64) uint64 { return uint64(int64(int32(v))) })
-
-	// Misc (0xFC) -------------------------------------------------------
-	case miscBase + uint16(MiscI32TruncSatF32S):
-		return clUn(next, func(v uint64) uint64 { return uint64(uint32(truncSatI32S(float64(f32FromBits(v))))) })
-	case miscBase + uint16(MiscI32TruncSatF32U):
-		return clUn(next, func(v uint64) uint64 { return uint64(truncSatI32U(float64(f32FromBits(v)))) })
-	case miscBase + uint16(MiscI32TruncSatF64S):
-		return clUn(next, func(v uint64) uint64 { return uint64(uint32(truncSatI32S(f64FromBits(v)))) })
-	case miscBase + uint16(MiscI32TruncSatF64U):
-		return clUn(next, func(v uint64) uint64 { return uint64(truncSatI32U(f64FromBits(v))) })
-	case miscBase + uint16(MiscI64TruncSatF32S):
-		return clUn(next, func(v uint64) uint64 { return uint64(truncSatI64S(float64(f32FromBits(v)))) })
-	case miscBase + uint16(MiscI64TruncSatF32U):
-		return clUn(next, func(v uint64) uint64 { return truncSatI64U(float64(f32FromBits(v))) })
-	case miscBase + uint16(MiscI64TruncSatF64S):
-		return clUn(next, func(v uint64) uint64 { return uint64(truncSatI64S(f64FromBits(v))) })
-	case miscBase + uint16(MiscI64TruncSatF64U):
-		return clUn(next, func(v uint64) uint64 { return truncSatI64U(f64FromBits(v)) })
 	case miscBase + uint16(MiscMemoryCopy):
 		return func(e *closEnv, sp int) (int, int) {
 			n := uint64(uint32(e.stack[sp-1]))
-			src := uint64(uint32(e.stack[sp-2]))
-			dst := uint64(uint32(e.stack[sp-3]))
-			s := e.mem.mustRange(src, n)
-			d := e.mem.mustRange(dst, n)
+			s := e.mem.mustRange(uint64(uint32(e.stack[sp-2])), n)
+			d := e.mem.mustRange(uint64(uint32(e.stack[sp-3])), n)
 			copy(d, s)
 			return next, sp - 3
 		}
@@ -842,176 +889,15 @@ func lowerInstr(cm *CompiledModule, ins *instr, pc int) closOp {
 		return func(e *closEnv, sp int) (int, int) {
 			n := uint64(uint32(e.stack[sp-1]))
 			val := byte(e.stack[sp-2])
-			dst := uint64(uint32(e.stack[sp-3]))
-			d := e.mem.mustRange(dst, n)
+			d := e.mem.mustRange(uint64(uint32(e.stack[sp-3])), n)
 			for i := range d {
 				d[i] = val
 			}
 			return next, sp - 3
 		}
-
-	// Fused superinstructions -------------------------------------------
-	case fGetGet:
-		a, b := int(ins.a), int(ins.b)
+	default:
 		return func(e *closEnv, sp int) (int, int) {
-			e.stack[sp] = e.locals[a]
-			e.stack[sp+1] = e.locals[b]
-			return next, sp + 2
+			panic(&Trap{Code: TrapHostError, Wrapped: errUnknownInstr(op)})
 		}
-	case fGetConst:
-		a, imm := int(ins.a), ins.imm
-		return func(e *closEnv, sp int) (int, int) {
-			e.stack[sp] = e.locals[a]
-			e.stack[sp+1] = imm
-			return next, sp + 2
-		}
-	case fGetLoad32:
-		a, off := int(ins.a), ins.imm
-		return func(e *closEnv, sp int) (int, int) {
-			addr := uint64(uint32(e.locals[a])) + off
-			e.stack[sp] = uint64(leUint32(e.mem.mustRange(addr, 4)))
-			return next, sp + 1
-		}
-	case fGetStore32:
-		a, off := int(ins.a), ins.imm
-		return func(e *closEnv, sp int) (int, int) {
-			addr := uint64(uint32(e.stack[sp-1])) + off
-			putLeUint32(e.mem.mustRange(addr, 4), uint32(e.locals[a]))
-			return next, sp - 1
-		}
-	case fGetBin32:
-		a, fn := int(ins.a), i32binFn(uint16(ins.imm))
-		return func(e *closEnv, sp int) (int, int) {
-			e.stack[sp-1] = uint64(fn(uint32(e.stack[sp-1]), uint32(e.locals[a])))
-			return next, sp
-		}
-	case fGetGetBin32:
-		a, b := int(ins.a), int(ins.b)
-		if uint16(ins.imm) == uint16(OpI32Add) {
-			return func(e *closEnv, sp int) (int, int) {
-				e.stack[sp] = uint64(uint32(e.locals[a]) + uint32(e.locals[b]))
-				return next, sp + 1
-			}
-		}
-		fn := i32binFn(uint16(ins.imm))
-		return func(e *closEnv, sp int) (int, int) {
-			e.stack[sp] = uint64(fn(uint32(e.locals[a]), uint32(e.locals[b])))
-			return next, sp + 1
-		}
-	case fGetGetCmp32:
-		a, b, fn := int(ins.a), int(ins.b), i32cmpFn(uint16(ins.imm))
-		return func(e *closEnv, sp int) (int, int) {
-			e.stack[sp] = b2i(fn(uint32(e.locals[a]), uint32(e.locals[b])))
-			return next, sp + 1
-		}
-	case fGetConstBin32:
-		a, c, fn := int(ins.a), uint32(ins.imm), i32binFn(uint16(ins.b))
-		return func(e *closEnv, sp int) (int, int) {
-			e.stack[sp] = uint64(fn(uint32(e.locals[a]), c))
-			return next, sp + 1
-		}
-	case fGetConstCmp32:
-		a, c, fn := int(ins.a), uint32(ins.imm), i32cmpFn(uint16(ins.b))
-		return func(e *closEnv, sp int) (int, int) {
-			e.stack[sp] = b2i(fn(uint32(e.locals[a]), c))
-			return next, sp + 1
-		}
-	case fGetGetStore32:
-		a, b, off := int(ins.a), int(ins.b), ins.imm
-		return func(e *closEnv, sp int) (int, int) {
-			addr := uint64(uint32(e.locals[a])) + off
-			putLeUint32(e.mem.mustRange(addr, 4), uint32(e.locals[b]))
-			return next, sp
-		}
-	case fConstAddStore32:
-		c, off := ins.a, ins.imm
-		return func(e *closEnv, sp int) (int, int) {
-			v := uint32(e.stack[sp-1]) + c
-			addr := uint64(uint32(e.stack[sp-2])) + off
-			putLeUint32(e.mem.mustRange(addr, 4), v)
-			return next, sp - 2
-		}
-	case fGetGetCmpBr:
-		a, b, fn := int(ins.a), int(ins.b), i32cmpFn(uint16(ins.imm))
-		t := ins.targets[0]
-		return func(e *closEnv, sp int) (int, int) {
-			if fn(uint32(e.locals[a]), uint32(e.locals[b])) {
-				return takeBranchOp(e, sp, t)
-			}
-			return next, sp
-		}
-	case fGetConstCmpBr:
-		a, c, fn := int(ins.a), uint32(ins.imm), i32cmpFn(uint16(ins.b))
-		t := ins.targets[0]
-		return func(e *closEnv, sp int) (int, int) {
-			if fn(uint32(e.locals[a]), c) {
-				return takeBranchOp(e, sp, t)
-			}
-			return next, sp
-		}
-	case fGetConstAddSet:
-		src, dst, c := int(ins.a), int(ins.b), uint32(ins.imm)
-		return func(e *closEnv, sp int) (int, int) {
-			e.locals[dst] = uint64(uint32(e.locals[src]) + c)
-			return next, sp
-		}
-	case fLoadEqzBr:
-		off := ins.imm
-		t := ins.targets[0]
-		return func(e *closEnv, sp int) (int, int) {
-			addr := uint64(uint32(e.stack[sp-1])) + off
-			v := leUint32(e.mem.mustRange(addr, 4))
-			sp--
-			e.in.chargeFuel(2) // split charge: the load traps before eqz+br_if pay
-			if v == 0 {
-				return takeBranchOp(e, sp, t)
-			}
-			return next, sp
-		}
-	case fEqzBr:
-		t := ins.targets[0]
-		return func(e *closEnv, sp int) (int, int) {
-			c := uint32(e.stack[sp-1])
-			sp--
-			if c == 0 {
-				return takeBranchOp(e, sp, t)
-			}
-			return next, sp
-		}
-	case fCmpBr:
-		fn := i32cmpFn(uint16(ins.imm))
-		t := ins.targets[0]
-		return func(e *closEnv, sp int) (int, int) {
-			x, y := uint32(e.stack[sp-2]), uint32(e.stack[sp-1])
-			sp -= 2
-			if fn(x, y) {
-				return takeBranchOp(e, sp, t)
-			}
-			return next, sp
-		}
-	}
-
-	// i32 binops/compares not specialized above share the selector helpers.
-	if isI32Bin(op) {
-		fn := i32binFn(op)
-		return func(e *closEnv, sp int) (int, int) {
-			e.stack[sp-2] = uint64(fn(uint32(e.stack[sp-2]), uint32(e.stack[sp-1])))
-			return next, sp - 1
-		}
-	}
-	if isI32Cmp(op) {
-		fn := i32cmpFn(op)
-		return func(e *closEnv, sp int) (int, int) {
-			e.stack[sp-2] = b2i(fn(uint32(e.stack[sp-2]), uint32(e.stack[sp-1])))
-			return next, sp - 1
-		}
-	}
-
-	unknown := op
-	return func(e *closEnv, sp int) (int, int) {
-		panic(&Trap{Code: TrapHostError, Wrapped: errUnknownInstr(unknown)})
 	}
 }
-
-// f32Bits is math.Float32bits widened to the stack cell type.
-func f32Bits(v float32) uint64 { return uint64(math.Float32bits(v)) }

@@ -10,7 +10,7 @@ import (
 // structured control flow to these pc-based jumps, and folds the 0xFC
 // two-byte opcodes into a flat space.
 const (
-	opJump      uint16 = 0x100 // unconditional branch, targets[0]
+	opJump      uint16 = 0x100 // unconditional branch, targets[0]; a = stack height
 	opBrIfFalse uint16 = 0x101 // branch when condition == 0 (compiled `if`)
 	opReturnOp  uint16 = 0x102 // return top `a` values
 	miscBase    uint16 = 0x200 // miscBase+sub for 0xFC-prefixed opcodes
@@ -26,13 +26,10 @@ type branchTarget struct {
 
 // instr is one flattened instruction. Interpretation of the fields depends
 // on op: a holds indices (locals, globals, functions, types) or the return
-// arity; imm holds constants and memory offsets; b is a second operand slot
-// used only by fused superinstructions (second local index or embedded
-// selector opcode — see fuse.go).
+// arity; imm holds constants and memory offsets.
 type instr struct {
 	op      uint16
 	a       uint32
-	b       uint32
 	imm     uint64
 	targets []branchTarget
 }
@@ -207,7 +204,7 @@ func (c *compiler) step(op byte) error {
 			return fmt.Errorf("else without if")
 		}
 		// Jump over the else branch at the end of then.
-		jix := c.emit(instr{op: opJump})
+		jix := c.emit(instr{op: opJump, a: uint32(c.stack)})
 		f.endFixups = append(f.endFixups, c.addFixup(jix, f.heightAtEntry-f.numParams+f.numResults, 0))
 		// Note: by end of then the stack is heightAtEntry-params+results;
 		// the jump does not move values.
@@ -234,7 +231,7 @@ func (c *compiler) step(op byte) error {
 		if err != nil {
 			return err
 		}
-		ix := c.emit(instr{op: opJump})
+		ix := c.emit(instr{op: opJump, a: uint32(c.stack)})
 		if err := c.branchTo(ix, depth); err != nil {
 			return err
 		}

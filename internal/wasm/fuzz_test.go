@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"waran/internal/plugins"
 	"waran/internal/wasm"
 	"waran/internal/wat"
 )
@@ -144,8 +145,12 @@ func TestHugeFunctionBody(t *testing.T) {
 
 // FuzzDecode is the native fuzz target over the plugin upload gauntlet:
 // decode, compile, instantiate and (fuel-bounded) execute arbitrary bytes.
-// Anything but a clean error or a trap is a finding. `make check` runs a
-// 10 s smoke of this; longer campaigns via
+// Anything but a clean error or a trap is a finding, and so is any
+// difference between the tiers: every export runs on the reference
+// interpreter and on the closure tier, which must agree on results, trap
+// class, InstrCount, fuel left and the memory bytes — so mutated programs,
+// not only the shipped guests, check the closure lowering. `make check`
+// runs a 10 s smoke of this; longer campaigns via
 // go test -fuzz=FuzzDecode ./internal/wasm.
 func FuzzDecode(f *testing.F) {
 	seed, err := wat.CompileToBinary(fullFeatureWAT)
@@ -153,6 +158,14 @@ func FuzzDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
+	for _, name := range []string{"rr", "pf", "mt"} {
+		src, _ := plugins.SchedulerWAT(name)
+		bin, err := wat.CompileToBinary(src)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bin)
+	}
 	f.Add([]byte{0x00, 0x61, 0x73, 0x6D, 0x01, 0x00, 0x00, 0x00}) // empty module
 	f.Add([]byte{0x00, 0x61, 0x73, 0x6D})                         // truncated magic
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -164,18 +177,46 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		in, err := cm.Instantiate(nil, wasm.Config{MaxMemoryPages: 64, MeterFuel: true})
-		if err != nil {
-			return
-		}
-		in.SetFuel(50_000)
-		for _, e := range in.Module().Exports {
-			if e.Kind != wasm.ExternFunc {
+		// Every imported function is a stub that returns zeros, so modules
+		// with imports (the scheduler guests among them) run too.
+		imports := wasm.Imports{}
+		for _, im := range m.Imports {
+			if im.Kind != wasm.ExternFunc || int(im.TypeIx) >= len(m.Types) {
 				continue
 			}
-			ft, _ := in.FuncType(e.Name)
-			args := make([]uint64, len(ft.Params))
-			_, _ = in.Call(e.Name, args...)
+			ft := m.Types[im.TypeIx]
+			if imports[im.Module] == nil {
+				imports[im.Module] = map[string]*wasm.HostFunc{}
+			}
+			imports[im.Module][im.Name] = &wasm.HostFunc{Name: im.Name, Type: ft,
+				Fn: func(*wasm.CallContext, []uint64) ([]uint64, error) { return make([]uint64, len(ft.Results)), nil }}
+		}
+		var runs [2][]tierState
+		for i, tier := range []wasm.Tier{wasm.TierInterp, wasm.TierClosure} {
+			in, err := cm.Instantiate(imports, wasm.Config{MaxMemoryPages: 64, MeterFuel: true, Tier: tier})
+			if err != nil {
+				runs[i] = append(runs[i], tierState{err: err.Error()})
+				continue
+			}
+			in.SetFuel(50_000)
+			for _, e := range in.Module().Exports {
+				if e.Kind != wasm.ExternFunc {
+					continue
+				}
+				ft, _ := in.FuncType(e.Name)
+				st := callState(in, e.Name, make([]uint64, len(ft.Params))...)
+				st.mem = nil
+				runs[i] = append(runs[i], st)
+			}
+			runs[i] = append(runs[i], tierState{mem: memBytes(in)})
+		}
+		if len(runs[0]) != len(runs[1]) {
+			t.Fatalf("closure made %d calls, interpreter %d", len(runs[1]), len(runs[0]))
+		}
+		for j := range runs[0] {
+			if d := runs[1][j].diff(runs[0][j]); d != "" {
+				t.Fatalf("call %d: closure vs interpreter: %s", j, d)
+			}
 		}
 	})
 }

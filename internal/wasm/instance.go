@@ -341,8 +341,12 @@ func (in *Instance) call(funcIdx uint32, args, dst []uint64) (res []uint64, err 
 	if len(args) != len(ft.Params) {
 		return nil, fmt.Errorf("wasm: function %d takes %d arguments, got %d", funcIdx, len(ft.Params), len(args))
 	}
+	// A trap unwinds past the depth decrements on the call path (they run
+	// only on return, with no defer); restore the depth this call entered at.
+	depth := in.depth
 	defer func() {
 		if r := recover(); r != nil {
+			in.depth = depth
 			if t, ok := r.(*Trap); ok {
 				t.Func = funcIdx
 				err = t
@@ -366,18 +370,18 @@ func (in *Instance) invoke(funcIdx uint32, args []uint64) []uint64 {
 	return in.dispatch(funcIdx, args)
 }
 
-// dispatch is the unprofiled call path.
+// dispatch is the unprofiled call path. A trap unwinds past its depth
+// decrement; Instance.call restores the depth it entered with.
 func (in *Instance) dispatch(funcIdx uint32, args []uint64) []uint64 {
 	if in.depth >= in.maxDepth {
 		panic(newTrap(TrapCallStackExhausted))
 	}
 	in.depth++
-	defer func() { in.depth-- }()
-
 	nImp := in.cm.m.numImportedFuncs
 	if int(funcIdx) < nImp {
 		hf := in.hostFuncs[funcIdx]
 		res, err := hf.Fn(&in.hostCtx, args)
+		in.depth--
 		if err != nil {
 			if t, ok := err.(*Trap); ok {
 				panic(t)
@@ -391,8 +395,12 @@ func (in *Instance) dispatch(funcIdx uint32, args []uint64) []uint64 {
 	}
 
 	f := in.cm.funcs[int(funcIdx)-nImp]
+	var res []uint64
 	if in.tier == TierInterp {
-		return in.exec(f, args)
+		res = in.exec(f, args)
+	} else {
+		res = in.execClosures(f.clos, args)
 	}
-	return in.execClosures(f.clos, args)
+	in.depth--
+	return res
 }

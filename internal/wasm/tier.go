@@ -9,10 +9,11 @@ import "fmt"
 // in dispatch cost:
 //
 //   - TierClosure (the zero value) is the production path: each function is
-//     run through the superinstruction fusion pass (fuse.go) and lowered to
-//     Go closures with immediates and successor pcs captured as constants,
-//     executed by a register-caching dispatch loop with no per-instruction
-//     switch (closure.go).
+//     lowered in one pass to Go closures that fold local.get/const operands
+//     and local.set/tee/br_if destinations into the op that uses them, with
+//     immediates and successor pcs captured as constants, executed by a
+//     register-caching dispatch loop with no per-instruction switch
+//     (closure.go).
 //   - TierInterp is the flattening interpreter, one switch per unfused
 //     instruction. It is kept as the reference oracle the differential tests
 //     compare the closure tier against; no binary selects it.
@@ -38,13 +39,13 @@ func (t Tier) String() string {
 }
 
 // buildClosures lowers every function body to its closure form, once per
-// module, on the first closure-tier instantiation. The fused stream is an
-// intermediate held in scratch shared across the module's functions and
-// dropped when the build returns; only the closures are retained.
+// module, on the first closure-tier instantiation. The lowering's scratch is
+// shared across the module's functions and dropped when the build returns;
+// only the closures are retained.
 func (cm *CompiledModule) buildClosures() {
-	var fs fuser
+	var l lowerer
 	for _, f := range cm.funcs {
-		f.clos = compileClosures(cm, f, fs.fuse(f.code))
+		f.clos = l.compileClosures(cm, f)
 	}
 }
 
@@ -53,9 +54,9 @@ func (in *Instance) EffectiveTier() Tier { return in.tier }
 
 // chargeFuel consumes k fuel units exactly as k sequential per-instruction
 // charges would: InstrCount advances only by the units actually paid for,
-// and exhaustion traps at the precise instruction boundary, so fused
-// superinstructions and closure-tier dispatch stay bit-identical to the
-// interpreter's accounting.
+// and exhaustion traps at the precise instruction boundary, so the closure
+// tier's per-segment charges stay bit-identical to the interpreter's
+// accounting.
 func (in *Instance) chargeFuel(k uint32) {
 	if !in.fuelEnabled || k == 0 {
 		return

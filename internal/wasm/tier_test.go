@@ -86,17 +86,20 @@ func assertTiersAgree(t *testing.T, src string, fuel int64, fn string, args ...u
 	return base
 }
 
-// tierCorpusWAT exercises every fused pattern plus the paths fusion must not
-// break: loops over memory, mixed-width arithmetic, traps, calls, branch
-// tables and floats.
+// tierCorpusWAT exercises the operand folding of the closure tier plus the
+// paths it must not break: loops over memory, mixed-width arithmetic, traps,
+// calls, branch tables, floats, and the folding hazards — a pending or held
+// local overwritten before its consumer, a folded local.set after a trapping
+// load, operands pending across a branch target, dropped and selected
+// operands.
 const tierCorpusWAT = `(module
   (memory (export "memory") 1 4)
   (table 2 funcref)
   (elem (i32.const 0) $sum $fib)
   (global $g (mut i32) (i32.const 0))
 
-  ;; Writes i*i at 4*i for i in [0,n), then sums the array: hits
-  ;; get/const/add/store, load+compare+br and get,get,binop fusions.
+  ;; Writes i*i at 4*i for i in [0,n), then sums the array: folded
+  ;; operands into stores, loads, compares that branch and local.set.
   (func $sum (export "sum") (param $n i32) (result i32)
     (local $i i32) (local $acc i32) (local $p i32)
     (block $done
@@ -148,19 +151,96 @@ const tierCorpusWAT = `(module
       (return (i32.const 20)))
     (i32.const 30))
 
-  ;; Float and 64-bit mix: none of these fuse; they must still agree.
+  ;; Float and 64-bit mix.
   (func (export "mix") (param $x f64) (param $k i64) (result f64)
     (f64.add (f64.mul (local.get $x) (f64.convert_i64_s (local.get $k)))
              (f64.sqrt (local.get $x))))
 
-  ;; Globals + tee + select, with an eqz-guarded branch (fused eqz_br).
+  ;; Globals + tee + select, with an eqz-guarded branch.
   (func (export "gsel") (param $c i32) (result i32)
     (global.set $g (i32.add (global.get $g) (i32.const 1)))
     (block $z (result i32)
       (br_if $z (global.get $g) (i32.eqz (local.get $c)))
       (drop)
       (select (i32.const 100) (i32.const 200) (local.get $c))))
+
+  ;; A local.tee, then a local.set, of x between a pending local.get x and
+  ;; its consumer: the consumer must see the old x.
+  (func (export "tee_between") (param $x i32) (result i32)
+    (i32.add (local.get $x) (local.tee $x (i32.mul (local.get $x) (i32.const 3)))))
+  (func (export "set_between") (param $x i32) (result i32)
+    (i32.sub (local.get $x)
+      (block (result i32) (local.set $x (i32.const 5)) (i32.add (local.get $x) (i32.const 1)))))
+  ;; A store whose address local is rewritten by its own value expression.
+  (func (export "store_tee") (param $p i32) (result i32)
+    (i32.store (local.get $p) (local.tee $p (i32.add (local.get $p) (i32.const 8))))
+    (i32.load (i32.const 0)))
+
+  ;; A folded local.set after a load that traps out of bounds, and a folded
+  ;; local.tee after one that does not.
+  (func (export "load_set") (param $a i32) (result i32) (local $v i32)
+    (local.set $v (i32.load offset=4 (local.get $a)))
+    (i32.add (local.tee $v (i32.load (local.get $a))) (local.get $v)))
+
+  ;; Operands pending across branch targets: a block end reached by a
+  ;; branch, and a loop head.
+  (func (export "pend_target") (param $x i32) (param $c i32) (result i32)
+    (local $i i32)
+    (i32.add (local.get $x)
+      (block $b (result i32)
+        (drop (br_if $b (i32.const 7) (local.get $c)))
+        (i32.const 9)))
+    (i32.add (local.get $x)
+      (loop $l (result i32)
+        (local.set $i (i32.add (local.get $i) (i32.const 1)))
+        (br_if $l (i32.lt_u (local.get $i) (i32.const 3)))
+        (local.get $i)))
+    (i32.add))
+
+  ;; Drops of a pending local and constant, and selects over folded
+  ;; operands.
+  (func (export "drop_sel") (param $a i32) (param $b i32) (param $c i32) (result i32)
+    (drop (local.get $a))
+    (drop (i32.const 1))
+    (i32.add
+      (select (local.get $a) (local.get $b) (local.get $c))
+      (select (i32.const 10) (i32.const 20) (local.get $c))))
+
+  ;; i64 and f64 binops over local and constant operands, into the stack, a
+  ;; local and a branch; the division into a local.set can trap.
+  (func (export "wide") (param $k i64) (param $d i64) (param $x f64) (result f64)
+    (local $q i64) (local $y f64)
+    (local.set $y (f64.sub (local.get $x) (f64.const 0.5)))
+    (local.set $q (i64.div_s (i64.mul (local.get $k) (i64.const 3)) (local.get $d)))
+    (block $neg
+      (br_if $neg (i64.lt_s (local.get $q) (i64.const 0)))
+      (local.set $y (f64.mul (local.get $y) (f64.convert_i64_s (local.get $q)))))
+    (f64.add (local.get $y) (f64.convert_i64_s (i64.rem_u (local.get $k) (i64.const 7)))))
 )`
+
+// tierHazards are the corpus calls of the folding hazards above, each run
+// at every fuel boundary by TestTierFuelSweepHazards. want, where set, is
+// the result worked out by hand, so a mistake both tiers shared would
+// still show.
+var tierHazards = []struct {
+	fn   string
+	args []uint64
+	want uint64
+}{
+	{"tee_between", []uint64{7}, 28},
+	{"set_between", []uint64{40}, 34},
+	{"store_tee", []uint64{0}, 8},
+	{"store_tee", []uint64{65533}, 0}, // the store traps out of bounds
+	{"load_set", []uint64{0}, 0},
+	{"load_set", []uint64{65532}, 0}, // the first load traps out of bounds
+	{"pend_target", []uint64{100, 1}, 210},
+	{"pend_target", []uint64{100, 0}, 212},
+	{"drop_sel", []uint64{3, 4, 0}, 24},
+	{"drop_sel", []uint64{3, 4, 1}, 13},
+	{"wide", []uint64{i64(-9), i64(2), f64(1.25)}, 0},
+	{"wide", []uint64{i64(9), i64(2), f64(1.25)}, 0},
+	{"wide", []uint64{i64(9), 0, f64(1.25)}, 0}, // division by zero
+}
 
 func TestTierEquivalence(t *testing.T) {
 	const fuel = 1 << 20
@@ -193,6 +273,25 @@ func TestTierEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		assertTiersAgree(t, tierCorpusWAT, fuel, tc.fn, tc.args...)
+	}
+	for _, tc := range tierHazards {
+		got := assertTiersAgree(t, tierCorpusWAT, fuel, tc.fn, tc.args...)
+		if tc.want != 0 && (got.trap != 0 || got.res[0] != tc.want) {
+			t.Errorf("%s%v = %v (trap %v), want %d", tc.fn, tc.args, got.res, got.trap, tc.want)
+		}
+	}
+}
+
+// TestTierFuelSweepHazards runs every folding hazard at every fuel value
+// from 0 to its cost + 2: trap class, InstrCount and fuel left must match
+// the interpreter at each boundary, including the ones inside ops that
+// fold several instructions.
+func TestTierFuelSweepHazards(t *testing.T) {
+	for _, tc := range tierHazards {
+		cost := runOnTier(t, tierCorpusWAT, wasm.TierInterp, 1<<20, tc.fn, tc.args...).instrCount
+		for fuel := int64(0); fuel <= int64(cost)+2; fuel++ {
+			assertTiersAgree(t, tierCorpusWAT, fuel, tc.fn, tc.args...)
+		}
 	}
 }
 
@@ -360,6 +459,61 @@ func TestTierEquivalenceUnfueled(t *testing.T) {
 				if res[i] != baseRes[i] {
 					t.Errorf("%s on %v: result %#x vs %#x", tc.fn, tier, res[i], baseRes[i])
 				}
+			}
+		}
+	}
+}
+
+// TestCallDepthRestoredAfterTraps: the call path decrements the depth only
+// on return, with no defer, so a trap unwinds past every decrement and
+// Instance.call restores the depth it entered at. After a call that
+// exhausts the call stack, a trap two calls deep and a failing host call,
+// the same instance still reaches exactly MaxCallDepth, on both tiers.
+func TestCallDepthRestoredAfterTraps(t *testing.T) {
+	const src = `(module
+	  (import "env" "fail" (func $fail))
+	  (func $rec (export "rec") (param $n i32) (result i32)
+	    (if (result i32) (i32.eqz (local.get $n))
+	      (then (i32.const 0))
+	      (else (i32.add (call $rec (i32.sub (local.get $n) (i32.const 1))) (i32.const 1)))))
+	  (func $boom unreachable)
+	  (func (export "trap2") (call $boom))
+	  (func (export "host2") (call $fail)))`
+	const depth = 50
+	imports := wasm.Imports{"env": {"fail": &wasm.HostFunc{Name: "fail",
+		Fn: func(*wasm.CallContext, []uint64) ([]uint64, error) { return nil, errors.New("host says no") }}}}
+	m, err := wat.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := wasm.Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trapOf := func(err error) wasm.TrapCode {
+		var trap *wasm.Trap
+		if !errors.As(err, &trap) {
+			t.Fatalf("want a trap, got %v", err)
+		}
+		return trap.Code
+	}
+	for _, tier := range allTiers {
+		in, err := cm.Instantiate(imports, wasm.Config{MaxCallDepth: depth, Tier: tier})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 3; round++ {
+			if _, err := in.Call("rec", depth); trapOf(err) != wasm.TrapCallStackExhausted {
+				t.Fatalf("%v round %d: rec(%d) = %v, want call stack exhausted", tier, round, depth, err)
+			}
+			if _, err := in.Call("trap2"); trapOf(err) != wasm.TrapUnreachable {
+				t.Fatalf("%v round %d: trap2 = %v", tier, round, err)
+			}
+			if _, err := in.Call("host2"); trapOf(err) != wasm.TrapHostError {
+				t.Fatalf("%v round %d: host2 = %v", tier, round, err)
+			}
+			if got, err := in.Call("rec", depth-1); err != nil || got[0] != depth-1 {
+				t.Fatalf("%v round %d: rec(%d) at full depth = %v, %v", tier, round, depth-1, got, err)
 			}
 		}
 	}
