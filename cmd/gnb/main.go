@@ -55,7 +55,6 @@ func main() {
 	flag.BoolVar(&cfg.realtime, "realtime", false, "pace slots at wall-clock slot duration")
 	flag.StringVar(&cfg.httpAddr, "http", "", "serve /metrics, /debug/slots and pprof on this address (empty = off)")
 	flag.BoolVar(&cfg.traceOn, "trace", false, "enable control-loop span tracing and the wasm fuel profiler (served at /debug/trace and /debug/wasm/profile)")
-	flag.BoolVar(&cfg.fullJitter, "e2-fulljitter", false, "draw reconnect delays uniformly from [0, ceiling) instead of +/-20% jitter (spreads fleet-wide reconnect storms, DESIGN.md 17)")
 	flag.Int64Var(&cfg.e2Seed, "e2-seed", 0, "reconnect jitter schedule seed (0 = unique per process)")
 	flag.BoolVar(&cfg.flightOn, "flight", false, "arm the flight recorder: always-on incident journal, SLO burn-rate detectors, anomaly-triggered diagnostic bundles (served at /debug/flight, DESIGN.md 18)")
 	flag.StringVar(&cfg.flightDir, "flight-dir", "flight-bundles", "directory anomaly-triggered diagnostic bundles are written into")
@@ -81,7 +80,6 @@ type gnbConfig struct {
 	realtime    bool
 	httpAddr    string
 	traceOn     bool
-	fullJitter  bool
 	e2Seed      int64
 	flightOn    bool
 	flightDir   string
@@ -225,7 +223,6 @@ func run(cfg gnbConfig) error {
 			Dial:    func() (*e2.Conn, error) { return e2.Dial(cfg.e2Addr, codec) },
 			RAN:     gnb,
 			Agent:   ric.AgentConfig{Cell: 1, LivenessTimeout: cfg.liveness, Tracer: tracer},
-			Backoff: ric.Backoff{FullJitter: cfg.fullJitter},
 			Seed:    cfg.e2Seed,
 			Metrics: assoc,
 		})

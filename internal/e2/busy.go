@@ -14,8 +14,8 @@ import (
 //     exhausted answers the association's first frame with TypeBusy instead
 //     of accepting the subscription, then closes the connection. The body
 //     carries RetryAfterMs, the earliest the peer should redial; AgentSession
-//     spreads the actual redial uniformly over (0, hint] (full jitter) so a
-//     thousand refused agents do not re-arrive in phase.
+//     redials after the hint jittered into [hint/2, 1.5·hint), so a thousand
+//     refused agents do not re-arrive in phase.
 //
 //   - Mid-association: a critically browned-out RIC sends TypeBusy; the agent
 //     pauses KPM reporting for the hinted duration and counts every skipped

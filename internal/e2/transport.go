@@ -61,7 +61,6 @@ type Conn struct {
 	sent, received obs.Counter
 	bytesSent      obs.Counter
 	bytesReceived  obs.Counter
-	lastRecv       atomic.Int64 // unix nanos of the last complete frame
 
 	// Codec timing for the tracing layer: how long the last send spent
 	// encoding (all of its frames) and the last Recv in Decode, so
@@ -79,11 +78,7 @@ type Conn struct {
 
 // NewConn wraps an established net.Conn.
 func NewConn(c net.Conn, codec Codec) *Conn {
-	conn := &Conn{c: c, codec: codec, br: bufio.NewReaderSize(c, 64<<10)}
-	// A fresh association counts as just-seen so liveness tracking starts
-	// from establishment, not from the epoch.
-	conn.lastRecv.Store(time.Now().UnixNano())
-	return conn
+	return &Conn{c: c, codec: codec, br: bufio.NewReaderSize(c, 64<<10)}
 }
 
 // Dial connects to an E2-lite endpoint.
@@ -197,7 +192,6 @@ func (c *Conn) Recv() (*Message, error) {
 	}
 	c.received.Inc()
 	c.bytesReceived.Add(uint64(n) + 4)
-	c.lastRecv.Store(time.Now().UnixNano())
 	return m, nil
 }
 
@@ -235,13 +229,6 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 	return payload, nil
 }
 
-// LastRecv reports when the last complete frame arrived (the association's
-// establishment time if none has). Heartbeat liveness checks compare this
-// against the heartbeat cadence.
-func (c *Conn) LastRecv() time.Time {
-	return time.Unix(0, c.lastRecv.Load())
-}
-
 // LastEncodeDur reports how long the most recent send spent encoding, all
 // of its frames together.
 func (c *Conn) LastEncodeDur() time.Duration { return time.Duration(c.lastEncNs.Load()) }
@@ -254,9 +241,6 @@ func (c *Conn) SetDeadline(t time.Time) error { return c.c.SetDeadline(t) }
 
 // SetReadDeadline bounds blocking Recv calls.
 func (c *Conn) SetReadDeadline(t time.Time) error { return c.c.SetReadDeadline(t) }
-
-// SetWriteDeadline bounds blocking Send calls.
-func (c *Conn) SetWriteDeadline(t time.Time) error { return c.c.SetWriteDeadline(t) }
 
 // SetFlightRecorder journals this association's teardown into rec as an
 // EvAssocDown event (nil leaves the journal off). Call before sharing the

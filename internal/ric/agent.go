@@ -1,9 +1,7 @@
 package ric
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,12 +35,11 @@ type TracedRANControl interface {
 type AgentConfig struct {
 	// Cell identifies which cell this agent reports.
 	Cell uint32
-	// LivenessTimeout, when > 0, bounds the silence tolerated from the
-	// RIC: if no frame (heartbeats included) arrives for this long, the
-	// agent declares the association dead, closes the conn, and the
-	// Start-returned channel yields e2.ErrAssociationDead. Set it to a
-	// few multiples of the RIC's heartbeat interval. Zero disables
-	// liveness tracking (the pre-resilience behaviour).
+	// LivenessTimeout, when > 0, is how long the RIC may stay silent
+	// (heartbeats count) before the association is declared dead and the
+	// Start-returned channel yields e2.ErrAssociationDead; Start waits at
+	// most two timeouts for the subscription. Set it to a few heartbeat
+	// intervals. Zero disables liveness tracking.
 	LivenessTimeout time.Duration
 	// Tracer, when non-nil, lets the agent negotiate trace propagation
 	// with the RIC and record indication.encode/transport spans on the gNB
@@ -80,11 +77,14 @@ type Agent struct {
 	ran  RANControl
 	cfg  AgentConfig
 
-	subscribed  atomic.Bool
-	periodSlots atomic.Uint64 // metric-exempt: subscription cadence, not telemetry
-	dead        atomic.Bool
-	peerTraced  atomic.Bool // RIC advertised e2.TraceCapabilityBit and we accepted
-	peerBatched atomic.Bool // both sides advertised batch capability
+	// assoc runs the association's lifecycle (handshake, liveness) from
+	// Start; closing stop, when set, ends it.
+	assoc *assocDriver
+	stop  <-chan struct{}
+
+	periodSlots atomic.Uint64 // metric-exempt: subscription cadence (0: not subscribed), not telemetry
+	peerTraced  atomic.Bool   // RIC advertised e2.TraceCapabilityBit and we accepted
+	peerBatched atomic.Bool   // both sides advertised batch capability
 
 	// pausedUntilNs, when in the future, is a busy-frame backpressure pause:
 	// due-slot indications are shed at the source until it passes.
@@ -139,122 +139,56 @@ func NewAgent(conn *e2.Conn, ran RANControl, cfg AgentConfig) (*Agent, error) {
 	return &Agent{conn: conn, ran: ran, cfg: cfg}, nil
 }
 
-// Cell returns the cell this agent reports.
-func (a *Agent) Cell() uint32 { return a.cfg.Cell }
-
 // Start blocks until the RIC's subscription request arrives, acknowledges
-// it, and spawns the control-receive loop (plus the liveness watchdog when
-// LivenessTimeout is set). The returned channel yields the terminal error
-// of the receive loop (nil on clean shutdown, e2.ErrAssociationDead when
-// liveness failed).
+// it, and spawns the control-receive loop. The returned channel yields the
+// terminal error of the receive loop (nil on clean shutdown,
+// e2.ErrAssociationDead when liveness failed).
 func (a *Agent) Start() (<-chan error, error) {
-	if a.cfg.LivenessTimeout > 0 {
-		// A RIC that never subscribes is as dead as one that stops
-		// heartbeating: bound the subscription wait too.
-		_ = a.conn.SetReadDeadline(time.Now().Add(2 * a.cfg.LivenessTimeout))
+	a.assoc = &assocDriver{core: assocCore{p: agentParams(a.cfg)}, conn: a.conn, do: a.do}
+	a.assoc.step(assocEvent{kind: evConnect})
+	unwatch := a.assoc.watch(a.stop)
+	ended, err := a.receive(true)
+	// The ack goes out before Start returns, so it precedes every
+	// indication; a refused first frame is answered too.
+	if flushErr := a.flushReplies(); flushErr != nil && !ended {
+		ended, err = a.assoc.step(assocEvent{kind: evError, err: flushErr})
 	}
-	m, err := a.conn.Recv()
-	if err != nil {
-		return nil, fmt.Errorf("ric: agent: waiting for subscription: %w", err)
-	}
-	if a.cfg.LivenessTimeout > 0 {
-		_ = a.conn.SetReadDeadline(time.Time{})
-	}
-	if m.Type == e2.TypeBusy {
-		// Admission refusal: the RIC is overloaded and never subscribed.
-		// Surface the typed error so the supervisor can honor the
-		// retry-after hint instead of hammering the plain backoff schedule.
-		return nil, &e2.BusyError{RetryAfter: m.Busy.RetryAfter(), Reason: m.Busy.Reason}
-	}
-	if m.Type != e2.TypeSubscriptionRequest {
-		refusal := &e2.Message{Type: e2.TypeError, Error: &e2.ErrorBody{Reason: "expected subscription-request"}}
-		_ = a.conn.Send(refusal)
-		return nil, fmt.Errorf("ric: agent: unexpected first message %s", m.Type)
-	}
-	if err := a.applySubscription(m); err != nil {
+	if ended {
+		unwatch()
 		return nil, err
 	}
-
 	done := make(chan error, 1)
-	recvDone := make(chan struct{})
 	go func() {
 		err := a.recvLoop()
-		close(recvDone)
+		unwatch()
 		done <- err
 	}()
-	if a.cfg.LivenessTimeout > 0 {
-		go a.watchdog(recvDone)
-	}
 	return done, nil
 }
 
-// applySubscription installs (or replaces) the subscription state and acks
-// it — shared by the initial handshake and mid-association re-subscribes.
-func (a *Agent) applySubscription(m *e2.Message) error {
-	period := uint64(m.Subscription.ReportPeriodMs)
-	if period == 0 {
-		period = 100
-	}
-	a.periodSlots.Store(period) // 1 ms slots: ms == slots
-	a.mu.Lock()
-	a.sliceFilter = append([]uint32(nil), m.Subscription.SliceIDs...)
-	a.mu.Unlock()
-	ack := &e2.Message{
-		Type:             e2.TypeSubscriptionResponse,
-		RequestID:        m.RequestID,
-		RANFunction:      m.RANFunction,
-		SubscriptionResp: &e2.SubscriptionResponse{Accepted: true},
-	}
-	// Capability negotiation: a capable RIC sets reserved bits in
-	// RANFunction (old agents echo them untouched); a capable agent
-	// answers with the matching tokens in Reason (old RICs only read
-	// Reason on rejection, and the trace-only RIC of the previous protocol
-	// generation compares Reason against exactly the trace token — so the
-	// batch token is appended only when the RIC advertised batching, which
-	// that generation never does). Indications get trace trailers or
-	// batched framing only after both halves advertised.
-	reason := ""
-	if m.RANFunction&e2.TraceCapabilityBit != 0 && a.cfg.Tracer.Enabled() {
-		reason = e2.AppendCapabilityToken(reason, e2.TraceCapabilityToken)
-		a.peerTraced.Store(true)
-	} else {
-		a.peerTraced.Store(false)
-	}
-	if m.RANFunction&e2.BatchCapabilityBit != 0 && a.cfg.Batch.enabled() {
-		reason = e2.AppendCapabilityToken(reason, e2.BatchCapabilityToken)
-		a.peerBatched.Store(true)
-	} else {
-		a.peerBatched.Store(false)
-	}
-	ack.SubscriptionResp.Reason = reason
-	if err := a.conn.Send(ack); err != nil {
-		return err
-	}
-	a.subscribed.Store(true)
-	return nil
-}
-
-// watchdog declares the association dead when nothing has arrived for
-// LivenessTimeout, closing the conn so the blocked recvLoop returns
-// promptly instead of hanging on a half-open TCP stream.
-func (a *Agent) watchdog(recvDone <-chan struct{}) {
-	interval := a.cfg.LivenessTimeout / 4
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-recvDone:
-			return
-		case <-ticker.C:
-			if time.Since(a.conn.LastRecv()) > a.cfg.LivenessTimeout {
-				a.dead.Store(true)
-				a.conn.Close()
-				return
-			}
+// do carries out the core's actions. The agent's core sends only in answer
+// to a frame, so every send is a reply the receive loop owes.
+func (a *Agent) do(act action) {
+	switch act.kind {
+	case actSend:
+		a.queueReply(*act.msg)
+	case actSubscribed:
+		a.periodSlots.Store(act.sub.periodSlots)
+		a.peerTraced.Store(act.sub.traced)
+		a.peerBatched.Store(act.sub.batched)
+		a.mu.Lock()
+		a.sliceFilter = act.sub.sliceIDs
+		if act.sub.resub {
+			a.resubscribes++
 		}
+		a.mu.Unlock()
+	case actPause:
+		// Due-slot indications during the pause are shed at the source, the
+		// cheapest shed (nothing is encoded or sent), and counted.
+		a.pausedUntilNs.Store(act.at.UnixNano())
+		a.mu.Lock()
+		a.busyFrames++
+		a.mu.Unlock()
 	}
 }
 
@@ -264,68 +198,39 @@ func (a *Agent) recvLoop() error {
 		// frames already read off the network, never for the network.
 		if n := len(a.replies); n > 0 && (n == maxPendingReplies || !a.conn.FrameBuffered()) {
 			if err := a.flushReplies(); err != nil {
+				_, err = a.assoc.step(assocEvent{kind: evError, err: err})
 				return err
 			}
 		}
-		m, err := a.conn.Recv()
-		if err != nil {
-			_ = a.flushReplies() // best effort: the association is ending
-			if a.dead.Load() {
-				return e2.ErrAssociationDead
-			}
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return nil
-			}
+		if ended, err := a.receive(false); ended {
 			return err
 		}
-		switch m.Type {
-		case e2.TypeControlRequest:
-			applyErr := a.applyControl(m)
-			r := a.queueReply(e2.Message{Type: e2.TypeControlAck, RequestID: m.RequestID, RANFunction: m.RANFunction})
-			r.ack.Accepted = applyErr == nil
-			a.mu.Lock()
-			if applyErr == nil {
-				a.controlsOK++
-			} else {
-				a.controlsFail++
-				r.ack.Reason = applyErr.Error()
-			}
-			a.mu.Unlock()
-		case e2.TypeHeartbeat:
-			// Echo heartbeats so both sides can detect liveness.
-			a.queueReply(e2.Message{Type: e2.TypeHeartbeat})
-		case e2.TypeBusy:
-			// Mid-association backpressure: the RIC is in brownout and asks
-			// us to pause KPM generation. Due-slot indications during the
-			// pause are shed at the source — the cheapest possible shed,
-			// nothing is encoded or sent — and counted for the ledger.
-			a.pausedUntilNs.Store(time.Now().Add(m.Busy.RetryAfter()).UnixNano())
-			a.mu.Lock()
-			a.busyFrames++
-			a.mu.Unlock()
-		case e2.TypeSubscriptionRequest:
-			// Mid-association re-subscription: the RIC adjusts cadence or
-			// slice filter (or re-asserts after its own restart). Apply
-			// the new parameters and re-ack instead of dropping it.
-			a.mu.Lock()
-			a.resubscribes++
-			a.mu.Unlock()
-			if err := a.flushReplies(); err != nil { // keep replies in order
-				return err
-			}
-			if err := a.applySubscription(m); err != nil {
-				return err
-			}
-		default:
-			// Unknown or out-of-place message: report it to the peer
-			// instead of silently dropping the frame.
-			a.queueReply(e2.Message{
-				Type:      e2.TypeError,
-				RequestID: m.RequestID,
-				Error:     &e2.ErrorBody{Reason: fmt.Sprintf("agent: unexpected %s", m.Type)},
-			})
-		}
 	}
+}
+
+// receive reads one frame: a control request is applied and its ack queued;
+// anything else, and every frame of the handshake, goes through the core.
+func (a *Agent) receive(handshake bool) (bool, error) {
+	m, err := a.conn.Recv()
+	switch {
+	case err != nil:
+		_ = a.flushReplies() // best effort: the association is ending
+		return a.assoc.step(assocEvent{kind: evError, err: err})
+	case handshake || m.Type != e2.TypeControlRequest:
+		return a.assoc.step(assocEvent{kind: evFrame, msg: m})
+	}
+	applyErr := a.applyControl(m)
+	r := a.queueReply(e2.Message{Type: e2.TypeControlAck, RequestID: m.RequestID, RANFunction: m.RANFunction})
+	r.ack.Accepted = applyErr == nil
+	a.mu.Lock()
+	if applyErr == nil {
+		a.controlsOK++
+	} else {
+		a.controlsFail++
+		r.ack.Reason = applyErr.Error()
+	}
+	a.mu.Unlock()
+	return false, nil
 }
 
 // queueReply appends m to the replies owed and returns its slot, valid
@@ -373,11 +278,8 @@ func (a *Agent) applyControl(m *e2.Message) error {
 // buffers) an indication. On every slot — due or not — it checks the
 // pending window's flush deadline.
 func (a *Agent) Tick(slot uint64) error {
-	if !a.subscribed.Load() {
-		return nil
-	}
 	period := a.periodSlots.Load()
-	if paused := a.paused(); paused {
+	if a.Paused() {
 		// Busy-frame pause: shed due-slot indications at the source and
 		// hold partial windows too — flushing mid-pause would defeat the
 		// backpressure the RIC asked for.
@@ -527,15 +429,12 @@ func (a *Agent) Flush() error {
 	return a.sendTraced(msg, pending[0].Slot, buildStart)
 }
 
-// paused reports whether a busy-frame backpressure pause is in effect.
-func (a *Agent) paused() bool {
+// Paused reports whether the agent is currently shedding at the source
+// because of a busy-frame backpressure pause.
+func (a *Agent) Paused() bool {
 	u := a.pausedUntilNs.Load()
 	return u != 0 && time.Now().UnixNano() < u
 }
-
-// Paused reports whether the agent is currently shedding at the source
-// because of a busy-frame backpressure pause.
-func (a *Agent) Paused() bool { return a.paused() }
 
 // OverloadCounters reports agent-side overload accounting: busy frames
 // received mid-association, due-slot indications shed at the source while

@@ -536,9 +536,7 @@ func (r *RIC) applyBrownout(conn *e2.Conn, reqID uint32, lvl BrownoutLevel, last
 	if lvl >= BrownoutDegraded {
 		period *= uint32(o.cfg.WidenFactor)
 	}
-	sub := r.subscriptionMsg(period)
-	sub.RequestID = reqID
-	_ = conn.Send(sub)
+	_ = conn.Send(subscriptionRequest(reqID, period, r.cfg.Tracer.Enabled(), !r.cfg.DisableBatching))
 	if lvl == BrownoutCritical && o.cfg.BusyPause > 0 {
 		o.busyFrames.Inc()
 		*lastBusy = time.Now()

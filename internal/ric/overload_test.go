@@ -1,7 +1,6 @@
 package ric
 
 import (
-	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -709,7 +708,7 @@ func TestAgentSessionHonorsBusyRetryAfter(t *testing.T) {
 		Dial:    func() (*e2.Conn, error) { return e2.Dial(lis.Addr().String(), e2.BinaryCodec{}) },
 		RAN:     &fakeRAN{},
 		Agent:   AgentConfig{Cell: 1},
-		Backoff: Backoff{Initial: time.Millisecond, Max: 2 * time.Millisecond, FullJitter: true},
+		Backoff: Backoff{Initial: time.Millisecond, Max: 2 * time.Millisecond},
 		Metrics: am,
 		Seed:    42,
 	})
@@ -747,30 +746,50 @@ func TestAgentSessionHonorsBusyRetryAfter(t *testing.T) {
 	}
 }
 
+// TestBackoffDelay pins the reconnect schedule: every delay is drawn from
+// [0, ceiling), and the ceiling doubles per attempt up to Max.
+func TestBackoffDelay(t *testing.T) {
+	b := Backoff{Initial: 10 * time.Millisecond, Max: 80 * time.Millisecond}
+	s := newRetrySchedule(b, 1)
+	for attempt, ceiling := range []time.Duration{10, 20, 40, 80, 80, 80} {
+		ceiling *= time.Millisecond
+		if got := s.ceiling(); got != ceiling {
+			t.Fatalf("attempt %d: ceiling = %v, want %v", attempt, got, ceiling)
+		}
+		for i := 0; i < 50; i++ {
+			s.attempt = attempt
+			if d := s.next(nil); d < 0 || d >= ceiling {
+				t.Fatalf("attempt %d: delay %v, want in [0, %v)", attempt, d, ceiling)
+			}
+		}
+	}
+	// The zero value is 50 ms initial and a 5 s cap.
+	z := newRetrySchedule(Backoff{}, 1)
+	if got := z.ceiling(); got != 50*time.Millisecond {
+		t.Fatalf("default initial ceiling = %v, want 50ms", got)
+	}
+	z.attempt = 30
+	if got := z.ceiling(); got != 5*time.Second {
+		t.Fatalf("default capped ceiling = %v, want 5s", got)
+	}
+}
+
 // TestFullJitterDesync pins the full-jitter schedule and the zero-seed
 // desynchronization fix: zero-seeded sessions must not share a retry
 // schedule (the alignment bug that turned 1024 reconnects into one wave).
 func TestFullJitterDesync(t *testing.T) {
-	b := Backoff{Initial: 100 * time.Millisecond, Max: time.Second, Factor: 2, FullJitter: true}
-	rng := rand.New(rand.NewSource(1))
+	b := Backoff{Initial: 100 * time.Millisecond, Max: time.Second}
+	s := newRetrySchedule(b, 1)
 	for i := 0; i < 200; i++ {
-		d := b.FullJitterDelay(3, rng) // ceiling 800ms
-		if d < 0 || d >= 800*time.Millisecond {
-			t.Fatalf("FullJitterDelay(3) = %v, want in [0, 800ms)", d)
+		s.attempt = 3 // ceiling 800ms
+		if d := s.next(nil); d < 0 || d >= 800*time.Millisecond {
+			t.Fatalf("attempt 3: delay %v, want in [0, 800ms)", d)
 		}
 	}
-	// Ceiling caps at Max.
-	if d := b.FullJitterDelay(10, nil); d != time.Second {
-		t.Fatalf("un-jittered ceiling = %v, want 1s cap", d)
-	}
-	// delay() dispatches on the FullJitter flag.
-	if d := b.delay(2, nil); d != b.FullJitterDelay(2, nil) {
-		t.Fatalf("delay() = %v, want the full-jitter schedule", d)
-	}
-	bj := b
-	bj.FullJitter = false
-	if d := bj.delay(2, nil); d != bj.Delay(2, nil) {
-		t.Fatalf("delay() = %v, want the legacy schedule", d)
+	// The ceiling caps at Max.
+	s.attempt = 10
+	if got := s.ceiling(); got != time.Second {
+		t.Fatalf("attempt 10: ceiling = %v, want 1s cap", got)
 	}
 
 	// Zero-seed regression: every derived seed is unique...
@@ -783,11 +802,10 @@ func TestFullJitterDesync(t *testing.T) {
 		seen[s] = true
 	}
 	// ...and two zero-seeded sessions draw different schedules.
-	r1 := rand.New(rand.NewSource(deriveSeed(0)))
-	r2 := rand.New(rand.NewSource(deriveSeed(0)))
+	s1, s2 := newRetrySchedule(b, deriveSeed(0)), newRetrySchedule(b, deriveSeed(0))
 	same := true
 	for i := 0; i < 4; i++ {
-		if b.FullJitterDelay(i, r1) != b.FullJitterDelay(i, r2) {
+		if s1.next(nil) != s2.next(nil) {
 			same = false
 		}
 	}

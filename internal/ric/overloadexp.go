@@ -358,12 +358,10 @@ func runOverloadStorm(cfg OverloadExpConfig, res *OverloadResult, frec *flight.R
 	sessions := make([]*AgentSession, cfg.Agents)
 	for i := range sessions {
 		s, err := NewAgentSession(AgentSessionConfig{
-			Dial:  func() (*e2.Conn, error) { return e2.Dial(addr, e2.BinaryCodec{}) },
-			RAN:   ran,
-			Agent: AgentConfig{Cell: uint32(i)},
-			// Full jitter is the point: each round of a synchronized retry
-			// storm spreads uniformly over the whole backoff ceiling.
-			Backoff: Backoff{Initial: 30 * time.Millisecond, Max: 2 * time.Second, FullJitter: true},
+			Dial:    func() (*e2.Conn, error) { return e2.Dial(addr, e2.BinaryCodec{}) },
+			RAN:     ran,
+			Agent:   AgentConfig{Cell: uint32(i)},
+			Backoff: Backoff{Initial: 30 * time.Millisecond, Max: 2 * time.Second},
 			Metrics: am,
 			Seed:    cfg.Seed + int64(i),
 		})

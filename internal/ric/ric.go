@@ -586,10 +586,8 @@ func (r *RIC) Serve(lis *e2.Listener, stop <-chan struct{}) error {
 // ServeConn drives one E2-lite association from the RIC side: subscribe,
 // then consume indications (unbatching windowed frames into their per-slot
 // indications) and push control actions until the peer closes, stop is
-// closed, or (with HeartbeatInterval set) liveness fails. Control acks and
-// heartbeat echoes are consumed and counted. Closing stop closes the conn
-// so a Recv blocked on a silent peer returns promptly. The association
-// occupies one slot of a shard's goroutine budget.
+// closed, or (with HeartbeatInterval set) liveness fails (DESIGN.md §10).
+// The association occupies one slot of a shard's goroutine budget.
 //
 // Admission runs three gates in order, each refusing with a TypeBusy
 // retry-after hint: a critically browned-out RIC refuses outright; the hashed
@@ -638,76 +636,44 @@ func (r *RIC) recordAdmissionRefused(gate string) {
 	}
 }
 
-// subscriptionMsg builds the RIC's subscription request at the given report
-// period, advertising every capability the configuration enables — shared by
-// the association handshake and brownout-driven mid-association
-// re-subscriptions, so the agent renegotiates identical capabilities.
-func (r *RIC) subscriptionMsg(reportPeriodMs uint32) *e2.Message {
-	sub := &e2.Message{
-		Type:         e2.TypeSubscriptionRequest,
-		RequestID:    1,
-		RANFunction:  e2.RANFunctionKPM,
-		Subscription: &e2.SubscriptionRequest{ReportPeriodMs: reportPeriodMs},
-	}
-	if r.cfg.Tracer.Enabled() {
-		// Advertise trace capability in the reserved RANFunction bit; old
-		// agents echo it back untouched and keep sending untraced frames.
-		sub.RANFunction |= e2.TraceCapabilityBit
-	}
-	if !r.cfg.DisableBatching {
-		sub.RANFunction |= e2.BatchCapabilityBit
-	}
-	return sub
-}
-
 func (r *RIC) serveConn(sh *shard, conn *e2.Conn, stop <-chan struct{}) error {
-	if err := conn.Send(r.subscriptionMsg(r.cfg.ReportPeriodMs)); err != nil {
-		return err
-	}
-
-	// The supervisor owns every reason to abandon a blocked Recv: stop
-	// closing, and heartbeat liveness. Both act by closing the conn; the
-	// flags tell the receive loop which exit it was.
-	var stopped, dead atomic.Bool
-	recvDone := make(chan struct{})
-	superviseDone := make(chan struct{})
-	go r.supervise(conn, stop, recvDone, superviseDone, &stopped, &dead)
-	defer func() { close(recvDone); <-superviseDone }()
+	traced := false // the agent answered with e2.TraceCapabilityToken
+	assoc := &assocDriver{core: assocCore{p: ricParams(r.cfg)}, conn: conn, do: func(act action) {
+		switch act.kind {
+		case actSend:
+			_ = conn.Send(act.msg) // a dead conn fails the reader too
+		case actSubscribed:
+			traced = act.sub.traced
+		case actMiss:
+			if r.cfg.Assoc != nil {
+				r.cfg.Assoc.MissedHeartbeats.Inc()
+			}
+		case actClose:
+			if errors.Is(act.err, e2.ErrAssociationDead) && r.cfg.Assoc != nil {
+				r.cfg.Assoc.DeadAssociations.Inc()
+			}
+		}
+	}}
+	assoc.step(assocEvent{kind: evConnect})
+	defer assoc.watch(stop)()
 
 	// The receive loop only enqueues KPM indications (so a slow dispatch can
 	// never back the TCP stream up into the agent); the dispatcher drains
-	// the bounded queue, shedding by policy. Control acks, heartbeats and
-	// errors are handled inline — they are never queued, never shed.
+	// the bounded queue, shedding by policy. Every other frame is handled
+	// inline — never queued, never shed.
 	q := newAssocQueue(r.ov.cfg.QueueDepth)
 	go r.dispatchLoop(sh, conn, q)
 	defer func() { close(q.quit); <-q.done }()
 
-	assocTraced := false // agent answered with e2.TraceCapabilityToken
 	for {
 		m, err := conn.Recv()
 		if err != nil {
-			switch {
-			case stopped.Load():
-				return nil
-			case dead.Load():
-				return e2.ErrAssociationDead
-			case errors.Is(err, io.EOF):
-				return nil
-			}
+			_, err = assoc.step(assocEvent{kind: evError, err: err})
 			return err
 		}
 		switch m.Type {
-		case e2.TypeSubscriptionResponse:
-			if !m.SubscriptionResp.Accepted {
-				return fmt.Errorf("ric: subscription refused: %s", m.SubscriptionResp.Reason)
-			}
-			// The echoed RANFunction bit must NOT signal agent capability —
-			// an old agent echoes it untouched. Only the explicit token
-			// (inside the Reason's capability token list) does.
-			assocTraced = r.cfg.Tracer.Enabled() &&
-				e2.HasCapabilityToken(m.SubscriptionResp.Reason, e2.TraceCapabilityToken)
 		case e2.TypeIndication:
-			ctx := r.decodeCtx(conn, m.Trace, assocTraced, m.Indication.Slot, m.Indication.Cell)
+			ctx := r.decodeCtx(conn, m.Trace, traced, m.Indication.Slot, m.Indication.Cell)
 			r.enqueueIndication(q, queuedInd{ind: m.Indication, ctx: ctx, enq: time.Now()})
 		case e2.TypeIndicationBatch:
 			// Unbatch in arrival order into the per-indication queue, so
@@ -716,16 +682,18 @@ func (r *RIC) serveConn(sh *shard, conn *e2.Conn, stop <-chan struct{}) error {
 			inds := m.Batch.Indications
 			ctx := trace.Context{}
 			if len(inds) > 0 {
-				ctx = r.decodeCtx(conn, m.Trace, assocTraced, inds[0].Slot, inds[0].Cell)
+				ctx = r.decodeCtx(conn, m.Trace, traced, inds[0].Slot, inds[0].Cell)
 			}
 			now := time.Now()
 			for i := range inds {
 				r.enqueueIndication(q, queuedInd{ind: &inds[i], ctx: ctx, enq: now})
 			}
-		case e2.TypeControlAck, e2.TypeHeartbeat:
-			// Counted implicitly by the transport; nothing to do.
-		case e2.TypeError:
-			return fmt.Errorf("ric: peer error: %s", m.Error.Reason)
+		case e2.TypeControlAck:
+			// Counted by the transport; nothing to do.
+		default:
+			if ended, err := assoc.step(assocEvent{kind: evFrame, msg: m}); ended {
+				return err
+			}
 		}
 	}
 }
@@ -748,59 +716,4 @@ func (r *RIC) decodeCtx(conn *e2.Conn, wire trace.Context, assocTraced bool, slo
 		StartNs: time.Now().Add(-decDur).UnixNano(), DurNs: int64(decDur),
 	})
 	return trace.Context{TraceID: wire.TraceID, SpanID: decID}
-}
-
-// supervise watches one association from the side: it closes the conn when
-// stop fires (prompt shutdown even with a silent peer), and when
-// heartbeats are enabled it sends the probe at every interval and declares
-// the association dead after MissedHeartbeatLimit silent intervals.
-func (r *RIC) supervise(conn *e2.Conn, stop <-chan struct{}, recvDone <-chan struct{},
-	done chan<- struct{}, stopped, dead *atomic.Bool) {
-	defer close(done)
-	var tick <-chan time.Time
-	if r.cfg.HeartbeatInterval > 0 {
-		ticker := time.NewTicker(r.cfg.HeartbeatInterval)
-		defer ticker.Stop()
-		tick = ticker.C
-	}
-	limit := r.cfg.MissedHeartbeatLimit
-	if limit <= 0 {
-		limit = DefaultMissedHeartbeatLimit
-	}
-	misses := 0
-	for {
-		select {
-		case <-stop:
-			stopped.Store(true)
-			conn.Close()
-			return
-		case <-recvDone:
-			return
-		case <-tick:
-			// A healthy peer's echo keeps the age right around one
-			// interval, so allow half an interval of scheduling slack
-			// before calling it a miss.
-			if time.Since(conn.LastRecv()) > r.cfg.HeartbeatInterval*3/2 {
-				misses++
-				if r.cfg.Assoc != nil {
-					r.cfg.Assoc.MissedHeartbeats.Inc()
-				}
-				if misses >= limit {
-					dead.Store(true)
-					if r.cfg.Assoc != nil {
-						r.cfg.Assoc.DeadAssociations.Inc()
-					}
-					conn.Close()
-					return
-				}
-			} else {
-				misses = 0
-			}
-			// Probe regardless: the agent echoes, refreshing LastRecv on
-			// an otherwise idle but healthy association.
-			if err := conn.Send(&e2.Message{Type: e2.TypeHeartbeat}); err != nil {
-				return
-			}
-		}
-	}
 }

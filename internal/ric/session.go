@@ -2,7 +2,6 @@ package ric
 
 import (
 	"errors"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,97 +10,6 @@ import (
 	"waran/internal/metrics"
 	"waran/internal/obs"
 )
-
-// Backoff is an exponential-backoff-with-jitter schedule for reconnect
-// attempts. The zero value gets sensible defaults (50 ms initial, 5 s cap,
-// factor 2, 20 % jitter).
-type Backoff struct {
-	// Initial is the delay before the first retry (default 50 ms).
-	Initial time.Duration
-	// Max caps the delay (default 5 s).
-	Max time.Duration
-	// Factor multiplies the delay per consecutive failure (default 2).
-	Factor float64
-	// Jitter spreads each delay by ±Jitter fraction (default 0.2; set
-	// negative to disable) so a fleet of agents does not thundering-herd
-	// a restarted RIC.
-	Jitter float64
-	// FullJitter, when true, draws each delay uniformly from
-	// [0, ceiling) (the AWS full-jitter scheme) instead of ±Jitter around
-	// the exponential ceiling. ±20% still concentrates a synchronized
-	// 1024-agent reconnect storm into a 40%-wide window per round;
-	// full jitter spreads every round across the whole ceiling, which is
-	// what turns a storm into a ramp.
-	FullJitter bool
-}
-
-func (b Backoff) withDefaults() Backoff {
-	if b.Initial <= 0 {
-		b.Initial = 50 * time.Millisecond
-	}
-	if b.Max <= 0 {
-		b.Max = 5 * time.Second
-	}
-	if b.Factor < 1 {
-		b.Factor = 2
-	}
-	if b.Jitter == 0 {
-		b.Jitter = 0.2
-	}
-	if b.Jitter < 0 || b.Jitter > 1 {
-		b.Jitter = 0
-	}
-	return b
-}
-
-// Delay returns the wait before retry number attempt (0-based), jittered
-// from rng (nil disables jitter).
-func (b Backoff) Delay(attempt int, rng *rand.Rand) time.Duration {
-	b = b.withDefaults()
-	d := float64(b.Initial)
-	for i := 0; i < attempt; i++ {
-		d *= b.Factor
-		if d >= float64(b.Max) {
-			break
-		}
-	}
-	if d > float64(b.Max) {
-		d = float64(b.Max)
-	}
-	if b.Jitter > 0 && rng != nil {
-		d *= 1 + b.Jitter*(2*rng.Float64()-1)
-	}
-	return time.Duration(d)
-}
-
-// FullJitterDelay returns the wait before retry number attempt (0-based)
-// drawn uniformly from [0, ceiling), where ceiling is the un-jittered
-// exponential delay. With rng nil it returns the ceiling itself.
-func (b Backoff) FullJitterDelay(attempt int, rng *rand.Rand) time.Duration {
-	b = b.withDefaults()
-	d := float64(b.Initial)
-	for i := 0; i < attempt; i++ {
-		d *= b.Factor
-		if d >= float64(b.Max) {
-			break
-		}
-	}
-	if d > float64(b.Max) {
-		d = float64(b.Max)
-	}
-	if rng == nil {
-		return time.Duration(d)
-	}
-	return time.Duration(rng.Float64() * d)
-}
-
-// delay dispatches to the configured jitter scheme.
-func (b Backoff) delay(attempt int, rng *rand.Rand) time.Duration {
-	if b.FullJitter {
-		return b.FullJitterDelay(attempt, rng)
-	}
-	return b.Delay(attempt, rng)
-}
 
 // sessionSeq desynchronizes zero-seeded sessions. Seed==0 used to collapse
 // onto schedule 1, so a fleet of default-configured agents drew *identical*
@@ -140,15 +48,7 @@ type AssocMetrics struct {
 	// busy-frame backpressure pause was in effect.
 	ShedPaused metrics.Counter
 
-	degradedNs atomic.Int64
-}
-
-// AddDegraded accumulates time spent without an association.
-func (m *AssocMetrics) AddDegraded(d time.Duration) { m.degradedNs.Add(int64(d)) }
-
-// Degraded reports total time spent without an association.
-func (m *AssocMetrics) Degraded() time.Duration {
-	return time.Duration(m.degradedNs.Load())
+	degradedNs atomic.Int64 // time spent without an association
 }
 
 // AssocStats is the flat snapshot of AssocMetrics.
@@ -173,7 +73,7 @@ func (m *AssocMetrics) Stats() AssocStats {
 		BusyRefusals:       m.BusyRefusals.Value(),
 		BusyBackpressure:   m.BusyBackpressure.Value(),
 		ShedPaused:         m.ShedPaused.Value(),
-		DegradedMs:         float64(m.Degraded().Nanoseconds()) / 1e6,
+		DegradedMs:         float64(m.degradedNs.Load()) / 1e6,
 	}
 }
 
@@ -199,24 +99,93 @@ func (m *AssocMetrics) Register(reg *obs.Registry, labels ...obs.Label) {
 	}, labels...)
 }
 
-// sleepOrStop waits d unless stop closes first; it reports whether the
-// caller should continue.
-func sleepOrStop(d time.Duration, stop <-chan struct{}) bool {
-	if d <= 0 {
-		select {
-		case <-stop:
-			return false
-		default:
-			return true
+// assocDriver is the I/O half of one association: it steps the core under
+// one mutex, keeps one timer on the core's deadline, and carries out the
+// other actions outside the mutex, so a write blocked on a full peer never
+// stalls another event. Data frames never reach it.
+type assocDriver struct {
+	mu    sync.Mutex
+	core  assocCore
+	timer *time.Timer // created on the first arm
+	conn  *e2.Conn
+	do    func(action)
+}
+
+// step feeds ev to the core and carries out its actions; it reports
+// whether the association ended, and why.
+func (d *assocDriver) step(ev assocEvent) (ended bool, err error) {
+	d.mu.Lock()
+	acts := d.core.Step(time.Now(), ev, nil)
+	d.mu.Unlock()
+	for _, a := range acts {
+		d.do(a) // before a close wakes the reader, so it sees what do counted
+		switch a.kind {
+		case actClose:
+			d.conn.Close()
+		case actEnd:
+			ended, err = true, a.err
 		}
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-stop:
-		return false
+	// Re-point the timer at the core's deadline, whatever order steps end in.
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	switch at := d.core.deadline; {
+	case d.timer != nil && at.IsZero():
+		d.timer.Stop()
+	case d.timer != nil:
+		d.timer.Reset(time.Until(at))
+	case !at.IsZero():
+		d.timer = time.AfterFunc(time.Until(at), func() {
+			d.step(assocEvent{kind: evTimer, frames: d.conn.Stats().Received})
+		})
+	}
+	return ended, err
+}
+
+// watch ends the association when stop closes; unwatch stops watching and
+// waits for the watcher to leave.
+func (d *assocDriver) watch(stop <-chan struct{}) (unwatch func()) {
+	if stop == nil {
+		return func() {}
+	}
+	done, left := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(left)
+		select {
+		case <-stop:
+			d.step(assocEvent{kind: evStop})
+		case <-done:
+		}
+	}()
+	return func() { close(done); <-left }
+}
+
+// runAssociations is the reconnect loop of both ends: until stop closes it
+// connects and serves. A failed connect, or an association that never came
+// up, waits the schedule's next delay; one that came up resets it.
+func runAssociations(s *retrySchedule, connect func() (*e2.Conn, error),
+	serve func(*e2.Conn) (up bool, err error), stop <-chan struct{}) {
+	for {
+		select {
+		case <-stop:
+			return
+		default:
+		}
+		conn, err := connect()
+		if err == nil {
+			var up bool
+			if up, err = serve(conn); up {
+				s.reset()
+				continue
+			}
+		}
+		t := time.NewTimer(s.next(err))
+		select {
+		case <-stop:
+			t.Stop()
+			return
+		case <-t.C:
+		}
 	}
 }
 
@@ -251,12 +220,11 @@ func (c SessionConfig) Validate() error {
 	return nil
 }
 
-// Session supervises the RIC side of an association: it obtains connections
-// from Connect (an accept or a dial), serves each until it dies, and goes
-// back for the next one with exponential backoff on Connect failures. The
-// RIC's xApp state persists across associations, so a reconnecting gNB is
-// re-subscribed and controlled by the same policies without operator
-// action.
+// Session supervises the RIC side of an association: it serves each
+// connection from Connect (an accept or a dial) until it dies, backing off
+// on Connect failures. The RIC's xApp state persists across associations,
+// so a reconnecting gNB is re-subscribed and controlled by the same
+// policies without operator action.
 type Session struct {
 	cfg SessionConfig
 }
@@ -271,24 +239,8 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 
 // Run supervises associations until stop closes.
 func (s *Session) Run(stop <-chan struct{}) {
-	rng := rand.New(rand.NewSource(deriveSeed(s.cfg.Seed)))
-	attempt := 0
 	associations := 0
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		conn, err := s.cfg.Connect()
-		if err != nil {
-			if !sleepOrStop(s.cfg.Backoff.delay(attempt, rng), stop) {
-				return
-			}
-			attempt++
-			continue
-		}
-		attempt = 0
+	serve := func(conn *e2.Conn) (bool, error) {
 		associations++
 		if associations > 1 && s.cfg.Metrics != nil {
 			s.cfg.Metrics.Reconnects.Inc()
@@ -297,7 +249,7 @@ func (s *Session) Run(stop <-chan struct{}) {
 		if s.cfg.OnAssociation != nil {
 			teardown = s.cfg.OnAssociation(conn)
 		}
-		err = s.cfg.RIC.ServeConn(conn, stop)
+		err := s.cfg.RIC.ServeConn(conn, stop)
 		conn.Close()
 		if teardown != nil {
 			teardown()
@@ -305,7 +257,11 @@ func (s *Session) Run(stop <-chan struct{}) {
 		if s.cfg.OnEnd != nil {
 			s.cfg.OnEnd(err)
 		}
+		// A refused or failed association says nothing about the next
+		// peer, so the RIC goes straight back to Connect.
+		return true, err
 	}
+	runAssociations(newRetrySchedule(s.cfg.Backoff, deriveSeed(s.cfg.Seed)), s.cfg.Connect, serve, stop)
 }
 
 // AgentSessionConfig is the validated construction surface of an
@@ -337,18 +293,17 @@ func (c AgentSessionConfig) Validate() error {
 }
 
 // AgentSession supervises the gNB side of an association: it dials with
-// exponential backoff, runs an Agent per association, and when the
-// association dies it degrades gracefully — Tick keeps returning instantly
-// (counting the indications that could not be sent) so the MAC slot loop
-// continues on the gNB's native inter-slice configuration instead of
-// stalling, the same escape hatch a plugin slice's native fallback is.
+// backoff, runs an Agent per association, and when the association dies it
+// degrades gracefully — Tick keeps returning instantly (counting the
+// indications that could not be sent) so the MAC slot loop continues on
+// the gNB's native inter-slice configuration instead of stalling, the same
+// escape hatch a plugin slice's native fallback is.
 type AgentSession struct {
 	cfg AgentSessionConfig
 
 	mu           sync.Mutex
-	agent        *Agent   // live agent, nil while degraded
-	conn         *e2.Conn // live conn, closed by Stop to unblock the agent
-	lastPeriod   uint64   // retained across teardowns for drop accounting
+	agent        *Agent // live agent, nil while degraded
+	lastPeriod   uint64 // retained across teardowns for drop accounting
 	degradedAt   time.Time
 	associations uint64
 	// Totals accumulated from dead agents; Counters adds the live one.
@@ -364,6 +319,9 @@ func NewAgentSession(cfg AgentSessionConfig) (*AgentSession, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = &AssocMetrics{}
+	}
 	return &AgentSession{cfg: cfg}, nil
 }
 
@@ -371,147 +329,62 @@ func NewAgentSession(cfg AgentSessionConfig) (*AgentSession, error) {
 func (s *AgentSession) Start() {
 	s.stop = make(chan struct{})
 	s.done = make(chan struct{})
-	go s.run()
+	go func() {
+		defer close(s.done)
+		runAssociations(newRetrySchedule(s.cfg.Backoff, deriveSeed(s.cfg.Seed)), s.cfg.Dial, s.serve, s.stop)
+	}()
 }
 
-// Stop shuts the supervisor down, closing any live association, and waits
+// Stop shuts the supervisor down, ending any live association, and waits
 // for it to exit.
 func (s *AgentSession) Stop() {
 	close(s.stop)
-	s.mu.Lock()
-	conn := s.conn
-	s.mu.Unlock()
-	if conn != nil {
-		conn.Close()
-	}
 	<-s.done
 }
 
-func (s *AgentSession) run() {
-	defer close(s.done)
-	rng := rand.New(rand.NewSource(deriveSeed(s.cfg.Seed)))
-	attempt := 0
-	for {
-		select {
-		case <-s.stop:
-			return
-		default:
-		}
-		conn, err := s.cfg.Dial()
-		if err != nil {
-			if !sleepOrStop(s.cfg.Backoff.delay(attempt, rng), s.stop) {
-				return
-			}
-			attempt++
-			continue
-		}
-		// Publish the conn before the blocking handshake so Stop can
-		// close it; then re-check stop (Stop closes s.stop before it
-		// reads s.conn, so one of the two paths always closes the conn).
-		s.mu.Lock()
-		s.conn = conn
-		s.mu.Unlock()
-		select {
-		case <-s.stop:
-			conn.Close()
-			s.clearConn()
-			return
-		default:
-		}
-
-		// The config was validated at construction, so NewAgent cannot
-		// fail here; guard anyway so a future invariant change degrades
-		// into backoff instead of a panic.
-		agent, err := NewAgent(conn, s.cfg.RAN, s.cfg.Agent)
-		if err == nil {
-			var recvErr <-chan error
-			recvErr, err = agent.Start()
-			if err == nil {
-				// Association established and subscribed.
-				attempt = 0
-				s.mu.Lock()
-				s.associations++
-				reconnect := s.associations > 1
-				s.agent = agent
-				if !s.degradedAt.IsZero() {
-					if s.cfg.Metrics != nil {
-						s.cfg.Metrics.AddDegraded(time.Since(s.degradedAt))
-					}
-					s.degradedAt = time.Time{}
-				}
-				s.mu.Unlock()
-				if reconnect && s.cfg.Metrics != nil {
-					s.cfg.Metrics.Reconnects.Inc()
-				}
-
-				var termErr error
-				stopping := false
-				select {
-				case termErr = <-recvErr:
-				case <-s.stop:
-					conn.Close()
-					termErr = <-recvErr
-					stopping = true
-				}
-				if errors.Is(termErr, e2.ErrAssociationDead) && s.cfg.Metrics != nil {
-					s.cfg.Metrics.DeadAssociations.Inc()
-				}
-				s.teardown(agent, conn)
-				if stopping {
-					return
-				}
-				continue
-			}
-		}
+// serve runs one agent on conn until the association dies or Stop; it
+// reports whether the association came up (was subscribed).
+func (s *AgentSession) serve(conn *e2.Conn) (bool, error) {
+	agent, _ := NewAgent(conn, s.cfg.RAN, s.cfg.Agent) // validated in NewAgentSession
+	agent.stop = s.stop
+	recvErr, err := agent.Start()
+	if err != nil {
 		conn.Close()
-		s.clearConn()
-		wait := s.cfg.Backoff.delay(attempt, rng)
 		var busy *e2.BusyError
 		if errors.As(err, &busy) {
-			// The RIC refused us with a retry-after hint: honor it, but
-			// jittered — uniform in [hint/2, hint*1.5) — so a refused cohort
-			// ramps back instead of re-arriving as one synchronized wave. The
-			// hint replaces the backoff wait only when it is longer.
-			if s.cfg.Metrics != nil {
-				s.cfg.Metrics.BusyRefusals.Inc()
-			}
-			hinted := busy.RetryAfter
-			if hinted > 0 {
-				hinted = hinted/2 + time.Duration(rng.Float64()*float64(hinted))
-			}
-			if hinted > wait {
-				wait = hinted
-			}
+			s.cfg.Metrics.BusyRefusals.Inc()
 		}
-		if !sleepOrStop(wait, s.stop) {
-			return
-		}
-		attempt++
+		return false, err
 	}
-}
 
-func (s *AgentSession) clearConn() {
 	s.mu.Lock()
-	s.conn = nil
+	s.associations++
+	reconnect := s.associations > 1
+	s.agent = agent
+	if !s.degradedAt.IsZero() {
+		s.cfg.Metrics.degradedNs.Add(int64(time.Since(s.degradedAt)))
+		s.degradedAt = time.Time{}
+	}
 	s.mu.Unlock()
-}
+	if reconnect {
+		s.cfg.Metrics.Reconnects.Inc()
+	}
 
-// teardown folds a finished agent's counters into the session totals and
-// marks the session degraded.
-func (s *AgentSession) teardown(agent *Agent, conn *e2.Conn) {
+	termErr := <-recvErr
+	if errors.Is(termErr, e2.ErrAssociationDead) {
+		s.cfg.Metrics.DeadAssociations.Inc()
+	}
+
+	// Teardown: fold the dead agent's counters into the totals. A window
+	// remainder lost with the conn is a drop like any mid-flight drop.
 	_ = agent.Flush() // don't strand a partial batch window with the conn
 	conn.Close()
 	ind, ok, fail := agent.Counters()
 	rs := agent.Resubscribes()
-	if s.cfg.Metrics != nil {
-		// Fold the dead agent's overload accounting into the shared ledger:
-		// source-shed indications keep their own counter; a window remainder
-		// lost with the conn is a drop like any other mid-flight drop.
-		bf, ps, lf := agent.OverloadCounters()
-		s.cfg.Metrics.BusyBackpressure.Add(bf)
-		s.cfg.Metrics.ShedPaused.Add(ps)
-		s.cfg.Metrics.DroppedIndications.Add(lf)
-	}
+	bf, ps, lf := agent.OverloadCounters()
+	s.cfg.Metrics.BusyBackpressure.Add(bf)
+	s.cfg.Metrics.ShedPaused.Add(ps)
+	s.cfg.Metrics.DroppedIndications.Add(lf)
 	s.mu.Lock()
 	s.indications += ind
 	s.controlsOK += ok
@@ -521,9 +394,9 @@ func (s *AgentSession) teardown(agent *Agent, conn *e2.Conn) {
 		s.lastPeriod = p
 	}
 	s.agent = nil
-	s.conn = nil
 	s.degradedAt = time.Now()
 	s.mu.Unlock()
+	return true, termErr
 }
 
 // Tick is called by the owner after each MAC slot. While an association is
@@ -536,13 +409,13 @@ func (s *AgentSession) Tick(slot uint64) {
 	period := s.lastPeriod
 	s.mu.Unlock()
 	if agent != nil {
-		if err := agent.Tick(slot); err != nil && s.cfg.Metrics != nil {
+		if err := agent.Tick(slot); err != nil {
 			// The conn died mid-send; the supervisor reconnects shortly.
 			s.cfg.Metrics.DroppedIndications.Inc()
 		}
 		return
 	}
-	if period > 0 && slot%period == 0 && s.cfg.Metrics != nil {
+	if period > 0 && slot%period == 0 {
 		s.cfg.Metrics.DroppedIndications.Inc()
 	}
 }

@@ -2,7 +2,6 @@ package ric
 
 import (
 	"errors"
-	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -337,26 +336,6 @@ func TestPluginCodecConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestBackoffDelay pins the backoff schedule: exponential growth, a hard
-// cap, and bounded jitter.
-func TestBackoffDelay(t *testing.T) {
-	b := Backoff{Initial: 10 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 2, Jitter: -1}
-	want := []time.Duration{10, 20, 40, 80, 80, 80}
-	for i, w := range want {
-		if got := b.Delay(i, nil); got != w*time.Millisecond {
-			t.Fatalf("Delay(%d) = %v, want %v", i, got, w*time.Millisecond)
-		}
-	}
-	j := Backoff{Initial: 10 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 2, Jitter: 0.2}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 50; i++ {
-		got := j.Delay(1, rng)
-		if got < 16*time.Millisecond || got > 24*time.Millisecond {
-			t.Fatalf("jittered Delay(1) = %v, want within ±20%% of 20ms", got)
-		}
-	}
 }
 
 // TestAgentSessionDegradesWithoutRIC verifies the slot loop never stalls

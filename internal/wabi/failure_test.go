@@ -242,3 +242,23 @@ func TestPoolDiscardWakesWaiter(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLoopingStartFunctionIsInstantiateError: a module whose start function
+// never returns is refused at NewPlugin with an *InstantiateError wrapping
+// the fuel trap its metered start budget ends in, on both tiers.
+func TestLoopingStartFunctionIsInstantiateError(t *testing.T) {
+	mod, err := CompileWAT(`(module (func $s (loop $l (br $l))) (start $s))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tier := range bothTiers {
+		_, err := NewPlugin(mod, Policy{Fuel: 100_000, Tier: tier}, Env{})
+		var ie *InstantiateError
+		if !errors.As(err, &ie) {
+			t.Fatalf("%v: NewPlugin = %v, want *InstantiateError", tier, err)
+		}
+		if !errors.Is(err, &wasm.Trap{Code: wasm.TrapFuelExhausted}) {
+			t.Fatalf("%v: NewPlugin = %v, want it to wrap the fuel trap", tier, err)
+		}
+	}
+}

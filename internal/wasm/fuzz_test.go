@@ -166,6 +166,11 @@ func FuzzDecode(f *testing.F) {
 		}
 		f.Add(bin)
 	}
+	loop, err := wat.CompileToBinary(loopingStartWAT) // metered start runs out of fuel
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(loop)
 	f.Add([]byte{0x00, 0x61, 0x73, 0x6D, 0x01, 0x00, 0x00, 0x00}) // empty module
 	f.Add([]byte{0x00, 0x61, 0x73, 0x6D})                         // truncated magic
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -253,14 +253,27 @@ func (cm *CompiledModule) Instantiate(imports Imports, cfg Config) (*Instance, e
 		}
 	}
 
-	// Start function.
+	// Start function. It runs before anyone can call SetFuel, so a metered
+	// instance gives it its own finite budget and then returns to the
+	// unlimited fuel SetFuel starts from.
 	if m.Start != nil {
-		if _, err := in.call(*m.Start, nil, nil); err != nil {
+		if cfg.MeterFuel {
+			in.fuel = StartFuel
+		}
+		_, err := in.call(*m.Start, nil, nil)
+		in.fuel = -1
+		if err != nil {
 			return nil, fmt.Errorf("wasm: start function: %w", err)
 		}
 	}
 	return in, nil
 }
+
+// StartFuel is the instruction budget a metered instance's start function
+// runs on: a start function that loops traps with TrapFuelExhausted
+// instead of never returning from Instantiate. A million instructions is
+// ample for initialisation and runs out in milliseconds on either tier.
+const StartFuel = 1_000_000
 
 func (in *Instance) evalConst(ce ConstExpr) (uint64, error) {
 	switch ce.Op {

@@ -6,8 +6,10 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"waran/internal/wasm"
+	"waran/internal/wat"
 )
 
 // binOpModule builds a module exporting one function per listed binary
@@ -529,6 +531,61 @@ func TestStartFunctionRuns(t *testing.T) {
 	in := mustInstance(t, src)
 	if v, _ := in.GlobalValue("g"); v != 99 {
 		t.Fatalf("start did not run: g = %d", v)
+	}
+}
+
+// loopingStartWAT is a module whose start function never returns.
+const loopingStartWAT = `(module (func $s (loop $l (br $l))) (start $s))`
+
+// TestMeteredStartFunctionRunsOutOfFuel: under MeterFuel a start function
+// runs on StartFuel, so a looping one fails Instantiate with a fuel trap
+// on both tiers instead of hanging it; a start function that returns is
+// counted in InstrCount and leaves the fuel unlimited until SetFuel.
+func TestMeteredStartFunctionRunsOutOfFuel(t *testing.T) {
+	loop, err := wat.Compile(loopingStartWAT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := wasm.Compile(loop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, err := wat.Compile(`(module
+	  (global $g (mut i32) (i32.const 0))
+	  (func $init (global.set $g (i32.const 99)))
+	  (start $init))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	okCM, err := wasm.Compile(ok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tier := range []wasm.Tier{wasm.TierInterp, wasm.TierClosure} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := cm.Instantiate(nil, wasm.Config{MeterFuel: true, Tier: tier})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, &wasm.Trap{Code: wasm.TrapFuelExhausted}) {
+				t.Fatalf("%v: Instantiate = %v, want a wrapped fuel trap", tier, err)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%v: metered Instantiate of a looping start function did not return", tier)
+		}
+
+		in, err := okCM.Instantiate(nil, wasm.Config{MeterFuel: true, Tier: tier})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.InstrCount == 0 || in.InstrCount >= wasm.StartFuel {
+			t.Fatalf("%v: InstrCount = %d after the start function, want its few instructions", tier, in.InstrCount)
+		}
+		if f := in.Fuel(); f != -1 {
+			t.Fatalf("%v: fuel after Instantiate = %d, want -1 (unlimited until SetFuel)", tier, f)
+		}
 	}
 }
 
