@@ -78,9 +78,9 @@ type runOpts struct {
 // is on.
 const flightDepth = 4096
 
-// sloDetectors burns the RIC's two SLOs against its own ledger: the shed
-// ratio of offered indications, and the dispatch-latency p99 against the
-// brownout controller's budget (when that trigger is on).
+// sloDetectors burns the RIC's SLO against its own ledger: the shed ratio
+// of offered indications. How long indications wait is the brownout rule's
+// input, and a brownout shift is itself a capture trigger.
 func sloDetectors(frec *flight.Recorder, r *ric.RIC) *flight.DetectorSet {
 	fdet := flight.NewDetectorSet(frec)
 	fdet.MustAdd(flight.SLO{
@@ -95,16 +95,6 @@ func sloDetectors(frec *flight.Recorder, r *ric.RIC) *flight.DetectorSet {
 			return s.Offered
 		},
 	}, flight.DetectorConfig{})
-	if budget := r.Config().Overload.LoopP99Budget; budget > 0 {
-		fdet.MustAdd(flight.SLO{
-			Name: "dispatch-p99",
-			Value: func() float64 {
-				s, _ := r.OverloadStats()
-				return s.DispatchP99Ms
-			},
-			Budget: float64(budget) / float64(time.Millisecond),
-		}, flight.DetectorConfig{})
-	}
 	return fdet
 }
 
@@ -197,8 +187,8 @@ func run(o runOpts) error {
 
 	// The flight recorder journals RIC-plane transitions (brownout shifts,
 	// sheds, admission refusals, per-xApp breaker trips, association
-	// lifecycle), burns the shed-ratio and dispatch-p99 SLOs through
-	// multi-window detectors, and captures a diagnostic bundle when a
+	// lifecycle), burns the shed-ratio SLO through a multi-window
+	// detector, and captures a diagnostic bundle when a
 	// detector fires, the brownout shifts, or a breaker opens.
 	var fdet *flight.DetectorSet
 	var fcap *flight.Capturer

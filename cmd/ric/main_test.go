@@ -64,7 +64,7 @@ func TestFlightAlwaysRegistersShedDetector(t *testing.T) {
 	for _, st := range sloDetectors(frec, r).States() {
 		names[st.Name] = true
 	}
-	if !names["shed-ratio"] || !names["dispatch-p99"] {
-		t.Fatalf("detectors = %v, want shed-ratio and dispatch-p99", names)
+	if !names["shed-ratio"] {
+		t.Fatalf("detectors = %v, want shed-ratio", names)
 	}
 }

@@ -293,13 +293,14 @@ func TestAssocBackoffSchedule(t *testing.T) {
 	}
 }
 
-// TestAssocCoreIsSansIO keeps the association core free of I/O: its file
-// and this one start no goroutine, read no clock and never name e2.Conn, so
-// every lifecycle rule can be driven by a synthetic clock.
+// TestAssocCoreIsSansIO keeps the association core and the brownout rule
+// free of I/O: their files and tests start no goroutine, read no clock and
+// never name e2.Conn, so every lifecycle and brownout rule can be driven by
+// a synthetic clock.
 func TestAssocCoreIsSansIO(t *testing.T) {
 	clock := map[string]bool{"Now": true, "Since": true, "Until": true, "Sleep": true,
 		"NewTimer": true, "NewTicker": true, "After": true, "AfterFunc": true, "Tick": true}
-	for _, name := range []string{"assoc.go", "assoc_test.go"} {
+	for _, name := range []string{"assoc.go", "assoc_test.go", "brownout.go", "brownout_test.go"} {
 		fset := token.NewFileSet()
 		f, err := parser.ParseFile(fset, name, nil, 0)
 		if err != nil {

@@ -229,15 +229,16 @@ func RunCitySim(cfg CitySimConfig) (*CitySimResult, error) {
 	conns := make([]*e2.Conn, 0, nAssoc)
 	addr := lis.Addr().String()
 	batch := BatchConfig{Window: cfg.BatchWindow, FlushInterval: cfg.FlushInterval}
+	retry := newRetrySchedule(Backoff{}, cfg.Seed)
 	for c := 0; c < cfg.Cells; c++ {
 		for s := 0; s < cfg.Sectors; s++ {
 			var agent *Agent
 			var conn *e2.Conn
 			// The fleet bring-up itself runs through the admission gate: a
-			// TypeBusy refusal is honored by
-			// sleeping out the retry-after hint, exactly as a supervised
-			// agent session would, so the 1024-association dial burst enters
-			// as a ramp instead of failing the run.
+			// TypeBusy refusal waits out the retry-after hint, jittered by
+			// the back-off a supervised agent session uses, so the
+			// 1024-association dial burst enters as a ramp instead of
+			// failing the run.
 			for attempt := 0; ; attempt++ {
 				raw, err := net.DialTimeout("tcp", addr, 5*time.Second)
 				if err != nil {
@@ -254,12 +255,13 @@ func RunCitySim(cfg CitySimConfig) (*CitySimResult, error) {
 					return nil, err
 				}
 				if _, err = agent.Start(); err == nil {
+					retry.reset()
 					break
 				}
 				conn.Close()
 				var busy *e2.BusyError
 				if errors.As(err, &busy) && attempt < 60 {
-					time.Sleep(busy.RetryAfter)
+					time.Sleep(retry.next(err))
 					continue
 				}
 				return nil, fmt.Errorf("ric: citysim: association %d: %w", len(agents), err)

@@ -141,21 +141,18 @@ func RunFlightRec(cfg FlightRecConfig) (*FlightRecResult, error) {
 	// The storm RIC: shallow queues so the saturated dispatch overflows
 	// into the shed ledger, a low-sample breaker so the stuck xApp trips on
 	// its second fault (backoff past the dwell keeps half-open probes — and
-	// their faults — out of the run),
-	// and a tight loop budget + fast poll so the brownout controller reacts
-	// inside the dwell.
+	// their faults — out of the run). The first overflow asks for critical
+	// brownout, so the shift lands inside the dwell.
 	r, err := New(Config{
 		ReportPeriodMs: 1,
 		Shards:         2,
 		KPMHistory:     NoKPMHistory,
 		Flight:         rec,
 		Overload: &OverloadConfig{
-			AdmitRate:     -1,
-			BusyPause:     -1,
-			QueueDepth:    cfg.QueueDepth,
-			StaleAfter:    50 * time.Millisecond,
-			LoopP99Budget: 300 * time.Microsecond,
-			Poll:          5 * time.Millisecond,
+			AdmitRate:  -1,
+			BusyPause:  -1,
+			QueueDepth: cfg.QueueDepth,
+			StaleAfter: 50 * time.Millisecond,
 			Breaker: guard.BreakerConfig{
 				Window: 64, MinSamples: 2, FailureRate: 0.5,
 				Backoff: cfg.Dwell + time.Second,

@@ -3,7 +3,8 @@ package ric
 // The guards every association passes (DESIGN.md §17): admission token
 // buckets and TypeBusy refusals at the front door, a bounded per-association
 // indication queue with an explicit shed policy behind it, a three-level
-// brownout state machine driving report-period widening / stale shedding /
+// brownout decided from how long indications wait in that queue
+// (brownout.go) driving report-period widening / stale shedding /
 // subscription refusal, and a per-xApp breaker so one faulting wasm xApp
 // cannot back up a shard's fan-in. There is no RIC without them;
 // Config.Overload only tunes the thresholds.
@@ -11,7 +12,6 @@ package ric
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"waran/internal/e2"
@@ -31,25 +31,17 @@ const (
 	// DefaultQueueDepth bounds each association's indication queue.
 	DefaultQueueDepth = 256
 	// DefaultStaleAfter is how old a queued KPM indication may grow before
-	// a browned-out RIC sheds it instead of dispatching it.
+	// a browned-out RIC sheds it instead of dispatching it; an interval
+	// whose every indication waited longer asks for critical brownout.
 	DefaultStaleAfter = 250 * time.Millisecond
 	// DefaultWidenFactor multiplies the report period while browned out.
 	DefaultWidenFactor = 2
-	// DefaultBrownoutPoll is the brownout re-evaluation cadence.
-	DefaultBrownoutPoll = 20 * time.Millisecond
 	// DefaultRetryAfter is the retry-after hint on TypeBusy admission
 	// refusals.
 	DefaultRetryAfter = 500 * time.Millisecond
 	// DefaultBusyPause is the KPM pause hinted to agents while the RIC is
 	// critically browned out.
 	DefaultBusyPause = time.Second
-	// DefaultLoopP99Budget is the dispatch-latency p99 above which the
-	// brownout controller escalates (2x above it escalates to critical).
-	DefaultLoopP99Budget = 250 * time.Millisecond
-	// DefaultEnterDegraded / DefaultEnterCritical are the queue fill
-	// fractions entering brownout levels 1 and 2.
-	DefaultEnterDegraded = 0.5
-	DefaultEnterCritical = 0.9
 )
 
 // BrownoutLevel is the RIC's overload posture.
@@ -83,7 +75,9 @@ func (l BrownoutLevel) String() string {
 }
 
 // OverloadConfig tunes the RIC's guards: admission control, bounded queued
-// dispatch, the brownout state machine, and per-xApp isolation. The zero
+// dispatch, what brownout does, and per-xApp isolation. When brownout
+// starts and ends is not tunable: it follows the queue's sojourn against
+// the near-RT loop's 10 ms floor (brownout.go). The zero
 // value is the defaults below.
 type OverloadConfig struct {
 	// AdmitRate is the per-shard association admission rate in
@@ -97,8 +91,9 @@ type OverloadConfig struct {
 	// DefaultQueueDepth). A full queue sheds its oldest KPM indication —
 	// control and heartbeat frames are never queued, so never shed.
 	QueueDepth int
-	// StaleAfter is the queued-KPM age shed while browned out (default
-	// DefaultStaleAfter; negative disables stale shedding).
+	// StaleAfter is the queued-KPM age shed while browned out, and the
+	// least sojourn over an interval that asks for critical brownout
+	// (default DefaultStaleAfter; negative disables both).
 	StaleAfter time.Duration
 	// XAppDeadline is read by nothing: every xApp call is bounded by
 	// Policy.Fuel alone, which is deterministic and cannot misfire when the
@@ -109,21 +104,9 @@ type OverloadConfig struct {
 	// Breaker tunes the per-xApp circuit breaker (zero value = guard
 	// defaults).
 	Breaker guard.BreakerConfig
-	// EnterDegraded / EnterCritical are the queue fill fractions entering
-	// brownout levels 1 and 2 (defaults DefaultEnterDegraded /
-	// DefaultEnterCritical).
-	EnterDegraded float64
-	EnterCritical float64
-	// LoopP99Budget escalates brownout when the dispatch-latency p99
-	// exceeds it (2x enters critical). Default DefaultLoopP99Budget;
-	// negative disables the latency trigger.
-	LoopP99Budget time.Duration
 	// WidenFactor multiplies the subscription report period while browned
 	// out (default DefaultWidenFactor).
 	WidenFactor int
-	// Poll is the brownout re-evaluation cadence (default
-	// DefaultBrownoutPoll).
-	Poll time.Duration
 	// RetryAfter is the hint carried on TypeBusy admission refusals
 	// (default DefaultRetryAfter).
 	RetryAfter time.Duration
@@ -144,12 +127,6 @@ func (c OverloadConfig) Validate() error {
 	}
 	if c.WidenFactor < 0 {
 		return fmt.Errorf("ric: negative widen factor %d", c.WidenFactor)
-	}
-	if c.EnterDegraded < 0 || c.EnterDegraded > 1 {
-		return fmt.Errorf("ric: degraded fill fraction %v outside [0, 1]", c.EnterDegraded)
-	}
-	if c.EnterCritical < 0 || c.EnterCritical > 1 {
-		return fmt.Errorf("ric: critical fill fraction %v outside [0, 1]", c.EnterCritical)
 	}
 	return nil
 }
@@ -175,23 +152,8 @@ func (c OverloadConfig) withDefaults() OverloadConfig {
 	if c.StaleAfter == 0 {
 		c.StaleAfter = DefaultStaleAfter
 	}
-	if c.EnterDegraded == 0 {
-		c.EnterDegraded = DefaultEnterDegraded
-	}
-	if c.EnterCritical == 0 {
-		c.EnterCritical = DefaultEnterCritical
-	}
-	if c.EnterCritical < c.EnterDegraded {
-		c.EnterCritical = c.EnterDegraded
-	}
-	if c.LoopP99Budget == 0 {
-		c.LoopP99Budget = DefaultLoopP99Budget
-	}
 	if c.WidenFactor < 2 {
 		c.WidenFactor = DefaultWidenFactor
-	}
-	if c.Poll <= 0 {
-		c.Poll = DefaultBrownoutPoll
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = DefaultRetryAfter
@@ -230,23 +192,17 @@ type overload struct {
 	spills        metrics.Counter // associations placed on a non-hashed shard
 	transitions   metrics.Counter // brownout level changes
 
-	level      atomic.Int32
-	maxFill    atomic.Int64 // metric-exempt: eval-window queue high-water, reset each poll
-	lastEval   atomic.Int64 // metric-exempt: unix-nano CAS guard for maybeEval, not telemetry
-	downStreak atomic.Int32 // metric-exempt: consecutive below-threshold evals; CAS winners alternate, so it needs visibility, not contention safety
-
-	p99Mu   sync.Mutex
-	dispP99 *metrics.P2 // dispatch latency (ns)
+	bo brownout
 }
 
 func newOverload(cfg OverloadConfig, shards int, tracer *trace.Tracer, rec *flight.Recorder) *overload {
 	o := &overload{
-		cfg:     cfg,
-		tracer:  tracer,
-		flight:  rec,
-		tokens:  make([]float64, shards),
-		last:    make([]time.Time, shards),
-		dispP99: metrics.NewP2(0.99),
+		cfg:    cfg,
+		tracer: tracer,
+		flight: rec,
+		tokens: make([]float64, shards),
+		last:   make([]time.Time, shards),
+		bo:     brownout{epoch: time.Now()},
 	}
 	for i := range o.tokens {
 		o.tokens[i] = float64(cfg.AdmitBurst)
@@ -254,9 +210,31 @@ func newOverload(cfg OverloadConfig, shards int, tracer *trace.Tracer, rec *flig
 	return o
 }
 
-// Level returns the current brownout level.
-func (o *overload) Level() BrownoutLevel {
-	return BrownoutLevel(o.level.Load())
+// Level returns the brownout level in force at now. The first reader to
+// see the level change records the shift: the transition counter, the
+// flight journal and a trace span.
+func (o *overload) Level(now time.Time) BrownoutLevel {
+	lvl, prev, changed := o.bo.observe(now)
+	if !changed {
+		return lvl
+	}
+	o.transitions.Inc()
+	shift := prev.String() + "->" + lvl.String()
+	if rec := o.flight; rec.Enabled() {
+		rec.Record(flight.Event{
+			Class: flight.EvBrownoutShift, Plane: flight.PlaneRIC,
+			Detail: shift, Value: float64(lvl),
+		})
+	}
+	if o.tracer.Enabled() {
+		c := trace.NewContext()
+		o.tracer.Record(&trace.Span{
+			TraceID: c.TraceID, SpanID: c.SpanID,
+			Name: trace.SpanBrownoutShift, Plane: trace.PlaneRIC,
+			Err: shift, StartNs: now.UnixNano(),
+		})
+	}
+	return lvl
 }
 
 // admitAssoc spends one admission token for shardID, or reports how long
@@ -285,92 +263,6 @@ func (o *overload) admitAssoc(shardID int, now time.Time) (bool, time.Duration) 
 	return false, wait
 }
 
-// observeDispatch feeds one dispatch latency into the brownout controller.
-func (o *overload) observeDispatch(d time.Duration) {
-	o.p99Mu.Lock()
-	o.dispP99.Add(float64(d))
-	o.p99Mu.Unlock()
-}
-
-// dispatchP99 returns the current dispatch-latency p99 estimate.
-func (o *overload) dispatchP99() time.Duration {
-	o.p99Mu.Lock()
-	defer o.p99Mu.Unlock()
-	return time.Duration(o.dispP99.Value())
-}
-
-// noteQueueLen raises the eval-window queue high-water mark.
-func (o *overload) noteQueueLen(n int) {
-	for {
-		cur := o.maxFill.Load()
-		if int64(n) <= cur || o.maxFill.CompareAndSwap(cur, int64(n)) {
-			return
-		}
-	}
-}
-
-// maybeEval re-evaluates the brownout level at most once per poll interval.
-// It is called from the hot enqueue/dispatch paths, so the off-interval
-// fast path is one atomic load.
-func (o *overload) maybeEval(now time.Time) {
-	last := o.lastEval.Load()
-	if now.UnixNano()-last < int64(o.cfg.Poll) {
-		return
-	}
-	if !o.lastEval.CompareAndSwap(last, now.UnixNano()) {
-		return // another goroutine won this interval
-	}
-	fill := float64(o.maxFill.Swap(0)) / float64(o.cfg.QueueDepth)
-	p99 := o.dispatchP99()
-	target := BrownoutNormal
-	if fill >= o.cfg.EnterDegraded {
-		target = BrownoutDegraded
-	}
-	if fill >= o.cfg.EnterCritical {
-		target = BrownoutCritical
-	}
-	if o.cfg.LoopP99Budget > 0 {
-		if p99 > o.cfg.LoopP99Budget && target < BrownoutDegraded {
-			target = BrownoutDegraded
-		}
-		if p99 > 2*o.cfg.LoopP99Budget {
-			target = BrownoutCritical
-		}
-	}
-	cur := o.Level()
-	if target == cur {
-		o.downStreak.Store(0)
-		return
-	}
-	if target < cur {
-		// De-escalate only after two consecutive calm evals, so the level
-		// does not flap at the threshold.
-		if o.downStreak.Add(1) < 2 {
-			return
-		}
-		target = cur - 1 // step down one level at a time
-	}
-	o.downStreak.Store(0)
-	o.level.Store(int32(target))
-	o.transitions.Inc()
-	if rec := o.flight; rec.Enabled() {
-		rec.Record(flight.Event{
-			Class: flight.EvBrownoutShift, Plane: flight.PlaneRIC,
-			Detail: cur.String() + "->" + target.String(),
-			Value:  float64(target),
-		})
-	}
-	if o.tracer.Enabled() {
-		c := trace.NewContext()
-		o.tracer.Record(&trace.Span{
-			TraceID: c.TraceID, SpanID: c.SpanID,
-			Name: trace.SpanBrownoutShift, Plane: trace.PlaneRIC,
-			Err:     fmt.Sprintf("%s->%s", cur, target),
-			StartNs: now.UnixNano(),
-		})
-	}
-}
-
 // queuedInd is one KPM indication parked in an association queue.
 type queuedInd struct {
 	ind *e2.Indication
@@ -397,7 +289,9 @@ func newAssocQueue(depth int) *assocQueue {
 
 // enqueueIndication offers one indication to the association's queue,
 // evicting the oldest queued indication when full (drop-oldest: stale KPM
-// is worth less than fresh KPM). Single producer per queue.
+// is worth less than fresh KPM). An eviction asks for critical brownout:
+// drop-oldest caps how long anything waits, so a shallow queue that
+// overflows might never show a long sojourn. Single producer per queue.
 func (r *RIC) enqueueIndication(q *assocQueue, it queuedInd) {
 	o := r.ov
 	o.offered.Inc()
@@ -413,13 +307,12 @@ func (r *RIC) enqueueIndication(q *assocQueue, it queuedInd) {
 	for {
 		select {
 		case q.ch <- it:
-			o.noteQueueLen(len(q.ch))
-			o.maybeEval(time.Now())
 			return
 		default:
 			select {
 			case old := <-q.ch:
 				o.shedOverflow.Inc()
+				o.bo.request(BrownoutCritical, it.enq)
 				r.recordShed(old, "overflow")
 			default:
 				// The dispatcher drained concurrently; retry the send.
@@ -456,7 +349,8 @@ func (r *RIC) recordShed(it queuedInd, reason string) {
 }
 
 // dispatchLoop is one association's dispatcher, the only place an indication
-// meets the xApps: it drains the queue, sheds stale KPM while browned out,
+// meets the xApps: it drains the queue, folds each indication's sojourn
+// into the brownout rule, sheds stale KPM while browned out,
 // applies brownout transitions to the association (re-subscribing at a
 // widened period, pausing the agent), hands the rest to the xApps and sends
 // each indication's controls back in one write, and on teardown drains the
@@ -468,6 +362,7 @@ func (r *RIC) dispatchLoop(sh *shard, conn *e2.Conn, q *assocQueue) {
 	applied := BrownoutNormal
 	var lastBusy time.Time
 	var sc dispatchScratch
+	var win sojournWindow
 	for {
 		select {
 		case <-q.quit:
@@ -481,22 +376,24 @@ func (r *RIC) dispatchLoop(sh *shard, conn *e2.Conn, q *assocQueue) {
 				}
 			}
 		case it := <-q.ch:
-			lvl := o.Level()
+			now := time.Now() // the one clock read per dequeue
+			sojourn := now.Sub(it.enq)
+			o.bo.request(win.fold(now, sojourn, o.cfg.StaleAfter), now)
+			lvl := o.Level(now)
 			if lvl != applied {
 				reqID++
-				r.applyBrownout(conn, reqID, lvl, &lastBusy)
+				r.applyBrownout(conn, reqID, lvl, now, &lastBusy)
 				applied = lvl
 			} else if lvl == BrownoutCritical && o.cfg.BusyPause > 0 &&
-				time.Since(lastBusy) > o.cfg.BusyPause*3/4 {
+				now.Sub(lastBusy) > o.cfg.BusyPause*3/4 {
 				// Refresh the pause before the agent's previous hint expires.
 				o.busyFrames.Inc()
-				lastBusy = time.Now()
+				lastBusy = now
 				_ = conn.Send(e2.NewBusyMessage(o.cfg.BusyPause, "ric: brownout critical"))
 			}
-			if lvl >= BrownoutDegraded && o.cfg.StaleAfter > 0 && time.Since(it.enq) > o.cfg.StaleAfter {
+			if lvl >= BrownoutDegraded && o.cfg.StaleAfter > 0 && sojourn > o.cfg.StaleAfter {
 				o.shedStale.Inc()
 				r.recordShed(it, "stale")
-				o.maybeEval(time.Now())
 				continue
 			}
 			reqID = r.dispatch(sh, conn, it, reqID, &sc)
@@ -509,7 +406,6 @@ func (r *RIC) dispatchLoop(sh *shard, conn *e2.Conn, q *assocQueue) {
 // sc is the dispatcher's, reused from its previous indication.
 func (r *RIC) dispatch(sh *shard, conn *e2.Conn, it queuedInd, reqID uint32, sc *dispatchScratch) uint32 {
 	o := r.ov
-	start := time.Now()
 	controls, cctx := r.handleIndicationOn(sh, it.ind, it.ctx, sc)
 	// The indication has reached the xApps, so it is delivered, and the
 	// ledger says so before the first control leaves: an agent that has
@@ -521,8 +417,6 @@ func (r *RIC) dispatch(sh *shard, conn *e2.Conn, it queuedInd, reqID uint32, sc 
 	// the association down.
 	_ = r.sendControl(conn, reqID+1, controls, cctx, sc)
 	clear(controls) // sent: drop their texts and blobs
-	o.observeDispatch(time.Since(start))
-	o.maybeEval(time.Now())
 	return reqID + uint32(len(controls))
 }
 
@@ -530,7 +424,7 @@ func (r *RIC) dispatch(sh *shard, conn *e2.Conn, it queuedInd, reqID uint32, sc 
 // report period widens (or restores) through a mid-association
 // re-subscription, and at critical level the agent is asked to pause
 // reporting.
-func (r *RIC) applyBrownout(conn *e2.Conn, reqID uint32, lvl BrownoutLevel, lastBusy *time.Time) {
+func (r *RIC) applyBrownout(conn *e2.Conn, reqID uint32, lvl BrownoutLevel, now time.Time, lastBusy *time.Time) {
 	o := r.ov
 	period := r.cfg.ReportPeriodMs
 	if lvl >= BrownoutDegraded {
@@ -539,7 +433,7 @@ func (r *RIC) applyBrownout(conn *e2.Conn, reqID uint32, lvl BrownoutLevel, last
 	_ = conn.Send(subscriptionRequest(reqID, period, r.cfg.Tracer.Enabled(), !r.cfg.DisableBatching))
 	if lvl == BrownoutCritical && o.cfg.BusyPause > 0 {
 		o.busyFrames.Inc()
-		*lastBusy = time.Now()
+		*lastBusy = now
 		_ = conn.Send(e2.NewBusyMessage(o.cfg.BusyPause, "ric: brownout critical"))
 	}
 }
@@ -570,19 +464,21 @@ func (r *RIC) acquireShard(preferred *shard) (*shard, bool) {
 // including the shed ledger (Offered == Delivered + ShedOverflow +
 // ShedStale + ShedTeardown + RefusedLate at quiescence).
 type OverloadStats struct {
-	BrownoutLevel        string  `json:"brownout_level"`
-	Offered              uint64  `json:"offered"`
-	Delivered            uint64  `json:"delivered"`
-	ShedOverflow         uint64  `json:"shed_overflow"`
-	ShedStale            uint64  `json:"shed_stale"`
-	ShedTeardown         uint64  `json:"shed_teardown"`
-	RefusedLate          uint64  `json:"refused_late"`
-	BusyAdmission        uint64  `json:"busy_admission_refusals"`
-	RefusedSubscriptions uint64  `json:"refused_subscriptions"`
-	BusyBackpressure     uint64  `json:"busy_backpressure_frames"`
-	Spills               uint64  `json:"shard_spills"`
-	BrownoutTransitions  uint64  `json:"brownout_transitions"`
-	DispatchP99Ms        float64 `json:"dispatch_p99_ms"`
+	BrownoutLevel        string `json:"brownout_level"`
+	Offered              uint64 `json:"offered"`
+	Delivered            uint64 `json:"delivered"`
+	ShedOverflow         uint64 `json:"shed_overflow"`
+	ShedStale            uint64 `json:"shed_stale"`
+	ShedTeardown         uint64 `json:"shed_teardown"`
+	RefusedLate          uint64 `json:"refused_late"`
+	BusyAdmission        uint64 `json:"busy_admission_refusals"`
+	RefusedSubscriptions uint64 `json:"refused_subscriptions"`
+	BusyBackpressure     uint64 `json:"busy_backpressure_frames"`
+	Spills               uint64 `json:"shard_spills"`
+	BrownoutTransitions  uint64 `json:"brownout_transitions"`
+	// Deprecated: always 0, kept because bench/ reads it. Brownout reads
+	// how long indications wait; dispatch service time is not sampled.
+	DispatchP99Ms float64 `json:"-"`
 }
 
 // OverloadStats snapshots the guards. The second result is always true:
@@ -591,7 +487,7 @@ type OverloadStats struct {
 func (r *RIC) OverloadStats() (OverloadStats, bool) {
 	o := r.ov
 	return OverloadStats{
-		BrownoutLevel:        o.Level().String(),
+		BrownoutLevel:        o.Level(time.Now()).String(),
 		Offered:              o.offered.Value(),
 		Delivered:            o.delivered.Value(),
 		ShedOverflow:         o.shedOverflow.Value(),
@@ -603,9 +499,8 @@ func (r *RIC) OverloadStats() (OverloadStats, bool) {
 		BusyBackpressure:     o.busyFrames.Value(),
 		Spills:               o.spills.Value(),
 		BrownoutTransitions:  o.transitions.Value(),
-		DispatchP99Ms:        float64(o.dispatchP99().Nanoseconds()) / 1e6,
 	}, true
 }
 
 // BrownoutLevel returns the current brownout level.
-func (r *RIC) BrownoutLevel() BrownoutLevel { return r.ov.Level() }
+func (r *RIC) BrownoutLevel() BrownoutLevel { return r.ov.Level(time.Now()) }

@@ -1,6 +1,7 @@
 package ric
 
 import (
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -120,8 +121,6 @@ func TestOverloadConfigValidate(t *testing.T) {
 		{AdmitBurst: -1},
 		{QueueDepth: -1},
 		{WidenFactor: -1},
-		{EnterDegraded: 1.5},
-		{EnterCritical: -0.1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -134,11 +133,6 @@ func TestOverloadConfigValidate(t *testing.T) {
 	d := OverloadConfig{}.withDefaults()
 	if d.AdmitRate != DefaultAdmitRate || d.QueueDepth != DefaultQueueDepth || d.WidenFactor != DefaultWidenFactor {
 		t.Fatalf("withDefaults = %+v", d)
-	}
-	// Critical fill never below degraded fill.
-	d = OverloadConfig{EnterDegraded: 0.8, EnterCritical: 0.3}.withDefaults()
-	if d.EnterCritical < d.EnterDegraded {
-		t.Fatalf("EnterCritical %v < EnterDegraded %v after defaults", d.EnterCritical, d.EnterDegraded)
 	}
 }
 
@@ -288,66 +282,6 @@ func TestSpillEventualPlacement(t *testing.T) {
 	}
 }
 
-// TestBrownoutStateMachine drives maybeEval directly: escalation is
-// immediate on fill thresholds, de-escalation takes two consecutive calm
-// evals and steps one level at a time.
-func TestBrownoutStateMachine(t *testing.T) {
-	cfg := OverloadConfig{QueueDepth: 100, Poll: time.Millisecond, LoopP99Budget: -1}.withDefaults()
-	o := newOverload(cfg, 1, nil, nil)
-	base := time.Now()
-	at := func(i int) time.Time { return base.Add(time.Duration(i) * 2 * time.Millisecond) }
-
-	o.noteQueueLen(60) // fill 0.6 >= EnterDegraded 0.5
-	o.maybeEval(at(1))
-	if got := o.Level(); got != BrownoutDegraded {
-		t.Fatalf("level after 0.6 fill = %v, want degraded", got)
-	}
-	o.noteQueueLen(95) // fill 0.95 >= EnterCritical 0.9
-	o.maybeEval(at(2))
-	if got := o.Level(); got != BrownoutCritical {
-		t.Fatalf("level after 0.95 fill = %v, want critical", got)
-	}
-	// First calm eval: hysteresis holds the level.
-	o.maybeEval(at(3))
-	if got := o.Level(); got != BrownoutCritical {
-		t.Fatalf("level after one calm eval = %v, want critical (hysteresis)", got)
-	}
-	// Second calm eval: one step down, not a jump to normal.
-	o.maybeEval(at(4))
-	if got := o.Level(); got != BrownoutDegraded {
-		t.Fatalf("level after two calm evals = %v, want degraded (single step)", got)
-	}
-	o.maybeEval(at(5))
-	o.maybeEval(at(6))
-	if got := o.Level(); got != BrownoutNormal {
-		t.Fatalf("level after recovery = %v, want normal", got)
-	}
-	if got := o.transitions.Value(); got != 4 {
-		t.Fatalf("transitions = %d, want 4", got)
-	}
-	// The poll gate coalesces evals inside one interval.
-	o.noteQueueLen(95)
-	o.maybeEval(at(6)) // same instant as the last accepted eval
-	if got := o.Level(); got != BrownoutNormal {
-		t.Fatal("eval ran inside the poll interval")
-	}
-}
-
-// TestBrownoutLatencyTrigger verifies the dispatch-p99 trigger escalates
-// even with empty queues: a RIC that is slow is as browned out as one that
-// is backlogged.
-func TestBrownoutLatencyTrigger(t *testing.T) {
-	cfg := OverloadConfig{QueueDepth: 100, Poll: time.Millisecond, LoopP99Budget: time.Millisecond}.withDefaults()
-	o := newOverload(cfg, 1, nil, nil)
-	for i := 0; i < 20; i++ {
-		o.observeDispatch(5 * time.Millisecond) // p99 ~5ms > 2x budget
-	}
-	o.maybeEval(time.Now().Add(2 * time.Millisecond))
-	if got := o.Level(); got != BrownoutCritical {
-		t.Fatalf("level with p99 5ms against 1ms budget = %v, want critical", got)
-	}
-}
-
 // TestShedLedgerConservation exercises every exit of the indication queue —
 // delivery, overflow eviction, late refusal, teardown drain — and asserts
 // the strict conservation invariant offered == delivered + shed + refused.
@@ -431,7 +365,7 @@ func TestBrownoutWidensShedsAndPauses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.ov.level.Store(int32(BrownoutCritical))
+	r.ov.bo.criticalUntil.Store(math.MaxInt64) // critical for the whole test
 	err = client.Send(&e2.Message{
 		Type: e2.TypeIndication, RANFunction: e2.RANFunctionKPM,
 		Indication: &e2.Indication{Slot: 1, Cell: 1},
@@ -544,7 +478,7 @@ func TestLedgerSettledBeforeControlsLeave(t *testing.T) {
 // budget or bucket is consulted.
 func TestCriticalBrownoutRefusesSubscriptions(t *testing.T) {
 	r := MustNew(Config{Overload: &OverloadConfig{}})
-	r.ov.level.Store(int32(BrownoutCritical))
+	r.ov.bo.criticalUntil.Store(math.MaxInt64) // critical for the whole test
 	server, client := connPair(t)
 	stop := make(chan struct{})
 	defer close(stop)

@@ -522,8 +522,7 @@ func (r *RIC) Register(reg *obs.Registry, labels ...obs.Label) {
 				{Suffix: "_busy_backpressure_frames_total", Value: float64(s.BusyBackpressure)},
 				{Suffix: "_shard_spills_total", Value: float64(s.Spills)},
 				{Suffix: "_brownout_transitions_total", Value: float64(s.BrownoutTransitions)},
-				{Suffix: "_brownout_level", Value: float64(r.ov.level.Load())},
-				{Suffix: "_dispatch_p99_ms", Value: s.DispatchP99Ms},
+				{Suffix: "_brownout_level", Value: float64(r.BrownoutLevel())},
 			}
 		},
 		JSON: func() any { s, _ := r.OverloadStats(); return s },
@@ -556,11 +555,14 @@ func (r *RIC) shardFor(conn *e2.Conn) *shard {
 // waiting for them to finish. Closing stop closes the listener to unblock
 // Accept; the caller keeps ownership of lis.
 func (r *RIC) Serve(lis *e2.Listener, stop <-chan struct{}) error {
-	closed := make(chan struct{})
+	returned := make(chan struct{})
+	defer close(returned)
 	go func() {
-		defer close(closed)
-		<-stop
-		lis.Close()
+		select {
+		case <-stop:
+			lis.Close()
+		case <-returned:
+		}
 	}()
 	var wg sync.WaitGroup
 	defer wg.Wait()
@@ -605,11 +607,12 @@ func (r *RIC) ServeConn(conn *e2.Conn, stop <-chan struct{}) error {
 		conn.Close()
 		return fmt.Errorf("ric: refusing association: %s (retry in %v)", reason, retryAfter)
 	}
-	if lvl := r.ov.Level(); lvl >= BrownoutCritical {
+	now := time.Now()
+	if lvl := r.ov.Level(now); lvl >= BrownoutCritical {
 		return refuse(&r.ov.refusedSubs, "brownout-critical", r.ov.cfg.RetryAfter,
 			fmt.Sprintf("brownout %s, refusing new subscriptions", lvl))
 	}
-	if ok, retryAfter := r.ov.admitAssoc(hashed.id, time.Now()); !ok {
+	if ok, retryAfter := r.ov.admitAssoc(hashed.id, now); !ok {
 		return refuse(&r.ov.busyAdmission, "token-bucket", retryAfter,
 			fmt.Sprintf("shard %d admission gate closed", hashed.id))
 	}

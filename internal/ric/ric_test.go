@@ -1,6 +1,8 @@
 package ric
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -200,5 +202,40 @@ func TestPluginCodecRoundTrip(t *testing.T) {
 	}
 	if back.Control == nil || back.Control.SliceID != 3 || back.Control.Value != 12e6 {
 		t.Fatalf("round trip mismatch: %+v", back.Control)
+	}
+}
+
+// TestServeWatcherExitsWithServe: when Accept fails for a reason other than
+// stop (here the listener is closed out from under Serve), Serve returns and
+// the goroutine that waits to close the listener on stop exits with it.
+func TestServeWatcherExitsWithServe(t *testing.T) {
+	watchers := func() int {
+		buf := make([]byte, 1<<20)
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "ric.(*RIC).Serve.func1(")
+	}
+	before := watchers()
+	lis, err := e2.Listen("127.0.0.1:0", e2.BinaryCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	defer close(stop)
+	done := make(chan error, 1)
+	go func() { done <- MustNew(Config{}).Serve(lis, stop) }()
+	lis.Close()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Serve returned nil on a closed listener with stop open")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve did not return after its listener closed")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for watchers() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("Serve returned but its stop watcher is still parked (%d watchers, %d before)", watchers(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -23,6 +23,11 @@ type fakeRAN struct {
 func (f *fakeRAN) Snapshot(cell uint32) *e2.Indication {
 	return &e2.Indication{
 		Cell: cell,
+		UEs: []e2.UEMeasurement{
+			{UEID: 1, SliceID: 1, MCS: 10},
+			{UEID: 2, SliceID: 2, MCS: 10},
+			{UEID: 3, SliceID: 2, MCS: 10},
+		},
 		Slices: []e2.SliceMeasurement{
 			{SliceID: 1, TargetBps: 10e6, ServedBps: 1e6},
 			{SliceID: 2, TargetBps: 10e6, ServedBps: 1e6},
@@ -236,6 +241,26 @@ func TestAgentResubscribe(t *testing.T) {
 	}
 	if len(m.Indication.Slices) != 1 || m.Indication.Slices[0].SliceID != 2 {
 		t.Fatalf("filtered indication slices = %+v, want only slice 2", m.Indication.Slices)
+	}
+	if ues := m.Indication.UEs; len(ues) != 2 || ues[0].UEID != 2 || ues[1].UEID != 3 {
+		t.Fatalf("filtered indication UEs = %+v, want UEs 2 and 3 of slice 2", ues)
+	}
+}
+
+// TestFilterIndicationAllocs pins a slice-filtered report's cost on the
+// agent: the indication and its two row lists, each sized once, with no
+// per-report set and no regrowth however many UEs the cell reports.
+func TestFilterIndicationAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	ind := &e2.Indication{Cell: 1, Slices: []e2.SliceMeasurement{{SliceID: 1}, {SliceID: 2}, {SliceID: 3}}}
+	for i := uint32(0); i < 32; i++ {
+		ind.UEs = append(ind.UEs, e2.UEMeasurement{UEID: i, SliceID: i%3 + 1})
+	}
+	filter := []uint32{2, 3}
+	if got := testing.AllocsPerRun(100, func() { filterIndication(ind, filter) }); got > 3 {
+		t.Fatalf("%.1f allocs per filtered report, want <= 3", got)
 	}
 }
 
