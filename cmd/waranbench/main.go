@@ -1,11 +1,10 @@
 // Command waranbench regenerates the paper's evaluation (§5): every figure
-// and the memory-safety matrix. Experiments self-register with
-// internal/core's registry — including their own knobs, which this binary
-// exposes as namespaced flags (-<experiment>.<knob>) with no
-// experiment-specific globals. Figures print as text tables with the paper's
-// qualitative expectation alongside the measured outcome, while multi-cell,
-// fault and scale experiments emit JSON (with an embedded metric-registry
-// snapshot under "obs").
+// and the memory-safety matrix. It runs the experiments of internal/exp's
+// table and exposes each one's knobs as namespaced flags
+// (-<experiment>.<knob>), with no experiment-specific globals. Figures print
+// as text tables with the paper's qualitative expectation alongside the
+// measured outcome, while multi-cell, fault and scale experiments emit JSON
+// (with an embedded metric-registry snapshot under "obs").
 //
 // Usage:
 //
@@ -17,111 +16,68 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
-	"waran/internal/core"
+	"waran/internal/exp"
 	"waran/internal/obs"
-
-	// Blank import: ric-coupled experiments (e2faults, tracelat, citysim)
-	// register themselves.
-	_ "waran/internal/ric"
 )
-
-// boundFlag is one experiment knob bound to a parsed command-line value.
-type boundFlag struct {
-	exp  string
-	f    core.ExpFlag
-	text *string
-}
 
 func main() {
 	fig := flag.String("fig", "all", "which experiment to run (see -list), or all")
 	duration := flag.Duration("duration", 0, "override experiment duration (0 = per-figure default)")
 	list := flag.Bool("list", false, "list registered experiments and their knobs, then exit")
 
-	// Every experiment's declared knobs become -<experiment>.<knob> flags;
-	// this binary owns none of them.
-	var bounds []boundFlag
-	for _, e := range core.Experiments() {
-		for _, f := range core.ExperimentFlags(e) {
-			name := e.Name() + "." + f.Name
-			bounds = append(bounds, boundFlag{
-				exp:  e.Name(),
-				f:    f,
-				text: flag.String(name, f.Default, "["+e.Name()+"] "+f.Usage),
-			})
-		}
+	runs := make(map[string]exp.Run, len(exp.All))
+	knobs := make(map[string][]*flag.Flag, len(exp.All))
+	for _, e := range exp.All {
+		runs[e.Name], knobs[e.Name] = e.Bind(flag.CommandLine)
 	}
 	flag.Parse()
 
 	if *list {
-		for _, e := range core.Experiments() {
-			fmt.Printf("%-12s %s\n", e.Name(), e.Describe())
-			for _, f := range core.ExperimentFlags(e) {
-				fmt.Printf("    -%s.%s (default %s)  %s\n", e.Name(), f.Name, f.Default, f.Usage)
+		for _, e := range exp.All {
+			fmt.Printf("%-12s %s\n", e.Name, e.Desc)
+			for _, f := range knobs[e.Name] {
+				fmt.Printf("    -%s.%s (default %s)  %s\n", e.Name, f.Name, f.DefValue, f.Usage)
 			}
 		}
 		return
 	}
 
 	if *fig == "all" {
-		for _, e := range core.Experiments() {
-			runExperiment(e, bounds, *duration)
+		for _, e := range exp.All {
+			run(e.Name, runs[e.Name], *duration)
 		}
 		return
 	}
-	e, ok := core.LookupExperiment(*fig)
+	r, ok := runs[*fig]
 	if !ok {
+		names := make([]string, 0, len(runs))
+		for name := range runs {
+			names = append(names, name)
+		}
+		sort.Strings(names)
 		fmt.Fprintf(os.Stderr, "waranbench: unknown experiment %q (have: %s, all)\n",
-			*fig, strings.Join(core.ExperimentNames(), ", "))
+			*fig, strings.Join(names, ", "))
 		os.Exit(2)
 	}
-	runExperiment(e, bounds, *duration)
+	run(*fig, r, *duration)
 }
 
-// configFor builds one experiment's knob set by applying its bound flags.
-// Every experiment gets a fresh metric registry so instrumented runs embed
-// an isolated snapshot.
-func configFor(name string, bounds []boundFlag, duration time.Duration) (core.ExpConfig, error) {
-	cfg := core.ExpConfig{Duration: duration, Obs: obs.NewRegistry()}
-	for _, b := range bounds {
-		if b.exp != name {
-			continue
-		}
-		if err := b.f.Set(&cfg, *b.text); err != nil {
-			return cfg, fmt.Errorf("-%s.%s: %w", b.exp, b.f.Name, err)
-		}
-	}
-	return cfg, nil
-}
-
-// runExperiment executes one registered experiment and presents the result:
-// text for results that render themselves, indented JSON otherwise.
-func runExperiment(e core.Experiment, bounds []boundFlag, duration time.Duration) {
-	cfg, err := configFor(e.Name(), bounds, duration)
+// run executes one experiment with a fresh metric registry, so instrumented
+// runs embed an isolated snapshot, and prints its result.
+func run(name string, r exp.Run, duration time.Duration) {
+	res, err := r(exp.Env{Duration: duration, Obs: obs.NewRegistry()})
 	if err == nil {
-		var res any
-		res, err = e.Run(cfg)
-		if err == nil {
-			err = present(res)
-		}
+		err = exp.Write(os.Stdout, res)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "waranbench: %s: %v\n", e.Name(), err)
+		fmt.Fprintf(os.Stderr, "waranbench: %s: %v\n", name, err)
 		os.Exit(1)
 	}
-}
-
-func present(res any) error {
-	if tr, ok := res.(core.TextRenderer); ok {
-		return tr.RenderText(os.Stdout)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
 }

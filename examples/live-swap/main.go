@@ -15,14 +15,14 @@ import (
 	"log"
 	"time"
 
-	"waran/internal/core"
+	"waran/internal/exp"
 )
 
 func main() {
 	const duration = 30 * time.Second
 	fmt.Printf("running %v with hot swaps at %v and %v...\n\n", duration, duration/3, 2*duration/3)
 
-	res, err := core.RunFig5b(duration, 0)
+	res, err := exp.RunFig5b(duration, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"waran/internal/core"
+	"waran/internal/exp"
 )
 
 func main() {
@@ -24,7 +25,7 @@ func main() {
 	const duration = 10 * time.Second
 
 	fmt.Printf("running %v of sliced gNB (10 MHz, 52 PRB, 1 ms slots)...\n\n", duration)
-	res, err := core.RunFig5a(specs, duration)
+	res, err := exp.RunFig5a(specs, duration)
 	if err != nil {
 		log.Fatal(err)
 	}

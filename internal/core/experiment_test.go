@@ -1,69 +1,46 @@
-package core
+package core_test
 
 import (
 	"bytes"
-	"sort"
+	"reflect"
 	"strings"
 	"testing"
 
+	"waran/internal/exp"
 	"waran/internal/obs"
 )
 
-// TestExperimentRegistry checks that every core-owned figure self-registered
-// in paper order and that lookups behave.
+// TestExperimentRegistry checks that the evaluation's table lists every
+// figure in paper order and that lookups behave.
 func TestExperimentRegistry(t *testing.T) {
-	want := []string{"5a", "5b", "5c", "5d", "safety", "upload", "multicell"}
+	want := []string{"5a", "5b", "5c", "5d", "safety", "upload", "multicell",
+		"pluginfaults", "e2faults", "citysim", "overload", "flightrec", "tracelat"}
 	var order []string
-	for _, e := range Experiments() {
-		order = append(order, e.Name())
-		if e.Describe() == "" {
-			t.Errorf("experiment %q has no description", e.Name())
+	for _, e := range exp.All {
+		order = append(order, e.Name)
+		if e.Desc == "" {
+			t.Errorf("experiment %q has no description", e.Name)
 		}
 	}
-	// The core experiments must appear in figure order (other packages may
-	// append theirs after, so compare as a subsequence).
-	i := 0
-	for _, name := range order {
-		if i < len(want) && name == want[i] {
-			i++
-		}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("table order %v, want %v", order, want)
 	}
-	if i != len(want) {
-		t.Fatalf("registration order %v does not contain %v in order", order, want)
-	}
-
-	if _, ok := LookupExperiment("5a"); !ok {
+	if _, ok := exp.Lookup("5a"); !ok {
 		t.Fatal("lookup 5a failed")
 	}
-	if _, ok := LookupExperiment("no-such-figure"); ok {
+	if _, ok := exp.Lookup("no-such-figure"); ok {
 		t.Fatal("lookup of unknown name succeeded")
 	}
-	if names := ExperimentNames(); !sort.StringsAreSorted(names) {
-		t.Fatalf("ExperimentNames not sorted: %v", names)
-	}
 }
 
-func TestRegisterExperimentDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-	}()
-	RegisterExperimentFunc("5a", "dup", func(ExpConfig) (any, error) { return nil, nil })
-}
-
-// TestUploadExperimentRenders runs the Fig. 1 flow through the registry and
-// checks its result renders the deployment narrative.
+// TestUploadExperimentRenders runs the Fig. 1 flow and checks its result
+// renders the deployment narrative.
 func TestUploadExperimentRenders(t *testing.T) {
-	e, ok := LookupExperiment("upload")
-	if !ok {
-		t.Fatal("upload experiment not registered")
-	}
-	res, err := e.Run(ExpConfig{})
+	res, err := exp.RunUploadDemo()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, ok := res.(TextRenderer)
+	tr, ok := any(res).(exp.TextRenderer)
 	if !ok {
 		t.Fatalf("upload result %T does not render as text", res)
 	}
@@ -80,17 +57,17 @@ func TestUploadExperimentRenders(t *testing.T) {
 }
 
 // TestRunMulticellEmbedsSnapshot checks the multicell experiment honors
-// ExpConfig.Obs: the instrumented parallel run populates the registry and
+// MulticellConfig.Obs: the instrumented parallel run populates the registry and
 // the report embeds its snapshot alongside the timing figures.
 func TestRunMulticellEmbedsSnapshot(t *testing.T) {
-	cfg := ExpConfig{
+	cfg := exp.MulticellConfig{
 		Cells:       2,
 		Slots:       50,
 		Parallelism: 2,
 		Obs:         obs.NewRegistry(),
 		Trace:       obs.NewTraceRing(64),
 	}
-	rep, err := RunMulticell(cfg)
+	rep, err := exp.RunMulticell(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

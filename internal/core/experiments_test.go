@@ -1,20 +1,20 @@
-package core
+package core_test
 
 import (
 	"testing"
 	"time"
+
+	"waran/internal/core"
+	"waran/internal/exp"
 )
 
 // The shape tests assert the qualitative results of the paper's Fig. 5
 // hold in this reproduction: who wins, by roughly what factor, and where
-// behaviour changes. Durations are shortened relative to the paper's runs
-// but long enough for steady state.
+// behaviour changes. Each asserts on the run that is held to the figure's
+// golden record, so every figure runs once.
 
 func TestFig5aShapeTargetsMet(t *testing.T) {
-	res, err := RunFig5a(nil, 4*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := paperRun(t, "5a").(*exp.Fig5aResult)
 	if len(res.MVNOs) != 3 {
 		t.Fatalf("want 3 MVNOs, got %d", len(res.MVNOs))
 	}
@@ -33,10 +33,7 @@ func TestFig5aShapeTargetsMet(t *testing.T) {
 }
 
 func TestFig5bShapeLiveSwap(t *testing.T) {
-	res, err := RunFig5b(9*time.Second, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := paperRun(t, "5b").(*exp.Fig5bResult)
 	if res.Swaps != 2 {
 		t.Fatalf("want 2 hot swaps, got %d", res.Swaps)
 	}
@@ -45,7 +42,7 @@ func TestFig5bShapeLiveSwap(t *testing.T) {
 	}
 
 	// Mean rate per UE within a phase window.
-	mean := func(u Fig5bUESeries, from, to time.Duration) float64 {
+	mean := func(u exp.Fig5bUESeries, from, to time.Duration) float64 {
 		var s float64
 		n := 0
 		for _, p := range u.Series {
@@ -95,10 +92,7 @@ func TestFig5bShapeLiveSwap(t *testing.T) {
 }
 
 func TestFig5cShapeFlatVsLinear(t *testing.T) {
-	res, err := RunFig5c(20*time.Second, 64) // 4 MiB cap for speed
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := paperRun(t, "5c").(*exp.Fig5cResult)
 	if len(res.Points) < 10 {
 		t.Fatalf("too few samples: %d", len(res.Points))
 	}
@@ -122,7 +116,7 @@ func TestFig5dShapeUnderDeadline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing experiment")
 	}
-	if raceEnabled {
+	if core.RaceEnabled {
 		t.Skip("race detector inflates wall-clock timings ~10x")
 	}
 	// Wall-clock P99 under `go test ./...` includes contention from other
@@ -131,9 +125,9 @@ func TestFig5dShapeUnderDeadline(t *testing.T) {
 	// test is about the plugin path, so take each cell's best (minimum)
 	// quantiles across attempts — a cell only passes if the path itself
 	// can meet the deadline.
-	var res *Fig5dResult
+	var res *exp.Fig5dResult
 	for attempt := 0; attempt < 3; attempt++ {
-		attemptRes, err := RunFig5d(nil, []int{1, 10, 20}, 500)
+		attemptRes, err := exp.RunFig5d(nil, []int{1, 10, 20}, 500)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +167,7 @@ func TestFig5dShapeUnderDeadline(t *testing.T) {
 }
 
 func TestSafetyMatrixAllContained(t *testing.T) {
-	rows, err := RunSafetyMatrix()
+	rows, err := exp.RunSafetyMatrix()
 	if err != nil {
 		t.Fatal(err)
 	}

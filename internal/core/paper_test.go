@@ -1,4 +1,4 @@
-package exp
+package core_test
 
 import (
 	"bytes"
@@ -9,11 +9,11 @@ import (
 	"path/filepath"
 	"testing"
 
-	"waran/internal/core"
+	"waran/internal/exp"
 	"waran/internal/obs"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/paper from this run")
+var update = flag.Bool("update", false, "rewrite the golden record in internal/exp/testdata/paper from this run")
 
 // unstable names the members of a figure's JSON that read the wall clock:
 // the registry snapshot and the deadline watchdog's counts. The golden
@@ -23,37 +23,41 @@ var unstable = map[string]bool{
 	"overruns": true, "worst_ns": true, "p99_us": true,
 }
 
-// paperRun runs one experiment at its default knobs, as `waranbench -fig
-// name` does, and returns its result and the bytes waranbench prints.
-func paperRun(t *testing.T, name string) (any, []byte) {
+// paperRun runs a figure at its default knobs, as `waranbench -fig name`
+// does, holds its output to the figure's golden record and returns the
+// result for the shape assertions.
+func paperRun(t *testing.T, name string) any {
 	t.Helper()
-	e, ok := core.LookupExperiment(name)
+	e, ok := exp.Lookup(name)
 	if !ok {
 		t.Fatalf("no experiment %q", name)
 	}
-	res, err := e.Run(core.ExpConfig{Obs: obs.NewRegistry()})
+	run, _ := e.Bind(flag.NewFlagSet(name, flag.ContinueOnError))
+	res, err := run(exp.Env{Obs: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	if tr, ok := res.(core.TextRenderer); ok {
-		err = tr.RenderText(&out)
-	} else {
-		enc := json.NewEncoder(&out)
-		enc.SetIndent("", "  ")
-		err = enc.Encode(res)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, out.Bytes()
+	checkGolden(t, name, res, nil)
+	return res
 }
 
-// checkGolden compares a figure's printed output with its record in
-// testdata/paper, or rewrites the record under -update.
-func checkGolden(t *testing.T, name string, out []byte) {
+// checkGolden prints res as waranbench does, leaves out the JSON members
+// named in drop, and compares the bytes with the figure's record in
+// internal/exp/testdata/paper, or rewrites the record under -update.
+func checkGolden(t *testing.T, name string, res any, drop map[string]bool) {
 	t.Helper()
-	path := filepath.Join("testdata", "paper", name+".golden")
+	var buf bytes.Buffer
+	if err := exp.Write(&buf, res); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.Bytes()
+	if drop != nil {
+		var err error
+		if out, err = dropMembers(out, drop); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join("..", "exp", "testdata", "paper", name+".golden")
 	if *update {
 		if err := os.WriteFile(path, out, 0o644); err != nil {
 			t.Fatal(err)
@@ -148,18 +152,4 @@ func copyValue(dec *json.Decoder, out *bytes.Buffer, drop map[string]bool) error
 	}
 	emit(string(b))
 	return nil
-}
-
-// TestPaperRecord holds the paper's figures to their golden record.
-func TestPaperRecord(t *testing.T) {
-	for _, name := range []string{"5a", "5b", "5c", "safety"} {
-		_, out := paperRun(t, name)
-		checkGolden(t, name, out)
-	}
-	_, out := paperRun(t, "pluginfaults")
-	out, err := dropMembers(out, unstable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "pluginfaults", out)
 }

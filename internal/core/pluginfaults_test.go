@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"encoding/json"
@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"waran/internal/exp"
 	"waran/internal/guard"
 	"waran/internal/obs"
 )
@@ -22,7 +23,7 @@ func TestPluginFaultsE2E(t *testing.T) {
 		t.Skip("multi-thousand-slot chaos run")
 	}
 	reg := obs.NewRegistry()
-	rep, err := RunPluginFaults(ExpConfig{
+	rep, err := exp.RunPluginFaults(exp.PluginFaultsConfig{
 		Obs: reg,
 		// Every chaos-guest fault ends within its 100 000-instruction fuel,
 		// so after the breaker opens a missed deadline could only come from
@@ -33,6 +34,7 @@ func TestPluginFaultsE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "pluginfaults", rep, unstable)
 
 	// Containment: the breaker opens within a handful of slots (4 hostile
 	// calls per slot, MinSamples 8), and from that point on the group never
@@ -114,7 +116,7 @@ func TestPluginFaultsLedgerOddCells(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-thousand-slot chaos run")
 	}
-	rep, err := RunPluginFaults(ExpConfig{Cells: 3, Seed: 10, SlotDeadline: 250 * time.Millisecond})
+	rep, err := exp.RunPluginFaults(exp.PluginFaultsConfig{Cells: 3, Seed: 10, SlotDeadline: 250 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +141,7 @@ type pluginFaultsCounts struct {
 	ActiveScheduler                                                                          string
 }
 
-func countsOf(r *PluginFaultsResult) pluginFaultsCounts {
+func countsOf(r *exp.PluginFaultsResult) pluginFaultsCounts {
 	s, b := r.Supervisor, r.Supervisor.Breaker
 	return pluginFaultsCounts{
 		r.SlotsTotal, r.SlotsToOpen, r.SlotsPostOpen, r.OverrunsPreOpen, r.OverrunsPostOpen, r.FallbackSlots,
@@ -165,7 +167,7 @@ func TestPluginFaultsDeterministicLedger(t *testing.T) {
 		t.Skip("multi-thousand-slot chaos run")
 	}
 	run := func(par int) pluginFaultsCounts {
-		rep, err := RunPluginFaults(ExpConfig{Seed: 11, Parallelism: par, SlotDeadline: 250 * time.Millisecond})
+		rep, err := exp.RunPluginFaults(exp.PluginFaultsConfig{Seed: 11, Parallelism: par, SlotDeadline: 250 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}

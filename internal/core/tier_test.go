@@ -1,9 +1,11 @@
-package core
+package core_test
 
 import (
 	"reflect"
 	"testing"
 
+	"waran/internal/core"
+	"waran/internal/exp"
 	"waran/internal/sched"
 	"waran/internal/wabi"
 	"waran/internal/wasm"
@@ -28,23 +30,23 @@ func tierGroupStats(scheds []*sched.PoolScheduler) sched.SchedStats {
 // tier counters must attribute every sandbox call to the tier that ran it.
 func TestMulticellTierDecisionsIdentical(t *testing.T) {
 	const cells, slots = 2, 120
-	run := func(tier wasm.Tier) ([][]SlotResult, sched.SchedStats) {
-		cg, _, err := BuildMulticellGroup(cells, 1)
+	run := func(tier wasm.Tier) ([][]core.SlotResult, sched.SchedStats) {
+		cg, _, err := exp.BuildMulticellGroup(cells, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Swap in pools on the requested tier before the first slot.
 		var scheds []*sched.PoolScheduler
-		for _, sp := range DefaultFig5aSpecs() {
+		for _, sp := range core.DefaultFig5aSpecs() {
 			ps, err := cg.InstallPooledScheduler(sp.ID, sp.Scheduler, wabi.Policy{Tier: tier}, cells)
 			if err != nil {
 				t.Fatal(err)
 			}
 			scheds = append(scheds, ps)
 		}
-		var seq [][]SlotResult
+		var seq [][]core.SlotResult
 		for i := 0; i < slots; i++ {
-			var slot []SlotResult
+			var slot []core.SlotResult
 			for _, r := range cg.StepAll() {
 				slot = append(slot, r.Clone())
 			}
@@ -70,7 +72,7 @@ func TestMulticellTierDecisionsIdentical(t *testing.T) {
 // way cmd/gnb builds it (InstallPooledScheduler with a zero wabi.Policy)
 // serves every sandbox call on the closure tier, from the very first slot.
 func TestGroupClosureFromFirstCall(t *testing.T) {
-	cg, scheds, err := BuildMulticellGroup(2, 1)
+	cg, scheds, err := exp.BuildMulticellGroup(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package ric
+package exp
 
 import (
 	"errors"
@@ -13,6 +13,7 @@ import (
 	"waran/internal/obs/trace"
 	"waran/internal/plugins"
 	"waran/internal/ran"
+	"waran/internal/ric"
 	"waran/internal/sched"
 	"waran/internal/wabi"
 )
@@ -35,7 +36,7 @@ type CitySimConfig struct {
 	// RICShards is the RIC association shard count (default 16).
 	RICShards int
 	// BatchWindow is the agent-side KPM batching window in report periods
-	// (default 8; 0 or 1 disables batching).
+	// (default 8; 1 disables batching, and 0 means the default).
 	BatchWindow int
 	// ReportPeriodMs is the indication cadence (default 20; 1 ms slots).
 	ReportPeriodMs uint32
@@ -144,7 +145,7 @@ type CitySimResult struct {
 	Hops []trace.HopStat `json:"hops"`
 
 	// Overload is the RIC's shed ledger and brownout accounting.
-	Overload OverloadStats `json:"overload"`
+	Overload ric.OverloadStats `json:"overload"`
 
 	Obs map[string]any `json:"obs,omitempty"`
 }
@@ -198,10 +199,10 @@ func RunCitySim(cfg CitySimConfig) (*CitySimResult, error) {
 	cg.EnableTracing(tracer)
 
 	// --- RIC side: sharded fan-in, KPM store off, batching on ------------
-	r, err := New(Config{
+	r, err := ric.New(ric.Config{
 		ReportPeriodMs: cfg.ReportPeriodMs,
 		Shards:         cfg.RICShards,
-		KPMHistory:     NoKPMHistory,
+		KPMHistory:     ric.NoKPMHistory,
 		Tracer:         tracer,
 	})
 	if err != nil {
@@ -225,27 +226,26 @@ func RunCitySim(cfg CitySimConfig) (*CitySimResult, error) {
 
 	// --- associations: Sectors agents per cell ---------------------------
 	nAssoc := cfg.Cells * cfg.Sectors
-	agents := make([]*Agent, 0, nAssoc)
+	agents := make([]*ric.Agent, 0, nAssoc)
 	conns := make([]*e2.Conn, 0, nAssoc)
 	addr := lis.Addr().String()
-	batch := BatchConfig{Window: cfg.BatchWindow, FlushInterval: cfg.FlushInterval}
-	retry := newRetrySchedule(Backoff{}, cfg.Seed)
+	batch := ric.BatchConfig{Window: cfg.BatchWindow, FlushInterval: cfg.FlushInterval}
 	for c := 0; c < cfg.Cells; c++ {
 		for s := 0; s < cfg.Sectors; s++ {
-			var agent *Agent
+			var agent *ric.Agent
 			var conn *e2.Conn
 			// The fleet bring-up itself runs through the admission gate: a
-			// TypeBusy refusal waits out the retry-after hint, jittered by
-			// the back-off a supervised agent session uses, so the
+			// TypeBusy refusal waits out the retry-after hint, so the
 			// 1024-association dial burst enters as a ramp instead of
-			// failing the run.
+			// failing the run. Associations dial one at a time, so there is
+			// no cohort for jitter to spread.
 			for attempt := 0; ; attempt++ {
 				raw, err := net.DialTimeout("tcp", addr, 5*time.Second)
 				if err != nil {
-					return nil, fmt.Errorf("ric: citysim: association %d: %w", len(agents), err)
+					return nil, fmt.Errorf("exp: citysim: association %d: %w", len(agents), err)
 				}
 				conn = e2.NewConn(raw, e2.BinaryCodec{})
-				agent, err = NewAgent(conn, cg.Cell(c), AgentConfig{
+				agent, err = ric.NewAgent(conn, cg.Cell(c), ric.AgentConfig{
 					Cell:   uint32(c*cfg.Sectors + s),
 					Tracer: tracer,
 					Batch:  batch,
@@ -255,16 +255,15 @@ func RunCitySim(cfg CitySimConfig) (*CitySimResult, error) {
 					return nil, err
 				}
 				if _, err = agent.Start(); err == nil {
-					retry.reset()
 					break
 				}
 				conn.Close()
 				var busy *e2.BusyError
 				if errors.As(err, &busy) && attempt < 60 {
-					time.Sleep(retry.next(err))
+					time.Sleep(busy.RetryAfter)
 					continue
 				}
-				return nil, fmt.Errorf("ric: citysim: association %d: %w", len(agents), err)
+				return nil, fmt.Errorf("exp: citysim: association %d: %w", len(agents), err)
 			}
 			agents = append(agents, agent)
 			conns = append(conns, conn)
@@ -295,7 +294,7 @@ func RunCitySim(cfg CitySimConfig) (*CitySimResult, error) {
 			}
 		}
 		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("ric: citysim: only %d/%d associations subscribed in time",
+			return nil, fmt.Errorf("exp: citysim: only %d/%d associations subscribed in time",
 				r.Stats().LiveAssociations, nAssoc)
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -367,14 +366,14 @@ func RunCitySim(cfg CitySimConfig) (*CitySimResult, error) {
 	}
 
 	if res.Associations < int64(nAssoc) {
-		return res, fmt.Errorf("ric: citysim: %d/%d associations alive at the end", res.Associations, nAssoc)
+		return res, fmt.Errorf("exp: citysim: %d/%d associations alive at the end", res.Associations, nAssoc)
 	}
 	if res.Indications == 0 || res.Controls == 0 {
-		return res, fmt.Errorf("ric: citysim: control loop never closed (ind=%d ctrl=%d)",
+		return res, fmt.Errorf("exp: citysim: control loop never closed (ind=%d ctrl=%d)",
 			res.Indications, res.Controls)
 	}
 	if cfg.BatchWindow > 1 && res.BatchFrames == 0 {
-		return res, fmt.Errorf("ric: citysim: batching negotiated but no batch frame arrived")
+		return res, fmt.Errorf("exp: citysim: batching negotiated but no batch frame arrived")
 	}
 	return res, nil
 }

@@ -1,4 +1,4 @@
-package ric
+package exp
 
 import (
 	"fmt"
@@ -6,9 +6,12 @@ import (
 	"sync"
 	"time"
 
+	"waran/internal/core"
 	"waran/internal/e2"
 	"waran/internal/obs"
 	"waran/internal/plugins"
+	"waran/internal/ran"
+	"waran/internal/ric"
 	"waran/internal/wabi"
 )
 
@@ -26,10 +29,10 @@ type E2FaultsConfig struct {
 	// 4*Heartbeat).
 	LivenessTimeout time.Duration
 	// Drop is the per-write drop probability used by the default fault
-	// schedule (default 0.05).
+	// schedule; zero drops nothing (the e2faults experiment runs 0.05).
 	Drop float64
 	// ResetAfterWrites forces a reset on the Nth write in the default
-	// fault schedule (default 25).
+	// fault schedule; zero never resets (the e2faults experiment runs 25).
 	ResetAfterWrites int
 	// Faults is the storm, in order: each FaultConfig is given to the
 	// agent's next connection, and again to the one after if that
@@ -62,25 +65,6 @@ func (c E2FaultsConfig) withDefaults() E2FaultsConfig {
 	if c.Heartbeat <= 0 {
 		c.Heartbeat = 5 * time.Millisecond
 	}
-	if c.LivenessTimeout <= 0 {
-		c.LivenessTimeout = 4 * c.Heartbeat
-	}
-	if c.Drop == 0 {
-		c.Drop = 0.05
-	}
-	if c.ResetAfterWrites == 0 {
-		c.ResetAfterWrites = 25
-	}
-	if len(c.Faults) == 0 {
-		// The blackhole threshold is odd so it lands on a frame boundary
-		// (every Send is two writes: header, payload) and the association
-		// goes cleanly silent — the half-open case only liveness catches —
-		// rather than desynchronizing the peer's framing.
-		c.Faults = []e2.FaultConfig{
-			{BlackholeAfterWrites: 41},
-			{DropProb: c.Drop, ResetAfterWrites: c.ResetAfterWrites},
-		}
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -101,8 +85,8 @@ type E2FaultsResult struct {
 	FaultResets     uint64  `json:"fault_resets"`
 	FaultBlackholes uint64  `json:"fault_blackholes"`
 
-	Associations uint64     `json:"associations"`
-	Assoc        AssocStats `json:"assoc"`
+	Associations uint64         `json:"associations"`
+	Assoc        ric.AssocStats `json:"assoc"`
 
 	Indications  uint64 `json:"indications_sent"`
 	ControlsOK   uint64 `json:"controls_applied"`
@@ -125,11 +109,25 @@ type E2FaultsResult struct {
 // the association re-established with backoff, the subscription renewed,
 // and controls applied again on the surviving association, while step is
 // called for every slot regardless (the gNB never stalls).
-func RunE2Faults(cfg E2FaultsConfig, ran RANControl, step func(slot uint64)) (*E2FaultsResult, error) {
+func RunE2Faults(cfg E2FaultsConfig, ran ric.RANControl, step func(slot uint64)) (*E2FaultsResult, error) {
 	cfg = cfg.withDefaults()
+	// Derived from knobs the caller may have set after the defaults.
+	if cfg.LivenessTimeout <= 0 {
+		cfg.LivenessTimeout = 4 * cfg.Heartbeat
+	}
+	if len(cfg.Faults) == 0 {
+		// The blackhole threshold is odd so it lands on a frame boundary
+		// (every Send is two writes: header, payload) and the association
+		// goes cleanly silent — the half-open case only liveness catches —
+		// rather than desynchronizing the peer's framing.
+		cfg.Faults = []e2.FaultConfig{
+			{BlackholeAfterWrites: 41},
+			{DropProb: cfg.Drop, ResetAfterWrites: cfg.ResetAfterWrites},
+		}
+	}
 
-	shared := &AssocMetrics{}
-	r, err := New(Config{
+	shared := &ric.AssocMetrics{}
+	r, err := ric.New(ric.Config{
 		ReportPeriodMs:    cfg.ReportPeriodMs,
 		HeartbeatInterval: cfg.Heartbeat,
 		Assoc:             shared,
@@ -151,7 +149,7 @@ func RunE2Faults(cfg E2FaultsConfig, ran RANControl, step func(slot uint64)) (*E
 	defer lis.Close()
 
 	stop := make(chan struct{})
-	ricSess, err := NewSession(SessionConfig{
+	ricSess, err := ric.NewSession(ric.SessionConfig{
 		RIC:     r,
 		Connect: lis.Accept,
 		Seed:    cfg.Seed,
@@ -199,11 +197,11 @@ func RunE2Faults(cfg E2FaultsConfig, ran RANControl, step func(slot uint64)) (*E
 		return pending == len(cfg.Faults)
 	}
 
-	sess, err := NewAgentSession(AgentSessionConfig{
+	sess, err := ric.NewAgentSession(ric.AgentSessionConfig{
 		Dial:    dial,
 		RAN:     ran,
-		Agent:   AgentConfig{Cell: 1, LivenessTimeout: cfg.LivenessTimeout},
-		Backoff: Backoff{Initial: 2 * time.Millisecond, Max: 20 * time.Millisecond},
+		Agent:   ric.AgentConfig{Cell: 1, LivenessTimeout: cfg.LivenessTimeout},
+		Backoff: ric.Backoff{Initial: 2 * time.Millisecond, Max: 20 * time.Millisecond},
 		Metrics: shared,
 		Seed:    cfg.Seed,
 	})
@@ -265,7 +263,34 @@ func RunE2Faults(cfg E2FaultsConfig, ran RANControl, step func(slot uint64)) (*E
 		res.Obs = cfg.Obs.Snapshot()
 	}
 	if res.Associations == 0 {
-		return res, fmt.Errorf("ric: e2faults: no association was ever established")
+		return res, fmt.Errorf("exp: e2faults: no association was ever established")
 	}
 	return res, nil
+}
+
+// runE2FaultsOnGNB builds the experiment's standard gNB — one tenant slice
+// on the round-robin plugin with a deliberately over-ambitious SLA, so the
+// SLA-assurance xApp keeps emitting controls and control delivery after
+// recovery is observable — and runs the fault storm against it.
+func runE2FaultsOnGNB(cfg E2FaultsConfig) (*E2FaultsResult, error) {
+	gnb, err := core.NewGNB(ran.CellConfig{})
+	if err != nil {
+		return nil, err
+	}
+	rr, err := core.NewPluginScheduler("rr", wabi.Policy{})
+	if err != nil {
+		return nil, err
+	}
+	if _, err := gnb.Slices.AddSlice(1, "tenant", 100e6, rr, nil); err != nil {
+		return nil, err
+	}
+	if _, err := gnb.Supervise(1); err != nil {
+		return nil, err
+	}
+	ue := ran.NewUE(1, 1, 20)
+	ue.Traffic = ran.NewCBR(3e6)
+	if err := gnb.AttachUE(ue); err != nil {
+		return nil, err
+	}
+	return RunE2Faults(cfg, gnb, func(uint64) { gnb.Step() })
 }

@@ -1,4 +1,4 @@
-package core
+package exp
 
 import (
 	"errors"
@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	"waran/internal/core"
 	"waran/internal/e2"
 	"waran/internal/guard"
 	"waran/internal/metrics"
@@ -18,29 +19,15 @@ import (
 
 // This file is the per-figure experiment harness. Each RunFigXX function
 // reproduces one element of the paper's evaluation (§5) and returns the
-// series the paper plots, so benches, examples and cmd/waranbench all share
-// one implementation.
+// series the paper plots, so the examples and cmd/waranbench share one
+// implementation.
 
 // ---------------------------------------------------------------------------
 // Fig. 5a — Co-existence of MVNOs.
 
-// MVNOSpec configures one slice for the co-existence experiment.
-type MVNOSpec struct {
-	ID        uint32
-	Name      string
-	Scheduler string // "rr", "pf", "mt"
-	TargetBps float64
-	NumUEs    int
-	// OfferedBpsPerUE is each UE's offered CBR load. Zero means
-	// 1.4 x TargetBps / NumUEs (saturating, like the paper's iperf3 DL).
-	OfferedBpsPerUE float64
-	// MinMCS/MaxMCS bound the UEs' static channels (defaults 22..28).
-	MinMCS, MaxMCS int
-}
-
 // MVNOSeries is the measured outcome for one MVNO.
 type MVNOSeries struct {
-	Spec      MVNOSpec
+	Spec      core.MVNOSpec
 	Series    []metrics.RatePoint
 	MeanBps   float64 // steady-state mean (first second excluded)
 	TargetBps float64
@@ -53,26 +40,16 @@ type Fig5aResult struct {
 	MVNOs    []MVNOSeries
 }
 
-// DefaultFig5aSpecs mirrors the paper: MVNO 1 MT @ 3 Mb/s, MVNO 2 RR @
-// 12 Mb/s, MVNO 3 PF @ 15 Mb/s.
-func DefaultFig5aSpecs() []MVNOSpec {
-	return []MVNOSpec{
-		{ID: 1, Name: "MVNO-1", Scheduler: "mt", TargetBps: 3e6, NumUEs: 3},
-		{ID: 2, Name: "MVNO-2", Scheduler: "rr", TargetBps: 12e6, NumUEs: 3},
-		{ID: 3, Name: "MVNO-3", Scheduler: "pf", TargetBps: 15e6, NumUEs: 3},
-	}
-}
-
 // RunFig5a runs the co-existence experiment: all MVNOs scheduled by their
 // own Wasm plugin on one gNB, each reaching its contracted rate.
-func RunFig5a(specs []MVNOSpec, duration time.Duration) (*Fig5aResult, error) {
+func RunFig5a(specs []core.MVNOSpec, duration time.Duration) (*Fig5aResult, error) {
 	if len(specs) == 0 {
-		specs = DefaultFig5aSpecs()
+		specs = core.DefaultFig5aSpecs()
 	}
 	if duration == 0 {
 		duration = 10 * time.Second
 	}
-	gnb, err := NewGNB(ran.CellConfig{})
+	gnb, err := core.NewGNB(ran.CellConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -89,9 +66,9 @@ func RunFig5a(specs []MVNOSpec, duration time.Duration) (*Fig5aResult, error) {
 		if sp.OfferedBpsPerUE == 0 {
 			sp.OfferedBpsPerUE = 1.4 * sp.TargetBps / float64(sp.NumUEs)
 		}
-		plugin, err := NewPluginScheduler(sp.Scheduler, wabi.Policy{})
+		plugin, err := core.NewPluginScheduler(sp.Scheduler, wabi.Policy{})
 		if err != nil {
-			return nil, fmt.Errorf("core: fig5a: %w", err)
+			return nil, fmt.Errorf("exp: fig5a: %w", err)
 		}
 		if _, err := gnb.Slices.AddSlice(sp.ID, sp.Name, sp.TargetBps, plugin, nil); err != nil {
 			return nil, err
@@ -115,8 +92,8 @@ func RunFig5a(specs []MVNOSpec, duration time.Duration) (*Fig5aResult, error) {
 		meters[sp.ID] = metrics.NewRateMeter(gnb.Cell.SlotDuration, 500*time.Millisecond)
 	}
 
-	slots := SlotsForDuration(gnb.Cell, duration)
-	gnb.RunSlots(slots, func(r SlotResult) {
+	slots := core.SlotsForDuration(gnb.Cell, duration)
+	gnb.RunSlots(slots, func(r core.SlotResult) {
 		for id, ss := range r.PerSlice {
 			meters[id].AddSlot(ss.Bits)
 		}
@@ -176,7 +153,7 @@ func RunFig5b(duration time.Duration, pfTimeConstant float64) (*Fig5bResult, err
 		// Deliberately large, as in the paper, to stress PF's memory.
 		pfTimeConstant = 4000
 	}
-	cg, err := NewCellGroup(ran.CellConfig{}, CellGroupConfig{Cells: 1, Parallelism: 1})
+	cg, err := core.NewCellGroup(ran.CellConfig{}, core.CellGroupConfig{Cells: 1, Parallelism: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +164,7 @@ func RunFig5b(duration time.Duration, pfTimeConstant float64) (*Fig5bResult, err
 	gnb.PFTimeConstant = pfTimeConstant
 
 	const sliceID = 1
-	mt, err := NewPluginScheduler("mt", wabi.Policy{})
+	mt, err := core.NewPluginScheduler("mt", wabi.Policy{})
 	if err != nil {
 		return nil, err
 	}
@@ -216,10 +193,10 @@ func RunFig5b(duration time.Duration, pfTimeConstant float64) (*Fig5bResult, err
 		{Scheduler: "pf", Start: duration / 3},
 		{Scheduler: "rr", Start: 2 * duration / 3},
 	}
-	totalSlots := SlotsForDuration(gnb.Cell, duration)
+	totalSlots := core.SlotsForDuration(gnb.Cell, duration)
 	swapAt := map[int]string{
-		SlotsForDuration(gnb.Cell, phases[1].Start): "pf",
-		SlotsForDuration(gnb.Cell, phases[2].Start): "rr",
+		core.SlotsForDuration(gnb.Cell, phases[1].Start): "pf",
+		core.SlotsForDuration(gnb.Cell, phases[2].Start): "rr",
 	}
 
 	attachedBefore := len(gnb.UEs())
@@ -308,7 +285,7 @@ func RunFig5c(duration time.Duration, capPages uint32) (*Fig5cResult, error) {
 	var nativeBytes int64
 	for slot := 0; slot < slots; slot++ {
 		if _, err := p.Call("schedule", nil); err != nil {
-			return nil, fmt.Errorf("core: fig5c: slot %d: %w", slot, err)
+			return nil, fmt.Errorf("exp: fig5c: slot %d: %w", slot, err)
 		}
 		nativeBytes += leakPerSlot
 		if slot%sampleEvery == 0 {
@@ -359,7 +336,7 @@ func RunFig5d(schedulers []string, ueCounts []int, invocations int) (*Fig5dResul
 
 	for _, name := range schedulers {
 		for _, n := range ueCounts {
-			ps, err := NewPluginScheduler(name, wabi.Policy{})
+			ps, err := core.NewPluginScheduler(name, wabi.Policy{})
 			if err != nil {
 				return nil, err
 			}
@@ -369,7 +346,7 @@ func RunFig5d(schedulers []string, ueCounts []int, invocations int) (*Fig5dResul
 			for i := 0; i < 50; i++ {
 				req.Slot = uint64(i)
 				if _, err := ps.Schedule(req); err != nil {
-					return nil, fmt.Errorf("core: fig5d warmup: %s/%d UEs: %w", name, n, err)
+					return nil, fmt.Errorf("exp: fig5d warmup: %s/%d UEs: %w", name, n, err)
 				}
 			}
 			var q metrics.Quantile
@@ -377,7 +354,7 @@ func RunFig5d(schedulers []string, ueCounts []int, invocations int) (*Fig5dResul
 				req.Slot = uint64(i)
 				start := time.Now()
 				if _, err := ps.Schedule(req); err != nil {
-					return nil, fmt.Errorf("core: fig5d: %s/%d UEs: %w", name, n, err)
+					return nil, fmt.Errorf("exp: fig5d: %s/%d UEs: %w", name, n, err)
 				}
 				q.AddDuration(time.Since(start))
 			}
@@ -439,14 +416,14 @@ func RunSafetyMatrix() ([]SafetyRow, error) {
 		}
 		mod, err := wabi.CompileWAT(src)
 		if err != nil {
-			return nil, fmt.Errorf("core: safety: compile %s: %w", name, err)
+			return nil, fmt.Errorf("exp: safety: compile %s: %w", name, err)
 		}
 		ps, err := sched.NewPoolScheduler(name, wabi.NewPool(mod, wabi.Policy{Fuel: 1_000_000}, wabi.Env{}, 1), nil)
 		if err != nil {
 			return nil, err
 		}
 
-		gnb, err := NewGNB(ran.CellConfig{})
+		gnb, err := core.NewGNB(ran.CellConfig{})
 		if err != nil {
 			return nil, err
 		}

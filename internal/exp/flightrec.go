@@ -1,4 +1,4 @@
-package ric
+package exp
 
 // The flight-recorder experiment (waranbench -fig flightrec): replay a
 // seeded overload + plugin-fault storm against a flight-armed RIC and
@@ -31,6 +31,7 @@ import (
 	"waran/internal/obs/flight"
 	"waran/internal/plugins"
 	"waran/internal/ran"
+	"waran/internal/ric"
 	"waran/internal/sched"
 	"waran/internal/wabi"
 )
@@ -109,8 +110,8 @@ type FlightRecResult struct {
 
 	// Ledger is the RIC's quiescent overload snapshot; LedgerConserved is
 	// the exact conservation check on it.
-	Ledger          OverloadStats `json:"ledger"`
-	LedgerConserved bool          `json:"ledger_conserved"`
+	Ledger          ric.OverloadStats `json:"ledger"`
+	LedgerConserved bool              `json:"ledger_conserved"`
 
 	// BaselineNsPerSlot / FlightNsPerSlot time a clean single-cell slot
 	// loop without and with an attached (idle) recorder; OverheadPct is
@@ -143,12 +144,12 @@ func RunFlightRec(cfg FlightRecConfig) (*FlightRecResult, error) {
 	// its second fault (backoff past the dwell keeps half-open probes — and
 	// their faults — out of the run). The first overflow asks for critical
 	// brownout, so the shift lands inside the dwell.
-	r, err := New(Config{
+	r, err := ric.New(ric.Config{
 		ReportPeriodMs: 1,
 		Shards:         2,
-		KPMHistory:     NoKPMHistory,
+		KPMHistory:     ric.NoKPMHistory,
 		Flight:         rec,
-		Overload: &OverloadConfig{
+		Overload: &ric.OverloadConfig{
 			AdmitRate:  -1,
 			BusyPause:  -1,
 			QueueDepth: cfg.QueueDepth,
@@ -230,7 +231,7 @@ func RunFlightRec(cfg FlightRecConfig) (*FlightRecResult, error) {
 	close(fstop)
 
 	res.Ledger, _ = r.OverloadStats()
-	res.LedgerConserved = ledgerConserved(res.Ledger)
+	res.LedgerConserved = res.Ledger.LedgerConserved()
 	fdet.Eval(time.Now())
 	res.Detectors = fdet.States()
 	res.DetectorFires = rec.Count(flight.EvDetectorFire)
@@ -273,7 +274,7 @@ func RunFlightRec(cfg FlightRecConfig) (*FlightRecResult, error) {
 		}
 		res.FlightNsPerSlot = math.Min(res.FlightNsPerSlot, ns)
 		if idle.Seq() != overruns {
-			return res, fmt.Errorf("ric: flightrec: idle recorder journaled %d events on a clean slot loop with %d watchdog overruns",
+			return res, fmt.Errorf("exp: flightrec: idle recorder journaled %d events on a clean slot loop with %d watchdog overruns",
 				idle.Seq(), overruns)
 		}
 	}
@@ -286,21 +287,21 @@ func RunFlightRec(cfg FlightRecConfig) (*FlightRecResult, error) {
 	}
 
 	if !res.CausalChain {
-		return res, fmt.Errorf("ric: flightrec: bundles in %s do not cover the causal chain %v (coverage %v)",
+		return res, fmt.Errorf("exp: flightrec: bundles in %s do not cover the causal chain %v (coverage %v)",
 			dir, flightrecChain, sum.Coverage)
 	}
 	if res.TriggeredBundles == 0 {
-		return res, fmt.Errorf("ric: flightrec: no bundle was captured by an anomaly trigger")
+		return res, fmt.Errorf("exp: flightrec: no bundle was captured by an anomaly trigger")
 	}
 	if !res.LedgerConserved {
-		return res, fmt.Errorf("ric: flightrec: shed ledger violated: %+v", res.Ledger)
+		return res, fmt.Errorf("exp: flightrec: shed ledger violated: %+v", res.Ledger)
 	}
 	return res, nil
 }
 
 // flightrecStorm drives the reporting fleet against the flight-armed RIC
 // for the dwell window, then quiesces it.
-func flightrecStorm(cfg FlightRecConfig, r *RIC, rec *flight.Recorder) error {
+func flightrecStorm(cfg FlightRecConfig, r *ric.RIC, rec *flight.Recorder) error {
 	ran := &overloadRAN{}
 	lis, err := e2.Listen("127.0.0.1:0", e2.BinaryCodec{})
 	if err != nil {
@@ -311,7 +312,7 @@ func flightrecStorm(cfg FlightRecConfig, r *RIC, rec *flight.Recorder) error {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- r.Serve(lis, stop) }()
 
-	agents := make([]*Agent, 0, cfg.Agents)
+	agents := make([]*ric.Agent, 0, cfg.Agents)
 	conns := make([]*e2.Conn, 0, cfg.Agents)
 	defer func() {
 		close(stop)
@@ -326,7 +327,7 @@ func flightrecStorm(cfg FlightRecConfig, r *RIC, rec *flight.Recorder) error {
 			return err
 		}
 		conns = append(conns, conn)
-		a, err := NewAgent(conn, ran, AgentConfig{Cell: uint32(i)})
+		a, err := ric.NewAgent(conn, ran, ric.AgentConfig{Cell: uint32(i)})
 		if err != nil {
 			return err
 		}

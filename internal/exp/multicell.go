@@ -1,10 +1,12 @@
-package core
+package exp
 
 import (
 	"runtime"
 	"time"
 
+	"waran/internal/core"
 	"waran/internal/e2"
+	"waran/internal/obs"
 	"waran/internal/plugins"
 	"waran/internal/ran"
 	"waran/internal/sched"
@@ -16,7 +18,7 @@ import (
 // MulticellResult is the multi-cell scaling experiment outcome: one cell
 // group stepped serially and then over parallel stripes, plus a fleet-wide
 // plugin hot swap through the content-addressed module cache. When the run
-// was instrumented (ExpConfig.Obs), Obs carries the registry snapshot.
+// was instrumented (MulticellConfig.Obs), Obs carries the registry snapshot.
 type MulticellResult struct {
 	Cells               int     `json:"cells"`
 	Slots               int     `json:"slots"`
@@ -55,13 +57,13 @@ type MulticellResult struct {
 // slices share pool-backed built-in schedulers — the deployment the
 // multicell experiment steps. It also returns the installed pool schedulers
 // so callers can read call accounting after the run.
-func BuildMulticellGroup(cells, par int) (*CellGroup, []*sched.PoolScheduler, error) {
-	cg, err := fig5aGroup(CellGroupConfig{Cells: cells, Parallelism: par})
+func BuildMulticellGroup(cells, par int) (*core.CellGroup, []*sched.PoolScheduler, error) {
+	cg, err := fig5aGroup(core.CellGroupConfig{Cells: cells, Parallelism: par})
 	if err != nil {
 		return nil, nil, err
 	}
 	var scheds []*sched.PoolScheduler
-	for _, sp := range DefaultFig5aSpecs() {
+	for _, sp := range core.DefaultFig5aSpecs() {
 		ps, err := cg.InstallPooledScheduler(sp.ID, sp.Scheduler, wabi.Policy{}, cells)
 		if err != nil {
 			return nil, nil, err
@@ -73,15 +75,15 @@ func BuildMulticellGroup(cells, par int) (*CellGroup, []*sched.PoolScheduler, er
 
 // fig5aGroup creates a group whose every cell has the Fig. 5a slices, on a
 // native scheduler until the caller installs plugins, and their UEs.
-func fig5aGroup(cfg CellGroupConfig) (*CellGroup, error) {
-	cg, err := NewCellGroup(ran.CellConfig{}, cfg)
+func fig5aGroup(cfg core.CellGroupConfig) (*core.CellGroup, error) {
+	cg, err := core.NewCellGroup(ran.CellConfig{}, cfg)
 	if err != nil {
 		return nil, err
 	}
 	for c := 0; c < cfg.Cells; c++ {
 		gnb := cg.Cell(c)
 		ueID := uint32(1)
-		for _, sp := range DefaultFig5aSpecs() {
+		for _, sp := range core.DefaultFig5aSpecs() {
 			if _, err := gnb.Slices.AddSlice(sp.ID, sp.Name, sp.TargetBps, sched.RoundRobin{}, nil); err != nil {
 				return nil, err
 			}
@@ -98,21 +100,38 @@ func fig5aGroup(cfg CellGroupConfig) (*CellGroup, error) {
 	return cg, nil
 }
 
+// MulticellConfig parameterizes the multi-cell scaling experiment.
+type MulticellConfig struct {
+	// Cells is the group size (default 8).
+	Cells int
+	// Slots is how many slots each run steps (default 2000).
+	Slots int
+	// Parallelism is the parallel run's stripe count (0 = GOMAXPROCS).
+	Parallelism int
+	// Obs, when non-nil, receives the parallel group's instruments, Trace
+	// its per-slot events, and the result embeds the registry snapshot.
+	Obs   *obs.Registry
+	Trace *obs.TraceRing
+}
+
+func (c MulticellConfig) withDefaults() MulticellConfig {
+	if c.Cells <= 0 {
+		c.Cells = 8
+	}
+	if c.Slots <= 0 {
+		c.Slots = 2000
+	}
+	return c
+}
+
 // RunMulticell steps a cell group serially and over parallel stripes, then
 // fans one plugin upload across every cell. The serial baseline always runs
 // un-instrumented; when cfg.Obs is set the parallel group registers its
 // instruments (and streams traces into cfg.Trace) and the result embeds the
 // registry snapshot.
-func RunMulticell(cfg ExpConfig) (*MulticellResult, error) {
-	cells := cfg.Cells
-	if cells <= 0 {
-		cells = 8
-	}
-	slots := cfg.Slots
-	if slots <= 0 {
-		slots = 2000
-	}
-	par := cfg.Parallelism
+func RunMulticell(cfg MulticellConfig) (*MulticellResult, error) {
+	cfg = cfg.withDefaults()
+	cells, slots, par := cfg.Cells, cfg.Slots, cfg.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
@@ -123,7 +142,7 @@ func RunMulticell(cfg ExpConfig) (*MulticellResult, error) {
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 	}
 
-	timeRun := func(parallelism int, reg bool) (float64, *CellGroup, []*sched.PoolScheduler, error) {
+	timeRun := func(parallelism int, reg bool) (float64, *core.CellGroup, []*sched.PoolScheduler, error) {
 		cg, scheds, err := BuildMulticellGroup(cells, parallelism)
 		if err != nil {
 			return 0, nil, nil, err

@@ -1,4 +1,4 @@
-package ric
+package exp
 
 // The overload chaos experiment (waranbench -fig overload): kill and restart
 // the RIC under a live agent fleet and sweep the offered load past dispatch
@@ -26,6 +26,7 @@ import (
 	"waran/internal/obs"
 	"waran/internal/obs/flight"
 	"waran/internal/plugins"
+	"waran/internal/ric"
 	"waran/internal/wabi"
 )
 
@@ -56,8 +57,8 @@ const slowXAppWATTemplate = `(module
 // iteration costs nine.
 func slowXAppCutoff(iters int) wabi.Policy { return wabi.Policy{Fuel: int64(iters)} }
 
-// OverloadExpConfig parameterizes the overload chaos experiment.
-type OverloadExpConfig struct {
+// OverloadConfig parameterizes the overload chaos experiment.
+type OverloadConfig struct {
 	// Agents is the reconnect-storm fleet size (default 1024 — the citysim
 	// association count).
 	Agents int
@@ -105,7 +106,7 @@ type OverloadExpConfig struct {
 	FlightDir string
 }
 
-func (c OverloadExpConfig) withDefaults() OverloadExpConfig {
+func (c OverloadConfig) withDefaults() OverloadConfig {
 	if c.Agents <= 0 {
 		c.Agents = 1024
 	}
@@ -119,7 +120,7 @@ func (c OverloadExpConfig) withDefaults() OverloadExpConfig {
 		c.AdmitBurst = 8
 	}
 	if c.RetryAfter <= 0 {
-		c.RetryAfter = DefaultRetryAfter
+		c.RetryAfter = ric.DefaultRetryAfter
 	}
 	if c.ReportPeriodMs == 0 {
 		c.ReportPeriodMs = 20
@@ -195,9 +196,9 @@ type OverloadResult struct {
 	// LedgerPreKill is the killed RIC's quiescent overload snapshot;
 	// Ledger is the restarted RIC's. LedgerConserved reports that both
 	// satisfy offered == delivered + sheds + refused_late exactly.
-	LedgerPreKill   OverloadStats `json:"ledger_pre_kill"`
-	Ledger          OverloadStats `json:"ledger"`
-	LedgerConserved bool          `json:"ledger_conserved"`
+	LedgerPreKill   ric.OverloadStats `json:"ledger_pre_kill"`
+	Ledger          ric.OverloadStats `json:"ledger"`
+	LedgerConserved bool              `json:"ledger_conserved"`
 
 	// --- slow-xApp isolation ----------------------------------------------
 	GuardOn OverloadDwell `json:"guard_on"`
@@ -207,12 +208,6 @@ type OverloadResult struct {
 	Flight *flight.Summary `json:"flight,omitempty"`
 
 	Obs map[string]any `json:"obs,omitempty"`
-}
-
-// ledgerConserved checks the exact shed-ledger invariant on a quiescent
-// overload snapshot.
-func ledgerConserved(s OverloadStats) bool {
-	return s.Offered == s.Delivered+s.ShedOverflow+s.ShedStale+s.ShedTeardown+s.RefusedLate
 }
 
 // overloadRAN is the experiment's synthetic RAN control surface: every
@@ -249,7 +244,7 @@ func (o *overloadRAN) Apply(c *e2.ControlRequest) error {
 // arm. A non-nil error flags a hard invariant violation (warmup or
 // reassociation failure, ledger imbalance); the partial result is still
 // returned for inspection.
-func RunOverload(cfg OverloadExpConfig) (*OverloadResult, error) {
+func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 	cfg = cfg.withDefaults()
 	res := &OverloadResult{
 		Agents:       cfg.Agents,
@@ -307,7 +302,7 @@ func RunOverload(cfg OverloadExpConfig) (*OverloadResult, error) {
 		}
 		res.Flight = sum
 		if !ok {
-			return res, fmt.Errorf("ric: overload: flight recorder produced no bundle covering %s and %s",
+			return res, fmt.Errorf("exp: overload: flight recorder produced no bundle covering %s and %s",
 				flight.EvAdmissionRefused, flight.EvBreakerOpen)
 		}
 	}
@@ -320,18 +315,18 @@ func RunOverload(cfg OverloadExpConfig) (*OverloadResult, error) {
 // runOverloadStorm is the kill/restart arm: warm the fleet up against one
 // RIC, kill it, restart on the same address, and measure
 // how the stampede re-admits.
-func runOverloadStorm(cfg OverloadExpConfig, res *OverloadResult, frec *flight.Recorder) error {
+func runOverloadStorm(cfg OverloadConfig, res *OverloadResult, frec *flight.Recorder) error {
 	ran := &overloadRAN{}
-	ovCfg := &OverloadConfig{
+	ovCfg := &ric.OverloadConfig{
 		AdmitRate:  cfg.AdmitRate,
 		AdmitBurst: cfg.AdmitBurst,
 		RetryAfter: cfg.RetryAfter,
 	}
-	newRIC := func() (*RIC, error) {
-		return New(Config{
+	newRIC := func() (*ric.RIC, error) {
+		return ric.New(ric.Config{
 			ReportPeriodMs: cfg.ReportPeriodMs,
 			Shards:         cfg.Shards,
-			KPMHistory:     NoKPMHistory,
+			KPMHistory:     ric.NoKPMHistory,
 			Overload:       ovCfg,
 			Flight:         frec,
 		})
@@ -354,14 +349,14 @@ func runOverloadStorm(cfg OverloadExpConfig, res *OverloadResult, frec *flight.R
 	go func() { serve1 <- r1.Serve(lis1, stop1) }()
 
 	// The shared metrics ledger every session folds into.
-	am := &AssocMetrics{}
-	sessions := make([]*AgentSession, cfg.Agents)
+	am := &ric.AssocMetrics{}
+	sessions := make([]*ric.AgentSession, cfg.Agents)
 	for i := range sessions {
-		s, err := NewAgentSession(AgentSessionConfig{
+		s, err := ric.NewAgentSession(ric.AgentSessionConfig{
 			Dial:    func() (*e2.Conn, error) { return e2.Dial(addr, e2.BinaryCodec{}) },
 			RAN:     ran,
-			Agent:   AgentConfig{Cell: uint32(i)},
-			Backoff: Backoff{Initial: 30 * time.Millisecond, Max: 2 * time.Second},
+			Agent:   ric.AgentConfig{Cell: uint32(i)},
+			Backoff: ric.Backoff{Initial: 30 * time.Millisecond, Max: 2 * time.Second},
 			Metrics: am,
 			Seed:    cfg.Seed + int64(i),
 		})
@@ -419,7 +414,7 @@ func runOverloadStorm(cfg OverloadExpConfig, res *OverloadResult, frec *flight.R
 			stopSessions()
 			close(stop1)
 			<-serve1
-			return fmt.Errorf("ric: overload: only %d/%d sessions associated during warmup", n, cfg.Agents)
+			return fmt.Errorf("exp: overload: only %d/%d sessions associated during warmup", n, cfg.Agents)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -459,7 +454,7 @@ func runOverloadStorm(cfg OverloadExpConfig, res *OverloadResult, frec *flight.R
 		}
 		if attempt > 200 {
 			stopSessions()
-			return fmt.Errorf("ric: overload: cannot rebind %s: %w", addr, err)
+			return fmt.Errorf("exp: overload: cannot rebind %s: %w", addr, err)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -522,14 +517,14 @@ func runOverloadStorm(cfg OverloadExpConfig, res *OverloadResult, frec *flight.R
 	res.BusyRefusals = st.BusyRefusals
 	res.Reconnects = st.Reconnects
 	res.DroppedInd = st.DroppedIndications
-	res.LedgerConserved = ledgerConserved(res.LedgerPreKill) && ledgerConserved(res.Ledger)
+	res.LedgerConserved = res.LedgerPreKill.LedgerConserved() && res.Ledger.LedgerConserved()
 
 	if res.Reassociated < need99 {
-		return fmt.Errorf("ric: overload: only %d/%d sessions reassociated within %v (need %d)",
+		return fmt.Errorf("exp: overload: only %d/%d sessions reassociated within %v (need %d)",
 			res.Reassociated, cfg.Agents, cfg.RampBound, need99)
 	}
 	if !res.LedgerConserved {
-		return fmt.Errorf("ric: overload: shed ledger violated: pre-kill %+v, post %+v",
+		return fmt.Errorf("exp: overload: shed ledger violated: pre-kill %+v, post %+v",
 			res.LedgerPreKill, res.Ledger)
 	}
 	return nil
@@ -538,14 +533,14 @@ func runOverloadStorm(cfg OverloadExpConfig, res *OverloadResult, frec *flight.R
 // runOverloadDwell runs the slow-xApp isolation arm: DwellAgents agents
 // report every slot into a RIC hosting a stalling xApp ahead of the SLA
 // xApp.
-func runOverloadDwell(cfg OverloadExpConfig, frec *flight.Recorder) (OverloadDwell, error) {
+func runOverloadDwell(cfg OverloadConfig, frec *flight.Recorder) (OverloadDwell, error) {
 	var dw OverloadDwell
 	ran := &overloadRAN{}
-	r, err := New(Config{
+	r, err := ric.New(ric.Config{
 		ReportPeriodMs: 1, // report every slot: offered load well past a stalled dispatcher
 		Shards:         4,
-		KPMHistory:     NoKPMHistory,
-		Overload: &OverloadConfig{
+		KPMHistory:     ric.NoKPMHistory,
+		Overload: &ric.OverloadConfig{
 			// The dwell arm isolates the xApp guard: admission and source
 			// backpressure are the storm arm's subject, so they are disabled
 			// here.
@@ -582,7 +577,7 @@ func runOverloadDwell(cfg OverloadExpConfig, frec *flight.Recorder) (OverloadDwe
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- r.Serve(lis, stop) }()
 
-	agents := make([]*Agent, 0, cfg.DwellAgents)
+	agents := make([]*ric.Agent, 0, cfg.DwellAgents)
 	conns := make([]*e2.Conn, 0, cfg.DwellAgents)
 	defer func() {
 		close(stop)
@@ -597,7 +592,7 @@ func runOverloadDwell(cfg OverloadExpConfig, frec *flight.Recorder) (OverloadDwe
 			return dw, err
 		}
 		conns = append(conns, conn)
-		a, err := NewAgent(conn, ran, AgentConfig{Cell: uint32(i)})
+		a, err := ric.NewAgent(conn, ran, ric.AgentConfig{Cell: uint32(i)})
 		if err != nil {
 			return dw, err
 		}

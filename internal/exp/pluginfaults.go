@@ -1,4 +1,4 @@
-package core
+package exp
 
 import (
 	"fmt"
@@ -6,7 +6,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"waran/internal/core"
 	"waran/internal/guard"
+	"waran/internal/obs"
 	"waran/internal/obs/flight"
 	"waran/internal/plugins"
 	"waran/internal/sched"
@@ -69,7 +71,7 @@ type PluginFaultsResult struct {
 	ActiveScheduler   string `json:"active_scheduler"`
 
 	// Flight is the incident-journal digest when the experiment ran with
-	// the flight recorder armed (ExpConfig.Flight).
+	// the flight recorder armed (PluginFaultsConfig.Flight).
 	Flight *flight.Summary `json:"flight,omitempty"`
 
 	Obs map[string]any `json:"obs,omitempty"`
@@ -94,17 +96,17 @@ const chaosFuel = 100_000
 // the group's Guard. The slice with hostileID runs the hostile bytecode under
 // policy instead of its built-in scheduler; all supervisors share the breaker
 // configuration (and therefore its clock).
-func BuildSupervisedGroup(cells, par int, hostileID uint32, hostile []byte, policy wabi.Policy, gcfg guard.Config, deadline time.Duration) (*CellGroup, error) {
-	cg, err := fig5aGroup(CellGroupConfig{Cells: cells, Parallelism: par, SlotDeadline: deadline})
+func BuildSupervisedGroup(cells, par int, hostileID uint32, hostile []byte, policy wabi.Policy, gcfg guard.Config, deadline time.Duration) (*core.CellGroup, error) {
+	cg, err := fig5aGroup(core.CellGroupConfig{Cells: cells, Parallelism: par, SlotDeadline: deadline})
 	if err != nil {
 		return nil, err
 	}
 	cg.Guard = gcfg
-	for _, sp := range DefaultFig5aSpecs() {
-		if sp.ID == hostileID {
-			_, err = cg.installPooled(sp.ID, "chaos-"+sp.Scheduler, hostile, policy, cells)
-		} else {
+	for _, sp := range core.DefaultFig5aSpecs() {
+		if sp.ID != hostileID {
 			_, err = cg.InstallPooledScheduler(sp.ID, sp.Scheduler, wabi.Policy{}, cells)
+		} else {
+			err = installHostile(cg, sp.ID, "chaos-"+sp.Scheduler, hostile, policy)
 		}
 		if err != nil {
 			return nil, err
@@ -113,30 +115,71 @@ func BuildSupervisedGroup(cells, par int, hostileID uint32, hostile []byte, poli
 	return cg, nil
 }
 
+// installHostile runs bytecode on slice sliceID of every cell as one pool
+// under the group's supervisor.
+func installHostile(cg *core.CellGroup, sliceID uint32, name string, bin []byte, policy wabi.Policy) error {
+	ps, err := cg.BuildPooledCandidate(name, bin, policy, cg.NumCells())
+	if err != nil {
+		return err
+	}
+	for c := 0; c < cg.NumCells(); c++ {
+		if err := cg.Cell(c).Slices.HotSwap(sliceID, ps); err != nil {
+			return err
+		}
+	}
+	_, err = cg.Cell(0).Supervise(sliceID)
+	return err
+}
+
 // chaosBinary assembles the chaos guest around the built-in scheduler inner.
 func chaosBinary(inner string, seed, cleanBefore uint64) ([]byte, error) {
 	src, ok := plugins.ChaosWAT(inner, seed, cleanBefore)
 	if !ok {
-		return nil, fmt.Errorf("core: unknown built-in scheduler %q", inner)
+		return nil, fmt.Errorf("exp: unknown built-in scheduler %q", inner)
 	}
 	return wat.CompileToBinary(src)
+}
+
+// PluginFaultsConfig parameterizes the plugin-fault-storm experiment.
+type PluginFaultsConfig struct {
+	// Cells is the group size (default 4).
+	Cells int
+	// Parallelism is the group's stripe count (0 = Cells).
+	Parallelism int
+	// Seed selects the chaos guests' fault schedule (default 7).
+	Seed int64
+	// SlotDeadline is each cell's wall-clock slot budget (0 = the paper's
+	// 1 ms); tests raise it so shared-machine jitter cannot register as a
+	// missed deadline.
+	SlotDeadline time.Duration
+	// Flight journals the whole storm; the breaker trip and the sleeper
+	// rollback must reach a diagnostic bundle, or the run fails.
+	Flight bool
+	// FlightDir is where diagnostic bundles land (empty = temp dir).
+	FlightDir string
+	// Obs, when non-nil, receives the group's instruments and the result
+	// embeds its snapshot.
+	Obs *obs.Registry
+}
+
+func (c PluginFaultsConfig) withDefaults() PluginFaultsConfig {
+	if c.Cells <= 0 {
+		c.Cells = 4
+	}
+	if c.Seed == 0 {
+		c.Seed = 7
+	}
+	return c
 }
 
 // RunPluginFaults storms a multi-cell group with a hostile plugin and walks
 // the full supervisor lifecycle: open → quarantine → shadow-validated
 // recovery swap → probation → sleeper-candidate rollback → steady state.
-func RunPluginFaults(cfg ExpConfig) (*PluginFaultsResult, error) {
-	cells := cfg.Cells
-	if cells <= 0 {
-		cells = 4
-	}
-	par := cfg.Parallelism
+func RunPluginFaults(cfg PluginFaultsConfig) (*PluginFaultsResult, error) {
+	cfg = cfg.withDefaults()
+	cells, par, seed := cfg.Cells, cfg.Parallelism, cfg.Seed
 	if par <= 0 {
 		par = cells
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 7
 	}
 	const hostileSlice = 1
 
@@ -160,7 +203,6 @@ func RunPluginFaults(cfg ExpConfig) (*PluginFaultsResult, error) {
 			Now:            clock.Now,
 		},
 		RecordedInputs: 32,
-		ProbationCalls: 256,
 		// Both swaps in this storyline are built to pass shadow validation;
 		// the latency budget only guards against a stalling candidate, and
 		// the guard default (750 µs) is a per-call wall-clock bound a loaded
@@ -172,7 +214,7 @@ func RunPluginFaults(cfg ExpConfig) (*PluginFaultsResult, error) {
 		return nil, err
 	}
 	if cfg.Obs != nil {
-		cg.EnableObservability(cfg.Obs, cfg.Trace)
+		cg.EnableObservability(cfg.Obs, nil)
 	}
 	sup := cg.Supervisor(hostileSlice)
 	rep := &PluginFaultsResult{Cells: cells, Parallelism: par, Seed: seed, ScheduledFaults: map[string]uint64{}}
@@ -182,7 +224,7 @@ func RunPluginFaults(cfg ExpConfig) (*PluginFaultsResult, error) {
 	// a diagnostic bundle — the run fails otherwise.
 	var frec *flight.Recorder
 	var fcap *flight.Capturer
-	if cfg.Flight != 0 {
+	if cfg.Flight {
 		frec = flight.NewRecorder(4096)
 		cg.SetFlightRecorder(frec)
 		frec.SetTriggers(flight.EvBreakerOpen, flight.EvRollback)
@@ -239,7 +281,7 @@ func RunPluginFaults(cfg ExpConfig) (*PluginFaultsResult, error) {
 		runSlots(1)
 	}
 	if sup.Breaker().State() != guard.Open {
-		return nil, fmt.Errorf("core: pluginfaults: breaker never opened under the fault storm")
+		return nil, fmt.Errorf("exp: pluginfaults: breaker never opened under the fault storm")
 	}
 	rep.SlotsToOpen = cg.Slot()
 	rep.OverrunsPreOpen = overruns()
@@ -257,7 +299,7 @@ func RunPluginFaults(cfg ExpConfig) (*PluginFaultsResult, error) {
 	}
 	rep.RecoveryShadow, err = cg.UploadSchedulerAll(hostileSlice, "pf-recovery", blob, wabi.Policy{}, par)
 	if err != nil {
-		return nil, fmt.Errorf("core: pluginfaults: recovery swap rejected: %w", err)
+		return nil, fmt.Errorf("exp: pluginfaults: recovery swap rejected: %w", err)
 	}
 
 	// Phase 4 — probation decays while ≥1000 slots run clean on the
@@ -279,14 +321,14 @@ func RunPluginFaults(cfg ExpConfig) (*PluginFaultsResult, error) {
 	}
 	rep.LiarShadow, err = sup.Swap(liar)
 	if err != nil {
-		return nil, fmt.Errorf("core: pluginfaults: sleeper candidate failed shadow validation it was built to pass: %w", err)
+		return nil, fmt.Errorf("exp: pluginfaults: sleeper candidate failed shadow validation it was built to pass: %w", err)
 	}
 	guests = append(guests, chaosGuest{liar, liarSeed, liarTurns})
 	for i := 0; i < 300 && sup.Stats().Rollbacks == 0; i++ {
 		runSlots(1)
 	}
 	if sup.Stats().Rollbacks == 0 {
-		return nil, fmt.Errorf("core: pluginfaults: sleeper candidate never triggered a rollback")
+		return nil, fmt.Errorf("exp: pluginfaults: sleeper candidate never triggered a rollback")
 	}
 
 	// Phase 6 — steady state on the restored last-known-good scheduler.
@@ -324,7 +366,7 @@ func RunPluginFaults(cfg ExpConfig) (*PluginFaultsResult, error) {
 		}
 		rep.Flight = sum
 		if !ok {
-			return rep, fmt.Errorf("core: pluginfaults: flight recorder produced no bundle covering %s and %s",
+			return rep, fmt.Errorf("exp: pluginfaults: flight recorder produced no bundle covering %s and %s",
 				flight.EvBreakerOpen, flight.EvRollback)
 		}
 	}

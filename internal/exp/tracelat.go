@@ -1,4 +1,4 @@
-package ric
+package exp
 
 import (
 	"fmt"
@@ -12,6 +12,7 @@ import (
 	"waran/internal/obs/trace"
 	"waran/internal/plugins"
 	"waran/internal/ran"
+	"waran/internal/ric"
 	"waran/internal/sched"
 	"waran/internal/wabi"
 	"waran/internal/wasm"
@@ -141,7 +142,7 @@ func RunTraceLat(cfg TraceLatConfig) (*TraceLatResult, error) {
 	}
 
 	// The RIC side: tracer + shared profiler, SLA xApp.
-	r, err := New(Config{
+	r, err := ric.New(ric.Config{
 		ReportPeriodMs: cfg.ReportPeriodMs,
 		Tracer:         tracer,
 		Profile:        profile,
@@ -199,13 +200,13 @@ func RunTraceLat(cfg TraceLatConfig) (*TraceLatResult, error) {
 		}
 		return e2.NewConn(raw, e2.BinaryCodec{}), nil
 	}
-	sessions := make([]*AgentSession, cfg.Cells)
+	sessions := make([]*ric.AgentSession, cfg.Cells)
 	for i := range sessions {
-		sessions[i], err = NewAgentSession(AgentSessionConfig{
+		sessions[i], err = ric.NewAgentSession(ric.AgentSessionConfig{
 			Dial:    dial,
 			RAN:     cg.Cell(i),
-			Agent:   AgentConfig{Cell: uint32(i), Tracer: tracer},
-			Backoff: Backoff{Initial: 2 * time.Millisecond, Max: 20 * time.Millisecond},
+			Agent:   ric.AgentConfig{Cell: uint32(i), Tracer: tracer},
+			Backoff: ric.Backoff{Initial: 2 * time.Millisecond, Max: 20 * time.Millisecond},
 			Seed:    cfg.Seed + int64(i),
 		})
 		if err != nil {
@@ -287,7 +288,7 @@ func RunTraceLat(cfg TraceLatConfig) (*TraceLatResult, error) {
 		res.Obs = cfg.Obs.Snapshot()
 	}
 	if res.MaxTraceHopKinds < 7 {
-		return res, fmt.Errorf("ric: tracelat: deepest trace has %d hop kinds, want >= 7", res.MaxTraceHopKinds)
+		return res, fmt.Errorf("exp: tracelat: deepest trace has %d hop kinds, want >= 7", res.MaxTraceHopKinds)
 	}
 	return res, nil
 }

@@ -1,9 +1,10 @@
-package core
+package exp
 
 import (
 	"fmt"
 	"time"
 
+	"waran/internal/core"
 	"waran/internal/e2"
 	"waran/internal/plugins"
 	"waran/internal/ran"
@@ -26,11 +27,11 @@ type UploadDemoResult struct {
 // compiled proportional-fair bytecode via an E2 upload control, without
 // stopping the slot loop or detaching the UE.
 func RunUploadDemo() (*UploadDemoResult, error) {
-	gnb, err := NewGNB(ran.CellConfig{})
+	gnb, err := core.NewGNB(ran.CellConfig{})
 	if err != nil {
 		return nil, err
 	}
-	rr, err := NewPluginScheduler("rr", wabi.Policy{})
+	rr, err := core.NewPluginScheduler("rr", wabi.Policy{})
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +67,7 @@ func RunUploadDemo() (*UploadDemoResult, error) {
 	gnb.RunSlots(100, nil)
 	_, res.UEKept = gnb.UE(1)
 	if !res.UEKept {
-		return nil, fmt.Errorf("core: upload demo: UE lost across hot swap")
+		return nil, fmt.Errorf("exp: upload demo: UE lost across hot swap")
 	}
 	return res, nil
 }

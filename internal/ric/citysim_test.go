@@ -1,6 +1,10 @@
-package ric
+package ric_test
 
-import "testing"
+import (
+	"testing"
+
+	"waran/internal/exp"
+)
 
 // TestRunCitySimSmall drives the city-scale experiment at toy scale — 8
 // cells x 64 modeled UEs x 2 sectors, batching on — so the one CellGroup
@@ -8,7 +12,7 @@ import "testing"
 // fleets must deliver, and the shed ledger must balance.
 func TestRunCitySimSmall(t *testing.T) {
 	const cells, sectors = 8, 2
-	res, err := RunCitySim(CitySimConfig{
+	res, err := exp.RunCitySim(exp.CitySimConfig{
 		Cells: cells, UEsPerCell: 64, Sectors: sectors, Slots: 50,
 		RICShards: 2, BatchWindow: 4, ReportPeriodMs: 2, ActiveK: 8,
 	})
@@ -24,7 +28,7 @@ func TestRunCitySimSmall(t *testing.T) {
 	if res.FleetDeliveredBits <= 0 {
 		t.Fatalf("UE fleets delivered %d bits", res.FleetDeliveredBits)
 	}
-	if !ledgerConserved(res.Overload) {
+	if !res.Overload.LedgerConserved() {
 		t.Fatalf("shed ledger not conserved: %+v", res.Overload)
 	}
 }

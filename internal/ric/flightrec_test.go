@@ -1,10 +1,12 @@
-package ric
+package ric_test
 
 import (
 	"testing"
 	"time"
 
+	"waran/internal/exp"
 	"waran/internal/obs"
+	"waran/internal/obs/flight"
 )
 
 // TestFlightRecExperiment runs a shortened storm and checks the experiment's
@@ -13,7 +15,7 @@ import (
 // been captured by an anomaly trigger, and the ledger must conserve.
 func TestFlightRecExperiment(t *testing.T) {
 	reg := obs.NewRegistry()
-	res, err := RunFlightRec(FlightRecConfig{
+	res, err := exp.RunFlightRec(exp.FlightRecConfig{
 		Agents:        8,
 		Dwell:         700 * time.Millisecond,
 		OverheadSlots: 200,
@@ -35,7 +37,7 @@ func TestFlightRecExperiment(t *testing.T) {
 	if len(res.Flight.Bundles) == 0 {
 		t.Fatal("no bundles in the digest")
 	}
-	for _, cls := range flightrecChain {
+	for _, cls := range []flight.Class{flight.EvBrownoutShift, flight.EvShed, flight.EvBreakerOpen} {
 		if res.Flight.Coverage[cls.String()] == 0 {
 			t.Fatalf("class %v missing from bundle coverage: %v", cls, res.Flight.Coverage)
 		}

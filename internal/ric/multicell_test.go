@@ -126,7 +126,7 @@ func TestOneRICManyGNBs(t *testing.T) {
 	// and each left its queue through exactly one ledger column.
 	close(stop)
 	serveWG.Wait()
-	if st, ok := r.OverloadStats(); !ok || st.Offered == 0 || !ledgerConserved(st) {
+	if st, ok := r.OverloadStats(); !ok || st.Offered == 0 || !st.LedgerConserved() {
 		t.Fatalf("shed ledger after teardown (ok=%v): %+v", ok, st)
 	}
 }

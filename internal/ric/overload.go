@@ -481,6 +481,13 @@ type OverloadStats struct {
 	DispatchP99Ms float64 `json:"-"`
 }
 
+// LedgerConserved reports whether the shed ledger balances: every offered
+// indication was delivered, shed or refused. It holds exactly on a
+// quiescent snapshot.
+func (s OverloadStats) LedgerConserved() bool {
+	return s.Offered == s.Delivered+s.ShedOverflow+s.ShedStale+s.ShedTeardown+s.RefusedLate
+}
+
 // OverloadStats snapshots the guards. The second result is always true:
 // there is no RIC without them, and the signature survives only because
 // bench/ reads it.

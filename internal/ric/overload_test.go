@@ -321,7 +321,7 @@ func TestShedLedgerConservation(t *testing.T) {
 	if st.RefusedLate != 1 {
 		t.Fatalf("RefusedLate = %d, want 1", st.RefusedLate)
 	}
-	if st.Offered != st.Delivered+st.ShedOverflow+st.ShedStale+st.ShedTeardown+st.RefusedLate {
+	if !st.LedgerConserved() {
 		t.Fatalf("ledger violated: %+v", st)
 	}
 
@@ -410,7 +410,7 @@ func TestBrownoutWidensShedsAndPauses(t *testing.T) {
 	if st.BusyBackpressure == 0 {
 		t.Fatalf("no busy backpressure frame counted: %+v", st)
 	}
-	if st.Offered != st.Delivered+st.ShedOverflow+st.ShedStale+st.ShedTeardown+st.RefusedLate {
+	if !st.LedgerConserved() {
 		t.Fatalf("ledger violated: %+v", st)
 	}
 }

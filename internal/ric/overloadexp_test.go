@@ -1,8 +1,10 @@
-package ric
+package ric_test
 
 import (
 	"testing"
 	"time"
+
+	"waran/internal/exp"
 )
 
 // TestRunOverloadSmall runs the full overload chaos experiment at reduced
@@ -11,7 +13,7 @@ import (
 // xApp (breaker open, not quarantined) while the healthy xApp behind it
 // answers the offered load.
 func TestRunOverloadSmall(t *testing.T) {
-	cfg := OverloadExpConfig{
+	cfg := exp.OverloadConfig{
 		Agents:         32,
 		Shards:         4,
 		AdmitRate:      100,
@@ -27,7 +29,7 @@ func TestRunOverloadSmall(t *testing.T) {
 		StallIters:     600_000,
 		Seed:           7,
 	}
-	res, err := RunOverload(cfg)
+	res, err := exp.RunOverload(cfg)
 	if err != nil {
 		t.Fatalf("RunOverload: %v (result %+v)", err, res)
 	}
