@@ -24,7 +24,8 @@ func TestPluginFaultsE2E(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	rep, err := exp.RunPluginFaults(exp.PluginFaultsConfig{
-		Obs: reg,
+		Obs:  reg,
+		Seed: 7, // the table's default, which the record holds
 		// Every chaos-guest fault ends within its 100 000-instruction fuel,
 		// so after the breaker opens a missed deadline could only come from
 		// the supervisor path itself. The budget is generous against

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Body-level encoding of indications and control requests in the binary
@@ -182,24 +183,30 @@ func AppendControlList(b []byte, list []ControlRequest) []byte {
 	return w.b
 }
 
-// DecodeControlList parses an encoded control list.
-func DecodeControlList(b []byte) ([]ControlRequest, error) {
+// DecodeControlListAppend parses an encoded control list onto the end of
+// dst, so a caller that reuses its list decodes without allocating for it.
+// The decoded requests keep nothing of b. On error dst comes back as it was.
+func DecodeControlListAppend(dst []ControlRequest, b []byte) ([]ControlRequest, error) {
 	r := &breader{b: b}
 	n, err := r.u16()
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if r.left() < int(n)*minControlBytes {
-		return nil, ErrMalformed
+		return dst, ErrMalformed
 	}
-	list := make([]ControlRequest, n)
-	for i := range list {
+	base := len(dst)
+	list := slices.Grow(dst, int(n))[:base+int(n)]
+	for i := base; i < len(list); i++ {
+		list[i] = ControlRequest{}
 		if err := readControlBodyInto(r, &list[i]); err != nil {
-			return nil, err
+			clear(list[base:])
+			return dst, err
 		}
 	}
 	if r.left() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in control list", ErrMalformed, r.left())
+		clear(list[base:])
+		return dst, fmt.Errorf("%w: %d trailing bytes in control list", ErrMalformed, r.left())
 	}
 	return list, nil
 }

@@ -167,7 +167,7 @@ func TestForgedCountsAllocateNothing(t *testing.T) {
 	for name, decode := range map[string]func() error{
 		"indication":   func() error { _, err := (BinaryCodec{}).Decode(ind.b); return err },
 		"batch":        func() error { _, err := (BinaryCodec{}).Decode(batch.b); return err },
-		"control list": func() error { _, err := DecodeControlList(list.b); return err },
+		"control list": func() error { _, err := DecodeControlListAppend(nil, list.b); return err },
 	} {
 		var err error
 		if n := allocatedBy(func() { err = decode() }); n >= 4<<10 {

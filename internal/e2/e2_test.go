@@ -272,7 +272,7 @@ func TestControlListRoundTrip(t *testing.T) {
 		{Action: ActionSwapScheduler, SliceID: 4, Text: "pf"},
 	}
 	b := AppendControlList(nil, list)
-	got, err := DecodeControlList(b)
+	got, err := DecodeControlListAppend(nil, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,12 +280,42 @@ func TestControlListRoundTrip(t *testing.T) {
 		t.Fatalf("mismatch: %+v", got)
 	}
 	// Empty list.
-	if got, err := DecodeControlList(AppendControlList(nil, nil)); err != nil || len(got) != 0 {
+	if got, err := DecodeControlListAppend(nil, AppendControlList(nil, nil)); err != nil || len(got) != 0 {
 		t.Fatalf("empty list: %v, %v", got, err)
 	}
 	// Trailing bytes rejected.
-	if _, err := DecodeControlList(append(b, 0)); err == nil {
+	if _, err := DecodeControlListAppend(nil, append(b, 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
+	}
+}
+
+// TestDecodeControlListAppend: the appending decoder keeps what dst held,
+// resets the storage it reuses, and on a malformed list hands dst back as
+// it was.
+func TestDecodeControlListAppend(t *testing.T) {
+	held := ControlRequest{Action: ActionSetSliceTarget, SliceID: 2, Value: 5e6}
+	dst := make([]ControlRequest, 1, 4)
+	dst[0] = held
+	// A stale entry past len, as a reused list carries one.
+	dst[:2][1] = ControlRequest{Action: ActionUploadScheduler, Blob: []byte{1}}
+	list := []ControlRequest{{Action: ActionSetSliceWeight, SliceID: 1, Value: 2.5}}
+	got, err := DecodeControlListAppend(dst, AppendControlList(nil, list))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []ControlRequest{held, list[0]}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %+v, want %+v", got, want)
+	}
+	if &got[0] != &dst[0] {
+		t.Fatal("the list was not decoded into dst's storage")
+	}
+	bad := append(AppendControlList(nil, list), 0)
+	again, err := DecodeControlListAppend(got[:1], bad)
+	if err == nil {
+		t.Fatal("trailing bytes accepted")
+	}
+	if len(again) != 1 || !reflect.DeepEqual(again[0], held) {
+		t.Fatalf("a malformed list left %+v, want dst as it was", again)
 	}
 }
 

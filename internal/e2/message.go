@@ -31,7 +31,10 @@ const (
 	TypeIndication
 	// TypeControlRequest carries a control action toward the RAN.
 	TypeControlRequest
-	// TypeControlAck reports the outcome of a control action.
+	// TypeControlAck reports the outcome of a control action when it is
+	// news: a refusal with its reason, or the verdict on a scheduler swap or
+	// upload. An applied parameter control is not acknowledged; the next
+	// indication carries its effect.
 	TypeControlAck
 	// TypeHeartbeat keeps the association alive.
 	TypeHeartbeat

@@ -116,10 +116,10 @@ func RunE2Faults(cfg E2FaultsConfig, ran ric.RANControl, step func(slot uint64))
 		cfg.LivenessTimeout = 4 * cfg.Heartbeat
 	}
 	if len(cfg.Faults) == 0 {
-		// The blackhole threshold is odd so it lands on a frame boundary
-		// (every Send is two writes: header, payload) and the association
-		// goes cleanly silent — the half-open case only liveness catches —
-		// rather than desynchronizing the peer's framing.
+		// Every Send is one write, so the blackhole lands on a frame
+		// boundary whatever its threshold and the association goes cleanly
+		// silent — the half-open case only liveness catches — rather than
+		// desynchronizing the peer's framing.
 		cfg.Faults = []e2.FaultConfig{
 			{BlackholeAfterWrites: 41},
 			{DropProb: cfg.Drop, ResetAfterWrites: cfg.ResetAfterWrites},

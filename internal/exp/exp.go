@@ -73,7 +73,7 @@ var All = []Experiment{
 		}
 	}},
 	{"pluginfaults", "plugin fault storm: breaker quarantine, shadow-validated recovery, sleeper rollback (JSON)", func(k *knobs) Run {
-		c := PluginFaultsConfig{}.withDefaults()
+		c := PluginFaultsConfig{Seed: 7}.withDefaults()
 		flight := 0
 		knob(k, &c.Cells, "cells", "number of cells in the group")
 		knob(k, &c.Parallelism, "par", "worker parallelism (0 = cells)")

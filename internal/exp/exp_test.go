@@ -60,6 +60,27 @@ func TestE2FaultsExplicitZeroReachesRun(t *testing.T) {
 	}
 }
 
+// TestPluginFaultsExplicitZeroSeedReachesRun: seed 0 is a chaos seed like
+// any other, so -pluginfaults.seed 0 must run seed 0, not the default 7.
+func TestPluginFaultsExplicitZeroSeedReachesRun(t *testing.T) {
+	e, ok := Lookup("pluginfaults")
+	if !ok {
+		t.Fatal("pluginfaults is not in the table")
+	}
+	fs := flag.NewFlagSet("waranbench", flag.ContinueOnError)
+	run, _ := e.Bind(fs)
+	if err := fs.Parse([]string{"-pluginfaults.seed", "0", "-pluginfaults.cells", "1"}); err != nil {
+		t.Fatal(err)
+	}
+	out, err := run(Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := out.(*PluginFaultsResult); res.Seed != 0 {
+		t.Fatalf("ran seed %d, want 0", res.Seed)
+	}
+}
+
 // TestBinariesDoNotLinkExp walks the module imports of the gNB and RIC
 // binaries: the experiments are for waranbench, not for production.
 func TestBinariesDoNotLinkExp(t *testing.T) {

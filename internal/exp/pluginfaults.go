@@ -146,7 +146,8 @@ type PluginFaultsConfig struct {
 	Cells int
 	// Parallelism is the group's stripe count (0 = Cells).
 	Parallelism int
-	// Seed selects the chaos guests' fault schedule (default 7).
+	// Seed selects the chaos guests' fault schedule. Zero is a seed like any
+	// other; the experiment's table binds 7.
 	Seed int64
 	// SlotDeadline is each cell's wall-clock slot budget (0 = the paper's
 	// 1 ms); tests raise it so shared-machine jitter cannot register as a
@@ -165,9 +166,6 @@ type PluginFaultsConfig struct {
 func (c PluginFaultsConfig) withDefaults() PluginFaultsConfig {
 	if c.Cells <= 0 {
 		c.Cells = 4
-	}
-	if c.Seed == 0 {
-		c.Seed = 7
 	}
 	return c
 }

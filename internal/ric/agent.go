@@ -64,9 +64,11 @@ func (c AgentConfig) Validate() error {
 // RIC's subscription (including mid-association re-subscriptions), streams
 // indications at the subscribed cadence (driven by Tick from the MAC slot
 // loop), applies incoming control actions, and echoes heartbeats so the
-// RIC can track liveness. Its replies (control acks, heartbeat echoes) are
-// held only while the next frame is already buffered, so a run of controls
-// that arrived together is answered in one write.
+// RIC can track liveness. A control is answered only when the answer is
+// news (see answers): a refusal, or the verdict on a scheduler swap or
+// upload; an applied parameter control shows in the next indication. Its
+// replies are held only while the next frame is already buffered, so a run
+// of controls that arrived together is answered in one write.
 //
 // With batching configured and negotiated, due-slot indications coalesce
 // into one e2.IndicationBatch frame per window; a partial window is flushed
@@ -91,14 +93,15 @@ type Agent struct {
 	// due-slot indications are shed at the source until it passes.
 	pausedUntilNs atomic.Int64 // metric-exempt: pause deadline, not telemetry
 
-	// batchMu guards the pending window: Tick appends from the slot loop
-	// while a re-subscription on the receive loop may renegotiate
-	// capability mid-window.
-	batchMu       sync.Mutex
-	pending       []e2.Indication
-	pendingSince  time.Time // when the oldest pending indication was buffered
-	pendingBuild  time.Time // buildStart of the first pending indication (traced)
-	pendingTraced bool
+	// indMsg is the frame Tick sends an unbatched indication in. Only Tick
+	// uses it, on the owner's slot loop.
+	indMsg e2.Message
+
+	// batchMu guards the pending window and the spare: Tick appends from
+	// the slot loop while the owner may Flush from another goroutine.
+	batchMu sync.Mutex
+	pending *window // filling; nil when nothing is buffered
+	spare   *window // a flushed window kept for reuse
 
 	mu           sync.Mutex
 	sliceFilter  []uint32
@@ -122,6 +125,18 @@ type Agent struct {
 // maxPendingReplies bounds the replies the receive loop holds back: a run
 // of buffered frames longer than this is answered in several writes.
 const maxPendingReplies = 64
+
+// window is one batch of due-slot indications and the frame it leaves in.
+// It belongs to the agent while it fills and to one Flush while its write is
+// in flight; only then does it come back, as the spare.
+type window struct {
+	inds   []e2.Indication
+	since  time.Time // when the oldest indication was buffered
+	build  time.Time // buildStart of the first indication (traced)
+	traced bool
+	batch  e2.IndicationBatch
+	msg    e2.Message
+}
 
 // reply is one queued answer, with storage for a control ack's body so
 // queueing allocates nothing once the slice has grown.
@@ -209,8 +224,9 @@ func (a *Agent) recvLoop() error {
 	}
 }
 
-// receive reads one frame: a control request is applied and its ack queued;
-// anything else, and every frame of the handshake, goes through the core.
+// receive reads one frame: a control request is applied and, when its
+// outcome is news, answered; anything else, and every frame of the
+// handshake, goes through the core.
 func (a *Agent) receive(handshake bool) (bool, error) {
 	m, err := a.conn.Recv()
 	switch {
@@ -221,17 +237,32 @@ func (a *Agent) receive(handshake bool) (bool, error) {
 		return a.assoc.step(assocEvent{kind: evFrame, msg: m})
 	}
 	applyErr := a.applyControl(m)
-	r := a.queueReply(e2.Message{Type: e2.TypeControlAck, RequestID: m.RequestID, RANFunction: m.RANFunction})
-	r.ack.Accepted = applyErr == nil
 	a.mu.Lock()
 	if applyErr == nil {
 		a.controlsOK++
 	} else {
 		a.controlsFail++
-		r.ack.Reason = applyErr.Error()
 	}
 	a.mu.Unlock()
+	if applyErr == nil && !answers(m.Control.Action) {
+		return false, nil
+	}
+	r := a.queueReply(e2.Message{Type: e2.TypeControlAck, RequestID: m.RequestID, RANFunction: m.RANFunction})
+	r.ack.Accepted = applyErr == nil
+	if applyErr != nil {
+		r.ack.Reason = applyErr.Error()
+	}
 	return false, nil
+}
+
+// answers reports whether an applied control of kind act is acknowledged.
+// A scheduler swap or upload is: its verdict (the supervisor may reject the
+// candidate) shows in no KPM report. A parameter control is not: the next
+// indication carries its effect, so an ack would be a frame nobody reads —
+// the choice E2AP's RIC Control Ack Request IE offers as nAck-only. A
+// refused control is always answered, with its reason.
+func answers(act e2.ControlAction) bool {
+	return act == e2.ActionSwapScheduler || act == e2.ActionUploadScheduler
 }
 
 // queueReply appends m to the replies owed and returns its slot, valid
@@ -274,10 +305,10 @@ func (a *Agent) applyControl(m *e2.Message) error {
 	return a.ran.Apply(m.Control)
 }
 
-// Tick is called by the owner after each MAC slot; at the subscribed
-// cadence it snapshots KPM state and sends (or, on a batched association,
-// buffers) an indication. On every slot — due or not — it checks the
-// pending window's flush deadline.
+// Tick is called by the owner after each MAC slot, from one goroutine; at
+// the subscribed cadence it snapshots KPM state and sends (or, on a batched
+// association, buffers) an indication. On every slot — due or not — it
+// checks the pending window's flush deadline.
 func (a *Agent) Tick(slot uint64) error {
 	period := a.periodSlots.Load()
 	if a.Paused() {
@@ -310,7 +341,8 @@ func (a *Agent) Tick(slot uint64) error {
 	if a.peerBatched.Load() && a.cfg.Batch.enabled() {
 		return a.bufferIndication(ind, tracing, buildStart)
 	}
-	msg := &e2.Message{
+	msg := &a.indMsg
+	*msg = e2.Message{
 		Type:        e2.TypeIndication,
 		RANFunction: e2.RANFunctionKPM,
 		Indication:  ind,
@@ -358,13 +390,17 @@ func (a *Agent) sendTraced(msg *e2.Message, slot uint64, buildStart time.Time) e
 // flushing when the window fills.
 func (a *Agent) bufferIndication(ind *e2.Indication, tracing bool, buildStart time.Time) error {
 	a.batchMu.Lock()
-	if len(a.pending) == 0 {
-		a.pendingSince = time.Now()
-		a.pendingBuild = buildStart
-		a.pendingTraced = tracing
+	w := a.pending
+	if w == nil {
+		w, a.spare = a.spare, nil
+		if w == nil {
+			w = &window{}
+		}
+		w.since, w.build, w.traced = time.Now(), buildStart, tracing
+		a.pending = w
 	}
-	a.pending = append(a.pending, *ind)
-	full := len(a.pending) >= a.cfg.Batch.Window
+	w.inds = append(w.inds, *ind)
+	full := len(w.inds) >= a.cfg.Batch.Window
 	a.batchMu.Unlock()
 	if full {
 		return a.Flush()
@@ -376,7 +412,7 @@ func (a *Agent) bufferIndication(ind *e2.Indication, tracing bool, buildStart ti
 // waited past the flush interval.
 func (a *Agent) flushIfOverdue() error {
 	a.batchMu.Lock()
-	overdue := len(a.pending) > 0 && time.Since(a.pendingSince) >= a.cfg.Batch.FlushInterval
+	overdue := a.pending != nil && time.Since(a.pending.since) >= a.cfg.Batch.FlushInterval
 	a.batchMu.Unlock()
 	if !overdue {
 		return nil
@@ -386,17 +422,32 @@ func (a *Agent) flushIfOverdue() error {
 
 // Flush sends the pending indication window immediately (a no-op when
 // nothing is buffered). Owners call it at teardown so buffered indications
-// are not lost with the association.
+// are not lost with the association; it may run concurrently with Tick.
 func (a *Agent) Flush() error {
 	a.batchMu.Lock()
-	pending := a.pending
-	buildStart := a.pendingBuild
-	tracing := a.pendingTraced
+	w := a.pending
 	a.pending = nil
 	a.batchMu.Unlock()
-	if len(pending) == 0 {
+	if w == nil {
 		return nil
 	}
+	err := a.sendWindow(w)
+	// The write has returned, so nothing reads the window any more: it
+	// becomes the spare the next window fills.
+	clear(w.inds) // drop the snapshots' rows
+	w.inds = w.inds[:0]
+	a.batchMu.Lock()
+	if a.spare == nil {
+		a.spare = w
+	}
+	a.batchMu.Unlock()
+	return err
+}
+
+// sendWindow writes one window: as one batch frame, or, when the peer no
+// longer takes batches, as its indications' own frames.
+func (a *Agent) sendWindow(w *window) error {
+	pending := w.inds
 	if !a.peerBatched.Load() {
 		// The peer renegotiated away from batching mid-window (RIC restart
 		// re-subscribed without the capability): deliver the buffered
@@ -419,15 +470,16 @@ func (a *Agent) Flush() error {
 	a.mu.Lock()
 	a.batchFrames++
 	a.mu.Unlock()
-	msg := &e2.Message{
+	w.batch = e2.IndicationBatch{Indications: pending}
+	w.msg = e2.Message{
 		Type:        e2.TypeIndicationBatch,
 		RANFunction: e2.RANFunctionKPM,
-		Batch:       &e2.IndicationBatch{Indications: pending},
+		Batch:       &w.batch,
 	}
-	if !tracing || !a.peerTraced.Load() {
-		return a.conn.Send(msg)
+	if !w.traced || !a.peerTraced.Load() {
+		return a.conn.Send(&w.msg)
 	}
-	return a.sendTraced(msg, pending[0].Slot, buildStart)
+	return a.sendTraced(&w.msg, pending[0].Slot, w.build)
 }
 
 // Paused reports whether the agent is currently shedding at the source
@@ -451,7 +503,10 @@ func (a *Agent) OverloadCounters() (busyFrames, pausedSheds, lostInFlush uint64)
 func (a *Agent) PendingBatched() int {
 	a.batchMu.Lock()
 	defer a.batchMu.Unlock()
-	return len(a.pending)
+	if a.pending == nil {
+		return 0
+	}
+	return len(a.pending.inds)
 }
 
 // Batched reports whether batching was negotiated on this association.

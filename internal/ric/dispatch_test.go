@@ -33,8 +33,9 @@ func loopIndication() *e2.Indication {
 
 // dispatchAllocs is what one indication costs the dispatcher with the sla
 // and steer xApps, up to its controls leaving in one write: the KPM store's
-// stamp, the xApps' output copies and the sla xApp's decoded control list.
-const dispatchAllocs = 4
+// stamp. The xApps' outputs stay in their instances' buffers and decode
+// straight onto the dispatcher's reused control list.
+const dispatchAllocs = 1
 
 // TestDispatchAllocsPinned runs indications through an association
 // dispatcher's step and pins what a warmed-up one allocates.

@@ -2,6 +2,7 @@ package ric
 
 import (
 	"encoding/binary"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -67,8 +68,9 @@ func (*threeSliceRAN) Snapshot(cell uint32) *e2.Indication {
 }
 
 // TestIndicationRoundTripWrites pins the write rule end to end over a
-// synchronous pipe: an indication that draws three controls costs the RIC
-// exactly one write and the agent exactly one ack write.
+// synchronous pipe: an indication that draws three parameter controls costs
+// the agent one write and the RIC one, and the agent answers none of them —
+// its next write is the next indication, which carries their effect.
 func TestIndicationRoundTripWrites(t *testing.T) {
 	r := MustNew(Config{ReportPeriodMs: 1})
 	if _, err := r.AddXAppWAT("sla", plugins.SLAAssureXAppWAT, wabi.Policy{}); err != nil {
@@ -111,28 +113,52 @@ func TestIndicationRoundTripWrites(t *testing.T) {
 			t.Fatalf("RIC's control write carries %v", controls)
 		}
 	}
-	acks := frameTypes(t, agentTap.next(t, "the acks"))
-	if len(acks) != 3 {
-		t.Fatalf("agent's ack write carries %v, want all 3 acks", acks)
+	waitApplied(t, agent, 3)
+	if err := agent.Tick(1); err != nil {
+		t.Fatal(err)
 	}
-	for _, ty := range acks {
-		if ty != e2.TypeControlAck {
-			t.Fatalf("agent's ack write carries %v", acks)
-		}
+	if got := frameTypes(t, agentTap.next(t, "the next indication")); len(got) != 1 || got[0] != e2.TypeIndication {
+		t.Fatalf("agent's write after three applied controls carries %v, want the next indication alone", got)
 	}
-	if _, ok, fail := agent.Counters(); ok != 3 || fail != 0 {
-		t.Fatalf("agent applied %d controls (%d failed), want 3", ok, fail)
+	if got := frameTypes(t, ricTap.next(t, "the next controls")); len(got) != 3 {
+		t.Fatalf("RIC's second control write carries %v, want 3 controls", got)
+	}
+	// The agent has read the second three controls, so it would have
+	// written any reply to the first three by now.
+	waitApplied(t, agent, 6)
+	select {
+	case b := <-agentTap.writes:
+		t.Fatalf("agent wrote %v beyond its two indications", frameTypes(t, b))
+	default:
+	}
+	if _, _, fail := agent.Counters(); fail != 0 {
+		t.Fatalf("%d controls failed", fail)
 	}
 }
 
-// pipedAgent starts an agent behind a synchronous pipe and subscribes it;
-// the returned raw end writes bytes of the test's choosing, ric reads what
-// the agent sends.
-func pipedAgent(t *testing.T) (raw net.Conn, ric *e2.Conn, ran *fakeRAN) {
+// waitApplied waits until agent has applied n controls.
+func waitApplied(t *testing.T, agent *Agent, n uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, ok, fail := agent.Counters()
+		if ok+fail >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("agent handled %d controls, want %d", ok+fail, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// pipedAgent starts an agent on ran behind a synchronous pipe and
+// subscribes it; the returned raw end writes bytes of the test's choosing,
+// ric reads what the agent sends.
+func pipedAgent(t *testing.T, ran RANControl) (raw net.Conn, ric *e2.Conn) {
 	t.Helper()
 	agentEnd, raw := net.Pipe()
 	t.Cleanup(func() { raw.Close(); agentEnd.Close() })
-	ran = &fakeRAN{}
 	agent, err := NewAgent(e2.NewConn(agentEnd, e2.BinaryCodec{}), ran, AgentConfig{Cell: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +184,7 @@ func pipedAgent(t *testing.T) (raw net.Conn, ric *e2.Conn, ran *fakeRAN) {
 	if err := <-started; err != nil {
 		t.Fatal(err)
 	}
-	return raw, ric, ran
+	return raw, ric
 }
 
 func recvType(t *testing.T, c *e2.Conn) *e2.Message {
@@ -170,12 +196,14 @@ func recvType(t *testing.T, c *e2.Conn) *e2.Message {
 	return m
 }
 
-// controlFrame encodes one control request as its wire frame.
-func controlFrame(t *testing.T, reqID uint32) []byte {
+// swapTo is a scheduler swap, a control the agent always answers.
+var swapTo = e2.ControlRequest{Action: e2.ActionSwapScheduler, SliceID: 1, Text: "pf"}
+
+// controlFrame encodes control c, numbered reqID, as its wire frame.
+func controlFrame(t *testing.T, reqID uint32, c e2.ControlRequest) []byte {
 	t.Helper()
 	sink := &frameSink{}
-	m := &e2.Message{Type: e2.TypeControlRequest, RequestID: reqID, RANFunction: e2.RANFunctionRC,
-		Control: &e2.ControlRequest{Action: e2.ActionSetSliceWeight, SliceID: 1, Value: 2}}
+	m := &e2.Message{Type: e2.TypeControlRequest, RequestID: reqID, RANFunction: e2.RANFunctionRC, Control: &c}
 	if err := e2.NewConn(sink, e2.BinaryCodec{}).Send(m); err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +224,9 @@ func (s *frameSink) Write(b []byte) (int, error) {
 // TestLoneControlIsAcked: a control followed by silence is answered — the
 // agent does not hold its ack for a frame that is not coming.
 func TestLoneControlIsAcked(t *testing.T) {
-	raw, ric, ran := pipedAgent(t)
-	if _, err := raw.Write(controlFrame(t, 7)); err != nil {
+	ran := &fakeRAN{}
+	raw, ric := pipedAgent(t, ran)
+	if _, err := raw.Write(controlFrame(t, 7, swapTo)); err != nil {
 		t.Fatal(err)
 	}
 	m := recvType(t, ric)
@@ -214,8 +243,8 @@ func TestLoneControlIsAcked(t *testing.T) {
 // TestAckNotHeldBehindHalfFrame: a control whose successor has only half
 // arrived is answered at once, not when the rest of the successor lands.
 func TestAckNotHeldBehindHalfFrame(t *testing.T) {
-	raw, ric, _ := pipedAgent(t)
-	first, second := controlFrame(t, 7), controlFrame(t, 8)
+	raw, ric := pipedAgent(t, &fakeRAN{})
+	first, second := controlFrame(t, 7, swapTo), controlFrame(t, 8, swapTo)
 	half := len(second) / 2
 	// One write, so the agent's reader holds both parts at once.
 	if _, err := raw.Write(append(append([]byte(nil), first...), second[:half]...)); err != nil {
@@ -229,5 +258,45 @@ func TestAckNotHeldBehindHalfFrame(t *testing.T) {
 	}
 	if m := recvType(t, ric); m.Type != e2.TypeControlAck || m.RequestID != 8 {
 		t.Fatalf("got %s #%d, want the ack of control 8", m.Type, m.RequestID)
+	}
+}
+
+// refusingRAN refuses every control, as a gNB refuses one for a slice it
+// does not have.
+type refusingRAN struct{ fakeRAN }
+
+func (*refusingRAN) Apply(c *e2.ControlRequest) error {
+	return fmt.Errorf("slice %d unknown", c.SliceID)
+}
+
+// TestRefusedParameterControlIsNacked: a parameter control that applied
+// goes unanswered, but one the RAN refuses is answered with the reason, and
+// only it.
+func TestRefusedParameterControlIsNacked(t *testing.T) {
+	raw, ric := pipedAgent(t, &refusingRAN{})
+	weight := e2.ControlRequest{Action: e2.ActionSetSliceWeight, SliceID: 9, Value: 2}
+	if _, err := raw.Write(controlFrame(t, 7, weight)); err != nil {
+		t.Fatal(err)
+	}
+	m := recvType(t, ric)
+	if m.Type != e2.TypeControlAck || m.RequestID != 7 || m.ControlAck.Accepted {
+		t.Fatalf("got %s #%d %+v, want the refusal of control 7", m.Type, m.RequestID, m.ControlAck)
+	}
+	if want := "slice 9 unknown"; m.ControlAck.Reason != want {
+		t.Fatalf("refusal reason %q, want %q", m.ControlAck.Reason, want)
+	}
+}
+
+// TestAppliedParameterControlIsNotAcked: of a weight control and a swap
+// that both applied, only the swap is answered.
+func TestAppliedParameterControlIsNotAcked(t *testing.T) {
+	raw, ric := pipedAgent(t, &fakeRAN{})
+	weight := e2.ControlRequest{Action: e2.ActionSetSliceWeight, SliceID: 1, Value: 2}
+	frames := append(controlFrame(t, 7, weight), controlFrame(t, 8, swapTo)...)
+	if _, err := raw.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	if m := recvType(t, ric); m.Type != e2.TypeControlAck || m.RequestID != 8 || !m.ControlAck.Accepted {
+		t.Fatalf("got %s #%d, want the ack of the swap (control 8) alone", m.Type, m.RequestID)
 	}
 }

@@ -304,11 +304,8 @@ func (r *RIC) handleIndicationOn(sh *shard, ind *e2.Indication, ctx trace.Contex
 	payload := e2.AppendIndicationBody(sc.payload[:0], ind)
 	out := sc.controls[:0]
 	for _, x := range r.xappSnapshot() {
-		list, err := x.invoke(r, payload)
-		if err != nil {
-			continue // fault already recorded
-		}
-		out = append(out, list...)
+		// A fault is recorded and appends nothing.
+		out, _ = x.invoke(r, payload, out)
 	}
 	if cap(payload) <= maxRetainedPayload {
 		sc.payload = payload

@@ -140,26 +140,27 @@ func (r *RIC) hostFuncs(self *XApp) map[string]*wasm.HostFunc {
 	}
 }
 
-// invoke runs the xApp on an encoded indication, returning its requested
-// control actions. Faults are contained and counted; an xApp whose breaker
-// is open returns no actions.
-func (x *XApp) invoke(r *RIC, indication []byte) ([]e2.ControlRequest, error) {
-	list, err := x.call(indication)
+// invoke runs the xApp on an encoded indication, appending its requested
+// control actions to dst. Faults are contained and counted and leave dst as
+// it was; an xApp whose breaker is open appends nothing.
+func (x *XApp) invoke(r *RIC, indication []byte, dst []e2.ControlRequest) ([]e2.ControlRequest, error) {
+	dst, err := x.call(indication, dst)
 	if err != nil {
 		if r.cfg.OnFault != nil {
 			r.cfg.OnFault(x.Name, err)
 		}
-		return nil, fmt.Errorf("ric: xApp %q: %w", x.Name, err)
+		return dst, fmt.Errorf("ric: xApp %q: %w", x.Name, err)
 	}
-	return list, nil
+	return dst, nil
 }
 
-// call is one dispatch decision. The breaker gate, the sandbox call and the
-// breaker's record of its outcome all happen while the instance is checked
-// out: a dispatch that queued behind the calls that tripped the breaker sees
-// it open and is skipped. A replacement instance that fails to instantiate
-// is a fault like any other.
-func (x *XApp) call(indication []byte) ([]e2.ControlRequest, error) {
+// call is one dispatch decision. The breaker gate, the sandbox call, the
+// decoding of its output onto dst and the breaker's record of its outcome
+// all happen while the instance is checked out: the output is the
+// instance's own buffer until its next call, and a dispatch that queued
+// behind the calls that tripped the breaker sees it open and is skipped. A
+// replacement instance that fails to instantiate is a fault like any other.
+func (x *XApp) call(indication []byte, dst []e2.ControlRequest) ([]e2.ControlRequest, error) {
 	pl, err := x.pool.Get()
 	if err == nil {
 		defer x.pool.Put(pl)
@@ -175,13 +176,12 @@ func (x *XApp) call(indication []byte) ([]e2.ControlRequest, error) {
 	}
 	x.mu.Unlock()
 	if !run {
-		return nil, nil
+		return dst, nil
 	}
-	var list []e2.ControlRequest
 	if err == nil {
 		var out []byte
 		if out, err = pl.Call(XAppEntry, indication); err == nil {
-			list, err = e2.DecodeControlList(out)
+			dst, err = e2.DecodeControlListAppend(dst, out)
 		}
 	}
 	x.breaker.Record(wabi.ClassOf(err))
@@ -189,7 +189,6 @@ func (x *XApp) call(indication []byte) ([]e2.ControlRequest, error) {
 		x.mu.Lock()
 		x.totalFaults++
 		x.mu.Unlock()
-		return nil, err
 	}
-	return list, nil
+	return dst, err
 }

@@ -1,6 +1,7 @@
 package wabi
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
@@ -144,14 +145,17 @@ func (p *Pool) Put(pl *Plugin) {
 	}
 }
 
-// Call is the checkout-call-return convenience wrapper.
+// Call is the checkout-call-return convenience wrapper. The instance is
+// back in the pool when it returns, so its output is returned as a copy the
+// caller owns.
 func (p *Pool) Call(entry string, input []byte) ([]byte, error) {
 	pl, err := p.Get()
 	if err != nil {
 		return nil, err
 	}
 	defer p.Put(pl)
-	return pl.Call(entry, input)
+	out, err := pl.Call(entry, input)
+	return bytes.Clone(out), err
 }
 
 // PoolStats is the flat snapshot of a Pool: occupancy plus the checkout

@@ -32,6 +32,30 @@ func TestPoolReusesInstances(t *testing.T) {
 	}
 }
 
+// TestPoolCallOutputIsTheCallers: Pool.Call returns the instance to the
+// pool, so its result must survive the next call on that same instance.
+func TestPoolCallOutputIsTheCallers(t *testing.T) {
+	mod, err := CompileWAT(echoWAT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewPool(mod, Policy{}, Env{}, 1)
+	first, err := pool.Call("run", []byte("first"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := pool.Call("run", []byte("second"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := pool.Stats(); st.Created != 1 {
+		t.Fatalf("%d instances created, want both calls on one", st.Created)
+	}
+	if string(first) != "first" || string(second) != "second" {
+		t.Fatalf("outputs %q, %q; want \"first\", \"second\"", first, second)
+	}
+}
+
 func TestPoolConcurrentCalls(t *testing.T) {
 	mod, err := CompileWAT(echoWAT)
 	if err != nil {

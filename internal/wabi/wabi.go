@@ -47,10 +47,13 @@ const DefaultMaxMemoryPages = 256 // 16 MiB
 const DefaultFuel = 10_000_000
 
 // maxInputBytes and maxOutputBytes bound every call's input and what its
-// guest may emit.
+// guest may emit; maxRetainedOutput caps the output buffer an instance keeps
+// between calls, so one outsized answer does not pin its copy for the
+// instance's life.
 const (
-	maxInputBytes  = 1 << 20
-	maxOutputBytes = 1 << 20
+	maxInputBytes     = 1 << 20
+	maxOutputBytes    = 1 << 20
+	maxRetainedOutput = 64 << 10
 )
 
 // Policy bounds the resources one plugin may consume per call and overall.
@@ -164,6 +167,10 @@ type Plugin struct {
 	input    []byte
 	output   []byte
 	guestErr string
+	// outBuf is the storage output_write copies the guest's output into,
+	// reused from call to call: what Call returns is valid until the next
+	// Call on this instance.
+	outBuf []byte
 
 	// ret is what the "waran" host functions return their one result in,
 	// and callRes where the entry function's result lands: both are read
@@ -284,11 +291,11 @@ func (p *Plugin) abiModule() map[string]*wasm.HostFunc {
 				if n > maxOutputBytes {
 					return nil, fmt.Errorf("wabi: output of %d bytes exceeds limit %d", n, maxOutputBytes)
 				}
-				b, err := ctx.Memory().Read(ptr, n)
+				b, err := ctx.Memory().AppendRead(p.outBuf[:0], ptr, n)
 				if err != nil {
 					return nil, err
 				}
-				p.output = b
+				p.outBuf, p.output = b, b
 				return nil, nil
 			},
 		},
@@ -351,15 +358,20 @@ func (p *Plugin) MemoryBytes() int {
 }
 
 // Call invokes the exported entry function with input, returning the bytes
-// the guest wrote via output_write. All failure modes — traps, fuel
-// exhaustion, non-zero return codes — surface as *CallError; the host and
-// the plugin's module remain usable.
+// the guest wrote via output_write. They are the plugin's own buffer, valid
+// until the next Call on this instance: a caller that keeps them longer
+// copies them. All failure modes — traps, fuel exhaustion, non-zero return
+// codes — surface as *CallError; the host and the plugin's module remain
+// usable.
 func (p *Plugin) Call(entry string, input []byte) ([]byte, error) {
 	if len(input) > maxInputBytes {
 		return nil, fmt.Errorf("wabi: input of %d bytes exceeds limit %d", len(input), maxInputBytes)
 	}
 	p.input = input
 	p.output = nil
+	if cap(p.outBuf) > maxRetainedOutput {
+		p.outBuf = nil
+	}
 	p.guestErr = ""
 	p.lastClass = FailNone
 	if p.policy.Fuel > 0 {

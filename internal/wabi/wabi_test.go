@@ -57,6 +57,58 @@ func TestEchoRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCallOutputValidUntilNextCall: what Call returns is the plugin's copy,
+// not a view of guest memory, so it holds until the next Call on the
+// instance, whatever the memory does meanwhile; the next Call reuses it.
+func TestCallOutputValidUntilNextCall(t *testing.T) {
+	p := mustPlugin(t, echoWAT, Policy{}, Env{})
+	out, err := p.Call("run", []byte("first output"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Instance().Memory().Write(1024, []byte("scribbled on!")); err != nil {
+		t.Fatal(err)
+	}
+	if string(out) != "first output" {
+		t.Fatalf("output changed with guest memory: %q", out)
+	}
+	next, err := p.Call("run", []byte("second"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(next) != "second" {
+		t.Fatalf("second output = %q", next)
+	}
+	if &next[0] != &out[0] {
+		t.Fatal("the second call's output is not in the first one's buffer")
+	}
+}
+
+// TestOutsizedOutputNotRetained: the output buffer outlives a call only up
+// to maxRetainedOutput, so one large answer does not pin its copy.
+func TestOutsizedOutputNotRetained(t *testing.T) {
+	const bigWAT = `(module
+  (import "waran" "output_write" (func $output_write (param i32 i32)))
+  (memory (export "memory") 2)
+  (func (export "run") (result i32)
+    (call $output_write (i32.const 0) (i32.const 100000))
+    (i32.const 0)))`
+	p := mustPlugin(t, bigWAT, Policy{}, Env{})
+	out, err := p.Call("run", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 100000 {
+		t.Fatalf("output of %d bytes, want 100000", len(out))
+	}
+	if _, err := p.Call("missing", nil); err == nil {
+		t.Fatal("a call to a missing export succeeded")
+	}
+	if c := cap(p.outBuf); c > maxRetainedOutput {
+		t.Fatalf("the instance keeps a %d-byte output buffer after the next call", c)
+	}
+}
+
 func TestEmptyInputAndOutput(t *testing.T) {
 	p := mustPlugin(t, echoWAT, Policy{}, Env{})
 	out, err := p.Call("run", nil)

@@ -70,6 +70,15 @@ func (m *Memory) Read(offset, n uint32) ([]byte, error) {
 	return out, nil
 }
 
+// AppendRead appends the n bytes starting at offset to dst, so a host that
+// keeps its own buffer copies guest memory out without allocating.
+func (m *Memory) AppendRead(dst []byte, offset, n uint32) ([]byte, error) {
+	if err := m.check(offset, n); err != nil {
+		return dst, err
+	}
+	return append(dst, m.data[offset:offset+n]...), nil
+}
+
 // Write copies b into memory at offset.
 func (m *Memory) Write(offset uint32, b []byte) error {
 	if err := m.check(offset, uint32(len(b))); err != nil {
