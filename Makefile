@@ -36,46 +36,12 @@ check-flake:
 	GOMAXPROCS=1 $(GO) test -race -count=20 -timeout 60m $(FLAKE_PKGS)
 	GOMAXPROCS=2 $(GO) test -race -count=20 -timeout 60m $(FLAKE_PKGS)
 
-## lint-metrics: telemetry must go through internal/obs — fail on raw
-## atomic.Uint64 counter fields outside internal/obs and internal/metrics.
+## lint-metrics: telemetry must go through internal/obs — raw atomic.Uint64
+## counters, unexposed shed counters, flight series and span names outside
+## their packages fail internal/obs TestLint (also part of `make test`).
 ## Deliberate non-metric uses carry a "metric-exempt:" comment.
 lint-metrics:
-	@bad=$$(grep -rn --include='*.go' 'atomic\.Uint64' internal cmd examples \
-		| grep -v '^internal/obs/' | grep -v '^internal/metrics/' | grep -v 'metric-exempt' || true); \
-	if [ -n "$$bad" ]; then \
-		echo "lint-metrics: raw atomic.Uint64 counters outside internal/obs|internal/metrics"; \
-		echo "(register an obs.Counter instead, or annotate the line with 'metric-exempt: <why>'):"; \
-		echo "$$bad"; \
-		exit 1; \
-	fi; \
-	bad=$$(grep -rn --include='*.go' 'Shed[A-Za-z]*  *uint64\|BrownoutTransitions  *uint64' internal cmd examples 2>/dev/null \
-		| grep -v 'metric-exempt' | cut -d: -f1 | sort -u \
-		| while read -r f; do \
-			grep -qr --include='*.go' '_shed_[a-z_]*_total' "$$(dirname $$f)" || echo "$$f"; \
-		done); \
-	if [ -n "$$bad" ]; then \
-		echo "lint-metrics: shed/brownout counters must be exposed through internal/obs"; \
-		echo "(packages declaring Shed*/BrownoutTransitions fields must register matching _shed_*_total samples):"; \
-		echo "$$bad"; \
-		exit 1; \
-	fi; \
-	bad=$$(grep -rn --include='*.go' 'waran_flight_' internal cmd examples \
-		| grep -v '^internal/obs/flight/' | grep -v '_test\.go:' || true); \
-	if [ -n "$$bad" ]; then \
-		echo "lint-metrics: waran_flight_* series must originate in internal/obs/flight"; \
-		echo "(journal through a flight.Recorder and let its Register expose the counts):"; \
-		echo "$$bad"; \
-		exit 1; \
-	fi; \
-	bad=$$(grep -rn --include='*.go' 'Span[A-Za-z]* = "' internal cmd examples \
-		| grep -v '^internal/obs/trace/spans\.go:' || true); \
-	if [ -n "$$bad" ]; then \
-		echo "lint-metrics: span name constants must live in internal/obs/trace/spans.go"; \
-		echo "(add the hop there and to its SpanNames table so HopStats and the lint see it):"; \
-		echo "$$bad"; \
-		exit 1; \
-	fi; \
-	echo "lint-metrics: ok"
+	$(GO) test -count=1 -run '^TestLint$$' ./internal/obs
 
 ## measure: the repo's measurement — four workloads, end-to-end metrics with
 ## regression bounds and a per-layer traced run (BENCHMARK.json, bench/README.md).

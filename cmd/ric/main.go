@@ -54,8 +54,6 @@ func parseFlags(args []string) (runOpts, error) {
 	fs.BoolVar(&o.nonRT, "nonrt", false, "run the non-RT RIC (SLA-tuner rApp) over the KPM history")
 	fs.StringVar(&o.httpAddr, "http", "", "serve /metrics and pprof on this address (empty = off)")
 	fs.BoolVar(&o.traceOn, "trace", false, "enable control-loop span tracing and the xApp fuel profiler (served at /debug/trace and /debug/wasm/profile)")
-	fs.IntVar(&o.shards, "shards", 0, "association shard count (0 = default)")
-	fs.BoolVar(&o.noBatch, "nobatch", false, "do not advertise windowed indication batching to agents")
 	fs.BoolVar(&o.flightOn, "flight", false, "arm the flight recorder: always-on incident journal, SLO burn-rate detectors, anomaly-triggered diagnostic bundles (served at /debug/flight, DESIGN.md 18)")
 	fs.StringVar(&o.flightDir, "flight-dir", "flight-bundles", "directory anomaly-triggered diagnostic bundles are written into")
 	err := fs.Parse(args)
@@ -68,8 +66,6 @@ type runOpts struct {
 	shim, once, nonRT, traceOn         bool
 	period                             uint32
 	hb                                 time.Duration
-	shards                             int
-	noBatch                            bool
 	flightOn                           bool
 	flightDir                          string
 }
@@ -114,8 +110,6 @@ var xappSources = map[string]string{
 func newRIC(o runOpts, cfg ric.Config) (*ric.RIC, error) {
 	cfg.ReportPeriodMs = o.period
 	cfg.HeartbeatInterval = o.hb
-	cfg.Shards = o.shards
-	cfg.DisableBatching = o.noBatch
 	cfg.OnFault = func(xapp string, err error) {
 		fmt.Printf("xApp %s fault (contained): %v\n", xapp, err)
 	}
@@ -179,8 +173,8 @@ func run(o runOpts) error {
 	}
 	defer lis.Close()
 	lis.SetFlightRecorder(frec)
-	fmt.Printf("near-RT RIC listening on %s (codec %s, report period %d ms, heartbeat %v, %d shards)\n",
-		lis.Addr(), wireCodec.Name(), o.period, o.hb, r.Config().Shards)
+	fmt.Printf("near-RT RIC listening on %s (codec %s, report period %d ms, heartbeat %v)\n",
+		lis.Addr(), wireCodec.Name(), o.period, o.hb)
 
 	reg := obs.NewRegistry()
 	r.Register(reg)

@@ -14,7 +14,7 @@ func TestNoOverloadFlag(t *testing.T) {
 	if _, err := parseFlags([]string{"-overload"}); err == nil {
 		t.Fatal("-overload still parses; the guarded RIC is the only RIC")
 	}
-	if _, err := parseFlags([]string{"-flight", "-shards", "4"}); err != nil {
+	if _, err := parseFlags([]string{"-flight", "-hb", "50ms"}); err != nil {
 		t.Fatalf("ordinary flags rejected: %v", err)
 	}
 }

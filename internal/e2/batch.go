@@ -1,9 +1,6 @@
 package e2
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Windowed KPM indication batching on the E2 wire.
 //
@@ -22,29 +19,8 @@ import (
 // the JSON codec carries an "indication_batch" object with an
 // "indications" array.
 //
-// Like trace-context propagation (tracehdr.go), batching is capability
-// negotiated so mixed-version associations interop unchanged: the RIC
-// advertises BatchCapabilityBit in its SubscriptionRequest RANFunction (old
-// agents echo the field without interpreting it), and a batch-capable agent
-// answers by including BatchCapabilityToken in the SubscriptionResponse
-// Reason token list. An agent only emits tokens for capabilities the RIC
-// advertised, so an old RIC that compares Reason against the bare trace
-// token still matches, and an old agent that never saw the bit keeps
-// sending per-slot indications the new RIC handles as before.
-
-// BatchCapabilityBit is OR-ed into SubscriptionRequest.RANFunction by a
-// RIC willing to receive batched indications. Old agents echo the field
-// untouched; new agents mask capability bits out before interpreting the
-// RAN function.
-const BatchCapabilityBit uint32 = 1 << 30
-
-// BatchCapabilityToken is included in the SubscriptionResponse Reason token
-// list by a batch-capable agent answering a batch-capable RIC.
-const BatchCapabilityToken = "batch-v1"
-
-// CapabilityBits masks every capability-advertisement bit a RIC may set in
-// SubscriptionRequest.RANFunction.
-const CapabilityBits = TraceCapabilityBit | BatchCapabilityBit
+// Every receiver of this build unbatches, so there is nothing to negotiate:
+// an agent batches when its own window is over one (package ric).
 
 // MaxBatchIndications bounds the entries in one batch frame: a full window
 // at the longest sensible flush deadline stays far below this, and the
@@ -55,32 +31,6 @@ const MaxBatchIndications = 4096
 // oldest first.
 type IndicationBatch struct {
 	Indications []Indication `json:"indications"`
-}
-
-// HasCapabilityToken reports whether the space-separated capability token
-// list in a SubscriptionResponse Reason contains tok. The pre-batch wire
-// format carried a single bare token, which parses as a one-element list.
-func HasCapabilityToken(reason, tok string) bool {
-	for len(reason) > 0 {
-		i := strings.IndexByte(reason, ' ')
-		if i < 0 {
-			return reason == tok
-		}
-		if reason[:i] == tok {
-			return true
-		}
-		reason = reason[i+1:]
-	}
-	return false
-}
-
-// AppendCapabilityToken appends tok to a space-separated capability token
-// list, returning the new list.
-func AppendCapabilityToken(reason, tok string) string {
-	if reason == "" {
-		return tok
-	}
-	return reason + " " + tok
 }
 
 // appendBatchBody appends the encoded batch body (binary layout) to b.

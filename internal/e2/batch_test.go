@@ -102,34 +102,6 @@ func TestBatchDecodeRejectsOversizedCount(t *testing.T) {
 	}
 }
 
-func TestCapabilityTokens(t *testing.T) {
-	cases := []struct {
-		reason, tok string
-		want        bool
-	}{
-		{"", TraceCapabilityToken, false},
-		{TraceCapabilityToken, TraceCapabilityToken, true},
-		{TraceCapabilityToken, BatchCapabilityToken, false},
-		{"trace-v1 batch-v1", TraceCapabilityToken, true},
-		{"trace-v1 batch-v1", BatchCapabilityToken, true},
-		{"batch-v1", BatchCapabilityToken, true},
-		{"trace-v10", TraceCapabilityToken, false},
-		{"x trace-v1", TraceCapabilityToken, true},
-	}
-	for _, c := range cases {
-		if got := HasCapabilityToken(c.reason, c.tok); got != c.want {
-			t.Errorf("HasCapabilityToken(%q, %q) = %v, want %v", c.reason, c.tok, got, c.want)
-		}
-	}
-	if got := AppendCapabilityToken("", TraceCapabilityToken); got != TraceCapabilityToken {
-		t.Errorf("AppendCapabilityToken on empty = %q", got)
-	}
-	got := AppendCapabilityToken(TraceCapabilityToken, BatchCapabilityToken)
-	if got != "trace-v1 batch-v1" {
-		t.Errorf("AppendCapabilityToken = %q", got)
-	}
-}
-
 // FuzzIndicationBatchRoundTrip builds a seeded batch from fuzzed shape
 // parameters and drives it through every codec: decode(encode(x)) must be
 // structurally identical, the binary body must stay the concatenation of

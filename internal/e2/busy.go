@@ -10,8 +10,8 @@ import (
 // A TypeBusy frame is the RIC's explicit overload signal. It appears in two
 // places:
 //
-//   - At admission: a RIC whose shard budgets or admission token bucket are
-//     exhausted answers the association's first frame with TypeBusy instead
+//   - At admission: a RIC whose association budget or admission token bucket
+//     is exhausted answers the association's first frame with TypeBusy instead
 //     of accepting the subscription, then closes the connection. The body
 //     carries RetryAfterMs, the earliest the peer should redial; AgentSession
 //     redials after the hint jittered into [hint/2, 1.5·hint), so a thousand
@@ -34,7 +34,7 @@ type BusyBody struct {
 	// RetryAfterMs hints the earliest redial / resume, in milliseconds.
 	// Zero means "immediately, at the peer's own backoff".
 	RetryAfterMs uint32
-	// Reason names what was exhausted ("admission", "shard 3 budget",
+	// Reason names what was exhausted ("admission", "association budget",
 	// "brownout L2") for logs and tests; peers must not parse it.
 	Reason string
 }

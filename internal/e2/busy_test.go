@@ -16,7 +16,7 @@ func TestBusyRoundTrip(t *testing.T) {
 	cases := []*Message{
 		NewBusyMessage(500*time.Millisecond, "admission"),
 		NewBusyMessage(0, ""),
-		NewBusyMessage(MaxRetryAfter, "shard 3 budget exhausted"),
+		NewBusyMessage(MaxRetryAfter, "association budget exhausted"),
 		{Type: TypeBusy, RequestID: 7, RANFunction: RANFunctionKPM,
 			Busy: &BusyBody{RetryAfterMs: 42, Reason: "brownout L2"}},
 	}

@@ -297,7 +297,7 @@ func (BinaryCodec) Decode(b []byte) (*Message, error) {
 	}
 	m.Type, m.RequestID, m.RANFunction = MessageType(t), reqID, ranFn
 	switch r.left() {
-	case 0: // untraced peer — the pre-trace wire format
+	case 0: // untraced frame
 	case traceTrailerLen:
 		tc, ok := parseTraceTrailer(r.b[r.pos:])
 		if !ok {
@@ -625,7 +625,7 @@ func (VarintCodec) Decode(b []byte) (*Message, error) {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownType, t)
 	}
 	switch len(r.b) - r.pos {
-	case 0: // untraced peer — the pre-trace wire format
+	case 0: // untraced frame
 	case traceTrailerLen:
 		tc, ok := parseTraceTrailer(r.b[r.pos:])
 		if !ok {

@@ -41,8 +41,7 @@ const (
 	// TypeError reports a protocol-level failure.
 	TypeError
 	// TypeIndicationBatch carries one reporting window's per-slot KPM
-	// indications coalesced into a single frame (see batch.go). Only sent
-	// after capability negotiation, so old peers never see it.
+	// indications coalesced into a single frame (see batch.go).
 	TypeIndicationBatch
 	// TypeBusy tells the peer the receiver is overloaded and carries a
 	// retry-after hint (see busy.go). Sent at admission (a refused

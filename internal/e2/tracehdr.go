@@ -15,22 +15,13 @@ import (
 //	+--------+-------------------+-------------------+
 //
 // The trailer rides after the body (never inside it) for both the binary and
-// varint codecs, so the byte stream of an untraced message is bit-identical
-// to what pre-trace encoders produced. Decoders in this version consume the
-// body exactly as before and then accept either zero remaining bytes
-// (untraced peer) or exactly one trailer; anything else is still
-// ErrMalformed. The JSON codec instead adds a "trace" object field, which
-// old encoding/json-based decoders skip by construction.
+// varint codecs, so an untraced message carries no extra byte. Decoders
+// consume the body and then accept either zero remaining bytes or exactly
+// one trailer; anything else is ErrMalformed. The JSON codec instead adds a
+// "trace" object field.
 //
-// Old binary/varint decoders reject trailing bytes outright, so a new
-// endpoint must never send the trailer to an old peer. That is negotiated in
-// package ric: the RIC advertises trace support by setting
-// TraceCapabilityBit in its SubscriptionRequest's RANFunction (a field old
-// agents echo without interpreting), and a trace-capable agent answers with
-// TraceCapabilityToken in the SubscriptionResponse Reason (a field old RICs
-// ignore on acceptance). Each side stamps the trailer only after seeing the
-// other's advertisement, so a mixed-version association simply runs
-// untraced.
+// Every endpoint of this build decodes the trailer, so there is nothing to
+// negotiate: an end stamps it when its own tracer is on (package ric).
 const (
 	// traceMarker is the first trailer byte, 'T'.
 	traceMarker byte = 0x54
@@ -38,18 +29,8 @@ const (
 	traceTrailerLen = 1 + 8 + 8
 )
 
-// TraceCapabilityBit is OR-ed into SubscriptionRequest.RANFunction by a
-// trace-capable RIC. Old agents echo the field untouched; new agents mask it
-// out before interpreting the RAN function.
-const TraceCapabilityBit uint32 = 1 << 31
-
-// TraceCapabilityToken is placed in SubscriptionResponse.Reason by a
-// trace-capable agent answering a trace-capable RIC. Old RICs only read
-// Reason on rejection, so the token is invisible to them.
-const TraceCapabilityToken = "trace-v1"
-
 // appendTraceTrailer appends the wire trailer for c; a zero context appends
-// nothing, keeping untraced output byte-identical to pre-trace encoders.
+// nothing, so an untraced frame carries no trailer byte.
 func appendTraceTrailer(b []byte, c trace.Context) []byte {
 	if !c.Valid() {
 		return b

@@ -273,7 +273,7 @@ func addrString(a net.Addr) string {
 }
 
 // RemoteAddr returns the peer's address (nil when the underlying transport
-// has none). The RIC hashes it to pick an association shard.
+// has none); flight-journal events name the peer by it.
 func (c *Conn) RemoteAddr() net.Addr { return c.c.RemoteAddr() }
 
 // ConnStats is the flat snapshot of an association's frame and byte

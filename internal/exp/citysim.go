@@ -19,7 +19,7 @@ import (
 )
 
 // CitySimConfig parameterizes the city-scale experiment: one striped cell
-// group with aggregate UE populations on the gNB side, a sharded RIC with
+// group with aggregate UE populations on the gNB side, one RIC fed by
 // windowed KPM batching on the other, joined by Cells x Sectors live E2
 // associations over loopback.
 type CitySimConfig struct {
@@ -33,8 +33,6 @@ type CitySimConfig struct {
 	Sectors int
 	// Slots is how many MAC slots to run (default 1500).
 	Slots int
-	// RICShards is the RIC association shard count (default 16).
-	RICShards int
 	// BatchWindow is the agent-side KPM batching window in report periods
 	// (default 8; 1 disables batching, and 0 means the default).
 	BatchWindow int
@@ -54,8 +52,8 @@ type CitySimConfig struct {
 	Pacing time.Duration
 	// SpanCap is each plane's span-ring capacity (default 32768).
 	SpanCap int
-	// Obs, when non-nil, receives the RIC's instruments (per-shard series
-	// included) and the result embeds its snapshot.
+	// Obs, when non-nil, receives the RIC's instruments and the result
+	// embeds its snapshot.
 	Obs *obs.Registry
 }
 
@@ -71,9 +69,6 @@ func (c CitySimConfig) withDefaults() CitySimConfig {
 	}
 	if c.Slots <= 0 {
 		c.Slots = 1500
-	}
-	if c.RICShards <= 0 {
-		c.RICShards = 16
 	}
 	if c.BatchWindow == 0 {
 		c.BatchWindow = 8
@@ -107,7 +102,6 @@ type CitySimResult struct {
 	ModeledUEs   int   `json:"modeled_ues"`
 	Sectors      int   `json:"sectors"`
 	Associations int64 `json:"associations_live"`
-	RICShards    int   `json:"ric_shards"`
 	BatchWindow  int   `json:"batch_window"`
 	Slots        int   `json:"slots"`
 
@@ -121,11 +115,6 @@ type CitySimResult struct {
 	IndicationsPerBatch float64 `json:"indications_per_batch"`
 	Controls            uint64  `json:"controls_emitted"`
 	Refused             uint64  `json:"associations_refused"`
-
-	// ShardSpreadMin/Max are the smallest and largest per-RIC-shard
-	// association counts — the hash spreading the fan-in.
-	ShardSpreadMin uint64 `json:"shard_assoc_min"`
-	ShardSpreadMax uint64 `json:"shard_assoc_max"`
 
 	FleetDeliveredBits int64 `json:"fleet_delivered_bits"`
 	FleetDroppedBits   int64 `json:"fleet_dropped_bits"`
@@ -153,7 +142,7 @@ type CitySimResult struct {
 // RunCitySim runs the city-scale experiment: Cells cells each modeling
 // UEsPerCell UEs through a ran.UEFleet, stepped by one core.CellGroup over
 // GOMAXPROCS stripes; Cells x Sectors E2 agents hold concurrent associations
-// to one sharded RIC running the SLA-assurance xApp, coalescing KPM reports
+// to one RIC running the SLA-assurance xApp, coalescing KPM reports
 // into batched frames. The result reports sustained slots/sec,
 // indications/sec and the tracer-derived p99 control-loop latency.
 func RunCitySim(cfg CitySimConfig) (*CitySimResult, error) {
@@ -198,10 +187,9 @@ func RunCitySim(cfg CitySimConfig) (*CitySimResult, error) {
 	}
 	cg.EnableTracing(tracer)
 
-	// --- RIC side: sharded fan-in, KPM store off, batching on ------------
+	// --- RIC side: KPM store off, batching on -----------------------------
 	r, err := ric.New(ric.Config{
 		ReportPeriodMs: cfg.ReportPeriodMs,
-		Shards:         cfg.RICShards,
 		KPMHistory:     ric.NoKPMHistory,
 		Tracer:         tracer,
 	})
@@ -325,7 +313,6 @@ func RunCitySim(cfg CitySimConfig) (*CitySimResult, error) {
 		ModeledUEs:   cfg.Cells * cfg.UEsPerCell,
 		Sectors:      cfg.Sectors,
 		Associations: st.LiveAssociations,
-		RICShards:    cfg.RICShards,
 		BatchWindow:  cfg.BatchWindow,
 		Slots:        cfg.Slots,
 
@@ -341,16 +328,6 @@ func RunCitySim(cfg CitySimConfig) (*CitySimResult, error) {
 	}
 	if st.BatchFrames > 0 {
 		res.IndicationsPerBatch = float64(st.Indications) / float64(st.BatchFrames)
-	}
-	shards := r.ShardStats()
-	res.ShardSpreadMin = ^uint64(0)
-	for _, sh := range shards {
-		if sh.Associations < res.ShardSpreadMin {
-			res.ShardSpreadMin = sh.Associations
-		}
-		if sh.Associations > res.ShardSpreadMax {
-			res.ShardSpreadMax = sh.Associations
-		}
 	}
 	for c := 0; c < cfg.Cells; c++ {
 		fs := cg.Cell(c).Fleet().Stats()
@@ -373,7 +350,7 @@ func RunCitySim(cfg CitySimConfig) (*CitySimResult, error) {
 			res.Indications, res.Controls)
 	}
 	if cfg.BatchWindow > 1 && res.BatchFrames == 0 {
-		return res, fmt.Errorf("exp: citysim: batching negotiated but no batch frame arrived")
+		return res, fmt.Errorf("exp: citysim: batching on but no batch frame arrived")
 	}
 	return res, nil
 }

@@ -97,13 +97,12 @@ var All = []Experiment{
 			return runE2FaultsOnGNB(c)
 		}
 	}},
-	{"citysim", "city-scale: 1000+ batched E2 associations into a sharded RIC over a 1M-UE cell fleet (JSON)", func(k *knobs) Run {
+	{"citysim", "city-scale: 1000+ batched E2 associations into one RIC over a 1M-UE cell fleet (JSON)", func(k *knobs) Run {
 		c := CitySimConfig{}.withDefaults()
 		knob(k, &c.Cells, "cells", "cells in the fleet")
 		knob(k, &c.UEsPerCell, "ues", "modeled UEs per cell")
 		knob(k, &c.Sectors, "sectors", "E2 associations per cell")
 		knob(k, &c.Slots, "slots", "MAC slots to run")
-		knob(k, &c.RICShards, "shards", "RIC association shards")
 		knob(k, &c.BatchWindow, "window", "KPM batching window in report periods (1 disables)")
 		knob(k, &c.Seed, "seed", "per-cell population seed")
 		return func(env Env) (any, error) {
@@ -115,8 +114,7 @@ var All = []Experiment{
 		c := OverloadConfig{}.withDefaults()
 		flight := 0
 		knob(k, &c.Agents, "agents", "reconnect-storm fleet size")
-		knob(k, &c.Shards, "shards", "RIC association shards")
-		knob(k, &c.AdmitRate, "admitrate", "admission tokens/sec per shard")
+		knob(k, &c.AdmitRate, "admitrate", "admission tokens/sec")
 		knob(k, &c.AdmitBurst, "burst", "admission token bucket capacity")
 		knob(k, &c.Outage, "outage", "RIC downtime before the restart")
 		knob(k, &c.Dwell, "dwell", "slow-xApp measurement window")

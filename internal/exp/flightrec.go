@@ -146,7 +146,6 @@ func RunFlightRec(cfg FlightRecConfig) (*FlightRecResult, error) {
 	// brownout, so the shift lands inside the dwell.
 	r, err := ric.New(ric.Config{
 		ReportPeriodMs: 1,
-		Shards:         2,
 		KPMHistory:     ric.NoKPMHistory,
 		Flight:         rec,
 		Overload: &ric.OverloadConfig{

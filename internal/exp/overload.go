@@ -22,7 +22,6 @@ import (
 
 	"waran/internal/e2"
 	"waran/internal/guard"
-	"waran/internal/metrics"
 	"waran/internal/obs"
 	"waran/internal/obs/flight"
 	"waran/internal/plugins"
@@ -62,11 +61,9 @@ type OverloadConfig struct {
 	// Agents is the reconnect-storm fleet size (default 1024 — the citysim
 	// association count).
 	Agents int
-	// Shards is the RIC association shard count (default 16).
-	Shards int
-	// AdmitRate / AdmitBurst tune the per-shard admission token bucket the
-	// restarted RIC ramps the stampede through (defaults 64/s and 8 — low
-	// enough that a default fleet visibly queues behind the gate).
+	// AdmitRate / AdmitBurst tune the admission token bucket the restarted
+	// RIC ramps the stampede through (defaults 1024/s and 128 — low enough
+	// that a default fleet visibly queues behind the gate).
 	AdmitRate  float64
 	AdmitBurst int
 	// RetryAfter is the hint floor on TypeBusy admission refusals (default
@@ -110,14 +107,11 @@ func (c OverloadConfig) withDefaults() OverloadConfig {
 	if c.Agents <= 0 {
 		c.Agents = 1024
 	}
-	if c.Shards <= 0 {
-		c.Shards = 16
-	}
 	if c.AdmitRate == 0 {
-		c.AdmitRate = 64
+		c.AdmitRate = 1024
 	}
 	if c.AdmitBurst <= 0 {
-		c.AdmitBurst = 8
+		c.AdmitBurst = 128
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = ric.DefaultRetryAfter
@@ -174,7 +168,6 @@ type OverloadDwell struct {
 // OverloadResult is the overload chaos experiment's report.
 type OverloadResult struct {
 	Agents int `json:"agents"`
-	Shards int `json:"shards"`
 
 	// --- reconnect storm ---------------------------------------------------
 	// Reassoc99Ms / Reassoc100Ms are the post-restart times until 99% / 100%
@@ -216,7 +209,7 @@ type OverloadResult struct {
 // vector bulky enough that transport buffers fill quickly once dispatch
 // stalls.
 type overloadRAN struct {
-	applies metrics.Counter
+	applies obs.Counter
 }
 
 func (o *overloadRAN) Snapshot(cell uint32) *e2.Indication {
@@ -248,7 +241,6 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 	cfg = cfg.withDefaults()
 	res := &OverloadResult{
 		Agents:       cfg.Agents,
-		Shards:       cfg.Shards,
 		Reassoc99Ms:  -1,
 		Reassoc100Ms: -1,
 		WaveBucketMs: 100,
@@ -325,7 +317,6 @@ func runOverloadStorm(cfg OverloadConfig, res *OverloadResult, frec *flight.Reco
 	newRIC := func() (*ric.RIC, error) {
 		return ric.New(ric.Config{
 			ReportPeriodMs: cfg.ReportPeriodMs,
-			Shards:         cfg.Shards,
 			KPMHistory:     ric.NoKPMHistory,
 			Overload:       ovCfg,
 			Flight:         frec,
@@ -538,7 +529,6 @@ func runOverloadDwell(cfg OverloadConfig, frec *flight.Recorder) (OverloadDwell,
 	ran := &overloadRAN{}
 	r, err := ric.New(ric.Config{
 		ReportPeriodMs: 1, // report every slot: offered load well past a stalled dispatcher
-		Shards:         4,
 		KPMHistory:     ric.NoKPMHistory,
 		Overload: &ric.OverloadConfig{
 			// The dwell arm isolates the xApp guard: admission and source

@@ -19,8 +19,8 @@ import (
 )
 
 // TraceLatConfig parameterizes the control-loop tracing experiment: a
-// multi-cell gNB group and a live RIC joined over loopback with trace
-// propagation negotiated on every association, plus the wasm fuel profiler
+// multi-cell gNB group and a live RIC joined over loopback, both ends
+// tracing every association, plus the wasm fuel profiler
 // attached to both sched plugins and xApps.
 type TraceLatConfig struct {
 	// Cells is the gNB group size (default 4).
@@ -167,7 +167,7 @@ func RunTraceLat(cfg TraceLatConfig) (*TraceLatResult, error) {
 
 	// One ServeConn goroutine per accepted association (one per cell); the
 	// conns are retained so the swap injection can ride an existing
-	// trace-negotiated association.
+	// traced association.
 	stop := make(chan struct{})
 	var mu sync.Mutex
 	var conns []*e2.Conn

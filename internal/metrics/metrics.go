@@ -9,7 +9,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -346,19 +345,3 @@ func (m *DeadlineMeter) String() string {
 	return fmt.Sprintf("slots=%d overruns=%d worst=%v p99=%.1fus deadline=%v",
 		s.Slots, s.Overruns, s.Worst, s.P99us, s.Deadline)
 }
-
-// Counter is a monotonically increasing event counter, safe for concurrent
-// use: the E2 association layer increments these from supervisor, receive
-// and slot-loop goroutines at once.
-type Counter struct {
-	n atomic.Uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n.Add(1) }
-
-// Add adds delta.
-func (c *Counter) Add(delta uint64) { c.n.Add(delta) }
-
-// Value returns the count.
-func (c *Counter) Value() uint64 { return c.n.Load() }

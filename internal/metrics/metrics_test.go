@@ -183,15 +183,6 @@ func TestRateMeterDefaultWindow(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d", c.Value())
-	}
-}
-
 func TestDeadlineMeter(t *testing.T) {
 	m := NewDeadlineMeter(time.Millisecond)
 	if m.Deadline() != time.Millisecond {

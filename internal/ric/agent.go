@@ -42,13 +42,11 @@ type AgentConfig struct {
 	// most two timeouts for the subscription. Set it to a few heartbeat
 	// intervals. Zero disables liveness tracking.
 	LivenessTimeout time.Duration
-	// Tracer, when non-nil, lets the agent negotiate trace propagation
-	// with the RIC and record indication.encode/transport spans on the gNB
-	// plane.
+	// Tracer, when non-nil, stamps a trace context on every indication
+	// frame and records indication.encode/transport spans on the gNB plane.
 	Tracer *trace.Tracer
-	// Batch configures windowed indication batching. It only takes effect
-	// on associations whose RIC advertised e2.BatchCapabilityBit; against
-	// older peers the agent keeps sending per-slot indications.
+	// Batch configures windowed indication batching: with a window over
+	// one, due-slot indications leave in e2.IndicationBatch frames.
 	Batch BatchConfig
 }
 
@@ -70,7 +68,7 @@ func (c AgentConfig) Validate() error {
 // replies are held only while the next frame is already buffered, so a run
 // of controls that arrived together is answered in one write.
 //
-// With batching configured and negotiated, due-slot indications coalesce
+// With batching configured, due-slot indications coalesce
 // into one e2.IndicationBatch frame per window; a partial window is flushed
 // once its oldest entry has waited Batch.FlushInterval (checked from Tick,
 // so flush latency is quantized to the slot cadence) or when Flush is
@@ -86,8 +84,6 @@ type Agent struct {
 	stop  <-chan struct{}
 
 	periodSlots atomic.Uint64 // metric-exempt: subscription cadence (0: not subscribed), not telemetry
-	peerTraced  atomic.Bool   // RIC advertised e2.TraceCapabilityBit and we accepted
-	peerBatched atomic.Bool   // both sides advertised batch capability
 
 	// pausedUntilNs, when in the future, is a busy-frame backpressure pause:
 	// due-slot indications are shed at the source until it passes.
@@ -112,7 +108,7 @@ type Agent struct {
 	resubscribes uint64
 	busyFrames   uint64 // TypeBusy backpressure frames received mid-association
 	pausedSheds  uint64 // due-slot indications shed at the source while paused
-	lostInFlush  uint64 // indications lost when a Flush write failed
+	lost         uint64 // indications whose write failed (a window's all count)
 
 	// replies are the control acks, heartbeat echoes and error reports the
 	// receive loop owes the RIC. They wait only behind frames already
@@ -190,8 +186,6 @@ func (a *Agent) do(act action) {
 		a.queueReply(*act.msg)
 	case actSubscribed:
 		a.periodSlots.Store(act.sub.periodSlots)
-		a.peerTraced.Store(act.sub.traced)
-		a.peerBatched.Store(act.sub.batched)
 		a.mu.Lock()
 		a.sliceFilter = act.sub.sliceIDs
 		if act.sub.resub {
@@ -325,7 +319,7 @@ func (a *Agent) Tick(slot uint64) error {
 	if period == 0 || slot%period != 0 {
 		return a.flushIfOverdue()
 	}
-	tracing := a.cfg.Tracer.Enabled() && a.peerTraced.Load()
+	tracing := a.cfg.Tracer.Enabled()
 	var buildStart time.Time
 	if tracing {
 		buildStart = time.Now()
@@ -338,7 +332,7 @@ func (a *Agent) Tick(slot uint64) error {
 	if len(filter) > 0 {
 		ind = filterIndication(ind, filter)
 	}
-	if a.peerBatched.Load() && a.cfg.Batch.enabled() {
+	if a.cfg.Batch.enabled() {
 		return a.bufferIndication(ind, tracing, buildStart)
 	}
 	msg := &a.indMsg
@@ -347,10 +341,16 @@ func (a *Agent) Tick(slot uint64) error {
 		RANFunction: e2.RANFunctionKPM,
 		Indication:  ind,
 	}
-	if !tracing {
-		return a.conn.Send(msg)
+	var err error
+	if tracing {
+		err = a.sendTraced(msg, slot, buildStart)
+	} else {
+		err = a.conn.Send(msg)
 	}
-	return a.sendTraced(msg, slot, buildStart)
+	if err != nil {
+		a.lose(1)
+	}
+	return err
 }
 
 // sendTraced sends msg carrying a fresh trace context and records the
@@ -444,42 +444,36 @@ func (a *Agent) Flush() error {
 	return err
 }
 
-// sendWindow writes one window: as one batch frame, or, when the peer no
-// longer takes batches, as its indications' own frames.
+// sendWindow writes one window as one batch frame; a failed write loses, and
+// counts, every indication in it.
 func (a *Agent) sendWindow(w *window) error {
-	pending := w.inds
-	if !a.peerBatched.Load() {
-		// The peer renegotiated away from batching mid-window (RIC restart
-		// re-subscribed without the capability): deliver the buffered
-		// indications as individual frames, in one write, rather than
-		// sending a frame it no longer expects.
-		msgs := make([]*e2.Message, len(pending))
-		for i := range pending {
-			msgs[i] = &e2.Message{Type: e2.TypeIndication, RANFunction: e2.RANFunctionKPM, Indication: &pending[i]}
-		}
-		if err := a.conn.SendAll(msgs...); err != nil {
-			// The window died with the write: account for every
-			// indication in it instead of silently forgetting them.
-			a.mu.Lock()
-			a.lostInFlush += uint64(len(pending))
-			a.mu.Unlock()
-			return err
-		}
-		return nil
-	}
-	a.mu.Lock()
-	a.batchFrames++
-	a.mu.Unlock()
-	w.batch = e2.IndicationBatch{Indications: pending}
+	w.batch = e2.IndicationBatch{Indications: w.inds}
 	w.msg = e2.Message{
 		Type:        e2.TypeIndicationBatch,
 		RANFunction: e2.RANFunctionKPM,
 		Batch:       &w.batch,
 	}
-	if !w.traced || !a.peerTraced.Load() {
-		return a.conn.Send(&w.msg)
+	var err error
+	if w.traced {
+		err = a.sendTraced(&w.msg, w.inds[0].Slot, w.build)
+	} else {
+		err = a.conn.Send(&w.msg)
 	}
-	return a.sendTraced(&w.msg, pending[0].Slot, w.build)
+	if err != nil {
+		a.lose(len(w.inds))
+		return err
+	}
+	a.mu.Lock()
+	a.batchFrames++
+	a.mu.Unlock()
+	return nil
+}
+
+// lose counts n indications that died with a failed write.
+func (a *Agent) lose(n int) {
+	a.mu.Lock()
+	a.lost += uint64(n)
+	a.mu.Unlock()
 }
 
 // Paused reports whether the agent is currently shedding at the source
@@ -491,26 +485,13 @@ func (a *Agent) Paused() bool {
 
 // OverloadCounters reports agent-side overload accounting: busy frames
 // received mid-association, due-slot indications shed at the source while
-// paused, and indications lost with a failed Flush write.
-func (a *Agent) OverloadCounters() (busyFrames, pausedSheds, lostInFlush uint64) {
+// paused, and indications lost with a failed write (every one in a lost
+// window).
+func (a *Agent) OverloadCounters() (busyFrames, pausedSheds, lost uint64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.busyFrames, a.pausedSheds, a.lostInFlush
+	return a.busyFrames, a.pausedSheds, a.lost
 }
-
-// PendingBatched reports how many indications are buffered awaiting a
-// window flush.
-func (a *Agent) PendingBatched() int {
-	a.batchMu.Lock()
-	defer a.batchMu.Unlock()
-	if a.pending == nil {
-		return 0
-	}
-	return len(a.pending.inds)
-}
-
-// Batched reports whether batching was negotiated on this association.
-func (a *Agent) Batched() bool { return a.peerBatched.Load() }
 
 // Period returns the subscribed indication cadence in slots (0 before the
 // first subscription).
@@ -523,7 +504,8 @@ func (a *Agent) Counters() (indications, controlsOK, controlsFail uint64) {
 	return a.indications, a.controlsOK, a.controlsFail
 }
 
-// BatchFrames reports how many batched indication frames were sent.
+// BatchFrames reports how many batched indication frames were written; a
+// window lost with its write is not one of them.
 func (a *Agent) BatchFrames() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -22,24 +22,23 @@ type assocParams struct {
 	// no frame of any kind arrived is a miss, and limit misses in a row end
 	// the association. An agent waits two such bounds for its first
 	// subscription.
-	period          time.Duration
-	limit           int
-	reportPeriodMs  uint32 // RIC: the cadence it subscribes at
-	traced, batched bool   // capabilities offered (RIC) or accepted (agent)
+	period         time.Duration
+	limit          int
+	reportPeriodMs uint32 // RIC: the cadence it subscribes at
 }
 
 // ricParams probes every HeartbeatInterval, MissedHeartbeatLimit misses
 // in a row being death.
 func ricParams(cfg Config) assocParams {
 	return assocParams{ric: true, period: cfg.HeartbeatInterval, limit: cfg.MissedHeartbeatLimit,
-		reportPeriodMs: cfg.ReportPeriodMs, traced: cfg.Tracer.Enabled(), batched: !cfg.DisableBatching}
+		reportPeriodMs: cfg.ReportPeriodMs}
 }
 
 // agentParams checks four times per LivenessTimeout, so the association
 // ends once the RIC has been silent for LivenessTimeout (and at most a
 // quarter more).
 func agentParams(cfg AgentConfig) assocParams {
-	p := assocParams{traced: cfg.Tracer.Enabled(), batched: cfg.Batch.enabled()}
+	var p assocParams
 	if lt := cfg.LivenessTimeout; lt > 0 {
 		p.period, p.limit = max(lt/4, time.Millisecond), 4
 	}
@@ -69,7 +68,7 @@ const (
 	actSend       actKind = iota // send msg
 	actArm                       // point the one timer at at
 	actMiss                      // a silent interval (missed_heartbeats)
-	actSubscribed                // sub is in force
+	actSubscribed                // sub is in force (agent)
 	actPause                     // shed KPM at the source until at
 	actClose                     // close the conn to wake the reader; err says why
 	actEnd                       // the reader returns err
@@ -83,12 +82,11 @@ type action struct {
 	sub  subscription
 }
 
-// subscription is what a subscription negotiated (the RIC reads traced).
+// subscription is what the RIC asked the agent for.
 type subscription struct {
-	periodSlots     uint64
-	sliceIDs        []uint32
-	traced, batched bool
-	resub           bool // replaces an earlier subscription
+	periodSlots uint64
+	sliceIDs    []uint32
+	resub       bool // replaces an earlier subscription
 }
 
 var (
@@ -121,7 +119,7 @@ func (c *assocCore) Step(now time.Time, ev assocEvent, out []action) []action {
 			return c.arm(out, now, 2*time.Duration(c.p.limit)*c.p.period)
 		}
 		c.up = true
-		out = append(out, action{kind: actSend, msg: subscriptionRequest(1, c.p.reportPeriodMs, c.p.traced, c.p.batched)})
+		out = append(out, action{kind: actSend, msg: subscriptionRequest(1, c.p.reportPeriodMs)})
 		return c.arm(out, now, c.p.period)
 	case evFrame:
 		if c.p.ric {
@@ -198,14 +196,10 @@ func (c *assocCore) ricFrame(m *e2.Message, out []action) []action {
 		if !m.SubscriptionResp.Accepted {
 			return c.end(out, actEnd, fmt.Errorf("ric: subscription refused: %s", m.SubscriptionResp.Reason))
 		}
-		// Only the explicit token signals agent capability: an old agent
-		// echoes the RANFunction bit untouched.
-		return append(out, action{kind: actSubscribed, sub: subscription{
-			traced: c.p.traced && e2.HasCapabilityToken(m.SubscriptionResp.Reason, e2.TraceCapabilityToken)}})
 	case e2.TypeError:
 		return c.end(out, actEnd, fmt.Errorf("ric: peer error: %s", m.Error.Reason))
 	}
-	return out // a heartbeat echo only counts as a frame
+	return out // an acceptance or a heartbeat echo only counts as a frame
 }
 
 func (c *assocCore) agentFrame(now time.Time, m *e2.Message, out []action) []action {
@@ -238,47 +232,25 @@ func (c *assocCore) agentFrame(now time.Time, m *e2.Message, out []action) []act
 		Error: &e2.ErrorBody{Reason: fmt.Sprintf("agent: unexpected %s", m.Type)}}})
 }
 
-// subscribe negotiates and acknowledges a subscription request. A capable
-// RIC sets reserved RANFunction bits (old agents echo them untouched); a
-// capable agent answers with the matching tokens in Reason. Old RICs read
-// Reason only on rejection, and the trace-only generation compares it with
-// exactly the trace token, so the batch token goes only to a RIC that
-// advertised batching, which that generation never does.
+// subscribe applies and acknowledges a subscription request.
 func (c *assocCore) subscribe(m *e2.Message, resub bool, out []action) []action {
 	sub := subscription{
 		periodSlots: uint64(m.Subscription.ReportPeriodMs), // 1 ms slots: ms == slots
 		sliceIDs:    append([]uint32(nil), m.Subscription.SliceIDs...),
-		traced:      m.RANFunction&e2.TraceCapabilityBit != 0 && c.p.traced,
-		batched:     m.RANFunction&e2.BatchCapabilityBit != 0 && c.p.batched,
 		resub:       resub,
 	}
 	if sub.periodSlots == 0 {
 		sub.periodSlots = 100
 	}
-	reason := ""
-	if sub.traced {
-		reason = e2.AppendCapabilityToken(reason, e2.TraceCapabilityToken)
-	}
-	if sub.batched {
-		reason = e2.AppendCapabilityToken(reason, e2.BatchCapabilityToken)
-	}
 	return append(out, action{kind: actSubscribed, sub: sub}, action{kind: actSend, msg: &e2.Message{
 		Type: e2.TypeSubscriptionResponse, RequestID: m.RequestID, RANFunction: m.RANFunction,
-		SubscriptionResp: &e2.SubscriptionResponse{Accepted: true, Reason: reason}}})
+		SubscriptionResp: &e2.SubscriptionResponse{Accepted: true}}})
 }
 
-// subscriptionRequest is the RIC's subscription at periodMs, advertising
-// its capabilities in reserved RANFunction bits. The handshake and the
-// brownout re-subscriptions share it.
-func subscriptionRequest(reqID, periodMs uint32, traced, batched bool) *e2.Message {
-	fn := e2.RANFunctionKPM
-	if traced {
-		fn |= e2.TraceCapabilityBit
-	}
-	if batched {
-		fn |= e2.BatchCapabilityBit
-	}
-	return &e2.Message{Type: e2.TypeSubscriptionRequest, RequestID: reqID, RANFunction: fn,
+// subscriptionRequest is the RIC's KPM subscription at periodMs. The
+// handshake and the brownout re-subscriptions share it.
+func subscriptionRequest(reqID, periodMs uint32) *e2.Message {
+	return &e2.Message{Type: e2.TypeSubscriptionRequest, RequestID: reqID, RANFunction: e2.RANFunctionKPM,
 		Subscription: &e2.SubscriptionRequest{ReportPeriodMs: periodMs}}
 }
 

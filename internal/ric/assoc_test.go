@@ -65,8 +65,7 @@ func describe(acts []action) []string {
 			s = "miss"
 		case actSubscribed:
 			u := a.sub
-			s = fmt.Sprintf("subscribed period=%d slices=%v traced=%v batched=%v resub=%v",
-				u.periodSlots, u.sliceIDs, u.traced, u.batched, u.resub)
+			s = fmt.Sprintf("subscribed period=%d slices=%v resub=%v", u.periodSlots, u.sliceIDs, u.resub)
 		case actPause:
 			s = fmt.Sprintf("pause until +%v", a.at.Sub(t0))
 		case actClose:
@@ -99,7 +98,7 @@ func runCore(t *testing.T, p assocParams, steps []assocStep) error {
 
 const dead = "e2: association dead: missed heartbeats"
 
-var ricP = assocParams{ric: true, period: ms(10), limit: 3, reportPeriodMs: 10, batched: true}
+var ricP = assocParams{ric: true, period: ms(10), limit: 3, reportPeriodMs: 10}
 
 func TestAssocParamsFromConfig(t *testing.T) {
 	if got := ricParams(Config{HeartbeatInterval: ms(10), ReportPeriodMs: 10}.withDefaults()); got != ricP {
@@ -120,10 +119,9 @@ func TestAssocParamsFromConfig(t *testing.T) {
 func TestAssocRICProbesAndDeclaresDead(t *testing.T) {
 	probe := []string{"send heartbeat"}
 	err := runCore(t, ricP, []assocStep{
-		{0, connect(), []string{"send subscription-request 10ms fn=0x40000002", "arm +10ms"}},
+		{0, connect(), []string{"send subscription-request 10ms fn=0x2", "arm +10ms"}},
 		{ms(4), frame(&e2.Message{Type: e2.TypeSubscriptionResponse,
-			SubscriptionResp: &e2.SubscriptionResponse{Accepted: true, Reason: "trace-v1 batch-v1"}}),
-			[]string{"subscribed period=0 slices=[] traced=false batched=false resub=false"}},
+			SubscriptionResp: &e2.SubscriptionResponse{Accepted: true}}), nil},
 		{ms(10), tick(1), append(probe, "arm +20ms")},
 		{ms(5), tick(1), []string{"arm +20ms"}}, // early: re-armed, not checked
 		{ms(20), tick(1), append([]string{"miss"}, append(probe, "arm +30ms")...)},
@@ -139,42 +137,38 @@ func TestAssocRICProbesAndDeclaresDead(t *testing.T) {
 	}
 }
 
-// TestAssocRICHandshake: the subscription advertises the offered
-// capabilities, only the agent's explicit token turns tracing on, and a
-// refusal, a peer error, stop and EOF each end the association.
+// TestAssocRICHandshake: the subscription asks for KPM and nothing else,
+// an acceptance only counts as a frame, and a refusal, a peer error, stop
+// and EOF each end the association.
 func TestAssocRICHandshake(t *testing.T) {
-	traced := assocParams{ric: true, reportPeriodMs: 100, traced: true}
-	accept := func(reason string) *e2.Message {
-		return &e2.Message{Type: e2.TypeSubscriptionResponse, RANFunction: e2.RANFunctionKPM | e2.TraceCapabilityBit,
-			SubscriptionResp: &e2.SubscriptionResponse{Accepted: true, Reason: reason}}
-	}
-	runCore(t, traced, []assocStep{
-		{0, connect(), []string{"send subscription-request 100ms fn=0x80000002"}}, // no heartbeat: no timer
-		{0, frame(accept("")), []string{"subscribed period=0 slices=[] traced=false batched=false resub=false"}},
-		{0, frame(accept("batch-v1 trace-v1")), []string{"subscribed period=0 slices=[] traced=true batched=false resub=false"}},
+	plain := assocParams{ric: true, reportPeriodMs: 100}
+	runCore(t, plain, []assocStep{
+		{0, connect(), []string{"send subscription-request 100ms fn=0x2"}}, // no heartbeat: no timer
+		{0, frame(&e2.Message{Type: e2.TypeSubscriptionResponse, RANFunction: e2.RANFunctionKPM,
+			SubscriptionResp: &e2.SubscriptionResponse{Accepted: true}}), nil},
 		{0, frame(&e2.Message{Type: e2.TypeHeartbeat}), nil},
 		{0, frame(&e2.Message{Type: e2.TypeBusy, Busy: &e2.BusyBody{RetryAfterMs: 5}}), nil},
 		{0, assocEvent{kind: evStop}, []string{"close: <nil>"}},
 		{0, recvErr(net.ErrClosed), []string{"end: <nil>"}},
 	})
-	runCore(t, traced, []assocStep{
-		{0, connect(), []string{"send subscription-request 100ms fn=0x80000002"}},
+	runCore(t, plain, []assocStep{
+		{0, connect(), []string{"send subscription-request 100ms fn=0x2"}},
 		{0, frame(&e2.Message{Type: e2.TypeSubscriptionResponse,
 			SubscriptionResp: &e2.SubscriptionResponse{Reason: "no slices"}}),
 			[]string{"end: ric: subscription refused: no slices"}},
 	})
 	runCore(t, ricP, []assocStep{
-		{0, connect(), []string{"send subscription-request 10ms fn=0x40000002", "arm +10ms"}},
+		{0, connect(), []string{"send subscription-request 10ms fn=0x2", "arm +10ms"}},
 		{0, frame(&e2.Message{Type: e2.TypeError, Error: &e2.ErrorBody{Reason: "bad"}}),
 			[]string{"end: ric: peer error: bad"}},
 	})
 	runCore(t, ricP, []assocStep{
-		{0, connect(), []string{"send subscription-request 10ms fn=0x40000002", "arm +10ms"}},
+		{0, connect(), []string{"send subscription-request 10ms fn=0x2", "arm +10ms"}},
 		{0, recvErr(io.EOF), []string{"end: <nil>"}},
 	})
 }
 
-var agentP = agentParams(AgentConfig{LivenessTimeout: ms(20), Batch: BatchConfig{Window: 8}})
+var agentP = agentParams(AgentConfig{LivenessTimeout: ms(20)})
 
 // TestAssocAgentDeclaresDead: after its subscription the agent checks
 // every LivenessTimeout/4, echoes probes, and ends the association after
@@ -182,9 +176,9 @@ var agentP = agentParams(AgentConfig{LivenessTimeout: ms(20), Batch: BatchConfig
 func TestAssocAgentDeclaresDead(t *testing.T) {
 	err := runCore(t, agentP, []assocStep{
 		{0, connect(), []string{"arm +40ms"}},
-		{ms(1), frame(subReq(1, 10, e2.RANFunctionKPM|e2.BatchCapabilityBit)), []string{
-			"subscribed period=10 slices=[] traced=false batched=true resub=false",
-			`send subscription-response "batch-v1"`, "arm +6ms"}},
+		{ms(1), frame(subReq(1, 10, e2.RANFunctionKPM)), []string{
+			"subscribed period=10 slices=[] resub=false",
+			`send subscription-response ""`, "arm +6ms"}},
 		{ms(6), tick(1), []string{"arm +11ms"}},
 		{ms(8), frame(&e2.Message{Type: e2.TypeHeartbeat}), []string{"send heartbeat"}},
 		{ms(11), tick(2), []string{"arm +16ms"}},
@@ -242,24 +236,24 @@ func TestAssocAgentRefusesFirstFrame(t *testing.T) {
 }
 
 // TestAssocAgentResubscribes: a mid-association subscription replaces the
-// cadence, slice filter and capabilities and is re-acked without touching
-// the timer; busy frames pause reporting, and anything else out of place is
-// answered with an error.
+// cadence and slice filter and is re-acked without touching the timer;
+// busy frames pause reporting, and anything else out of place is answered
+// with an error. A traced, batching agent answers exactly as a plain one:
+// there is nothing to negotiate.
 func TestAssocAgentResubscribes(t *testing.T) {
-	traced := agentParams(AgentConfig{Tracer: trace.NewTracer(8), Batch: BatchConfig{Window: 8}})
-	runCore(t, traced, []assocStep{
-		{0, connect(), nil},
-		{0, frame(subReq(1, 0, e2.RANFunctionKPM|e2.CapabilityBits)), []string{
-			"subscribed period=100 slices=[] traced=true batched=true resub=false",
-			`send subscription-response "trace-v1 batch-v1"`}},
-		{ms(50), frame(subReq(2, 25, e2.RANFunctionKPM|e2.TraceCapabilityBit, 2)), []string{
-			"subscribed period=25 slices=[2] traced=true batched=false resub=true",
-			`send subscription-response "trace-v1"`}},
-		{ms(60), frame(e2.NewBusyMessage(ms(80), "brownout")), []string{"pause until +140ms"}},
-		{ms(61), frame(&e2.Message{Type: e2.TypeIndication, RequestID: 77}),
-			[]string{`send error #77 "agent: unexpected indication"`}},
-		{ms(62), recvErr(io.ErrUnexpectedEOF), []string{"end: unexpected EOF"}},
-	})
+	for _, cfg := range []AgentConfig{{}, {Tracer: trace.NewTracer(8), Batch: BatchConfig{Window: 8}}} {
+		runCore(t, agentParams(cfg), []assocStep{
+			{0, connect(), nil},
+			{0, frame(subReq(1, 0, e2.RANFunctionKPM)), []string{
+				"subscribed period=100 slices=[] resub=false", `send subscription-response ""`}},
+			{ms(50), frame(subReq(2, 25, e2.RANFunctionKPM, 2)), []string{
+				"subscribed period=25 slices=[2] resub=true", `send subscription-response ""`}},
+			{ms(60), frame(e2.NewBusyMessage(ms(80), "brownout")), []string{"pause until +140ms"}},
+			{ms(61), frame(&e2.Message{Type: e2.TypeIndication, RequestID: 77}),
+				[]string{`send error #77 "agent: unexpected indication"`}},
+			{ms(62), recvErr(io.ErrUnexpectedEOF), []string{"end: unexpected EOF"}},
+		})
+	}
 }
 
 // TestAssocBackoffSchedule: the ceiling doubles per attempt up to Max, each

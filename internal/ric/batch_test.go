@@ -2,6 +2,7 @@ package ric
 
 import (
 	"bytes"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -134,14 +135,8 @@ func runReports(t *testing.T, ricCfg Config, agentCfg AgentConfig, reports int) 
 func TestBatchedDeliveryBitIdenticalAtXAppBoundary(t *testing.T) {
 	const cell, reports = 7, 22 // 22 = 5 windows of 4 + a flushed partial of 2
 
-	plain, pa := runReports(t, Config{}, AgentConfig{Cell: cell}, reports)
-	if pa.Batched() {
-		t.Fatal("window-1 agent negotiated batching")
-	}
-	batched, ba := runReports(t, Config{}, AgentConfig{Cell: cell, Batch: BatchConfig{Window: 4, FlushInterval: time.Hour}}, reports)
-	if !ba.Batched() {
-		t.Fatal("batch-capable pair failed to negotiate batching")
-	}
+	plain, _ := runReports(t, Config{}, AgentConfig{Cell: cell}, reports)
+	batched, _ := runReports(t, Config{}, AgentConfig{Cell: cell, Batch: BatchConfig{Window: 4, FlushInterval: time.Hour}}, reports)
 	if got := batched.Stats().BatchFrames; got != 6 {
 		t.Fatalf("batched run produced %d frames, want 6 (5 full + 1 flushed partial)", got)
 	}
@@ -170,9 +165,6 @@ func TestFlushConcurrentWithTick(t *testing.T) {
 	r, addr := servedRIC(t, Config{ReportPeriodMs: 1})
 	ran := &seqRAN{}
 	a := startAgent(t, addr, ran, AgentConfig{Cell: cell, Batch: BatchConfig{Window: 4, FlushInterval: time.Hour}})
-	if !a.Batched() {
-		t.Fatal("batch-capable pair failed to negotiate batching")
-	}
 	ticked := make(chan struct{})
 	go func() {
 		defer close(ticked)
@@ -211,16 +203,11 @@ func TestFlushConcurrentWithTick(t *testing.T) {
 	}
 }
 
-// TestBatchRICInteropsWithUnbatchedAgent covers one capability direction: a
-// batch-capable RIC against an agent that never configured batching. The
-// agent must not answer the capability token, frames stay per-slot, and the
-// association works end to end.
+// TestBatchRICInteropsWithUnbatchedAgent: an agent that never configured
+// batching sends per-slot frames, and the association works end to end.
 func TestBatchRICInteropsWithUnbatchedAgent(t *testing.T) {
 	const reports = 10
 	r, a := runReports(t, Config{}, AgentConfig{Cell: 3}, reports)
-	if a.Batched() {
-		t.Fatal("unbatched agent claims a batched association")
-	}
 	if frames := a.BatchFrames(); frames != 0 {
 		t.Fatalf("unbatched agent sent %d batch frames", frames)
 	}
@@ -230,34 +217,70 @@ func TestBatchRICInteropsWithUnbatchedAgent(t *testing.T) {
 	}
 }
 
-// TestBatchAgentInteropsWithNonBatchRIC covers the other direction: an agent
-// configured for batching against a RIC that disabled it. Without the
-// advertised bit the agent must keep sending per-slot indications — never a
-// frame the RIC does not expect.
-func TestBatchAgentInteropsWithNonBatchRIC(t *testing.T) {
-	const reports = 10
-	r, a := runReports(t, Config{DisableBatching: true},
-		AgentConfig{Cell: 3, Batch: BatchConfig{Window: 4}}, reports)
-	if a.Batched() {
-		t.Fatal("agent negotiated batching against a DisableBatching RIC")
+// TestBatchAgentSendsBatchFramesToDefaultRIC: an agent whose window is over
+// one batches against a default RIC, with nothing asked or answered first,
+// and a partial window leaves at Flush.
+func TestBatchAgentSendsBatchFramesToDefaultRIC(t *testing.T) {
+	const reports = 10 // two full windows of 4 and a flushed partial of 2
+	r, a := runReports(t, Config{}, AgentConfig{Cell: 3, Batch: BatchConfig{Window: 4, FlushInterval: time.Hour}}, reports)
+	if frames := a.BatchFrames(); frames != 3 {
+		t.Fatalf("agent sent %d batch frames, want 3", frames)
 	}
-	if frames := a.BatchFrames(); frames != 0 {
-		t.Fatalf("agent sent %d batch frames to a non-batch RIC", frames)
-	}
-	if pend := a.PendingBatched(); pend != 0 {
-		t.Fatalf("agent buffered %d indications it can never batch", pend)
+	if a.pending != nil {
+		t.Fatalf("agent still buffers %d indications after Flush", len(a.pending.inds))
 	}
 	s := r.Stats()
-	if s.Indications != reports || s.BatchFrames != 0 {
-		t.Fatalf("RIC saw %d indications / %d batch frames, want %d / 0", s.Indications, s.BatchFrames, reports)
+	if s.Indications != reports || s.BatchFrames != 3 {
+		t.Fatalf("RIC saw %d indications / %d batch frames, want %d / 3", s.Indications, s.BatchFrames, reports)
 	}
 }
 
-// TestShardedFanInDistributesAndCounts hammers a sharded RIC with concurrent
-// batched associations (run with -race): every association lands on a shard,
-// the per-shard counters sum exactly to the fleet totals, and the hash
-// spreads associations across more than one shard.
-func TestShardedFanInDistributesAndCounts(t *testing.T) {
+// TestLostWindowIsNotCountedSent: a window whose write fails is counted
+// lost, indication by indication, and not as a batch frame sent.
+func TestLostWindowIsNotCountedSent(t *testing.T) {
+	r, addr := servedRIC(t, Config{ReportPeriodMs: 1})
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Writes: the handshake reply, the first window, then a reset.
+	conn := e2.NewConn(e2.NewFaultConn(raw, e2.FaultConfig{ResetAfterWrites: 3}), e2.BinaryCodec{})
+	t.Cleanup(func() { conn.Close() })
+	a, err := NewAgent(conn, &seqRAN{}, AgentConfig{Cell: 1, Batch: BatchConfig{Window: 2, FlushInterval: time.Hour}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for slot := uint64(0); slot < 4; slot++ {
+		_ = a.Tick(slot) // the second window's write fails
+	}
+	// The reset ends the association, and the RIC may shed the delivered
+	// window's second indication at teardown: wait for the end, then read
+	// what it was offered.
+	deadline := time.Now().Add(5 * time.Second)
+	for s := r.Stats(); s.Associations != 1 || s.LiveAssociations != 0; s = r.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("the RIC still serves the reset association: %+v", s)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, _, lost := a.OverloadCounters(); lost != 2 {
+		t.Fatalf("agent counted %d indications lost, want the failed window's 2", lost)
+	}
+	if ov, _ := r.OverloadStats(); ov.Offered != 2 {
+		t.Fatalf("RIC was offered %d indications, want the first window's 2", ov.Offered)
+	}
+	if sent, got := a.BatchFrames(), r.Stats().BatchFrames; sent != 1 || got != 1 {
+		t.Fatalf("agent counts %d batch frames sent, RIC got %d; want 1 and 1", sent, got)
+	}
+}
+
+// TestConcurrentFanInCounts hammers one RIC with concurrent batched
+// associations (run with -race): every association is admitted and the
+// RIC-wide counters sum exactly to the fleet totals.
+func TestConcurrentFanInCounts(t *testing.T) {
 	const (
 		agents    = 16
 		reports   = 8
@@ -265,7 +288,7 @@ func TestShardedFanInDistributesAndCounts(t *testing.T) {
 		wantInds  = agents * reports
 		wantFrame = agents * reports / window
 	)
-	r, addr := servedRIC(t, Config{Shards: 4, ReportPeriodMs: 1})
+	r, addr := servedRIC(t, Config{ReportPeriodMs: 1})
 
 	var wg sync.WaitGroup
 	errs := make(chan error, agents)
@@ -299,39 +322,27 @@ func TestShardedFanInDistributesAndCounts(t *testing.T) {
 	if s.Indications != wantInds || s.BatchFrames != wantFrame {
 		t.Fatalf("totals %d indications / %d frames, want %d / %d", s.Indications, s.BatchFrames, wantInds, wantFrame)
 	}
-	if s.LiveAssociations != agents || s.RefusedAssociations != 0 {
-		t.Fatalf("live %d refused %d, want %d / 0", s.LiveAssociations, s.RefusedAssociations, agents)
-	}
-	var sumAssoc, sumInds, sumFrames uint64
-	populated := 0
-	for _, sh := range r.ShardStats() {
-		sumAssoc += sh.Associations
-		sumInds += sh.Indications
-		sumFrames += sh.BatchFrames
-		if sh.Associations > 0 {
-			populated++
-		}
-	}
-	if sumAssoc != agents || sumInds != wantInds || sumFrames != wantFrame {
-		t.Fatalf("shard sums %d/%d/%d do not match totals %d/%d/%d",
-			sumAssoc, sumInds, sumFrames, agents, wantInds, wantFrame)
-	}
-	if populated < 2 {
-		t.Fatalf("all %d associations hashed onto one shard of %d", agents, len(r.ShardStats()))
+	if s.Associations != agents || s.LiveAssociations != agents || s.RefusedAssociations != 0 {
+		t.Fatalf("admitted %d live %d refused %d, want %d / %d / 0",
+			s.Associations, s.LiveAssociations, s.RefusedAssociations, agents, agents)
 	}
 }
 
-// TestShardBudgetRefusesWithBusyFrame pins the overload contract: an
-// association arriving when every shard is full is turned away with an
-// explicit TypeBusy frame naming the exhausted budget and carrying a
-// retry-after hint — not a silent close — and the refusal is counted without
-// disturbing the association already served.
-func TestShardBudgetRefusesWithBusyFrame(t *testing.T) {
-	r, addr := servedRIC(t, Config{Shards: 1, MaxAssocPerShard: 1, ReportPeriodMs: 1})
+// TestAssociationBudgetRefusesWithBusyFrame pins the overload contract: an
+// association arriving when the budget is spent is turned away with an
+// explicit TypeBusy frame naming the budget and carrying a retry-after hint
+// — not a silent close — and the refusal is counted without disturbing the
+// associations already served.
+func TestAssociationBudgetRefusesWithBusyFrame(t *testing.T) {
+	r, addr := servedRIC(t, Config{MaxAssociations: 2, ReportPeriodMs: 1})
 
-	first := startAgent(t, addr, &seqRAN{}, AgentConfig{Cell: 1})
-	if first.Period() == 0 {
-		t.Fatal("first association not subscribed")
+	var served []*Agent
+	for cell := uint32(1); cell <= 2; cell++ {
+		a := startAgent(t, addr, &seqRAN{}, AgentConfig{Cell: cell})
+		if a.Period() == 0 {
+			t.Fatalf("association %d not subscribed", cell)
+		}
+		served = append(served, a)
 	}
 
 	over, err := e2.Dial(addr, e2.BinaryCodec{})
@@ -354,30 +365,14 @@ func TestShardBudgetRefusesWithBusyFrame(t *testing.T) {
 	}
 
 	s := r.Stats()
-	if s.RefusedAssociations != 1 || s.LiveAssociations != 1 {
-		t.Fatalf("refused %d live %d, want 1 / 1", s.RefusedAssociations, s.LiveAssociations)
+	if s.RefusedAssociations != 1 || s.LiveAssociations != 2 {
+		t.Fatalf("refused %d live %d, want 1 / 2", s.RefusedAssociations, s.LiveAssociations)
 	}
-	// The served association is undisturbed.
-	if err := first.Tick(0); err != nil {
-		t.Fatal(err)
-	}
-	waitIndications(t, r, 1)
-}
-
-// TestShardStatsCoverEveryShard pins the observability shape: ShardStats
-// returns exactly Config.Shards entries, ordered and labelled by shard ID.
-func TestShardStatsCoverEveryShard(t *testing.T) {
-	r := MustNew(Config{Shards: 5})
-	stats := r.ShardStats()
-	if len(stats) != 5 {
-		t.Fatalf("ShardStats returned %d entries, want 5", len(stats))
-	}
-	for i, s := range stats {
-		if s.Shard != i {
-			t.Fatalf("entry %d labelled shard %d", i, s.Shard)
-		}
-		if s.Associations != 0 || s.LiveAssociations != 0 {
-			t.Fatalf("fresh shard %d reports activity: %+v", i, s)
+	// The served associations are undisturbed.
+	for _, a := range served {
+		if err := a.Tick(0); err != nil {
+			t.Fatal(err)
 		}
 	}
+	waitIndications(t, r, 2)
 }

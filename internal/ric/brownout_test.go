@@ -14,7 +14,7 @@ import (
 
 // syntheticOverload is a RIC guard whose deadlines count from t0.
 func syntheticOverload(cfg OverloadConfig) *overload {
-	o := newOverload(cfg.withDefaults(), 1, nil, nil)
+	o := newOverload(cfg.withDefaults(), nil, nil)
 	o.bo.epoch = t0
 	return o
 }

@@ -14,7 +14,7 @@ func TestRunCitySimSmall(t *testing.T) {
 	const cells, sectors = 8, 2
 	res, err := exp.RunCitySim(exp.CitySimConfig{
 		Cells: cells, UEsPerCell: 64, Sectors: sectors, Slots: 50,
-		RICShards: 2, BatchWindow: 4, ReportPeriodMs: 2, ActiveK: 8,
+		BatchWindow: 4, ReportPeriodMs: 2, ActiveK: 8,
 	})
 	if err != nil {
 		t.Fatalf("RunCitySim: %v", err)

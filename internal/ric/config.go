@@ -11,18 +11,9 @@ import (
 	"waran/internal/wasm"
 )
 
-// DefaultShards is the association shard count when Config.Shards is zero:
-// enough domains that a thousand associations spread their fan-in without
-// contending, small enough that a single-association test still behaves
-// exactly like the unsharded RIC did.
-const DefaultShards = 8
-
-// MaxShards bounds Config.Shards.
-const MaxShards = 256
-
-// DefaultMaxAssocPerShard is the per-shard association goroutine budget
-// when Config.MaxAssocPerShard is zero.
-const DefaultMaxAssocPerShard = 512
+// DefaultMaxAssociations is the association goroutine budget when
+// Config.MaxAssociations is zero.
+const DefaultMaxAssociations = 4096
 
 // NoKPMHistory disables the KPM store entirely (Config.KPMHistory): at
 // thousands of associations the store's lock is measurable fan-in overhead
@@ -34,8 +25,8 @@ const NoKPMHistory = -1
 const DefaultBatchFlushInterval = 10 * time.Millisecond
 
 // BatchConfig configures agent-side windowed KPM indication batching
-// (e2.IndicationBatch). The zero value disables batching, which also keeps
-// the wire format byte-identical to the pre-batch protocol.
+// (e2.IndicationBatch). The zero value disables batching: every indication
+// leaves in its own frame.
 type BatchConfig struct {
 	// Window is how many per-slot indications coalesce into one batched
 	// frame; 0 or 1 disables batching.
@@ -84,26 +75,17 @@ type Config struct {
 	// association (default DefaultMissedHeartbeatLimit).
 	MissedHeartbeatLimit int
 
-	// Shards is the number of association domains (default DefaultShards).
-	// Each association hashes onto one shard carrying its own goroutine
-	// budget, counters, and obs instruments, so indication fan-in never
-	// serializes on a global lock.
-	Shards int
-	// MaxAssocPerShard is the per-shard association goroutine budget
-	// (default DefaultMaxAssocPerShard); an association arriving at a full
-	// shard spills onto one with room, and is refused with TypeBusy when
-	// every shard is full.
-	MaxAssocPerShard int
-	// DisableBatching stops the RIC from advertising batch capability at
-	// subscription; agents then keep sending per-slot indications.
-	DisableBatching bool
+	// MaxAssociations is the association goroutine budget (default
+	// DefaultMaxAssociations); an association arriving when it is spent is
+	// refused with TypeBusy.
+	MaxAssociations int
 	// KPMHistory sizes the per-cell KPM ring (0 = DefaultKPMHistory,
 	// NoKPMHistory = no store at all).
 	KPMHistory int
 	// Overload tunes the guards every association passes (see overload.go):
 	// admission token buckets with TypeBusy refusals, bounded
 	// per-association indication queues with drop-oldest shedding, the
-	// brownout state machine, shard spill-over, and per-xApp breakers. Nil
+	// brownout state machine, and per-xApp breakers. Nil
 	// means the zero OverloadConfig, i.e. the defaults; RIC.Config() always
 	// returns it resolved.
 	Overload *OverloadConfig
@@ -114,7 +96,8 @@ type Config struct {
 	OnFault func(xapp string, err error)
 	// OnLog receives xApp log lines.
 	OnLog func(xapp, msg string)
-	// Tracer, when non-nil, enables trace negotiation and RIC-plane spans.
+	// Tracer, when non-nil, records RIC-plane spans for every indication
+	// whose frame carries a trace context.
 	Tracer *trace.Tracer
 	// Flight, when non-nil, journals RIC-plane state transitions — brownout
 	// shifts, shed decisions, admission refusals, per-xApp breaker trips —
@@ -128,11 +111,8 @@ type Config struct {
 
 // Validate rejects configurations New would have to guess about.
 func (c Config) Validate() error {
-	if c.Shards < 0 || c.Shards > MaxShards {
-		return fmt.Errorf("ric: shard count %d outside [0, %d]", c.Shards, MaxShards)
-	}
-	if c.MaxAssocPerShard < 0 {
-		return fmt.Errorf("ric: negative association budget %d", c.MaxAssocPerShard)
+	if c.MaxAssociations < 0 {
+		return fmt.Errorf("ric: negative association budget %d", c.MaxAssociations)
 	}
 	if c.MissedHeartbeatLimit < 0 {
 		return fmt.Errorf("ric: negative missed-heartbeat limit %d", c.MissedHeartbeatLimit)
@@ -153,11 +133,8 @@ func (c Config) withDefaults() Config {
 	if c.MissedHeartbeatLimit == 0 {
 		c.MissedHeartbeatLimit = DefaultMissedHeartbeatLimit
 	}
-	if c.Shards == 0 {
-		c.Shards = DefaultShards
-	}
-	if c.MaxAssocPerShard == 0 {
-		c.MaxAssocPerShard = DefaultMaxAssocPerShard
+	if c.MaxAssociations == 0 {
+		c.MaxAssociations = DefaultMaxAssociations
 	}
 	return c
 }
@@ -176,13 +153,10 @@ func New(cfg Config) (*RIC, error) {
 		r.KPM = NewKPMStore(cfg.KPMHistory)
 	}
 	r.storeXApps(nil, map[string]*XApp{})
-	r.shards = make([]*shard, cfg.Shards)
-	for i := range r.shards {
-		r.shards[i] = newShard(i, cfg.MaxAssocPerShard)
-	}
+	r.sem = make(chan struct{}, cfg.MaxAssociations)
 	ov := cfg.Overload.orZero().withDefaults()
 	r.cfg.Overload = &ov
-	r.ov = newOverload(ov, cfg.Shards, cfg.Tracer, cfg.Flight)
+	r.ov = newOverload(ov, cfg.Tracer, cfg.Flight)
 	return r, nil
 }
 

@@ -56,7 +56,7 @@ func TestDispatchAllocsPinned(t *testing.T) {
 	var sc dispatchScratch
 	reqID := uint32(100)
 	step := func() {
-		reqID = r.dispatch(r.shards[0], conn, queuedInd{ind: ind, enq: time.Now()}, reqID, &sc)
+		reqID = r.dispatch(conn, queuedInd{ind: ind, enq: time.Now()}, reqID, &sc)
 	}
 	for i := 0; i < 64; i++ {
 		step()

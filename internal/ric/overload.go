@@ -1,12 +1,12 @@
 package ric
 
-// The guards every association passes (DESIGN.md §17): admission token
-// buckets and TypeBusy refusals at the front door, a bounded per-association
+// The guards every association passes (DESIGN.md §17): an admission token
+// bucket and TypeBusy refusals at the front door, a bounded per-association
 // indication queue with an explicit shed policy behind it, a three-level
 // brownout decided from how long indications wait in that queue
 // (brownout.go) driving report-period widening / stale shedding /
 // subscription refusal, and a per-xApp breaker so one faulting wasm xApp
-// cannot back up a shard's fan-in. There is no RIC without them;
+// cannot back up the fan-in. There is no RIC without them;
 // Config.Overload only tunes the thresholds.
 
 import (
@@ -16,18 +16,18 @@ import (
 
 	"waran/internal/e2"
 	"waran/internal/guard"
-	"waran/internal/metrics"
+	"waran/internal/obs"
 	"waran/internal/obs/flight"
 	"waran/internal/obs/trace"
 )
 
 // Overload-control defaults (OverloadConfig.withDefaults).
 const (
-	// DefaultAdmitRate is the per-shard association admission rate
-	// (tokens/second) when OverloadConfig.AdmitRate is zero.
-	DefaultAdmitRate = 256.0
+	// DefaultAdmitRate is the association admission rate (tokens/second)
+	// when OverloadConfig.AdmitRate is zero.
+	DefaultAdmitRate = 2048.0
 	// DefaultAdmitBurst is the admission token bucket capacity.
-	DefaultAdmitBurst = 32
+	DefaultAdmitBurst = 256
 	// DefaultQueueDepth bounds each association's indication queue.
 	DefaultQueueDepth = 256
 	// DefaultStaleAfter is how old a queued KPM indication may grow before
@@ -80,10 +80,10 @@ func (l BrownoutLevel) String() string {
 // the near-RT loop's 10 ms floor (brownout.go). The zero
 // value is the defaults below.
 type OverloadConfig struct {
-	// AdmitRate is the per-shard association admission rate in
-	// associations/second (default DefaultAdmitRate; negative disables the
-	// gate). After a RIC restart this is what turns a reconnect stampede
-	// into a controlled ramp.
+	// AdmitRate is the association admission rate in associations/second
+	// (default DefaultAdmitRate; negative disables the gate). After a RIC
+	// restart this is what turns a reconnect stampede into a controlled
+	// ramp.
 	AdmitRate float64
 	// AdmitBurst is the token bucket capacity (default DefaultAdmitBurst).
 	AdmitBurst int
@@ -177,37 +177,31 @@ type overload struct {
 	flight *flight.Recorder // nil-is-off incident journal (Config.Flight)
 
 	gateMu sync.Mutex
-	tokens []float64 // per-shard admission tokens
-	last   []time.Time
+	tokens float64 // admission tokens
+	last   time.Time
 
-	offered       metrics.Counter
-	delivered     metrics.Counter
-	shedOverflow  metrics.Counter
-	shedStale     metrics.Counter
-	shedTeardown  metrics.Counter
-	refusedLate   metrics.Counter
-	busyAdmission metrics.Counter // associations refused with TypeBusy at admission
-	refusedSubs   metrics.Counter // subscriptions refused at critical brownout
-	busyFrames    metrics.Counter // mid-association TypeBusy backpressure frames sent
-	spills        metrics.Counter // associations placed on a non-hashed shard
-	transitions   metrics.Counter // brownout level changes
+	offered       obs.Counter
+	delivered     obs.Counter
+	shedOverflow  obs.Counter
+	shedStale     obs.Counter
+	shedTeardown  obs.Counter
+	refusedLate   obs.Counter
+	busyAdmission obs.Counter // associations refused with TypeBusy at admission
+	refusedSubs   obs.Counter // subscriptions refused at critical brownout
+	busyFrames    obs.Counter // mid-association TypeBusy backpressure frames sent
+	transitions   obs.Counter // brownout level changes
 
 	bo brownout
 }
 
-func newOverload(cfg OverloadConfig, shards int, tracer *trace.Tracer, rec *flight.Recorder) *overload {
-	o := &overload{
+func newOverload(cfg OverloadConfig, tracer *trace.Tracer, rec *flight.Recorder) *overload {
+	return &overload{
 		cfg:    cfg,
 		tracer: tracer,
 		flight: rec,
-		tokens: make([]float64, shards),
-		last:   make([]time.Time, shards),
+		tokens: float64(cfg.AdmitBurst),
 		bo:     brownout{epoch: time.Now()},
 	}
-	for i := range o.tokens {
-		o.tokens[i] = float64(cfg.AdmitBurst)
-	}
-	return o
 }
 
 // Level returns the brownout level in force at now. The first reader to
@@ -237,26 +231,23 @@ func (o *overload) Level(now time.Time) BrownoutLevel {
 	return lvl
 }
 
-// admitAssoc spends one admission token for shardID, or reports how long
-// until one is available.
-func (o *overload) admitAssoc(shardID int, now time.Time) (bool, time.Duration) {
+// admitAssoc spends one admission token, or reports how long until one is
+// available.
+func (o *overload) admitAssoc(now time.Time) (bool, time.Duration) {
 	if o.cfg.AdmitRate < 0 {
 		return true, 0
 	}
 	o.gateMu.Lock()
 	defer o.gateMu.Unlock()
-	if !o.last[shardID].IsZero() {
-		o.tokens[shardID] += now.Sub(o.last[shardID]).Seconds() * o.cfg.AdmitRate
-		if o.tokens[shardID] > float64(o.cfg.AdmitBurst) {
-			o.tokens[shardID] = float64(o.cfg.AdmitBurst)
-		}
+	if !o.last.IsZero() {
+		o.tokens = min(o.tokens+now.Sub(o.last).Seconds()*o.cfg.AdmitRate, float64(o.cfg.AdmitBurst))
 	}
-	o.last[shardID] = now
-	if o.tokens[shardID] >= 1 {
-		o.tokens[shardID]--
+	o.last = now
+	if o.tokens >= 1 {
+		o.tokens--
 		return true, 0
 	}
-	wait := time.Duration((1 - o.tokens[shardID]) / o.cfg.AdmitRate * float64(time.Second))
+	wait := time.Duration((1 - o.tokens) / o.cfg.AdmitRate * float64(time.Second))
 	if wait < o.cfg.RetryAfter {
 		wait = o.cfg.RetryAfter
 	}
@@ -355,7 +346,7 @@ func (r *RIC) recordShed(it queuedInd, reason string) {
 // widened period, pausing the agent), hands the rest to the xApps and sends
 // each indication's controls back in one write, and on teardown drains the
 // residue into the shed ledger.
-func (r *RIC) dispatchLoop(sh *shard, conn *e2.Conn, q *assocQueue) {
+func (r *RIC) dispatchLoop(conn *e2.Conn, q *assocQueue) {
 	defer close(q.done)
 	o := r.ov
 	reqID := uint32(100)
@@ -396,7 +387,7 @@ func (r *RIC) dispatchLoop(sh *shard, conn *e2.Conn, q *assocQueue) {
 				r.recordShed(it, "stale")
 				continue
 			}
-			reqID = r.dispatch(sh, conn, it, reqID, &sc)
+			reqID = r.dispatch(conn, it, reqID, &sc)
 		}
 	}
 }
@@ -404,9 +395,9 @@ func (r *RIC) dispatchLoop(sh *shard, conn *e2.Conn, q *assocQueue) {
 // dispatch hands one indication to the xApps and sends its controls,
 // numbered on from reqID, in one write; it returns the last number used.
 // sc is the dispatcher's, reused from its previous indication.
-func (r *RIC) dispatch(sh *shard, conn *e2.Conn, it queuedInd, reqID uint32, sc *dispatchScratch) uint32 {
+func (r *RIC) dispatch(conn *e2.Conn, it queuedInd, reqID uint32, sc *dispatchScratch) uint32 {
 	o := r.ov
-	controls, cctx := r.handleIndicationOn(sh, it.ind, it.ctx, sc)
+	controls, cctx := r.handleIndicationOn(it.ind, it.ctx, sc)
 	// The indication has reached the xApps, so it is delivered, and the
 	// ledger says so before the first control leaves: an agent that has
 	// applied the last control of a run finds offered == delivered + shed +
@@ -430,34 +421,12 @@ func (r *RIC) applyBrownout(conn *e2.Conn, reqID uint32, lvl BrownoutLevel, now 
 	if lvl >= BrownoutDegraded {
 		period *= uint32(o.cfg.WidenFactor)
 	}
-	_ = conn.Send(subscriptionRequest(reqID, period, r.cfg.Tracer.Enabled(), !r.cfg.DisableBatching))
+	_ = conn.Send(subscriptionRequest(reqID, period))
 	if lvl == BrownoutCritical && o.cfg.BusyPause > 0 {
 		o.busyFrames.Inc()
 		*lastBusy = now
 		_ = conn.Send(e2.NewBusyMessage(o.cfg.BusyPause, "ric: brownout critical"))
 	}
-}
-
-// acquireShard takes one association slot on preferred, spilling onto any
-// other shard with spare budget when preferred is full — per-shard budgets
-// bound goroutines per domain, but an unlucky hash must not refuse an
-// association the RIC as a whole has room for.
-func (r *RIC) acquireShard(preferred *shard) (*shard, bool) {
-	select {
-	case preferred.sem <- struct{}{}:
-		return preferred, true
-	default:
-	}
-	for i := 1; i < len(r.shards); i++ {
-		sh := r.shards[(preferred.id+i)%len(r.shards)]
-		select {
-		case sh.sem <- struct{}{}:
-			r.ov.spills.Inc()
-			return sh, true
-		default:
-		}
-	}
-	return nil, false
 }
 
 // OverloadStats is the flat snapshot of the overload-control layer,
@@ -474,7 +443,6 @@ type OverloadStats struct {
 	BusyAdmission        uint64 `json:"busy_admission_refusals"`
 	RefusedSubscriptions uint64 `json:"refused_subscriptions"`
 	BusyBackpressure     uint64 `json:"busy_backpressure_frames"`
-	Spills               uint64 `json:"shard_spills"`
 	BrownoutTransitions  uint64 `json:"brownout_transitions"`
 	// Deprecated: always 0, kept because bench/ reads it. Brownout reads
 	// how long indications wait; dispatch service time is not sampled.
@@ -504,7 +472,6 @@ func (r *RIC) OverloadStats() (OverloadStats, bool) {
 		BusyAdmission:        o.busyAdmission.Value(),
 		RefusedSubscriptions: o.refusedSubs.Value(),
 		BusyBackpressure:     o.busyFrames.Value(),
-		Spills:               o.spills.Value(),
 		BrownoutTransitions:  o.transitions.Value(),
 	}, true
 }

@@ -47,8 +47,8 @@ func connPair(t *testing.T) (server, client *e2.Conn) {
 }
 
 // TestZeroConfigIsGuarded pins that there is one RIC: the zero Config
-// carries the ledger, a breaker per xApp and TypeBusy refusals, and
-// negotiates nothing beyond trace and batch.
+// carries the ledger, a breaker per xApp and TypeBusy refusals, and its
+// subscription asks for KPM and advertises nothing.
 func TestZeroConfigIsGuarded(t *testing.T) {
 	r := MustNew(Config{})
 	if got := *r.Config().Overload; got.QueueDepth != DefaultQueueDepth || got.AdmitBurst != DefaultAdmitBurst {
@@ -73,19 +73,20 @@ func TestZeroConfigIsGuarded(t *testing.T) {
 	if err != nil || sub.Type != e2.TypeSubscriptionRequest {
 		t.Fatalf("first frame = %v, %v; want a subscription request", sub, err)
 	}
-	if extra := sub.RANFunction &^ e2.RANFunctionKPM &^ (e2.TraceCapabilityBit | e2.BatchCapabilityBit); extra != 0 {
-		t.Fatalf("subscription advertises bits %#x outside trace|batch", extra)
+	if sub.RANFunction != e2.RANFunctionKPM {
+		t.Fatalf("subscription RAN function %#x, want KPM (%#x) alone", sub.RANFunction, e2.RANFunctionKPM)
 	}
 
-	// Every shard's budget full: the refusal is TypeBusy with a retry-after.
-	for _, sh := range r.shards {
-		for len(sh.sem) < cap(sh.sem) {
-			sh.sem <- struct{}{}
-		}
+	// The budget spent: the refusal is TypeBusy with a retry-after.
+	if cap(r.sem) != DefaultMaxAssociations {
+		t.Fatalf("zero Config budget %d, want %d", cap(r.sem), DefaultMaxAssociations)
+	}
+	for len(r.sem) < cap(r.sem) {
+		r.sem <- struct{}{}
 	}
 	server2, client2 := connPair(t)
 	if err := r.ServeConn(server2, stop); err == nil {
-		t.Fatal("ServeConn accepted an association with every shard full")
+		t.Fatal("ServeConn accepted an association with the budget spent")
 	}
 	m, err := client2.Recv()
 	if err != nil {
@@ -141,14 +142,14 @@ func TestOverloadConfigValidate(t *testing.T) {
 // refill at AdmitRate.
 func TestAdmitAssocTokenBucket(t *testing.T) {
 	cfg := OverloadConfig{AdmitRate: 2, AdmitBurst: 2, RetryAfter: 100 * time.Millisecond}.withDefaults()
-	o := newOverload(cfg, 1, nil, nil)
+	o := newOverload(cfg, nil, nil)
 	now := time.Now()
 	for i := 0; i < 2; i++ {
-		if ok, _ := o.admitAssoc(0, now); !ok {
+		if ok, _ := o.admitAssoc(now); !ok {
 			t.Fatalf("admission %d refused within burst", i)
 		}
 	}
-	ok, wait := o.admitAssoc(0, now)
+	ok, wait := o.admitAssoc(now)
 	if ok {
 		t.Fatal("third admission accepted with an empty bucket")
 	}
@@ -156,13 +157,13 @@ func TestAdmitAssocTokenBucket(t *testing.T) {
 		t.Fatalf("retry-after %v below the configured floor", wait)
 	}
 	// At 2 tokens/s, 600 ms refills more than one whole token.
-	if ok, _ := o.admitAssoc(0, now.Add(600*time.Millisecond)); !ok {
+	if ok, _ := o.admitAssoc(now.Add(600 * time.Millisecond)); !ok {
 		t.Fatal("admission refused after refill")
 	}
 	// A disabled gate admits everything.
-	od := newOverload(OverloadConfig{AdmitRate: -1}.withDefaults(), 1, nil, nil)
+	od := newOverload(OverloadConfig{AdmitRate: -1}.withDefaults(), nil, nil)
 	for i := 0; i < 1000; i++ {
-		if ok, _ := od.admitAssoc(0, now); !ok {
+		if ok, _ := od.admitAssoc(now); !ok {
 			t.Fatal("disabled admission gate refused")
 		}
 	}
@@ -172,7 +173,7 @@ func TestAdmitAssocTokenBucket(t *testing.T) {
 // admission budget gets TypeBusy with a retry-after hint and Agent.Start
 // surfaces it as *e2.BusyError.
 func TestBusyAdmissionRefusal(t *testing.T) {
-	r := MustNew(Config{Shards: 1, Overload: &OverloadConfig{AdmitRate: 0.001, AdmitBurst: 1}})
+	r := MustNew(Config{Overload: &OverloadConfig{AdmitRate: 0.001, AdmitBurst: 1}})
 	lis, err := e2.Listen("127.0.0.1:0", e2.BinaryCodec{})
 	if err != nil {
 		t.Fatal(err)
@@ -211,77 +212,6 @@ func TestBusyAdmissionRefusal(t *testing.T) {
 	}
 }
 
-// TestAcquireShardSpill is the unit half of the refusal-rehash fix: a full
-// preferred shard spills the association onto any shard with spare budget
-// instead of refusing while the RIC as a whole has room.
-func TestAcquireShardSpill(t *testing.T) {
-	r := MustNew(Config{Shards: 3, MaxAssocPerShard: 1, Overload: &OverloadConfig{}})
-	preferred := r.shards[0]
-	a, ok := r.acquireShard(preferred)
-	if !ok || a != preferred {
-		t.Fatalf("first acquire = (%v, %v), want preferred shard", a, ok)
-	}
-	b, ok := r.acquireShard(preferred)
-	if !ok || b == preferred {
-		t.Fatalf("second acquire = (%v, %v), want a spill onto another shard", b, ok)
-	}
-	c, ok := r.acquireShard(preferred)
-	if !ok || c == preferred || c == b {
-		t.Fatalf("third acquire = (%v, %v), want the last free shard", c, ok)
-	}
-	if _, ok := r.acquireShard(preferred); ok {
-		t.Fatal("acquire succeeded with every shard full")
-	}
-	st, _ := r.OverloadStats()
-	if st.Spills != 2 {
-		t.Fatalf("Spills = %d, want 2", st.Spills)
-	}
-}
-
-// TestSpillEventualPlacement is the e2e half: with one association slot per
-// shard, as many associations as shards all land somewhere regardless of
-// how the address hash distributes them, and the next one is refused busy.
-func TestSpillEventualPlacement(t *testing.T) {
-	const shards = 4
-	r := MustNew(Config{Shards: shards, MaxAssocPerShard: 1, Overload: &OverloadConfig{}})
-	lis, err := e2.Listen("127.0.0.1:0", e2.BinaryCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	stop := make(chan struct{})
-	defer close(stop)
-	go r.Serve(lis, stop)
-
-	for i := 0; i < shards; i++ {
-		c, err := e2.Dial(lis.Addr().String(), e2.BinaryCodec{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		m, err := c.Recv()
-		if err != nil {
-			t.Fatalf("association %d: %v", i, err)
-		}
-		if m.Type != e2.TypeSubscriptionRequest {
-			t.Fatalf("association %d admitted with %s, want subscription-request", i, m.Type)
-		}
-	}
-	// Every slot is taken: one more association must be refused with busy.
-	c, err := e2.Dial(lis.Addr().String(), e2.BinaryCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	m, err := c.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Type != e2.TypeBusy {
-		t.Fatalf("over-budget association got %s, want busy", m.Type)
-	}
-}
-
 // TestShedLedgerConservation exercises every exit of the indication queue —
 // delivery, overflow eviction, late refusal, teardown drain — and asserts
 // the strict conservation invariant offered == delivered + shed + refused.
@@ -301,7 +231,7 @@ func TestShedLedgerConservation(t *testing.T) {
 		t.Fatalf("after overflow: offered=%d shedOverflow=%d, want 10/8", st.Offered, st.ShedOverflow)
 	}
 	// Start the dispatcher: the two survivors are delivered.
-	go r.dispatchLoop(r.shards[0], server, q)
+	go r.dispatchLoop(server, q)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		st, _ = r.OverloadStats()
@@ -333,7 +263,7 @@ func TestShedLedgerConservation(t *testing.T) {
 		r2.enqueueIndication(q2, mk(s))
 	}
 	close(q2.quit)
-	r2.dispatchLoop(r2.shards[0], server2, q2) // returns after the drain
+	r2.dispatchLoop(server2, q2) // returns after the drain
 	st2, _ := r2.OverloadStats()
 	if st2.Offered != 3 || st2.Delivered+st2.ShedTeardown != 3 {
 		t.Fatalf("teardown ledger violated: %+v", st2)
@@ -752,15 +682,13 @@ func TestFullJitterDesync(t *testing.T) {
 	}
 }
 
-// TestRenegotiationRaceFlushExactlyOnce races mid-window capability
-// renegotiation (batch bit toggling on re-subscription) against Flush and
-// asserts every buffered indication is delivered exactly once — as a batch
-// frame or individually, but never duplicated, never silently lost.
+// TestRenegotiationRaceFlushExactlyOnce races mid-window re-subscriptions
+// against Flush and asserts every buffered indication is delivered exactly
+// once, in a batch frame: never duplicated, never silently lost.
 func TestRenegotiationRaceFlushExactlyOnce(t *testing.T) {
 	ricEnd, agent, _ := agentPair(t, AgentConfig{Cell: 1, Batch: BatchConfig{Window: 8, FlushInterval: time.Hour}})
 	err := ricEnd.Send(&e2.Message{
-		Type: e2.TypeSubscriptionRequest, RequestID: 1,
-		RANFunction:  e2.RANFunctionKPM | e2.BatchCapabilityBit,
+		Type: e2.TypeSubscriptionRequest, RequestID: 1, RANFunction: e2.RANFunctionKPM,
 		Subscription: &e2.SubscriptionRequest{ReportPeriodMs: 1},
 	})
 	if err != nil {
@@ -776,26 +704,20 @@ func TestRenegotiationRaceFlushExactlyOnce(t *testing.T) {
 	const perIter = 3
 	slot := uint64(0)
 	for iter := 0; iter < 25; iter++ {
-		// Buffer (or, when batching was renegotiated away, send) three
-		// due-slot indications.
+		// Buffer three due-slot indications.
 		for k := 0; k < perIter; k++ {
 			slot++
 			if err := agent.Tick(slot); err != nil {
 				t.Fatal(err)
 			}
 		}
-		// Race a capability renegotiation against the flush: odd iterations
-		// drop the batch bit mid-window, even ones restore it.
-		fn := e2.RANFunctionKPM
-		if iter%2 == 0 {
-			fn |= e2.BatchCapabilityBit
-		}
+		// Race a re-subscription against the flush.
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func(reqID uint32) {
 			defer wg.Done()
 			_ = ricEnd.Send(&e2.Message{
-				Type: e2.TypeSubscriptionRequest, RequestID: reqID, RANFunction: fn,
+				Type: e2.TypeSubscriptionRequest, RequestID: reqID, RANFunction: e2.RANFunctionKPM,
 				Subscription: &e2.SubscriptionRequest{ReportPeriodMs: 1},
 			})
 		}(uint32(iter + 2))
@@ -817,7 +739,7 @@ func TestRenegotiationRaceFlushExactlyOnce(t *testing.T) {
 			}
 			switch m.Type {
 			case e2.TypeIndication:
-				got++
+				t.Fatalf("iter %d: a batching agent sent a lone indication", iter)
 			case e2.TypeIndicationBatch:
 				got += len(m.Batch.Indications)
 			case e2.TypeSubscriptionResponse:
@@ -828,8 +750,11 @@ func TestRenegotiationRaceFlushExactlyOnce(t *testing.T) {
 			t.Fatalf("iter %d: %d indications delivered, want exactly %d", iter, got, perIter)
 		}
 	}
-	if pend := agent.PendingBatched(); pend != 0 {
-		t.Fatalf("window residue %d after final flush", pend)
+	agent.batchMu.Lock()
+	residue := agent.pending
+	agent.batchMu.Unlock()
+	if residue != nil {
+		t.Fatalf("window residue %d after final flush", len(residue.inds))
 	}
 	// Nothing extra in flight: a duplicated window would land here.
 	_ = ricEnd.SetReadDeadline(time.Now().Add(100 * time.Millisecond))

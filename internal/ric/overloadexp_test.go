@@ -15,9 +15,8 @@ import (
 func TestRunOverloadSmall(t *testing.T) {
 	cfg := exp.OverloadConfig{
 		Agents:         32,
-		Shards:         4,
-		AdmitRate:      100,
-		AdmitBurst:     2,
+		AdmitRate:      400,
+		AdmitBurst:     8,
 		RetryAfter:     80 * time.Millisecond,
 		ReportPeriodMs: 4,
 		Warmup:         200 * time.Millisecond,
@@ -41,8 +40,8 @@ func TestRunOverloadSmall(t *testing.T) {
 	if res.Reassoc99Ms <= 0 {
 		t.Fatalf("no 99%% reassociation mark recorded: %+v", res)
 	}
-	// The admission gate must have actually turned connections away (burst 2
-	// on 4 shards against a 32-agent stampede).
+	// The admission gate must have actually turned connections away (burst 8
+	// against a 32-agent stampede).
 	if res.BusyRefusals == 0 {
 		t.Fatal("admission gate never refused a connection — storm not gated")
 	}

@@ -3,8 +3,6 @@ package ric
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -12,7 +10,6 @@ import (
 
 	"waran/internal/e2"
 	"waran/internal/guard"
-	"waran/internal/metrics"
 	"waran/internal/obs"
 	"waran/internal/obs/flight"
 	"waran/internal/obs/trace"
@@ -25,10 +22,9 @@ import (
 // drives E2-lite associations with a fleet of gNBs. Construct it with New
 // (or MustNew) from a Config; nothing is poked post-construction.
 //
-// Associations hash onto shards (Config.Shards): each shard carries its own
-// goroutine budget, counters, and obs instruments, and the xApp registry is
-// a copy-on-write snapshot, so indication fan-in from concurrent
-// associations never serializes on a global lock.
+// Concurrent associations share nothing they would contend on: the xApp
+// registry is a copy-on-write snapshot, every counter is one atomic add, and
+// each xApp's instance pool queues the dispatches that reach it.
 type RIC struct {
 	cfg Config
 
@@ -51,55 +47,18 @@ type RIC struct {
 	// join the decision tree that provoked them.
 	lastTraced atomic.Pointer[trace.Context]
 
-	shards    []*shard
-	nextShard atomic.Uint64 // metric-exempt: round-robin tiebreak, not telemetry
+	sem chan struct{} // association goroutine budget (Config.MaxAssociations)
 
-	// ov is the guard state every association passes: admission gates, shed
+	indications obs.Counter
+	controls    obs.Counter
+	batchFrames obs.Counter
+	assocTotal  obs.Counter
+	refused     obs.Counter
+	live        atomic.Int64 // metric-exempt: gauge (needs decrement), snapshot via Stats
+
+	// ov is the guard state every association passes: admission gate, shed
 	// ledger, brownout level. See overload.go.
 	ov *overload
-}
-
-// shard is one association domain: associations hash here and every
-// hot-path counter lives here, padded apart from its siblings so fan-in
-// from one shard never bounces a cache line another shard writes.
-type shard struct {
-	id  int
-	sem chan struct{} // association goroutine budget
-
-	indications metrics.Counter
-	controls    metrics.Counter
-	batchFrames metrics.Counter
-	assocTotal  metrics.Counter
-	refused     metrics.Counter
-	live        atomic.Int64 // metric-exempt: gauge (needs decrement), snapshot via Stats
-	_           [64]byte     // keep the next shard's counters off this cache line
-}
-
-func newShard(id, budget int) *shard {
-	return &shard{id: id, sem: make(chan struct{}, budget)}
-}
-
-// ShardStats is the flat snapshot of one association shard.
-type ShardStats struct {
-	Shard            int    `json:"shard"`
-	LiveAssociations int64  `json:"live_associations"`
-	Associations     uint64 `json:"associations"`
-	Refused          uint64 `json:"refused"`
-	Indications      uint64 `json:"indications"`
-	BatchFrames      uint64 `json:"batch_frames"`
-	Controls         uint64 `json:"controls"`
-}
-
-func (s *shard) stats() ShardStats {
-	return ShardStats{
-		Shard:            s.id,
-		LiveAssociations: s.live.Load(),
-		Associations:     s.assocTotal.Value(),
-		Refused:          s.refused.Value(),
-		Indications:      s.indications.Value(),
-		BatchFrames:      s.batchFrames.Value(),
-		Controls:         s.controls.Value(),
-	}
 }
 
 // storeXApps publishes a new registry snapshot (callers hold instMu, or are
@@ -256,12 +215,9 @@ func (r *RIC) HandleIndication(ind *e2.Indication) []e2.ControlRequest {
 // xapp.invoke span and the returned context names that span, so the caller
 // parents the resulting control sends to it. With a zero ctx (or no tracer)
 // it behaves exactly like HandleIndication and echoes ctx back.
-//
-// Direct calls account on shard 0; associations served by ServeConn account
-// on their own shard.
 func (r *RIC) HandleIndicationTraced(ind *e2.Indication, ctx trace.Context) ([]e2.ControlRequest, trace.Context) {
 	var sc dispatchScratch
-	return r.handleIndicationOn(r.shards[0], ind, ctx, &sc)
+	return r.handleIndicationOn(ind, ctx, &sc)
 }
 
 // dispatchScratch is the storage one indication's dispatch reuses from the
@@ -281,7 +237,7 @@ type dispatchScratch struct {
 // not pin its encoding for the association's life.
 const maxRetainedPayload = 64 << 10
 
-func (r *RIC) handleIndicationOn(sh *shard, ind *e2.Indication, ctx trace.Context, sc *dispatchScratch) ([]e2.ControlRequest, trace.Context) {
+func (r *RIC) handleIndicationOn(ind *e2.Indication, ctx trace.Context, sc *dispatchScratch) ([]e2.ControlRequest, trace.Context) {
 	tracing := r.cfg.Tracer.Enabled() && ctx.Valid()
 	var start time.Time
 	if tracing {
@@ -311,10 +267,11 @@ func (r *RIC) handleIndicationOn(sh *shard, ind *e2.Indication, ctx trace.Contex
 		sc.payload = payload
 	}
 	sc.controls = out
-	sh.indications.Inc()
+	// Controls first: whoever sees an indication counted sees its controls.
 	if len(out) > 0 {
-		sh.controls.Add(uint64(len(out)))
+		r.controls.Add(uint64(len(out)))
 	}
+	r.indications.Inc()
 	return out, ctx
 }
 
@@ -333,9 +290,7 @@ func (r *RIC) LastIndicationTrace() trace.Context {
 // tracer is attached) every request carries the trace trailer, each is
 // recorded as a control.encode span (the write's encode time split evenly
 // across its frames), and the write as one transport span parented to the
-// last encode, whose ID every request carries on the wire. Callers must
-// only pass a live parent on associations whose agent negotiated trace
-// capability — old decoders reject unexpected trailers.
+// last encode, whose ID every request carries on the wire.
 func (r *RIC) SendControl(conn *e2.Conn, reqID uint32, cs []e2.ControlRequest, parent trace.Context) error {
 	var sc dispatchScratch
 	return r.sendControl(conn, reqID, cs, parent, &sc)
@@ -398,14 +353,9 @@ func (r *RIC) sendControl(conn *e2.Conn, reqID uint32, cs []e2.ControlRequest, p
 	return err
 }
 
-// Counters reports processed indication and emitted control counts summed
-// across shards.
+// Counters reports processed indication and emitted control counts.
 func (r *RIC) Counters() (indications, controls uint64) {
-	for _, sh := range r.shards {
-		indications += sh.indications.Value()
-		controls += sh.controls.Value()
-	}
-	return indications, controls
+	return r.indications.Value(), r.controls.Value()
 }
 
 // RICStats is the flat snapshot of the RIC's dispatch accounting.
@@ -413,38 +363,29 @@ type RICStats struct {
 	Indications uint64 `json:"indications"`
 	Controls    uint64 `json:"controls"`
 	BatchFrames uint64 `json:"batch_frames"`
+	// Associations counts associations admitted since the RIC started.
+	Associations uint64 `json:"associations"`
 	// LiveAssociations is the number of associations currently served.
 	LiveAssociations int64 `json:"live_associations"`
 	// RefusedAssociations counts associations turned away at admission:
-	// critical brownout, an empty token bucket, or every shard budget full.
+	// critical brownout, an empty token bucket, or a spent budget.
 	RefusedAssociations uint64 `json:"refused_associations"`
 }
 
-// Stats returns dispatch and association totals summed across shards.
+// Stats returns the dispatch and association totals.
 func (r *RIC) Stats() RICStats {
-	var s RICStats
-	for _, sh := range r.shards {
-		s.Indications += sh.indications.Value()
-		s.Controls += sh.controls.Value()
-		s.BatchFrames += sh.batchFrames.Value()
-		s.LiveAssociations += sh.live.Load()
-		s.RefusedAssociations += sh.refused.Value()
+	return RICStats{
+		Indications:         r.indications.Value(),
+		Controls:            r.controls.Value(),
+		BatchFrames:         r.batchFrames.Value(),
+		Associations:        r.assocTotal.Value(),
+		LiveAssociations:    r.live.Load(),
+		RefusedAssociations: r.refused.Value(),
 	}
-	return s
 }
 
-// ShardStats returns per-shard association and dispatch counters.
-func (r *RIC) ShardStats() []ShardStats {
-	out := make([]ShardStats, len(r.shards))
-	for i, sh := range r.shards {
-		out[i] = sh.stats()
-	}
-	return out
-}
-
-// Register exposes the RIC on reg: dispatch counters, per-shard
-// association fan-in instruments (one labelled series per shard), per-xApp
-// invocation accounting, the shed ledger and brownout counters, the xApp
+// Register exposes the RIC on reg: dispatch and association counters,
+// per-xApp invocation accounting, the shed ledger and brownout counters, the xApp
 // module cache, and — when Assoc is set — the association-resilience
 // counters.
 func (r *RIC) Register(reg *obs.Registry, labels ...obs.Label) {
@@ -456,30 +397,12 @@ func (r *RIC) Register(reg *obs.Registry, labels ...obs.Label) {
 				{Suffix: "_indications_total", Value: float64(s.Indications)},
 				{Suffix: "_controls_total", Value: float64(s.Controls)},
 				{Suffix: "_batch_frames_total", Value: float64(s.BatchFrames)},
+				{Suffix: "_associations_total", Value: float64(s.Associations)},
 				{Suffix: "_live_associations", Value: float64(s.LiveAssociations)},
 				{Suffix: "_refused_associations_total", Value: float64(s.RefusedAssociations)},
 			}
 		},
 		JSON: func() any { return r.Stats() },
-	}, labels...)
-	reg.MustRegister("waran_ric_shard", "per-shard association fan-in counters", obs.Func{
-		Kind: obs.KindUntyped,
-		Collect: func() []obs.Sample {
-			var out []obs.Sample
-			for _, sh := range r.shards {
-				s := sh.stats()
-				lbl := []obs.Label{obs.L("shard", fmt.Sprint(s.Shard))}
-				out = append(out,
-					obs.Sample{Suffix: "_live_associations", Labels: lbl, Value: float64(s.LiveAssociations)},
-					obs.Sample{Suffix: "_associations_total", Labels: lbl, Value: float64(s.Associations)},
-					obs.Sample{Suffix: "_indications_total", Labels: lbl, Value: float64(s.Indications)},
-					obs.Sample{Suffix: "_batch_frames_total", Labels: lbl, Value: float64(s.BatchFrames)},
-					obs.Sample{Suffix: "_controls_total", Labels: lbl, Value: float64(s.Controls)},
-				)
-			}
-			return out
-		},
-		JSON: func() any { return r.ShardStats() },
 	}, labels...)
 	reg.MustRegister("waran_ric_xapp", "per-xApp invocation and fault counters", obs.Func{
 		Kind: obs.KindUntyped,
@@ -517,7 +440,6 @@ func (r *RIC) Register(reg *obs.Registry, labels ...obs.Label) {
 				{Suffix: "_busy_admission_refusals_total", Value: float64(s.BusyAdmission)},
 				{Suffix: "_refused_subscriptions_total", Value: float64(s.RefusedSubscriptions)},
 				{Suffix: "_busy_backpressure_frames_total", Value: float64(s.BusyBackpressure)},
-				{Suffix: "_shard_spills_total", Value: float64(s.Spills)},
 				{Suffix: "_brownout_transitions_total", Value: float64(s.BrownoutTransitions)},
 				{Suffix: "_brownout_level", Value: float64(r.BrownoutLevel())},
 			}
@@ -534,21 +456,8 @@ func (r *RIC) Register(reg *obs.Registry, labels ...obs.Label) {
 // intervals declare an association dead when the RIC does not override it.
 const DefaultMissedHeartbeatLimit = 3
 
-// shardFor hashes an association onto a shard by its remote address;
-// connections without a usable address spread round-robin.
-func (r *RIC) shardFor(conn *e2.Conn) *shard {
-	if addr := conn.RemoteAddr(); addr != nil {
-		if s := addr.String(); s != "" {
-			h := fnv.New32a()
-			_, _ = io.WriteString(h, s)
-			return r.shards[h.Sum32()%uint32(len(r.shards))]
-		}
-	}
-	return r.shards[r.nextShard.Add(1)%uint64(len(r.shards))]
-}
-
 // Serve accepts associations on lis until stop closes, spawning one
-// ServeConn goroutine per association (subject to the shard budgets) and
+// ServeConn goroutine per association (subject to the association budget) and
 // waiting for them to finish. Closing stop closes the listener to unblock
 // Accept; the caller keeps ownership of lis.
 func (r *RIC) Serve(lis *e2.Listener, stop <-chan struct{}) error {
@@ -586,18 +495,15 @@ func (r *RIC) Serve(lis *e2.Listener, stop <-chan struct{}) error {
 // then consume indications (unbatching windowed frames into their per-slot
 // indications) and push control actions until the peer closes, stop is
 // closed, or (with HeartbeatInterval set) liveness fails (DESIGN.md §10).
-// The association occupies one slot of a shard's goroutine budget.
+// The association occupies one slot of the RIC's goroutine budget.
 //
 // Admission runs three gates in order, each refusing with a TypeBusy
-// retry-after hint: a critically browned-out RIC refuses outright; the hashed
-// shard's token bucket (hint sized to its refill) turns a reconnect stampede
-// after a RIC restart into a ramp at AdmitRate per shard; and the shard
-// budget, spilling onto any shard with room, refuses only when every shard
-// is full.
+// retry-after hint: a critically browned-out RIC refuses outright; the token
+// bucket (hint sized to its refill) turns a reconnect stampede after a RIC
+// restart into a ramp at AdmitRate; and a spent budget refuses.
 func (r *RIC) ServeConn(conn *e2.Conn, stop <-chan struct{}) error {
-	hashed := r.shardFor(conn)
-	refuse := func(counter *metrics.Counter, gate string, retryAfter time.Duration, reason string) error {
-		hashed.refused.Inc()
+	refuse := func(counter *obs.Counter, gate string, retryAfter time.Duration, reason string) error {
+		r.refused.Inc()
 		counter.Inc()
 		r.recordAdmissionRefused(gate)
 		_ = conn.Send(e2.NewBusyMessage(retryAfter, "ric: "+reason))
@@ -609,20 +515,20 @@ func (r *RIC) ServeConn(conn *e2.Conn, stop <-chan struct{}) error {
 		return refuse(&r.ov.refusedSubs, "brownout-critical", r.ov.cfg.RetryAfter,
 			fmt.Sprintf("brownout %s, refusing new subscriptions", lvl))
 	}
-	if ok, retryAfter := r.ov.admitAssoc(hashed.id, now); !ok {
-		return refuse(&r.ov.busyAdmission, "token-bucket", retryAfter,
-			fmt.Sprintf("shard %d admission gate closed", hashed.id))
+	if ok, retryAfter := r.ov.admitAssoc(now); !ok {
+		return refuse(&r.ov.busyAdmission, "token-bucket", retryAfter, "admission gate closed")
 	}
-	sh, ok := r.acquireShard(hashed)
-	if !ok {
+	select {
+	case r.sem <- struct{}{}:
+	default:
 		return refuse(&r.ov.busyAdmission, "budget-exhausted", r.ov.cfg.RetryAfter,
-			fmt.Sprintf("shard %d association budget (%d) exhausted", hashed.id, cap(hashed.sem)))
+			fmt.Sprintf("association budget (%d) exhausted", cap(r.sem)))
 	}
-	defer func() { <-sh.sem }()
-	sh.assocTotal.Inc()
-	sh.live.Add(1)
-	defer sh.live.Add(-1)
-	return r.serveConn(sh, conn, stop)
+	defer func() { <-r.sem }()
+	r.assocTotal.Inc()
+	r.live.Add(1)
+	defer r.live.Add(-1)
+	return r.serveConn(conn, stop)
 }
 
 // recordAdmissionRefused journals one refused association with the gate that
@@ -636,14 +542,11 @@ func (r *RIC) recordAdmissionRefused(gate string) {
 	}
 }
 
-func (r *RIC) serveConn(sh *shard, conn *e2.Conn, stop <-chan struct{}) error {
-	traced := false // the agent answered with e2.TraceCapabilityToken
+func (r *RIC) serveConn(conn *e2.Conn, stop <-chan struct{}) error {
 	assoc := &assocDriver{core: assocCore{p: ricParams(r.cfg)}, conn: conn, do: func(act action) {
 		switch act.kind {
 		case actSend:
 			_ = conn.Send(act.msg) // a dead conn fails the reader too
-		case actSubscribed:
-			traced = act.sub.traced
 		case actMiss:
 			if r.cfg.Assoc != nil {
 				r.cfg.Assoc.MissedHeartbeats.Inc()
@@ -662,7 +565,7 @@ func (r *RIC) serveConn(sh *shard, conn *e2.Conn, stop <-chan struct{}) error {
 	// the bounded queue, shedding by policy. Every other frame is handled
 	// inline — never queued, never shed.
 	q := newAssocQueue(r.ov.cfg.QueueDepth)
-	go r.dispatchLoop(sh, conn, q)
+	go r.dispatchLoop(conn, q)
 	defer func() { close(q.quit); <-q.done }()
 
 	for {
@@ -673,16 +576,16 @@ func (r *RIC) serveConn(sh *shard, conn *e2.Conn, stop <-chan struct{}) error {
 		}
 		switch m.Type {
 		case e2.TypeIndication:
-			ctx := r.decodeCtx(conn, m.Trace, traced, m.Indication.Slot, m.Indication.Cell)
+			ctx := r.decodeCtx(conn, m.Trace, m.Indication.Slot, m.Indication.Cell)
 			r.enqueueIndication(q, queuedInd{ind: m.Indication, ctx: ctx, enq: time.Now()})
 		case e2.TypeIndicationBatch:
 			// Unbatch in arrival order into the per-indication queue, so
 			// batched delivery is indistinguishable to xApps.
-			sh.batchFrames.Inc()
+			r.batchFrames.Inc()
 			inds := m.Batch.Indications
 			ctx := trace.Context{}
 			if len(inds) > 0 {
-				ctx = r.decodeCtx(conn, m.Trace, traced, inds[0].Slot, inds[0].Cell)
+				ctx = r.decodeCtx(conn, m.Trace, inds[0].Slot, inds[0].Cell)
 			}
 			now := time.Now()
 			for i := range inds {
@@ -700,9 +603,10 @@ func (r *RIC) serveConn(sh *shard, conn *e2.Conn, stop <-chan struct{}) error {
 
 // decodeCtx records the ric.decode span for one received indication frame
 // (single or batched) and returns the context downstream dispatch parents
-// to; untraced frames return a zero context.
-func (r *RIC) decodeCtx(conn *e2.Conn, wire trace.Context, assocTraced bool, slot uint64, cell uint32) trace.Context {
-	if !assocTraced || !wire.Valid() {
+// to. An untraced frame, or any frame at an untraced RIC, returns a zero
+// context.
+func (r *RIC) decodeCtx(conn *e2.Conn, wire trace.Context, slot uint64, cell uint32) trace.Context {
+	if !r.cfg.Tracer.Enabled() || !wire.Valid() {
 		return trace.Context{}
 	}
 	// The wire context names the agent's transport span; the decode span

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"waran/internal/e2"
-	"waran/internal/metrics"
 	"waran/internal/obs"
 )
 
@@ -31,22 +30,23 @@ func deriveSeed(seed int64) int64 {
 // observes).
 type AssocMetrics struct {
 	// Reconnects counts associations established beyond the first.
-	Reconnects metrics.Counter
+	Reconnects obs.Counter
 	// MissedHeartbeats counts heartbeat intervals with no inbound frame.
-	MissedHeartbeats metrics.Counter
+	MissedHeartbeats obs.Counter
 	// DeadAssociations counts liveness-declared association deaths.
-	DeadAssociations metrics.Counter
+	DeadAssociations obs.Counter
 	// DroppedIndications counts indications not delivered because the
-	// association was down or the send failed mid-flight.
-	DroppedIndications metrics.Counter
+	// association was down or their write failed (every indication of a
+	// lost batch window).
+	DroppedIndications obs.Counter
 	// BusyRefusals counts connect attempts the RIC refused with a busy
 	// frame (admission control or brownout-critical subscription refusal).
-	BusyRefusals metrics.Counter
+	BusyRefusals obs.Counter
 	// BusyBackpressure counts mid-association busy frames received.
-	BusyBackpressure metrics.Counter
+	BusyBackpressure obs.Counter
 	// ShedPaused counts due-slot indications shed at the source while a
 	// busy-frame backpressure pause was in effect.
-	ShedPaused metrics.Counter
+	ShedPaused obs.Counter
 
 	degradedNs atomic.Int64 // time spent without an association
 }
@@ -271,7 +271,7 @@ type AgentSessionConfig struct {
 	Dial func() (*e2.Conn, error)
 	RAN  RANControl
 	// Agent configures each Agent the session runs (cell, liveness bound,
-	// tracer, batching); capabilities are re-negotiated on every reconnect.
+	// tracer, batching).
 	Agent AgentConfig
 	// Backoff schedules reconnect attempts.
 	Backoff Backoff
@@ -301,8 +301,13 @@ func (c AgentSessionConfig) Validate() error {
 type AgentSession struct {
 	cfg AgentSessionConfig
 
+	// tickMu is held across each Tick, so retiring an agent waits out a
+	// Tick still running on it.
+	tickMu sync.Mutex
+
 	mu           sync.Mutex
 	agent        *Agent // live agent, nil while degraded
+	retiring     *Agent // the agent being torn down, until its counters fold
 	lastPeriod   uint64 // retained across teardowns for drop accounting
 	degradedAt   time.Time
 	associations uint64
@@ -375,44 +380,52 @@ func (s *AgentSession) serve(conn *e2.Conn) (bool, error) {
 		s.cfg.Metrics.DeadAssociations.Inc()
 	}
 
-	// Teardown: fold the dead agent's counters into the totals. A window
-	// remainder lost with the conn is a drop like any mid-flight drop.
+	// Teardown: retire the agent, so later Ticks count as degraded and none
+	// is still running on it, then fold its counters into the totals. The
+	// agent has counted every indication its failed writes lost, the
+	// window remainder lost with the conn included.
+	s.tickMu.Lock()
+	s.mu.Lock()
+	s.agent, s.retiring = nil, agent
+	if p := agent.Period(); p > 0 {
+		s.lastPeriod = p
+	}
+	s.degradedAt = time.Now()
+	s.mu.Unlock()
+	s.tickMu.Unlock()
 	_ = agent.Flush() // don't strand a partial batch window with the conn
 	conn.Close()
 	ind, ok, fail := agent.Counters()
 	rs := agent.Resubscribes()
-	bf, ps, lf := agent.OverloadCounters()
+	bf, ps, lost := agent.OverloadCounters()
 	s.cfg.Metrics.BusyBackpressure.Add(bf)
 	s.cfg.Metrics.ShedPaused.Add(ps)
-	s.cfg.Metrics.DroppedIndications.Add(lf)
+	s.cfg.Metrics.DroppedIndications.Add(lost)
 	s.mu.Lock()
 	s.indications += ind
 	s.controlsOK += ok
 	s.controlsFail += fail
 	s.resubscribes += rs
-	if p := agent.Period(); p > 0 {
-		s.lastPeriod = p
-	}
-	s.agent = nil
-	s.degradedAt = time.Now()
+	s.retiring = nil
 	s.mu.Unlock()
 	return true, termErr
 }
 
 // Tick is called by the owner after each MAC slot. While an association is
-// live it forwards to the Agent; while degraded (or when the send fails
-// mid-flight) it counts the indication as dropped and returns immediately —
-// it never stalls or aborts the slot loop.
+// live it forwards to the Agent, which counts what a failed write loses;
+// while degraded it counts a due indication as dropped and returns
+// immediately — it never stalls or aborts the slot loop.
 func (s *AgentSession) Tick(slot uint64) {
+	s.tickMu.Lock()
+	defer s.tickMu.Unlock()
 	s.mu.Lock()
 	agent := s.agent
 	period := s.lastPeriod
 	s.mu.Unlock()
 	if agent != nil {
-		if err := agent.Tick(slot); err != nil {
-			// The conn died mid-send; the supervisor reconnects shortly.
-			s.cfg.Metrics.DroppedIndications.Inc()
-		}
+		// A failed write means the conn died; the supervisor reconnects
+		// shortly.
+		_ = agent.Tick(slot)
 		return
 	}
 	if period > 0 && slot%period == 0 {
@@ -454,6 +467,9 @@ func (s *AgentSession) LiveCounters() (indications, controlsOK uint64, live bool
 func (s *AgentSession) Counters() (indications, controlsOK, controlsFail, resubscribes uint64) {
 	s.mu.Lock()
 	agent := s.agent
+	if agent == nil {
+		agent = s.retiring
+	}
 	indications, controlsOK, controlsFail, resubscribes =
 		s.indications, s.controlsOK, s.controlsFail, s.resubscribes
 	s.mu.Unlock()

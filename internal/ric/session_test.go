@@ -2,8 +2,10 @@ package ric
 
 import (
 	"errors"
+	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -384,5 +386,65 @@ func TestAgentSessionDegradesWithoutRIC(t *testing.T) {
 	}
 	if sess.Connected() {
 		t.Fatal("session claims to be connected to a nonexistent RIC")
+	}
+}
+
+// TestAgentSessionCountsLostWindows: a batch window that dies with its
+// write is dropped whole, and each lost indication is counted exactly once —
+// whether the write failed in Tick, in teardown's Flush, or the session was
+// degraded. The first two associations reset on their third write (the
+// handshake reply, one window, then a lost one), so what the RIC's ledger
+// was offered plus what the session counts dropped is every due slot
+// ticked.
+func TestAgentSessionCountsLostWindows(t *testing.T) {
+	const ticks = 96
+	r, addr := servedRIC(t, Config{ReportPeriodMs: 1})
+	var dials atomic.Int32
+	sess, err := NewAgentSession(AgentSessionConfig{
+		Dial: func() (*e2.Conn, error) {
+			raw, err := net.Dial("tcp", addr)
+			if err != nil {
+				return nil, err
+			}
+			if dials.Add(1) <= 2 {
+				return e2.NewConn(e2.NewFaultConn(raw, e2.FaultConfig{ResetAfterWrites: 3}), e2.BinaryCodec{}), nil
+			}
+			return e2.NewConn(raw, e2.BinaryCodec{}), nil
+		},
+		RAN:     &fakeRAN{},
+		Agent:   AgentConfig{Cell: 1, Batch: BatchConfig{Window: 4, FlushInterval: time.Hour}},
+		Backoff: Backoff{Initial: time.Millisecond, Max: 2 * time.Millisecond},
+		Seed:    1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Start()
+	deadline := time.Now().Add(5 * time.Second)
+	for !sess.Connected() {
+		if time.Now().After(deadline) {
+			t.Fatal("session never associated")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for slot := uint64(0); slot < ticks; slot++ {
+		sess.Tick(slot) // period 1: every slot is due
+		time.Sleep(200 * time.Microsecond)
+	}
+	sess.Stop()
+	for r.Stats().LiveAssociations != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the RIC still serves an association after Stop")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	ov, _ := r.OverloadStats()
+	dropped := sess.cfg.Metrics.Stats().DroppedIndications
+	if dials.Load() < 3 || dropped == 0 {
+		t.Fatalf("%d dials, %d dropped: the injected resets never cost a window", dials.Load(), dropped)
+	}
+	if dropped != ticks-ov.Offered {
+		t.Fatalf("dropped %d, want %d ticked - %d offered = %d", dropped, ticks, ov.Offered, ticks-ov.Offered)
 	}
 }

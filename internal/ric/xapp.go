@@ -31,7 +31,7 @@ type XApp struct {
 	// breaker is the xApp's guard-style circuit and its one give-up rule: a
 	// stalling or faulting xApp trips it open and is skipped (at zero
 	// dispatch cost) until its probes succeed again, so one bad xApp cannot
-	// back up a shard's fan-in.
+	// back up the fan-in.
 	breaker *guard.Breaker
 
 	// mu guards the fields below for readers and for host calls made from
