@@ -25,7 +25,7 @@ func main() {
 	//    and a 10M-instruction fuel budget per call. A call checks the
 	//    instance out; one that traps is discarded, never called again.
 	pool := wabi.NewPool(mod, wabi.Policy{Fuel: wabi.DefaultFuel}, wabi.Env{}, 1)
-	scheduler, err := sched.NewPoolScheduler("pf", pool, nil)
+	scheduler, err := sched.NewPoolScheduler("pf", pool)
 	if err != nil {
 		log.Fatal(err)
 	}

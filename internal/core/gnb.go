@@ -496,7 +496,7 @@ func NewPluginScheduler(name string, policy wabi.Policy) (*sched.PoolScheduler, 
 	if err != nil {
 		return nil, err
 	}
-	return sched.NewPoolScheduler(name, wabi.NewPool(mod, defaultPolicy(policy), wabi.Env{}, 1), nil)
+	return sched.NewPoolScheduler(name, wabi.NewPool(mod, defaultPolicy(policy), wabi.Env{}, 1))
 }
 
 // SlotsForDuration converts an experiment duration into a slot count.

@@ -116,7 +116,7 @@ func (cg *CellGroup) BuildPooledCandidate(name string, bin []byte, policy wabi.P
 	if env.Profile != nil && env.ProfileTag == "" {
 		env.ProfileTag = name
 	}
-	return sched.NewPoolScheduler(name, wabi.NewPool(mod, defaultPolicy(policy), env, poolMax), nil)
+	return sched.NewPoolScheduler(name, wabi.NewPool(mod, defaultPolicy(policy), env, poolMax))
 }
 
 // Supervise returns the supervisor slice sliceID runs under, putting the

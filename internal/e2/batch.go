@@ -10,13 +10,12 @@ import "fmt"
 // slot and cell included — so the receiver unbatches back to the exact
 // per-slot indications, bit-identical to what the unbatched path delivers.
 //
-// Batch body layout (binary codec, little endian):
+// Batch body, in the compact layout of codec.go:
 //
-//	u16 count
+//	u16 count (1..MaxBatchIndications)
 //	per entry: one indication body (see body.go), oldest first
 //
-// The varint codec uses the same structure with its own integer encoding;
-// the JSON codec carries an "indication_batch" object with an
+// The JSON codec carries an "indication_batch" object with an
 // "indications" array.
 //
 // Every receiver of this build unbatches, so there is nothing to negotiate:
@@ -33,38 +32,24 @@ type IndicationBatch struct {
 	Indications []Indication `json:"indications"`
 }
 
-// appendBatchBody appends the encoded batch body (binary layout) to b.
-func appendBatchBody(b []byte, batch *IndicationBatch) []byte {
-	w := &bwriter{b: b}
+func (w *bwriter) batch(batch *IndicationBatch) {
 	w.u16(uint16(len(batch.Indications)))
 	for i := range batch.Indications {
-		w.b = AppendIndicationBody(w.b, &batch.Indications[i])
+		w.indication(&batch.Indications[i])
 	}
-	return w.b
 }
 
-// readBatchBodyInto decodes a batch body (binary layout) into batch, each
-// entry in place.
-func readBatchBodyInto(r *breader, batch *IndicationBatch) error {
-	n, err := r.u16()
-	if err != nil {
-		return err
+// batch decodes a batch body into batch, each entry in place.
+func (r *breader) batch(batch *IndicationBatch) {
+	n := r.count(minIndicationBytes, minIndicationVarint)
+	if n == 0 || n > MaxBatchIndications {
+		r.fail(fmt.Errorf("%w: batch of %d indications, want 1 to %d", ErrMalformed, n, MaxBatchIndications))
+		return
 	}
-	if int(n) > MaxBatchIndications {
-		return fmt.Errorf("%w: batch of %d indications exceeds limit", ErrMalformed, n)
-	}
-	if r.left() < int(n)*minIndicationBytes {
-		return ErrMalformed
-	}
-	if n > 0 {
-		batch.Indications = make([]Indication, n)
-	}
+	batch.Indications = make([]Indication, n)
 	for i := range batch.Indications {
-		if err := readIndicationBodyInto(r, &batch.Indications[i]); err != nil {
-			return err
-		}
+		r.indication(&batch.Indications[i])
 	}
-	return nil
 }
 
 // validateBatch checks batch-specific invariants beyond body presence.
@@ -74,6 +59,11 @@ func validateBatch(batch *IndicationBatch) error {
 	}
 	if len(batch.Indications) > MaxBatchIndications {
 		return fmt.Errorf("%w: batch of %d indications exceeds limit", ErrMalformed, len(batch.Indications))
+	}
+	for i := range batch.Indications {
+		if err := validateRows(&batch.Indications[i]); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -56,7 +56,9 @@ func TestBatchRoundTripAllCodecs(t *testing.T) {
 // the same bytes the RIC hands an xApp on the unbatched path.
 func TestBatchBodyIsConcatenatedIndicationBodies(t *testing.T) {
 	batch := sampleBatch(4, 2, 2, 7)
-	got := appendBatchBody(nil, batch)
+	body := &bwriter{}
+	body.batch(batch)
+	got := body.b
 	w := &bwriter{}
 	w.u16(uint16(len(batch.Indications)))
 	want := w.b

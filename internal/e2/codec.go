@@ -1,6 +1,7 @@
 package e2
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -10,10 +11,12 @@ import (
 )
 
 // Codec serializes E2-lite messages to wire payloads. The choice of codec
-// is an operator decision wrapped inside communication plugins (paper §4B):
-// the fixed-layout binary codec is the smallest and fastest; the varint
-// codec ("protobuf-lite") is compact for small values; JSON is the
-// interoperability/debugging option.
+// is an operator decision wrapped inside communication plugins (paper §4B).
+// BinaryCodec and VarintCodec are one compact layout — the same fields in
+// the same order, written by one walk — that differ only in how an integer
+// is encoded: fixed-width little endian (the smallest and fastest to walk)
+// or an unsigned varint ("protobuf-lite", smallest when values are small).
+// JSON is the interoperability/debugging option.
 type Codec interface {
 	Name() string
 	Encode(m *Message) ([]byte, error)
@@ -33,103 +36,33 @@ type AppendEncoder interface {
 }
 
 // ---------------------------------------------------------------------------
-// BinaryCodec: fixed little-endian layout ("ASN.1-lite" in spirit: compact,
-// position-based).
+// The compact layout ("ASN.1-lite" in spirit: position-based, each message
+// defined once, the integer encoding kept apart).
+//
+// A frame is a u8 type, a u32 request ID and a u32 RAN function, the body of
+// its type, then an optional trace trailer (tracehdr.go). Bodies:
+//
+//	subscription request   u32 reportPeriodMs | u16 n | n × u32 sliceID
+//	subscription response  u8 accepted | str reason
+//	indication             see body.go
+//	indication batch       see batch.go
+//	control request        see body.go
+//	control ack            u8 accepted | str reason
+//	error                  str reason
+//	busy                   u32 retryAfterMs | str reason
+//	heartbeat              (none)
+//
+// A str is a u16 length and that many bytes (longer strings are cut to
+// 65 535 bytes); a blob is a u32 length and its bytes; an f64 is always 8
+// bytes little endian. Every u8/u16/u32/u64 is fixed-width little endian in
+// BinaryCodec and a uvarint in VarintCodec, where a value wider than its
+// field is malformed.
 
-// BinaryCodec is the compact fixed-layout codec.
+// BinaryCodec is the compact layout with fixed-width integers.
 type BinaryCodec struct{}
 
 // Name implements Codec.
 func (BinaryCodec) Name() string { return "binary" }
-
-type bwriter struct{ b []byte }
-
-func (w *bwriter) u8(v uint8)   { w.b = append(w.b, v) }
-func (w *bwriter) u16(v uint16) { w.b = binary.LittleEndian.AppendUint16(w.b, v) }
-func (w *bwriter) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
-func (w *bwriter) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-func (w *bwriter) f64(v float64) {
-	w.u64(math.Float64bits(v))
-}
-func (w *bwriter) str(s string) {
-	if len(s) > 0xFFFF {
-		s = s[:0xFFFF]
-	}
-	w.u16(uint16(len(s)))
-	w.b = append(w.b, s...)
-}
-
-type breader struct {
-	b   []byte
-	pos int
-}
-
-func (r *breader) left() int { return len(r.b) - r.pos }
-
-func (r *breader) u8() (uint8, error) {
-	if r.left() < 1 {
-		return 0, ErrMalformed
-	}
-	v := r.b[r.pos]
-	r.pos++
-	return v, nil
-}
-
-func (r *breader) u16() (uint16, error) {
-	if r.left() < 2 {
-		return 0, ErrMalformed
-	}
-	v := binary.LittleEndian.Uint16(r.b[r.pos:])
-	r.pos += 2
-	return v, nil
-}
-
-func (r *breader) u32() (uint32, error) {
-	if r.left() < 4 {
-		return 0, ErrMalformed
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.pos:])
-	r.pos += 4
-	return v, nil
-}
-
-func (r *breader) u64() (uint64, error) {
-	if r.left() < 8 {
-		return 0, ErrMalformed
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.pos:])
-	r.pos += 8
-	return v, nil
-}
-
-func (r *breader) f64() (float64, error) {
-	v, err := r.u64()
-	return math.Float64frombits(v), err
-}
-
-// take consumes the next n bytes, or fails without consuming any when
-// fewer are left.
-func (r *breader) take(n int) ([]byte, error) {
-	if n < 0 || r.left() < n {
-		return nil, ErrMalformed
-	}
-	b := r.b[r.pos : r.pos+n]
-	r.pos += n
-	return b, nil
-}
-
-func (r *breader) str() (string, error) {
-	n, err := r.u16()
-	if err != nil {
-		return "", err
-	}
-	if r.left() < int(n) {
-		return "", ErrMalformed
-	}
-	s := string(r.b[r.pos : r.pos+int(n)])
-	r.pos += int(n)
-	return s, nil
-}
 
 // Encode implements Codec.
 func (c BinaryCodec) Encode(m *Message) ([]byte, error) { return c.AppendEncode(nil, m) }
@@ -137,10 +70,219 @@ func (c BinaryCodec) Encode(m *Message) ([]byte, error) { return c.AppendEncode(
 // AppendEncode implements AppendEncoder: it encodes into dst's spare
 // capacity so the transport can reuse one send buffer per association.
 func (BinaryCodec) AppendEncode(dst []byte, m *Message) ([]byte, error) {
+	return appendMessage(&bwriter{b: dst}, m)
+}
+
+// Decode implements Codec.
+func (BinaryCodec) Decode(b []byte) (*Message, error) { return decodeMessage(&breader{b: b}) }
+
+// VarintCodec is the compact layout with uvarint integers.
+type VarintCodec struct{}
+
+// Name implements Codec.
+func (VarintCodec) Name() string { return "varint" }
+
+// Encode implements Codec.
+func (c VarintCodec) Encode(m *Message) ([]byte, error) { return c.AppendEncode(nil, m) }
+
+// AppendEncode implements AppendEncoder.
+func (VarintCodec) AppendEncode(dst []byte, m *Message) ([]byte, error) {
+	return appendMessage(&bwriter{b: dst, varint: true}, m)
+}
+
+// Decode implements Codec.
+func (VarintCodec) Decode(b []byte) (*Message, error) {
+	return decodeMessage(&breader{b: b, varint: true})
+}
+
+// bwriter appends the compact layout; varint selects the integer encoding.
+type bwriter struct {
+	b      []byte
+	varint bool
+}
+
+func (w *bwriter) u8(v uint8) {
+	if w.varint {
+		w.b = binary.AppendUvarint(w.b, uint64(v))
+		return
+	}
+	w.b = append(w.b, v)
+}
+
+func (w *bwriter) u16(v uint16) {
+	if w.varint {
+		w.b = binary.AppendUvarint(w.b, uint64(v))
+		return
+	}
+	w.b = binary.LittleEndian.AppendUint16(w.b, v)
+}
+
+func (w *bwriter) u32(v uint32) {
+	if w.varint {
+		w.b = binary.AppendUvarint(w.b, uint64(v))
+		return
+	}
+	w.b = binary.LittleEndian.AppendUint32(w.b, v)
+}
+
+func (w *bwriter) u64(v uint64) {
+	if w.varint {
+		w.b = binary.AppendUvarint(w.b, v)
+		return
+	}
+	w.b = binary.LittleEndian.AppendUint64(w.b, v)
+}
+
+func (w *bwriter) f64(v float64) { w.b = binary.LittleEndian.AppendUint64(w.b, math.Float64bits(v)) }
+
+func (w *bwriter) str(s string) {
+	if len(s) > math.MaxUint16 {
+		s = s[:math.MaxUint16]
+	}
+	w.u16(uint16(len(s)))
+	w.b = append(w.b, s...)
+}
+
+func (w *bwriter) blob(p []byte) {
+	w.u32(uint32(len(p)))
+	w.b = append(w.b, p...)
+}
+
+func (w *bwriter) reply(accepted bool, reason string) {
+	var ok uint8
+	if accepted {
+		ok = 1
+	}
+	w.u8(ok)
+	w.str(reason)
+}
+
+// breader reads the layout bwriter writes. The first failure sticks: it is
+// kept in err, the rest of the input is consumed, and every later read
+// returns zero, so a walk checks err once, at its end.
+type breader struct {
+	b      []byte
+	pos    int
+	varint bool
+	err    error
+}
+
+func (r *breader) left() int { return len(r.b) - r.pos }
+
+// fail keeps the first error and consumes what is left.
+func (r *breader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+	r.pos = len(r.b)
+}
+
+// take consumes the next n bytes, or fails and returns nil when fewer are
+// left.
+func (r *breader) take(n int) []byte {
+	if n < 0 || r.left() < n {
+		r.fail(ErrMalformed)
+		return nil
+	}
+	b := r.b[r.pos : r.pos+n]
+	r.pos += n
+	return b
+}
+
+// uv reads an integer field off the fixed-width fast path: a uvarint no
+// wider than max (a value its field cannot hold is malformed, not cut to
+// it), or, with fixed-width integers, a field the input cuts short.
+func (r *breader) uv(max uint64) uint64 {
+	v, n := binary.Uvarint(r.b[r.pos:])
+	if !r.varint || n <= 0 || v > max {
+		r.fail(ErrMalformed)
+		return 0
+	}
+	r.pos += n
+	return v
+}
+
+func (r *breader) u8() uint8 {
+	if r.varint || r.left() < 1 {
+		return uint8(r.uv(math.MaxUint8))
+	}
+	r.pos++
+	return r.b[r.pos-1]
+}
+
+func (r *breader) u16() uint16 {
+	if r.varint || r.left() < 2 {
+		return uint16(r.uv(math.MaxUint16))
+	}
+	r.pos += 2
+	return binary.LittleEndian.Uint16(r.b[r.pos-2:])
+}
+
+func (r *breader) u32() uint32 {
+	if r.varint || r.left() < 4 {
+		return uint32(r.uv(math.MaxUint32))
+	}
+	r.pos += 4
+	return binary.LittleEndian.Uint32(r.b[r.pos-4:])
+}
+
+func (r *breader) u64() uint64 {
+	if r.varint || r.left() < 8 {
+		return r.uv(math.MaxUint64)
+	}
+	r.pos += 8
+	return binary.LittleEndian.Uint64(r.b[r.pos-8:])
+}
+
+func (r *breader) f64() float64 {
+	if r.left() < 8 {
+		r.fail(ErrMalformed)
+		return 0
+	}
+	r.pos += 8
+	return math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.pos-8:]))
+}
+
+func (r *breader) str() string { return string(r.take(int(r.u16()))) }
+
+// blob reads a length-prefixed byte string into a copy; empty is nil.
+func (r *breader) blob() []byte {
+	if b := r.take(int(r.u32())); len(b) > 0 {
+		return bytes.Clone(b)
+	}
+	return nil
+}
+
+// count reads a u16 row count and checks that the bytes left can hold that
+// many rows of the least encoded size — fixed bytes each with fixed-width
+// integers, varint bytes with uvarints — so nothing is sized from a forged
+// count.
+func (r *breader) count(fixed, varint int) int {
+	n, size := int(r.u16()), fixed
+	if r.varint {
+		size = varint
+	}
+	if r.left() < n*size {
+		r.fail(ErrMalformed)
+		return 0
+	}
+	return n
+}
+
+// done returns the walk's first failure, or ErrMalformed naming what when
+// bytes are left over.
+func (r *breader) done(what string) error {
+	if r.err == nil && r.left() != 0 {
+		return fmt.Errorf("%w: %d trailing bytes in %s", ErrMalformed, r.left(), what)
+	}
+	return r.err
+}
+
+// appendMessage validates m and appends its frame.
+func appendMessage(w *bwriter, m *Message) ([]byte, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	w := &bwriter{b: dst}
 	w.u8(uint8(m.Type))
 	w.u32(m.RequestID)
 	w.u32(m.RANFunction)
@@ -152,30 +294,26 @@ func (BinaryCodec) AppendEncode(dst []byte, m *Message) ([]byte, error) {
 			w.u32(id)
 		}
 	case TypeSubscriptionResponse:
-		w.u8(boolByte(m.SubscriptionResp.Accepted))
-		w.str(m.SubscriptionResp.Reason)
+		w.reply(m.SubscriptionResp.Accepted, m.SubscriptionResp.Reason)
 	case TypeIndication:
-		w.b = AppendIndicationBody(w.b, m.Indication)
+		w.indication(m.Indication)
 	case TypeIndicationBatch:
-		w.b = appendBatchBody(w.b, m.Batch)
+		w.batch(m.Batch)
 	case TypeControlRequest:
-		w.b = AppendControlBody(w.b, m.Control)
+		w.control(m.Control)
 	case TypeControlAck:
-		w.u8(boolByte(m.ControlAck.Accepted))
-		w.str(m.ControlAck.Reason)
+		w.reply(m.ControlAck.Accepted, m.ControlAck.Reason)
 	case TypeError:
 		w.str(m.Error.Reason)
 	case TypeBusy:
 		w.u32(m.Busy.RetryAfterMs)
 		w.str(m.Busy.Reason)
-	case TypeHeartbeat:
 	}
-	w.b = appendTraceTrailer(w.b, m.Trace)
-	return w.b, nil
+	return appendTraceTrailer(w.b, m.Trace), nil
 }
 
-// Frames whose Message and body BinaryCodec.Decode allocates as one object:
-// the near-RT loop's indications, controls and acks, and batches.
+// Frames whose Message and body decodeMessage allocates as one object: the
+// near-RT loop's indications, controls and acks, and batches.
 type (
 	indicationFrame struct {
 		msg Message
@@ -195,126 +333,67 @@ type (
 	}
 )
 
-// Decode implements Codec. An indication, batch, control or ack frame's
-// Message and body are one allocation, and rows are decoded in place into
-// storage sized from the frame's counts.
-func (BinaryCodec) Decode(b []byte) (*Message, error) {
-	r := &breader{b: b}
-	t, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	reqID, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	ranFn, err := r.u32()
-	if err != nil {
-		return nil, err
+// decodeMessage reads one frame. An indication, batch, control or ack
+// frame's Message and body are one allocation, and rows are decoded in
+// place into storage sized from the frame's checked counts.
+func decodeMessage(r *breader) (*Message, error) {
+	t, reqID, ranFn := MessageType(r.u8()), r.u32(), r.u32()
+	if r.err != nil {
+		return nil, r.err
 	}
 	var m *Message
-	switch MessageType(t) {
+	switch t {
 	case TypeSubscriptionRequest:
-		sub := &SubscriptionRequest{}
-		if sub.ReportPeriodMs, err = r.u32(); err != nil {
-			return nil, err
-		}
-		n, err := r.u16()
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < int(n); i++ {
-			id, err := r.u32()
-			if err != nil {
-				return nil, err
+		sub := &SubscriptionRequest{ReportPeriodMs: r.u32()}
+		if n := r.count(4, 1); n > 0 { // u32 slice IDs
+			sub.SliceIDs = make([]uint32, n)
+			for i := range sub.SliceIDs {
+				sub.SliceIDs[i] = r.u32()
 			}
-			sub.SliceIDs = append(sub.SliceIDs, id)
 		}
 		m = &Message{Subscription: sub}
 	case TypeSubscriptionResponse:
-		resp := &SubscriptionResponse{}
-		ok, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		resp.Accepted = ok != 0
-		if resp.Reason, err = r.str(); err != nil {
-			return nil, err
-		}
-		m = &Message{SubscriptionResp: resp}
+		m = &Message{SubscriptionResp: &SubscriptionResponse{Accepted: r.u8() != 0, Reason: r.str()}}
 	case TypeIndication:
 		f := &indicationFrame{}
-		if err := readIndicationBodyInto(r, &f.ind); err != nil {
-			return nil, err
-		}
+		r.indication(&f.ind)
 		f.msg.Indication = &f.ind
 		m = &f.msg
 	case TypeIndicationBatch:
 		f := &batchFrame{}
-		if err := readBatchBodyInto(r, &f.batch); err != nil {
-			return nil, err
-		}
+		r.batch(&f.batch)
 		f.msg.Batch = &f.batch
 		m = &f.msg
 	case TypeControlRequest:
 		f := &controlFrame{}
-		if err := readControlBodyInto(r, &f.ctrl); err != nil {
-			return nil, err
-		}
+		r.control(&f.ctrl)
 		f.msg.Control = &f.ctrl
 		m = &f.msg
 	case TypeControlAck:
-		f := &ackFrame{}
-		ok, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		f.ack.Accepted = ok != 0
-		if f.ack.Reason, err = r.str(); err != nil {
-			return nil, err
-		}
+		f := &ackFrame{ack: ControlAck{Accepted: r.u8() != 0, Reason: r.str()}}
 		f.msg.ControlAck = &f.ack
 		m = &f.msg
 	case TypeError:
-		e := &ErrorBody{}
-		if e.Reason, err = r.str(); err != nil {
-			return nil, err
-		}
-		m = &Message{Error: e}
+		m = &Message{Error: &ErrorBody{Reason: r.str()}}
 	case TypeBusy:
-		busy := &BusyBody{}
-		if busy.RetryAfterMs, err = r.u32(); err != nil {
-			return nil, err
-		}
-		if busy.Reason, err = r.str(); err != nil {
-			return nil, err
-		}
-		m = &Message{Busy: busy}
+		m = &Message{Busy: &BusyBody{RetryAfterMs: r.u32(), Reason: r.str()}}
 	case TypeHeartbeat:
 		m = &Message{}
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownType, t)
 	}
-	m.Type, m.RequestID, m.RANFunction = MessageType(t), reqID, ranFn
-	switch r.left() {
-	case 0: // untraced frame
-	case traceTrailerLen:
+	if r.err != nil {
+		return nil, r.err
+	}
+	m.Type, m.RequestID, m.RANFunction = t, reqID, ranFn
+	if r.left() != 0 {
 		tc, ok := parseTraceTrailer(r.b[r.pos:])
 		if !ok {
 			return nil, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, r.left())
 		}
 		m.Trace = tc
-	default:
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, r.left())
 	}
 	return m, nil
-}
-
-func boolByte(b bool) uint8 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // ---------------------------------------------------------------------------
@@ -380,345 +459,6 @@ func (JSONCodec) Decode(b []byte) (*Message, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// ---------------------------------------------------------------------------
-// VarintCodec: same structure as the binary codec but with unsigned varint
-// integers — the "protobuf-lite" option, smallest when values are small.
-
-// VarintCodec is the varint-packed codec.
-type VarintCodec struct{}
-
-// Name implements Codec.
-func (VarintCodec) Name() string { return "varint" }
-
-type vwriter struct{ b []byte }
-
-func (w *vwriter) uv(v uint64)   { w.b = binary.AppendUvarint(w.b, v) }
-func (w *vwriter) f64(v float64) { w.b = binary.LittleEndian.AppendUint64(w.b, math.Float64bits(v)) }
-func (w *vwriter) str(s string) {
-	w.uv(uint64(len(s)))
-	w.b = append(w.b, s...)
-}
-
-type vreader struct {
-	b   []byte
-	pos int
-}
-
-func (r *vreader) uv() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.pos:])
-	if n <= 0 {
-		return 0, ErrMalformed
-	}
-	r.pos += n
-	return v, nil
-}
-
-func (r *vreader) f64() (float64, error) {
-	if len(r.b)-r.pos < 8 {
-		return 0, ErrMalformed
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.pos:])
-	r.pos += 8
-	return math.Float64frombits(v), nil
-}
-
-func (r *vreader) str() (string, error) {
-	n, err := r.uv()
-	if err != nil {
-		return "", err
-	}
-	if uint64(len(r.b)-r.pos) < n {
-		return "", ErrMalformed
-	}
-	s := string(r.b[r.pos : r.pos+int(n)])
-	r.pos += int(n)
-	return s, nil
-}
-
-// Encode implements Codec.
-func (c VarintCodec) Encode(m *Message) ([]byte, error) { return c.AppendEncode(nil, m) }
-
-// AppendEncode implements AppendEncoder: it encodes into dst's spare
-// capacity so the transport can reuse one send buffer per association.
-func (VarintCodec) AppendEncode(dst []byte, m *Message) ([]byte, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	w := &vwriter{b: dst}
-	w.uv(uint64(m.Type))
-	w.uv(uint64(m.RequestID))
-	w.uv(uint64(m.RANFunction))
-	switch m.Type {
-	case TypeSubscriptionRequest:
-		w.uv(uint64(m.Subscription.ReportPeriodMs))
-		w.uv(uint64(len(m.Subscription.SliceIDs)))
-		for _, id := range m.Subscription.SliceIDs {
-			w.uv(uint64(id))
-		}
-	case TypeSubscriptionResponse:
-		w.uv(uint64(boolByte(m.SubscriptionResp.Accepted)))
-		w.str(m.SubscriptionResp.Reason)
-	case TypeIndication:
-		writeVarintIndication(w, m.Indication)
-	case TypeIndicationBatch:
-		w.uv(uint64(len(m.Batch.Indications)))
-		for i := range m.Batch.Indications {
-			writeVarintIndication(w, &m.Batch.Indications[i])
-		}
-	case TypeControlRequest:
-		c := m.Control
-		w.uv(uint64(c.Action))
-		w.uv(uint64(c.SliceID))
-		w.uv(uint64(c.UEID))
-		w.f64(c.Value)
-		w.str(c.Text)
-		w.uv(uint64(len(c.Blob)))
-		w.b = append(w.b, c.Blob...)
-	case TypeControlAck:
-		w.uv(uint64(boolByte(m.ControlAck.Accepted)))
-		w.str(m.ControlAck.Reason)
-	case TypeError:
-		w.str(m.Error.Reason)
-	case TypeBusy:
-		w.uv(uint64(m.Busy.RetryAfterMs))
-		w.str(m.Busy.Reason)
-	case TypeHeartbeat:
-	}
-	w.b = appendTraceTrailer(w.b, m.Trace)
-	return w.b, nil
-}
-
-// Decode implements Codec.
-func (VarintCodec) Decode(b []byte) (*Message, error) {
-	r := &vreader{b: b}
-	t, err := r.uv()
-	if err != nil {
-		return nil, err
-	}
-	m := &Message{Type: MessageType(t)}
-	rid, err := r.uv()
-	if err != nil {
-		return nil, err
-	}
-	m.RequestID = uint32(rid)
-	rf, err := r.uv()
-	if err != nil {
-		return nil, err
-	}
-	m.RANFunction = uint32(rf)
-	uvU32 := func() (uint32, error) {
-		v, err := r.uv()
-		return uint32(v), err
-	}
-	switch m.Type {
-	case TypeSubscriptionRequest:
-		sub := &SubscriptionRequest{}
-		if sub.ReportPeriodMs, err = uvU32(); err != nil {
-			return nil, err
-		}
-		n, err := r.uv()
-		if err != nil {
-			return nil, err
-		}
-		for i := uint64(0); i < n; i++ {
-			id, err := uvU32()
-			if err != nil {
-				return nil, err
-			}
-			sub.SliceIDs = append(sub.SliceIDs, id)
-		}
-		m.Subscription = sub
-	case TypeSubscriptionResponse:
-		resp := &SubscriptionResponse{}
-		ok, err := r.uv()
-		if err != nil {
-			return nil, err
-		}
-		resp.Accepted = ok != 0
-		if resp.Reason, err = r.str(); err != nil {
-			return nil, err
-		}
-		m.SubscriptionResp = resp
-	case TypeIndication:
-		if m.Indication, err = readVarintIndication(r); err != nil {
-			return nil, err
-		}
-	case TypeIndicationBatch:
-		n, err := r.uv()
-		if err != nil {
-			return nil, err
-		}
-		if n > MaxBatchIndications {
-			return nil, fmt.Errorf("%w: batch of %d indications exceeds limit", ErrMalformed, n)
-		}
-		batch := &IndicationBatch{}
-		for i := uint64(0); i < n; i++ {
-			ind, err := readVarintIndication(r)
-			if err != nil {
-				return nil, err
-			}
-			batch.Indications = append(batch.Indications, *ind)
-		}
-		m.Batch = batch
-	case TypeControlRequest:
-		c := &ControlRequest{}
-		a, err := r.uv()
-		if err != nil {
-			return nil, err
-		}
-		c.Action = ControlAction(a)
-		if c.SliceID, err = uvU32(); err != nil {
-			return nil, err
-		}
-		if c.UEID, err = uvU32(); err != nil {
-			return nil, err
-		}
-		if c.Value, err = r.f64(); err != nil {
-			return nil, err
-		}
-		if c.Text, err = r.str(); err != nil {
-			return nil, err
-		}
-		blobLen, err := r.uv()
-		if err != nil {
-			return nil, err
-		}
-		if uint64(len(r.b)-r.pos) < blobLen {
-			return nil, ErrMalformed
-		}
-		if blobLen > 0 {
-			c.Blob = make([]byte, blobLen)
-			copy(c.Blob, r.b[r.pos:])
-			r.pos += int(blobLen)
-		}
-		m.Control = c
-	case TypeControlAck:
-		ack := &ControlAck{}
-		ok, err := r.uv()
-		if err != nil {
-			return nil, err
-		}
-		ack.Accepted = ok != 0
-		if ack.Reason, err = r.str(); err != nil {
-			return nil, err
-		}
-		m.ControlAck = ack
-	case TypeError:
-		e := &ErrorBody{}
-		if e.Reason, err = r.str(); err != nil {
-			return nil, err
-		}
-		m.Error = e
-	case TypeBusy:
-		busy := &BusyBody{}
-		if busy.RetryAfterMs, err = uvU32(); err != nil {
-			return nil, err
-		}
-		if busy.Reason, err = r.str(); err != nil {
-			return nil, err
-		}
-		m.Busy = busy
-	case TypeHeartbeat:
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrUnknownType, t)
-	}
-	switch len(r.b) - r.pos {
-	case 0: // untraced frame
-	case traceTrailerLen:
-		tc, ok := parseTraceTrailer(r.b[r.pos:])
-		if !ok {
-			return nil, fmt.Errorf("%w: trailing bytes", ErrMalformed)
-		}
-		m.Trace = tc
-	default:
-		return nil, fmt.Errorf("%w: trailing bytes", ErrMalformed)
-	}
-	return m, nil
-}
-
-// writeVarintIndication appends one indication body in the varint layout.
-func writeVarintIndication(w *vwriter, ind *Indication) {
-	w.uv(ind.Slot)
-	w.uv(uint64(ind.Cell))
-	w.uv(uint64(len(ind.UEs)))
-	for _, u := range ind.UEs {
-		w.uv(uint64(u.UEID))
-		w.uv(uint64(u.SliceID))
-		w.uv(uint64(uint32(u.MCS)))
-		w.uv(uint64(u.BufferBytes))
-		w.f64(u.TputBps)
-	}
-	w.uv(uint64(len(ind.Slices)))
-	for _, s := range ind.Slices {
-		w.uv(uint64(s.SliceID))
-		w.f64(s.TargetBps)
-		w.f64(s.ServedBps)
-		w.uv(uint64(s.UsedPRBs))
-	}
-}
-
-// readVarintIndication parses one indication body in the varint layout.
-func readVarintIndication(r *vreader) (*Indication, error) {
-	uvU32 := func() (uint32, error) {
-		v, err := r.uv()
-		return uint32(v), err
-	}
-	ind := &Indication{}
-	var err error
-	if ind.Slot, err = r.uv(); err != nil {
-		return nil, err
-	}
-	if ind.Cell, err = uvU32(); err != nil {
-		return nil, err
-	}
-	nUE, err := r.uv()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nUE; i++ {
-		var u UEMeasurement
-		if u.UEID, err = uvU32(); err != nil {
-			return nil, err
-		}
-		if u.SliceID, err = uvU32(); err != nil {
-			return nil, err
-		}
-		mcs, err := uvU32()
-		if err != nil {
-			return nil, err
-		}
-		u.MCS = int32(mcs)
-		if u.BufferBytes, err = uvU32(); err != nil {
-			return nil, err
-		}
-		if u.TputBps, err = r.f64(); err != nil {
-			return nil, err
-		}
-		ind.UEs = append(ind.UEs, u)
-	}
-	nSl, err := r.uv()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nSl; i++ {
-		var s SliceMeasurement
-		if s.SliceID, err = uvU32(); err != nil {
-			return nil, err
-		}
-		if s.TargetBps, err = r.f64(); err != nil {
-			return nil, err
-		}
-		if s.ServedBps, err = r.f64(); err != nil {
-			return nil, err
-		}
-		if s.UsedPRBs, err = uvU32(); err != nil {
-			return nil, err
-		}
-		ind.Slices = append(ind.Slices, s)
-	}
-	return ind, nil
 }
 
 // CodecByName looks up a codec by its Name.

@@ -31,26 +31,28 @@ func mustEncode(t *testing.T, codec Codec, m *Message) []byte {
 	return wire
 }
 
-// TestDecodeAllocsPinned pins the binary decoder's near-RT frames: an
+// TestDecodeAllocsPinned pins both compact layouts' near-RT frames: an
 // indication is its Message and body plus the UE and slice rows, a control
 // (no text, no blob) or an ack (no reason) is one object.
 func TestDecodeAllocsPinned(t *testing.T) {
 	ms := mixedMessages()
-	for _, tc := range []struct {
-		name  string
-		m     *Message
-		limit float64
-	}{
-		{"indication", ms[0], 3},
-		{"control", ms[1], 1},
-		{"ack", ms[4], 1},
-	} {
-		wire := mustEncode(t, BinaryCodec{}, tc.m)
-		pinAllocs(t, tc.name, tc.limit, func() {
-			if _, err := (BinaryCodec{}).Decode(wire); err != nil {
-				t.Fatal(err)
-			}
-		})
+	for _, codec := range []Codec{BinaryCodec{}, VarintCodec{}} {
+		for _, tc := range []struct {
+			name  string
+			m     *Message
+			limit float64
+		}{
+			{"indication", ms[0], 3},
+			{"control", ms[1], 1},
+			{"ack", ms[4], 1},
+		} {
+			wire := mustEncode(t, codec, tc.m)
+			pinAllocs(t, codec.Name()+" "+tc.name, tc.limit, func() {
+				if _, err := codec.Decode(wire); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }
 
@@ -144,31 +146,34 @@ func allocatedBy(f func()) uint64 {
 }
 
 // TestForgedCountsAllocateNothing: a count the frame's bytes cannot hold
-// is malformed before anything is sized from it.
+// is malformed before anything is sized from it, in both layouts.
 func TestForgedCountsAllocateNothing(t *testing.T) {
-	header := func(typ MessageType) *bwriter {
-		w := &bwriter{}
-		w.u8(uint8(typ))
-		w.u32(1)
-		w.u32(RANFunctionKPM)
-		return w
-	}
-	ind := header(TypeIndication)
-	ind.u64(1)
-	ind.u32(7)
-	ind.u16(0xFFFF)             // UEs declared
-	ind.b = append(ind.b, 1, 2) // 10 body bytes in all
-	batch := header(TypeIndicationBatch)
-	batch.u16(MaxBatchIndications)
-	batch.b = AppendIndicationBody(batch.b, sendBenchMessage().Indication)
 	list := &bwriter{}
 	list.u16(0xFFFF)
-	list.b = AppendControlBody(list.b, &ControlRequest{})
-	for name, decode := range map[string]func() error{
-		"indication":   func() error { _, err := (BinaryCodec{}).Decode(ind.b); return err },
-		"batch":        func() error { _, err := (BinaryCodec{}).Decode(batch.b); return err },
+	list.control(&ControlRequest{})
+	decoders := map[string]func() error{
 		"control list": func() error { _, err := DecodeControlListAppend(nil, list.b); return err },
-	} {
+	}
+	for _, codec := range []Codec{BinaryCodec{}, VarintCodec{}} {
+		header := func(typ MessageType) *bwriter {
+			w := &bwriter{varint: codec.Name() == "varint"}
+			w.u8(uint8(typ))
+			w.u32(1)
+			w.u32(RANFunctionKPM)
+			return w
+		}
+		ind := header(TypeIndication)
+		ind.u64(1)
+		ind.u32(7)
+		ind.u16(0xFFFF)             // UEs declared
+		ind.b = append(ind.b, 1, 2) // two bytes of rows
+		batch := header(TypeIndicationBatch)
+		batch.u16(MaxBatchIndications)
+		batch.indication(sendBenchMessage().Indication)
+		decoders[codec.Name()+" indication"] = func() error { _, err := codec.Decode(ind.b); return err }
+		decoders[codec.Name()+" batch"] = func() error { _, err := codec.Decode(batch.b); return err }
+	}
+	for name, decode := range decoders {
 		var err error
 		if n := allocatedBy(func() { err = decode() }); n >= 4<<10 {
 			t.Errorf("%s: allocated %d bytes for a forged count", name, n)

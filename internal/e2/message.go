@@ -1,8 +1,8 @@
 // Package e2 implements WA-RAN's E2-lite interface between near-RT RIC and
 // E2 nodes (gNB CU/DU): a small message model (subscription, indication,
-// control), pluggable payload codecs (compact binary "ASN.1-lite", varint
-// "protobuf-lite", JSON), optional AES-GCM sealing, and a length-framed TCP
-// transport.
+// control), pluggable payload codecs (one compact "ASN.1-lite" layout with
+// fixed-width or varint "protobuf-lite" integers, and JSON), optional
+// AES-GCM sealing, and a length-framed TCP transport.
 //
 // Per §4B of the paper, the wire protocol is deliberately NOT a fixed
 // standard: operators pick codec, encryption and transport, and wrap the
@@ -14,6 +14,7 @@ package e2
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"waran/internal/obs/trace"
 )
@@ -215,6 +216,19 @@ var ErrUnknownType = errors.New("e2: unknown message type")
 // ErrMalformed is returned when a frame cannot be decoded.
 var ErrMalformed = errors.New("e2: malformed message")
 
+// maxRows bounds the UE rows and slice rows of an indication and the slice
+// IDs of a subscription: the compact layout counts each in a u16.
+const maxRows = math.MaxUint16
+
+// validateRows refuses an indication with more rows than its counts hold.
+func validateRows(ind *Indication) error {
+	if len(ind.UEs) > maxRows || len(ind.Slices) > maxRows {
+		return fmt.Errorf("%w: %d UE rows and %d slice rows, the limit is %d each",
+			ErrMalformed, len(ind.UEs), len(ind.Slices), maxRows)
+	}
+	return nil
+}
+
 // Validate checks internal consistency of a message.
 func (m *Message) Validate() error {
 	bodySet := 0
@@ -252,6 +266,9 @@ func (m *Message) Validate() error {
 		if m.Subscription == nil || bodySet != 1 {
 			return fmt.Errorf("%w: subscription-request body mismatch", ErrMalformed)
 		}
+		if n := len(m.Subscription.SliceIDs); n > maxRows {
+			return fmt.Errorf("%w: %d subscription slice IDs, the limit is %d", ErrMalformed, n, maxRows)
+		}
 	case TypeSubscriptionResponse:
 		if m.SubscriptionResp == nil || bodySet != 1 {
 			return fmt.Errorf("%w: subscription-response body mismatch", ErrMalformed)
@@ -260,6 +277,7 @@ func (m *Message) Validate() error {
 		if m.Indication == nil || bodySet != 1 {
 			return fmt.Errorf("%w: indication body mismatch", ErrMalformed)
 		}
+		return validateRows(m.Indication)
 	case TypeIndicationBatch:
 		if m.Batch == nil || bodySet != 1 {
 			return fmt.Errorf("%w: indication-batch body mismatch", ErrMalformed)

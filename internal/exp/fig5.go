@@ -418,7 +418,7 @@ func RunSafetyMatrix() ([]SafetyRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("exp: safety: compile %s: %w", name, err)
 		}
-		ps, err := sched.NewPoolScheduler(name, wabi.NewPool(mod, wabi.Policy{Fuel: 1_000_000}, wabi.Env{}, 1), nil)
+		ps, err := sched.NewPoolScheduler(name, wabi.NewPool(mod, wabi.Policy{Fuel: 1_000_000}, wabi.Env{}, 1))
 		if err != nil {
 			return nil, err
 		}

@@ -41,7 +41,7 @@ func newModuleSchedABI(t testing.TB, name string, mod *wabi.Module, mode sched.A
 // over a pool of one instance, which a call that traps discards.
 func poolSched(t testing.TB, name string, mod *wabi.Module, policy wabi.Policy, env wabi.Env) *sched.PoolScheduler {
 	t.Helper()
-	ps, err := sched.NewPoolScheduler(name, wabi.NewPool(mod, policy, env, 1), nil)
+	ps, err := sched.NewPoolScheduler(name, wabi.NewPool(mod, policy, env, 1))
 	if err != nil {
 		t.Fatalf("host %s: %v", name, err)
 	}
@@ -232,7 +232,7 @@ func TestDifferentialConcurrentPools(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := wabi.NewPool(mod, wabi.Policy{Fuel: 50_000_000}, wabi.Env{}, 4)
-	zc, err := sched.NewPoolScheduler("pf", pool, nil)
+	zc, err := sched.NewPoolScheduler("pf", pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestZeroCopyChaosInterleavings(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := wabi.NewPool(mod, wabi.Policy{Fuel: 100_000}, wabi.Env{}, 1)
-	chaotic, err := sched.NewPoolScheduler("chaos-mt", pool, nil)
+	chaotic, err := sched.NewPoolScheduler("chaos-mt", pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestZeroCopyPoolTrapRenegotiates(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := wabi.NewPool(mod, wabi.Policy{Fuel: 1_000_000}, wabi.Env{}, 1)
-	ps, err := sched.NewPoolScheduler("zc-grow", pool, nil)
+	ps, err := sched.NewPoolScheduler("zc-grow", pool)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -220,7 +220,7 @@ func TestDifferentialTiersChaosGuest(t *testing.T) {
 	var tiers [2]*sched.PoolScheduler
 	for i, tier := range []wasm.Tier{wasm.TierInterp, wasm.TierClosure} {
 		pool := wabi.NewPool(mod, wabi.Policy{Fuel: 100_000, Tier: tier}, wabi.Env{}, 1)
-		if tiers[i], err = sched.NewPoolScheduler("chaos-mt", pool, nil); err != nil {
+		if tiers[i], err = sched.NewPoolScheduler("chaos-mt", pool); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,25 +2,9 @@ package sched
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 )
-
-// Codec serializes scheduling requests and responses across the plugin
-// boundary. The compact binary codec is the default; the JSON codec exists
-// for interoperability and as the ablation baseline showing why the binary
-// layout matters inside the 1 ms slot deadline (Fig. 5d includes
-// serialization cost).
-type Codec interface {
-	Name() string
-	EncodeRequest(req *Request) []byte
-	DecodeResponse(b []byte) (*Response, error)
-	// DecodeRequest and EncodeResponse implement the guest side; the Go
-	// reference guest and tests use them.
-	DecodeRequest(b []byte) (*Request, error)
-	EncodeResponse(resp *Response) []byte
-}
 
 // Binary request layout (little endian):
 //
@@ -36,11 +20,12 @@ const (
 	binRespAllocLen = 8
 )
 
-// BinaryCodec is the compact fixed-layout codec.
+// BinaryCodec serializes scheduling requests and responses across the
+// plugin boundary in the fixed layout above: the host's half
+// (EncodeRequest, DecodeResponse) runs on every slot of a guest without the
+// region ABI, and the guest's half (DecodeRequest, EncodeResponse) serves
+// the Go reference guest and tests.
 type BinaryCodec struct{}
-
-// Name implements Codec.
-func (BinaryCodec) Name() string { return "binary" }
 
 // putBinReqHeader and putBinReqUE lay one request header / one UE record
 // into b. The serializing encoder and the zero-copy region writer both go
@@ -62,7 +47,7 @@ func putBinReqUE(b []byte, u *UEInfo) {
 	le.PutUint64(b[16:], math.Float64bits(u.AvgTputBps))
 }
 
-// EncodeRequest implements Codec.
+// EncodeRequest lays req out for the guest.
 func (BinaryCodec) EncodeRequest(req *Request) []byte {
 	b := make([]byte, binReqHeaderLen+binReqUELen*len(req.UEs))
 	putBinReqHeader(b, req)
@@ -74,7 +59,7 @@ func (BinaryCodec) EncodeRequest(req *Request) []byte {
 	return b
 }
 
-// DecodeRequest implements Codec.
+// DecodeRequest parses a request, as a guest does.
 func (BinaryCodec) DecodeRequest(b []byte) (*Request, error) {
 	if len(b) < binReqHeaderLen {
 		return nil, fmt.Errorf("sched: binary request too short (%d bytes)", len(b))
@@ -104,7 +89,7 @@ func (BinaryCodec) DecodeRequest(b []byte) (*Request, error) {
 	return req, nil
 }
 
-// EncodeResponse implements Codec.
+// EncodeResponse lays resp out, as a guest does.
 func (BinaryCodec) EncodeResponse(resp *Response) []byte {
 	b := make([]byte, 4+binRespAllocLen*len(resp.Allocs))
 	le := binary.LittleEndian
@@ -118,7 +103,7 @@ func (BinaryCodec) EncodeResponse(resp *Response) []byte {
 	return b
 }
 
-// DecodeResponse implements Codec. The response bytes come from an
+// DecodeResponse parses a guest's response. The response bytes come from an
 // untrusted plugin, so every structural failure is a typed *BadOutputError:
 // a count prefix pointing past the payload (out-of-bounds region), trailing
 // bytes the count does not claim, an absurd count, or two grants naming the
@@ -148,92 +133,6 @@ func (BinaryCodec) DecodeResponse(b []byte) (*Response, error) {
 		seen[a.UEID] = i
 		resp.Allocs[i] = a
 		off += binRespAllocLen
-	}
-	return resp, nil
-}
-
-// JSONCodec trades compactness for debuggability and language reach.
-type JSONCodec struct{}
-
-// Name implements Codec.
-func (JSONCodec) Name() string { return "json" }
-
-type jsonUE struct {
-	ID          uint32  `json:"id"`
-	MCS         int32   `json:"mcs"`
-	BitsPerPRB  uint32  `json:"bits_per_prb"`
-	BufferBytes uint32  `json:"buffer_bytes"`
-	AvgTputBps  float64 `json:"avg_tput_bps"`
-}
-
-type jsonRequest struct {
-	SliceID   uint32   `json:"slice_id"`
-	Slot      uint64   `json:"slot"`
-	PRBBudget uint32   `json:"prb_budget"`
-	UEs       []jsonUE `json:"ues"`
-}
-
-type jsonAlloc struct {
-	UEID uint32 `json:"ue_id"`
-	PRBs uint32 `json:"prbs"`
-}
-
-type jsonResponse struct {
-	Allocs []jsonAlloc `json:"allocs"`
-}
-
-// EncodeRequest implements Codec.
-func (JSONCodec) EncodeRequest(req *Request) []byte {
-	jr := jsonRequest{SliceID: req.SliceID, Slot: req.Slot, PRBBudget: req.PRBBudget}
-	for _, u := range req.UEs {
-		jr.UEs = append(jr.UEs, jsonUE(u))
-	}
-	b, _ := json.Marshal(jr)
-	return b
-}
-
-// DecodeRequest implements Codec.
-func (JSONCodec) DecodeRequest(b []byte) (*Request, error) {
-	var jr jsonRequest
-	if err := json.Unmarshal(b, &jr); err != nil {
-		return nil, fmt.Errorf("sched: decode json request: %w", err)
-	}
-	req := &Request{SliceID: jr.SliceID, Slot: jr.Slot, PRBBudget: jr.PRBBudget}
-	for _, u := range jr.UEs {
-		req.UEs = append(req.UEs, UEInfo(u))
-	}
-	return req, nil
-}
-
-// EncodeResponse implements Codec.
-func (JSONCodec) EncodeResponse(resp *Response) []byte {
-	var jr jsonResponse
-	for _, a := range resp.Allocs {
-		jr.Allocs = append(jr.Allocs, jsonAlloc(a))
-	}
-	b, _ := json.Marshal(jr)
-	return b
-}
-
-// DecodeResponse implements Codec. Mirrors the binary decoder's hostile-
-// input posture: malformed JSON, an absurd allocation count, or overlapping
-// grants are typed *BadOutputError.
-func (JSONCodec) DecodeResponse(b []byte) (*Response, error) {
-	var jr jsonResponse
-	if err := json.Unmarshal(b, &jr); err != nil {
-		return nil, badOutputf("sched: decode json response: %w", err)
-	}
-	if len(jr.Allocs) > maxRespAllocs {
-		return nil, badOutputKind(BadOutputOOB, "sched: json response claims %d allocations (max %d)", len(jr.Allocs), maxRespAllocs)
-	}
-	resp := &Response{}
-	seen := make(map[uint32]int, len(jr.Allocs))
-	for i, a := range jr.Allocs {
-		if j, dup := seen[a.UEID]; dup {
-			return nil, badOutputKind(BadOutputOverlap, "sched: json response allocations %d and %d overlap on UE %d", j, i, a.UEID)
-		}
-		seen[a.UEID] = i
-		resp.Allocs = append(resp.Allocs, Allocation(a))
 	}
 	return resp, nil
 }

@@ -7,8 +7,6 @@ import (
 	"testing/quick"
 )
 
-func codecs() []Codec { return []Codec{BinaryCodec{}, JSONCodec{}} }
-
 func TestCodecRequestRoundTrip(t *testing.T) {
 	req := &Request{
 		SliceID:   3,
@@ -19,43 +17,40 @@ func TestCodecRequestRoundTrip(t *testing.T) {
 			{ID: 2, MCS: 0, BitsPerPRB: 0, BufferBytes: 0, AvgTputBps: 0},
 		},
 	}
-	for _, c := range codecs() {
-		got, err := c.DecodeRequest(c.EncodeRequest(req))
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
-		}
-		if got.SliceID != req.SliceID || got.Slot != req.Slot || got.PRBBudget != req.PRBBudget {
-			t.Fatalf("%s header mismatch: %+v", c.Name(), got)
-		}
-		if !reflect.DeepEqual(got.UEs, req.UEs) {
-			t.Fatalf("%s UEs mismatch:\n%+v\n%+v", c.Name(), got.UEs, req.UEs)
-		}
+	c := BinaryCodec{}
+	got, err := c.DecodeRequest(c.EncodeRequest(req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.SliceID != req.SliceID || got.Slot != req.Slot || got.PRBBudget != req.PRBBudget {
+		t.Fatalf("header mismatch: %+v", got)
+	}
+	if !reflect.DeepEqual(got.UEs, req.UEs) {
+		t.Fatalf("UEs mismatch:\n%+v\n%+v", got.UEs, req.UEs)
 	}
 }
 
 func TestCodecResponseRoundTrip(t *testing.T) {
 	resp := &Response{Allocs: []Allocation{{UEID: 7, PRBs: 13}, {UEID: 9, PRBs: 0}}}
-	for _, c := range codecs() {
-		got, err := c.DecodeResponse(c.EncodeResponse(resp))
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
-		}
-		if !reflect.DeepEqual(got.Allocs, resp.Allocs) {
-			t.Fatalf("%s mismatch: %+v", c.Name(), got.Allocs)
-		}
+	c := BinaryCodec{}
+	got, err := c.DecodeResponse(c.EncodeResponse(resp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Allocs, resp.Allocs) {
+		t.Fatalf("mismatch: %+v", got.Allocs)
 	}
 }
 
 func TestCodecEmptyValues(t *testing.T) {
-	for _, c := range codecs() {
-		req, err := c.DecodeRequest(c.EncodeRequest(&Request{}))
-		if err != nil || len(req.UEs) != 0 {
-			t.Fatalf("%s empty request: %+v, %v", c.Name(), req, err)
-		}
-		resp, err := c.DecodeResponse(c.EncodeResponse(&Response{}))
-		if err != nil || len(resp.Allocs) != 0 {
-			t.Fatalf("%s empty response: %+v, %v", c.Name(), resp, err)
-		}
+	c := BinaryCodec{}
+	req, err := c.DecodeRequest(c.EncodeRequest(&Request{}))
+	if err != nil || len(req.UEs) != 0 {
+		t.Fatalf("empty request: %+v, %v", req, err)
+	}
+	resp, err := c.DecodeResponse(c.EncodeResponse(&Response{}))
+	if err != nil || len(resp.Allocs) != 0 {
+		t.Fatalf("empty response: %+v, %v", resp, err)
 	}
 }
 
@@ -80,12 +75,7 @@ func TestBinaryCodecRejectsMalformed(t *testing.T) {
 }
 
 func TestBinaryEncodingIsCompact(t *testing.T) {
-	req := &Request{UEs: make([]UEInfo, 20)}
-	bin := BinaryCodec{}.EncodeRequest(req)
-	js := JSONCodec{}.EncodeRequest(req)
-	if len(bin) >= len(js) {
-		t.Fatalf("binary (%d B) not smaller than JSON (%d B)", len(bin), len(js))
-	}
+	bin := BinaryCodec{}.EncodeRequest(&Request{UEs: make([]UEInfo, 20)})
 	if want := 20 + 20*24; len(bin) != want {
 		t.Fatalf("binary request = %d bytes, want %d", len(bin), want)
 	}

@@ -13,14 +13,14 @@ import (
 const maxRespAllocs = 1 << 20
 
 // BadOutputKind is the structural sub-classification of a rejected plugin
-// result, shared by the serializing codecs and the zero-copy region reader
+// result, shared by BinaryCodec.DecodeResponse and the zero-copy region reader
 // so the differential harness can assert that both paths reject the same
 // hostile response the same way.
 type BadOutputKind uint8
 
 const (
 	// BadOutputMalformed: the bytes do not parse as a response at all
-	// (truncated header, broken JSON).
+	// (a truncated header).
 	BadOutputMalformed BadOutputKind = iota
 	// BadOutputOOB: the allocation count points past the payload or region —
 	// an out-of-bounds result table.

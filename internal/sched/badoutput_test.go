@@ -73,31 +73,6 @@ func TestBinaryDecodeRejectsCraftedOffsets(t *testing.T) {
 	}
 }
 
-func TestJSONDecodeRejectsHostileResponses(t *testing.T) {
-	cases := []struct {
-		name string
-		b    []byte
-		ok   bool
-	}{
-		{"valid", []byte(`{"allocs":[{"ue_id":1,"prbs":5},{"ue_id":2,"prbs":3}]}`), true},
-		{"valid-empty", []byte(`{}`), true},
-		{"garbage", []byte(`{"allocs":`), false},
-		{"not-json", []byte{0xff, 0xfe}, false},
-		{"overlap", []byte(`{"allocs":[{"ue_id":7,"prbs":1},{"ue_id":7,"prbs":2}]}`), false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := JSONCodec{}.DecodeResponse(tc.b)
-			if tc.ok != (err == nil) {
-				t.Fatalf("ok=%v err=%v", tc.ok, err)
-			}
-			if err != nil && wabi.ClassOf(err) != wabi.FailBadOutput {
-				t.Fatalf("class = %v, want %v", wabi.ClassOf(err), wabi.FailBadOutput)
-			}
-		})
-	}
-}
-
 // TestValidateFailureClassifiesBadOutput pins the scheduler-level wrap: a
 // decodable response that fails semantic validation must carry the
 // bad-output class through the error chain, with ErrInvalidResponse still

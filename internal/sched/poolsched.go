@@ -16,7 +16,7 @@ const EntryPoint = "schedule"
 // PoolScheduler adapts a pool of sandbox instances of one compiled plugin
 // to the IntraSlice interface, and is the only one: every plugin slice
 // scheduler checks an instance out per call. Over the serializing path a
-// call encodes the request with the configured codec, invokes the guest's
+// call encodes the request with BinaryCodec, invokes the guest's
 // "schedule" export and decodes + validates the response; over the
 // zero-copy path (negotiated automatically when the guest exports the
 // region ABI, see zerocopy.go) it writes the request into shared memory,
@@ -35,7 +35,6 @@ type PoolScheduler struct {
 	name  string
 	label string // Name(), built once: the slot tracer asks every slot
 	pool  *wabi.Pool
-	codec Codec
 
 	mu        sync.Mutex // guards zeroCopy and the accounting below
 	zeroCopy  bool
@@ -44,14 +43,10 @@ type PoolScheduler struct {
 	totalFuel int64
 }
 
-// NewPoolScheduler wraps an instance pool. codec nil means the binary
-// codec. The call path is ABIAuto: zero-copy when the guest exports the
-// region ABI, codec otherwise.
-func NewPoolScheduler(name string, pool *wabi.Pool, codec Codec) (*PoolScheduler, error) {
-	if codec == nil {
-		codec = BinaryCodec{}
-	}
-	p := &PoolScheduler{name: name, label: "pool:" + name, pool: pool, codec: codec}
+// NewPoolScheduler wraps an instance pool. The call path is ABIAuto:
+// zero-copy when the guest exports the region ABI, BinaryCodec otherwise.
+func NewPoolScheduler(name string, pool *wabi.Pool) (*PoolScheduler, error) {
+	p := &PoolScheduler{name: name, label: "pool:" + name, pool: pool}
 	if err := p.SetABIMode(ABIAuto); err != nil {
 		return nil, err
 	}
@@ -136,7 +131,7 @@ func (p *PoolScheduler) ScheduleInto(req *Request, resp *Response) error {
 	defer p.pool.Put(pl)
 
 	start := time.Now()
-	err = schedule(pl, p.codec, zeroCopy, req, resp)
+	err = schedule(pl, zeroCopy, req, resp)
 	p.record(pl, time.Since(start), zeroCopy, req, err)
 	if err != nil {
 		return fmt.Errorf("sched: pool plugin %q: %w", p.name, err)
@@ -148,17 +143,17 @@ func (p *PoolScheduler) ScheduleInto(req *Request, resp *Response) error {
 // execution + decode on the codec path, region write + sandbox execution +
 // region validation on the zero-copy path, then the semantic checks every
 // response must pass.
-func schedule(pl *wabi.Plugin, codec Codec, zeroCopy bool, req *Request, resp *Response) error {
+func schedule(pl *wabi.Plugin, zeroCopy bool, req *Request, resp *Response) error {
 	if zeroCopy {
 		if err := zcCall(pl, req, resp); err != nil {
 			return err
 		}
 	} else {
-		out, err := pl.Call(EntryPoint, codec.EncodeRequest(req))
+		out, err := pl.Call(EntryPoint, BinaryCodec{}.EncodeRequest(req))
 		if err != nil {
 			return err
 		}
-		decoded, err := codec.DecodeResponse(out)
+		decoded, err := BinaryCodec{}.DecodeResponse(out)
 		if err != nil {
 			return fmt.Errorf("malformed response: %w", err)
 		}

@@ -10,7 +10,7 @@ import (
 
 // Zero-copy scheduling ABI (the dApp-style real-time path).
 //
-// The serializing codecs pay an encode → input_read copy → guest copy →
+// The serializing path (BinaryCodec) pays an encode → input_read copy → guest copy →
 // output_write copy → decode round trip on every intra-slice decision —
 // per slice, per slot, per cell. The zero-copy ABI replaces it with two
 // shared-memory windows negotiated once per sandbox instance
