@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check check-flake lint-metrics measure fuzz
+.PHONY: build test check check-flake lint measure fuzz
 
 ## build: compile every package.
 build:
@@ -10,12 +10,12 @@ build:
 test: build
 	$(GO) test ./...
 
-## check: the deeper tier — the metrics lint, vet, the full suite under the
+## check: the deeper tier — the source lint, vet, the full suite under the
 ## race detector, a 10 s smoke of every fuzz target the packages declare
 ## (discovered with `go test -list`, so a new Fuzz* joins the gate by
 ## existing), and the benchmark harness's own vet + short tests (bench/ is its
 ## own module, so tier-1 does not build it against the API it reads).
-check: build lint-metrics
+check: build lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	@for pkg in $$($(GO) list ./...); do \
@@ -36,11 +36,13 @@ check-flake:
 	GOMAXPROCS=1 $(GO) test -race -count=20 -timeout 60m $(FLAKE_PKGS)
 	GOMAXPROCS=2 $(GO) test -race -count=20 -timeout 60m $(FLAKE_PKGS)
 
-## lint-metrics: telemetry must go through internal/obs — raw atomic.Uint64
-## counters, unexposed shed counters, flight series and span names outside
-## their packages fail internal/obs TestLint (also part of `make test`).
-## Deliberate non-metric uses carry a "metric-exempt:" comment.
-lint-metrics:
+## lint: internal/obs TestLint over the source (also part of `make test`).
+## Telemetry must go through internal/obs — raw atomic.Uint64 counters,
+## unexposed shed counters, flight series and span names outside their
+## packages fail it; deliberate non-metric uses carry a "metric-exempt:"
+## comment. And every exported identifier under internal/ must have a
+## non-test use; at most eight carry an "api-exempt:" comment instead.
+lint:
 	$(GO) test -count=1 -run '^TestLint$$' ./internal/obs
 
 ## measure: the repo's measurement — four workloads, end-to-end metrics with

@@ -93,7 +93,10 @@ func TestStandaloneRunSmoke(t *testing.T) {
 // pool, module cache, deadline watchdog, and E2 association counters.
 func TestServeObservabilityE2E(t *testing.T) {
 	// In-process near-RT RIC on a loopback listener.
-	r := ric.MustNew(ric.Config{ReportPeriodMs: 10})
+	r, err := ric.New(ric.Config{ReportPeriodMs: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := r.AddXAppWAT("sla", plugins.SLAAssureXAppWAT, wabi.Policy{}); err != nil {
 		t.Fatal(err)
 	}

@@ -154,7 +154,7 @@ func TestSlotResultValidUntilNextStep(t *testing.T) {
 
 	// Detaching the first granted UE makes the second slot's first grant
 	// name another UE, so the entries differ in IDs, not only in values.
-	if err := g.DetachUE(want.PerUE[0].UEID); err != nil {
+	if err := detach(g, want.PerUE[0].UEID); err != nil {
 		t.Fatal(err)
 	}
 	second := g.Step()
@@ -235,7 +235,7 @@ func TestNativeSchedulerAllocs(t *testing.T) {
 			var resp sched.Response
 			pinAllocs(t, 1, func() {
 				got, err := sched.ScheduleInto(s, req, &resp)
-				if err != nil || got != &resp || got.TotalPRBs() != req.PRBBudget {
+				if err != nil || got != &resp || totalPRBs(got) != req.PRBBudget {
 					t.Fatalf("%+v, %v", got, err)
 				}
 			})
@@ -282,4 +282,13 @@ func TestDivideAllocs(t *testing.T) {
 			})
 		})
 	}
+}
+
+// totalPRBs sums the granted PRBs.
+func totalPRBs(r *sched.Response) uint32 {
+	var t uint32
+	for _, a := range r.Allocs {
+		t += a.PRBs
+	}
+	return t
 }

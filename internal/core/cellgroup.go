@@ -385,6 +385,3 @@ func (cg *CellGroup) SetFlightRecorder(rec *flight.Recorder) {
 	cg.flight = rec
 	cg.eachSupervisor(func(_ uint32, sup *guard.Supervisor) { sup.SetFlightRecorder(rec) })
 }
-
-// FlightRecorder returns the attached incident journal (nil = off).
-func (cg *CellGroup) FlightRecorder() *flight.Recorder { return cg.flight }

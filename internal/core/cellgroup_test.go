@@ -41,8 +41,8 @@ func populateCell(t testing.TB, g *GNB, cell int) {
 		for k := 0; k < 3; k++ {
 			seed := int64(1000*cell + 10*int(s) + k)
 			ue := ran.NewUE(ueID, s, 18+2*k)
-			ue.Traffic = ran.NewOnOff(6e6, 40*time.Millisecond, 20*time.Millisecond, seed)
-			ue.Channel = ran.NewRandomWalkChannel(6, 15, 0.3, seed+7)
+			ue.Traffic = ran.NewCBR(float64(2+seed%5) * 1e6)
+			ue.Channel = ran.NewFadingChannel(6, 15, time.Duration(40+10*(seed%5))*time.Millisecond, float64(seed%7), time.Millisecond)
 			if err := g.AttachUE(ue); err != nil {
 				t.Fatal(err)
 			}

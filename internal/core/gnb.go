@@ -209,13 +209,6 @@ func (g *GNB) Fleet() *ran.UEFleet {
 	return g.fleet
 }
 
-// DetachUE removes a UE from the cell.
-func (g *GNB) DetachUE(id uint32) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.detachLocked(id)
-}
-
 func (g *GNB) detachLocked(id uint32) error {
 	if _, ok := g.byID[id]; !ok {
 		return fmt.Errorf("core: UE %d not attached", id)

@@ -68,7 +68,11 @@ func TestCellGroupObservability(t *testing.T) {
 		t.Fatalf("trace event = %+v", ev)
 	}
 
-	text := reg.PrometheusText()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	text := b.String()
 	for _, want := range []string{
 		"waran_slot_latency_us_count",
 		"waran_sched_granted_prbs_total",
@@ -83,7 +87,7 @@ func TestCellGroupObservability(t *testing.T) {
 
 	snap := reg.Snapshot()
 	if _, ok := snap[`waran_cell_deadline{cell="0"}`]; !ok {
-		t.Fatalf("snapshot missing deadline meter; keys: %v", reg.SeriesNames())
+		t.Fatalf("snapshot missing deadline meter; snapshot: %v", snap)
 	}
 }
 

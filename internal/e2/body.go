@@ -94,27 +94,6 @@ func AppendIndicationBody(b []byte, ind *Indication) []byte {
 	return w.b
 }
 
-// DecodeIndicationBody parses a fixed-width indication body.
-func DecodeIndicationBody(b []byte) (*Indication, error) {
-	r := breader{b: b}
-	ind := &Indication{}
-	r.indication(ind)
-	if err := r.done("indication"); err != nil {
-		return nil, err
-	}
-	return ind, nil
-}
-
-// AppendControlList appends a fixed-width control list to b.
-func AppendControlList(b []byte, list []ControlRequest) []byte {
-	w := bwriter{b: b}
-	w.u16(uint16(len(list)))
-	for i := range list {
-		w.control(&list[i])
-	}
-	return w.b
-}
-
 // DecodeControlListAppend parses a fixed-width control list onto the end
 // of dst, so a caller that reuses its list decodes without allocating for
 // it. The decoded requests keep nothing of b. On error dst comes back as it

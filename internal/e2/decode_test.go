@@ -200,22 +200,3 @@ func decodeOverwritten(codec Codec, wire []byte) (m, ref *Message, ok bool) {
 	ref, err = codec.Decode(wire)
 	return m, ref, err == nil
 }
-
-// TestSealedDecodeKeepsNothingOfInput is the no-retain contract for the
-// sealed codec. Sealing draws a fresh nonce per frame, so the two messages
-// are compared in the binary encoding the seal wraps.
-func TestSealedDecodeKeepsNothingOfInput(t *testing.T) {
-	sealed, err := NewSealedCodec(BinaryCodec{}, "test-passphrase")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, msg := range append(sampleMessages(), mixedMessages()...) {
-		m, ref, ok := decodeOverwritten(sealed, mustEncode(t, sealed, msg))
-		if !ok {
-			t.Fatalf("%v frame does not decode", msg.Type)
-		}
-		if got, want := mustEncode(t, BinaryCodec{}, m), mustEncode(t, BinaryCodec{}, ref); !bytes.Equal(got, want) {
-			t.Fatalf("%v frame: the decoded message changed when its input was overwritten", msg.Type)
-		}
-	}
-}

@@ -1,12 +1,12 @@
 // Package e2 implements WA-RAN's E2-lite interface between near-RT RIC and
 // E2 nodes (gNB CU/DU): a small message model (subscription, indication,
 // control), pluggable payload codecs (one compact "ASN.1-lite" layout with
-// fixed-width or varint "protobuf-lite" integers, and JSON), optional
-// AES-GCM sealing, and a length-framed TCP transport.
+// fixed-width or varint "protobuf-lite" integers, and JSON) and a
+// length-framed TCP transport.
 //
 // Per §4B of the paper, the wire protocol is deliberately NOT a fixed
-// standard: operators pick codec, encryption and transport, and wrap the
-// choice inside communication plugins on both sides. The Codec interface is
+// standard: operators pick codec and transport, and wrap the choice inside
+// communication plugins on both sides. The Codec interface is
 // the seam where a Wasm communication plugin slots in (see PluginCodec in
 // package ric).
 package e2

@@ -9,8 +9,7 @@ import (
 	"waran/internal/obs/trace"
 )
 
-// traceCodecs are the three wire codecs the trace trailer must traverse;
-// the sealed codec wraps one of these, so it inherits the property.
+// traceCodecs are the three wire codecs the trace trailer must traverse.
 func traceCodecs() []Codec {
 	return []Codec{BinaryCodec{}, JSONCodec{}, VarintCodec{}}
 }

@@ -154,7 +154,7 @@ func RunFlightRec(cfg FlightRecConfig) (*FlightRecResult, error) {
 			QueueDepth: cfg.QueueDepth,
 			StaleAfter: 50 * time.Millisecond,
 			Breaker: guard.BreakerConfig{
-				Window: 64, MinSamples: 2, FailureRate: 0.5,
+				Window: 64, MinSamples: 2,
 				Backoff: cfg.Dwell + time.Second,
 			},
 		},

@@ -192,13 +192,11 @@ func RunPluginFaults(cfg PluginFaultsConfig) (*PluginFaultsResult, error) {
 	}
 	gcfg := guard.Config{
 		Breaker: guard.BreakerConfig{
-			Window:         32,
-			MinSamples:     8,
-			FailureRate:    0.5,
-			Backoff:        50 * time.Millisecond, // 50 slots of virtual time
-			MaxBackoff:     400 * time.Millisecond,
-			ProbeSuccesses: 3,
-			Now:            clock.Now,
+			Window:     32,
+			MinSamples: 8,
+			Backoff:    50 * time.Millisecond, // 50 slots of virtual time
+			MaxBackoff: 400 * time.Millisecond,
+			Now:        clock.Now,
 		},
 		RecordedInputs: 32,
 		// Both swaps in this storyline are built to pass shadow validation;

@@ -54,21 +54,24 @@ type BreakerConfig struct {
 	// rate is acted on (default 8) — a single early trap must not quarantine
 	// a plugin that has served nothing else.
 	MinSamples int
-	// FailureRate opens the breaker when the window's failure fraction
-	// reaches it (default 0.5).
-	FailureRate float64
 	// Backoff is the initial open→half-open delay (default 50 ms). Every
 	// failed half-open probe doubles it, up to MaxBackoff.
 	Backoff time.Duration
 	// MaxBackoff caps the doubling (default 1 s).
 	MaxBackoff time.Duration
-	// ProbeSuccesses is how many consecutive half-open probes must succeed
-	// to close the breaker (default 3).
-	ProbeSuccesses int
 	// Now is the clock; nil means time.Now. Experiments inject a virtual
 	// slot clock so breaker timing is deterministic in slot units.
 	Now func() time.Time
 }
+
+const (
+	// openFailureRate opens the breaker when the window's failure fraction
+	// reaches it.
+	openFailureRate = 0.5
+	// probeSuccesses is how many consecutive half-open probes must succeed
+	// to close the breaker.
+	probeSuccesses = 3
+)
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Window <= 0 {
@@ -77,17 +80,11 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.MinSamples <= 0 {
 		c.MinSamples = 8
 	}
-	if c.FailureRate <= 0 {
-		c.FailureRate = 0.5
-	}
 	if c.Backoff <= 0 {
 		c.Backoff = 50 * time.Millisecond
 	}
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = time.Second
-	}
-	if c.ProbeSuccesses <= 0 {
-		c.ProbeSuccesses = 3
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -222,7 +219,7 @@ func (b *Breaker) record(class wabi.FailureClass) {
 		b.probing = false
 		if class == wabi.FailNone {
 			b.probeOK++
-			if b.probeOK >= b.cfg.ProbeSuccesses {
+			if b.probeOK >= probeSuccesses {
 				b.close()
 			}
 			return
@@ -239,7 +236,7 @@ func (b *Breaker) record(class wabi.FailureClass) {
 		b.openedAt = b.cfg.Now()
 	case Closed:
 		b.push(class)
-		if b.count >= b.cfg.MinSamples && b.failureRate() >= b.cfg.FailureRate {
+		if b.count >= b.cfg.MinSamples && b.failureRate() >= openFailureRate {
 			b.shift(Open)
 			b.opens++
 			b.openedAt = b.cfg.Now()

@@ -29,10 +29,12 @@ func TestBreakerTransitionHook(t *testing.T) {
 		t.Fatal("probe not admitted after backoff")
 	}
 	br.Record(wabi.FailNone)
-	if !br.Allow() {
-		t.Fatal("second probe not admitted")
+	for probe := 2; probe <= 3; probe++ { // three probe successes close it
+		if !br.Allow() {
+			t.Fatalf("probe %d not admitted", probe)
+		}
+		br.Record(wabi.FailNone)
 	}
-	br.Record(wabi.FailNone)
 
 	want := []string{"closed->open", "open->half-open", "half-open->closed"}
 	if len(got) != len(want) {

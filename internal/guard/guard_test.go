@@ -89,13 +89,11 @@ func testReq(slot uint64) *sched.Request {
 
 func breakerCfg(clock *vclock) guard.BreakerConfig {
 	return guard.BreakerConfig{
-		Window:         8,
-		MinSamples:     4,
-		FailureRate:    0.5,
-		Backoff:        10 * time.Millisecond,
-		MaxBackoff:     80 * time.Millisecond,
-		ProbeSuccesses: 2,
-		Now:            clock.Now,
+		Window:     8,
+		MinSamples: 4,
+		Backoff:    10 * time.Millisecond,
+		MaxBackoff: 80 * time.Millisecond,
+		Now:        clock.Now,
 	}
 }
 
@@ -139,12 +137,15 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 		t.Fatalf("state = %v, want half-open", br.State())
 	}
 	br.Record(wabi.FailNone)
-	if !br.Allow() {
-		t.Fatal("second probe not admitted")
+	for probe := 2; probe <= 3; probe++ {
+		if br.State() != guard.HalfOpen || !br.Allow() {
+			t.Fatalf("probe %d not admitted half-open (state %v)", probe, br.State())
+		}
+		br.Record(wabi.FailNone)
 	}
-	br.Record(wabi.FailNone) // ProbeSuccesses=2 → close
+	// Three probe successes close the breaker.
 	if br.State() != guard.Closed {
-		t.Fatalf("state = %v, want closed after %d probe successes", br.State(), 2)
+		t.Fatalf("state = %v, want closed after %d probe successes", br.State(), 3)
 	}
 	if !br.Allow() {
 		t.Fatal("closed breaker rejected a call")
@@ -263,8 +264,8 @@ func TestSupervisorRecoversThroughProbes(t *testing.T) {
 		t.Fatal("breaker did not open")
 	}
 	clock.Advance(10 * time.Millisecond)
-	// Two successful probes (ProbeSuccesses=2) close the breaker.
-	for slot := uint64(10); slot < 12; slot++ {
+	// Three successful probes close the breaker.
+	for slot := uint64(10); slot < 13; slot++ {
 		if _, err := sup.Schedule(testReq(slot)); err != nil {
 			t.Fatal(err)
 		}
@@ -346,7 +347,7 @@ func TestSwapRejectsBadCandidate(t *testing.T) {
 func TestSwapPromotesAndRollsBackDuringProbation(t *testing.T) {
 	clock := newVclock()
 	good := &fakeSched{name: "good", fuel: 100}
-	cfg := guard.Config{Breaker: breakerCfg(clock), ProbationCalls: 64}
+	cfg := guard.Config{Breaker: breakerCfg(clock)}
 	sup := guard.New("s1", good, cfg)
 	for slot := uint64(0); slot < 8; slot++ {
 		if _, err := sup.Schedule(testReq(slot)); err != nil {
@@ -436,7 +437,7 @@ func TestShadowGateRejectsSlowCandidate(t *testing.T) {
 func TestSwapDuringOpenBreakerTargetsCandidate(t *testing.T) {
 	clock := newVclock()
 	hostile := &fakeSched{name: "hostile", script: alwaysFail(errTrap())}
-	cfg := guard.Config{Breaker: breakerCfg(clock), ProbationCalls: 64}
+	cfg := guard.Config{Breaker: breakerCfg(clock)}
 	sup := guard.New("s1", hostile, cfg)
 	for slot := uint64(0); slot < 20; slot++ {
 		_, _ = sup.Schedule(testReq(slot))

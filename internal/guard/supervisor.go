@@ -34,10 +34,11 @@ type Config struct {
 	// the incumbent is healthy and metered — a quarantined or native
 	// incumbent is no baseline worth defending.
 	ShadowSlowdown float64
-	// ProbationCalls is the post-promotion window during which a breaker
-	// trip rolls back to the last-known-good scheduler (default 256).
-	ProbationCalls int
 }
+
+// probationCalls is the post-promotion window during which a breaker trip
+// rolls back to the last-known-good scheduler.
+const probationCalls = 256
 
 func (c Config) withDefaults() Config {
 	if c.RecordedInputs <= 0 {
@@ -48,9 +49,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ShadowSlowdown <= 0 {
 		c.ShadowSlowdown = 3
-	}
-	if c.ProbationCalls <= 0 {
-		c.ProbationCalls = 256
 	}
 	return c
 }
@@ -327,7 +325,7 @@ func (s *Supervisor) Swap(candidate sched.IntraSlice) (*ShadowReport, error) {
 		s.lastGood = s.Active()
 	}
 	s.active.Store(&incumbent{candidate})
-	s.probation = s.cfg.ProbationCalls
+	s.probation = probationCalls
 	s.fuelEWMA = rep.CandidateAvgFuel
 	s.promotions++
 	s.shadowPass++

@@ -62,10 +62,8 @@ type BundleInfo struct {
 // CapturerConfig wires a Capturer to its sources and bounds its disk use.
 type CapturerConfig struct {
 	// Dir is the directory bundles are written into (created if missing).
+	// It keeps the newest maxBundles files.
 	Dir string
-	// MaxBundles caps retained bundle files; the oldest is deleted when
-	// the cap is exceeded. Default 8.
-	MaxBundles int
 	// Debounce holds back captures closer than this to the previous one;
 	// Run captures a held-back trigger when the window closes, with the
 	// suppressed count folded in. Default 5s.
@@ -108,9 +106,6 @@ func NewCapturer(rec *Recorder, cfg CapturerConfig) (*Capturer, error) {
 	}
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("flight: capturer needs a bundle directory")
-	}
-	if cfg.MaxBundles <= 0 {
-		cfg.MaxBundles = 8
 	}
 	if cfg.Debounce <= 0 {
 		cfg.Debounce = 5 * time.Second
@@ -287,9 +282,13 @@ func (c *Capturer) writeLocked(b *Bundle) (BundleInfo, error) {
 	}, nil
 }
 
+// maxBundles caps retained bundle files; the oldest is deleted when the cap
+// is exceeded.
+const maxBundles = 8
+
 // pruneLocked enforces the retained-bundle cap, deleting oldest first.
 func (c *Capturer) pruneLocked() {
-	for len(c.index) > c.cfg.MaxBundles {
+	for len(c.index) > maxBundles {
 		old := c.index[0]
 		c.index = c.index[1:]
 		_ = os.Remove(old.File)

@@ -1,6 +1,7 @@
 package flight
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -31,7 +32,7 @@ func TestCaptureRoundTrip(t *testing.T) {
 	tr := trace.NewTracer(16)
 	tr.Record(&trace.Span{TraceID: 1, SpanID: 11, Name: trace.SpanShed, Plane: trace.PlaneRIC, StartNs: 5})
 	ds := NewDetectorSet(rec)
-	ds.MustAdd(SLO{Name: "x", Value: func() float64 { return 1 }, Budget: 10}, DetectorConfig{})
+	ds.MustAdd(quietSLO("x"), DetectorConfig{})
 
 	cap := testCapturer(t, rec, func(c *CapturerConfig) {
 		c.Registry, c.Tracer, c.Detectors = reg, tr, ds
@@ -128,7 +129,6 @@ func TestCaptureDebounceAndRetention(t *testing.T) {
 	now := time.Unix(5000, 0)
 	cap := testCapturer(t, rec, func(c *CapturerConfig) {
 		c.Debounce = 10 * time.Second
-		c.MaxBundles = 2
 		c.Now = func() time.Time { return now }
 	})
 
@@ -153,24 +153,26 @@ func TestCaptureDebounceAndRetention(t *testing.T) {
 		t.Fatalf("bundle suppressed = %d, want 1", b.Suppressed)
 	}
 
-	// Retention: a third bundle must evict the first file.
-	now = now.Add(time.Minute)
-	if _, err := cap.CaptureNow("third"); err != nil {
-		t.Fatal(err)
+	// Retention: the bundle past the cap must evict the first file.
+	for i := 2; i <= maxBundles; i++ {
+		now = now.Add(time.Minute)
+		if _, err := cap.CaptureNow(fmt.Sprint("more-", i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	idx := cap.Index()
-	if len(idx) != 2 {
-		t.Fatalf("index len = %d, want cap 2", len(idx))
+	if len(idx) != maxBundles {
+		t.Fatalf("index len = %d, want cap %d", len(idx), maxBundles)
 	}
-	if idx[0].Reason != "second" || idx[1].Reason != "third" {
+	if idx[0].Reason != "second" || idx[len(idx)-1].Reason != fmt.Sprint("more-", maxBundles) {
 		t.Fatalf("index = %+v", idx)
 	}
 	files, err := filepath.Glob(filepath.Join(filepath.Dir(idx[0].File), "bundle-*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != 2 {
-		t.Fatalf("retained files = %v, want 2", files)
+	if len(files) != maxBundles {
+		t.Fatalf("retained files = %v, want %d", files, maxBundles)
 	}
 }
 

@@ -1,6 +1,10 @@
 package flight
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
 	"testing"
 	"unicode/utf8"
 )
@@ -99,4 +103,113 @@ func FuzzEventCodec(f *testing.F) {
 			t.Fatalf("round trip: got %+v, want %+v", got, ev)
 		}
 	})
+}
+
+// DecodeJournal decodes a back-to-back event stream produced by
+// EncodeJournal, stopping at the first malformed event.
+func DecodeJournal(b []byte) ([]Event, error) {
+	var out []Event
+	for len(b) > 0 {
+		ev, n, err := DecodeEvent(b)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, ev)
+		b = b[n:]
+	}
+	return out, nil
+}
+
+// The journal decoder: the oracle the round-trip and fuzz tests hold the
+// encoder to. It is hardened against malformed input: string lengths are
+// bounded, the class range is validated, and every read checks the
+// remaining buffer.
+
+// maxCodecString bounds decoded string lengths so a corrupt length prefix
+// cannot become a giant allocation.
+const maxCodecString = 1 << 12
+
+// ErrCodecTruncated reports a buffer that ended mid-event.
+var ErrCodecTruncated = errors.New("flight: truncated event")
+
+// DecodeEvent decodes one event from the front of b, returning the event
+// and the number of bytes consumed.
+func DecodeEvent(b []byte) (Event, int, error) {
+	var ev Event
+	off := 0
+	next := func() (uint64, error) {
+		v, n := binary.Uvarint(b[off:])
+		if n <= 0 {
+			return 0, ErrCodecTruncated
+		}
+		off += n
+		return v, nil
+	}
+	str := func() (string, error) {
+		ln, err := next()
+		if err != nil {
+			return "", err
+		}
+		if ln > maxCodecString {
+			return "", fmt.Errorf("flight: string length %d exceeds codec bound", ln)
+		}
+		if uint64(len(b)-off) < ln {
+			return "", ErrCodecTruncated
+		}
+		s := string(b[off : off+int(ln)])
+		off += int(ln)
+		if !utf8.ValidString(s) {
+			return "", fmt.Errorf("flight: string is not valid UTF-8")
+		}
+		return s, nil
+	}
+
+	seq, err := next()
+	if err != nil {
+		return ev, 0, err
+	}
+	tns, err := next()
+	if err != nil {
+		return ev, 0, err
+	}
+	if tns > math.MaxInt64 {
+		return ev, 0, fmt.Errorf("flight: timestamp overflows int64")
+	}
+	if off >= len(b) {
+		return ev, 0, ErrCodecTruncated
+	}
+	class := Class(b[off])
+	off++
+	if class >= numClasses {
+		return ev, 0, fmt.Errorf("flight: event class %d out of range", class)
+	}
+	plane, err := str()
+	if err != nil {
+		return ev, 0, err
+	}
+	cell, err := next()
+	if err != nil {
+		return ev, 0, err
+	}
+	if cell > math.MaxUint32 {
+		return ev, 0, fmt.Errorf("flight: cell %d overflows uint32", cell)
+	}
+	slot, err := next()
+	if err != nil {
+		return ev, 0, err
+	}
+	detail, err := str()
+	if err != nil {
+		return ev, 0, err
+	}
+	bits, err := next()
+	if err != nil {
+		return ev, 0, err
+	}
+	ev = Event{
+		Seq: seq, TimeNs: int64(tns), Class: class, Plane: plane,
+		Cell: uint32(cell), Slot: slot, Detail: detail,
+		Value: math.Float64frombits(bits),
+	}
+	return ev, off, nil
 }

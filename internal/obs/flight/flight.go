@@ -152,11 +152,13 @@ func ParseClass(s string) (Class, bool) {
 }
 
 // MarshalJSON renders the class as its stable name.
+// api-exempt: encoding/json calls it for every journal and bundle event.
 func (c Class) MarshalJSON() ([]byte, error) {
 	return json.Marshal(c.String())
 }
 
 // UnmarshalJSON accepts either the stable name or the numeric form.
+// api-exempt: encoding/json calls it to read events back.
 func (c *Class) UnmarshalJSON(b []byte) error {
 	var s string
 	if err := json.Unmarshal(b, &s); err == nil {

@@ -67,7 +67,7 @@ func Handler(rec *Recorder, ds *DetectorSet, cap *Capturer) http.Handler {
 
 // JournalHandler serves the journal tail alone: JSON by default, the
 // compact binary codec with ?format=binary (for operators streaming large
-// windows; decode with DecodeJournal). ?since= returns only events with a
+// windows; the layout is codec.go's). ?since= returns only events with a
 // larger sequence number.
 func JournalHandler(rec *Recorder) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {

@@ -15,7 +15,7 @@ import (
 func TestFlightHandler(t *testing.T) {
 	rec := NewRecorder(64)
 	ds := NewDetectorSet(rec)
-	ds.MustAdd(SLO{Name: "x", Value: func() float64 { return 0 }, Budget: 1}, DetectorConfig{})
+	ds.MustAdd(quietSLO("x"), DetectorConfig{})
 	cap := testCapturer(t, rec, nil)
 	rec.Record(Event{Class: EvShed, Plane: PlaneRIC, Detail: "overflow", TimeNs: 1})
 	if _, err := cap.CaptureNow("manual"); err != nil {
@@ -138,7 +138,7 @@ func TestConcurrentScrapeWhileJournaling(t *testing.T) {
 	rec := NewRecorder(256)
 	rec.Register(reg)
 	ds := NewDetectorSet(rec)
-	ds.MustAdd(SLO{Name: "x", Value: func() float64 { return 1 }, Budget: 10}, DetectorConfig{})
+	ds.MustAdd(quietSLO("x"), DetectorConfig{})
 	cap := testCapturer(t, rec, func(c *CapturerConfig) { c.Registry = reg })
 
 	mux := obs.NewMux(reg, ring, MuxOption(rec, ds, cap))

@@ -6,57 +6,31 @@ import (
 	"time"
 )
 
-// SLO defines one service-level objective over cumulative or instantaneous
-// sources. Two kinds:
-//
-//   - Ratio: Bad and Total are cumulative counters (shed indications vs
-//     offered, slot overruns vs slots). Objective is the allowed bad
-//     fraction; the burn rate over a window is (Δbad/Δtotal)/Objective, so
-//     burn 1.0 consumes exactly the error budget and burn 10 means the
-//     budget burns 10× too fast.
-//
-//   - Value: Value samples an instantaneous quantity (RIC-loop p99 in µs)
-//     and Budget is its objective; the burn rate over a window is the
-//     window-average value divided by Budget.
+// SLO defines one ratio service-level objective: Bad and Total are
+// cumulative counters (shed indications vs offered, slot overruns vs slots)
+// and Objective is the allowed bad fraction. The burn rate over a window is
+// (Δbad/Δtotal)/Objective, so burn 1.0 consumes exactly the error budget and
+// burn 10 means the budget burns 10× too fast.
 //
 // One SLO feeds one Detector; the detector does the windowing.
 type SLO struct {
 	// Name identifies the SLO in detector states, events and bundles.
 	Name string
-	// Objective is the allowed bad fraction for ratio SLOs (e.g. 0.001 =
-	// 0.1% of indications may shed).
+	// Objective is the allowed bad fraction (e.g. 0.001 = 0.1% of
+	// indications may shed).
 	Objective float64
-	// Bad and Total are the cumulative sources of a ratio SLO. Both must
-	// be monotonic.
+	// Bad and Total are the cumulative sources. Both must be monotonic.
 	Bad, Total func() uint64
-	// Value is the instantaneous source of a value SLO.
-	Value func() float64
-	// Budget is the objective for a value SLO, in Value's unit.
-	Budget float64
 }
 
 func (s SLO) validate() error {
-	if s.Name == "" {
-		return fmt.Errorf("flight: SLO name must not be empty")
-	}
-	ratio := s.Bad != nil || s.Total != nil
-	value := s.Value != nil
 	switch {
-	case ratio && value:
-		return fmt.Errorf("flight: SLO %s mixes ratio and value sources", s.Name)
-	case ratio:
-		if s.Bad == nil || s.Total == nil {
-			return fmt.Errorf("flight: ratio SLO %s needs both Bad and Total", s.Name)
-		}
-		if s.Objective <= 0 || s.Objective > 1 {
-			return fmt.Errorf("flight: ratio SLO %s objective must be in (0,1]", s.Name)
-		}
-	case value:
-		if s.Budget <= 0 {
-			return fmt.Errorf("flight: value SLO %s budget must be positive", s.Name)
-		}
-	default:
-		return fmt.Errorf("flight: SLO %s has no source", s.Name)
+	case s.Name == "":
+		return fmt.Errorf("flight: SLO name must not be empty")
+	case s.Bad == nil || s.Total == nil:
+		return fmt.Errorf("flight: SLO %s needs both Bad and Total", s.Name)
+	case s.Objective <= 0 || s.Objective > 1:
+		return fmt.Errorf("flight: SLO %s objective must be in (0,1]", s.Name)
 	}
 	return nil
 }
@@ -64,15 +38,13 @@ func (s SLO) validate() error {
 // DetectorConfig tunes one multi-window burn-rate detector. The detector
 // fires only when BOTH windows exceed Burn: the short window makes it
 // respond fast, the long window keeps a brief spike from paging. Clearing
-// uses hysteresis: both windows must drop below ClearBurn.
+// uses hysteresis: both windows must drop below half of Burn.
 type DetectorConfig struct {
 	// Short and Long are the two look-back windows. Defaults: 5s / 30s.
 	Short, Long time.Duration
 	// Burn is the firing threshold (default 10: the error budget is
 	// burning 10× too fast).
 	Burn float64
-	// ClearBurn is the hysteresis clear threshold (default Burn/2).
-	ClearBurn float64
 }
 
 func (c *DetectorConfig) withDefaults() {
@@ -88,17 +60,12 @@ func (c *DetectorConfig) withDefaults() {
 	if c.Burn <= 0 {
 		c.Burn = 10
 	}
-	if c.ClearBurn <= 0 || c.ClearBurn > c.Burn {
-		c.ClearBurn = c.Burn / 2
-	}
 }
 
 // detectorSample is one Eval observation of the SLO's sources.
 type detectorSample struct {
-	at    time.Time
-	bad   uint64  // ratio kind: cumulative bad
-	total uint64  // ratio kind: cumulative total
-	value float64 // value kind: instantaneous value
+	at         time.Time
+	bad, total uint64
 }
 
 // detectorSamples bounds each detector's memory: at the default 1 s Eval
@@ -149,13 +116,7 @@ func (d *Detector) State() DetectorState {
 
 // sample appends one observation of the SLO's sources.
 func (d *Detector) sample(now time.Time) {
-	s := detectorSample{at: now}
-	if d.slo.Bad != nil {
-		s.bad, s.total = d.slo.Bad(), d.slo.Total()
-	} else {
-		s.value = d.slo.Value()
-	}
-	d.ring[d.n%detectorSamples] = s
+	d.ring[d.n%detectorSamples] = detectorSample{at: now, bad: d.slo.Bad(), total: d.slo.Total()}
 	d.n++
 }
 
@@ -166,34 +127,20 @@ func (d *Detector) burn(window time.Duration) float64 {
 	}
 	newest := d.ring[(d.n-1)%detectorSamples]
 	horizon := newest.at.Add(-window)
-	// Walk back to the oldest retained sample at or after the horizon,
-	// accumulating the window sum for value SLOs along the way.
+	// Walk back to the oldest retained sample at or after the horizon.
 	oldest := newest
-	limit := d.n - detectorSamples
-	if limit < 0 {
-		limit = 0
-	}
-	count := 1
-	sum := newest.value
-	for i := d.n - 2; i >= limit; i-- {
+	for i := d.n - 2; i >= max(d.n-detectorSamples, 0); i-- {
 		s := d.ring[i%detectorSamples]
 		if s.at.Before(horizon) {
 			break
 		}
 		oldest = s
-		count++
-		sum += s.value
 	}
-	if d.slo.Bad != nil {
-		dBad := newest.bad - oldest.bad
-		dTotal := newest.total - oldest.total
-		if dTotal == 0 {
-			return 0
-		}
-		return (float64(dBad) / float64(dTotal)) / d.slo.Objective
+	dTotal := newest.total - oldest.total
+	if dTotal == 0 {
+		return 0
 	}
-	// Value kind: window-average value against the budget.
-	return (sum / float64(count)) / d.slo.Budget
+	return (float64(newest.bad-oldest.bad) / float64(dTotal)) / d.slo.Objective
 }
 
 // eval appends a sample, recomputes both windows and returns the
@@ -210,7 +157,7 @@ func (d *Detector) eval(now time.Time) int {
 		d.fires++
 		d.shiftNs = now.UnixNano()
 		return +1
-	case d.firing && d.burnS < d.cfg.ClearBurn && d.burnL < d.cfg.ClearBurn:
+	case d.firing && d.burnS < d.cfg.Burn/2 && d.burnL < d.cfg.Burn/2:
 		d.firing = false
 		d.shiftNs = now.UnixNano()
 		return -1

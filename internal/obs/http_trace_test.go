@@ -4,61 +4,10 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 
 	"waran/internal/obs/trace"
 )
-
-// TestAnnotateLastUnderConcurrentAdd hammers AnnotateLast while producers
-// keep wrapping the ring: run with -race, the point is that annotation never
-// touches an event outside the lock or trips on a concurrent eviction.
-func TestAnnotateLastUnderConcurrentAdd(t *testing.T) {
-	ring := NewTraceRing(32)
-	const cells = 4
-	stop := make(chan struct{})
-
-	var producers sync.WaitGroup
-	for c := 0; c < cells; c++ {
-		producers.Add(1)
-		go func(c int) {
-			defer producers.Done()
-			for i := 0; i < 2000; i++ {
-				ring.Add(SlotEvent{Slot: uint64(i), Cell: c})
-			}
-		}(c)
-	}
-
-	var readers sync.WaitGroup
-	readers.Add(1)
-	go func() {
-		defer readers.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			for c := 0; c < cells; c++ {
-				ring.AnnotateLast(c, func(ev *SlotEvent) {
-					ev.E2Sent++
-					if ev.Cell != c {
-						t.Errorf("annotated cell %d, asked for %d", ev.Cell, c)
-					}
-				})
-			}
-			_ = ring.Last(16)
-		}
-	}()
-
-	producers.Wait()
-	close(stop)
-	readers.Wait()
-
-	if ring.Len() != 32 {
-		t.Fatalf("ring len %d, want 32", ring.Len())
-	}
-}
 
 func decodeSlots(t *testing.T, body []byte) (int, []SlotEvent) {
 	t.Helper()

@@ -95,7 +95,7 @@ func TestRegistrySnapshotAndPrometheus(t *testing.T) {
 		t.Fatalf("snapshot not JSON-marshalable: %v", err)
 	}
 
-	text := reg.PrometheusText()
+	text := promText(t, reg)
 	for _, want := range []string{
 		"# HELP waran_events_total events",
 		"# TYPE waran_events_total counter",
@@ -146,7 +146,7 @@ func TestRegistryConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				_ = reg.PrometheusText()
+				_ = reg.WritePrometheus(io.Discard)
 				_ = reg.Snapshot()
 			}
 		}()
@@ -181,17 +181,6 @@ func TestTraceRing(t *testing.T) {
 	if len(two) != 2 || two[0].Slot != 4 || two[1].Slot != 5 {
 		t.Fatalf("Last(2) = %+v", two)
 	}
-	// Most recent cell-0 event is slot 4.
-	ok := r.AnnotateLast(0, func(ev *SlotEvent) { ev.E2Sent = 9 })
-	if !ok {
-		t.Fatal("AnnotateLast found no cell-0 event")
-	}
-	if got := r.Last(2)[0]; got.Slot != 4 || got.E2Sent != 9 {
-		t.Fatalf("annotation landed on %+v", got)
-	}
-	if r.AnnotateLast(7, func(*SlotEvent) {}) {
-		t.Fatal("AnnotateLast matched a cell that never produced events")
-	}
 }
 
 func TestTraceRingConcurrent(t *testing.T) {
@@ -203,7 +192,6 @@ func TestTraceRingConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				r.Add(SlotEvent{Slot: uint64(i), Cell: cell})
-				r.AnnotateLast(cell, func(ev *SlotEvent) { ev.E2Sent++ })
 			}
 		}(c)
 	}
@@ -290,10 +278,10 @@ func TestRegistrySnapshotHeader(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("waran_events_total", "events").Add(3)
 
-	before := reg.PrometheusText()
+	before := promText(t, reg)
 	s1 := reg.Snapshot()
 	s2 := reg.Snapshot()
-	after := reg.PrometheusText()
+	after := promText(t, reg)
 
 	h1, ok := s1[SnapshotHeaderKey].(SnapshotHeader)
 	if !ok {
@@ -321,4 +309,14 @@ func TestRegistrySnapshotHeader(t *testing.T) {
 	if !strings.Contains(string(raw), `"unix_nanos"`) || !strings.Contains(string(raw), `"seq"`) {
 		t.Fatalf("marshaled snapshot missing header fields: %s", raw)
 	}
+}
+
+// promText renders reg's exposition text.
+func promText(t *testing.T, reg *Registry) string {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }

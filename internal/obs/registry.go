@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -208,26 +207,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// PrometheusText renders the registry to a string (convenience for tests
-// and logging).
-func (r *Registry) PrometheusText() string {
-	var b strings.Builder
-	_ = r.WritePrometheus(&b)
-	return b.String()
-}
-
-// SeriesNames returns all registered series keys, sorted — handy for
-// -list-style introspection and tests.
-func (r *Registry) SeriesNames() []string {
-	entries := r.snapshotEntries()
-	out := make([]string, 0, len(entries))
-	for _, e := range entries {
-		out = append(out, seriesKey(e.name, e.labels))
-	}
-	sort.Strings(out)
-	return out
 }
 
 func renderLabels(labels []Label) string {

@@ -24,8 +24,6 @@ type SlotEvent struct {
 	Overrun    bool         `json:"overrun,omitempty"`
 	Fallback   bool         `json:"fallback,omitempty"`
 	Slices     []SliceTrace `json:"slices,omitempty"`
-	E2Sent     uint64       `json:"e2_sent,omitempty"`
-	E2Dropped  uint64       `json:"e2_dropped,omitempty"`
 }
 
 // TraceRing is a fixed-size ring buffer of SlotEvents, safe for concurrent
@@ -60,30 +58,6 @@ func (r *TraceRing) Add(ev SlotEvent) {
 		r.full = true
 	}
 	r.mu.Unlock()
-}
-
-// AnnotateLast runs fn on the most recent event for cell, if one is still
-// in the ring — used by slot drivers to backfill fields (E2 sends/drops)
-// that are only known after the cell step returns. Reports whether an
-// event was found.
-func (r *TraceRing) AnnotateLast(cell int, fn func(*SlotEvent)) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := len(r.buf)
-	if !r.full {
-		n = r.next
-	}
-	for i := 0; i < n; i++ {
-		idx := r.next - 1 - i
-		if idx < 0 {
-			idx += len(r.buf)
-		}
-		if r.buf[idx].Cell == cell {
-			fn(&r.buf[idx])
-			return true
-		}
-	}
-	return false
 }
 
 // Len reports how many events are currently buffered.

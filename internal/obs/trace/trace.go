@@ -29,9 +29,6 @@ type Context struct {
 // Context means "untraced" everywhere.
 func (c Context) Valid() bool { return c.TraceID != 0 }
 
-// Child returns a context for the next span in the same trace.
-func (c Context) Child() Context { return Context{TraceID: c.TraceID, SpanID: NewSpanID()} }
-
 // idSeq feeds the ID generator. IDs must only be unique and nonzero within
 // a process, so a scrambled counter suffices — and keeps experiment output
 // deterministic, unlike crypto randomness.
@@ -75,6 +72,3 @@ type Span struct {
 	DurNs   int64  `json:"dur_ns"`
 	Err     string `json:"err,omitempty"`
 }
-
-// Ctx returns the context a child hop should parent to.
-func (s *Span) Ctx() Context { return Context{TraceID: s.TraceID, SpanID: s.SpanID} }

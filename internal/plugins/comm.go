@@ -5,30 +5,6 @@ package plugins
 // exports "encode" (host representation -> vendor wire format) and "decode"
 // (vendor wire -> host representation) over the wabi byte ABI.
 
-// PassthroughCommWAT forwards frames unchanged — the identity communication
-// plugin, useful as a baseline and for measuring plugin-wrapping overhead.
-const PassthroughCommWAT = `(module
-  (import "waran" "input_length" (func $input_length (result i32)))
-  (import "waran" "input_read"   (func $input_read (param i32 i32 i32) (result i32)))
-  (import "waran" "output_write" (func $output_write (param i32 i32)))
-  (memory (export "memory") 4 64)
-  (func $copy (result i32)
-    (local $n i32)
-    (local.set $n (call $input_length))
-    ;; Grow if the frame exceeds current memory.
-    (block $ok
-      (loop $grow
-        (br_if $ok (i32.le_u (i32.add (local.get $n) (i32.const 1024))
-                             (i32.mul (memory.size) (i32.const 65536))))
-        (drop (memory.grow (i32.const 4)))
-        (br $grow)))
-    (drop (call $input_read (i32.const 1024) (i32.const 0) (local.get $n)))
-    (call $output_write (i32.const 1024) (local.get $n))
-    (i32.const 0))
-  (func (export "encode") (result i32) (call $copy))
-  (func (export "decode") (result i32) (call $copy))
-)`
-
 // Widen8To12CommWAT is the paper's introduction example made concrete:
 // vendor A emits 8-bit fields where vendor B expects 12-bit fields. The
 // shim widens each byte b to a little-endian u16 carrying b << 4 (encode)

@@ -19,23 +19,65 @@ import (
 // slots and instance lifecycles, and hostile/chaotic response regions that
 // never escape validation.
 
-func newSchedABI(t testing.TB, name string, mode sched.ABIMode, env wabi.Env) *sched.PoolScheduler {
+// diffPolicy is the fuel budget the differentials run guests under.
+var diffPolicy = wabi.Policy{Fuel: 50_000_000}
+
+// decider is one call path to a guest's decisions: the pooled scheduler
+// every slice runs, or codecSched.
+type decider interface {
+	Schedule(req *sched.Request) (*sched.Response, error)
+	LastFuelUsed() int64
+}
+
+// builtin compiles the built-in scheduler guest name.
+func builtin(t testing.TB, name string) *wabi.Module {
 	t.Helper()
 	mod, err := CompileScheduler(name)
 	if err != nil {
 		t.Fatalf("compile %s: %v", name, err)
 	}
-	return newModuleSchedABI(t, name, mod, mode, env)
+	return mod
 }
 
-func newModuleSchedABI(t testing.TB, name string, mod *wabi.Module, mode sched.ABIMode, env wabi.Env) *sched.PoolScheduler {
+// zcSched hosts a built-in guest as every plugin slice is hosted. rr, pf and
+// mt export the region ABI, so NewPoolScheduler puts it on the zero-copy path.
+func zcSched(t testing.TB, name string) *sched.PoolScheduler {
 	t.Helper()
-	ps := poolSched(t, name, mod, wabi.Policy{Fuel: 50_000_000}, env)
-	if err := ps.SetABIMode(mode); err != nil {
-		t.Fatalf("force %v on %s: %v", mode, name, err)
-	}
-	return ps
+	return poolSched(t, name, builtin(t, name), diffPolicy, wabi.Env{})
 }
+
+// codecSched runs the codec half of the scheduling ABI directly on one bare
+// instance: encode the request, call "schedule", decode and validate the
+// response. NewPoolScheduler puts every guest that exports the region ABI on
+// the zero-copy path, so this is how a differential reaches the codec path
+// of a dual-path guest.
+type codecSched struct{ pl *wabi.Plugin }
+
+func newCodecSched(t testing.TB, mod *wabi.Module, policy wabi.Policy) *codecSched {
+	t.Helper()
+	pl, err := wabi.NewPlugin(mod, policy, wabi.Env{})
+	if err != nil {
+		t.Fatalf("instantiate: %v", err)
+	}
+	return &codecSched{pl: pl}
+}
+
+func (c *codecSched) Schedule(req *sched.Request) (*sched.Response, error) {
+	out, err := c.pl.Call(sched.EntryPoint, sched.BinaryCodec{}.EncodeRequest(req))
+	if err != nil {
+		return nil, err
+	}
+	resp, err := sched.BinaryCodec{}.DecodeResponse(out)
+	if err != nil {
+		return nil, err
+	}
+	if err := resp.Validate(req); err != nil {
+		return nil, &sched.BadOutputError{Kind: sched.BadOutputSemantic, Err: err}
+	}
+	return resp, nil
+}
+
+func (c *codecSched) LastFuelUsed() int64 { return c.pl.LastFuelUsed() }
 
 // poolSched hosts mod the way every plugin slice is hosted: a PoolScheduler
 // over a pool of one instance, which a call that traps discards.
@@ -71,11 +113,8 @@ func hostileRequest(rng *rand.Rand, nUE int, slot uint64) *sched.Request {
 func TestDifferentialCodecVsZeroCopy(t *testing.T) {
 	for _, name := range []string{"rr", "pf", "mt"} {
 		t.Run(name, func(t *testing.T) {
-			codec := newSchedABI(t, name, sched.ABICodec, wabi.Env{})
-			zc := newSchedABI(t, name, sched.ABIZeroCopy, wabi.Env{})
-			if codec.ZeroCopy() || !zc.ZeroCopy() {
-				t.Fatal("forced paths not honored")
-			}
+			codec := newCodecSched(t, builtin(t, name), diffPolicy)
+			zc := zcSched(t, name)
 			rng := rand.New(rand.NewSource(11))
 			for trial := 0; trial < 200; trial++ {
 				nUE := rng.Intn(32)
@@ -103,9 +142,6 @@ func TestDifferentialCodecVsZeroCopy(t *testing.T) {
 			if st.ZCCalls == 0 || st.ZCCalls != st.Calls {
 				t.Fatalf("zero-copy accounting: %+v", st)
 			}
-			if cst := codec.Stats(); cst.ZCCalls != 0 {
-				t.Fatalf("codec path recorded zero-copy calls: %+v", cst)
-			}
 		})
 	}
 }
@@ -118,9 +154,9 @@ func TestDifferentialCodecVsZeroCopy(t *testing.T) {
 // NaN and ±Inf averages must match native through both ABIs.
 func TestDifferentialPFNaNAverages(t *testing.T) {
 	native := sched.ProportionalFair{}
-	guests := []*sched.PoolScheduler{
-		newSchedABI(t, "pf", sched.ABICodec, wabi.Env{}),
-		newSchedABI(t, "pf", sched.ABIZeroCopy, wabi.Env{}),
+	guests := map[string]decider{
+		"codec":    newCodecSched(t, builtin(t, "pf"), diffPolicy),
+		"zerocopy": zcSched(t, "pf"),
 	}
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 500; trial++ {
@@ -130,14 +166,14 @@ func TestDifferentialPFNaNAverages(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: native: %v", trial, err)
 		}
-		for _, g := range guests {
+		for path, g := range guests {
 			got, err := g.Schedule(req)
 			if err != nil {
-				t.Fatalf("trial %d: zerocopy=%v: %v", trial, g.ZeroCopy(), err)
+				t.Fatalf("trial %d: %s: %v", trial, path, err)
 			}
 			if !allocsEqual(got.Allocs, want.Allocs) {
-				t.Fatalf("trial %d (%d UEs, zerocopy=%v):\nplugin: %v\nnative: %v",
-					trial, len(req.UEs), g.ZeroCopy(), got.Allocs, want.Allocs)
+				t.Fatalf("trial %d (%d UEs, %s):\nplugin: %v\nnative: %v",
+					trial, len(req.UEs), path, got.Allocs, want.Allocs)
 			}
 		}
 	}
@@ -151,8 +187,8 @@ func TestDifferentialPFNaNAverages(t *testing.T) {
 func TestDifferentialDeltaThousandSlots(t *testing.T) {
 	for _, name := range []string{"rr", "pf", "mt"} {
 		t.Run(name, func(t *testing.T) {
-			codec := newSchedABI(t, name, sched.ABICodec, wabi.Env{})
-			zc := newSchedABI(t, name, sched.ABIZeroCopy, wabi.Env{})
+			codec := newCodecSched(t, builtin(t, name), diffPolicy)
+			zc := zcSched(t, name)
 			rng := rand.New(rand.NewSource(23))
 			req := randomRequest(rng, 24, 0)
 			for slot := uint64(0); slot < 1000; slot++ {
@@ -180,13 +216,11 @@ func TestDifferentialDeltaThousandSlots(t *testing.T) {
 			if st.ZCRecords != 24_000 || st.ZCDirtyRecords != st.ZCRecords {
 				t.Fatalf("wrote %d records (%d dirty), want 24000 (all)", st.ZCRecords, st.ZCDirtyRecords)
 			}
-			pl, err := zc.Pool().Get()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer zc.Pool().Put(pl)
-			if n := pl.RegionNegotiations(); n != 1 || zc.Pool().Stats().Discards != 0 {
-				t.Fatalf("negotiations = %d, want 1 for a single live instance", n)
+			// One live instance served every slot: its layout, negotiated
+			// once, was rewritten in place (TestRegionNegotiationCachesLayout
+			// pins the once).
+			if ps := zc.Pool().Stats(); ps.Created != 1 || ps.Discards != 0 {
+				t.Fatalf("pool %+v, want one instance and no discards", ps)
 			}
 		})
 	}
@@ -202,8 +236,8 @@ func TestDifferentialScribblingGuest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	codec := newModuleSchedABI(t, "zc-scribble", mod, sched.ABICodec, wabi.Env{})
-	zc := newModuleSchedABI(t, "zc-scribble", mod, sched.ABIZeroCopy, wabi.Env{})
+	codec := newCodecSched(t, mod, diffPolicy)
+	zc := poolSched(t, "zc-scribble", mod, diffPolicy, wabi.Env{})
 	req := randomRequest(rand.New(rand.NewSource(41)), 6, 0)
 	req.PRBBudget = 10
 	for slot := uint64(0); slot < 150; slot++ {
@@ -236,9 +270,6 @@ func TestDifferentialConcurrentPools(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := zc.SetABIMode(sched.ABIZeroCopy); err != nil {
-		t.Fatal(err)
-	}
 
 	const cells = 8
 	var wg sync.WaitGroup
@@ -247,7 +278,7 @@ func TestDifferentialConcurrentPools(t *testing.T) {
 		wg.Add(1)
 		go func(cell int) {
 			defer wg.Done()
-			codec := newSchedABI(t, "pf", sched.ABICodec, wabi.Env{})
+			codec := newCodecSched(t, mod, diffPolicy)
 			rng := rand.New(rand.NewSource(int64(1000 + cell)))
 			for slot := uint64(0); slot < 150; slot++ {
 				req := randomRequest(rng, 16, slot)
@@ -297,10 +328,7 @@ func TestZeroCopyChaosInterleavings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !chaotic.ZeroCopy() {
-		t.Fatal("chaos guest did not auto-select zero-copy")
-	}
-	reference := newSchedABI(t, "mt", sched.ABIZeroCopy, wabi.Env{})
+	reference := zcSched(t, "mt")
 
 	rng := rand.New(rand.NewSource(31))
 	var clean, trapped, spun, rejected int
@@ -338,6 +366,9 @@ func TestZeroCopyChaosInterleavings(t *testing.T) {
 			}
 		}
 	}
+	if st := chaotic.Stats(); st.ZCCalls != st.Calls {
+		t.Fatalf("chaos guest left the zero-copy path: %+v", st)
+	}
 	if clean == 0 || trapped == 0 || rejected == 0 {
 		t.Fatalf("chaos schedule did not exercise all outcomes: clean=%d trapped=%d rejected=%d",
 			clean, trapped, rejected)
@@ -373,9 +404,6 @@ func TestHostileZCGuestsClassified(t *testing.T) {
 				t.Fatal(err)
 			}
 			ps := poolSched(t, tc.name, mod, wabi.Policy{Fuel: 1_000_000}, wabi.Env{})
-			if !ps.ZeroCopy() {
-				t.Fatal("zc-only guest did not auto-select zero-copy")
-			}
 			_, err = ps.Schedule(req)
 			var bo *sched.BadOutputError
 			if !errors.As(err, &bo) {
@@ -415,9 +443,6 @@ func TestZeroCopyPoolTrapRenegotiates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ps.ZeroCopy() {
-		t.Fatal("grow guest did not auto-select zero-copy")
-	}
 
 	req := randomRequest(rand.New(rand.NewSource(9)), 4, 1)
 	req.PRBBudget = 10
@@ -447,42 +472,41 @@ func TestZeroCopyPoolTrapRenegotiates(t *testing.T) {
 	}
 }
 
-// TestABIModeGating pins capability resolution: legacy guests cannot be
-// forced zero-copy, zero-copy-only guests cannot be forced onto the codec,
-// and auto picks the right path for each.
-func TestABIModeGating(t *testing.T) {
-	legacySrc, err := FaultWAT("bad-output") // classic entry only
-	if err != nil {
-		t.Fatal(err)
+// TestPoolSchedulerPicksPath pins how NewPoolScheduler resolves the call
+// path from a guest's exports: zero-copy for every guest with the region ABI
+// (the built-ins and zero-copy-only guests), the codec for a copy-only guest,
+// and a refusal for a guest with neither entry.
+func TestPoolSchedulerPicksPath(t *testing.T) {
+	compile := func(src string) *wabi.Module {
+		mod, err := wabi.CompileWAT(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mod
 	}
-	legacyMod, err := wabi.CompileWAT(legacySrc)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name     string
+		mod      *wabi.Module
+		zeroCopy bool
+	}{
+		{"rr", builtin(t, "rr"), true},
+		{"pf", builtin(t, "pf"), true},
+		{"mt", builtin(t, "mt"), true},
+		{"copy-only", compile(BadOutputWAT), false},
+		{"zc-only", compile(GrowZCWAT), true},
 	}
-	ls := poolSched(t, "legacy", legacyMod, wabi.Policy{}, wabi.Env{})
-	if ls.ZeroCopy() {
-		t.Fatal("legacy guest auto-selected zero-copy")
+	req := randomRequest(rand.New(rand.NewSource(3)), 4, 1)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ps := poolSched(t, tc.name, tc.mod, wabi.Policy{Fuel: 1_000_000}, wabi.Env{})
+			_, _ = ps.Schedule(req) // the copy-only guest's decision is bad output; the path is what counts
+			if st := ps.Stats(); st.Calls != 1 || (st.ZCCalls == 1) != tc.zeroCopy {
+				t.Fatalf("stats %+v, want zero-copy %v", st, tc.zeroCopy)
+			}
+		})
 	}
-	if err := ls.SetABIMode(sched.ABIZeroCopy); err == nil {
-		t.Fatal("legacy guest accepted forced zero-copy")
-	}
-
-	zcSrc, _ := ZCFaultWAT("zc-grow")
-	zcMod, err := wabi.CompileWAT(zcSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zs := poolSched(t, "zc-only", zcMod, wabi.Policy{}, wabi.Env{})
-	if !zs.ZeroCopy() {
-		t.Fatal("zero-copy-only guest did not auto-select zero-copy")
-	}
-	if err := zs.SetABIMode(sched.ABICodec); err == nil {
-		t.Fatal("zero-copy-only guest accepted forced codec mode")
-	}
-
-	// Dual-path guests accept both forced modes.
-	dual := newSchedABI(t, "rr", sched.ABICodec, wabi.Env{})
-	if err := dual.SetABIMode(sched.ABIZeroCopy); err != nil {
-		t.Fatal(err)
+	neither := compile(`(module (memory (export "memory") 1) (func (export "run") (result i32) (i32.const 0)))`)
+	if _, err := sched.NewPoolScheduler("neither", wabi.NewPool(neither, wabi.Policy{}, wabi.Env{}, 1)); err == nil {
+		t.Fatal("a guest with neither entry point was accepted")
 	}
 }

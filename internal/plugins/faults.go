@@ -151,11 +151,3 @@ func FaultWAT(name string) (string, error) {
 		return "", fmt.Errorf("plugins: unknown fault plugin %q", name)
 	}
 }
-
-// FaultNames lists the available fault-injection plugins.
-func FaultNames() []string {
-	return []string{
-		"null-deref", "oob-access", "double-free", "stack-overflow",
-		"infinite-loop", "leak", "bad-output", "over-budget", "guest-error",
-	}
-}

@@ -52,12 +52,12 @@ func TestSchedulerFuelCeilings(t *testing.T) {
 		"mt": {3: 400, 32: 3000},
 	}
 	for _, name := range []string{"rr", "pf", "mt"} {
-		guest := newSchedABI(t, name, sched.ABIZeroCopy, wabi.Env{})
+		guest := zcSched(t, name)
 		refMod, err := wabi.CompileWAT(refSchedulerWAT(name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		old := newModuleSchedABI(t, name, refMod, sched.ABIZeroCopy, wabi.Env{})
+		old := poolSched(t, name, refMod, diffPolicy, wabi.Env{})
 		for _, ues := range []int{3, 32} {
 			req := fuelRequest(ues, 17, false)
 			got, ceiling := fuel(guest, req), ceilings[name][ues]
@@ -94,7 +94,7 @@ func BenchmarkSchedulerGuest(b *testing.B) {
 	for _, name := range []string{"rr", "pf", "mt"} {
 		for _, ues := range []int{3, 32, 64} {
 			b.Run(fmt.Sprintf("%s/%d", name, ues), func(b *testing.B) {
-				guest := newSchedABI(b, name, sched.ABIZeroCopy, wabi.Env{})
+				guest := zcSched(b, name)
 				native, _ := sched.ByName(name)
 				req := fuelRequest(ues, 17, false)
 				want, err := native.Schedule(req)

@@ -210,7 +210,8 @@ func TestOverBudgetRejectedByValidation(t *testing.T) {
 	ps := poolSched(t, "greedy", mod, wabi.Policy{}, wabi.Env{})
 	req := &sched.Request{PRBBudget: 10, UEs: []sched.UEInfo{{ID: 1, BitsPerPRB: 100, BufferBytes: 100}}}
 	_, err = ps.Schedule(req)
-	if !errors.Is(err, sched.ErrInvalidResponse) {
-		t.Fatalf("want ErrInvalidResponse, got %v", err)
+	var bo *sched.BadOutputError
+	if !errors.As(err, &bo) || bo.Kind != sched.BadOutputSemantic || !errors.Is(bo.Err, sched.ErrInvalidResponse) {
+		t.Fatalf("want semantic bad output wrapping ErrInvalidResponse, got %v", err)
 	}
 }

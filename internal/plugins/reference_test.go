@@ -415,17 +415,25 @@ func corpusRequest(rng *rand.Rand, trial int) (req *sched.Request, nanAvg, hugeN
 // A request with duplicate UE IDs can draw two grants for one ID, which both
 // response decoders reject as overlapping; the list is then read from the
 // guest's response buffer, where either ABI leaves it sealed.
-func guestDecision(s *sched.PoolScheduler, req *sched.Request, resp *sched.Response) ([]sched.Allocation, error) {
-	_, err := sched.ScheduleInto(s, req, resp)
+func guestDecision(s decider, req *sched.Request) ([]sched.Allocation, error) {
+	resp, err := s.Schedule(req)
 	var bo *sched.BadOutputError
 	if err == nil || !errors.As(err, &bo) || bo.Kind != sched.BadOutputOverlap {
-		return resp.Allocs, err
+		if err != nil {
+			return nil, err
+		}
+		return resp.Allocs, nil
 	}
-	pl, err := s.Pool().Get() // the pool's one instance, which just answered
-	if err != nil {
-		return nil, err
+	var pl *wabi.Plugin // the instance that just answered
+	switch s := s.(type) {
+	case *codecSched:
+		pl = s.pl
+	case *sched.PoolScheduler:
+		if pl, err = s.Pool().Get(); err != nil { // the pool's one instance
+			return nil, err
+		}
+		defer s.Pool().Put(pl)
 	}
-	defer s.Pool().Put(pl)
 	mem := pl.Instance().Memory()
 	n, err := mem.ReadUint32(40960)
 	if err != nil {
@@ -462,17 +470,17 @@ func TestReferenceGuestEquivalence(t *testing.T) {
 			}
 			type leg struct {
 				name string
-				s    *sched.PoolScheduler
+				s    decider
 				old  bool
 			}
 			legs := []leg{
-				{"new/codec", newSchedABI(t, name, sched.ABICodec, wabi.Env{}), false},
-				{"new/zerocopy", newSchedABI(t, name, sched.ABIZeroCopy, wabi.Env{}), false},
-				{"old/codec", newModuleSchedABI(t, name, refMod, sched.ABICodec, wabi.Env{}), true},
-				{"old/zerocopy", newModuleSchedABI(t, name, refMod, sched.ABIZeroCopy, wabi.Env{}), true},
+				{"new/codec", newCodecSched(t, builtin(t, name), diffPolicy), false},
+				{"new/zerocopy", zcSched(t, name), false},
+				{"old/codec", newCodecSched(t, refMod, diffPolicy), true},
+				{"old/zerocopy", poolSched(t, name, refMod, diffPolicy, wabi.Env{}), true},
 			}
 			rng := rand.New(rand.NewSource(22))
-			var want, got sched.Response
+			var want sched.Response
 			oldLegs := 0
 			for trial := 0; trial < trials; trial++ {
 				req, nanAvg, hugeNeed := corpusRequest(rng, trial)
@@ -486,7 +494,7 @@ func TestReferenceGuestEquivalence(t *testing.T) {
 					if l.old {
 						oldLegs++
 					}
-					allocs, err := guestDecision(l.s, req, &got)
+					allocs, err := guestDecision(l.s, req)
 					if err != nil {
 						t.Fatalf("trial %d: %s: %v", trial, l.name, err)
 					}

@@ -8,20 +8,27 @@ import (
 	"waran/internal/wat"
 )
 
+// faultNames lists the fault-injection plugins FaultWAT serves.
+func faultNames() []string {
+	return []string{
+		"null-deref", "oob-access", "double-free", "stack-overflow",
+		"infinite-loop", "leak", "bad-output", "over-budget", "guest-error",
+	}
+}
+
 // corpus returns every WAT plugin shipped in this package.
 func corpus() map[string]string {
 	out := map[string]string{
-		"sched/rr":         RoundRobinWAT,
-		"sched/pf":         ProportionalFairWAT,
-		"sched/mt":         MaxThroughputWAT,
-		"xapp/steer":       TrafficSteerXAppWAT,
-		"xapp/sla":         SLAAssureXAppWAT,
-		"xapp/ping":        PingXAppWAT,
-		"xapp/pong":        PongXAppWAT,
-		"comm/passthrough": PassthroughCommWAT,
-		"comm/widen8to12":  Widen8To12CommWAT,
+		"sched/rr":        RoundRobinWAT,
+		"sched/pf":        ProportionalFairWAT,
+		"sched/mt":        MaxThroughputWAT,
+		"xapp/steer":      TrafficSteerXAppWAT,
+		"xapp/sla":        SLAAssureXAppWAT,
+		"xapp/ping":       PingXAppWAT,
+		"xapp/pong":       PongXAppWAT,
+		"comm/widen8to12": Widen8To12CommWAT,
 	}
-	for _, name := range FaultNames() {
+	for _, name := range faultNames() {
 		src, _ := FaultWAT(name)
 		out["fault/"+name] = src
 	}

@@ -19,22 +19,20 @@ import (
 // and fuel — the contract that makes the interpreter an oracle for the tier
 // every binary ships.
 
-func newTierSched(t testing.TB, name string, tier wasm.Tier, mode sched.ABIMode) *sched.PoolScheduler {
+// newTierSched hosts the built-in guest name on tier over one call path:
+// the pooled scheduler (zero-copy) or codecSched.
+func newTierSched(t testing.TB, name string, tier wasm.Tier, codec bool) decider {
 	t.Helper()
-	mod, err := CompileScheduler(name)
-	if err != nil {
-		t.Fatalf("compile %s: %v", name, err)
+	policy := wabi.Policy{Fuel: diffPolicy.Fuel, Tier: tier}
+	if codec {
+		return newCodecSched(t, builtin(t, name), policy)
 	}
-	ps := poolSched(t, name, mod, wabi.Policy{Fuel: 50_000_000, Tier: tier}, wabi.Env{})
-	if err := ps.SetABIMode(mode); err != nil {
-		t.Fatalf("force %v on %s: %v", mode, name, err)
-	}
-	return ps
+	return poolSched(t, name, builtin(t, name), policy, wabi.Env{})
 }
 
 // tierOutcome flattens one Schedule call into a comparable record: a stable
 // outcome class, the allocations, and the fuel burned in the sandbox.
-func tierOutcome(ps *sched.PoolScheduler, req *sched.Request) (string, []sched.Allocation, int64) {
+func tierOutcome(ps decider, req *sched.Request) (string, []sched.Allocation, int64) {
 	resp, err := ps.Schedule(req)
 	fuel := ps.LastFuelUsed()
 	if err == nil {
@@ -57,10 +55,10 @@ func tierOutcome(ps *sched.PoolScheduler, req *sched.Request) (string, []sched.A
 // adversarial NaN/Inf/empty corners.
 func TestDifferentialTiersRealGuests(t *testing.T) {
 	for _, name := range []string{"rr", "pf", "mt"} {
-		for _, mode := range []sched.ABIMode{sched.ABICodec, sched.ABIZeroCopy} {
-			t.Run(name+"/"+mode.String(), func(t *testing.T) {
-				base := newTierSched(t, name, wasm.TierInterp, mode)
-				closure := newTierSched(t, name, wasm.TierClosure, mode)
+		for _, path := range []string{"codec", "zerocopy"} {
+			t.Run(name+"/"+path, func(t *testing.T) {
+				base := newTierSched(t, name, wasm.TierInterp, path == "codec")
+				closure := newTierSched(t, name, wasm.TierClosure, path == "codec")
 				rng := rand.New(rand.NewSource(71))
 				for trial := 0; trial < 150; trial++ {
 					nUE := rng.Intn(32)

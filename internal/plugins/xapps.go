@@ -136,7 +136,7 @@ const PingXAppWAT = `(module
 )`
 
 // PongXAppWAT drains its mailbox each indication and remembers the last
-// counter received (exported as a global for tests to observe).
+// counter received (in its last_counter global).
 const PongXAppWAT = `(module
   (import "waran" "output_write" (func $output_write (param i32 i32)))
   (import "ric" "xapp_recv" (func $xapp_recv (param i32 i32) (result i32)))

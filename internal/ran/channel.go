@@ -2,11 +2,8 @@ package ran
 
 import (
 	"math"
-	"math/rand"
 	"time"
 )
-
-func mathExp(x float64) float64 { return math.Exp(x) }
 
 // ChannelModel evolves a UE's radio conditions slot by slot.
 type ChannelModel interface {
@@ -23,50 +20,6 @@ type StaticChannel struct {
 func (s *StaticChannel) Step(_ uint64, ue *UE) {
 	ue.MCS = s.MCS
 	ue.CQI = mcsToApproxCQI(s.MCS)
-}
-
-// RandomWalkChannel performs a bounded random walk on CQI, modelling slow
-// fading. Each slot the CQI moves -1/0/+1 with the configured probability.
-type RandomWalkChannel struct {
-	MinCQI, MaxCQI int
-	// StepProb is the per-slot probability of a CQI change (default 0.01).
-	StepProb float64
-	rng      *rand.Rand
-}
-
-// NewRandomWalkChannel creates a bounded CQI random walk.
-func NewRandomWalkChannel(minCQI, maxCQI int, stepProb float64, seed int64) *RandomWalkChannel {
-	if minCQI < 1 {
-		minCQI = 1
-	}
-	if maxCQI > MaxCQI {
-		maxCQI = MaxCQI
-	}
-	if stepProb == 0 {
-		stepProb = 0.01
-	}
-	return &RandomWalkChannel{MinCQI: minCQI, MaxCQI: maxCQI, StepProb: stepProb, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Step implements ChannelModel.
-func (w *RandomWalkChannel) Step(_ uint64, ue *UE) {
-	if ue.CQI == 0 {
-		ue.CQI = (w.MinCQI + w.MaxCQI) / 2
-	}
-	if w.rng.Float64() < w.StepProb {
-		if w.rng.Intn(2) == 0 {
-			ue.CQI--
-		} else {
-			ue.CQI++
-		}
-		if ue.CQI < w.MinCQI {
-			ue.CQI = w.MinCQI
-		}
-		if ue.CQI > w.MaxCQI {
-			ue.CQI = w.MaxCQI
-		}
-	}
-	ue.MCS = CQIToMCS(ue.CQI)
 }
 
 // FadingChannel approximates periodic multi-path fading: CQI oscillates

@@ -28,9 +28,6 @@ type FleetConfig struct {
 	// MeanRateBps is the per-UE offered load; individual rates are
 	// jittered ±50% around it by hash (default 64 kb/s).
 	MeanRateBps float64
-	// BaseID is the first fleet UE's ID; IDs are contiguous from it
-	// (default 1<<20, clear of explicitly attached UEs).
-	BaseID uint32
 	// Seed selects the per-UE hash draws (0 behaves as 1).
 	Seed int64
 }
@@ -41,9 +38,6 @@ func (c FleetConfig) withDefaults() FleetConfig {
 	}
 	if c.MeanRateBps == 0 {
 		c.MeanRateBps = 64e3
-	}
-	if c.BaseID == 0 {
-		c.BaseID = 1 << 20
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -188,7 +182,7 @@ func (f *UEFleet) Advance(slot uint64, slotDur time.Duration) []*UE {
 		}
 		u := f.window[j]
 		*u = UE{
-			ID:         f.cfg.BaseID + uint32(idx),
+			ID:         fleetBaseID + uint32(idx),
 			SliceID:    f.cfg.SliceIDs[f.sliceIdx[idx]],
 			MCS:        int(f.mcs[idx]),
 			CQI:        mcsToApproxCQI(int(f.mcs[idx])),
@@ -220,10 +214,14 @@ func (f *UEFleet) Absorb(slot uint64) {
 // Size returns the modeled population.
 func (f *UEFleet) Size() int { return f.cfg.UEs }
 
+// fleetBaseID is the first fleet UE's ID; IDs are contiguous from it, clear
+// of explicitly attached UEs.
+const fleetBaseID = 1 << 20
+
 // Owns reports whether id falls in the population's ID range
-// [BaseID, BaseID+UEs).
+// [fleetBaseID, fleetBaseID+UEs).
 func (f *UEFleet) Owns(id uint32) bool {
-	return id >= f.cfg.BaseID && uint64(id) < uint64(f.cfg.BaseID)+uint64(f.cfg.UEs)
+	return id >= fleetBaseID && uint64(id) < uint64(fleetBaseID)+uint64(f.cfg.UEs)
 }
 
 // ActiveK returns the per-slot window size.

@@ -58,8 +58,8 @@ func (h *HARQ) bler(mcs, chanMCS int) float64 {
 
 // Transmit simulates sending a transport block of tbs bits at mcs over a
 // channel currently supporting chanMCS. It returns the bits actually
-// delivered this slot (0 on failure). Failed blocks are tracked and
-// returned for retransmission by PendingRetx.
+// delivered this slot (0 on failure). Failed blocks are tracked as pending
+// retransmissions until AckRetx clears them or the block is dropped.
 func (h *HARQ) Transmit(tbs int64, mcs, chanMCS int) int64 {
 	if tbs <= 0 {
 		return 0
@@ -79,10 +79,6 @@ func (h *HARQ) Transmit(tbs int64, mcs, chanMCS int) int64 {
 	}
 	return 0
 }
-
-// PendingRetx reports bits awaiting retransmission. The MAC serves these
-// before new data.
-func (h *HARQ) PendingRetx() int64 { return h.pendingRetx }
 
 // AckRetx clears up to bits of pending retransmissions (they were finally
 // delivered) and returns the amount cleared.

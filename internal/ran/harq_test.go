@@ -45,8 +45,8 @@ func TestHARQDropAfterMaxRetransmissions(t *testing.T) {
 	if h.Drops != 1 {
 		t.Fatalf("drops = %d, want 1 after exceeding max retx", h.Drops)
 	}
-	if h.PendingRetx() != 0 {
-		t.Fatalf("pending after drop = %d", h.PendingRetx())
+	if h.pendingRetx != 0 {
+		t.Fatalf("pending after drop = %d", h.pendingRetx)
 	}
 }
 
@@ -64,13 +64,13 @@ func TestHARQAckRetxClamps(t *testing.T) {
 	h := NewHARQ(5)
 	h.TargetBLER = 1.0
 	h.Transmit(100, 10, 10)
-	if h.PendingRetx() != 100 {
-		t.Fatalf("pending = %d", h.PendingRetx())
+	if h.pendingRetx != 100 {
+		t.Fatalf("pending = %d", h.pendingRetx)
 	}
 	if got := h.AckRetx(500); got != 100 {
 		t.Fatalf("acked %d, want clamp to 100", got)
 	}
-	if h.PendingRetx() != 0 {
+	if h.pendingRetx != 0 {
 		t.Fatal("pending not cleared")
 	}
 }

@@ -158,8 +158,3 @@ func (c CellConfig) PeakRateBps(mcs int) float64 {
 	bitsPerSlot := float64(c.TransportBlockBits(mcs, c.PRBs))
 	return bitsPerSlot / c.SlotDuration.Seconds()
 }
-
-// SlotsPerSecond returns the number of scheduling opportunities per second.
-func (c CellConfig) SlotsPerSecond() float64 {
-	return 1.0 / c.SlotDuration.Seconds()
-}

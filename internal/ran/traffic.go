@@ -1,9 +1,6 @@
 package ran
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
 // TrafficSource produces downlink traffic for one UE. Step returns the
 // number of bits arriving during the given slot. Implementations are
@@ -45,94 +42,4 @@ func (f *FullBuffer) Step(uint64, time.Duration) int64 {
 		return 1 << 20
 	}
 	return f.BitsPerSlot
-}
-
-// OnOff alternates exponentially distributed bursts and silences around a
-// CBR rate, approximating bursty application traffic (e.g. video chunks).
-type OnOff struct {
-	RateBps   float64 // rate while ON
-	MeanOn    time.Duration
-	MeanOff   time.Duration
-	rng       *rand.Rand
-	on        bool
-	remaining time.Duration
-	cbr       CBR
-}
-
-// NewOnOff creates a bursty source with the given duty cycle and seed.
-func NewOnOff(rateBps float64, meanOn, meanOff time.Duration, seed int64) *OnOff {
-	o := &OnOff{
-		RateBps: rateBps,
-		MeanOn:  meanOn,
-		MeanOff: meanOff,
-		rng:     rand.New(rand.NewSource(seed)),
-		on:      true,
-	}
-	o.cbr.RateBps = rateBps
-	o.remaining = o.expDur(meanOn)
-	return o
-}
-
-func (o *OnOff) expDur(mean time.Duration) time.Duration {
-	return time.Duration(o.rng.ExpFloat64() * float64(mean))
-}
-
-// Step implements TrafficSource.
-func (o *OnOff) Step(slot uint64, slotDur time.Duration) int64 {
-	o.remaining -= slotDur
-	if o.remaining <= 0 {
-		o.on = !o.on
-		if o.on {
-			o.remaining = o.expDur(o.MeanOn)
-		} else {
-			o.remaining = o.expDur(o.MeanOff)
-		}
-	}
-	if !o.on {
-		return 0
-	}
-	return o.cbr.Step(slot, slotDur)
-}
-
-// Poisson models packet arrivals as a Poisson process with fixed packet
-// size, the standard M/D/1-style load model for IoT uplink mirrors.
-type Poisson struct {
-	// PacketsPerSec is the mean arrival rate.
-	PacketsPerSec float64
-	// PacketBits is the size of each packet (default 12000 = 1500 B).
-	PacketBits int64
-	rng        *rand.Rand
-}
-
-// NewPoisson creates a Poisson packet source.
-func NewPoisson(packetsPerSec float64, packetBits int64, seed int64) *Poisson {
-	if packetBits == 0 {
-		packetBits = 12000
-	}
-	return &Poisson{PacketsPerSec: packetsPerSec, PacketBits: packetBits, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Step implements TrafficSource.
-func (p *Poisson) Step(_ uint64, slotDur time.Duration) int64 {
-	lambda := p.PacketsPerSec * slotDur.Seconds()
-	// Knuth's algorithm is fine for the small per-slot lambda used here.
-	l := expNeg(lambda)
-	k := 0
-	prod := 1.0
-	for {
-		prod *= p.rng.Float64()
-		if prod <= l {
-			break
-		}
-		k++
-		if k > 10000 {
-			break
-		}
-	}
-	return int64(k) * p.PacketBits
-}
-
-func expNeg(x float64) float64 {
-	// exp(-x) via the stdlib; wrapped for clarity at call sites.
-	return mathExp(-x)
 }

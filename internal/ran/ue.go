@@ -36,9 +36,6 @@ type UE struct {
 	HARQ *HARQ
 	// MaxBufferBits caps the downlink queue; zero means 8 Mbit.
 	MaxBufferBits int64
-
-	// served in the current slot, for per-slot observers.
-	lastServedBits int64
 }
 
 // DefaultMaxBufferBits is the downlink queue cap when UE.MaxBufferBits is 0.
@@ -79,7 +76,6 @@ func (u *UE) StepSlot(slot uint64, slotDur time.Duration) {
 		arriving := u.Traffic.Step(slot, slotDur)
 		u.EnqueueBits(arriving)
 	}
-	u.lastServedBits = 0
 }
 
 // EnqueueBits adds downlink traffic to the UE's buffer, dropping overflow.
@@ -116,7 +112,6 @@ func (u *UE) RecordService(servedBits int64, slotDur time.Duration, timeConstant
 	}
 	u.BufferBits -= servedBits
 	u.DeliveredBits += servedBits
-	u.lastServedBits = servedBits
 	if timeConstant <= 0 {
 		timeConstant = PFTimeConstant
 	}
@@ -124,9 +119,6 @@ func (u *UE) RecordService(servedBits int64, slotDur time.Duration, timeConstant
 	instRate := float64(servedBits) / slotDur.Seconds()
 	u.AvgTputBps = (1-alpha)*u.AvgTputBps + alpha*instRate
 }
-
-// LastServedBits returns the bits delivered in the most recent slot.
-func (u *UE) LastServedBits() int64 { return u.lastServedBits }
 
 // BufferBytes returns the queue occupancy in bytes, saturating at the
 // uint32 range used by the scheduling ABI.

@@ -27,10 +27,10 @@ type assocParams struct {
 	reportPeriodMs uint32 // RIC: the cadence it subscribes at
 }
 
-// ricParams probes every HeartbeatInterval, MissedHeartbeatLimit misses
-// in a row being death.
+// ricParams probes every HeartbeatInterval, heartbeatMisses misses in a
+// row being death.
 func ricParams(cfg Config) assocParams {
-	return assocParams{ric: true, period: cfg.HeartbeatInterval, limit: cfg.MissedHeartbeatLimit,
+	return assocParams{ric: true, period: cfg.HeartbeatInterval, limit: heartbeatMisses,
 		reportPeriodMs: cfg.ReportPeriodMs}
 }
 

@@ -114,7 +114,7 @@ func TestAssocParamsFromConfig(t *testing.T) {
 }
 
 // TestAssocRICProbesAndDeclaresDead: the RIC probes every interval, a
-// frame in an interval clears the miss count, and MissedHeartbeatLimit
+// frame in an interval clears the miss count, and heartbeatMisses
 // intervals in a row without one end the association.
 func TestAssocRICProbesAndDeclaresDead(t *testing.T) {
 	probe := []string{"send heartbeat"}

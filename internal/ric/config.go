@@ -70,10 +70,8 @@ type Config struct {
 	ReportPeriodMs uint32
 	// HeartbeatInterval, when > 0, makes served associations send
 	// heartbeats at this cadence and track liveness; zero disables.
+	// heartbeatMisses silent intervals in a row kill an association.
 	HeartbeatInterval time.Duration
-	// MissedHeartbeatLimit is how many silent heartbeat intervals kill an
-	// association (default DefaultMissedHeartbeatLimit).
-	MissedHeartbeatLimit int
 
 	// MaxAssociations is the association goroutine budget (default
 	// DefaultMaxAssociations); an association arriving when it is spent is
@@ -114,9 +112,6 @@ func (c Config) Validate() error {
 	if c.MaxAssociations < 0 {
 		return fmt.Errorf("ric: negative association budget %d", c.MaxAssociations)
 	}
-	if c.MissedHeartbeatLimit < 0 {
-		return fmt.Errorf("ric: negative missed-heartbeat limit %d", c.MissedHeartbeatLimit)
-	}
 	if c.HeartbeatInterval < 0 {
 		return fmt.Errorf("ric: negative heartbeat interval %v", c.HeartbeatInterval)
 	}
@@ -129,9 +124,6 @@ func (c Config) Validate() error {
 func (c Config) withDefaults() Config {
 	if c.ReportPeriodMs == 0 {
 		c.ReportPeriodMs = 100
-	}
-	if c.MissedHeartbeatLimit == 0 {
-		c.MissedHeartbeatLimit = DefaultMissedHeartbeatLimit
 	}
 	if c.MaxAssociations == 0 {
 		c.MaxAssociations = DefaultMaxAssociations
@@ -158,14 +150,4 @@ func New(cfg Config) (*RIC, error) {
 	r.cfg.Overload = &ov
 	r.ov = newOverload(ov, cfg.Tracer, cfg.Flight)
 	return r, nil
-}
-
-// MustNew is New for static configurations known valid at compile time
-// (tests, examples); it panics on a validation error.
-func MustNew(cfg Config) *RIC {
-	r, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }

@@ -9,7 +9,6 @@ import (
 	"waran/internal/exp"
 	"waran/internal/obs"
 	"waran/internal/ran"
-	"waran/internal/ric"
 	"waran/internal/wabi"
 )
 
@@ -63,7 +62,7 @@ func TestRunE2FaultsEmbedsSnapshot(t *testing.T) {
 	}
 	for _, key := range []string{"waran_ric", "waran_e2_assoc"} {
 		if _, ok := res.Obs[key]; !ok {
-			t.Errorf("snapshot missing %q; registry has %v", key, reg.SeriesNames())
+			t.Errorf("snapshot missing %q; snapshot: %v", key, res.Obs)
 		}
 	}
 	if res.Assoc.Reconnects == 0 {
@@ -123,9 +122,10 @@ func TestE2EFaultyAssociationRecovers(t *testing.T) {
 	if res.Assoc.Reconnects < 3 {
 		t.Fatalf("reconnects = %d, want >= 3", res.Assoc.Reconnects)
 	}
-	if res.Assoc.MissedHeartbeats < ric.DefaultMissedHeartbeatLimit {
+	const misses = 3 // the RIC's heartbeat-miss limit
+	if res.Assoc.MissedHeartbeats < misses {
 		t.Fatalf("missed heartbeats = %d, want >= %d (the half-open conn is only catchable by liveness)",
-			res.Assoc.MissedHeartbeats, ric.DefaultMissedHeartbeatLimit)
+			res.Assoc.MissedHeartbeats, misses)
 	}
 	if res.Assoc.DeadAssociations < 1 {
 		t.Fatalf("dead associations = %d, want >= 1", res.Assoc.DeadAssociations)

@@ -77,17 +77,6 @@ func (k *KPMStore) Cells() []uint32 {
 	return out
 }
 
-// Latest returns the most recent indication for a cell.
-func (k *KPMStore) Latest(cell uint32) (*StampedIndication, bool) {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	r := k.cells[cell]
-	if len(r.buf) == 0 {
-		return nil, false
-	}
-	return r.at(len(r.buf) - 1), true
-}
-
 // History returns up to n most recent indications for a cell, oldest first.
 func (k *KPMStore) History(cell uint32, n int) []*StampedIndication {
 	k.mu.RLock()
@@ -102,42 +91,4 @@ func (k *KPMStore) History(cell uint32, n int) []*StampedIndication {
 		out[i] = r.at(all - n + i)
 	}
 	return out
-}
-
-// UETputSeries extracts a UE's reported throughput across a cell's history,
-// oldest first.
-func (k *KPMStore) UETputSeries(cell, ueID uint32) []float64 {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	var out []float64
-	r := k.cells[cell]
-	for i := range r.buf {
-		for _, u := range r.at(i).Indication.UEs {
-			if u.UEID == ueID {
-				out = append(out, u.TputBps)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// SliceSLACompliance reports what fraction of a slice's recorded samples
-// met at least frac of its target rate (e.g. frac=0.9 for "within 90%").
-func (k *KPMStore) SliceSLACompliance(cell, sliceID uint32, frac float64) (met, total int) {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	r := k.cells[cell]
-	for i := range r.buf {
-		for _, s := range r.at(i).Indication.Slices {
-			if s.SliceID != sliceID || s.TargetBps <= 0 {
-				continue
-			}
-			total++
-			if s.ServedBps >= frac*s.TargetBps {
-				met++
-			}
-		}
-	}
-	return met, total
 }

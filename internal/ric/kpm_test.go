@@ -28,12 +28,8 @@ func TestKPMStoreBasics(t *testing.T) {
 	if cells := k.Cells(); len(cells) != 1 || cells[0] != 7 {
 		t.Fatalf("cells = %v", cells)
 	}
-	latest, ok := k.Latest(7)
-	if !ok || latest.Indication.Slot != 4 {
-		t.Fatalf("latest = %+v", latest)
-	}
-	if _, ok := k.Latest(9); ok {
-		t.Fatal("latest for unknown cell")
+	if h := k.History(9, 1); len(h) != 0 {
+		t.Fatalf("history for unknown cell = %v", h)
 	}
 	hist := k.History(7, 3)
 	if len(hist) != 3 || hist[0].Indication.Slot != 2 || hist[2].Indication.Slot != 4 {
@@ -41,10 +37,6 @@ func TestKPMStoreBasics(t *testing.T) {
 	}
 	if all := k.History(7, 0); len(all) != 5 {
 		t.Fatalf("full history = %d", len(all))
-	}
-	series := k.UETputSeries(7, 1)
-	if len(series) != 5 || series[3] != 3e6 {
-		t.Fatalf("series = %v", series)
 	}
 }
 
@@ -89,47 +81,17 @@ func TestKPMStoreFixedRing(t *testing.T) {
 	if h := k.History(1, 3); len(h) != 3 || h[0].Indication.Slot != last-2 || h[2].Indication.Slot != last {
 		t.Fatalf("History(3) = %d entries from slot %d, want the last 3", len(h), h[0].Indication.Slot)
 	}
-	if l, ok := k.Latest(1); !ok || l.Indication.Slot != last {
-		t.Fatalf("Latest = %+v", l)
-	}
-	if s := k.UETputSeries(1, 1); len(s) != limit || s[0] != last-limit+1 || s[limit-1] != last {
-		t.Fatalf("UETputSeries = %v, want oldest first", s)
-	}
 	ind := mkInd(1, 0, 0, 0)
 	if n := testing.AllocsPerRun(100, func() { k.Record(time.Time{}, ind) }); n != 1 {
 		t.Fatalf("steady-state Record allocates %v objects, want 1 (the stamp)", n)
 	}
 }
 
-func TestKPMSLACompliance(t *testing.T) {
-	k := NewKPMStore(0)
-	// 6 samples above 90% of target, 4 below.
-	for i := 0; i < 6; i++ {
-		k.Record(time.Now(), mkInd(1, uint64(i), 0, 9.5e6))
-	}
-	for i := 0; i < 4; i++ {
-		k.Record(time.Now(), mkInd(1, uint64(10+i), 0, 5e6))
-	}
-	met, total := k.SliceSLACompliance(1, 1, 0.9)
-	if met != 6 || total != 10 {
-		t.Fatalf("compliance = %d/%d", met, total)
-	}
-	// Slices with zero target are excluded.
-	k2 := NewKPMStore(0)
-	ind := mkInd(1, 0, 0, 5e6)
-	ind.Slices[0].TargetBps = 0
-	k2.Record(time.Now(), ind)
-	if _, total := k2.SliceSLACompliance(1, 1, 0.9); total != 0 {
-		t.Fatalf("zero-target slice counted: %d", total)
-	}
-}
-
 func TestRICRecordsIntoKPM(t *testing.T) {
 	r := MustNew(Config{})
 	r.HandleIndication(mkInd(3, 42, 1e6, 8e6))
-	latest, ok := r.KPM.Latest(3)
-	if !ok || latest.Indication.Slot != 42 {
-		t.Fatalf("RIC did not record indication: %v %v", latest, ok)
+	if h := r.KPM.History(3, 1); len(h) != 1 || h[0].Indication.Slot != 42 {
+		t.Fatalf("RIC did not record indication: %v", h)
 	}
 }
 
@@ -218,7 +180,7 @@ func TestXAppClosureFromFirstCall(t *testing.T) {
 	}
 }
 
-func TestRemoveXApp(t *testing.T) {
+func TestAddXAppRejectsDuplicateName(t *testing.T) {
 	r := MustNew(Config{})
 	if _, err := r.AddXAppWAT("a", plugins.SLAAssureXAppWAT, wabi.Policy{}); err != nil {
 		t.Fatal(err)
@@ -226,14 +188,8 @@ func TestRemoveXApp(t *testing.T) {
 	if _, err := r.AddXAppWAT("a", plugins.SLAAssureXAppWAT, wabi.Policy{}); err == nil {
 		t.Fatal("duplicate xApp accepted")
 	}
-	if err := r.RemoveXApp("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.RemoveXApp("a"); err == nil {
-		t.Fatal("double remove accepted")
-	}
-	if len(r.XApps()) != 0 {
-		t.Fatal("xApp list not empty")
+	if len(r.XApps()) != 1 {
+		t.Fatalf("%d xApps installed, want 1", len(r.XApps()))
 	}
 }
 
@@ -264,10 +220,7 @@ func TestKPMStoreConcurrentAccess(t *testing.T) {
 	}()
 	for i := 0; i < 2000; i++ {
 		for _, cell := range k.Cells() {
-			k.Latest(cell)
 			k.History(cell, 10)
-			k.UETputSeries(cell, 1)
-			k.SliceSLACompliance(cell, 1, 0.9)
 		}
 	}
 	close(stop)

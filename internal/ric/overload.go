@@ -34,8 +34,6 @@ const (
 	// a browned-out RIC sheds it instead of dispatching it; an interval
 	// whose every indication waited longer asks for critical brownout.
 	DefaultStaleAfter = 250 * time.Millisecond
-	// DefaultWidenFactor multiplies the report period while browned out.
-	DefaultWidenFactor = 2
 	// DefaultRetryAfter is the retry-after hint on TypeBusy admission
 	// refusals.
 	DefaultRetryAfter = 500 * time.Millisecond
@@ -43,6 +41,9 @@ const (
 	// critically browned out.
 	DefaultBusyPause = time.Second
 )
+
+// brownoutWiden multiplies the subscription report period while browned out.
+const brownoutWiden = 2
 
 // BrownoutLevel is the RIC's overload posture.
 type BrownoutLevel int32
@@ -52,7 +53,7 @@ type BrownoutLevel int32
 const (
 	// BrownoutNormal: full service.
 	BrownoutNormal BrownoutLevel = iota
-	// BrownoutDegraded: report periods widen by WidenFactor and queued KPM
+	// BrownoutDegraded: report periods widen by brownoutWiden and queued KPM
 	// older than StaleAfter is shed at dispatch.
 	BrownoutDegraded
 	// BrownoutCritical: additionally, new subscriptions are refused with
@@ -104,9 +105,6 @@ type OverloadConfig struct {
 	// Breaker tunes the per-xApp circuit breaker (zero value = guard
 	// defaults).
 	Breaker guard.BreakerConfig
-	// WidenFactor multiplies the subscription report period while browned
-	// out (default DefaultWidenFactor).
-	WidenFactor int
 	// RetryAfter is the hint carried on TypeBusy admission refusals
 	// (default DefaultRetryAfter).
 	RetryAfter time.Duration
@@ -124,9 +122,6 @@ func (c OverloadConfig) Validate() error {
 	}
 	if c.QueueDepth < 0 {
 		return fmt.Errorf("ric: negative queue depth %d", c.QueueDepth)
-	}
-	if c.WidenFactor < 0 {
-		return fmt.Errorf("ric: negative widen factor %d", c.WidenFactor)
 	}
 	return nil
 }
@@ -151,9 +146,6 @@ func (c OverloadConfig) withDefaults() OverloadConfig {
 	}
 	if c.StaleAfter == 0 {
 		c.StaleAfter = DefaultStaleAfter
-	}
-	if c.WidenFactor < 2 {
-		c.WidenFactor = DefaultWidenFactor
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = DefaultRetryAfter
@@ -419,7 +411,7 @@ func (r *RIC) applyBrownout(conn *e2.Conn, reqID uint32, lvl BrownoutLevel, now 
 	o := r.ov
 	period := r.cfg.ReportPeriodMs
 	if lvl >= BrownoutDegraded {
-		period *= uint32(o.cfg.WidenFactor)
+		period *= brownoutWiden
 	}
 	_ = conn.Send(subscriptionRequest(reqID, period))
 	if lvl == BrownoutCritical && o.cfg.BusyPause > 0 {

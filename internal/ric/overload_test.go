@@ -121,7 +121,6 @@ func TestOverloadConfigValidate(t *testing.T) {
 	bad := []OverloadConfig{
 		{AdmitBurst: -1},
 		{QueueDepth: -1},
-		{WidenFactor: -1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -132,7 +131,7 @@ func TestOverloadConfigValidate(t *testing.T) {
 		t.Fatalf("zero OverloadConfig rejected: %v", err)
 	}
 	d := OverloadConfig{}.withDefaults()
-	if d.AdmitRate != DefaultAdmitRate || d.QueueDepth != DefaultQueueDepth || d.WidenFactor != DefaultWidenFactor {
+	if d.AdmitRate != DefaultAdmitRate || d.QueueDepth != DefaultQueueDepth {
 		t.Fatalf("withDefaults = %+v", d)
 	}
 }
@@ -314,9 +313,9 @@ func TestBrownoutWidensShedsAndPauses(t *testing.T) {
 		}
 		switch m.Type {
 		case e2.TypeSubscriptionRequest:
-			if m.Subscription.ReportPeriodMs != 100*DefaultWidenFactor {
+			if m.Subscription.ReportPeriodMs != 100*brownoutWiden {
 				t.Fatalf("browned-out re-subscription period = %d, want %d",
-					m.Subscription.ReportPeriodMs, 100*DefaultWidenFactor)
+					m.Subscription.ReportPeriodMs, 100*brownoutWiden)
 			}
 			widened = true
 		case e2.TypeBusy:
@@ -444,7 +443,7 @@ const stallXAppWAT = `(module
 // producing controls in every round.
 func TestSlowXAppIsolation(t *testing.T) {
 	r := MustNew(Config{Overload: &OverloadConfig{
-		Breaker: guard.BreakerConfig{Window: 8, MinSamples: 2, FailureRate: 0.5, Backoff: time.Hour},
+		Breaker: guard.BreakerConfig{Window: 8, MinSamples: 2, Backoff: time.Hour},
 	}})
 	if _, err := r.AddXAppWAT("stall", stallXAppWAT, wabi.Policy{Fuel: 100_000}); err != nil {
 		t.Fatal(err)

@@ -91,6 +91,7 @@ func (r *RIC) AddXAppWAT(name, src string, policy wabi.Policy) (*XApp, error) {
 // AddXAppBytecode installs Wasm bytecode as an xApp — the operator upload
 // path. The bytecode is resolved through the RIC's content-addressed
 // module cache, so identical bytes decode/validate/flatten at most once.
+// api-exempt: no binary wires the operator upload path yet; ROADMAP keeps it open.
 func (r *RIC) AddXAppBytecode(name string, bin []byte, policy wabi.Policy) (*XApp, error) {
 	mod, err := r.Modules.Load(bin)
 	if err != nil {
@@ -175,36 +176,11 @@ func (r *RIC) XApps() []*XApp {
 	return append([]*XApp(nil), r.xappSnapshot()...)
 }
 
-// RemoveXApp uninstalls an xApp — like slice plugins, xApps come and go
-// without restarting the RIC.
-func (r *RIC) RemoveXApp(name string) error {
-	r.instMu.Lock()
-	defer r.instMu.Unlock()
-	byName := *r.byName.Load()
-	x, ok := byName[name]
-	if !ok {
-		return fmt.Errorf("ric: no xApp %q", name)
-	}
-	var list []*XApp
-	for _, v := range r.xappSnapshot() {
-		if v != x {
-			list = append(list, v)
-		}
-	}
-	next := make(map[string]*XApp, len(byName))
-	for k, v := range byName {
-		if k != name {
-			next[k] = v
-		}
-	}
-	r.storeXApps(list, next)
-	return nil
-}
-
 // HandleIndication dispatches one indication to every installed xApp and
 // returns the aggregated control actions. Individual xApp faults are
 // contained (counted, possibly opening the xApp's breaker) and do not fail
 // the dispatch.
+// api-exempt: the benchmark module dispatches in-process through it.
 func (r *RIC) HandleIndication(ind *e2.Indication) []e2.ControlRequest {
 	out, _ := r.HandleIndicationTraced(ind, trace.Context{})
 	return out
@@ -452,9 +428,9 @@ func (r *RIC) Register(reg *obs.Registry, labels ...obs.Label) {
 	}
 }
 
-// DefaultMissedHeartbeatLimit is how many consecutive silent heartbeat
-// intervals declare an association dead when the RIC does not override it.
-const DefaultMissedHeartbeatLimit = 3
+// heartbeatMisses is how many consecutive silent heartbeat intervals
+// declare an association dead.
+const heartbeatMisses = 3
 
 // Serve accepts associations on lis until stop closes, spawning one
 // ServeConn goroutine per association (subject to the association budget) and

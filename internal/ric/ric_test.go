@@ -159,10 +159,10 @@ func TestInterXAppMessaging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	last, ok := pl.Instance().GlobalValue("last_counter")
+	last, err := pl.Instance().Memory().ReadUint32(64) // where xapp_recv left the last message
 	pong.Pool().Put(pl)
-	if !ok {
-		t.Fatal("pong does not export last_counter")
+	if err != nil {
+		t.Fatal(err)
 	}
 	if last != 3 {
 		t.Fatalf("pong last_counter = %d, want 3", last)
@@ -238,4 +238,14 @@ func TestServeWatcherExitsWithServe(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// MustNew is New for static configurations known valid at compile time
+// (the tests); it panics on a validation error.
+func MustNew(cfg Config) *RIC {
+	r, err := New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return r
 }

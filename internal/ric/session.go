@@ -196,7 +196,6 @@ type SessionConfig struct {
 	// or an e2.Dial closure. Run returns when stop is closed; a blocked
 	// Connect must be unblocked externally (close the listener).
 	Connect func() (*e2.Conn, error)
-	Backoff Backoff
 	// Metrics, when set, receives the reconnect counter. Share it with
 	// Config.Assoc to aggregate both sides' observations in one place.
 	Metrics *AssocMetrics
@@ -261,7 +260,7 @@ func (s *Session) Run(stop <-chan struct{}) {
 		// peer, so the RIC goes straight back to Connect.
 		return true, err
 	}
-	runAssociations(newRetrySchedule(s.cfg.Backoff, deriveSeed(s.cfg.Seed)), s.cfg.Connect, serve, stop)
+	runAssociations(newRetrySchedule(Backoff{}, deriveSeed(s.cfg.Seed)), s.cfg.Connect, serve, stop)
 }
 
 // AgentSessionConfig is the validated construction surface of an

@@ -195,8 +195,8 @@ func TestRICHeartbeatLivenessDeclaresDead(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("silent peer was never declared dead")
 	}
-	if got := assoc.MissedHeartbeats.Value(); got < DefaultMissedHeartbeatLimit {
-		t.Fatalf("MissedHeartbeats = %d, want >= %d", got, DefaultMissedHeartbeatLimit)
+	if got := assoc.MissedHeartbeats.Value(); got < heartbeatMisses {
+		t.Fatalf("MissedHeartbeats = %d, want >= %d", got, heartbeatMisses)
 	}
 	if got := assoc.DeadAssociations.Value(); got != 1 {
 		t.Fatalf("DeadAssociations = %d, want 1", got)
@@ -319,7 +319,7 @@ func TestAgentLivenessDeclaresDead(t *testing.T) {
 // a simultaneous Recv, so the single-threaded plugin underneath must be
 // serialized. Run with -race.
 func TestPluginCodecConcurrent(t *testing.T) {
-	codec, err := NewPluginCodecWAT("pass", plugins.PassthroughCommWAT, e2.BinaryCodec{})
+	codec, err := NewPluginCodecWAT("widen", plugins.Widen8To12CommWAT, e2.BinaryCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 )
 
@@ -21,10 +20,9 @@ const (
 )
 
 // BinaryCodec serializes scheduling requests and responses across the
-// plugin boundary in the fixed layout above: the host's half
-// (EncodeRequest, DecodeResponse) runs on every slot of a guest without the
-// region ABI, and the guest's half (DecodeRequest, EncodeResponse) serves
-// the Go reference guest and tests.
+// plugin boundary in the fixed layout above. This is the host's half
+// (EncodeRequest, DecodeResponse); it runs on every slot of a guest without
+// the region ABI.
 type BinaryCodec struct{}
 
 // putBinReqHeader and putBinReqUE lay one request header / one UE record
@@ -55,50 +53,6 @@ func (BinaryCodec) EncodeRequest(req *Request) []byte {
 	for i := range req.UEs {
 		putBinReqUE(b[off:off+binReqUELen], &req.UEs[i])
 		off += binReqUELen
-	}
-	return b
-}
-
-// DecodeRequest parses a request, as a guest does.
-func (BinaryCodec) DecodeRequest(b []byte) (*Request, error) {
-	if len(b) < binReqHeaderLen {
-		return nil, fmt.Errorf("sched: binary request too short (%d bytes)", len(b))
-	}
-	le := binary.LittleEndian
-	req := &Request{
-		SliceID:   le.Uint32(b[0:]),
-		Slot:      le.Uint64(b[4:]),
-		PRBBudget: le.Uint32(b[12:]),
-	}
-	n := int(le.Uint32(b[16:]))
-	if len(b) != binReqHeaderLen+n*binReqUELen {
-		return nil, fmt.Errorf("sched: binary request length %d does not match %d UEs", len(b), n)
-	}
-	req.UEs = make([]UEInfo, n)
-	off := binReqHeaderLen
-	for i := 0; i < n; i++ {
-		req.UEs[i] = UEInfo{
-			ID:          le.Uint32(b[off:]),
-			MCS:         int32(le.Uint32(b[off+4:])),
-			BitsPerPRB:  le.Uint32(b[off+8:]),
-			BufferBytes: le.Uint32(b[off+12:]),
-			AvgTputBps:  math.Float64frombits(le.Uint64(b[off+16:])),
-		}
-		off += binReqUELen
-	}
-	return req, nil
-}
-
-// EncodeResponse lays resp out, as a guest does.
-func (BinaryCodec) EncodeResponse(resp *Response) []byte {
-	b := make([]byte, 4+binRespAllocLen*len(resp.Allocs))
-	le := binary.LittleEndian
-	le.PutUint32(b[0:], uint32(len(resp.Allocs)))
-	off := 4
-	for _, a := range resp.Allocs {
-		le.PutUint32(b[off:], a.UEID)
-		le.PutUint32(b[off+4:], a.PRBs)
-		off += binRespAllocLen
 	}
 	return b
 }

@@ -62,10 +62,6 @@ type BadOutputError struct {
 // Error implements the error interface.
 func (e *BadOutputError) Error() string { return e.Err.Error() }
 
-// Unwrap exposes the underlying cause (ErrInvalidResponse stays reachable
-// through errors.Is for callers that predate the taxonomy).
-func (e *BadOutputError) Unwrap() error { return e.Err }
-
 // FailureClass implements wabi.ClassedError.
 func (e *BadOutputError) FailureClass() wabi.FailureClass { return wabi.FailBadOutput }
 

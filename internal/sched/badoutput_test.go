@@ -75,8 +75,8 @@ func TestBinaryDecodeRejectsCraftedOffsets(t *testing.T) {
 
 // TestValidateFailureClassifiesBadOutput pins the scheduler-level wrap: a
 // decodable response that fails semantic validation must carry the
-// bad-output class through the error chain, with ErrInvalidResponse still
-// reachable for older callers.
+// bad-output class through the error chain, with ErrInvalidResponse as its
+// cause.
 func TestValidateFailureClassifiesBadOutput(t *testing.T) {
 	verr := (&Response{Allocs: []Allocation{{UEID: 99, PRBs: 1}}}).Validate(
 		&Request{PRBBudget: 10, UEs: []UEInfo{{ID: 1}}})
@@ -87,7 +87,8 @@ func TestValidateFailureClassifiesBadOutput(t *testing.T) {
 	if got := wabi.ClassOf(wrapped); got != wabi.FailBadOutput {
 		t.Fatalf("class = %v, want %v", got, wabi.FailBadOutput)
 	}
-	if !errors.Is(wrapped, ErrInvalidResponse) {
-		t.Fatal("ErrInvalidResponse no longer reachable through the wrap")
+	var bo *BadOutputError
+	if !errors.As(wrapped, &bo) || !errors.Is(bo.Err, ErrInvalidResponse) {
+		t.Fatal("ErrInvalidResponse is not the bad output's cause")
 	}
 }

@@ -144,6 +144,7 @@ func fillRanked(ranked []ueEntry, budget uint32, resp *Response) {
 }
 
 // ByName returns a native scheduler by its short name.
+// api-exempt: the benchmark module looks native schedulers up by name.
 func ByName(name string) (IntraSlice, bool) {
 	switch name {
 	case "rr", "round-robin":

@@ -32,53 +32,32 @@ const EntryPoint = "schedule"
 // built-in schedulers are, so decisions do not depend on which instance
 // served a call.
 type PoolScheduler struct {
-	name  string
-	label string // Name(), built once: the slot tracer asks every slot
-	pool  *wabi.Pool
+	name     string
+	label    string // Name(), built once: the slot tracer asks every slot
+	pool     *wabi.Pool
+	zeroCopy bool // the call path, resolved once from the guest's exports
 
-	mu        sync.Mutex // guards zeroCopy and the accounting below
-	zeroCopy  bool
+	mu        sync.Mutex // guards the accounting below
 	stats     callStats
 	lastFuel  int64
 	totalFuel int64
 }
 
-// NewPoolScheduler wraps an instance pool. The call path is ABIAuto:
-// zero-copy when the guest exports the region ABI, BinaryCodec otherwise.
+// NewPoolScheduler wraps an instance pool. The call path is zero-copy when
+// the guest exports the region ABI and BinaryCodec otherwise. One instance
+// is checked out to read its exports — every instance is the same compiled
+// module, so they speak for the whole pool — and returned warm.
 func NewPoolScheduler(name string, pool *wabi.Pool) (*PoolScheduler, error) {
-	p := &PoolScheduler{name: name, label: "pool:" + name, pool: pool}
-	if err := p.SetABIMode(ABIAuto); err != nil {
+	pl, err := pool.Get()
+	if err != nil {
+		return nil, fmt.Errorf("sched: pool plugin %q: %w", name, err)
+	}
+	zc, err := resolveABI(name, pl)
+	pool.Put(pl)
+	if err != nil {
 		return nil, err
 	}
-	return p, nil
-}
-
-// SetABIMode forces the call path (the differential tests' selector).
-// ABIZeroCopy fails for guests without the region ABI; ABICodec fails for
-// zero-copy-only guests. One instance is checked out to read its exports —
-// every instance is the same compiled module, so they speak for the whole
-// pool — and returned warm.
-func (p *PoolScheduler) SetABIMode(mode ABIMode) error {
-	pl, err := p.pool.Get()
-	if err != nil {
-		return fmt.Errorf("sched: pool plugin %q: %w", p.name, err)
-	}
-	zc, err := resolveABI(p.name, pl, mode)
-	p.pool.Put(pl)
-	if err != nil {
-		return err
-	}
-	p.mu.Lock()
-	p.zeroCopy = zc
-	p.mu.Unlock()
-	return nil
-}
-
-// ZeroCopy reports whether calls go over the zero-copy path.
-func (p *PoolScheduler) ZeroCopy() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.zeroCopy
+	return &PoolScheduler{name: name, label: "pool:" + name, pool: pool, zeroCopy: zc}, nil
 }
 
 // Name implements IntraSlice.
@@ -119,20 +98,16 @@ func (p *PoolScheduler) Schedule(req *Request) (*Response, error) { return sched
 
 // ScheduleInto implements IntoScheduler.
 func (p *PoolScheduler) ScheduleInto(req *Request, resp *Response) error {
-	p.mu.Lock()
-	zeroCopy := p.zeroCopy
-	p.mu.Unlock()
-
 	pl, err := p.pool.Get()
 	if err != nil {
-		p.record(nil, 0, zeroCopy, req, err)
+		p.record(nil, 0, req, err)
 		return fmt.Errorf("sched: pool plugin %q: %w", p.name, err)
 	}
 	defer p.pool.Put(pl)
 
 	start := time.Now()
-	err = schedule(pl, zeroCopy, req, resp)
-	p.record(pl, time.Since(start), zeroCopy, req, err)
+	err = schedule(pl, p.zeroCopy, req, resp)
+	p.record(pl, time.Since(start), req, err)
 	if err != nil {
 		return fmt.Errorf("sched: pool plugin %q: %w", p.name, err)
 	}
@@ -170,9 +145,9 @@ func schedule(pl *wabi.Plugin, zeroCopy bool, req *Request, resp *Response) erro
 
 // record folds one Schedule outcome into the accounting under the lock. pl
 // is nil when the pool had no instance to give: then no fuel is charged.
-func (p *PoolScheduler) record(pl *wabi.Plugin, d time.Duration, zeroCopy bool, req *Request, err error) {
+func (p *PoolScheduler) record(pl *wabi.Plugin, d time.Duration, req *Request, err error) {
 	p.mu.Lock()
-	p.stats.record(pl, d, zeroCopy, req, err)
+	p.stats.record(pl, d, p.zeroCopy, req, err)
 	p.lastFuel = 0
 	if pl != nil {
 		p.lastFuel = pl.LastFuelUsed()

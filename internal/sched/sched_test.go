@@ -298,7 +298,7 @@ func TestQuickWorkConservation(t *testing.T) {
 		}
 		for _, s := range scheds {
 			resp, _ := s.Schedule(req)
-			total := uint64(resp.TotalPRBs())
+			total := uint64(totalPRBs(resp))
 			want := uint64(req.PRBBudget)
 			if demand < want {
 				want = demand
@@ -332,4 +332,13 @@ func TestQuickPrbsNeeded(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// totalPRBs sums the granted PRBs.
+func totalPRBs(r *Response) uint32 {
+	var t uint32
+	for _, a := range r.Allocs {
+		t += a.PRBs
+	}
+	return t
 }

@@ -86,6 +86,7 @@ func (c *callStats) snapshot() SchedStats {
 // consumed by their most recent sandbox call. On a scheduler shared by cells
 // stepped in parallel that is the last call by any of them, so the slot path
 // attributes per-slice cost from Response.FuelUsed instead.
+// api-exempt: the benchmark module reads fuel through it.
 type FuelReporter interface {
 	LastFuelUsed() int64
 }

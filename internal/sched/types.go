@@ -137,15 +137,6 @@ func (r *Response) Validate(req *Request) error {
 	return nil
 }
 
-// TotalPRBs sums the granted PRBs.
-func (r *Response) TotalPRBs() uint32 {
-	var t uint32
-	for _, a := range r.Allocs {
-		t += a.PRBs
-	}
-	return t
-}
-
 // prbsNeeded returns how many PRBs drain the UE's buffer this slot,
 // saturated at MaxUint32.
 func prbsNeeded(u *UEInfo) uint32 {

@@ -63,46 +63,14 @@ const (
 	zcRespPoison = 0xdead_beef
 )
 
-// ABIMode selects how a plugin scheduler exchanges requests and responses
-// with its sandbox.
-type ABIMode int
-
-const (
-	// ABIAuto uses the zero-copy path when the guest negotiates it and
-	// falls back to the serializing codec for legacy guests.
-	ABIAuto ABIMode = iota
-	// ABICodec forces the serializing codec path (the differential tests'
-	// reference).
-	ABICodec
-	// ABIZeroCopy requires the zero-copy path; construction fails if the
-	// guest cannot negotiate it.
-	ABIZeroCopy
-)
-
-// String implements fmt.Stringer.
-func (m ABIMode) String() string {
-	switch m {
-	case ABICodec:
-		return "codec"
-	case ABIZeroCopy:
-		return "zerocopy"
-	default:
-		return "auto"
-	}
-}
-
-// resolveABI picks the call path for a plugin under the requested mode:
-// zero-copy needs the region exports plus the dedicated entry point, the
-// codec path needs the classic entry.
-func resolveABI(name string, pl *wabi.Plugin, mode ABIMode) (zeroCopy bool, err error) {
-	hasZC := pl.ZeroCopyCapable() && pl.HasEntry(ZCEntryPoint)
-	switch {
-	case hasZC && mode != ABICodec:
+// resolveABI picks the call path for a plugin from its exports: zero-copy
+// when it has the region exports plus the dedicated entry point, the codec
+// path otherwise, which needs the classic entry.
+func resolveABI(name string, pl *wabi.Plugin) (zeroCopy bool, err error) {
+	if pl.ZeroCopyCapable() && pl.HasEntry(ZCEntryPoint) {
 		return true, nil
-	case mode == ABIZeroCopy:
-		return false, fmt.Errorf("sched: plugin %q is not zero-copy capable (needs %q, %q and %q exports)",
-			name, ZCEntryPoint, wabi.RegionRequestExport, wabi.RegionResponseExport)
-	case !pl.HasEntry(EntryPoint):
+	}
+	if !pl.HasEntry(EntryPoint) {
 		return false, fmt.Errorf("sched: plugin %q does not export %q with signature () -> i32", name, EntryPoint)
 	}
 	return false, nil

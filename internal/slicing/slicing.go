@@ -169,24 +169,6 @@ func (m *Manager) AddSlice(id uint32, name string, targetRateBps float64, schedu
 	return s, nil
 }
 
-// RemoveSlice deregisters a slice (an MVNO leaving the gNB — no restart
-// needed, per the paper's motivation).
-func (m *Manager) RemoveSlice(id uint32) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.slices[id]; !ok {
-		return fmt.Errorf("%w: %d", ErrNoSuchSlice, id)
-	}
-	delete(m.slices, id)
-	for i, v := range m.order {
-		if v.ID == id {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
-	}
-	return nil
-}
-
 // Slice looks up a slice by ID.
 func (m *Manager) Slice(id uint32) (*Slice, bool) {
 	m.mu.RLock()

@@ -130,14 +130,6 @@ func (c *ModuleCache) Register(reg *obs.Registry, labels ...obs.Label) {
 	}, labels...)
 }
 
-// Purge empties the cache (e.g. after a policy change that invalidates
-// previously vetted plugins).
-func (c *ModuleCache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[[sha256.Size]byte]*cacheEntry)
-}
-
 // String implements fmt.Stringer.
 func (c *ModuleCache) String() string {
 	c.mu.Lock()

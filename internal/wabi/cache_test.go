@@ -112,8 +112,4 @@ func TestModuleCacheDistinctBytecodeDistinctEntries(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("len = %d, want 2", c.Len())
 	}
-	c.Purge()
-	if c.Len() != 0 {
-		t.Fatal("purge left entries")
-	}
 }

@@ -115,8 +115,8 @@ func TestChaosCorruptOutput(t *testing.T) {
 	if string(out) != "cab" {
 		t.Fatalf("out = %q, want truncated %q", out, "cab")
 	}
-	if p.Poisoned() || p.LastFailureClass() != FailNone {
-		t.Fatalf("a completed call is a success here: class=%v", p.LastFailureClass())
+	if p.Poisoned() {
+		t.Fatal("a completed call is a success here, not a poisoning")
 	}
 }
 

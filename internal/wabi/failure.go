@@ -123,8 +123,5 @@ type InstantiateError struct {
 // Error implements the error interface.
 func (e *InstantiateError) Error() string { return e.Err.Error() }
 
-// Unwrap exposes the underlying cause.
-func (e *InstantiateError) Unwrap() error { return e.Err }
-
 // FailureClass implements ClassedError.
 func (e *InstantiateError) FailureClass() FailureClass { return FailInstantiate }

@@ -56,8 +56,8 @@ func FuzzClassify(f *testing.F) {
 			}
 			_, err := p.Call(e.Name, []byte{1, 2, 3})
 			if err == nil {
-				if got := p.LastFailureClass(); got != FailNone {
-					t.Fatalf("successful call left class %v, want %v", got, FailNone)
+				if p.Poisoned() {
+					t.Fatal("successful call left the instance poisoned")
 				}
 				continue
 			}
@@ -68,8 +68,8 @@ func FuzzClassify(f *testing.F) {
 			default:
 				t.Fatalf("call error classified %v, want a call-failure class: %v", got, err)
 			}
-			if last := p.LastFailureClass(); last != got {
-				t.Fatalf("LastFailureClass %v disagrees with ClassOf %v", last, got)
+			if poisoned := got == FailTrap || got == FailFuel; p.Poisoned() != poisoned {
+				t.Fatalf("Poisoned %v disagrees with class %v", p.Poisoned(), got)
 			}
 		}
 	})

@@ -89,14 +89,8 @@ func (p *Plugin) Regions(reqLen, respLen uint32) (*Regions, error) {
 		return nil, err
 	}
 	p.zc = &Regions{Layout: lay}
-	p.zcNegotiations++
 	return p.zc, nil
 }
-
-// RegionNegotiations counts how many times this Plugin negotiated a region
-// layout — one per instance that served zero-copy calls. Tests use it to
-// pin the "fresh instance re-negotiates" contract.
-func (p *Plugin) RegionNegotiations() uint64 { return p.zcNegotiations }
 
 // callRegionExport invokes one pointer export under the plugin's fuel
 // policy. A trap during negotiation leaves the instance in an unknown state,
@@ -112,11 +106,9 @@ func (p *Plugin) callRegionExport(name string) (uint32, error) {
 	if err != nil {
 		var trap *wasm.Trap
 		if errors.As(err, &trap) {
-			ce := &CallError{Entry: name, Trap: trap}
-			p.lastClass = ce.FailureClass()
-			return 0, ce
+			p.poisoned = true
+			return 0, &CallError{Entry: name, Trap: trap}
 		}
-		p.lastClass = FailUnknown
 		return 0, err
 	}
 	return uint32(res[0]), nil

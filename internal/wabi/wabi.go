@@ -150,6 +150,7 @@ func (e *CallError) Error() string {
 }
 
 // Unwrap exposes the trap for errors.As / errors.Is.
+// api-exempt: errors.As reaches the trap through it (the safety figure's trap codes).
 func (e *CallError) Unwrap() error {
 	if e.Trap != nil {
 		return e.Trap
@@ -180,15 +181,13 @@ type Plugin struct {
 
 	// zc is the negotiated zero-copy region state for the current instance,
 	// nil until the first Regions call and invalidated whenever the instance
-	// is replaced or discarded. zcNegotiations counts negotiations across
-	// the Plugin's lifetime.
-	zc             *Regions
-	zcNegotiations uint64
+	// is replaced or discarded.
+	zc *Regions
 
 	// The last call's outcome. Unsynchronized like the rest of the Plugin:
 	// one goroutine at a time.
-	lastFuel  int64
-	lastClass FailureClass
+	lastFuel int64
+	poisoned bool
 }
 
 // LastFuelUsed reports the instruction budget consumed by the most recent
@@ -199,22 +198,11 @@ func (p *Plugin) LastFuelUsed() int64 { return p.lastFuel }
 // (Policy.Tier, fixed for the plugin's lifetime).
 func (p *Plugin) LastTier() wasm.Tier { return p.inst.EffectiveTier() }
 
-// LastFailureClass reports the classification of the most recent call's
-// outcome (FailNone after a successful call or before any call).
-func (p *Plugin) LastFailureClass() FailureClass { return p.lastClass }
-
 // Poisoned reports whether the last call aborted mid-execution — a trap
 // or fuel exhaustion — leaving the linear memory in an unknown
 // intermediate state. Poisoned instances must not be handed to another
 // caller; Pool.Put discards them.
-func (p *Plugin) Poisoned() bool {
-	switch p.lastClass {
-	case FailTrap, FailFuel:
-		return true
-	default:
-		return false
-	}
-}
+func (p *Plugin) Poisoned() bool { return p.poisoned }
 
 // NewPlugin instantiates mod under the given policy and environment.
 // Failures are *InstantiateError.
@@ -373,7 +361,7 @@ func (p *Plugin) Call(entry string, input []byte) ([]byte, error) {
 		p.outBuf = nil
 	}
 	p.guestErr = ""
-	p.lastClass = FailNone
+	p.poisoned = false
 	if p.policy.Fuel > 0 {
 		p.inst.SetFuel(p.policy.Fuel)
 	}
@@ -386,15 +374,12 @@ func (p *Plugin) Call(entry string, input []byte) ([]byte, error) {
 	if err != nil {
 		var trap *wasm.Trap
 		if errors.As(err, &trap) {
-			ce := &CallError{Entry: entry, Trap: trap, Message: p.guestErr}
-			p.lastClass = ce.FailureClass()
-			return nil, ce
+			p.poisoned = true
+			return nil, &CallError{Entry: entry, Trap: trap, Message: p.guestErr}
 		}
-		p.lastClass = FailUnknown
 		return nil, err
 	}
 	if code := int32(uint32(res[0])); code != 0 {
-		p.lastClass = FailGuestError
 		return nil, &CallError{Entry: entry, Code: code, Message: p.guestErr}
 	}
 	return p.output, nil

@@ -52,9 +52,6 @@ func TestEchoRoundTrip(t *testing.T) {
 	if len(logged) != 1 || logged[0] != "echoing" {
 		t.Fatalf("logs = %v", logged)
 	}
-	if p.LastFailureClass() != FailNone {
-		t.Fatalf("class = %v after a clean call", p.LastFailureClass())
-	}
 }
 
 // TestCallOutputValidUntilNextCall: what Call returns is the plugin's copy,
@@ -191,8 +188,8 @@ func TestGuestErrorSurfaced(t *testing.T) {
 	if ce.Code != 3 || ce.Message != "bad input" {
 		t.Fatalf("code=%d msg=%q", ce.Code, ce.Message)
 	}
-	if p.LastFailureClass() != FailGuestError {
-		t.Fatalf("class = %v, want %v", p.LastFailureClass(), FailGuestError)
+	if ClassOf(err) != FailGuestError || p.Poisoned() {
+		t.Fatalf("class = %v poisoned = %v, want %v and clean", ClassOf(err), p.Poisoned(), FailGuestError)
 	}
 }
 

@@ -16,3 +16,16 @@ func LoweredOps(cm *CompiledModule) [][2]int {
 	}
 	return out
 }
+
+// GlobalValue returns the raw value of the exported global with that name.
+func (in *Instance) GlobalValue(name string) (uint64, bool) {
+	for _, e := range in.cm.m.Exports {
+		if e.Kind == ExternGlobal && e.Name == name {
+			ix := int(e.Index) // no imported globals supported
+			if ix < len(in.globals) {
+				return in.globals[ix], true
+			}
+		}
+	}
+	return 0, false
+}

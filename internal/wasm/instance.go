@@ -297,19 +297,6 @@ func (in *Instance) SetFuel(f int64) { in.fuel = f }
 // Fuel returns the remaining instruction budget.
 func (in *Instance) Fuel() int64 { return in.fuel }
 
-// GlobalValue returns the raw value of the exported global with that name.
-func (in *Instance) GlobalValue(name string) (uint64, bool) {
-	for _, e := range in.cm.m.Exports {
-		if e.Kind == ExternGlobal && e.Name == name {
-			ix := int(e.Index) // no imported globals supported
-			if ix < len(in.globals) {
-				return in.globals[ix], true
-			}
-		}
-	}
-	return 0, false
-}
-
 // Call invokes the exported function by name. Arguments and results are raw
 // 64-bit values (floats bit-cast). A sandbox fault is returned as *Trap.
 func (in *Instance) Call(name string, args ...uint64) ([]uint64, error) {
@@ -324,17 +311,6 @@ func (in *Instance) CallInto(dst []uint64, name string, args ...uint64) ([]uint6
 		return nil, fmt.Errorf("wasm: no exported function %q", name)
 	}
 	return in.call(fx, args, dst)
-}
-
-// CallIndex invokes a function by index in the module's function space.
-func (in *Instance) CallIndex(funcIdx uint32, args ...uint64) ([]uint64, error) {
-	return in.call(funcIdx, args, nil)
-}
-
-// HasExport reports whether the module exports a function with that name.
-func (in *Instance) HasExport(name string) bool {
-	_, ok := in.cm.m.ExportedFunc(name)
-	return ok
 }
 
 // FuncType returns the signature of the exported function.

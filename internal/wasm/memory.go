@@ -105,23 +105,6 @@ func (m *Memory) WriteUint32(offset uint32, v uint32) error {
 	return nil
 }
 
-// ReadUint64 reads a little-endian u64 at offset.
-func (m *Memory) ReadUint64(offset uint32) (uint64, error) {
-	if err := m.check(offset, 8); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(m.data[offset:]), nil
-}
-
-// WriteUint64 writes a little-endian u64 at offset.
-func (m *Memory) WriteUint64(offset uint32, v uint64) error {
-	if err := m.check(offset, 8); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(m.data[offset:], v)
-	return nil
-}
-
 func (m *Memory) check(offset, n uint32) error {
 	if uint64(offset)+uint64(n) > uint64(len(m.data)) {
 		return fmt.Errorf("wasm: memory access [%d, %d) outside size %d", offset, uint64(offset)+uint64(n), len(m.data))

@@ -70,9 +70,6 @@ func (t *Trap) Error() string {
 	return "wasm trap: " + t.Code.String()
 }
 
-// Unwrap exposes the wrapped host error, if any.
-func (t *Trap) Unwrap() error { return t.Wrapped }
-
 // Is supports errors.Is matching on the trap code.
 func (t *Trap) Is(target error) bool {
 	o, ok := target.(*Trap)
